@@ -1,25 +1,23 @@
 // Package cluster is the multi-device layer of the reproduction: a fleet of
-// simulated GPUs inside one environment, each fronted by its own Olympian
-// scheduler and serving front-end, with the two decision layers a
-// single-device stack never needs — placement (which device hosts which
-// model replica, planned by internal/planner) and routing (which replica
-// serves each request, chosen by a pluggable Router policy).
+// simulated GPUs, each fronted by its own Olympian scheduler and serving
+// front-end, with the two decision layers a single-device stack never needs —
+// placement (which device hosts which model replica, planned by
+// internal/planner) and routing (which replica serves each request, chosen by
+// a pluggable Router policy).
 //
 // Failover follows the fault plane: when internal/faults stalls a device's
-// driver, the device reports the stall to the cluster, which takes the
-// device out of rotation, drains its queued (not yet dispatched) requests
-// with serving.ErrDrained, and lets each drained request re-dispatch to a
-// surviving replica from its waiter's own process context. Kernels already
-// resident on the stalled device keep executing, matching the gpu model.
-// Because every step — stall schedule, drain order, re-dispatch order,
-// routing scores — is driven by the deterministic simulation kernel, two
-// same-seed runs produce byte-identical stats and routing decision logs.
+// driver, the device drains its queued (not yet dispatched) requests with
+// serving.ErrDrained and reports the stall to the front-end, which takes the
+// device out of rotation and re-dispatches each drained request to a
+// surviving replica. Kernels already resident on the stalled device keep
+// executing, matching the gpu model. Because every step — stall schedule,
+// drain order, re-dispatch order, routing scores — is driven by the
+// deterministic simulation kernel, two same-seed runs produce byte-identical
+// stats and routing decision logs.
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"olympian/internal/core"
@@ -32,7 +30,6 @@ import (
 	"olympian/internal/planner"
 	"olympian/internal/profiler"
 	"olympian/internal/serving"
-	"olympian/internal/sim"
 	"olympian/internal/telemetry"
 )
 
@@ -99,28 +96,24 @@ type Config struct {
 	// merges them deterministically and evaluates the SLO burn-rate rules.
 	// Samplers only read registry state at heartbeat boundaries, so enabling
 	// telemetry never changes simulated results, on either engine. Ignored
-	// when Obs is nil (there are no registries to scrape) and by the legacy
-	// single-environment engine (New).
+	// when Obs is nil (there are no registries to scrape).
 	Telemetry *telemetry.Config
 
-	// NetLatency is the modeled front-end<->device network latency used by
-	// the sharded engine; it doubles as the conservative lookahead that
-	// bounds each shard's safe-execution window (default DefaultNetLatency).
-	// The legacy single-environment engine (New) ignores it.
+	// NetLatency is the modeled front-end<->device network latency; it
+	// doubles as the conservative lookahead that bounds each shard's
+	// safe-execution window (default DefaultNetLatency).
 	NetLatency time.Duration
 	// Workers bounds the sharded engine's worker pool (0 = GOMAXPROCS; 1
 	// degrades gracefully to serial execution with identical output).
-	// Ignored by the legacy engine.
 	Workers int
-	// Slim disables per-request retention in the sharded engine and its
-	// serving stacks, and streams routing decisions into the fingerprint
-	// instead of retaining the log, so multi-million-request sweeps hold
-	// memory proportional to latency samples only. Stats are unchanged.
-	// Ignored by the legacy engine.
+	// Slim disables per-request retention in the cluster and its serving
+	// stacks, and streams routing decisions into the fingerprint instead of
+	// retaining the log, so multi-million-request sweeps hold memory
+	// proportional to latency samples only. Stats are unchanged.
 	Slim bool
 }
 
-// withDefaults fills zero-valued knobs shared by both cluster engines.
+// withDefaults fills zero-valued knobs.
 func (cfg Config) withDefaults() Config {
 	if len(cfg.Devices) == 0 {
 		cfg.Devices = []gpu.Spec{gpu.GTX1080Ti}
@@ -147,6 +140,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.WarmupBase <= 0 {
 		cfg.WarmupBase = DefaultWarmupBase
+	}
+	if cfg.NetLatency <= 0 {
+		cfg.NetLatency = DefaultNetLatency
 	}
 	return cfg
 }
@@ -220,382 +216,9 @@ func applyPlacement(rt *Router, pl *planner.Placement, devices int) error {
 	return nil
 }
 
-// Cluster is a fleet of devices behind one router.
-type Cluster struct {
-	env     *sim.Env
-	cfg     Config
-	servers []*serving.Server
-	router  *Router
-
-	requests   []*Request
-	failovers  int
-	hedges     int
-	hedgeWins  int
-	partitions int
-
-	rec         *obs.Recorder
-	routesC     *obs.Series
-	failoversC  *obs.Series
-	hedgesC     *obs.Series
-	hedgeWinsC  *obs.Series
-	drainsC     *obs.Series
-	crashesC    *obs.Series
-	revivesC    *obs.Series
-	partitionsC *obs.Series
-}
-
-// Request is one cluster-level inference request. It survives failover
-// (drained attempts re-dispatch to surviving replicas) and may be hedged
-// (a duplicate races the primary on another replica; first completion
-// wins, the loser is cancelled). Each dispatch attempt is observed by its
-// own watcher process, so completion order — not submission order —
-// decides the winner, deterministically under the simulation kernel.
-type Request struct {
-	// ID is the request's cluster-level arrival index — the identity its
-	// lifecycle trace events carry.
-	ID int
-	// Model is the target model name.
-	Model string
-	// Class is the request's priority class.
-	Class overload.Class
-	// Device is the replica that finally served (or last held) the request.
-	Device int
-	// Hops counts failover re-dispatches.
-	Hops int
-	// Hedged reports whether a duplicate was dispatched.
-	Hedged bool
-	// ArriveAt is when the request first entered the cluster.
-	ArriveAt sim.Time
-
-	c    *Cluster
-	done *sim.Event
-	// pending lists outstanding dispatch attempts (primary, failover
-	// re-dispatches, at most one hedge).
-	pending []attempt
-	settled bool
-	winner  *serving.Request
-	err     error
-}
-
-// attempt is one dispatch of a request to one replica.
-type attempt struct {
-	dev   int
-	inner *serving.Request
-	hedge bool
-}
-
-// New builds a cluster inside env. Every device gets its own gpu.Device,
-// Olympian scheduler, serving front-end, and (optionally) fault injector,
-// all seeded deterministically from cfg.Seed and the device index.
-func New(env *sim.Env, cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-
-	c := &Cluster{env: env, cfg: cfg, rec: cfg.Obs}
-	reg := cfg.Obs.Registry()
-	c.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	c.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
-	c.hedgesC = reg.Counter("olympian_cluster_hedges_total", "Hedged duplicates dispatched.")
-	c.hedgeWinsC = reg.Counter("olympian_cluster_hedge_wins_total", "Races won by the hedge.")
-	c.drainsC = reg.Counter("olympian_cluster_drains_total", "Devices drained on stall.")
-	c.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	c.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
-	c.partitionsC = reg.Counter("olympian_cluster_partitions_total", "Router-device partition windows begun.")
-	c.router = newRouter(env, len(cfg.Devices), cfg.Route, debtUnit(cfg))
-	if err := applyPlacement(c.router, cfg.Placement, len(cfg.Devices)); err != nil {
-		return nil, err
-	}
-
-	for i, spec := range cfg.Devices {
-		var inj *faults.Injector
-		if i < len(cfg.Faults) && cfg.Faults[i] != nil && cfg.Faults[i].Enabled() {
-			inj = faults.New(cfg.Seed+int64(i)*1031, *cfg.Faults[i])
-		}
-		srv, err := serving.NewServer(env, serving.Config{
-			Spec:               spec,
-			UseOlympian:        true,
-			Policy:             cfg.Policy(),
-			Quantum:            cfg.Quantum,
-			MaxBatch:           cfg.MaxBatch,
-			BatchTimeout:       cfg.BatchTimeout,
-			MaxQueue:           cfg.MaxQueue,
-			Deadline:           cfg.Deadline,
-			Seed:               cfg.Seed + int64(i)*101,
-			Faults:             inj,
-			Admission:          cfg.Admission,
-			Obs:                cfg.Obs,
-			Device:             i,
-			TestStrandDrainNth: cfg.TestStrandDrainNth,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
-		}
-		c.servers = append(c.servers, srv)
-		dev := srv.Device()
-		i := i
-		dev.SetStallObserver(func(until sim.Time) {
-			c.failover(i, until)
-		})
-		dev.SetCrashObserver(func(recovery time.Duration) {
-			c.crashed(i, recovery, func(warm time.Duration) {
-				c.env.Schedule(recovery, func() { dev.Revive(warm) })
-			})
-		})
-		dev.SetReadyObserver(func() { c.ready(i) })
-		if inj != nil {
-			c.schedulePartitions(c.env, i, inj)
-		}
-	}
-	return c, nil
-}
-
-// crashed reacts to a device crash: the replica leaves rotation for good
-// (MarkDead — no timer resurrects it), its queued requests drain so waiters
-// re-dispatch to surviving replicas, and — when the crash plan includes a
-// restart — scheduleRevive arms the revival with the modeled warm-up after
-// the recovery delay. Both engines share this bookkeeping; they differ only
-// in which environment the revival timer runs on.
-func (c *Cluster) crashed(device int, recovery time.Duration, scheduleRevive func(warm time.Duration)) {
-	c.router.MarkDead(device)
-	drained := c.servers[device].DrainQueued()
-	c.drainsC.Inc()
-	c.crashesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "crash_drain", obs.NoReq, obs.NoClass, device, int64(drained))
-	if recovery > 0 {
-		scheduleRevive(warmupFor(c.cfg, device))
-	}
-}
-
-// ready re-admits a revived replica at the router.
-func (c *Cluster) ready(device int) {
-	c.router.Revive(device)
-	c.revivesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, device, 0)
-}
-
-// schedulePartitions arms a device's router-partition windows on the
-// front-end environment: during a window the router routes around the
-// device exactly as for a transient stall, but nothing is drained — queued
-// and resident work keeps executing; only new arrivals detour. Windows are
-// read from the injector's precomputed schedule at construction, so
-// enabling partitions never perturbs any other random draw.
-func (c *Cluster) schedulePartitions(env *sim.Env, device int, inj *faults.Injector) {
-	for _, w := range inj.PartitionWindows() {
-		w := w
-		env.ScheduleAt(sim.Time(w.From), func() {
-			c.partitions++
-			c.partitionsC.Inc()
-			c.rec.Instant(obs.LayerCluster, "partition", obs.NoReq, obs.NoClass, device, int64(w.Dur))
-			until := sim.Time(w.From + w.Dur)
-			c.router.MarkDown(device, until)
-			env.Schedule(w.Dur, func() {
-				if !c.router.Down(device) {
-					c.router.MarkUp(device)
-				}
-			})
-		})
-	}
-}
-
 // workloadDefaultQuantum mirrors workload.DefaultQuantum without importing
 // the workload package (which would cycle through experiments).
 const workloadDefaultQuantum = 1200 * time.Microsecond
-
-// failover reacts to a device stall: the device leaves rotation until the
-// stall clears, and its queued requests are drained so their waiters
-// re-dispatch to surviving replicas.
-func (c *Cluster) failover(device int, until sim.Time) {
-	c.router.MarkDown(device, until)
-	drained := c.servers[device].DrainQueued()
-	c.drainsC.Inc()
-	c.rec.Instant(obs.LayerCluster, "drain", obs.NoReq, obs.NoClass, device, int64(drained))
-	c.env.Schedule(until.Sub(c.env.Now()), func() {
-		if !c.router.Down(device) {
-			c.router.MarkUp(device)
-		}
-	})
-}
-
-// Router exposes the routing layer (decision log, health controls).
-func (c *Cluster) Router() *Router { return c.router }
-
-// Requests returns all cluster-level requests submitted so far.
-func (c *Cluster) Requests() []*Request { return c.requests }
-
-// Server returns device i's serving front-end.
-func (c *Cluster) Server(i int) *serving.Server { return c.servers[i] }
-
-// Devices returns the fleet size.
-func (c *Cluster) Devices() int { return len(c.servers) }
-
-// Submit routes one interactive-class request to a replica and enqueues it
-// there. It must be called from process context.
-func (c *Cluster) Submit(p *sim.Proc, modelName string) (*Request, error) {
-	return c.SubmitClass(p, modelName, overload.Interactive)
-}
-
-// SubmitClass routes one request of the given priority class to a replica
-// and enqueues it there. Each dispatch attempt (the primary, any failover
-// re-dispatch, an optional hedge) is observed by its own watcher process;
-// callers just Wait on the request.
-func (c *Cluster) SubmitClass(p *sim.Proc, modelName string, class overload.Class) (*Request, error) {
-	dev, err := c.router.Route(modelName, false)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := c.servers[dev].SubmitClass(p, modelName, class)
-	if err != nil {
-		c.router.release(dev)
-		return nil, err
-	}
-	req := &Request{
-		ID:    len(c.requests),
-		Model: modelName, Class: class, Device: dev, ArriveAt: inner.ArriveAt,
-		c: c, done: c.env.NewEvent(),
-	}
-	c.requests = append(c.requests, req)
-	c.routesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "route", req.ID, int(class), obs.NoDevice, int64(dev))
-	req.watch(dev, inner, false)
-	if c.cfg.HedgeDelay > 0 {
-		req.armHedge()
-	}
-	return req, nil
-}
-
-// watch registers one dispatch attempt and spawns its watcher process. The
-// watcher waits for the attempt's serving-layer outcome, returns the
-// router's outstanding slot, and feeds the result into attemptDone, where
-// the first success settles the request and drains trigger re-dispatch.
-func (r *Request) watch(dev int, inner *serving.Request, hedge bool) {
-	r.pending = append(r.pending, attempt{dev: dev, inner: inner, hedge: hedge})
-	r.c.env.Go("cluster-watch", func(wp *sim.Proc) {
-		inner.Wait(wp)
-		r.c.router.release(dev)
-		r.attemptDone(wp, dev, inner, hedge)
-	})
-}
-
-// attemptDone folds one finished dispatch attempt into the request's state.
-func (r *Request) attemptDone(p *sim.Proc, dev int, inner *serving.Request, hedge bool) {
-	for i, a := range r.pending {
-		if a.inner == inner {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			break
-		}
-	}
-	if r.settled {
-		// A loser finishing after the race was decided: cancelled, or a
-		// photo-finish completion on the slower replica. Either way the
-		// winner already settled the request.
-		return
-	}
-	switch {
-	case inner.Err == nil:
-		r.settle(p, dev, inner, nil)
-		if hedge {
-			r.c.hedgeWins++
-			r.c.hedgeWinsC.Inc()
-			r.c.rec.Instant(obs.LayerCluster, "hedge_win", r.ID, int(r.Class), obs.NoDevice, int64(dev))
-		}
-	case errors.Is(inner.Err, serving.ErrDrained) && r.Hops < r.c.cfg.MaxFailovers:
-		next, err := r.c.router.Route(r.Model, true)
-		if err == nil {
-			var re *serving.Request
-			re, err = r.c.servers[next].SubmitClass(p, r.Model, r.Class)
-			if err != nil {
-				r.c.router.release(next)
-			} else {
-				r.Hops++
-				r.c.failovers++
-				r.c.failoversC.Inc()
-				r.c.rec.Instant(obs.LayerCluster, "failover", r.ID, int(r.Class), obs.NoDevice, int64(next))
-				r.watch(next, re, hedge)
-				return
-			}
-		}
-		if len(r.pending) == 0 {
-			r.settle(p, dev, nil, inner.Err)
-		}
-	default:
-		// Terminal failure for this attempt; another attempt may still be
-		// racing, so only the last one standing settles the request.
-		if len(r.pending) == 0 {
-			r.settle(p, dev, nil, inner.Err)
-		}
-	}
-}
-
-// settle decides the request and cancels any still-racing attempts through
-// the serving layer's cancel path (which reaches the executor's gang abort
-// when a loser's batch is already resident on its device).
-func (r *Request) settle(p *sim.Proc, dev int, winner *serving.Request, err error) {
-	r.settled = true
-	r.winner = winner
-	r.err = err
-	if winner != nil {
-		r.Device = dev
-	}
-	for _, a := range r.pending {
-		if r.c.servers[a.dev].Cancel(p, a.inner) {
-			r.c.rec.Instant(obs.LayerCluster, "cancel_loser", r.ID, int(r.Class), obs.NoDevice, int64(a.dev))
-		}
-	}
-	r.done.Trigger()
-}
-
-// armHedge starts the request's hedge timer: if the request is still
-// undecided after HedgeDelay, a duplicate is dispatched to the next-best
-// replica not already serving it. At most one hedge is dispatched per
-// request.
-func (r *Request) armHedge() {
-	r.c.env.Go("cluster-hedge", func(hp *sim.Proc) {
-		hp.Sleep(sim.Duration(r.c.cfg.HedgeDelay))
-		if r.settled || r.Hedged {
-			return
-		}
-		exclude := make([]int, 0, len(r.pending))
-		for _, a := range r.pending {
-			exclude = append(exclude, a.dev)
-		}
-		dev, err := r.c.router.RouteHedge(r.Model, exclude)
-		if err != nil {
-			return
-		}
-		inner, err := r.c.servers[dev].SubmitClass(hp, r.Model, r.Class)
-		if err != nil {
-			r.c.router.release(dev)
-			return
-		}
-		r.Hedged = true
-		r.c.hedges++
-		r.c.hedgesC.Inc()
-		r.c.rec.Instant(obs.LayerCluster, "hedge", r.ID, int(r.Class), obs.NoDevice, int64(dev))
-		r.watch(dev, inner, true)
-	})
-}
-
-// Wait blocks p until the request settles: its first successful attempt
-// completes, or its last attempt fails.
-func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
-
-// Err returns the request's final error (nil on success).
-func (r *Request) Err() error { return r.err }
-
-// Failed reports whether the request ended in an error.
-func (r *Request) Failed() bool { return r.settled && r.err != nil }
-
-// Finished reports whether the request has completed or failed.
-func (r *Request) Finished() bool { return r.settled }
-
-// Latency returns the end-to-end response time from first arrival at the
-// cluster to the winning attempt's completion, spanning any failover hops
-// and hedges; 0 while the request is still in flight or after a failure.
-func (r *Request) Latency() time.Duration {
-	if r.winner == nil || r.winner.FinishAt < r.ArriveAt {
-		return 0
-	}
-	return time.Duration(r.winner.FinishAt - r.ArriveAt)
-}
 
 // Stats aggregates the fleet's activity.
 type Stats struct {
@@ -633,11 +256,8 @@ type Stats struct {
 	// Utilization is each device's busy fraction over the run.
 	Utilization []float64
 	// PerModel holds cluster-level end-to-end latency percentiles, sorted
-	// by model name. Legacy path: this single-heap engine still derives them
-	// post hoc from the retained request list; the sharded engine and the
-	// serving layer record source histograms (obs.Hist) instead and read
-	// percentiles off the buckets in both retained and slim modes (DESIGN.md
-	// §15 "Telemetry plane").
+	// by model name, read off source histograms (obs.Hist) in both retained
+	// and slim modes (DESIGN.md §15 "Telemetry plane").
 	PerModel []serving.ModelLatency
 	// Degraded merges every device's degraded-mode tallies.
 	Degraded metrics.Degraded
@@ -645,60 +265,4 @@ type Stats struct {
 	// exact sequence for determinism checks.
 	Decisions    int
 	DecisionHash uint64
-}
-
-// Stats summarises the cluster's activity so far.
-func (c *Cluster) Stats() Stats {
-	st := Stats{Devices: len(c.servers), Failovers: c.failovers, Hedges: c.hedges, HedgeWins: c.hedgeWins,
-		Partitions: c.partitions}
-	now := c.env.Now()
-	var totalDown, recovered time.Duration
-	for _, srv := range c.servers {
-		ds := srv.Stats()
-		st.PerDevice = append(st.PerDevice, ds)
-		st.Degraded.Merge(ds.Degraded)
-		util := 0.0
-		if now > 0 {
-			util = srv.Device().TotalBusy().Seconds() / now.Seconds()
-		}
-		st.Utilization = append(st.Utilization, util)
-		dev := srv.Device()
-		st.Crashes += dev.Crashes()
-		st.Revives += dev.Revives()
-		totalDown += dev.DowntimeAt(now)
-		recovered += dev.MTTR() * time.Duration(dev.Revives())
-	}
-	if st.Revives > 0 {
-		st.MTTR = recovered / time.Duration(st.Revives)
-	}
-	if now > 0 && len(c.servers) > 0 {
-		st.Unavailability = totalDown.Seconds() / (float64(len(c.servers)) * now.Seconds())
-	}
-	byModel := make(map[string][]float64)
-	for _, r := range c.requests {
-		st.Requests++
-		switch {
-		case r.Failed():
-			st.Failed++
-		case r.Finished():
-			st.Completed++
-			byModel[r.Model] = append(byModel[r.Model], r.Latency().Seconds())
-		}
-	}
-	names := make([]string, 0, len(byModel))
-	for name := range byModel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st.PerModel = append(st.PerModel, serving.ModelLatency{
-			Model: name, Latency: metrics.PercentilesOf(byModel[name]),
-		})
-	}
-	if now > 0 {
-		st.Goodput = float64(st.Completed) / now.Seconds()
-	}
-	st.Decisions = c.router.Count()
-	st.DecisionHash = c.router.DecisionHash()
-	return st
 }

@@ -9,43 +9,30 @@ import (
 	"olympian/internal/gpu"
 	"olympian/internal/model"
 	"olympian/internal/planner"
-	"olympian/internal/sim"
 )
 
-// runTraffic submits n requests per model at the given interarrival gap and
-// waits on each from its own client proc.
-func runTraffic(t *testing.T, env *sim.Env, c *Cluster, models []string, n int, gap time.Duration) {
+// newSingleHeap builds a cluster on the single-heap reference engine.
+func newSingleHeap(t *testing.T, cfg Config) *ShardedCluster {
 	t.Helper()
-	for _, m := range models {
-		m := m
-		for i := 0; i < n; i++ {
-			i := i
-			env.Go("client-"+m, func(p *sim.Proc) {
-				p.Sleep(time.Duration(i) * gap)
-				req, err := c.Submit(p, m)
-				if err != nil {
-					t.Errorf("submit %s: %v", m, err)
-					return
-				}
-				req.Wait(p)
-			})
-		}
-	}
-	if err := env.Run(); err != nil {
+	c, err := NewSharded(cfg, SingleHeap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	env.Shutdown()
+	return c
+}
+
+// runTraffic schedules n interactive requests per model on the front-end at
+// the given interarrival gap and runs the cluster to quiescence.
+func runTraffic(t *testing.T, c *ShardedCluster, models []string, n int, gap time.Duration) {
+	t.Helper()
+	driveSharded(t, c, shardedScenario{name: "traffic", models: models, n: n, gap: gap})
 }
 
 func twoDevices() []gpu.Spec { return []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti} }
 
 func TestRoundRobinCyclesReplicas(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 6, time.Millisecond)
+	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
+	runTraffic(t, c, []string{model.Inception}, 6, time.Millisecond)
 	decs := c.Router().Decisions()
 	if len(decs) != 6 {
 		t.Fatalf("%d decisions, want 6", len(decs))
@@ -58,14 +45,10 @@ func TestRoundRobinCyclesReplicas(t *testing.T) {
 }
 
 func TestLeastOutstandingBalances(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: LeastOutstanding})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: LeastOutstanding})
 	// All 8 requests arrive at t=0, before any completes: least-outstanding
 	// must split them 4/4.
-	runTraffic(t, env, c, []string{model.Inception}, 8, 0)
+	runTraffic(t, c, []string{model.Inception}, 8, 0)
 	counts := make([]int, 2)
 	for _, d := range c.Router().Decisions() {
 		counts[d.Device]++
@@ -76,12 +59,8 @@ func TestLeastOutstandingBalances(t *testing.T) {
 }
 
 func TestCostWeightedSpreadsDebt(t *testing.T) {
-	env := sim.NewEnv(1)
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 6, time.Millisecond)
+	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted})
+	runTraffic(t, c, []string{model.Inception, model.ResNet50}, 6, time.Millisecond)
 	counts := make([]int, 2)
 	for _, d := range c.Router().Decisions() {
 		counts[d.Device]++
@@ -98,15 +77,11 @@ func TestCostWeightedSpreadsDebt(t *testing.T) {
 }
 
 func TestPlacementRestrictsRouting(t *testing.T) {
-	env := sim.NewEnv(1)
 	pl := &planner.Placement{Replicas: []planner.Replica{
 		{Model: model.Inception, Batch: 1, Device: 1},
 	}}
-	c, err := New(env, Config{Seed: 1, Devices: twoDevices(), Placement: pl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 4, time.Millisecond)
+	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Placement: pl})
+	runTraffic(t, c, []string{model.Inception}, 4, time.Millisecond)
 	for _, d := range c.Router().Decisions() {
 		if d.Device != 1 {
 			t.Fatalf("decision %+v escaped the placement (want device 1)", d)
@@ -118,29 +93,24 @@ func TestPlacementRestrictsRouting(t *testing.T) {
 }
 
 func TestPlacementValidatedAgainstFleet(t *testing.T) {
-	env := sim.NewEnv(1)
 	pl := &planner.Placement{Replicas: []planner.Replica{
 		{Model: model.Inception, Batch: 1, Device: 5},
 	}}
-	if _, err := New(env, Config{Seed: 1, Devices: twoDevices(), Placement: pl}); err == nil {
+	if _, err := NewSharded(Config{Seed: 1, Devices: twoDevices(), Placement: pl}, SingleHeap); err == nil {
 		t.Fatal("placement onto a missing device accepted, want error")
 	}
 }
 
 func TestFailoverReroutesQueuedRequests(t *testing.T) {
-	env := sim.NewEnv(42)
 	plans := []*faults.Plan{
 		{StallEvery: 15 * time.Millisecond, StallDur: 40 * time.Millisecond},
 		nil,
 	}
-	c, err := New(env, Config{
+	c := newSingleHeap(t, Config{
 		Seed: 42, Devices: twoDevices(), Faults: plans,
 		Route: RoundRobin, MaxBatch: 32, BatchTimeout: 8 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception}, 80, 500*time.Microsecond)
+	runTraffic(t, c, []string{model.Inception}, 80, 500*time.Microsecond)
 	st := c.Stats()
 	if st.Degraded.DeviceStalls == 0 {
 		t.Fatal("no stall fired; the fault plan never engaged")
@@ -168,19 +138,15 @@ func TestFailoverReroutesQueuedRequests(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	run := func() (Stats, []Decision) {
-		env := sim.NewEnv(7)
 		plans := []*faults.Plan{
 			{StallEvery: 20 * time.Millisecond, StallDur: 30 * time.Millisecond},
 			nil, nil,
 		}
-		c, err := New(env, Config{
+		c := newSingleHeap(t, Config{
 			Seed: 7, Devices: []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti, gpu.GTX1080Ti},
 			Faults: plans, Route: CostWeighted, BatchTimeout: 4 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
+		runTraffic(t, c, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
 		return c.Stats(), c.Router().Decisions()
 	}
 	st1, dec1 := run()
@@ -197,12 +163,8 @@ func TestClusterDeterminism(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	env := sim.NewEnv(3)
-	c, err := New(env, Config{Seed: 3, Devices: twoDevices()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraffic(t, env, c, []string{model.Inception, model.ResNet50}, 10, time.Millisecond)
+	c := newSingleHeap(t, Config{Seed: 3, Devices: twoDevices()})
+	runTraffic(t, c, []string{model.Inception, model.ResNet50}, 10, time.Millisecond)
 	st := c.Stats()
 	if st.Devices != 2 || len(st.PerDevice) != 2 || len(st.Utilization) != 2 {
 		t.Fatalf("per-device aggregation wrong: %+v", st)

@@ -242,12 +242,8 @@ type llmReport struct {
 // LLMCluster is a prefill/decode-disaggregated fleet on the sharded
 // substrate; both engines (SingleHeap, Sharded) produce bit-identical runs.
 type LLMCluster struct {
-	cfg    LLMConfig
-	engine Engine
-	shards *sim.Shards
-	net    time.Duration
-
-	router  *Router
+	fleet
+	cfg     LLMConfig
 	servers []*serving.LLMServer
 	links   []*llm.Link // egress link per prefill device, owned by shard 0
 
@@ -261,7 +257,6 @@ type LLMCluster struct {
 
 	completed, failed, shed, expired int
 	partial, partialTokens           int
-	failovers, crashes, revives      int
 	retries, retryDenied             int
 	tokensDelivered, truncatedTokens int
 	perClass                         [overload.NumClasses]LLMClassStats
@@ -273,19 +268,7 @@ type LLMCluster struct {
 	ttftHist, tpotHist     *obs.Hist
 	classTTFTs, classTPOTs [overload.NumClasses]*obs.Hist
 
-	children []*obs.Recorder
-	rec      *obs.Recorder
-
-	// samplers[i] scrapes children[i]'s registry on shard i's virtual clock;
-	// nil when telemetry is off. timeline caches the merged view.
-	samplers []*telemetry.Sampler
-	timeline *telemetry.Timeline
-
-	routesC      *obs.Series
-	failoversC   *obs.Series
 	handoffsC    *obs.Series
-	crashesC     *obs.Series
-	revivesC     *obs.Series
 	retriesC     *obs.Series
 	retryDeniedC *obs.Series
 }
@@ -306,54 +289,6 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	if !model.IsLLM(cfg.Model) {
 		return nil, fmt.Errorf("cluster: %q is not an autoregressive model", cfg.Model)
 	}
-	n := cfg.PrefillReplicas + cfg.DecodeReplicas
-	shards := sim.NewShards(sim.ShardsConfig{
-		N:          n + 1,
-		Lookahead:  cfg.NetLatency,
-		Seed:       cfg.Seed,
-		SingleHeap: engine == SingleHeap,
-		Workers:    cfg.Workers,
-	})
-	c := &LLMCluster{
-		cfg:        cfg,
-		engine:     engine,
-		shards:     shards,
-		net:        cfg.NetLatency,
-		attemptReq: make(map[int]*LLMRequest),
-		children:   make([]*obs.Recorder, n+1),
-	}
-	if cfg.Obs != nil {
-		for i := range c.children {
-			c.children[i] = cfg.Obs.NewChild()
-			c.children[i].Attach(shards.Env(i))
-		}
-		if cfg.Telemetry != nil {
-			c.samplers = make([]*telemetry.Sampler, len(c.children))
-			for i := range c.children {
-				c.samplers[i] = telemetry.NewSampler(*cfg.Telemetry, c.children[i].Registry())
-				c.samplers[i].Bind(shards.Env(i))
-			}
-		}
-	}
-	c.rec = c.children[0]
-	reg := c.rec.Registry()
-	c.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	c.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
-	c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
-	c.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	c.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
-	c.retriesC = reg.Counter("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.")
-	c.retryDeniedC = reg.Counter("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.")
-	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
-	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
-	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
-	c.tpotHist = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", "all"))
-	for cls := overload.Class(0); cls < overload.NumClasses; cls++ {
-		cl := cls.String()
-		c.classTTFTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", cl))
-		c.classTPOTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", cl))
-	}
-
 	// Profile each distinct spec once; replicas share the fitted curves, and
 	// the cost-weighted router charges prefill debt from the same fit.
 	profiles := map[string]*profiler.LLMProfile{}
@@ -369,16 +304,37 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	}
 	pprof := profiles[cfg.PrefillSpec.Name]
 	dprof := profiles[cfg.DecodeSpec.Name]
-	c.router = newRouter(shards.Env(0), n, cfg.Route, func(m string) (time.Duration, error) {
-		// Per-dispatch debt for the cost-weighted policy: a representative
-		// prefill pass, or a representative decode residency.
-		if m == decodeModel(cfg.Model) {
-			return dprof.DecodeStep(1, 512) * 64, nil
-		}
-		return pprof.Prefill(256), nil
-	})
-	if cfg.Slim {
-		c.router.setSlim()
+
+	n := cfg.PrefillReplicas + cfg.DecodeReplicas
+	c := &LLMCluster{
+		fleet: newFleet(fleetConfig{
+			devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+			route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
+			debt: func(m string) (time.Duration, error) {
+				// Per-dispatch debt for the cost-weighted policy: a
+				// representative prefill pass, or a representative decode
+				// residency.
+				if m == decodeModel(cfg.Model) {
+					return dprof.DecodeStep(1, 512) * 64, nil
+				}
+				return pprof.Prefill(256), nil
+			},
+		}, engine),
+		cfg:        cfg,
+		attemptReq: make(map[int]*LLMRequest),
+	}
+	reg := c.rec.Registry()
+	c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
+	c.retriesC = reg.Counter("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.")
+	c.retryDeniedC = reg.Counter("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.")
+	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
+	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
+	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
+	c.tpotHist = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", "all"))
+	for cls := overload.Class(0); cls < overload.NumClasses; cls++ {
+		cl := cls.String()
+		c.classTTFTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", cl))
+		c.classTPOTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", cl))
 	}
 	prefillDevs := make([]int, 0, cfg.PrefillReplicas)
 	decodeDevs := make([]int, 0, cfg.DecodeReplicas)
@@ -388,11 +344,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 		if i >= cfg.PrefillReplicas {
 			role, spec, prof = llm.DecodeRole, cfg.DecodeSpec, dprof
 		}
-		env := shards.Env(i + 1)
-		var inj *faults.Injector
-		if i < len(cfg.Faults) && cfg.Faults[i] != nil && cfg.Faults[i].Enabled() {
-			inj = faults.New(cfg.Seed+int64(i)*1031, *cfg.Faults[i])
-		}
+		env := c.shards.Env(i + 1)
 		srv, err := serving.NewLLMServer(env, serving.LLMConfig{
 			Spec:           spec,
 			Model:          cfg.Model,
@@ -409,7 +361,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			KVWatermark:    cfg.KVWatermark,
 			DegradedTail:   cfg.DegradedTail,
 			Seed:           cfg.Seed + int64(i)*101,
-			Faults:         inj,
+			Faults:         injector(cfg.Faults, cfg.Seed, i),
 			Obs:            c.children[i+1],
 			Device:         i,
 			IsolateRand:    true,
@@ -439,11 +391,9 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			if recovery > 0 {
 				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
 			}
-			c.shards.Send(i+1, 0, c.net, func() { c.crashReported(i) })
+			c.reportCrash(i)
 		})
-		srv.Device().SetReadyObserver(func() {
-			c.shards.Send(i+1, 0, c.net, func() { c.readyReported(i) })
-		})
+		c.watchReady(i, srv.Device())
 	}
 	c.router.setReplicas(prefillModel(cfg.Model), prefillDevs)
 	c.router.setReplicas(decodeModel(cfg.Model), decodeDevs)
@@ -459,20 +409,6 @@ func llmWarmupFor(cfg LLMConfig) time.Duration {
 		warm += time.Duration(float64(bytes) / cfg.H2DBandwidth * float64(time.Second))
 	}
 	return warm
-}
-
-func (c *LLMCluster) crashReported(dev int) {
-	c.router.MarkDead(dev)
-	c.crashes++
-	c.crashesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "crash", obs.NoReq, obs.NoClass, dev, 0)
-}
-
-func (c *LLMCluster) readyReported(dev int) {
-	c.router.Revive(dev)
-	c.revives++
-	c.revivesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, dev, 0)
 }
 
 // SubmitEvent routes one generation request into the prefill pool. It must
@@ -742,15 +678,6 @@ func (c *LLMCluster) settle(r *LLMRequest, err error) {
 	c.rec.Instant(obs.LayerCluster, "llm_settle", r.ID, int(r.Class), obs.NoDevice, int64(r.TokensOut))
 }
 
-// Engine returns which execution engine the fleet runs on.
-func (c *LLMCluster) Engine() Engine { return c.engine }
-
-// FrontEnv returns shard 0's environment — schedule arrival generators here.
-func (c *LLMCluster) FrontEnv() *sim.Env { return c.shards.Env(0) }
-
-// Router exposes the routing layer.
-func (c *LLMCluster) Router() *Router { return c.router }
-
 // Server returns device i's LLM serving replica.
 func (c *LLMCluster) Server(i int) *serving.LLMServer { return c.servers[i] }
 
@@ -763,39 +690,6 @@ func (c *LLMCluster) Requests() []*LLMRequest { return c.requests }
 // OutstandingAttempts returns dispatch attempts with no report folded back
 // yet; zero after quiescence, or an attempt's completion was lost.
 func (c *LLMCluster) OutstandingAttempts() int { return len(c.attemptReq) }
-
-// Run executes the simulation to completion across all shards.
-func (c *LLMCluster) Run() error { return c.shards.Run() }
-
-// Shutdown terminates remaining processes on every shard. Call once after
-// Run.
-func (c *LLMCluster) Shutdown() { c.shards.Shutdown() }
-
-// FinishObs folds the per-shard recorders onto cfg.Obs under one boundary
-// label. Call once after Run; a no-op when recording is off.
-func (c *LLMCluster) FinishObs(label string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Merge(label, c.children)
-	if tl := c.Timeline(); tl != nil {
-		tl.LogAlerts(c.cfg.Obs)
-	}
-}
-
-// Timeline merges the per-shard samplers into the run's fleet telemetry
-// timeline and evaluates the configured SLO burn-rate rules; identical on
-// both engines. Returns nil when telemetry is off; call after Run (the
-// merge is cached).
-func (c *LLMCluster) Timeline() *telemetry.Timeline {
-	if c.samplers == nil {
-		return nil
-	}
-	if c.timeline == nil {
-		c.timeline = telemetry.Merge(*c.cfg.Telemetry, c.samplers)
-	}
-	return c.timeline
-}
 
 // LLMClassStats is one priority class's fleet-level accounting. LostTokens
 // is output budget never delivered on shed/expired/failed settlements;

@@ -7,6 +7,7 @@ import (
 	"olympian/internal/faults"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/sim"
 )
 
@@ -96,21 +97,17 @@ func TestRouteHedgeExcludesBusyReplicas(t *testing.T) {
 }
 
 func TestHedgedRequestsFirstWinNoDoubleCount(t *testing.T) {
-	env := sim.NewEnv(9)
 	plans := []*faults.Plan{
 		{StallEvery: 15 * time.Millisecond, StallDur: 50 * time.Millisecond},
 		nil,
 	}
-	c, err := New(env, Config{
+	c := newSingleHeap(t, Config{
 		Seed: 9, Devices: twoDevices(), Faults: plans,
 		Route: RoundRobin, MaxBatch: 8, BatchTimeout: 4 * time.Millisecond,
 		HedgeDelay: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 60
-	runTraffic(t, env, c, []string{model.Inception}, n, 700*time.Microsecond)
+	runTraffic(t, c, []string{model.Inception}, n, 700*time.Microsecond)
 	st := c.Stats()
 	if st.Hedges == 0 {
 		t.Fatal("stalled device produced no hedges; hedge timer never engaged")
@@ -145,20 +142,16 @@ func TestHedgedRequestsFirstWinNoDoubleCount(t *testing.T) {
 
 func TestHedgedClusterIsDeterministic(t *testing.T) {
 	run := func() (Stats, uint64) {
-		env := sim.NewEnv(9)
 		plans := []*faults.Plan{
 			{StallEvery: 15 * time.Millisecond, StallDur: 50 * time.Millisecond},
 			nil,
 		}
-		c, err := New(env, Config{
+		c := newSingleHeap(t, Config{
 			Seed: 9, Devices: twoDevices(), Faults: plans,
 			Route: RoundRobin, MaxBatch: 8, BatchTimeout: 4 * time.Millisecond,
 			HedgeDelay: 20 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runTraffic(t, env, c, []string{model.Inception}, 60, 700*time.Microsecond)
+		runTraffic(t, c, []string{model.Inception}, 60, 700*time.Microsecond)
 		st := c.Stats()
 		return st, st.DecisionHash
 	}
@@ -173,23 +166,11 @@ func TestHedgedClusterIsDeterministic(t *testing.T) {
 }
 
 func TestSubmitClassPropagatesToServing(t *testing.T) {
-	env := sim.NewEnv(4)
-	c, err := New(env, Config{Seed: 4, Devices: []gpu.Spec{gpu.GTX1080Ti}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Go("client", func(p *sim.Proc) {
-		req, err := c.SubmitClass(p, model.Inception, 0) // batch class
-		if err != nil {
-			t.Errorf("submit: %v", err)
-			return
-		}
-		req.Wait(p)
+	c := newSingleHeap(t, Config{Seed: 4, Devices: []gpu.Spec{gpu.GTX1080Ti}})
+	driveSharded(t, c, shardedScenario{
+		name: "batch-class", models: []string{model.Inception},
+		classes: []overload.Class{overload.Batch}, n: 1,
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	env.Shutdown()
 	bc := c.Server(0).Stats().Degraded.ByClass[0]
 	if bc.Submitted != 1 || bc.Completed != 1 {
 		t.Fatalf("batch-class serving tally %+v, want 1 submitted and completed", bc)

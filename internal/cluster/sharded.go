@@ -1,14 +1,13 @@
 // Sharded cluster engine: the fleet partitioned across per-device
 // sub-environments under conservative lookahead.
 //
-// The legacy engine (New) runs every device inside one event heap; past a
-// handful of devices the single heap serializes the whole fleet. The sharded
-// engine gives each device its own sim.Env — shard i+1 hosts device i's full
-// stack (GPU, scheduler, executor, serving front-end) — and keeps the
-// cluster's shared state (router, request bookkeeping, hedge timers) on
-// shard 0, the front-end. Shards interact only through sim.Shards.Send,
-// whose delay is clamped to the modeled network latency, so windows of
-// Config.NetLatency virtual time run in parallel across a worker pool.
+// Each device gets its own sim.Env — shard i+1 hosts device i's full stack
+// (GPU, scheduler, executor, serving front-end) — and the cluster's shared
+// state (router, request bookkeeping, hedge timers) lives on shard 0, the
+// front-end. Shards interact only through sim.Shards.Send, whose delay is
+// clamped to the modeled network latency, so windows of Config.NetLatency
+// virtual time run in parallel across a worker pool. The SingleHeap engine
+// runs the same shards on one shared event heap as the reference.
 //
 // Every cross-shard interaction is a message:
 //
@@ -40,7 +39,6 @@ import (
 	"olympian/internal/overload"
 	"olympian/internal/serving"
 	"olympian/internal/sim"
-	"olympian/internal/telemetry"
 )
 
 // Engine selects how a sharded cluster executes its shards.
@@ -73,12 +71,8 @@ const DefaultNetLatency = 50 * time.Microsecond
 // ShardedCluster is a fleet of devices behind one router, executed on
 // per-device sub-environments synchronized at the routing boundary.
 type ShardedCluster struct {
-	cfg    Config
-	engine Engine
-	shards *sim.Shards
-	net    time.Duration
-
-	router  *Router
+	fleet
+	cfg     Config
 	servers []*serving.Server
 	agents  []*shardAgent
 
@@ -89,7 +83,6 @@ type ShardedCluster struct {
 	attempts   int
 	completed  int
 	failed     int
-	failovers  int
 	hedges     int
 	hedgeWins  int
 	partitions int
@@ -99,29 +92,16 @@ type ShardedCluster struct {
 	// Slim modes.
 	byModel map[string]*obs.Hist
 
-	// children[0] records the front-end, children[i+1] device i; merged onto
-	// cfg.Obs by FinishObs. All nil when recording is off.
-	children []*obs.Recorder
-	rec      *obs.Recorder
-
-	// samplers[i] scrapes children[i]'s registry on shard i's virtual clock;
-	// nil when telemetry is off. timeline caches the merged view.
-	samplers []*telemetry.Sampler
-	timeline *telemetry.Timeline
-
-	routesC     *obs.Series
-	failoversC  *obs.Series
 	hedgesC     *obs.Series
 	hedgeWinsC  *obs.Series
-	crashesC    *obs.Series
-	revivesC    *obs.Series
 	partitionsC *obs.Series
 }
 
-// ShardedRequest is one cluster-level inference request under the sharded
-// engine. Like the legacy Request it survives failover and may be hedged,
-// but every dispatch attempt lives on its device's shard; the front-end only
-// sees attempt outcome reports.
+// ShardedRequest is one cluster-level inference request. It survives
+// failover (drained attempts re-dispatch to surviving replicas) and may be
+// hedged (a duplicate races the primary on another replica; first completion
+// wins, the loser is cancelled). Every dispatch attempt lives on its device's
+// shard; the front-end only sees attempt outcome reports.
 type ShardedRequest struct {
 	// ID is the request's cluster-level arrival index.
 	ID int
@@ -174,63 +154,28 @@ func (r *ShardedRequest) Latency() time.Duration {
 // reference; both produce bit-identical runs for equal configs and seeds.
 func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = DefaultNetLatency
-	}
 	n := len(cfg.Devices)
-	shards := sim.NewShards(sim.ShardsConfig{
-		N:          n + 1,
-		Lookahead:  cfg.NetLatency,
-		Seed:       cfg.Seed,
-		SingleHeap: engine == SingleHeap,
-		Workers:    cfg.Workers,
-	})
 	c := &ShardedCluster{
+		fleet: newFleet(fleetConfig{
+			devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+			route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
+			debt: debtUnit(cfg),
+		}, engine),
 		cfg:        cfg,
-		engine:     engine,
-		shards:     shards,
-		net:        cfg.NetLatency,
 		attemptReq: make(map[int]*ShardedRequest),
 		byModel:    make(map[string]*obs.Hist),
-		children:   make([]*obs.Recorder, n+1),
 	}
-	if cfg.Obs != nil {
-		for i := range c.children {
-			c.children[i] = cfg.Obs.NewChild()
-			c.children[i].Attach(shards.Env(i))
-		}
-		if cfg.Telemetry != nil {
-			c.samplers = make([]*telemetry.Sampler, len(c.children))
-			for i := range c.children {
-				c.samplers[i] = telemetry.NewSampler(*cfg.Telemetry, c.children[i].Registry())
-				c.samplers[i].Bind(shards.Env(i))
-			}
-		}
-	}
-	c.rec = c.children[0]
 	reg := c.rec.Registry()
-	c.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	c.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
 	c.hedgesC = reg.Counter("olympian_cluster_hedges_total", "Hedged duplicates dispatched.")
 	c.hedgeWinsC = reg.Counter("olympian_cluster_hedge_wins_total", "Races won by the hedge.")
-	c.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	c.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
 	c.partitionsC = reg.Counter("olympian_cluster_partitions_total", "Router-device partition windows begun.")
-
-	c.router = newRouter(shards.Env(0), n, cfg.Route, debtUnit(cfg))
-	if cfg.Slim {
-		c.router.setSlim()
-	}
 	if err := applyPlacement(c.router, cfg.Placement, n); err != nil {
 		return nil, err
 	}
 
 	for i, spec := range cfg.Devices {
-		env := shards.Env(i + 1)
-		var inj *faults.Injector
-		if i < len(cfg.Faults) && cfg.Faults[i] != nil && cfg.Faults[i].Enabled() {
-			inj = faults.New(cfg.Seed+int64(i)*1031, *cfg.Faults[i])
-		}
+		env := c.shards.Env(i + 1)
+		inj := injector(cfg.Faults, cfg.Seed, i)
 		srv, err := serving.NewServer(env, serving.Config{
 			Spec:               spec,
 			UseOlympian:        true,
@@ -279,32 +224,14 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 				warm := warmupFor(cfg, i)
 				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
 			}
-			c.shards.Send(i+1, 0, c.net, func() { c.crashReported(i) })
+			c.reportCrash(i)
 		})
-		srv.Device().SetReadyObserver(func() {
-			c.shards.Send(i+1, 0, c.net, func() { c.readyReported(i) })
-		})
+		c.watchReady(i, srv.Device())
 		if inj != nil {
 			c.schedulePartitions(i, inj)
 		}
 	}
 	return c, nil
-}
-
-// crashReported runs on shard 0 when a device's crash report arrives: the
-// replica is marked dead at the router — only a revive report re-admits it.
-func (c *ShardedCluster) crashReported(dev int) {
-	c.router.MarkDead(dev)
-	c.crashesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "crash", obs.NoReq, obs.NoClass, dev, 0)
-}
-
-// readyReported runs on shard 0 when a revived device's ready report
-// arrives: the replica re-enters rotation with a clean slate.
-func (c *ShardedCluster) readyReported(dev int) {
-	c.router.Revive(dev)
-	c.revivesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, dev, 0)
 }
 
 // schedulePartitions arms a device's router-partition windows on the
@@ -578,15 +505,6 @@ func (c *ShardedCluster) stallReported(dev int, until sim.Time) {
 	}
 }
 
-// Engine returns which execution engine the cluster runs on.
-func (c *ShardedCluster) Engine() Engine { return c.engine }
-
-// FrontEnv returns shard 0's environment — schedule arrival generators here.
-func (c *ShardedCluster) FrontEnv() *sim.Env { return c.shards.Env(0) }
-
-// Router exposes the routing layer (decision log, health controls).
-func (c *ShardedCluster) Router() *Router { return c.router }
-
 // Server returns device i's serving front-end.
 func (c *ShardedCluster) Server(i int) *serving.Server { return c.servers[i] }
 
@@ -602,43 +520,6 @@ func (c *ShardedCluster) Requests() []*ShardedRequest { return c.requests }
 // it must be zero — the request-conservation checker asserts this: a nonzero
 // count means some attempt's completion was lost.
 func (c *ShardedCluster) OutstandingAttempts() int { return len(c.attemptReq) }
-
-// Run executes the simulation to completion across all shards.
-func (c *ShardedCluster) Run() error { return c.shards.Run() }
-
-// Shutdown terminates remaining processes on every shard. Call once after
-// Run.
-func (c *ShardedCluster) Shutdown() { c.shards.Shutdown() }
-
-// FinishObs folds the per-shard recorders onto cfg.Obs under one boundary
-// label, then logs any SLO burn-rate alert transitions as telemetry-layer
-// instants on the same merged time base. Call once after Run; a no-op when
-// recording is off.
-func (c *ShardedCluster) FinishObs(label string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Merge(label, c.children)
-	if tl := c.Timeline(); tl != nil {
-		tl.LogAlerts(c.cfg.Obs)
-	}
-}
-
-// Timeline merges the per-shard samplers into the run's fleet telemetry
-// timeline and evaluates the configured SLO burn-rate rules. Each shard's
-// sampler ticks on its own virtual clock; Merge extends the early-quiescing
-// ones to the global tick count, so the result is identical on the
-// single-heap and parallel engines. Returns nil when telemetry is off; call
-// after Run (the merge is cached).
-func (c *ShardedCluster) Timeline() *telemetry.Timeline {
-	if c.samplers == nil {
-		return nil
-	}
-	if c.timeline == nil {
-		c.timeline = telemetry.Merge(*c.cfg.Telemetry, c.samplers)
-	}
-	return c.timeline
-}
 
 // Stats summarises the cluster's activity so far. Rates use the shard
 // horizon (the latest virtual time any shard reached) as the elapsed-time

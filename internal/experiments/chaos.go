@@ -94,7 +94,11 @@ func Chaos(o Options) (*Report, error) {
 	}
 	serve := func(rec *obs.Recorder) (serving.Stats, time.Duration, int) {
 		env := sim.NewEnv(o.Seed)
-		rec.Bind(env, "run:chaos-serving")
+		// A child recorder keeps the server's latency histograms to this
+		// run; it is spliced onto rec once the run quiesces.
+		child := rec.NewChild()
+		child.Bind(env, "run:chaos-serving")
+		defer rec.Splice(child)
 		inj := faults.New(o.Seed, burstPlan)
 		srv, err := serving.NewServer(env, serving.Config{
 			MaxBatch:     8,
@@ -103,7 +107,7 @@ func Chaos(o Options) (*Report, error) {
 			Deadline:     250 * time.Millisecond,
 			Seed:         o.Seed,
 			Faults:       inj,
-			Obs:          rec,
+			Obs:          child,
 		})
 		if err != nil {
 			panic(err)

@@ -13,9 +13,9 @@ import (
 	"olympian/internal/invariant"
 	"olympian/internal/model"
 	"olympian/internal/obs"
+	"olympian/internal/overload"
 	"olympian/internal/planner"
 	"olympian/internal/profiler"
-	"olympian/internal/sim"
 )
 
 // clusterModels is the served mix: two models with distinct costs so
@@ -67,12 +67,10 @@ func clusterPlace(o Options, devices []gpu.Spec, rate float64) (*planner.Placeme
 	return planner.PlanPlacement(loads, caps, planner.Spread)
 }
 
-// run executes one cluster simulation and returns its stats. A non-nil rec
-// splices the run onto the experiment's lifecycle trace under label.
+// run executes one cluster simulation on the single-heap engine and returns
+// its stats. A non-nil rec splices the run onto the experiment's lifecycle
+// trace under label.
 func (r clusterRun) run(o Options, rec *obs.Recorder, label string) (cluster.Stats, error) {
-	env := sim.NewEnv(r.seed)
-	defer env.Shutdown()
-	rec.Bind(env, "run:"+label)
 	pl, err := clusterPlace(o, r.devices, r.rate)
 	if err != nil {
 		return cluster.Stats{}, err
@@ -81,39 +79,35 @@ func (r clusterRun) run(o Options, rec *obs.Recorder, label string) (cluster.Sta
 	if bt == 0 {
 		bt = 2 * time.Millisecond
 	}
-	c, err := cluster.New(env, cluster.Config{
+	c, err := cluster.NewSharded(cluster.Config{
 		Seed: r.seed, Devices: r.devices, Faults: r.faults,
 		Placement: pl, Route: r.route,
 		Quantum: o.quantum(), MaxBatch: 16, BatchTimeout: bt,
 		Profiles: o.Profiles, Obs: rec,
-	})
+	}, cluster.SingleHeap)
 	if err != nil {
 		return cluster.Stats{}, err
 	}
 	// Open-loop Poisson arrivals: pre-draw each request's arrival time and
-	// model from a seeded stream, then let every request live in its own
-	// client proc (arrival order, not spawn order, decides routing order).
+	// model from a seeded stream and schedule its submission on the
+	// front-end (arrival order decides routing order).
+	env := c.FrontEnv()
 	rng := rand.New(rand.NewSource(r.seed + 17))
 	at := 0.0
 	horizon := r.horizon.Seconds()
-	for i := 0; at < horizon; i++ {
+	for at < horizon {
 		at += rng.ExpFloat64() / r.rate
 		arrive := time.Duration(at * float64(time.Second))
 		name := clusterModels[rng.Intn(len(clusterModels))]
-		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			p.Sleep(arrive)
-			req, err := c.Submit(p, name)
-			if err != nil {
-				return
-			}
-			req.Wait(p)
-		})
+		env.Schedule(arrive, func() { c.SubmitEvent(name, overload.Interactive) })
 	}
-	if err := env.Run(); err != nil {
+	if err := c.Run(); err != nil {
 		return cluster.Stats{}, err
 	}
+	c.Shutdown()
+	c.FinishObs("run:" + label)
 	st := c.Stats()
-	if vs := invariant.CheckCluster(c, st); len(vs) > 0 {
+	if vs := invariant.CheckSharded(c, st); len(vs) > 0 {
 		return cluster.Stats{}, fmt.Errorf("cluster %s: request conservation violated: %v", label, vs)
 	}
 	return st, nil
@@ -217,7 +211,7 @@ func Cluster(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	deterministic := reflect.DeepEqual(fst, fst2) && fst.DecisionHash == fst2.DecisionHash
+	deterministic := reflect.DeepEqual(fst, fst2)
 	rep.AddNote("determinism: same-seed rerun identical = %v (decision hash %x)",
 		deterministic, fst.DecisionHash)
 	det := 0.0

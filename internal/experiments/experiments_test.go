@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"olympian/internal/obs"
 )
 
 // quick runs every experiment in shrunken form and asserts the paper's
@@ -418,6 +420,22 @@ func TestOverloadControl(t *testing.T) {
 	}
 	if over := r.Metric("hedge_overcount"); over != 0 {
 		t.Fatalf("hedged fleet accounted %+.0f extra completions, want exactly 0", over)
+	}
+}
+
+// TestOverloadDeterministicWhenObserved: recording the sweep must not leak
+// one run's latency histograms into the next, so the observed 4x point still
+// matches its un-observed same-seed rerun.
+func TestOverloadDeterministicWhenObserved(t *testing.T) {
+	o := quickOpts()
+	o.Obs = obs.NewRecorder()
+	o.Obs.MuteLayer(obs.LayerGPU)
+	r, err := Overload(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Metric("deterministic") != 1 {
+		t.Fatal("observed overload run diverged from its un-observed rerun")
 	}
 }
 

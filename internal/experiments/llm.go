@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"time"
 
 	"olympian/internal/cluster"
@@ -198,31 +197,15 @@ func LLM(o Options) (*Report, error) {
 
 	// Engine identity on the hardest sweep cell: single-heap vs the
 	// parallel engine at two worker counts, plus a same-seed rerun.
-	ref, _, err := probe.run(cluster.SingleHeap, 0)
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.LLMClusterStats, error) {
+		st, _, err := probe.run(engine, workers)
+		return st, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	identical := true
-	for _, workers := range []int{1, 0} {
-		got, _, err := probe.run(cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(ref, got) || got.DecisionHash != ref.DecisionHash {
-			identical = false
-		}
-	}
-	again, _, err := probe.run(cluster.SingleHeap, 0)
-	if err != nil {
-		return nil, err
-	}
-	deterministic := reflect.DeepEqual(ref, again)
 	rep.AddNote("engine identity on %s 4x cell: sharded == single-heap = %v; same-seed rerun identical = %v (decision hash %x, %d transfers)",
 		probe.dist.Name, identical, deterministic, ref.DecisionHash, ref.Transfers)
-	det := 0.0
-	if identical && deterministic {
-		det = 1
-	}
-	rep.SetMetric("bit_identical", det)
+	rep.SetMetric("bit_identical", boolMetric(identical && deterministic))
 	return rep, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"time"
 
 	"olympian/internal/cluster"
@@ -235,31 +234,15 @@ func LLMOverload(o Options) (*Report, error) {
 
 	// Engine identity on the 4x cell: single-heap vs the parallel engine at
 	// two worker counts, plus a same-seed rerun.
-	ref, _, _, err := peak.run(cluster.SingleHeap, 0)
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.LLMClusterStats, error) {
+		st, _, _, err := peak.run(engine, workers)
+		return st, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	identical := true
-	for _, workers := range []int{1, 0} {
-		got, _, _, err := peak.run(cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(ref, got) || got.DecisionHash != ref.DecisionHash {
-			identical = false
-		}
-	}
-	again, _, _, err := peak.run(cluster.SingleHeap, 0)
-	if err != nil {
-		return nil, err
-	}
-	deterministic := reflect.DeepEqual(ref, again)
 	rep.AddNote("engine identity on the 4x cell: sharded == single-heap = %v; same-seed rerun identical = %v (decision hash %x)",
 		identical, deterministic, ref.DecisionHash)
-	det := 0.0
-	if identical && deterministic {
-		det = 1
-	}
-	rep.SetMetric("bit_identical", det)
+	rep.SetMetric("bit_identical", boolMetric(identical && deterministic))
 	return rep, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"time"
 
 	"olympian/internal/cluster"
@@ -166,32 +165,16 @@ func Recovery(o Options) (*Report, error) {
 	// Engine identity on the last (hardest) cell: the single-heap reference
 	// and the parallel engine at two worker counts must agree bit for bit,
 	// and a same-seed rerun must reproduce the run exactly.
-	ref, _, err := probe.run(cluster.SingleHeap, 0)
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.Stats, error) {
+		st, _, err := probe.run(engine, workers)
+		return st, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	identical := true
-	for _, workers := range []int{1, 0} {
-		got, _, err := probe.run(cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(ref, got) || got.DecisionHash != ref.DecisionHash {
-			identical = false
-		}
-	}
-	again, _, err := probe.run(cluster.SingleHeap, 0)
-	if err != nil {
-		return nil, err
-	}
-	deterministic := reflect.DeepEqual(ref, again)
 	rep.AddNote("engine identity on crash cell: sharded == single-heap = %v; same-seed rerun identical = %v (decision hash %x, %d crashes, %d revives, MTTR %v)",
 		identical, deterministic, ref.DecisionHash, ref.Crashes, ref.Revives, ref.MTTR)
-	det := 0.0
-	if identical && deterministic {
-		det = 1
-	}
-	rep.SetMetric("bit_identical", det)
+	rep.SetMetric("bit_identical", boolMetric(identical && deterministic))
 	return rep, nil
 }
 

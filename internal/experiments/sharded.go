@@ -24,6 +24,30 @@ func shardedFleet(n int) []gpu.Spec {
 	return devs
 }
 
+// engineIdentity probes one fleet scenario across engines: run executes it on
+// an engine with a worker-pool size. It returns the single-heap reference
+// run, whether the parallel engine reproduced it bit for bit at its serial
+// degradation (workers=1) and at full parallelism (workers=0 = GOMAXPROCS),
+// and whether a same-seed single-heap rerun did.
+func engineIdentity[S any](run func(cluster.Engine, int) (S, error)) (ref S, identical, deterministic bool, err error) {
+	if ref, err = run(cluster.SingleHeap, 0); err != nil {
+		return ref, false, false, err
+	}
+	identical = true
+	for _, workers := range []int{1, 0} {
+		got, err := run(cluster.Sharded, workers)
+		if err != nil {
+			return ref, false, false, err
+		}
+		identical = identical && reflect.DeepEqual(ref, got)
+	}
+	again, err := run(cluster.SingleHeap, 0)
+	if err != nil {
+		return ref, false, false, err
+	}
+	return ref, identical, reflect.DeepEqual(ref, again), nil
+}
+
 // shardedIdentity runs the hardest differential scenario — stalls, drains,
 // failover, cost-weighted routing — on one engine and returns its stats.
 func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Stats, error) {
@@ -137,28 +161,16 @@ func Sharded(o Options) (*Report, error) {
 
 	// Identity: the single-heap reference versus the parallel engine at its
 	// serial degradation (workers=1) and full parallelism (workers=0 =
-	// GOMAXPROCS) must agree on every stat and on the decision-log hash.
-	ref, err := shardedIdentity(o, cluster.SingleHeap, 0)
+	// GOMAXPROCS) must agree on every stat, including the decision-log hash.
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.Stats, error) {
+		return shardedIdentity(o, engine, workers)
+	})
 	if err != nil {
 		return nil, err
 	}
-	identical := true
-	for _, workers := range []int{1, 0} {
-		got, err := shardedIdentity(o, cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(ref, got) || got.DecisionHash != ref.DecisionHash {
-			identical = false
-		}
-	}
-	rep.AddNote("identity: sharded engine (serial and parallel) bit-identical to single-heap = %v (decision hash %x, %d failovers, %d stalls)",
-		identical, ref.DecisionHash, ref.Failovers, ref.Degraded.DeviceStalls)
-	det := 0.0
-	if identical {
-		det = 1
-	}
-	rep.SetMetric("bit_identical", det)
+	rep.AddNote("identity: sharded engine (serial and parallel) bit-identical to single-heap = %v; same-seed rerun identical = %v (decision hash %x, %d failovers, %d stalls)",
+		identical, deterministic, ref.DecisionHash, ref.Failovers, ref.Degraded.DeviceStalls)
+	rep.SetMetric("bit_identical", boolMetric(identical && deterministic))
 
 	// Wall-clock: the same 8-device sweep on both engines. The micro model
 	// keeps per-request event counts small so the run measures engine

@@ -167,7 +167,7 @@ func New(seed int64, plan Plan) *Injector {
 		burstRNG:  rand.New(rand.NewSource(seed ^ 0x62757273)), // "burs"
 		retryRNG:  rand.New(rand.NewSource(seed ^ 0x72657472)), // "retr"
 	}
-	in.crashes = generateCrashes(rand.New(rand.NewSource(seed^0x63726173)), plan)    // "cras"
+	in.crashes = generateCrashes(rand.New(rand.NewSource(seed^0x63726173)), plan)       // "cras"
 	in.partitions = generatePartitions(rand.New(rand.NewSource(seed^0x70617274)), plan) // "part"
 	return in
 }

@@ -132,34 +132,3 @@ func CheckSharded(c *cluster.ShardedCluster, st cluster.Stats) []Violation {
 	}
 	return vs
 }
-
-// CheckCluster audits a quiesced legacy (single-environment) cluster: router
-// slots returned, every retained request settled, counts matching the stats.
-func CheckCluster(c *cluster.Cluster, st cluster.Stats) []Violation {
-	vs := CheckStats(st)
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
-		if n := rt.Outstanding(d); n != 0 {
-			vs = append(vs, violatef("router-outstanding",
-				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
-	completed, failed := 0, 0
-	for _, r := range c.Requests() {
-		switch {
-		case !r.Finished():
-			vs = append(vs, violatef("request-stranded",
-				"request %d (%s) never reached a terminal state", r.ID, r.Model))
-		case r.Failed():
-			failed++
-		default:
-			completed++
-		}
-	}
-	if completed != st.Completed || failed != st.Failed {
-		vs = append(vs, violatef("retained-mismatch",
-			"retained requests settle as %d completed / %d failed but stats report %d / %d",
-			completed, failed, st.Completed, st.Failed))
-	}
-	return vs
-}

@@ -126,32 +126,6 @@ type Percentiles struct {
 // branch on it before forming ratios (p99/p50 of an empty summary is 0/0).
 func (p Percentiles) Ok() bool { return p.N > 0 }
 
-// PercentilesOfOk computes the p50/p95/p99 of xs, with an explicit ok that is
-// false on an empty sample. Prefer this at call sites that go on to divide by
-// a quantile; PercentilesOf keeps the zero-value-on-empty contract because
-// differential tests DeepEqual whole Stats structs and NaNs never compare
-// equal.
-func PercentilesOfOk(xs []float64) (Percentiles, bool) {
-	p := PercentilesOf(xs)
-	return p, p.Ok()
-}
-
-// PercentilesOf computes the p50/p95/p99 of xs. An empty sample yields the
-// zero value (not NaNs), so reports can render absent models cleanly.
-func PercentilesOf(xs []float64) Percentiles {
-	if len(xs) == 0 {
-		return Percentiles{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Percentiles{
-		N:   len(sorted),
-		P50: Quantile(sorted, 0.50),
-		P95: Quantile(sorted, 0.95),
-		P99: Quantile(sorted, 0.99),
-	}
-}
-
 // String renders the percentiles in milliseconds.
 func (p Percentiles) String() string {
 	if p.N == 0 {
@@ -173,20 +147,6 @@ type TokenPercentiles struct {
 
 // Ok reports whether either token metric holds samples.
 func (tp TokenPercentiles) Ok() bool { return tp.TTFT.Ok() || tp.TPOT.Ok() }
-
-// TokenPercentilesOf computes TTFT/TPOT percentiles from per-request samples
-// in seconds. The slices are independent: a one-token request contributes a
-// TTFT sample but no TPOT sample.
-func TokenPercentilesOf(ttfts, tpots []float64) TokenPercentiles {
-	return TokenPercentiles{TTFT: PercentilesOf(ttfts), TPOT: PercentilesOf(tpots)}
-}
-
-// TokenPercentilesOfOk is TokenPercentilesOf with an explicit ok that is
-// false when both samples are empty.
-func TokenPercentilesOfOk(ttfts, tpots []float64) (TokenPercentiles, bool) {
-	tp := TokenPercentilesOf(ttfts, tpots)
-	return tp, tp.Ok()
-}
 
 // String renders both metrics in milliseconds.
 func (tp TokenPercentiles) String() string {

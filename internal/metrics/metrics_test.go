@@ -229,28 +229,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPercentilesOfEdgeCases(t *testing.T) {
-	if got := PercentilesOf(nil); got != (Percentiles{}) {
-		t.Fatalf("empty sample = %+v, want zero value", got)
-	}
-	if got := PercentilesOf([]float64{3}); got.N != 1 || got.P50 != 3 || got.P95 != 3 || got.P99 != 3 {
-		t.Fatalf("single sample = %+v, want all quantiles 3", got)
-	}
-	got := PercentilesOf([]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 100})
-	if got.N != 10 || got.P50 != 1 {
-		t.Fatalf("duplicate-heavy sample = %+v, want p50 = 1", got)
-	}
-	if got.P95 < got.P50 || got.P99 < got.P95 {
-		t.Fatalf("percentiles not monotone: %+v", got)
-	}
-	// PercentilesOf must not mutate its input.
-	xs := []float64{3, 1, 2}
-	PercentilesOf(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
 func TestClassCountsMergeAndAny(t *testing.T) {
 	var c ClassCounts
 	if c.Any() {
@@ -313,22 +291,5 @@ func TestDegradedStringRendersClassesAndNewCounters(t *testing.T) {
 	}
 	if strings.Contains(s, "batch[") {
 		t.Fatalf("String() = %q renders the traffic-free batch class", s)
-	}
-}
-
-func TestTokenPercentilesOf(t *testing.T) {
-	tp := TokenPercentilesOf([]float64{0.1, 0.2, 0.3}, []float64{0.01, 0.02})
-	if tp.TTFT.N != 3 || tp.TPOT.N != 2 {
-		t.Fatalf("sample counts: %+v", tp)
-	}
-	if tp.TTFT.P50 != 0.2 {
-		t.Fatalf("ttft p50 = %v", tp.TTFT.P50)
-	}
-	empty := TokenPercentilesOf(nil, nil)
-	if empty != (TokenPercentiles{}) {
-		t.Fatalf("empty samples must yield zero value: %+v", empty)
-	}
-	if empty.String() == "" || tp.String() == "" {
-		t.Fatalf("String must render")
 	}
 }

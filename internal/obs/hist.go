@@ -232,8 +232,8 @@ func histQuantile(counts [numHistBuckets + 1]uint64, total uint64, q float64) fl
 }
 
 // Percentiles summarises the histogram as p50/p95/p99 (seconds), the shape
-// experiment reports carry. Bounded memory stands in for the legacy exact
-// sample slices; the bucket scheme caps relative error at ~19%.
+// experiment reports carry, in bounded memory; the bucket scheme caps
+// relative error at ~19%.
 func (h *Hist) Percentiles() (n int, p50, p95, p99 float64) {
 	if h == nil || h.Count() == 0 {
 		return 0, 0, 0, 0

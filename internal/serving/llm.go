@@ -237,8 +237,8 @@ type LLMServer struct {
 	byClass                                       metrics.ByClass
 
 	// TTFT/TPOT/queue-delay histograms recorded at source; Stats derives its
-	// percentiles from these in both retained and Slim modes (the legacy
-	// exact-sample slices are gone — bounded memory, ≤ ~19% relative error).
+	// percentiles from these in both retained and Slim modes (bounded memory,
+	// ≤ ~19% relative error).
 	ttftHist *obs.Hist
 	tpotHist *obs.Hist
 	qdHist   *obs.Hist

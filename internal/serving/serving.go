@@ -293,10 +293,9 @@ type Server struct {
 
 	// Latency and queue-delay histograms, recorded at source on every
 	// completion/dispatch in both retained and Slim modes; Stats derives its
-	// quantiles from these (bounded memory — the legacy exact-sample slices
-	// are gone). Registered in the obs registry when recording is on so the
-	// telemetry sampler and Prometheus exposition see them; standalone
-	// otherwise.
+	// quantiles from these in bounded memory. Registered in the obs registry
+	// when recording is on so the telemetry sampler and Prometheus exposition
+	// see them; standalone otherwise.
 	latHist    *obs.Hist
 	qdHist     *obs.Hist
 	modelHists map[string]*obs.Hist
