@@ -135,9 +135,12 @@ func benchKernelDispatch(b *testing.B) {
 	env := sim.NewEnv(1)
 	dev := gpu.New(env, gpu.Spec{Name: "bench", ClockScale: 1, Capacity: 1})
 	env.Go("submitter", func(p *sim.Proc) {
+		k := gpu.Kernel{Owner: 1, Stream: 1, Duration: time.Microsecond, Occupancy: 1}
 		for i := 0; i < b.N; i++ {
-			ev := dev.Submit(&gpu.Kernel{Owner: 1, Stream: 1, Duration: time.Microsecond, Occupancy: 1})
-			ev.Wait(p)
+			if err := dev.Exec(p, k); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 	b.ResetTimer()

@@ -353,27 +353,25 @@ func (e *Engine) compute(p *sim.Proc, job *Job, n *graph.Node) {
 // middleware's point of view. It reports whether the kernel succeeded.
 func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Duration) bool {
 	for attempt := 0; ; attempt++ {
-		k := &gpu.Kernel{
+		err := e.dev.Exec(p, gpu.Kernel{
 			Owner:     job.ID,
 			Stream:    job.Client,
 			Duration:  dur,
 			Occupancy: n.Occupancy,
-		}
-		e.dev.Submit(k)
-		k.Done.Wait(p)
-		if k.Err == nil {
+		})
+		if err == nil {
 			return true
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			// The device is gone, not glitching: retrying against a dead
 			// device would spin the retry budget on instant failures. Abort
 			// immediately so the serving layer can fail the batch over.
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, k.Err))
+			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
 			return false
 		}
 		if attempt >= e.cfg.KernelRetries {
 			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
-				job.ID, n.ID, k.Err, attempt+1))
+				job.ID, n.ID, err, attempt+1))
 			return false
 		}
 		e.kernelRetries++

@@ -13,6 +13,17 @@
 // the oldest waiter, so large kernels cannot be starved by streams of small
 // ones.
 //
+// Streams are cheap: the serving layer opens one per batch, so a device
+// sees thousands over a run. The device remembers every stream it has seen,
+// to keep its weight, but dispatch looks only at the busy streams (those
+// with queued kernels), kept in first-seen order. A pick therefore costs
+// time in the number of busy streams, and it draws exactly what a scan over
+// every stream in first-seen order would. Exec, the blocking submit the
+// executor, the LLM server and the profiler use, recycles kernels and their
+// timers through a per-device free list, so steady-state dispatch allocates
+// nothing. A kernel failed by a crash is never recycled: its timers may
+// still be pending.
+//
 // Capacity is modelled as SM occupancy: each kernel occupies a fraction of
 // the device in (0,1], and kernels run concurrently while they fit
 // (large-batch kernels occupy the whole device, which is why the paper finds
@@ -25,6 +36,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -99,6 +111,15 @@ type Kernel struct {
 	seq      uint64
 	queuedAt sim.Time
 
+	// ep is the device epoch at dispatch. The launch and execution timers
+	// compare it with the device's epoch when they fire, so a crash (which
+	// bumps the epoch) turns the timers of every kernel it failed into
+	// no-ops. Both timers are built once per Kernel, on its first dispatch,
+	// and reused when Exec recycles it.
+	ep       uint64
+	launched func()
+	executed func()
+
 	// Lifecycle spans covering the launch/H2D phase and the execution
 	// phase; zero (no-op) when the device has no recorder.
 	launchSpan obs.SpanID
@@ -127,6 +148,7 @@ type Stats struct {
 // stream is one submission queue.
 type stream struct {
 	id     int
+	rank   int // first-seen order among the device's streams
 	queue  []*Kernel
 	weight float64
 }
@@ -137,8 +159,14 @@ type Device struct {
 	spec Spec
 	rng  *rand.Rand // nil: fall back to the environment's shared source
 
+	// Stream bookkeeping. streams holds every stream ever seen, so each
+	// keeps the weight drawn on its first use. busy holds only the streams
+	// with queued kernels, in first-seen (rank) order; dispatch reads only
+	// busy. cands is pump's reused candidate list.
 	streams     map[int]*stream
-	order       []int // stream ids in first-seen order, for determinism
+	busy        []*stream
+	cands       []*stream
+	free        []*Kernel // Exec's recycled kernels
 	queued      int
 	inUse       float64
 	active      int // kernels in their execution phase
@@ -236,7 +264,9 @@ func (d *Device) Observe(r *obs.Recorder, device int) {
 }
 
 // Submit enqueues a kernel on its stream; the driver dispatches it when
-// capacity allows. It returns the kernel's completion event.
+// capacity allows. It returns the kernel's completion event. A Kernel
+// belongs to the first device it is dispatched on: its timers are bound to
+// that device.
 func (d *Device) Submit(k *Kernel) *sim.Event {
 	if k.Done == nil {
 		k.Done = d.env.NewEvent()
@@ -257,9 +287,11 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	k.queuedAt = d.env.Now()
 	st := d.streams[k.Stream]
 	if st == nil {
-		st = &stream{id: k.Stream, weight: d.drawWeight()}
+		st = &stream{id: k.Stream, rank: len(d.streams), weight: d.drawWeight()}
 		d.streams[k.Stream] = st
-		d.order = append(d.order, k.Stream)
+	}
+	if len(st.queue) == 0 {
+		d.markBusy(st)
 	}
 	st.queue = append(st.queue, k)
 	d.queued++
@@ -269,6 +301,62 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	d.armStall()
 	d.pump()
 	return k.Done
+}
+
+// Exec submits a kernel with k's Owner, Stream, Duration and Occupancy and
+// blocks p until it completes, returning its error. It is the allocation-free
+// form of Submit followed by Done.Wait: the submitted *Kernel comes from a
+// per-device free list and goes back to it afterwards. A kernel failed by a
+// crash is never recycled, because its launch or execution timer may still
+// be pending and would fire into the kernel's next use.
+func (d *Device) Exec(p *sim.Proc, k Kernel) error {
+	pk := d.newKernel()
+	pk.Owner, pk.Stream, pk.Duration, pk.Occupancy = k.Owner, k.Stream, k.Duration, k.Occupancy
+	d.Submit(pk)
+	pk.Done.Wait(p)
+	err := pk.Err
+	if !errors.Is(err, faults.ErrDeviceCrashed) {
+		d.free = append(d.free, pk)
+	}
+	return err
+}
+
+// newKernel takes a kernel from the free list, re-armed, or makes one.
+func (d *Device) newKernel() *Kernel {
+	n := len(d.free)
+	if n == 0 {
+		return &Kernel{Done: d.env.NewEvent()}
+	}
+	k := d.free[n-1]
+	d.free[n-1] = nil
+	d.free = d.free[:n-1]
+	k.Err = nil
+	k.Done.Reset()
+	return k
+}
+
+// markBusy inserts st into the busy list at its first-seen position. New
+// streams have the highest rank, so the common case is an append.
+func (d *Device) markBusy(st *stream) {
+	i := len(d.busy)
+	for i > 0 && d.busy[i-1].rank > st.rank {
+		i--
+	}
+	d.busy = append(d.busy, nil)
+	copy(d.busy[i+1:], d.busy[i:])
+	d.busy[i] = st
+}
+
+// unmarkBusy removes st, whose queue has just drained, from the busy list.
+func (d *Device) unmarkBusy(st *stream) {
+	for i, b := range d.busy {
+		if b == st {
+			n := copy(d.busy[i:], d.busy[i+1:])
+			d.busy[i+n] = nil
+			d.busy = d.busy[:i+n]
+			return
+		}
+	}
 }
 
 // InjectFaults attaches a fault injector: completing kernels may fail
@@ -379,14 +467,16 @@ func (d *Device) crash(recovery time.Duration) {
 		k.Err = faults.ErrDeviceCrashed
 		k.Done.Trigger()
 	}
-	for _, id := range d.order {
-		st := d.streams[id]
-		for _, k := range st.queue {
+	for _, st := range d.busy {
+		for i, k := range st.queue {
 			k.Err = faults.ErrDeviceCrashed
 			k.Done.Trigger()
+			st.queue[i] = nil
 		}
-		st.queue = nil
+		st.queue = st.queue[:0]
 	}
+	clear(d.busy)
+	d.busy = d.busy[:0]
 	d.queued = 0
 	if d.onCrash != nil {
 		d.onCrash(recovery)
@@ -562,38 +652,28 @@ func (d *Device) pump() {
 	if d.dead || d.barrierClosed() || d.stalled() {
 		return
 	}
-	for {
-		var oldest *stream
-		for _, id := range d.order {
-			st := d.streams[id]
-			if len(st.queue) == 0 {
-				continue
-			}
-			if oldest == nil || st.queue[0].seq < oldest.queue[0].seq {
+	for len(d.busy) > 0 {
+		oldest := d.busy[0]
+		for _, st := range d.busy[1:] {
+			if st.queue[0].seq < oldest.queue[0].seq {
 				oldest = st
 			}
-		}
-		if oldest == nil {
-			return
 		}
 		head := oldest.queue[0]
 		if d.inUse+head.Occupancy > d.spec.Capacity+eps &&
 			d.env.Now().Sub(head.queuedAt) >= maxBypassWait {
 			return // age barrier: wait for drain
 		}
-		// Candidates: stream heads that fit.
-		var cands []*stream
+		// Candidates: stream heads that fit, in first-seen order.
+		cands := d.cands[:0]
 		total := 0.0
-		for _, id := range d.order {
-			st := d.streams[id]
-			if len(st.queue) == 0 {
-				continue
-			}
+		for _, st := range d.busy {
 			if d.inUse+st.queue[0].Occupancy <= d.spec.Capacity+eps {
 				cands = append(cands, st)
 				total += st.weight
 			}
 		}
+		d.cands = cands
 		if len(cands) == 0 {
 			return // within the bypass window but nothing fits yet
 		}
@@ -608,8 +688,15 @@ func (d *Device) pump() {
 				}
 			}
 		}
+		// Shift rather than reslice, so the queue's backing array is reused
+		// once the stream drains and refills.
 		k := pick.queue[0]
-		pick.queue = pick.queue[1:]
+		n := copy(pick.queue, pick.queue[1:])
+		pick.queue[n] = nil
+		pick.queue = pick.queue[:n]
+		if n == 0 {
+			d.unmarkBusy(pick)
+		}
 		d.queued--
 		d.begin(k)
 	}
@@ -626,14 +713,24 @@ func (d *Device) begin(k *Kernel) {
 	d.ownerCount[k.Owner]++
 	d.kernelsC.Inc()
 	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
+	// A recycled kernel still holds its previous use's span; crash() must
+	// not mistake it for this use's.
+	k.execSpan = 0
 	d.resident = append(d.resident, k)
-	ep := d.epoch
-	d.env.Schedule(d.spec.LaunchLatency, func() {
-		if d.epoch != ep {
-			return // device crashed; crash() already failed this kernel
+	k.ep = d.epoch
+	if k.launched == nil {
+		k.launched = func() {
+			if k.ep == d.epoch {
+				d.execStart(k)
+			}
 		}
-		d.execStart(k)
-	})
+		k.executed = func() {
+			if k.ep == d.epoch {
+				d.finish(k)
+			}
+		}
+	}
+	d.env.Schedule(d.spec.LaunchLatency, k.launched)
 }
 
 func (d *Device) execStart(k *Kernel) {
@@ -649,13 +746,7 @@ func (d *Device) execStart(k *Kernel) {
 		d.ownerStart[k.Owner] = now
 	}
 	d.ownerActive[k.Owner]++
-	ep := d.epoch
-	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), func() {
-		if d.epoch != ep {
-			return // device crashed; crash() already failed this kernel
-		}
-		d.finish(k)
-	})
+	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), k.executed)
 }
 
 func (d *Device) finish(k *Kernel) {

@@ -38,10 +38,8 @@ type LLMProfile struct {
 // and returns the observed wall time (launch + scaled execution).
 func llmCalibrate(p *sim.Proc, dev *gpu.Device, d time.Duration) (time.Duration, error) {
 	start := p.Now()
-	k := &gpu.Kernel{Owner: 0, Stream: 0, Duration: d, Occupancy: 1}
-	dev.Submit(k).Wait(p)
-	if k.Err != nil {
-		return 0, k.Err
+	if err := dev.Exec(p, gpu.Kernel{Owner: 0, Stream: 0, Duration: d, Occupancy: 1}); err != nil {
+		return 0, err
 	}
 	return time.Duration(p.Now() - start), nil
 }

@@ -219,6 +219,11 @@ type LLMServer struct {
 	cond    *sim.Cond
 	pending []*llm.Request // decode-role ingests waiting for cache space
 
+	// Decode-step scratch, reused across steps. Only the engine daemon
+	// touches it, and it runs one step at a time.
+	grown   map[*llm.Request]bool
+	running []*llm.Request
+
 	reqCount int
 	requests []*llm.Request // retained unless Slim
 
@@ -322,6 +327,7 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		prof:     prof,
 		batch:    llm.NewBatcher(cfg.MaxSeqs, cfg.MaxBatchTokens),
 		cond:     env.NewCond(fmt.Sprintf("llm-engine-%d", cfg.Device)),
+		grown:    make(map[*llm.Request]bool),
 		kvBudget: cfg.Spec.MemoryBytes - weights,
 		rec:      cfg.Obs,
 		obsDev:   cfg.Device,
@@ -690,12 +696,11 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 	}
 	start := p.Now()
 	for {
-		k := &gpu.Kernel{Owner: r.ID, Stream: 0, Duration: dur, Occupancy: 1}
-		s.dev.Submit(k).Wait(p)
-		if k.Err == nil {
+		err := s.dev.Exec(p, gpu.Kernel{Owner: r.ID, Stream: 0, Duration: dur, Occupancy: 1})
+		if err == nil {
 			break
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			if !r.Finished() {
 				s.kv.Release(r.ID)
 				s.bookFail(r, ErrDrained, p.Now())
@@ -746,7 +751,8 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 // exhaustion), executes one fused decode kernel, and retires sequences that
 // met their budget — the token boundary where membership changes.
 func (s *LLMServer) runDecodeStep(p *sim.Proc) {
-	grown := make(map[*llm.Request]bool, len(s.batch.Running()))
+	grown := s.grown
+	clear(grown)
 growth:
 	for {
 		for _, r := range s.batch.Running() {
@@ -779,7 +785,10 @@ growth:
 		}
 		break
 	}
-	running := append([]*llm.Request(nil), s.batch.Running()...)
+	// Copy the membership: the step's kernel blocks, and a drain may change
+	// the batch meanwhile.
+	running := append(s.running[:0], s.batch.Running()...)
+	s.running = running
 	if len(running) == 0 {
 		return
 	}
@@ -792,12 +801,11 @@ growth:
 	}
 	start := p.Now()
 	for {
-		k := &gpu.Kernel{Owner: -1, Stream: 0, Duration: dur, Occupancy: 1}
-		s.dev.Submit(k).Wait(p)
-		if k.Err == nil {
+		err := s.dev.Exec(p, gpu.Kernel{Owner: -1, Stream: 0, Duration: dur, Occupancy: 1})
+		if err == nil {
 			break
 		}
-		if errors.Is(k.Err, faults.ErrDeviceCrashed) {
+		if errors.Is(err, faults.ErrDeviceCrashed) {
 			for _, r := range running {
 				if r.Finished() {
 					continue

@@ -126,3 +126,84 @@ func TestCondWaitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Cond.Wait park path allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestCondWaitSignalCycleAllocs locks in that a process re-waiting on a
+// condition variable that another process keeps signalling (a pool worker,
+// a semaphore hand-off) reuses the waiter list: Signal shifts it in place
+// instead of reslicing from the front.
+func TestCondWaitSignalCycleAllocs(t *testing.T) {
+	env := NewEnv(1)
+	warmHeap(t, env, 64)
+	cond := env.NewCond("bench")
+	woken := 0
+	env.Go("waiter", func(p *Proc) {
+		for {
+			cond.Wait(p)
+			woken++
+		}
+	}).SetDaemon(true)
+	var avg float64
+	env.Go("signaller", func(p *Proc) {
+		p.Yield() // let the waiter park first
+		avg = testing.AllocsPerRun(200, func() {
+			cond.Signal()
+			p.Yield() // the waiter runs, re-waits, and hands back
+		})
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if woken != 201 {
+		t.Fatalf("waiter woke %d times, want 201", woken)
+	}
+	if avg > 0 {
+		t.Fatalf("Cond wait/signal cycle allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestEventResetCycleAllocs locks in that a reused event — Reset, Wait,
+// Trigger, over and over, as gpu.Device.Exec does with its pooled kernels'
+// completion events — allocates nothing: Trigger clears its waiter list in
+// place.
+func TestEventResetCycleAllocs(t *testing.T) {
+	env := NewEnv(1)
+	warmHeap(t, env, 64)
+	ev := env.NewEvent()
+	ev.Trigger()
+	fire := func() { ev.Trigger() }
+	var avg float64
+	env.Go("waiter", func(p *Proc) {
+		avg = testing.AllocsPerRun(200, func() {
+			ev.Reset()
+			env.Schedule(time.Microsecond, fire)
+			ev.Wait(p)
+		})
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if !ev.Triggered() {
+		t.Fatal("event not triggered after the last cycle")
+	}
+	if avg > 0 {
+		t.Fatalf("Event Reset/Wait/Trigger cycle allocates %.2f/op, want 0", avg)
+	}
+}
+
+func TestEventResetWithWaitersPanics(t *testing.T) {
+	env := NewEnv(1)
+	ev := env.NewEvent()
+	env.Go("waiter", func(p *Proc) { ev.Wait(p) }).SetDaemon(true)
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer env.Shutdown()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of an event with a parked waiter did not panic")
+		}
+	}()
+	ev.Reset()
+}

@@ -505,7 +505,7 @@ func (e *Env) deadlockError() error {
 }
 
 // Event is a one-shot occurrence processes can wait on. Once triggered,
-// subsequent waits return immediately.
+// subsequent waits return immediately until Reset re-arms it.
 type Event struct {
 	env       *Env
 	triggered bool
@@ -529,11 +529,24 @@ func (ev *Event) Trigger() {
 	for _, p := range ev.waiters {
 		ev.env.scheduleProc(0, p)
 	}
-	ev.waiters = nil
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0]
 	for _, fn := range ev.subs {
 		ev.env.Schedule(0, fn)
 	}
-	ev.subs = nil
+	clear(ev.subs)
+	ev.subs = ev.subs[:0]
+}
+
+// Reset re-arms a triggered event so it can be waited on and triggered
+// again, keeping its waiter storage: a reused event costs no allocation per
+// cycle. Resetting an untriggered event with waiters would strand them, so
+// it panics.
+func (ev *Event) Reset() {
+	if len(ev.waiters) > 0 || len(ev.subs) > 0 {
+		panic("sim: Reset of an event with waiters")
+	}
+	ev.triggered = false
 }
 
 // Subscribe registers fn to run in event context when the event triggers;
@@ -588,7 +601,11 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	// Shift rather than reslice from the front: the backing array is reused
+	// across wait/signal cycles and holds no popped procs.
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	c.env.scheduleProc(0, p)
 }
 
@@ -597,7 +614,8 @@ func (c *Cond) Broadcast() {
 	for _, p := range c.waiters {
 		c.env.scheduleProc(0, p)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Semaphore is a counting semaphore for processes.
