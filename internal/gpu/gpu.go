@@ -833,14 +833,19 @@ func (d *Device) QueueLen() int { return d.queued }
 // Active returns the number of kernels currently resident.
 func (d *Device) Active() int { return d.active }
 
-// Alloc reserves device memory, failing when the device is full.
+// ErrOutOfMemory is Alloc's answer when a reservation does not fit. It is a
+// fixed value so that callers probing for room (KV growth under pressure
+// fails on most decode steps) pay no formatting or allocation for the miss.
+var ErrOutOfMemory = errors.New("gpu: out of memory")
+
+// Alloc reserves device memory, returning ErrOutOfMemory when the device is
+// full.
 func (d *Device) Alloc(bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("gpu %s: negative allocation %d", d.spec.Name, bytes)
 	}
 	if d.memUsed+bytes > d.spec.MemoryBytes {
-		return fmt.Errorf("gpu %s: out of memory: %d in use, %d requested, %d total",
-			d.spec.Name, d.memUsed, bytes, d.spec.MemoryBytes)
+		return ErrOutOfMemory
 	}
 	d.memUsed += bytes
 	if d.memUsed > d.stats.MemoryPeak {

@@ -11,8 +11,6 @@
 // must answer with queueing or preemption.
 package gpu
 
-import "fmt"
-
 // KVStats is a snapshot of cache-allocator counters. Comparable by ==, so
 // differential tests can fold it into DeepEqual'd stats.
 type KVStats struct {
@@ -36,9 +34,13 @@ type KVCache struct {
 	blockTokens int
 	blockBytes  int64
 
-	tokens map[int]int // seq -> cached tokens (logical)
-	blocks map[int]int // seq -> blocks reserved
-	stats  KVStats
+	seqs  map[int]kvSeq
+	stats KVStats
+}
+
+// kvSeq is one sequence's cache: logical tokens and reserved blocks.
+type kvSeq struct {
+	tokens, blocks int
 }
 
 // NewKVCache wires a block allocator over the device. blockTokens is the
@@ -55,8 +57,7 @@ func NewKVCache(dev *Device, blockTokens int, bytesPerToken int64) *KVCache {
 		dev:         dev,
 		blockTokens: blockTokens,
 		blockBytes:  int64(blockTokens) * bytesPerToken,
-		tokens:      make(map[int]int),
-		blocks:      make(map[int]int),
+		seqs:        make(map[int]kvSeq),
 	}
 }
 
@@ -79,54 +80,46 @@ func (kc *KVCache) CanFit(tokens int) bool {
 
 // Grow ensures the sequence's cache covers tokens total tokens, reserving
 // blocks as needed. On exhaustion nothing is allocated (no partial growth)
-// and the device's out-of-memory error is returned: the caller must queue,
+// and the device's ErrOutOfMemory is returned: the caller must queue,
 // preempt a victim, or fail the sequence.
 func (kc *KVCache) Grow(seq, tokens int) error {
-	have := kc.blocks[seq]
-	need := kc.blocksFor(tokens)
-	if need > have {
-		delta := int64(need-have) * kc.blockBytes
-		if err := kc.dev.Alloc(delta); err != nil {
+	s, ok := kc.seqs[seq]
+	if need := kc.blocksFor(tokens); need > s.blocks {
+		if err := kc.dev.Alloc(int64(need-s.blocks) * kc.blockBytes); err != nil {
 			kc.stats.AllocFailures++
-			return fmt.Errorf("kvcache: seq %d at %d tokens: %w", seq, tokens, err)
+			return err
 		}
-		kc.blocks[seq] = need
-		kc.stats.Grown += need - have
-		kc.stats.BlocksInUse += need - have
-		if kc.stats.BlocksInUse > kc.stats.BlocksPeak {
-			kc.stats.BlocksPeak = kc.stats.BlocksInUse
-		}
+		kc.stats.Grown += need - s.blocks
+		kc.stats.BlocksInUse += need - s.blocks
+		kc.stats.BlocksPeak = max(kc.stats.BlocksPeak, kc.stats.BlocksInUse)
+		s.blocks = need
+	} else if ok && tokens <= s.tokens {
+		return nil
 	}
-	if _, ok := kc.tokens[seq]; !ok {
+	if !ok {
 		kc.stats.Seqs++
 	}
-	if tokens > kc.tokens[seq] {
-		kc.tokens[seq] = tokens
-	}
+	s.tokens = max(s.tokens, tokens)
+	kc.seqs[seq] = s
 	return nil
 }
 
 // Release frees every block the sequence holds. Releasing an unknown
 // sequence is a no-op, so crash unwinding may release unconditionally.
 func (kc *KVCache) Release(seq int) {
-	blocks, ok := kc.blocks[seq]
+	s, ok := kc.seqs[seq]
 	if !ok {
-		if _, had := kc.tokens[seq]; had {
-			delete(kc.tokens, seq)
-			kc.stats.Seqs--
-		}
 		return
 	}
-	kc.dev.Free(int64(blocks) * kc.blockBytes)
-	kc.stats.BlocksInUse -= blocks
-	kc.stats.Released += blocks
-	delete(kc.blocks, seq)
-	delete(kc.tokens, seq)
+	kc.dev.Free(int64(s.blocks) * kc.blockBytes)
+	kc.stats.BlocksInUse -= s.blocks
+	kc.stats.Released += s.blocks
+	delete(kc.seqs, seq)
 	kc.stats.Seqs--
 }
 
 // SeqTokens returns the tokens cached for a sequence (0 when absent).
-func (kc *KVCache) SeqTokens(seq int) int { return kc.tokens[seq] }
+func (kc *KVCache) SeqTokens(seq int) int { return kc.seqs[seq].tokens }
 
 // BytesInUse returns the cache's current device-memory footprint.
 func (kc *KVCache) BytesInUse() int64 {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"testing"
 
 	"olympian/internal/sim"
@@ -89,5 +90,51 @@ func TestKVCacheCompetesWithWeights(t *testing.T) {
 	kc.Release(7)
 	if err := kc.Grow(8, 1); err != nil {
 		t.Fatalf("Grow after release: %v", err)
+	}
+}
+
+// TestKVExhaustionAllocFree pins the cost of a miss: a KV-starved replica
+// fails Grow on most decode steps, so neither Grow nor the device Alloc
+// under it may allocate when the reservation does not fit.
+func TestKVExhaustionAllocFree(t *testing.T) {
+	dev := kvTestDevice(t, 4<<10)
+	kc := NewKVCache(dev, 16, 64) // 1 KiB blocks
+	if err := kc.Grow(1, 64); err != nil {
+		t.Fatal(err) // fills the device
+	}
+	if err := kc.Grow(2, 1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Grow on a full device = %v, want ErrOutOfMemory", err)
+	}
+	if err := dev.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Alloc on a full device = %v, want ErrOutOfMemory", err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = kc.Grow(1, 65) }); a != 0 {
+		t.Fatalf("failed Grow allocates %.1f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = dev.Alloc(1) }); a != 0 {
+		t.Fatalf("failed Alloc allocates %.1f times, want 0", a)
+	}
+	// AllocsPerRun makes one warm-up call besides its 100 counted runs.
+	if st := kc.Stats(); st.AllocFailures != 1+101 || st.Seqs != 1 || st.BlocksInUse != 4 {
+		t.Fatalf("stats after failed growth = %+v", st)
+	}
+}
+
+// TestKVCacheZeroTokenGrowRecordsSeqOnce guards the sequence count: a Grow
+// that needs no blocks still records the sequence, once, so its Release
+// brings the count back.
+func TestKVCacheZeroTokenGrowRecordsSeqOnce(t *testing.T) {
+	kc := NewKVCache(kvTestDevice(t, 1<<20), 16, 64)
+	for range 2 {
+		if err := kc.Grow(7, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := kc.Stats(); st.Seqs != 1 || st.BlocksInUse != 0 {
+		t.Fatalf("after two zero-token Grows: %+v, want 1 seq and no blocks", st)
+	}
+	kc.Release(7)
+	if st := kc.Stats(); st.Seqs != 0 || st.Released != 0 {
+		t.Fatalf("after Release: %+v, want 0 seqs", st)
 	}
 }

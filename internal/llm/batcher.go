@@ -1,5 +1,7 @@
 package llm
 
+import "olympian/internal/overload"
+
 // Batcher is the continuous-batching membership policy: which sequences are
 // waiting for prefill, which have KV resident and wait for a batch slot, and
 // which are in the in-flight decode batch. Sequences join and leave the
@@ -13,10 +15,18 @@ package llm
 //
 // The Batcher is pure bookkeeping — no clock, no randomness — so both
 // cluster engines drive bit-identical membership sequences through it.
+//
+// The prefill queue is one deque per class. Each entry carries an order key —
+// Enqueue takes back++, EnqueueFront takes --front — so the global FCFS order
+// across classes is key order, and every queue operation except the crash-time
+// TakeAll is O(1) and allocation-free once the deques have grown.
 type Batcher struct {
 	maxSeqs int
 
-	queue   []*Request // waiting for (re)prefill, FCFS; preemptions re-enter at the front
+	queue       [overload.NumClasses]deque // waiting for (re)prefill, one deque per class
+	front, back int64                      // order-key bounds of the queue
+	queued      int                        // total across the deques
+
 	ready   []*Request // prefilled, KV resident, waiting for a slot
 	running []*Request // in-flight decode batch, in join order
 }
@@ -38,17 +48,23 @@ func NewBatcher(maxSeqs, maxBatchTokens int) *Batcher {
 // Slots returns the effective batch bound.
 func (b *Batcher) Slots() int { return b.maxSeqs }
 
-// Enqueue appends a request to the prefill queue.
-func (b *Batcher) Enqueue(r *Request) { b.queue = append(b.queue, r) }
+// Enqueue appends a request to the prefill queue. Its Class must be valid.
+func (b *Batcher) Enqueue(r *Request) {
+	b.queue[r.Class].pushBack(entry{r, b.back})
+	b.back++
+	b.queued++
+}
 
 // EnqueueFront puts a preempted request at the head of the prefill queue:
 // recomputation preserves its position ahead of newer arrivals.
 func (b *Batcher) EnqueueFront(r *Request) {
-	b.queue = append([]*Request{r}, b.queue...)
+	b.front--
+	b.queue[r.Class].pushFront(entry{r, b.front})
+	b.queued++
 }
 
 // QueueLen returns how many requests are waiting for prefill.
-func (b *Batcher) QueueLen() int { return len(b.queue) }
+func (b *Batcher) QueueLen() int { return b.queued }
 
 // Ready returns how many prefilled sequences are waiting for a slot.
 func (b *Batcher) Ready() int { return len(b.ready) }
@@ -59,7 +75,7 @@ func (b *Batcher) Running() []*Request { return b.running }
 
 // HasWork reports whether anything is queued, ready, or running.
 func (b *Batcher) HasWork() bool {
-	return len(b.queue) > 0 || len(b.ready) > 0 || len(b.running) > 0
+	return b.queued > 0 || len(b.ready) > 0 || len(b.running) > 0
 }
 
 // Idle reports the opposite of HasWork.
@@ -72,20 +88,15 @@ func (b *Batcher) Idle() bool { return !b.HasWork() }
 // backlog of batch work (within one class the order is strict FCFS, and
 // preempted sequences re-entered at the front keep their place).
 func (b *Batcher) NextPrefill() *Request {
-	if len(b.queue) == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
+	if b.queued == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
 		return nil
 	}
-	pick := 0
-	for i, r := range b.queue {
-		if r.Class > b.queue[pick].Class {
-			pick = i
-		}
+	c := len(b.queue) - 1
+	for b.queue[c].n == 0 {
+		c--
 	}
-	r := b.queue[pick]
-	copy(b.queue[pick:], b.queue[pick+1:])
-	b.queue[len(b.queue)-1] = nil
-	b.queue = b.queue[:len(b.queue)-1]
-	return r
+	b.queued--
+	return b.queue[c].popFront().r
 }
 
 // Admit marks a prefilled (or ingested) sequence ready to join the batch at
@@ -113,20 +124,6 @@ func (b *Batcher) PromoteOne() *Request {
 	b.ready = b.ready[1:]
 	b.running = append(b.running, r)
 	return r
-}
-
-// Promote moves ready sequences into the running batch while slots remain —
-// the token-boundary join. Returns the sequences that joined.
-func (b *Batcher) Promote() []*Request {
-	var joined []*Request
-	for len(b.ready) > 0 && len(b.running) < b.maxSeqs {
-		r := b.ready[0]
-		b.ready[0] = nil
-		b.ready = b.ready[1:]
-		b.running = append(b.running, r)
-		joined = append(joined, r)
-	}
-	return joined
 }
 
 // Leave removes a finished (or failed) sequence from the running batch — the
@@ -173,9 +170,69 @@ func (b *Batcher) KVTokens() int {
 }
 
 // TakeAll empties every set and returns the former members in queue, ready,
-// running order — crash unwinding fails them all.
+// running order — crash unwinding fails them all. The per-class deques merge
+// by order key, so queued comes back in global FCFS order.
 func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
-	queued, ready, running = b.queue, b.ready, b.running
-	b.queue, b.ready, b.running = nil, nil, nil
+	if b.queued > 0 {
+		queued = make([]*Request, 0, b.queued)
+	}
+	for range b.queued {
+		c := -1
+		for i := range b.queue {
+			if b.queue[i].n > 0 && (c < 0 || b.queue[i].at(0).key < b.queue[c].at(0).key) {
+				c = i
+			}
+		}
+		queued = append(queued, b.queue[c].popFront().r)
+	}
+	ready, running = b.ready, b.running
+	b.queued, b.front, b.back = 0, 0, 0
+	b.ready, b.running = nil, nil
 	return queued, ready, running
+}
+
+// entry is one prefill-queue slot: the request and its global order key.
+type entry struct {
+	r   *Request
+	key int64
+}
+
+// deque is a ring buffer of entries that allocates only to grow.
+type deque struct {
+	buf      []entry // len is zero or a power of two
+	first, n int
+}
+
+func (q *deque) at(i int) *entry { return &q.buf[(q.first+i)&(len(q.buf)-1)] }
+
+func (q *deque) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]entry, max(8, 2*len(q.buf)))
+	for i := range q.n {
+		buf[i] = *q.at(i)
+	}
+	q.buf, q.first = buf, 0
+}
+
+func (q *deque) pushBack(e entry) {
+	q.grow()
+	*q.at(q.n) = e
+	q.n++
+}
+
+func (q *deque) pushFront(e entry) {
+	q.grow()
+	q.first = (q.first - 1) & (len(q.buf) - 1)
+	q.buf[q.first] = e
+	q.n++
+}
+
+func (q *deque) popFront() entry {
+	e := q.buf[q.first]
+	q.buf[q.first] = entry{}
+	q.first = (q.first + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
 }

@@ -76,15 +76,18 @@ func TestBatcherTokenBoundaryMembership(t *testing.T) {
 		t.Fatalf("FCFS prefill order broken: %v", got)
 	}
 	b.Admit(r0)
-	if joined := b.Promote(); len(joined) != 1 || joined[0] != r0 {
+	if joined := b.PromoteOne(); joined != r0 {
 		t.Fatalf("promote = %v", joined)
+	}
+	if extra := b.PromoteOne(); extra != nil {
+		t.Fatalf("promote joined more than the one ready sequence: %v", extra)
 	}
 	// One slot left: r1 may prefill, but r2 must wait.
 	if got := b.NextPrefill(); got != r1 {
 		t.Fatalf("second prefill = %v", got)
 	}
 	b.Admit(r1)
-	b.Promote()
+	b.PromoteOne()
 	if b.NextPrefill() != nil {
 		t.Fatalf("full batch must block further prefills")
 	}
@@ -107,7 +110,8 @@ func TestBatcherVictimIsNewestAndNeverLast(t *testing.T) {
 		b.NextPrefill()
 		b.Admit(r)
 	}
-	b.Promote()
+	for b.PromoteOne() != nil {
+	}
 	if v := b.Victim(); v != r2 {
 		t.Fatalf("victim = %v, want newest r2", v)
 	}

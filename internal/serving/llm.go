@@ -310,7 +310,8 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		dev.Observe(cfg.Obs, cfg.Device)
 	}
 	if err := dev.Alloc(weights); err != nil {
-		return nil, fmt.Errorf("serving: %s weights do not fit: %w", cfg.Model, err)
+		return nil, fmt.Errorf("serving: %s weights do not fit on %s: %w: %d in use, %d requested, %d total",
+			cfg.Model, cfg.Spec.Name, err, dev.MemoryInUse(), weights, cfg.Spec.MemoryBytes)
 	}
 	prof := cfg.Profile
 	if prof == nil {
