@@ -1,6 +1,10 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, each regenerating the artifact at full size and reporting its
-// headline metrics, plus micro-benchmarks of the simulation substrate.
+// headline metrics, plus ablations of the design choices DESIGN.md calls
+// out, the §7 extensions and the paper-workload cost of one simulated
+// second. Micro-benchmarks live in the package they measure (internal/sim,
+// internal/gpu, ...), and bench/run.sh measures whole-simulator throughput
+// and allocations.
 //
 // Run everything with:
 //
@@ -17,10 +21,8 @@ import (
 	"time"
 
 	"olympian/internal/experiments"
-	"olympian/internal/gpu"
 	"olympian/internal/model"
 	"olympian/internal/profiler"
-	"olympian/internal/sim"
 	"olympian/internal/workload"
 )
 
@@ -160,83 +162,6 @@ func BenchmarkAblationSwitchCost(b *testing.B) {
 			}
 			b.ReportMetric(elapsed, "elapsed_s")
 		})
-	}
-}
-
-// Substrate micro-benchmarks.
-
-// BenchmarkSimEventThroughput measures raw event-loop dispatch rate.
-func BenchmarkSimEventThroughput(b *testing.B) {
-	env := sim.NewEnv(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			env.Schedule(time.Microsecond, tick)
-		}
-	}
-	b.ResetTimer()
-	env.Schedule(0, tick)
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSimProcSwitch measures process park/dispatch round-trips.
-func BenchmarkSimProcSwitch(b *testing.B) {
-	env := sim.NewEnv(1)
-	env.Go("switcher", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkGPUKernelDispatch measures device submit/complete throughput.
-func BenchmarkGPUKernelDispatch(b *testing.B) {
-	env := sim.NewEnv(1)
-	dev := gpu.New(env, gpu.Spec{Name: "bench", ClockScale: 1, Capacity: 1})
-	env.Go("submitter", func(p *sim.Proc) {
-		k := gpu.Kernel{Owner: 1, Stream: 1, Duration: time.Microsecond, Occupancy: 1}
-		for i := 0; i < b.N; i++ {
-			if err := dev.Exec(p, k); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkModelBuild measures graph construction for the largest model.
-// BuildUncached bypasses the memoizing cache so every iteration pays the
-// full construction cost.
-func BenchmarkModelBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := model.BuildUncached(model.AlexNet, 256); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileSolo measures one full offline-profiling pass.
-func BenchmarkProfileSolo(b *testing.B) {
-	g, err := model.Build(model.Inception, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := profiler.ProfileSolo(g, profiler.Options{Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -174,22 +174,33 @@ type simulateRequest struct {
 	Clients   []clientGroup `json:"clients"`
 }
 
-// expandClients turns client groups into a flat client list.
-func expandClients(groups []clientGroup) []olympian.Client {
-	var clients []olympian.Client
+// maxClients caps how many clients one request's groups may expand to. The
+// paper's largest workload is the 40-client scalability ramp, and an 11 GB
+// GPU holds about 45 Inception clients, so the cap leaves ample room while a
+// ~100-byte body can no longer ask for billions of clients.
+const maxClients = 1000
+
+// expandClients turns client groups into a flat client list, failing before
+// it allocates when the groups ask for more than maxClients in total.
+func expandClients(groups []clientGroup) ([]olympian.Client, error) {
+	total := 0
 	for _, g := range groups {
-		count := g.Count
-		if count <= 0 {
-			count = 1
+		n := max(g.Count, 1)
+		if n > maxClients-total {
+			return nil, fmt.Errorf("clients: more than %d requested", maxClients)
 		}
-		for i := 0; i < count; i++ {
+		total += n
+	}
+	clients := make([]olympian.Client, 0, total)
+	for _, g := range groups {
+		for i := max(g.Count, 1); i > 0; i-- {
 			clients = append(clients, olympian.Client{
 				Model: g.Model, Batch: g.Batch, Batches: g.Batches,
 				Weight: g.Weight, Priority: g.Priority,
 			})
 		}
 	}
-	return clients
+	return clients, nil
 }
 
 // buildSimulation translates a request into a simulation config and
@@ -224,7 +235,10 @@ func buildSimulation(req simulateRequest) (olympian.Config, []olympian.Client, e
 	default:
 		return cfg, nil, fmt.Errorf("unknown policy %q", req.Policy)
 	}
-	clients := expandClients(req.Clients)
+	clients, err := expandClients(req.Clients)
+	if err != nil {
+		return cfg, nil, err
+	}
 	if len(clients) == 0 {
 		return cfg, nil, fmt.Errorf("no clients in request")
 	}
@@ -285,7 +299,11 @@ func handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("planner supports fair|weighted|priority, not %q", req.Policy))
 		return
 	}
-	clients := expandClients(req.Clients)
+	clients, err := expandClients(req.Clients)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if len(clients) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no clients in request"))
 		return

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,6 +152,33 @@ func TestOversizedBodyRejected(t *testing.T) {
 	rec, _ := do(t, h, "POST", "/simulate", big)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized body status %d, want 400", rec.Code)
+	}
+}
+
+// TestClientCountCapped checks that a tiny body asking for billions of
+// clients, or groups that only together pass maxClients, is rejected with
+// 400 by the cap on every endpoint that expands client groups, and that the
+// cap itself is still accepted.
+func TestClientCountCapped(t *testing.T) {
+	h := newHandler()
+	group := func(count int) string {
+		return fmt.Sprintf(`{"model":"inception-v4","batch":1,"batches":1,"count":%d}`, count)
+	}
+	for _, body := range []string{
+		`{"clients":[{"model":"inception","batch":1,"batches":1,"count":2000000000}]}`,
+		`{"clients":[` + group(math.MaxInt64) + "," + group(1) + `]}`,
+		`{"clients":[` + group(maxClients/2+1) + "," + group(maxClients/2) + `]}`,
+	} {
+		for _, path := range []string{"/simulate", "/plan", "/trace"} {
+			rec, obj := do(t, h, "POST", path, body)
+			if msg, _ := obj["error"].(string); rec.Code != http.StatusBadRequest || !strings.Contains(msg, "more than") {
+				t.Errorf("%s with %s: status %d (error %q), want 400 from the client cap", path, body, rec.Code, msg)
+			}
+		}
+	}
+	body := `{"clients":[` + group(maxClients) + `]}`
+	if rec, obj := do(t, h, "POST", "/plan", body); rec.Code != http.StatusOK {
+		t.Fatalf("/plan with exactly %d clients: status %d: %v", maxClients, rec.Code, obj["error"])
 	}
 }
 

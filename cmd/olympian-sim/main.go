@@ -10,8 +10,6 @@
 //	olympian-sim cluster               # multi-GPU fleet: scaling + failover
 //	olympian-sim overload              # overload control: admission, shedding, hedging
 //	olympian-sim sharded               # parallel core: engine identity + 64-device sweep
-//	olympian-sim -bench-json           # substrate benchmarks -> BENCH_<stamp>.json
-//	olympian-sim -bench-json -bench-baseline BENCH_baseline.json  # regression gate
 //	olympian-sim -trace-out t.json overload  # lifecycle trace for ui.perfetto.dev
 //	olympian-sim -timeline-out tl.json overload  # virtual-time telemetry + SLO alerts
 //
@@ -65,29 +63,12 @@ func run(args []string) error {
 		seed        = fs.Int64("seed", 1, "simulation seed")
 		csv         = fs.Bool("csv", false, "emit rows as CSV instead of an aligned table")
 		scenFile    = fs.String("scenario", "", "run a custom scenario JSON file instead of a paper experiment")
-		benchOut    = fs.Bool("bench-json", false, "run the substrate benchmark suite and write BENCH_<stamp>.json")
-		benchBase   = fs.String("bench-baseline", "", "with -bench-json: compare against this baseline snapshot and fail on ns/op regressions")
-		benchTol    = fs.Float64("bench-tolerance", 0.25, "allowed fractional ns/op regression for -bench-baseline (0.25 = 25%)")
 		traceOut    = fs.String("trace-out", "", "write a Perfetto/Chrome lifecycle trace of the runs to this file")
 		traceGPU    = fs.Bool("trace-gpu", false, "include per-kernel GPU spans in the trace (hundreds of MB for full experiments)")
 		timelineOut = fs.String("timeline-out", "", "write the virtual-time telemetry timeline (series, burn rates, alert log) as JSON to this file; implies recording")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchOut {
-		path, rep, err := runBenchJSON(".", time.Now())
-		if err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
-		if *benchBase != "" {
-			if err := checkBenchBaseline(rep, *benchBase, *benchTol); err != nil {
-				return err
-			}
-			fmt.Printf("baseline %s: no ns/op regression beyond %.0f%%\n", *benchBase, *benchTol*100)
-		}
-		return nil
 	}
 	if *scenFile != "" {
 		return runScenario(os.Stdout, *scenFile)

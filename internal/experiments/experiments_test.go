@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"olympian/internal/cluster"
 	"olympian/internal/obs"
 )
 
@@ -387,6 +388,20 @@ func TestClusterScalesAndFailsOver(t *testing.T) {
 	}
 	if r.Metric("failover_failed") != 0 {
 		t.Fatalf("%v requests failed despite failover", r.Metric("failover_failed"))
+	}
+}
+
+// TestShardedSweepCompletesEveryRequest runs the sharded experiment's slim
+// open-loop micro sweep on a single device and on both engines at 8 devices;
+// shardedSweep fails any sweep that does not complete every request.
+func TestShardedSweepCompletesEveryRequest(t *testing.T) {
+	for _, tc := range []struct {
+		engine  cluster.Engine
+		devices int
+	}{{cluster.Sharded, 1}, {cluster.SingleHeap, 8}, {cluster.Sharded, 8}} {
+		if _, _, err := shardedSweep(tc.engine, tc.devices, 5_000, 2000, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -98,6 +98,7 @@ func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Sta
 // arrival generator reschedules itself so millions of arrivals cost O(1)
 // pending events, and all randomness lives in one private seeded stream on
 // the front-end shard — both engines see the identical arrival sequence.
+// A sweep that does not complete every request is an error.
 func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float64, seed int64) (cluster.Stats, time.Duration, error) {
 	c, err := cluster.NewSharded(cluster.Config{
 		Seed:         seed,
@@ -137,6 +138,9 @@ func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float
 	}
 	st := c.Stats()
 	c.Shutdown()
+	if st.Completed != st.Requests || st.Requests != requests {
+		return cluster.Stats{}, 0, fmt.Errorf("sharded: %d-device %v sweep lost requests: %+v", devices, engine, st)
+	}
 	return st, wall, nil
 }
 
@@ -209,9 +213,6 @@ func Sharded(o Options) (*Report, error) {
 	st, wall, err := shardedSweep(cluster.Sharded, 64, scaleN, perDevRate, o.Seed+3)
 	if err != nil {
 		return nil, err
-	}
-	if st.Completed != st.Requests || st.Requests != scaleN {
-		return nil, fmt.Errorf("sharded: 64-device sweep lost requests: %+v", st)
 	}
 	reqPerS := float64(st.Requests) / wall.Seconds()
 	rep.AddRow("64-dev sweep", cluster.Sharded.String(), "64",

@@ -272,3 +272,14 @@ func TestKernelDurationCap(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkModelBuild measures graph construction for the largest model.
+// BuildUncached bypasses the memoizing cache so every iteration pays the
+// full construction cost.
+func BenchmarkModelBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildUncached(AlexNet, 256); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -236,3 +236,16 @@ func relErr(a, b float64) float64 {
 	}
 	return e
 }
+
+// BenchmarkProfileSolo measures one full offline-profiling pass.
+func BenchmarkProfileSolo(b *testing.B) {
+	g, err := model.Build(model.Inception, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := ProfileSolo(g, Options{Seed: int64(i + 1)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
