@@ -180,6 +180,13 @@ type simulateRequest struct {
 // ~100-byte body can no longer ask for billions of clients.
 const maxClients = 1000
 
+// maxJobs caps the sequential jobs one /simulate or /trace request may run,
+// summed over clients as max(count,1)×max(batches,1). It is maxClients
+// clients at the paper's 10 batches each, far above the 40×10 jobs of the
+// largest experiment. /plan is analytic, so its cost does not grow with
+// batches and it only takes the client cap.
+const maxJobs = maxClients * 10
+
 // expandClients turns client groups into a flat client list, failing before
 // it allocates when the groups ask for more than maxClients in total.
 func expandClients(groups []clientGroup) ([]olympian.Client, error) {
@@ -241,6 +248,14 @@ func buildSimulation(req simulateRequest) (olympian.Config, []olympian.Client, e
 	}
 	if len(clients) == 0 {
 		return cfg, nil, fmt.Errorf("no clients in request")
+	}
+	jobs := 0
+	for _, c := range clients {
+		n := max(c.Batches, 1)
+		if n > maxJobs-jobs {
+			return cfg, nil, fmt.Errorf("jobs: more than %d requested (clients × batches)", maxJobs)
+		}
+		jobs += n
 	}
 	return cfg, clients, nil
 }

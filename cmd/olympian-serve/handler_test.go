@@ -182,6 +182,33 @@ func TestClientCountCapped(t *testing.T) {
 	}
 }
 
+// TestJobBudgetCapped checks that a tiny body asking one client for
+// billions of sequential batches, or groups whose clients × batches only
+// together pass maxJobs, is rejected with 400 before any simulation starts
+// on the endpoints that simulate, while the analytic /plan still answers.
+func TestJobBudgetCapped(t *testing.T) {
+	h := newHandler()
+	group := func(count, batches int) string {
+		return fmt.Sprintf(`{"model":"inception-v4","batch":1,"batches":%d,"count":%d}`, batches, count)
+	}
+	huge := `{"clients":[{"model":"inception","batch":1,"batches":2000000000}]}`
+	for _, body := range []string{
+		huge,
+		`{"clients":[` + group(1, math.MaxInt64) + "," + group(1, 1) + `]}`,
+		`{"clients":[` + group(maxClients/2, maxJobs/maxClients) + "," + group(maxClients/2, maxJobs/maxClients+1) + `]}`,
+	} {
+		for _, path := range []string{"/simulate", "/trace"} {
+			rec, obj := do(t, h, "POST", path, body)
+			if msg, _ := obj["error"].(string); rec.Code != http.StatusBadRequest || !strings.Contains(msg, "jobs: more than") {
+				t.Errorf("%s with %s: status %d (error %q), want 400 from the job budget", path, body, rec.Code, msg)
+			}
+		}
+	}
+	if rec, obj := do(t, h, "POST", "/plan", `{"clients":[`+group(1, 2000000000)+`]}`); rec.Code != http.StatusOK {
+		t.Fatalf("/plan with 2e9 batches: status %d: %v", rec.Code, obj["error"])
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	h := newHandler()
 	// Drive some traffic so counters move: one good simulate, one bad.

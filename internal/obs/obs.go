@@ -17,7 +17,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"olympian/internal/sim"
 )
@@ -286,37 +287,31 @@ func (r *Recorder) Merge(label string, children []*Recorder) {
 		r.base = r.maxT + runGap
 	}
 	r.Instant(LayerHarness, label, NoReq, NoClass, NoDevice, 0)
-	type ref struct {
-		t     sim.Time
-		child int
-		idx   int
+	nSpans, nPoints := 0, 0
+	for _, ch := range children {
+		if ch != nil {
+			nSpans += len(ch.spans)
+			nPoints += len(ch.points)
+		}
 	}
-	var spanRefs, pointRefs []ref
+	spanRefs := make([]mergeRef, 0, nSpans)
+	pointRefs := make([]mergeRef, 0, nPoints)
 	for c, ch := range children {
 		if ch == nil {
 			continue
 		}
 		for i, s := range ch.spans {
-			spanRefs = append(spanRefs, ref{s.Start, c, i})
+			spanRefs = append(spanRefs, mergeRef{s.Start, int32(c), int32(i)})
 		}
 		for i, p := range ch.points {
-			pointRefs = append(pointRefs, ref{p.At, c, i})
+			pointRefs = append(pointRefs, mergeRef{p.At, int32(c), int32(i)})
 		}
 		r.note(r.base + ch.maxT)
 	}
-	byTime := func(refs []ref) func(i, j int) bool {
-		return func(i, j int) bool {
-			if refs[i].t != refs[j].t {
-				return refs[i].t < refs[j].t
-			}
-			if refs[i].child != refs[j].child {
-				return refs[i].child < refs[j].child
-			}
-			return refs[i].idx < refs[j].idx
-		}
-	}
-	sort.Slice(spanRefs, byTime(spanRefs))
-	sort.Slice(pointRefs, byTime(pointRefs))
+	slices.SortFunc(spanRefs, mergeRef.compare)
+	slices.SortFunc(pointRefs, mergeRef.compare)
+	r.spans = slices.Grow(r.spans, nSpans)
+	r.points = slices.Grow(r.points, nPoints)
 	for _, ref := range spanRefs {
 		s := children[ref.child].spans[ref.idx]
 		s.Seq = r.reqSeq[s.Req]
@@ -338,6 +333,25 @@ func (r *Recorder) Merge(label string, children []*Recorder) {
 			r.Metrics.Absorb(ch.Metrics)
 		}
 	}
+}
+
+// mergeRef locates one child record for Merge's interleave: its time, then
+// the child index and the record's index within that child. The three
+// together are a total order, so the merged sequence cannot depend on the
+// sort algorithm.
+type mergeRef struct {
+	t          sim.Time
+	child, idx int32
+}
+
+func (a mergeRef) compare(b mergeRef) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.child, b.child); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // now returns the current trace time: the bound environment's virtual

@@ -141,3 +141,67 @@ func TestAbsorbRules(t *testing.T) {
 		t.Errorf("set gauge: got %v, want 9", snap["set_g"])
 	}
 }
+
+// TestMergeOrder pins the exact merged sequence, not just its
+// determinism: records interleave by (time, child index, record index),
+// a retroactive span lands by its start time ahead of spans its child
+// recorded earlier, equal times across children break by child index, a
+// nil child contributes nothing, per-request span counters continue from
+// the parent's, and everything shifts past the parent's earlier records.
+func TestMergeOrder(t *testing.T) {
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
+	parent := NewRecorder()
+	parent.Span(LayerServing, "prior", 1, 1, 0, 0, ms(10), 0)
+
+	c0, c2 := parent.NewChild(), parent.NewChild()
+	c0.Span(LayerServing, "a", 1, 1, 0, ms(5), ms(7), 0)
+	c0.Span(LayerServing, "b", 2, 1, 0, ms(2), ms(3), 0)
+	c0.Span(LayerServing, "retro", 1, 1, 0, ms(1), ms(9), 0) // starts before a and b
+	c0.InstantAt(LayerServing, "x", 1, 1, 0, ms(4), 0)
+	c0.InstantAt(LayerServing, "y", 2, 1, 0, ms(2), 0)
+	c2.Span(LayerServing, "c", 1, 1, 1, ms(5), ms(6), 0) // ties a's start
+	c2.Span(LayerServing, "d", 3, 1, 1, ms(2), ms(4), 0) // ties b's start
+	c2.InstantAt(LayerServing, "z", 3, 1, 1, ms(2), 0)   // ties y
+	parent.Merge("run:merged", []*Recorder{c0, nil, c2})
+
+	base := ms(11) // prior's end plus runGap
+	type spanKey struct {
+		Name  string
+		Req   int32
+		Seq   uint32
+		Start sim.Time
+	}
+	wantSpans := []spanKey{
+		{"prior", 1, 0, 0},
+		{"retro", 1, 1, base + ms(1)},
+		{"b", 2, 0, base + ms(2)},
+		{"d", 3, 0, base + ms(2)},
+		{"a", 1, 2, base + ms(5)},
+		{"c", 1, 3, base + ms(5)},
+	}
+	var gotSpans []spanKey
+	for _, s := range parent.Trace().Spans {
+		gotSpans = append(gotSpans, spanKey{s.Name, s.Req, s.Seq, s.Start})
+	}
+	if !reflect.DeepEqual(gotSpans, wantSpans) {
+		t.Errorf("merged spans\n got %+v\nwant %+v", gotSpans, wantSpans)
+	}
+	type pointKey struct {
+		Name string
+		Req  int32
+		At   sim.Time
+	}
+	wantPoints := []pointKey{
+		{"run:merged", NoReq, base},
+		{"y", 2, base + ms(2)},
+		{"z", 3, base + ms(2)},
+		{"x", 1, base + ms(4)},
+	}
+	var gotPoints []pointKey
+	for _, p := range parent.Trace().Instants {
+		gotPoints = append(gotPoints, pointKey{p.Name, p.Req, p.At})
+	}
+	if !reflect.DeepEqual(gotPoints, wantPoints) {
+		t.Errorf("merged instants\n got %+v\nwant %+v", gotPoints, wantPoints)
+	}
+}

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"time"
+	"math"
+	"slices"
+	"strconv"
 
 	"olympian/internal/obs"
 	"olympian/internal/telemetry"
@@ -56,130 +56,79 @@ func lifecycleTid(layer obs.Layer, class int8) int {
 	}
 }
 
-func tidName(tid int) string {
-	switch tid {
-	case tidInteractive:
-		return "interactive"
-	case tidBatch:
-		return "batch"
-	case tidControl:
-		return "control"
-	case tidClients:
-		return "clients"
-	case tidExecutor:
-		return "executor"
-	case tidGPU:
-		return "gpu"
-	case tidTelemetry:
-		return "telemetry"
-	default:
-		return fmt.Sprintf("track-%d", tid)
+// tidNames labels the lifecycle tracks, indexed by tid.
+var tidNames = [...]string{
+	tidInteractive: "interactive",
+	tidBatch:       "batch",
+	tidControl:     "control",
+	tidClients:     "clients",
+	tidExecutor:    "executor",
+	tidGPU:         "gpu",
+	tidTelemetry:   "telemetry",
+}
+
+// trackSet records which lifecycle tracks a trace uses, as a bitmask of
+// tids (all below 8) per process. The processes of the first 63 devices
+// index a fixed array; larger fleets spill into a map.
+type trackSet struct {
+	low  [64]uint8
+	high map[int]uint8
+}
+
+func (ts *trackSet) add(pid, tid int) {
+	if pid < len(ts.low) {
+		ts.low[pid] |= 1 << tid
+		return
+	}
+	if ts.high == nil {
+		ts.high = make(map[int]uint8)
+	}
+	ts.high[pid] |= 1 << tid
+}
+
+// writeMeta labels every used process and track, in (pid, tid) order.
+func (ts *trackSet) writeMeta(jw *jsonWriter) {
+	for pid, tids := range ts.low {
+		writeProcessMeta(jw, pid, tids)
+	}
+	high := make([]int, 0, len(ts.high))
+	for pid := range ts.high {
+		high = append(high, pid)
+	}
+	slices.Sort(high)
+	for _, pid := range high {
+		writeProcessMeta(jw, pid, ts.high[pid])
 	}
 }
 
-func pidName(pid int) string {
+// writeProcessMeta names process pid ("cluster" or "device-N") and each
+// of its tracks in tids.
+func writeProcessMeta(jw *jsonWriter, pid int, tids uint8) {
+	if tids == 0 {
+		return
+	}
 	if pid == 0 {
-		return "cluster"
+		meta(jw, "process_name", pid, 0, "cluster")
+	} else {
+		var label [24]byte
+		meta(jw, "process_name", pid, 0, strconv.AppendInt(append(label[:0], "device-"...), int64(pid-1), 10))
 	}
-	return fmt.Sprintf("device-%d", pid-1)
-}
-
-// lifecycleArgs annotates a lifecycle event. The span id "r<req>.<seq>" is
-// the deterministic identity ISSUE 5 asks for: request ID plus per-request
-// monotonic counter.
-type lifecycleArgs struct {
-	ID    string `json:"id,omitempty"`
-	Req   int64  `json:"req"`
-	Layer string `json:"layer"`
-	Arg   int64  `json:"arg"`
-}
-
-func spanArgs(req int32, seq uint32, layer obs.Layer, arg int64) lifecycleArgs {
-	a := lifecycleArgs{Req: int64(req), Layer: layer.String(), Arg: arg}
-	if req >= 0 {
-		a.ID = fmt.Sprintf("r%d.%d", req, seq)
+	for tid := range tidNames {
+		if tids&(1<<tid) != 0 {
+			meta(jw, "thread_name", pid, tid, tidNames[tid])
+		}
 	}
-	return a
 }
 
 // WriteLifecycle renders an obs.Trace as a request-lifecycle Chrome/Perfetto
 // trace: one process per device, one track per request class (plus executor,
 // GPU, and client tracks), spans as complete slices and point events as
-// thread-scoped instants. Output is a deterministic function of the trace:
-// metadata is sorted and events keep recorded order, so same-seed runs
-// render byte-identically.
+// thread-scoped instants. Each span carries the id "r<req>.<seq>" (request
+// ID plus per-request monotonic counter) when it belongs to a request.
+// Output is a deterministic function of the trace: metadata is sorted and
+// events keep recorded order, so same-seed runs render byte-identically.
 func WriteLifecycle(w io.Writer, tr *obs.Trace) error {
-	tf := lifecycleFile(tr)
-	return json.NewEncoder(w).Encode(tf)
-}
-
-// lifecycleFile builds the lifecycle trace's event list; WriteLifecycle
-// encodes it directly and WriteLifecycleTimeline appends counter tracks
-// first.
-func lifecycleFile(tr *obs.Trace) traceFile {
-	tf := traceFile{
-		// Explicitly empty: a nil slice marshals to JSON null, which
-		// Perfetto rejects.
-		TraceEvents:     []event{},
-		DisplayTimeUnit: "ms",
-		Metadata: map[string]string{
-			"source": "olympian lifecycle trace",
-			"format": "one process per device; class, executor, gpu, and client tracks per process",
-		},
-	}
-
-	// Collect every (pid, tid) pair in use so each track gets a label.
-	type track struct{ pid, tid int }
-	used := map[track]bool{}
-	for _, s := range tr.Spans {
-		used[track{lifecyclePid(s.Device), lifecycleTid(s.Layer, s.Class)}] = true
-	}
-	for _, p := range tr.Instants {
-		used[track{lifecyclePid(p.Device), lifecycleTid(p.Layer, p.Class)}] = true
-	}
-	tracks := make([]track, 0, len(used))
-	for tk := range used {
-		tracks = append(tracks, tk)
-	}
-	sort.Slice(tracks, func(i, j int) bool {
-		if tracks[i].pid != tracks[j].pid {
-			return tracks[i].pid < tracks[j].pid
-		}
-		return tracks[i].tid < tracks[j].tid
-	})
-	namedPid := map[int]bool{}
-	for _, tk := range tracks {
-		if !namedPid[tk.pid] {
-			namedPid[tk.pid] = true
-			tf.TraceEvents = append(tf.TraceEvents, metaEvent("process_name", tk.pid, 0, pidName(tk.pid)))
-		}
-		tf.TraceEvents = append(tf.TraceEvents, metaEvent("thread_name", tk.pid, tk.tid, tidName(tk.tid)))
-	}
-
-	us := func(t int64) float64 { return float64(t) / float64(time.Microsecond) }
-	for _, s := range tr.Spans {
-		tf.TraceEvents = append(tf.TraceEvents, event{
-			Name: s.Name,
-			Ph:   "X",
-			Ts:   us(int64(s.Start)),
-			Dur:  us(int64(s.End - s.Start)),
-			Pid:  lifecyclePid(s.Device),
-			Tid:  lifecycleTid(s.Layer, s.Class),
-			Args: spanArgs(s.Req, s.Seq, s.Layer, s.Arg),
-		})
-	}
-	for _, p := range tr.Instants {
-		tf.TraceEvents = append(tf.TraceEvents, event{
-			Name: p.Name,
-			Ph:   "i",
-			Ts:   us(int64(p.At)),
-			Pid:  lifecyclePid(p.Device),
-			Tid:  lifecycleTid(p.Layer, p.Class),
-			S:    "t",
-			Args: lifecycleArgs{Req: int64(p.Req), Layer: p.Layer.String(), Arg: p.Arg},
-		})
-	}
-	return tf
+	return WriteLifecycleTimeline(w, tr, nil)
 }
 
 // WriteLifecycleTimeline renders the lifecycle trace plus the telemetry
@@ -189,31 +138,83 @@ func lifecycleFile(tr *obs.Trace) traceFile {
 // run whose alerts were logged. Alert transitions themselves already ride
 // the lifecycle trace as telemetry-track instants (Timeline.LogAlerts), so
 // the counters and the instants line up. Output stays a deterministic
-// function of (trace, timeline): counter keys render in sorted order.
+// function of (trace, timeline): counter keys render in sorted order. A nil
+// timeline renders the lifecycle trace alone.
+//
+// The trace streams to w as it renders. A non-finite burn rate is an error
+// reported before anything is written.
 func WriteLifecycleTimeline(w io.Writer, tr *obs.Trace, tl *telemetry.Timeline) error {
-	tf := lifecycleFile(tr)
-	if tl != nil {
-		burns := tl.Burns()
-		keys := make([]string, 0, len(burns))
-		for k := range burns {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		off := int64(tl.TraceOffset())
-		us := func(t int64) float64 { return float64(t) / float64(time.Microsecond) }
-		for _, k := range keys {
-			name := "burn:" + k
-			for i, v := range burns[k] {
-				tf.TraceEvents = append(tf.TraceEvents, event{
-					Name: name,
-					Ph:   "C",
-					Ts:   us(off + int64(tl.TickTime(tl.Start+i))),
-					Pid:  0,
-					Tid:  0,
-					Args: map[string]float64{"burn": v},
-				})
+	if tl == nil {
+		return writeLifecycle(w, tr, nil, nil)
+	}
+	off := int64(tl.TraceOffset())
+	return writeLifecycle(w, tr, tl.Burns(), func(i int) int64 { return off + int64(tl.TickTime(tl.Start+i)) })
+}
+
+// writeLifecycle renders tr followed by one counter track per burns key,
+// in sorted key order; at(i) is the trace time in ns of each series' i-th
+// sample.
+func writeLifecycle(w io.Writer, tr *obs.Trace, burns map[string][]float64, at func(i int) int64) error {
+	keys := make([]string, 0, len(burns))
+	for k := range burns {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		for i, v := range burns[k] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("trace: burn rate %q sample %d is %v, which JSON cannot encode", k, i, v)
 			}
 		}
 	}
-	return json.NewEncoder(w).Encode(tf)
+
+	var tracks trackSet
+	for i := range tr.Spans {
+		s := &tr.Spans[i]
+		tracks.add(lifecyclePid(s.Device), lifecycleTid(s.Layer, s.Class))
+	}
+	for i := range tr.Instants {
+		p := &tr.Instants[i]
+		tracks.add(lifecyclePid(p.Device), lifecycleTid(p.Layer, p.Class))
+	}
+	jw := newJSONWriter(w)
+	tracks.writeMeta(jw)
+
+	for i := range tr.Spans {
+		s := &tr.Spans[i]
+		begin(jw, s.Name, "X", int64(s.Start), int64(s.End-s.Start), lifecyclePid(s.Device), lifecycleTid(s.Layer, s.Class))
+		b := append(jw.buf, `,"args":{`...)
+		if s.Req >= 0 {
+			b = strconv.AppendInt(append(b, `"id":"r`...), int64(s.Req), 10)
+			b = strconv.AppendUint(append(b, '.'), uint64(s.Seq), 10)
+			b = append(b, `",`...)
+		}
+		jw.buf = appendLifecycleArgs(b, s.Req, s.Layer, s.Arg)
+		jw.end()
+	}
+	for i := range tr.Instants {
+		p := &tr.Instants[i]
+		begin(jw, p.Name, "i", int64(p.At), 0, lifecyclePid(p.Device), lifecycleTid(p.Layer, p.Class))
+		jw.buf = appendLifecycleArgs(append(jw.buf, `,"s":"t","args":{`...), p.Req, p.Layer, p.Arg)
+		jw.end()
+	}
+	var name []byte
+	for _, k := range keys {
+		name = append(append(name[:0], "burn:"...), k...)
+		for i, v := range burns[k] {
+			begin(jw, name, "C", at(i), 0, 0, 0)
+			jw.buf = append(appendFloat(append(jw.buf, `,"args":{"burn":`...), v), '}')
+			jw.end()
+		}
+	}
+	return jw.close("olympian lifecycle trace", "one process per device; class, executor, gpu, and client tracks per process")
+}
+
+// appendLifecycleArgs finishes a lifecycle event's args object after its
+// optional id.
+func appendLifecycleArgs(b []byte, req int32, layer obs.Layer, arg int64) []byte {
+	b = strconv.AppendInt(append(b, `"req":`...), int64(req), 10)
+	b = appendString(append(b, `,"layer":`...), layer.String())
+	b = strconv.AppendInt(append(b, `,"arg":`...), arg, 10)
+	return append(b, '}')
 }

@@ -54,12 +54,19 @@ func TestWriteLifecycleGolden(t *testing.T) {
 	if err := WriteLifecycle(&buf, lifecycleFixture(t)); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "lifecycle.golden.json")
+	checkGolden(t, "lifecycle.golden.json", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,8 +74,8 @@ func TestWriteLifecycleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("lifecycle trace drifted from golden file (re-run with -update if intentional)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s drifted from golden file (re-run with -update if intentional)\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 

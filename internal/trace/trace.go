@@ -5,83 +5,38 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"time"
+	"strconv"
 
 	"olympian/internal/core"
 )
-
-// event is one Chrome trace event ("X" = complete slice, "i" = instant,
-// "M" = metadata such as process_name/thread_name).
-type event struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	S    string  `json:"s,omitempty"` // instant scope ("t" = thread)
-	Args any     `json:"args,omitempty"`
-}
-
-// nameArgs is the payload of a process_name/thread_name metadata event.
-type nameArgs struct {
-	Name string `json:"name"`
-}
-
-// metaEvent builds an "M" metadata event labeling a process or thread.
-func metaEvent(kind string, pid, tid int, label string) event {
-	return event{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: nameArgs{Name: label}}
-}
-
-type traceFile struct {
-	TraceEvents     []event           `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	Metadata        map[string]string `json:"otherData,omitempty"`
-}
 
 // WriteChromeTrace renders scheduling-interval records as a Chrome trace.
 // clientLabels optionally maps client ids to track names (e.g. model
 // names); unmapped clients get "client-N".
 func WriteChromeTrace(w io.Writer, records []core.QuantumRecord, clientLabels map[int]string) error {
-	tf := traceFile{
-		// An explicitly empty slice: a nil one marshals to JSON null,
-		// which Perfetto rejects.
-		TraceEvents:     []event{},
-		DisplayTimeUnit: "ms",
-		Metadata: map[string]string{
-			"source": "olympian simulation",
-			"format": "one track per client; one slice per scheduling quantum",
-		},
-	}
-	tf.TraceEvents = append(tf.TraceEvents, metaEvent("process_name", 0, 0, "olympian"))
+	jw := newJSONWriter(w)
+	meta(jw, "process_name", 0, 0, "olympian")
 	named := map[int]bool{}
+	var label []byte
 	for _, r := range records {
-		label := clientLabels[r.Client]
-		if label == "" {
-			label = fmt.Sprintf("client-%d", r.Client)
+		if l := clientLabels[r.Client]; l != "" {
+			label = append(label[:0], l...)
+		} else {
+			label = strconv.AppendInt(append(label[:0], "client-"...), int64(r.Client), 10)
 		}
 		if !named[r.Client] {
 			named[r.Client] = true
-			tf.TraceEvents = append(tf.TraceEvents, metaEvent("thread_name", 0, r.Client, label))
+			meta(jw, "thread_name", 0, r.Client, label)
 		}
-		tf.TraceEvents = append(tf.TraceEvents, event{
-			Name: label,
-			Ph:   "X",
-			Ts:   float64(r.Start) / float64(time.Microsecond),
-			Dur:  float64(r.End-r.Start) / float64(time.Microsecond),
-			Pid:  0,
-			Tid:  r.Client,
-			Args: map[string]any{
-				"jobID":           r.JobID,
-				"gpuDurationUs":   r.GPUDuration.Microseconds(),
-				"activeJobs":      r.ActiveJobs,
-				"overflowKernels": r.OverflowKernels,
-			},
-		})
+		begin(jw, label, "X", int64(r.Start), int64(r.End-r.Start), 0, r.Client)
+		// Keys in sorted order, as encoding/json renders a map.
+		b := strconv.AppendInt(append(jw.buf, `,"args":{"activeJobs":`...), int64(r.ActiveJobs), 10)
+		b = strconv.AppendInt(append(b, `,"gpuDurationUs":`...), r.GPUDuration.Microseconds(), 10)
+		b = strconv.AppendInt(append(b, `,"jobID":`...), int64(r.JobID), 10)
+		b = strconv.AppendInt(append(b, `,"overflowKernels":`...), int64(r.OverflowKernels), 10)
+		jw.buf = append(b, '}')
+		jw.end()
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tf)
+	return jw.close("olympian simulation", "one track per client; one slice per scheduling quantum")
 }

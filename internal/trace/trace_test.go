@@ -98,3 +98,24 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 		t.Fatalf("traceEvents does not decode as an array: %v", err)
 	}
 }
+
+// TestWriteChromeTraceGolden pins the per-quantum trace byte-for-byte. The
+// fixture's first label needs HTML-safe escaping, the second a control and
+// a line-separator escape, and fractional and sub-microsecond timestamps
+// exercise the float rendering. Refresh with:
+// go test ./internal/trace -run Golden -update
+func TestWriteChromeTraceGolden(t *testing.T) {
+	us := func(n float64) sim.Time { return sim.Time(n * float64(time.Microsecond)) }
+	records := []core.QuantumRecord{
+		{Client: 0, JobID: 7, Start: 0, End: us(1200), GPUDuration: time.Millisecond, ActiveJobs: 3},
+		{Client: 2, JobID: 8, Start: us(1200), End: us(2500.125), GPUDuration: 1100 * time.Microsecond, ActiveJobs: 3, OverflowKernels: 2},
+		{Client: 5, JobID: 9, Start: us(2500.125), End: 2500126, GPUDuration: 1, ActiveJobs: 1},
+		{Client: 0, JobID: 7, Start: 2500126, End: sim.Time(3 * time.Second), GPUDuration: 2 * time.Second, ActiveJobs: 2, OverflowKernels: 1},
+	}
+	labels := map[int]string{0: "a<b>&\"c", 2: "tab\tsep\u2028end"}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, records, labels); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "chrome.golden.json", buf.Bytes())
+}
