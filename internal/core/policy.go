@@ -9,7 +9,8 @@ import (
 // Policy selects the job that receives the next quantum. Grant is called at
 // each token hand-off with the active jobs in registration order and the
 // job that held the previous quantum (which may have just deregistered and
-// so may be absent from jobs). Policies may keep state across calls.
+// so may be absent from jobs). The jobs slice is scheduler scratch, valid
+// only during the call. Policies may keep state across calls.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

@@ -118,9 +118,10 @@ type Scheduler struct {
 
 	intervalStart sim.Time
 	records       []QuantumRecord
-	pending       *QuantumRecord // last interval, awaiting overflow drain
-	pendingJob    *jobState
+	pending       QuantumRecord // last interval, awaiting overflow drain
+	pendingJob    *jobState     // nil when no interval is staged
 	switches      int
+	active        []*executor.Job // pick's scratch, reused at every hand-off
 }
 
 var (
@@ -319,10 +320,11 @@ func (s *Scheduler) pick(last *executor.Job) *jobState {
 	if len(s.jobs) == 0 {
 		return nil
 	}
-	active := make([]*executor.Job, len(s.jobs))
-	for i, js := range s.jobs {
-		active[i] = js.job
+	active := s.active[:0]
+	for _, js := range s.jobs {
+		active = append(active, js.job)
 	}
+	s.active = active
 	chosen := s.cfg.Policy.Grant(s.rand(), active, last)
 	if chosen == nil {
 		return nil
@@ -346,7 +348,7 @@ func (s *Scheduler) grant(js *jobState) {
 func (s *Scheduler) closeInterval(js *jobState) {
 	s.finalizePending()
 	now := s.env.Now()
-	s.pending = &QuantumRecord{
+	s.pending = QuantumRecord{
 		Client:          js.job.Client,
 		JobID:           js.job.ID,
 		Start:           s.intervalStart,
@@ -361,12 +363,11 @@ func (s *Scheduler) closeInterval(js *jobState) {
 // next hand-off happens, the previous holder's overflow kernels have
 // drained, so its busy delta is final.
 func (s *Scheduler) finalizePending() {
-	if s.pending == nil {
+	if s.pendingJob == nil {
 		return
 	}
 	s.pending.GPUDuration = s.dev.OwnerBusy(s.pendingJob.job.ID) - s.pendingJob.busySnapshot
-	s.records = append(s.records, *s.pending)
-	s.pending = nil
+	s.records = append(s.records, s.pending)
 	s.pendingJob = nil
 }
 

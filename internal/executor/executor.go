@@ -280,11 +280,16 @@ func (e *Engine) Run(p *sim.Proc, job *Job) {
 // process is Algorithm 1's PROCESS loop with the Algorithm 2 hook points
 // spliced in.
 func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
+	// Pop by head index, not by reslicing: queue[1:] would shrink the
+	// capacity and make the appends below copy into a fresh array.
 	queue := make([]*graph.Node, 0, 64)
 	queue = append(queue, root)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); {
+		n := queue[head]
+		head++
+		if head == len(queue) {
+			queue, head = queue[:0], 0
+		}
 		if !job.aborted && e.cfg.Faults.JobAborts() {
 			e.AbortJob(p, job, faults.ErrJobAborted)
 		}

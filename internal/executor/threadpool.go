@@ -44,8 +44,7 @@ type task struct {
 
 type worker struct {
 	cond *sim.Cond
-	next *task
-	stop bool
+	next task // held by value; next.fn == nil means none assigned
 }
 
 // NewThreadPool returns a pool that will grow up to max threads.
@@ -61,7 +60,7 @@ func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
 	if n := len(tp.idle); n > 0 {
 		w := tp.idle[n-1]
 		tp.idle = tp.idle[:n-1]
-		w.next = &t
+		w.next = t
 		w.cond.Signal()
 		return
 	}
@@ -76,21 +75,18 @@ func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
 func (tp *ThreadPool) spawn(first task) {
 	tp.total++
 	tp.stats.Spawned++
-	w := &worker{cond: tp.env.NewCond("pool-worker"), next: &first}
+	w := &worker{cond: tp.env.NewCond("pool-worker"), next: first}
 	p := tp.env.Go("pool-worker", func(p *sim.Proc) { tp.workerLoop(p, w) })
 	p.SetDaemon(true)
 }
 
 func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 	for {
-		for w.next == nil && !w.stop {
+		for w.next.fn == nil {
 			w.cond.Wait(p)
 		}
-		if w.stop {
-			return
-		}
-		t := *w.next
-		w.next = nil
+		t := w.next
+		w.next = task{}
 		tp.perJob[t.jobID]++
 		if used := tp.InUse(); used > tp.stats.PeakInUse {
 			tp.stats.PeakInUse = used
@@ -102,9 +98,8 @@ func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 		}
 		tp.stats.Completed++
 		if len(tp.backlog) > 0 {
-			next := tp.backlog[0]
+			w.next = tp.backlog[0]
 			tp.backlog = tp.backlog[1:]
-			w.next = &next
 			continue
 		}
 		tp.idle = append(tp.idle, w)

@@ -187,6 +187,7 @@ type Device struct {
 	// barrierAt.
 	barrierDur time.Duration
 	barrierAt  sim.Time
+	pumpFn     func() // d.pump, bound once so timers schedule it without a closure
 
 	// Fault injection: while stalled (driver wedge), admission is closed
 	// but resident kernels keep executing; completing kernels may be failed
@@ -235,7 +236,7 @@ func New(env *sim.Env, spec Spec) *Device {
 	if spec.Capacity <= 0 {
 		spec.Capacity = 1.0
 	}
-	return &Device{
+	d := &Device{
 		env:         env,
 		spec:        spec,
 		streams:     make(map[int]*stream),
@@ -244,6 +245,8 @@ func New(env *sim.Env, spec Spec) *Device {
 		ownerBusy:   make(map[int]time.Duration),
 		ownerCount:  make(map[int]int),
 	}
+	d.pumpFn = d.pump
+	return d
 }
 
 // Spec returns the device's hardware description.
@@ -578,7 +581,7 @@ func (d *Device) armStall() {
 		if d.onStall != nil {
 			d.onStall(d.stallUntil)
 		}
-		d.env.Schedule(dur, func() { d.pump() })
+		d.env.Schedule(dur, d.pumpFn)
 		if d.queued > 0 || d.outstanding > 0 {
 			d.armStall()
 		}
@@ -617,7 +620,7 @@ func (d *Device) SwitchBarrier(dur time.Duration) {
 // reopen admission.
 func (d *Device) armBarrier() {
 	d.barrierAt = d.env.Now().Add(d.barrierDur)
-	d.env.Schedule(d.barrierDur, func() { d.pump() })
+	d.env.Schedule(d.barrierDur, d.pumpFn)
 }
 
 // barrierClosed reports whether the admission barrier currently blocks

@@ -100,7 +100,9 @@ func ProfileLLM(name string, spec gpu.Spec, seed int64) (*LLMProfile, error) {
 		prof.decodePerSeq = (obs[2] - obs[0]) / float64(grid[2].seqs-grid[0].seqs)
 		prof.decodeBase = obs[0] - prof.decodePerKV*float64(grid[0].kv) - prof.decodePerSeq*float64(grid[0].seqs)
 	})
-	if err := env.Run(); err != nil {
+	err := env.Run()
+	env.Shutdown()
+	if err != nil {
 		return nil, err
 	}
 	if runErr != nil {

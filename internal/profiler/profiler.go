@@ -110,10 +110,11 @@ func ProfileSolo(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	job := eng.NewJob(0, g)
 	env.Go("profiler", func(p *sim.Proc) { eng.Run(p, job) })
-	if err := env.Run(); err != nil {
+	err := env.Run()
+	env.Shutdown()
+	if err != nil {
 		return nil, fmt.Errorf("profile %s/%d: %w", g.Model, g.BatchSize, err)
 	}
-	env.Shutdown()
 	res.GPUDuration = dev.OwnerBusy(job.ID)
 	res.Runtime = time.Duration(job.EndAt - job.StartAt)
 	return res, nil
@@ -259,10 +260,11 @@ func pairFinish(g *graph.Graph, prof *Result, q time.Duration, opts Options) (ti
 			}
 		})
 	}
-	if err := env.Run(); err != nil {
+	err := env.Run()
+	env.Shutdown()
+	if err != nil {
 		return 0, fmt.Errorf("overhead pair %s/%d q=%v: %w", g.Model, g.BatchSize, q, err)
 	}
-	env.Shutdown()
 	return time.Duration(last), nil
 }
 
@@ -334,10 +336,11 @@ func MeasureOnlineOverhead(g *graph.Graph, tax time.Duration, opts Options) (*On
 		eng := executor.New(env, dev, cfg, nil)
 		job := eng.NewJob(0, g)
 		env.Go("online", func(p *sim.Proc) { eng.Run(p, job) })
-		if err := env.Run(); err != nil {
+		err := env.Run()
+		env.Shutdown()
+		if err != nil {
 			return 0, err
 		}
-		env.Shutdown()
 		return time.Duration(job.EndAt - job.StartAt), nil
 	}
 	off, err := run(false)

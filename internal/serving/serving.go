@@ -632,6 +632,7 @@ func (r *Request) Done() *sim.Event { return r.done }
 func (s *Server) startBatcher(modelName string) {
 	cond := s.env.NewCond("batcher-" + modelName)
 	s.flushers[modelName] = cond
+	batchName := "batch-" + modelName // every batch proc of this model shares it
 	proc := s.env.Go("batcher-"+modelName, func(p *sim.Proc) {
 		for {
 			for len(s.queues[modelName]) == 0 {
@@ -650,7 +651,7 @@ func (s *Server) startBatcher(modelName string) {
 			if len(s.queues[modelName]) == 0 {
 				continue
 			}
-			s.flush(modelName)
+			s.flush(modelName, batchName)
 		}
 	})
 	proc.SetDaemon(true)
@@ -799,8 +800,9 @@ func (s *Server) dropExpired(modelName string) {
 	s.queues[modelName] = kept
 }
 
-// flush dispatches the queued requests of a model as one batch job.
-func (s *Server) flush(modelName string) {
+// flush dispatches the queued requests of a model as one batch job, on a
+// proc named procName.
+func (s *Server) flush(modelName, procName string) {
 	s.dropExpired(modelName)
 	batch := s.queues[modelName]
 	if len(batch) == 0 {
@@ -836,7 +838,7 @@ func (s *Server) flush(modelName string) {
 	s.batchesC.Inc()
 	s.clients++
 	clientID := s.clients
-	s.env.Go(fmt.Sprintf("batch-%s-%d", modelName, s.batches), func(p *sim.Proc) {
+	s.env.Go(procName, func(p *sim.Proc) {
 		s.runBatch(p, clientID, g, batch)
 	})
 }

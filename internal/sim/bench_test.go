@@ -40,3 +40,44 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSimProcHandoff measures the switch between two processes: ping
+// and pong sleep in alternation, so every park hands the next dispatch to
+// the other one. One op is one hand-off. It must report 0 allocs/op.
+func BenchmarkSimProcHandoff(b *testing.B) {
+	env := NewEnv(1)
+	half := (b.N + 1) / 2
+	loop := func(p *Proc) {
+		for i := 0; i < half; i++ {
+			p.Sleep(2 * time.Microsecond)
+		}
+	}
+	env.Go("ping", loop)
+	env.Go("pong", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		loop(p)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSimSpawn measures a process's whole life on a pooled carrier:
+// spawn, first dispatch and exit. One op is one short-lived process.
+func BenchmarkSimSpawn(b *testing.B) {
+	env := NewEnv(1)
+	child := func(p *Proc) {}
+	env.Go("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			env.Go("child", child)
+			p.Yield() // the child runs and exits, returning its carrier
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

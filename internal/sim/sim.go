@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with goroutine-backed processes.
+// kernel with coroutine-backed processes.
 //
 // The kernel substitutes for wall-clock concurrency in the Olympian
 // reproduction: simulated CPU threads (Proc) block and resume on the same
@@ -8,13 +8,21 @@
 // and same-timestamp events fire in a stable (time, sequence) order, so every
 // experiment is reproducible from its seed.
 //
-// Concurrency model: the event loop and all processes pass a single "baton".
-// Whichever goroutine holds the baton runs the event loop in place (see
-// runLoop); dispatching another process hands the baton over its resume
-// channel, and when a dispatched process happens to be the one that just
-// parked, the loop returns directly into it with no channel traffic at all.
-// Process code therefore runs under total mutual exclusion and may freely
-// mutate shared simulation state between blocking points without locks.
+// Concurrency model: every process runs on a carrier, an iter.Pull coroutine
+// that is reused rather than ended: an environment keeps the carriers of
+// exited processes on an idle list for its next Go, and Shutdown hands them
+// to a process-wide pool for later environments. A spawn therefore costs no
+// goroutine and no channel. The goroutine that called Run (the loop owner)
+// pops events and switches into the carrier of each process it dispatches.
+// A parking process runs the event loop in place (see step): when the next
+// event resumes that same process it simply returns, with no switch at all;
+// otherwise it names the process to run next in Env.handoff and yields to the
+// owner, which resumes that carrier — two coroutine switches that never enter
+// the Go scheduler. Process code therefore runs under total mutual exclusion
+// and may freely mutate shared simulation state between blocking points
+// without locks, and a panic in a process surfaces from Run on the owner's
+// goroutine. Shutdown resumes each remaining process with its kill flag set,
+// and the process unwinds from the point where it parked.
 //
 // Event representation: the queue is a 4-ary min-heap of event values —
 // no container/heap interface boxing, no per-event pointer allocation. An
@@ -28,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -123,9 +132,9 @@ type Env struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	mainCh  chan struct{} // returns the baton to Run's goroutine
-	cur     *Proc
-	live    int // non-daemon procs that have started and not yet exited
+	handoff *Proc      // the proc a yielding carrier asks the loop owner to resume
+	idle    []*carrier // carriers whose proc has exited, reused by Go
+	live    int        // non-daemon procs that have started and not yet exited
 	procs   map[*Proc]struct{}
 	procSeq int
 
@@ -159,7 +168,6 @@ const maxTime = Time(1<<63 - 1)
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:    rand.New(rand.NewSource(seed)),
-		mainCh: make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
 		hbNext: maxTime,
 	}
@@ -257,12 +265,12 @@ func (e *Env) ScheduleAt(t Time, fn func()) {
 	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// Proc is a simulated thread of control backed by a goroutine.
+// Proc is a simulated thread of control backed by a pooled coroutine.
 type Proc struct {
 	env    *Env
+	c      *carrier
 	id     int
 	name   string
-	resume chan struct{}
 	why    string // blocking reason while parked, for deadlock reports
 	dead   bool
 	daemon bool
@@ -298,29 +306,96 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
+// carrier is a coroutine that runs processes one after another. next and
+// stop come from iter.Pull (see newCarrier); yield is the coroutine's side of
+// the switch and may only be called on the carrier itself. p and fn are the
+// assigned process, nil while the carrier is idle.
+type carrier struct {
+	env   *Env
+	p     *Proc
+	fn    func(*Proc)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// maxPooled caps the carriers Shutdown keeps for later environments: enough
+// for the largest gang-of-threads run (about 1,900 live pool threads in a
+// Fig 11 run) with headroom; Shutdown stops the rest.
+const maxPooled = 4096
+
+// pool holds carriers no environment is using. Carriers are reused across
+// environments rather than ended, because ending a coroutine skips the race
+// detector's goroutine-exit hook and leaks its race context: under -race
+// that grew the cluster tests from 0.9 GB to 3.7 GB.
+var pool struct {
+	sync.Mutex
+	idle []*carrier
+}
+
+// run is the carrier's coroutine body: it runs each assigned process to
+// completion and then yields to the loop owner until a later dispatch
+// brings the next process Go assigned to it. It returns only when stopped.
+func (c *carrier) run(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.runProc()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProc runs the assigned process, unless Shutdown killed it before its
+// first dispatch, and returns the carrier to its environment's idle list.
+func (c *carrier) runProc() {
+	p, e := c.p, c.env
+	if !p.killed {
+		runKillable(c.fn, p)
+	}
+	c.p, c.fn = nil, nil
+	p.dead = true
+	if !p.daemon {
+		e.live--
+	}
+	delete(e.procs, p)
+	e.idle = append(e.idle, c)
+}
+
+// takeCarrier returns an idle carrier for e: its own most recently idled
+// one, else one from the shared pool, else a new one.
+func (e *Env) takeCarrier() *carrier {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	var c *carrier
+	pool.Lock()
+	if n := len(pool.idle); n > 0 {
+		c = pool.idle[n-1]
+		pool.idle[n-1] = nil
+		pool.idle = pool.idle[:n-1]
+	}
+	pool.Unlock()
+	if c == nil {
+		return e.newCarrier()
+	}
+	c.env = e
+	return c
+}
+
 // Go spawns a process that begins executing fn at the current virtual time.
 // It may be called before Run or from process/event context during a run.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{env: e, id: e.procSeq, name: name, resume: make(chan struct{}), why: "start"}
+	p := &Proc{env: e, id: e.procSeq, name: name, why: "start"}
+	c := e.takeCarrier()
+	c.p, c.fn = p, fn
+	p.c = c
 	e.live++
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first dispatch
-		if !p.killed {
-			runKillable(fn, p)
-		}
-		p.dead = true
-		if !p.daemon {
-			e.live--
-		}
-		delete(e.procs, p)
-		if e.shutdown {
-			e.mainCh <- struct{}{}
-			return
-		}
-		e.runLoop(p, true)
-	}()
 	e.scheduleProc(0, p)
 	return p
 }
@@ -338,45 +413,59 @@ func runKillable(fn func(*Proc), p *Proc) {
 	fn(p)
 }
 
-// Shutdown terminates all remaining processes (including daemons), allowing
-// their goroutines to exit. Call it once after Run returns; the environment
-// must not be used afterwards.
+// Shutdown terminates all remaining processes, including daemons and
+// processes that never started: each is resumed with its kill flag set, so a
+// parked one unwinds through its deferred calls and one not yet started
+// never runs. Their carriers then go to the shared pool for later
+// environments. Call it once after Run returns; the environment must not be
+// used afterwards.
 func (e *Env) Shutdown() {
 	e.shutdown = true
-	for p := range e.procs {
-		if p.dead {
-			continue
+	for len(e.procs) > 0 { // a dying process's defers may spawn more
+		for p := range e.procs {
+			delete(e.procs, p)
+			p.killed = true
+			p.c.next()
 		}
-		p.killed = true
-		e.cur = p
-		p.resume <- struct{}{}
-		<-e.mainCh
 	}
-	e.cur = nil
+	for _, c := range e.idle {
+		c.env = nil // let the environment be collected
+	}
+	pool.Lock()
+	keep := min(len(e.idle), maxPooled-len(pool.idle))
+	pool.idle = append(pool.idle, e.idle[:keep]...)
+	pool.Unlock()
+	for _, c := range e.idle[keep:] {
+		c.stop()
+	}
+	e.idle = nil
 }
 
-// runLoop executes queued events on the calling goroutine. Exactly one
-// goroutine runs it at a time: the baton travels with control flow. self is
-// nil when Run's goroutine is looping; otherwise self just parked (or, with
-// exiting set, is about to die) and hands the baton onward.
-//
-// Fast path: when the next event resumes self, the loop returns straight
-// into it — a process that sleeps and is the next to run costs zero channel
-// operations and zero goroutine switches.
-func (e *Env) runLoop(self *Proc, exiting bool) {
+// runLoop drives the run on the loop owner's goroutine: it dispatches the
+// next process (the one a yielding carrier handed off, else the next one
+// step pops) by switching into its carrier, and returns when the run is over
+// for now.
+func (e *Env) runLoop() {
+	for {
+		q := e.handoff
+		e.handoff = nil
+		if q == nil {
+			if q = e.step(); q == nil {
+				return
+			}
+		}
+		q.c.next()
+	}
+}
+
+// step runs queued callbacks until it pops the resumption of a live process,
+// and returns that process with the clock at its wakeup time; nil when the
+// run is over for now (queue empty, Stop called, or past the time limit).
+// Both the loop owner and parking processes call it.
+func (e *Env) step() *Proc {
 	for {
 		if len(e.events) == 0 || e.stopped || (e.limit > 0 && e.events[0].at > e.limit) {
-			// The run is over (for now): return the baton to Run's goroutine.
-			e.cur = nil
-			if self == nil {
-				return
-			}
-			e.mainCh <- struct{}{}
-			if exiting {
-				return
-			}
-			self.block() // until a later Run dispatches us again
-			return
+			return nil
 		}
 		ev := e.events.pop()
 		if ev.at > e.hbNext {
@@ -393,37 +482,30 @@ func (e *Env) runLoop(self *Proc, exiting bool) {
 		}
 		e.now = ev.at
 		q.why = ""
-		if q == self && !exiting {
-			e.cur = self
-			return // fast path: resume ourselves, no channel hop
-		}
-		e.cur = q
-		q.resume <- struct{}{}
-		switch {
-		case self == nil:
-			<-e.mainCh // wait for the baton to come home
-		case exiting:
-			return
-		default:
-			self.block()
-			return
-		}
-	}
-}
-
-// block parks the goroutine until redispatched, unwinding if killed.
-func (p *Proc) block() {
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
+		return q
 	}
 }
 
 // park records why the process is blocked and runs the event loop in place
-// until something redispatches it.
+// until something redispatches it. When the next event resumes p itself it
+// returns at once (no coroutine switch); otherwise it hands the next process
+// to the loop owner and yields until the owner dispatches p again.
 func (p *Proc) park(why string) {
+	e := p.env
+	if e.shutdown { // a killed process blocking again from a defer
+		panic(killSentinel{})
+	}
 	p.why = why
-	p.env.runLoop(p, false)
+	q := e.step()
+	if q == p {
+		return
+	}
+	e.handoff = q
+	// yield reports false only for a stopped carrier, and only idle
+	// carriers are stopped; treat it as a kill all the same.
+	if !p.c.yield(struct{}{}) || p.killed {
+		panic(killSentinel{})
+	}
 }
 
 // Sleep suspends the process for virtual duration d. Even a zero sleep is a
@@ -445,7 +527,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // optional time limit is reached. It returns an error if live processes
 // remain parked with no runnable events (deadlock).
 func (e *Env) Run() error {
-	e.runLoop(nil, false)
+	e.runLoop()
 	if !e.stopped && len(e.events) == 0 && e.live > 0 {
 		return e.deadlockError()
 	}
@@ -466,7 +548,7 @@ func (e *Env) RunUntil(t Time) error {
 // shard coordinator owns the global stuck check (see StuckError).
 func (e *Env) RunWindow(t Time) {
 	e.limit = t
-	e.runLoop(nil, false)
+	e.runLoop()
 	e.limit = 0
 }
 
@@ -482,24 +564,25 @@ func (e *Env) StuckError() error {
 }
 
 func (e *Env) deadlockError() error {
-	type stuck struct {
-		name, why string
-	}
-	var list []stuck
+	list := make([]*Proc, 0, len(e.procs))
 	for p := range e.procs {
-		if p.dead {
-			continue
+		if !p.dead {
+			list = append(list, p)
 		}
-		list = append(list, stuck{p.name, p.why})
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].name != list[j].name {
+			return list[i].name < list[j].name
+		}
+		return list[i].id < list[j].id
+	})
 	msg := fmt.Sprintf("sim: deadlock at %v: %d live procs, none runnable", e.now, e.live)
-	for i, s := range list {
+	for i, p := range list {
 		if i >= 8 {
 			msg += fmt.Sprintf("; … and %d more", len(list)-8)
 			break
 		}
-		msg += fmt.Sprintf("; %s blocked on %s", s.name, s.why)
+		msg += fmt.Sprintf("; %s#%d blocked on %s", p.name, p.id, p.why)
 	}
 	return fmt.Errorf("%s", msg)
 }
