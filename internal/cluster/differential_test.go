@@ -176,23 +176,29 @@ func driveSharded(t *testing.T, c *ShardedCluster, sc shardedScenario) {
 
 // runShardedTelemetry is runSharded with the virtual-clock telemetry plane
 // attached: per-shard samplers over the default serving SLOs, merged into one
-// timeline by FinishObs.
-func runShardedTelemetry(t *testing.T, sc shardedScenario, engine Engine, workers int, rec *obs.Recorder) (Stats, *telemetry.Timeline) {
+// timeline by FinishObs. It returns the finished cluster.
+func runShardedTelemetry(t *testing.T, sc shardedScenario, engine Engine, workers int, rec *obs.Recorder) *ShardedCluster {
 	t.Helper()
 	cfg := sc.cfg()
 	cfg.Workers = workers
 	cfg.Obs = rec
-	cfg.Telemetry = &telemetry.Config{
-		Interval: time.Millisecond,
-		SLOs:     telemetry.DefaultServingSLOs(),
-		Rules:    telemetry.DefaultRules(),
-	}
+	cfg.Telemetry = testTelemetry()
 	c, err := NewSharded(cfg, engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveSharded(t, c, sc)
-	return c.Stats(), c.Timeline()
+	return c
+}
+
+// testTelemetry is the telemetry plane the differential tests attach: a 1ms
+// scrape over the default serving SLOs and burn-rate rules.
+func testTelemetry() *telemetry.Config {
+	return &telemetry.Config{
+		Interval: time.Millisecond,
+		SLOs:     telemetry.DefaultServingSLOs(),
+		Rules:    telemetry.DefaultRules(),
+	}
 }
 
 // renderObs renders a recorder's lifecycle trace and metrics to comparable
@@ -257,7 +263,8 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 func TestShardedTelemetryBitIdentical(t *testing.T) {
 	sc := shardedScenarios()[3] // overload: queue pressure burns the latency SLOs
 	refRec := obs.NewRecorder()
-	refStats, refTL := runShardedTelemetry(t, sc, SingleHeap, 0, refRec)
+	ref := runShardedTelemetry(t, sc, SingleHeap, 0, refRec)
+	refStats, refTL := ref.Stats(), ref.Timeline()
 	if refTL == nil || refTL.Ticks == 0 {
 		t.Fatal("reference run sampled no telemetry ticks")
 	}
@@ -279,7 +286,8 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		rec := obs.NewRecorder()
-		gotStats, gotTL := runShardedTelemetry(t, sc, Sharded, workers, rec)
+		got := runShardedTelemetry(t, sc, Sharded, workers, rec)
+		gotStats, gotTL := got.Stats(), got.Timeline()
 		if !reflect.DeepEqual(refStats, gotStats) {
 			t.Errorf("workers=%d: stats differ from single-heap reference", workers)
 		}

@@ -34,14 +34,12 @@ type fleet struct {
 	samplers []*telemetry.Sampler
 	timeline *telemetry.Timeline
 
-	// Front-end tallies. LLMCluster reports crashes and revives from these;
+	// Front-end tallies, which the failover, crash and revive counters
+	// read. LLMCluster reports crashes and revives from these;
 	// ShardedCluster reads each device's own counts instead.
 	failovers, crashes, revives int
 
-	routesC    *obs.Series
-	failoversC *obs.Series
-	crashesC   *obs.Series
-	revivesC   *obs.Series
+	routesC *obs.Series
 }
 
 // fleetConfig is the part of Config and LLMConfig the shared core reads.
@@ -58,11 +56,12 @@ type fleetConfig struct {
 	debt func(string) (time.Duration, error)
 }
 
-// newFleet builds the shards, the per-shard recorders and samplers, the
-// shared front-end counters and the router.
-func newFleet(fc fleetConfig, engine Engine) fleet {
+// init builds the shards, the per-shard recorders and samplers, the shared
+// front-end counters and the router in place: the counters are views over
+// f's own tallies, so f must already sit at its final address.
+func (f *fleet) init(fc fleetConfig, engine Engine) {
 	n := fc.devices
-	f := fleet{
+	*f = fleet{
 		engine: engine,
 		shards: sim.NewShards(sim.ShardsConfig{
 			N:          n + 1,
@@ -92,14 +91,13 @@ func newFleet(fc fleetConfig, engine Engine) fleet {
 	f.rec = f.children[0]
 	reg := f.rec.Registry()
 	f.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
-	f.failoversC = reg.Counter("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.")
-	f.crashesC = reg.Counter("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.")
-	f.revivesC = reg.Counter("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.")
+	reg.CounterView("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.", &f.failovers)
+	reg.CounterView("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.", &f.crashes)
+	reg.CounterView("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.", &f.revives)
 	f.router = newRouter(f.shards.Env(0), n, fc.route, fc.debt)
 	if fc.slim {
 		f.router.setSlim()
 	}
-	return f
 }
 
 // injector builds device i's fault injector from its plan, or nil when the
@@ -130,7 +128,6 @@ func (f *fleet) watchReady(i int, dev *gpu.Device) {
 func (f *fleet) crashReported(dev int) {
 	f.router.MarkDead(dev)
 	f.crashes++
-	f.crashesC.Inc()
 	f.rec.Instant(obs.LayerCluster, "crash", obs.NoReq, obs.NoClass, dev, 0)
 }
 
@@ -139,7 +136,6 @@ func (f *fleet) crashReported(dev int) {
 func (f *fleet) readyReported(dev int) {
 	f.router.Revive(dev)
 	f.revives++
-	f.revivesC.Inc()
 	f.rec.Instant(obs.LayerCluster, "revive", obs.NoReq, obs.NoClass, dev, 0)
 }
 

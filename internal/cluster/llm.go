@@ -268,9 +268,7 @@ type LLMCluster struct {
 	ttftHist, tpotHist     *obs.Hist
 	classTTFTs, classTPOTs [overload.NumClasses]*obs.Hist
 
-	handoffsC    *obs.Series
-	retriesC     *obs.Series
-	retryDeniedC *obs.Series
+	handoffsC *obs.Series
 }
 
 // prefillModel and decodeModel are the role pseudo-models the shared router
@@ -307,26 +305,26 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 
 	n := cfg.PrefillReplicas + cfg.DecodeReplicas
 	c := &LLMCluster{
-		fleet: newFleet(fleetConfig{
-			devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
-			route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
-			debt: func(m string) (time.Duration, error) {
-				// Per-dispatch debt for the cost-weighted policy: a
-				// representative prefill pass, or a representative decode
-				// residency.
-				if m == decodeModel(cfg.Model) {
-					return dprof.DecodeStep(1, 512) * 64, nil
-				}
-				return pprof.Prefill(256), nil
-			},
-		}, engine),
 		cfg:        cfg,
 		attemptReq: make(map[int]*LLMRequest),
 	}
+	c.fleet.init(fleetConfig{
+		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+		route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
+		debt: func(m string) (time.Duration, error) {
+			// Per-dispatch debt for the cost-weighted policy: a
+			// representative prefill pass, or a representative decode
+			// residency.
+			if m == decodeModel(cfg.Model) {
+				return dprof.DecodeStep(1, 512) * 64, nil
+			}
+			return pprof.Prefill(256), nil
+		},
+	}, engine)
 	reg := c.rec.Registry()
 	c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
-	c.retriesC = reg.Counter("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.")
-	c.retryDeniedC = reg.Counter("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.")
+	reg.CounterView("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.", &c.retries)
+	reg.CounterView("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.", &c.retryDenied)
 	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
 	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
 	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
@@ -601,7 +599,6 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 		if next, rerr := c.router.Route(prefillModel(c.cfg.Model), true); rerr == nil {
 			r.Hops++
 			c.failovers++
-			c.failoversC.Inc()
 			c.rec.Instant(obs.LayerCluster, "llm_failover", r.ID, int(r.Class), obs.NoDevice, int64(next))
 			c.dispatchPrefill(r, next)
 			return
@@ -610,12 +607,10 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 	if c.retryable(rep.err) && r.Retries < c.cfg.MaxRetries {
 		if !c.retryBudget.Allow() {
 			c.retryDenied++
-			c.retryDeniedC.Inc()
 		} else {
 			attempt := r.Retries
 			r.Retries++
 			c.retries++
-			c.retriesC.Inc()
 			delay := overload.Backoff(c.cfg.RetryBackoff, attempt, c.cfg.RetryJitter, c.retryRng.Float64())
 			c.rec.Instant(obs.LayerCluster, "llm_retry", r.ID, int(r.Class), obs.NoDevice, int64(delay))
 			origErr := rep.err

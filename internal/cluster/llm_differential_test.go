@@ -140,6 +140,13 @@ func runLLM(t *testing.T, sc llmScenario, engine Engine, workers int, rec *obs.R
 	if err != nil {
 		t.Fatal(err)
 	}
+	return driveLLM(t, c, sc)
+}
+
+// driveLLM submits a scenario's arrivals, runs the fleet to quiescence, folds
+// the observability planes, and returns the conservation-checked stats.
+func driveLLM(t *testing.T, c *LLMCluster, sc llmScenario) LLMClusterStats {
+	t.Helper()
 	env := c.FrontEnv()
 	for i := 0; i < sc.n; i++ {
 		prompt, output := sc.dims(i)

@@ -91,10 +91,6 @@ type ShardedCluster struct {
 	// derives PerModel from these with bounded memory in both retained and
 	// Slim modes.
 	byModel map[string]*obs.Hist
-
-	hedgesC     *obs.Series
-	hedgeWinsC  *obs.Series
-	partitionsC *obs.Series
 }
 
 // ShardedRequest is one cluster-level inference request. It survives
@@ -156,19 +152,19 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	cfg = cfg.withDefaults()
 	n := len(cfg.Devices)
 	c := &ShardedCluster{
-		fleet: newFleet(fleetConfig{
-			devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
-			route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
-			debt: debtUnit(cfg),
-		}, engine),
 		cfg:        cfg,
 		attemptReq: make(map[int]*ShardedRequest),
 		byModel:    make(map[string]*obs.Hist),
 	}
+	c.fleet.init(fleetConfig{
+		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+		route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
+		debt: debtUnit(cfg),
+	}, engine)
 	reg := c.rec.Registry()
-	c.hedgesC = reg.Counter("olympian_cluster_hedges_total", "Hedged duplicates dispatched.")
-	c.hedgeWinsC = reg.Counter("olympian_cluster_hedge_wins_total", "Races won by the hedge.")
-	c.partitionsC = reg.Counter("olympian_cluster_partitions_total", "Router-device partition windows begun.")
+	reg.CounterView("olympian_cluster_hedges_total", "Hedged duplicates dispatched.", &c.hedges)
+	reg.CounterView("olympian_cluster_hedge_wins_total", "Races won by the hedge.", &c.hedgeWins)
+	reg.CounterView("olympian_cluster_partitions_total", "Router-device partition windows begun.", &c.partitions)
 	if err := applyPlacement(c.router, cfg.Placement, n); err != nil {
 		return nil, err
 	}
@@ -244,7 +240,6 @@ func (c *ShardedCluster) schedulePartitions(device int, inj *faults.Injector) {
 		w := w
 		env.ScheduleAt(sim.Time(w.From), func() {
 			c.partitions++
-			c.partitionsC.Inc()
 			c.rec.Instant(obs.LayerCluster, "partition", obs.NoReq, obs.NoClass, device, int64(w.Dur))
 			until := sim.Time(w.From + w.Dur)
 			c.router.MarkDown(device, until)
@@ -408,14 +403,12 @@ func (c *ShardedCluster) attemptDone(id int, err error) {
 		c.settle(r, att.dev, nil)
 		if att.hedge {
 			c.hedgeWins++
-			c.hedgeWinsC.Inc()
 			c.rec.Instant(obs.LayerCluster, "hedge_win", r.ID, int(r.Class), obs.NoDevice, int64(att.dev))
 		}
 	case errors.Is(err, serving.ErrDrained) && r.Hops < c.cfg.MaxFailovers:
 		if next, rerr := c.router.Route(r.Model, true); rerr == nil {
 			r.Hops++
 			c.failovers++
-			c.failoversC.Inc()
 			c.rec.Instant(obs.LayerCluster, "failover", r.ID, int(r.Class), obs.NoDevice, int64(next))
 			c.dispatch(r, next, att.hedge)
 			return
@@ -485,7 +478,6 @@ func (c *ShardedCluster) armHedge(r *ShardedRequest) {
 		}
 		r.Hedged = true
 		c.hedges++
-		c.hedgesC.Inc()
 		c.rec.Instant(obs.LayerCluster, "hedge", r.ID, int(r.Class), obs.NoDevice, int64(dev))
 		c.dispatch(r, dev, true)
 	})

@@ -171,9 +171,8 @@ type Engine struct {
 	taxOf         map[*graph.Graph]float64
 	kernelRetries int
 
-	jobsC    *obs.Series
-	retriesC *obs.Series
-	abortsC  *obs.Series
+	jobsC   *obs.Series
+	abortsC *obs.Series
 
 	// NodeObserver, if set, is called after every node execution with the
 	// node's wall time (including queueing) and its service time (the
@@ -208,7 +207,7 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 	reg := cfg.Obs.Registry()
 	devLabel := strconv.Itoa(cfg.Device)
 	e.jobsC = reg.Counter("olympian_executor_jobs_total", "Jobs executed.", "device", devLabel)
-	e.retriesC = reg.Counter("olympian_executor_kernel_retries_total", "Transiently failed kernels relaunched.", "device", devLabel)
+	reg.CounterView("olympian_executor_kernel_retries_total", "Transiently failed kernels relaunched.", &e.kernelRetries, "device", devLabel)
 	e.abortsC = reg.Counter("olympian_executor_job_aborts_total", "Jobs aborted.", "device", devLabel)
 	if dev != nil {
 		dev.Observe(cfg.Obs, cfg.Device)
@@ -380,7 +379,6 @@ func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Dur
 			return false
 		}
 		e.kernelRetries++
-		e.retriesC.Inc()
 		e.cfg.Obs.Instant(obs.LayerExecutor, "kernel_retry", job.ID, obs.NoClass, e.cfg.Device, int64(attempt+1))
 		// Re-yield before relaunching: the retry must not run while the
 		// job is switched out, and an abort may have landed meanwhile.

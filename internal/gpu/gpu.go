@@ -210,22 +210,17 @@ type Device struct {
 	downSince     sim.Time
 	downtime      time.Duration // closed outage intervals
 	recoveredDown time.Duration // downtime of completed recoveries (MTTR numerator)
-	crashes       int
-	revives       int
 	onCrash       func(recovery time.Duration)
 	onReady       func()
 
 	memUsed int64
 	stats   Stats
 
-	// Observability: nil recorder = disabled fast path.
-	rec      *obs.Recorder
-	obsDev   int
-	kernelsC *obs.Series
-	faultsC  *obs.Series
-	stallsC  *obs.Series
-	crashesC *obs.Series
-	revivesC *obs.Series
+	// Observability: nil recorder = disabled fast path. Kernel, fault,
+	// crash and revive counters are views over stats.
+	rec     *obs.Recorder
+	obsDev  int
+	stallsC *obs.Series
 }
 
 // New returns an idle device with the given spec attached to env.
@@ -259,11 +254,11 @@ func (d *Device) Observe(r *obs.Recorder, device int) {
 	d.rec, d.obsDev = r, device
 	reg := r.Registry()
 	dev := strconv.Itoa(device)
-	d.kernelsC = reg.Counter("olympian_gpu_kernels_total", "Kernels dispatched.", "device", dev)
-	d.faultsC = reg.Counter("olympian_gpu_kernel_faults_total", "Kernels completed with an injected transient fault.", "device", dev)
+	reg.CounterView("olympian_gpu_kernels_total", "Kernels dispatched.", &d.stats.KernelsRun, "device", dev)
+	reg.CounterView("olympian_gpu_kernel_faults_total", "Kernels completed with an injected transient fault.", &d.stats.KernelFaults, "device", dev)
 	d.stallsC = reg.Counter("olympian_gpu_stalls_total", "Injected driver stalls.", "device", dev)
-	d.crashesC = reg.Counter("olympian_gpu_crashes_total", "Device crashes fired.", "device", dev)
-	d.revivesC = reg.Counter("olympian_gpu_revives_total", "Device restarts completed (warm-up done).", "device", dev)
+	reg.CounterView("olympian_gpu_crashes_total", "Device crashes fired.", &d.stats.Crashes, "device", dev)
+	reg.CounterView("olympian_gpu_revives_total", "Device restarts completed (warm-up done).", &d.stats.Revives, "device", dev)
 }
 
 // Submit enqueues a kernel on its stream; the driver dispatches it when
@@ -395,10 +390,10 @@ func (d *Device) Warming() bool { return d.warming }
 
 // Crashes returns how many crashes have fired; Revives how many restarts
 // completed.
-func (d *Device) Crashes() int { return d.crashes }
+func (d *Device) Crashes() int { return d.stats.Crashes }
 
 // Revives returns how many restarts completed (warm-up done).
-func (d *Device) Revives() int { return d.revives }
+func (d *Device) Revives() int { return d.stats.Revives }
 
 // DowntimeAt returns the accumulated unschedulable time up to now: every
 // closed outage interval plus the open one, if the device is currently down.
@@ -416,10 +411,10 @@ func (d *Device) DowntimeAt(now sim.Time) time.Duration {
 // schedulable again, including the recovery delay and the warm-up copy. Zero
 // with no completed recoveries.
 func (d *Device) MTTR() time.Duration {
-	if d.revives == 0 {
+	if d.stats.Revives == 0 {
 		return 0
 	}
-	return d.recoveredDown / time.Duration(d.revives)
+	return d.recoveredDown / time.Duration(d.stats.Revives)
 }
 
 // crash kills the device at the current instant: every queued and resident
@@ -436,10 +431,8 @@ func (d *Device) crash(recovery time.Duration) {
 	d.dead = true
 	d.warming = false
 	d.downSince = now
-	d.crashes++
 	d.stats.Crashes++
-	d.crashesC.Inc()
-	d.rec.Instant(obs.LayerGPU, "crash", obs.NoReq, obs.NoClass, d.obsDev, int64(d.crashes))
+	d.rec.Instant(obs.LayerGPU, "crash", obs.NoReq, obs.NoClass, d.obsDev, int64(d.stats.Crashes))
 	// Close the open busy intervals: execution stops instantly.
 	if d.active > 0 {
 		d.globalBusy += now.Sub(d.globalStart)
@@ -518,10 +511,8 @@ func (d *Device) ready() {
 	d.recoveredDown += outage
 	d.warming = false
 	d.dead = false
-	d.revives++
 	d.stats.Revives++
-	d.revivesC.Inc()
-	d.rec.Instant(obs.LayerGPU, "ready", obs.NoReq, obs.NoClass, d.obsDev, int64(d.revives))
+	d.rec.Instant(obs.LayerGPU, "ready", obs.NoReq, obs.NoClass, d.obsDev, int64(d.stats.Revives))
 	if d.onReady != nil {
 		d.onReady()
 	}
@@ -714,7 +705,6 @@ func (d *Device) begin(k *Kernel) {
 	d.outstanding++
 	d.stats.KernelsRun++
 	d.ownerCount[k.Owner]++
-	d.kernelsC.Inc()
 	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
 	// A recycled kernel still holds its previous use's span; crash() must
 	// not mistake it for this use's.
@@ -780,7 +770,6 @@ func (d *Device) finish(k *Kernel) {
 	if d.inj.KernelFails() {
 		k.Err = faults.ErrKernelFault
 		d.stats.KernelFaults++
-		d.faultsC.Inc()
 		d.rec.Instant(obs.LayerGPU, "kernel_fault", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
 	}
 	k.Done.Trigger()

@@ -41,11 +41,13 @@ func BenchmarkObsEnabled(b *testing.B) {
 func TestDisabledPathAllocs(t *testing.T) {
 	var r *Recorder
 	c := r.Registry().Counter("x_total", "")
+	var tally int
 	allocs := testing.AllocsPerRun(1000, func() {
 		id := r.StartSpan(LayerExecutor, "job", 7, 1, 0, 3)
 		r.Instant(LayerCluster, "route", 7, 1, 0, 0)
 		r.EndSpan(id)
 		c.Inc()
+		r.Registry().CounterView("y_total", "", &tally, "device", "0")
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %v allocs/op", allocs)

@@ -15,6 +15,13 @@ import (
 // series values are atomics, family registration takes a mutex. A nil
 // *Registry hands out nil series whose methods are no-ops, so
 // instrumentation can be wired unconditionally.
+//
+// A counter view (CounterView) is the exception to the atomics: it reads an
+// int tally its layer keeps, so the registry never holds a second copy of
+// the count. The contract is that a view's source changes only on the
+// goroutine that owns the shard whose registry the view sits in (the
+// shard's sampler scrapes it there), and that any other reader — a merge, a
+// render, a Stats call — reads it only after Run returns.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -53,13 +60,19 @@ type family struct {
 
 // Series is one (family, label set) time series. Its value is a float64
 // stored as bits in an atomic; Add uses CAS so concurrent increments from
-// the HTTP server do not race.
+// the HTTP server do not race. A counter series may also be a view: its
+// value then adds the int tallies in src and the next chain to the bits.
 type Series struct {
 	labels string // rendered `{k="v",...}` suffix, "" when unlabeled
 	bits   atomic.Uint64
 	// touched marks a series ever written, so Absorb can tell a gauge that
 	// was set to zero apart from one never set at all.
 	touched atomic.Bool
+	// src is the tally a view reads (nil: not a view); next holds the
+	// tallies of further views registered under the same labels, such as
+	// the same device in successive runs bound to one recorder.
+	src  *int
+	next *Series
 }
 
 // NewRegistry returns an empty registry.
@@ -144,6 +157,27 @@ func (g *Registry) Counter(name, help string, labels ...string) *Series {
 	return g.family(name, help, kindCounter).get(labels)
 }
 
+// CounterView registers a counter series whose value is read from *src, a
+// tally the calling layer already keeps and bumps itself. It returns no
+// handle, so the view cannot be incremented: the tally stays the only copy
+// of the count. Registering the same labels again sums the sources, as
+// incrementing one shared counter from both would. No-op on a nil registry.
+// See Registry for when *src may change.
+func (g *Registry) CounterView(name, help string, src *int, labels ...string) {
+	if g == nil {
+		return
+	}
+	f := g.family(name, help, kindCounter)
+	s := f.get(labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s.src == nil {
+		s.src = src
+	} else {
+		s.next = &Series{src: src, next: s.next}
+	}
+}
+
 // Gauge registers (or finds) a gauge family and returns the series for the
 // given label key/value pairs. A nil registry returns a nil series.
 func (g *Registry) Gauge(name, help string, labels ...string) *Series {
@@ -192,12 +226,17 @@ func (s *Series) Set(v float64) {
 	s.bits.Store(math.Float64bits(v))
 }
 
-// Value returns the current value, 0 on a nil series.
+// Value returns the current value, 0 on a nil series. A view's value adds
+// its tallies to whatever was added directly (Absorb folds into the bits).
 func (s *Series) Value() float64 {
 	if s == nil {
 		return 0
 	}
-	return math.Float64frombits(s.bits.Load())
+	v := math.Float64frombits(s.bits.Load())
+	for w := s; w != nil && w.src != nil; w = w.next {
+		v += float64(*w.src)
+	}
+	return v
 }
 
 // formatValue renders a sample the way Prometheus clients do: integers
@@ -302,13 +341,14 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Absorb folds other's series into this registry: counter values and
-// histogram buckets add, and a gauge takes other's value when other ever
-// wrote it (a child that never touched a gauge must not clobber the
-// parent's). Families and series are created as needed, in other's
-// registration order, so absorbing children deterministically reproduces
-// the registry a single shared recorder would have built — rendered output
-// is sorted either way.
+// Absorb folds other's series into this registry: counter values (views
+// included) and histogram buckets add, and a gauge takes other's value when
+// other ever wrote it (a child that never touched a gauge must not clobber
+// the parent's). Counters ignore touched: a view is never written, and
+// adding an untouched counter's zero changes nothing. Families and series
+// are created as needed, in other's registration order, so absorbing
+// children deterministically reproduces the registry a single shared
+// recorder would have built — rendered output is sorted either way.
 func (g *Registry) Absorb(other *Registry) {
 	if g == nil || other == nil {
 		return
@@ -337,12 +377,9 @@ func (g *Registry) Absorb(other *Registry) {
 			// Register the series even when untouched: a shared recorder
 			// renders zero-valued registered series, so the fold must too.
 			s := f.getByKey(k)
-			if !os.touched.Load() {
-				continue
-			}
 			if of.kind == kindCounter {
 				s.Add(os.Value())
-			} else {
+			} else if os.touched.Load() {
 				s.Set(os.Value())
 			}
 		}

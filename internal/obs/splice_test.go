@@ -142,6 +142,55 @@ func TestAbsorbRules(t *testing.T) {
 	}
 }
 
+// TestCounterView: a view reads its tally live through every reader, sums
+// with further sources registered under the same labels (and with anything
+// absorbed into it), and absorbs into a parent as a plain counter value.
+func TestCounterView(t *testing.T) {
+	var a, b int
+	child := NewRegistry()
+	child.CounterView("v_total", "v", &a, "d", "0")
+	a = 3
+	if got := child.Snapshot()[`v_total{d="0"}`]; got != 3 {
+		t.Fatalf("view value %v, want 3", got)
+	}
+	child.CounterView("v_total", "v", &b, "d", "0")
+	b = 4
+	var seen float64
+	child.VisitScalars(func(name, labels string, counter bool, v float64, _ bool) {
+		if !counter {
+			t.Errorf("%s%s visited as a gauge", name, labels)
+		}
+		seen = v
+	})
+	if seen != 7 {
+		t.Fatalf("VisitScalars read %v, want the summed sources 7", seen)
+	}
+	var prom bytes.Buffer
+	if err := child.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# HELP v_total v\n# TYPE v_total counter\nv_total{d=\"0\"} 7\n"; prom.String() != want {
+		t.Fatalf("exposition %q, want %q", prom.String(), want)
+	}
+
+	parent := NewRegistry()
+	parent.Counter("v_total", "v", "d", "0").Add(1)
+	parent.Absorb(child)
+	a, b = 100, 100 // the parent holds the absorbed value, not the view
+	if got := parent.Snapshot()[`v_total{d="0"}`]; got != 8 {
+		t.Fatalf("absorbed view %v, want 1+7", got)
+	}
+	var c int
+	parent.CounterView("v_total", "v", &c, "d", "0")
+	c = 2
+	if got := parent.Snapshot()[`v_total{d="0"}`]; got != 10 {
+		t.Fatalf("view over an absorbed series %v, want 8+2", got)
+	}
+
+	var nilReg *Registry
+	nilReg.CounterView("v_total", "v", &a) // no-op
+}
+
 // TestMergeOrder pins the exact merged sequence, not just its
 // determinism: records interleave by (time, child index, record index),
 // a retroactive span lands by its start time ahead of spans its child

@@ -233,13 +233,13 @@ type LLMServer struct {
 	degraded  bool
 
 	submitted, completed, handedOff, failed, shed int
-	expired, admissionSheds                       int
-	partial, partialTokens                        int
+	expired, partial, partialTokens               int
 	ingested, preemptions, kernelRetries          int
 	tokensEmitted, emittedByRequests              int
-	truncated, truncatedTokens, degradedEvents    int
-	tpotMisses, sloAttained                       int
+	truncated, degradedEvents, tpotMisses         int
 	byClass                                       metrics.ByClass
+	// Per-class tallies behind class-labelled counters; Stats sums them.
+	admissionSheds, truncatedTokens, sloAttained [overload.NumClasses]int
 
 	// TTFT/TPOT/queue-delay histograms recorded at source; Stats derives its
 	// percentiles from these in both retained and Slim modes (bounded memory,
@@ -251,23 +251,10 @@ type LLMServer struct {
 	rec    *obs.Recorder
 	obsDev int
 
-	tokensC   *obs.Series
-	preemptsC *obs.Series
-	handoffsC *obs.Series
-	ingestsC  *obs.Series
-	partialsC *obs.Series
+	// Counters with no tally; the rest are views over the tallies above.
 	kvFailC   *obs.Series
 	stepsC    *obs.Series
 	prefillsC *obs.Series
-	llmReqC   *obs.Series
-	llmDoneC  *obs.Series
-	llmFailC  *obs.Series
-	degradedC *obs.Series
-	admShedC  [overload.NumClasses]*obs.Series
-	expiredC  [overload.NumClasses]*obs.Series
-	truncTokC [overload.NumClasses]*obs.Series
-	sloOkC    [overload.NumClasses]*obs.Series
-	tpotMissC [overload.NumClasses]*obs.Series
 }
 
 // NewLLMServer builds a replica and allocates its weights on the device.
@@ -342,25 +329,25 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	s.ttftHist = obs.EnsureHist(reg.Histogram("olympian_llm_ttft_seconds", "Time to first token over completions.", "device", devLabel))
 	s.tpotHist = obs.EnsureHist(reg.Histogram("olympian_llm_tpot_seconds", "Mean inter-token gap over completions.", "device", devLabel))
 	s.qdHist = obs.EnsureHist(reg.Histogram("olympian_llm_queue_delay_seconds", "Arrival-to-first-prefill queue delay.", "device", devLabel))
-	s.llmReqC = reg.Counter("olympian_llm_requests_total", "LLM requests arrived (submit or ingest).", "device", devLabel)
-	s.llmDoneC = reg.Counter("olympian_llm_completed_total", "LLM requests completed.", "device", devLabel)
-	s.llmFailC = reg.Counter("olympian_llm_failed_total", "LLM requests failed.", "device", devLabel)
-	s.tokensC = reg.Counter("olympian_llm_tokens_total", "Output tokens emitted.", "device", devLabel)
-	s.preemptsC = reg.Counter("olympian_llm_preemptions_total", "Sequences evicted from KV cache.", "device", devLabel)
-	s.handoffsC = reg.Counter("olympian_llm_handoffs_total", "Prefilled sequences shipped to decode replicas.", "device", devLabel)
-	s.ingestsC = reg.Counter("olympian_llm_ingests_total", "Sequences ingested with prefill done elsewhere.", "device", devLabel)
-	s.partialsC = reg.Counter("olympian_llm_partials_total", "Failures that had delivered tokens.", "device", devLabel)
+	reg.CounterView("olympian_llm_requests_total", "LLM requests arrived (submit or ingest).", &s.submitted, "device", devLabel)
+	reg.CounterView("olympian_llm_completed_total", "LLM requests completed.", &s.completed, "device", devLabel)
+	reg.CounterView("olympian_llm_failed_total", "LLM requests failed.", &s.failed, "device", devLabel)
+	reg.CounterView("olympian_llm_tokens_total", "Output tokens emitted.", &s.tokensEmitted, "device", devLabel)
+	reg.CounterView("olympian_llm_preemptions_total", "Sequences evicted from KV cache.", &s.preemptions, "device", devLabel)
+	reg.CounterView("olympian_llm_handoffs_total", "Prefilled sequences shipped to decode replicas.", &s.handedOff, "device", devLabel)
+	reg.CounterView("olympian_llm_ingests_total", "Sequences ingested with prefill done elsewhere.", &s.ingested, "device", devLabel)
+	reg.CounterView("olympian_llm_partials_total", "Failures that had delivered tokens.", &s.partial, "device", devLabel)
 	s.kvFailC = reg.Counter("olympian_llm_kv_exhausted_total", "Sequences failed on cache exhaustion.", "device", devLabel)
 	s.stepsC = reg.Counter("olympian_llm_decode_steps_total", "Fused decode steps executed.", "device", devLabel)
 	s.prefillsC = reg.Counter("olympian_llm_prefills_total", "Prefill passes executed (including recomputes).", "device", devLabel)
-	s.degradedC = reg.Counter("olympian_llm_degraded_events_total", "KV-watermark crossings into degraded mode.", "device", devLabel)
+	reg.CounterView("olympian_llm_degraded_events_total", "KV-watermark crossings into degraded mode.", &s.degradedEvents, "device", devLabel)
 	for cls := overload.Class(0); cls < overload.NumClasses; cls++ {
 		cl := cls.String()
-		s.admShedC[cls] = reg.Counter("olympian_llm_admission_shed_total", "Requests refused by the token-rate admission gate.", "device", devLabel, "class", cl)
-		s.expiredC[cls] = reg.Counter("olympian_llm_ttft_expired_total", "Queued prefills shed un-run past their TTFT deadline.", "device", devLabel, "class", cl)
-		s.truncTokC[cls] = reg.Counter("olympian_llm_truncated_tokens_total", "Output-budget tokens cut by degraded mode.", "device", devLabel, "class", cl)
-		s.sloOkC[cls] = reg.Counter("olympian_llm_slo_attained_total", "Completions inside every armed TTFT/TPOT budget.", "device", devLabel, "class", cl)
-		s.tpotMissC[cls] = reg.Counter("olympian_llm_tpot_miss_total", "Completions over the TPOT budget.", "device", devLabel, "class", cl)
+		reg.CounterView("olympian_llm_admission_shed_total", "Requests refused by the token-rate admission gate.", &s.admissionSheds[cls], "device", devLabel, "class", cl)
+		reg.CounterView("olympian_llm_ttft_expired_total", "Queued prefills shed un-run past their TTFT deadline.", &s.byClass[cls].Expired, "device", devLabel, "class", cl)
+		reg.CounterView("olympian_llm_truncated_tokens_total", "Output-budget tokens cut by degraded mode.", &s.truncatedTokens[cls], "device", devLabel, "class", cl)
+		reg.CounterView("olympian_llm_slo_attained_total", "Completions inside every armed TTFT/TPOT budget.", &s.sloAttained[cls], "device", devLabel, "class", cl)
+		reg.CounterView("olympian_llm_tpot_miss_total", "Completions over the TPOT budget.", &s.byClass[cls].DeadlineMisses, "device", devLabel, "class", cl)
 	}
 
 	proc := env.Go(fmt.Sprintf("llm-engine-%d", cfg.Device), s.drive)
@@ -402,11 +389,9 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 	}
 	s.submitted++
 	s.byClass[class].Submitted++
-	s.llmReqC.Inc()
 	if s.dev.Dead() {
 		s.failed++
 		s.byClass[class].Failed++
-		s.llmFailC.Inc()
 		return nil, ErrDrained
 	}
 	cost := 0
@@ -418,9 +403,8 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 		if !s.limiter.HasCapacity(class, cost) {
 			s.limiter.NoteShed()
 			s.shed++
-			s.admissionSheds++
+			s.admissionSheds[class]++
 			s.byClass[class].Shed++
-			s.admShedC[class].Inc()
 			s.rec.Instant(obs.LayerServing, "llm_admit_shed", s.reqCount, int(class), s.obsDev, int64(cost))
 			return nil, ErrShed
 		}
@@ -458,11 +442,9 @@ func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriv
 	}
 	s.submitted++
 	s.byClass[class].Submitted++
-	s.llmReqC.Inc()
 	if s.dev.Dead() {
 		s.failed++
 		s.byClass[class].Failed++
-		s.llmFailC.Inc()
 		return nil, ErrDrained
 	}
 	r := llm.NewRequest(s.env, s.reqCount, s.cfg.Model, class, prompt, output, have)
@@ -471,7 +453,6 @@ func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriv
 	r.FirstTokenAt = firstTokenAt
 	r.LastTokenAt = lastTokenAt
 	s.ingested++
-	s.ingestsC.Inc()
 	s.rec.Instant(obs.LayerServing, "llm_ingest", r.ID, int(class), s.obsDev, int64(r.KVTokens()))
 	if !s.cfg.Slim {
 		s.requests = append(s.requests, r)
@@ -626,7 +607,6 @@ func (s *LLMServer) expireTTFT(r *llm.Request, now sim.Time) bool {
 	}
 	s.expired++
 	s.byClass[r.Class].Expired++
-	s.expiredC[r.Class].Inc()
 	s.rec.Instant(obs.LayerServing, "llm_expired", r.ID, int(r.Class), s.obsDev, int64(wait))
 	s.congest(now)
 	s.releaseAdmission(r)
@@ -652,7 +632,6 @@ func (s *LLMServer) checkDegraded(now sim.Time) {
 	if !s.degraded {
 		s.degraded = true
 		s.degradedEvents++
-		s.degradedC.Inc()
 		s.rec.Instant(obs.LayerServing, "llm_degraded", obs.NoReq, obs.NoClass, s.obsDev, int64(util*1000))
 	}
 	s.congest(now)
@@ -662,8 +641,7 @@ func (s *LLMServer) checkDegraded(now sim.Time) {
 		}
 		if cut := r.Truncate(r.TokensOut + s.cfg.DegradedTail); cut > 0 {
 			s.truncated++
-			s.truncatedTokens += cut
-			s.truncTokC[r.Class].Add(float64(cut))
+			s.truncatedTokens[r.Class] += cut
 			s.rec.Instant(obs.LayerServing, "llm_truncate", r.ID, int(r.Class), s.obsDev, int64(cut))
 		}
 	}
@@ -723,7 +701,6 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 		r.FirstTokenAt = now
 		r.LastTokenAt = now
 		s.tokensEmitted++
-		s.tokensC.Inc()
 	}
 	switch {
 	case r.TokensOut >= r.OutputTokens:
@@ -734,7 +711,6 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 		s.kv.Release(r.ID)
 		r.HandedOff = true
 		s.handedOff++
-		s.handoffsC.Inc()
 		s.byClass[r.Class].Completed++
 		s.emittedByRequests += r.EmittedHere()
 		s.rec.Instant(obs.LayerServing, "llm_handoff", r.ID, int(r.Class), s.obsDev, int64(r.KVTokens()))
@@ -775,7 +751,6 @@ growth:
 				s.kv.Release(v.ID)
 				v.Preemptions++
 				s.preemptions++
-				s.preemptsC.Inc()
 				s.rec.Instant(obs.LayerServing, "llm_preempt", v.ID, int(v.Class), s.obsDev, int64(v.KVTokens()))
 				s.congest(p.Now())
 				s.batch.EnqueueFront(v)
@@ -829,7 +804,6 @@ growth:
 		r.TokensOut++
 		r.LastTokenAt = now
 		s.tokensEmitted++
-		s.tokensC.Inc()
 		if r.TokensOut >= r.OutputTokens {
 			s.batch.Leave(r)
 			s.kv.Release(r.ID)
@@ -844,7 +818,6 @@ growth:
 func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 	s.completed++
 	s.byClass[r.Class].Completed++
-	s.llmDoneC.Inc()
 	s.emittedByRequests += r.EmittedHere()
 	if ttft := r.TTFT(); ttft > 0 {
 		s.ttftHist.Observe(ttft)
@@ -857,12 +830,10 @@ func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 		ok = false
 		s.tpotMisses++
 		s.byClass[r.Class].DeadlineMisses++
-		s.tpotMissC[r.Class].Inc()
 	}
 	cost := s.releaseAdmission(r)
 	if ok {
-		s.sloAttained++
-		s.sloOkC[r.Class].Inc()
+		s.sloAttained[r.Class]++
 		if s.limiter != nil {
 			s.limiter.OnSuccess(cost)
 		}
@@ -875,12 +846,10 @@ func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 func (s *LLMServer) bookFail(r *llm.Request, err error, now sim.Time) {
 	s.failed++
 	s.byClass[r.Class].Failed++
-	s.llmFailC.Inc()
 	s.emittedByRequests += r.EmittedHere()
 	if r.EmittedHere() > 0 {
 		s.partial++
 		s.partialTokens += r.EmittedHere()
-		s.partialsC.Inc()
 	}
 	s.releaseAdmission(r)
 	r.Abort(err, now)
@@ -910,12 +879,12 @@ func (s *LLMServer) Stats() LLMStats {
 		Failed:            s.failed,
 		Shed:              s.shed,
 		Expired:           s.expired,
-		AdmissionSheds:    s.admissionSheds,
+		AdmissionSheds:    classSum(s.admissionSheds),
 		Truncated:         s.truncated,
-		TruncatedTokens:   s.truncatedTokens,
+		TruncatedTokens:   classSum(s.truncatedTokens),
 		DegradedEvents:    s.degradedEvents,
 		TPOTMisses:        s.tpotMisses,
-		SLOAttained:       s.sloAttained,
+		SLOAttained:       classSum(s.sloAttained),
 		AdmitLimit:        limit,
 		Partial:           s.partial,
 		PartialTokens:     s.partialTokens,
@@ -931,4 +900,13 @@ func (s *LLMServer) Stats() LLMStats {
 		MemoryPeak:        s.dev.Stats().MemoryPeak,
 		ByClass:           s.byClass,
 	}
+}
+
+// classSum totals a per-class tally.
+func classSum(a [overload.NumClasses]int) int {
+	n := 0
+	for _, v := range a {
+		n += v
+	}
+	return n
 }

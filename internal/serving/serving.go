@@ -310,16 +310,12 @@ type Server struct {
 	drainSeq int
 
 	// Observability: rec is nil on the disabled fast path; the cached
-	// series are nil then too, so every bump below is a no-op.
+	// series are nil then too, so every bump below is a no-op. Counters
+	// with a tally (batches, degraded) are views over it instead.
 	rec         *obs.Recorder
 	obsDev      int
 	reqC        [overload.NumClasses]*obs.Series
-	doneC       [overload.NumClasses]*obs.Series
 	failReasonC map[string]*obs.Series
-	batchesC    *obs.Series
-	retriesC    *obs.Series
-	evictionsC  *obs.Series
-	missesC     *obs.Series
 	limitCutsC  *obs.Series
 
 	// build constructs a model graph; overridable in tests to exercise
@@ -389,17 +385,17 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	s.qdHist = obs.EnsureHist(reg.Histogram("olympian_serving_queue_delay_seconds", "Arrival-to-dispatch queue delay.", "device", devLabel))
 	s.modelHists = make(map[string]*obs.Hist)
 	for c := overload.Class(0); c < overload.NumClasses; c++ {
-		s.reqC[c] = reg.Counter("olympian_serving_requests_total", "Requests submitted.", "device", devLabel, "class", c.String())
-		s.doneC[c] = reg.Counter("olympian_serving_completed_total", "Requests completed in time or late.", "device", devLabel, "class", c.String())
+		s.reqC[c] = reg.Counter("olympian_serving_requests_total", "Requests admitted to a model queue.", "device", devLabel, "class", c.String())
+		reg.CounterView("olympian_serving_completed_total", "Requests completed in time or late.", &s.degraded.ByClass[c].Completed, "device", devLabel, "class", c.String())
 	}
 	s.failReasonC = make(map[string]*obs.Series, len(failReasons))
 	for _, reason := range failReasons {
 		s.failReasonC[reason] = reg.Counter("olympian_serving_failed_total", "Requests failed, by reason.", "device", devLabel, "reason", reason)
 	}
-	s.batchesC = reg.Counter("olympian_serving_batches_total", "Batches dispatched.", "device", devLabel)
-	s.retriesC = reg.Counter("olympian_serving_batch_retries_total", "Failed batch attempts retried.", "device", devLabel)
-	s.evictionsC = reg.Counter("olympian_serving_evictions_total", "Queued low-priority requests displaced.", "device", devLabel)
-	s.missesC = reg.Counter("olympian_serving_deadline_misses_total", "Completions past their deadline.", "device", devLabel)
+	reg.CounterView("olympian_serving_batches_total", "Batches dispatched.", &s.batches, "device", devLabel)
+	reg.CounterView("olympian_serving_batch_retries_total", "Failed batch attempts retried.", &s.degraded.BatchRetries, "device", devLabel)
+	reg.CounterView("olympian_serving_evictions_total", "Queued low-priority requests displaced.", &s.degraded.Evictions, "device", devLabel)
+	reg.CounterView("olympian_serving_deadline_misses_total", "Completions past their deadline.", &s.degraded.DeadlineMisses, "device", devLabel)
 	s.limitCutsC = reg.Counter("olympian_overload_limit_cuts_total", "AIMD multiplicative decreases.", "device", devLabel)
 	var hooks executor.Hooks = executor.NopHooks{}
 	if cfg.UseOlympian {
@@ -611,7 +607,6 @@ func (s *Server) evictLower(modelName string, class overload.Class) bool {
 	v := q[victim]
 	s.queues[modelName] = append(q[:victim], q[victim+1:]...)
 	s.degraded.Evictions++
-	s.evictionsC.Inc()
 	s.rec.Instant(obs.LayerServing, "evict", v.ID, int(v.Class), s.obsDev, int64(class))
 	if lim := s.limiters[modelName]; lim != nil {
 		lim.NoteShed()
@@ -835,7 +830,6 @@ func (s *Server) flush(modelName, procName string) {
 		r.span = 0
 	}
 	s.batches++
-	s.batchesC.Inc()
 	s.clients++
 	clientID := s.clients
 	s.env.Go(procName, func(p *sim.Proc) {
@@ -908,7 +902,6 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		}
 		s.retryLeft--
 		s.degraded.BatchRetries++
-		s.retriesC.Inc()
 		s.rec.Instant(obs.LayerServing, "batch_retry", obs.NoReq, int(batch[0].Class), s.obsDev, int64(attempt+1))
 		// Jittered exponential backoff (the jitter stream is seeded, so
 		// same-seed runs retry at identical instants; a nil injector
@@ -924,12 +917,10 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		r.FinishAt = now
 		s.releaseSlot(r)
 		s.degraded.ByClass[r.Class].Completed++
-		s.doneC[r.Class].Inc()
 		s.rec.Span(obs.LayerServing, "request", r.ID, int(r.Class), s.obsDev, r.ArriveAt, now, int64(r.BatchSize))
 		if r.Deadline > 0 && now > r.Deadline {
 			s.degraded.DeadlineMisses++
 			s.degraded.ByClass[r.Class].DeadlineMisses++
-			s.missesC.Inc()
 			s.rec.Instant(obs.LayerServing, "deadline_miss", r.ID, int(r.Class), s.obsDev, 0)
 			if lim != nil {
 				lim.OnCongestion(time.Duration(now))

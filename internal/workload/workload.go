@@ -286,15 +286,14 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		retryTokens = 0
 	}
 	budget := overload.NewRetryBudget(float64(retryTokens), 1)
-	retriesC := cfg.Obs.Registry().Counter("olympian_client_retries_total", "Client batch retries.")
+	res := &Result{Kind: cfg.Kind, Finishes: &metrics.FinishSet{Label: cfg.Kind.String()}}
+	reg := cfg.Obs.Registry()
+	reg.CounterView("olympian_client_retries_total", "Client batch retries.", &res.Degraded.BatchRetries)
 	if cfg.Obs != nil {
-		budget.SetObserver(&budgetObserver{
-			rec:     cfg.Obs,
-			deniedC: cfg.Obs.Registry().Counter("olympian_overload_retry_denied_total", "Retries refused by the budget."),
-		})
+		budget.SetObserver(budgetObserver{cfg.Obs})
+		reg.CounterView("olympian_overload_retry_denied_total", "Retries refused by the budget.", &res.Degraded.RetryDenied)
 	}
 
-	res := &Result{Kind: cfg.Kind, Finishes: &metrics.FinishSet{Label: cfg.Kind.String()}}
 	if cfg.Kind != Vanilla {
 		res.Quantum = cfg.Quantum
 	}
@@ -355,7 +354,6 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 						break
 					}
 					res.Degraded.BatchRetries++
-					retriesC.Inc()
 					cfg.Obs.Instant(obs.LayerHarness, "client_retry", i, obs.NoClass, 0, int64(attempt+1))
 					p.Sleep(overload.Backoff(cfg.RetryBackoff, attempt, 0.5, inj.RetryJitter()))
 				}
@@ -410,18 +408,14 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 }
 
 // budgetObserver adapts the run's shared retry budget onto the lifecycle
-// recorder: every denial becomes an overload-layer instant plus a counter
-// bump. Only attached when recording is on.
-type budgetObserver struct {
-	rec     *obs.Recorder
-	deniedC *obs.Series
-}
+// recorder: every denial becomes an overload-layer instant. Only attached
+// when recording is on.
+type budgetObserver struct{ rec *obs.Recorder }
 
-func (o *budgetObserver) LimitChanged(float64) {}
+func (o budgetObserver) LimitChanged(float64) {}
 
-func (o *budgetObserver) RetryDenied() {
+func (o budgetObserver) RetryDenied() {
 	o.rec.Instant(obs.LayerOverload, "retry_denied", obs.NoReq, obs.NoClass, 0, 0)
-	o.deniedC.Inc()
 }
 
 // buildGraphs constructs one shared graph per distinct model reference.
