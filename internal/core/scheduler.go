@@ -100,7 +100,6 @@ type jobState struct {
 	profile       *JobProfile
 	cumulated     time.Duration // cumulatedCost of Algorithm 2
 	busySnapshot  time.Duration // device busy at grant time
-	suspendedNow  int           // gang threads currently parked in Yield
 	quantaGranted int
 }
 
@@ -217,9 +216,7 @@ func (s *Scheduler) Yield(p *sim.Proc, job *executor.Job) {
 		if job.Aborted() {
 			return
 		}
-		js.suspendedNow++
 		js.cond.Wait(p)
-		js.suspendedNow--
 	}
 	// In wall-clock mode a long-running holder may exhaust its slice while
 	// never completing a GPU node; check here too.

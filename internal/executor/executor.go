@@ -201,9 +201,9 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 		dev:   dev,
 		cfg:   cfg,
 		hooks: hooks,
-		pool:  NewThreadPool(env, cfg.ThreadPoolSize),
 		taxOf: make(map[*graph.Graph]float64),
 	}
+	e.pool = NewThreadPool(env, cfg.ThreadPoolSize, e.runTask)
 	reg := cfg.Obs.Registry()
 	devLabel := strconv.Itoa(cfg.Device)
 	e.jobsC = reg.Counter("olympian_executor_jobs_total", "Jobs executed.", "device", devLabel)
@@ -306,14 +306,17 @@ func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
 				queue = append(queue, child)
 				continue
 			}
-			child := child
 			job.wg.Add(1)
-			e.pool.Submit(job.ID, func(w *sim.Proc) {
-				e.process(w, job, child)
-				job.wg.Done()
-			})
+			e.pool.Submit(job, child)
 		}
 	}
+}
+
+// runTask is a gang thread's work, run on a pool thread: the async subtree
+// rooted at node, after which the thread leaves the job's gang.
+func (e *Engine) runTask(w *sim.Proc, job *Job, node *graph.Node) {
+	e.process(w, job, node)
+	job.wg.Done()
 }
 
 // compute executes a single node on the calling thread: CPU nodes burn

@@ -222,14 +222,15 @@ func TestSoloModelRunMatchesCalibratedRuntime(t *testing.T) {
 
 func TestPoolStats(t *testing.T) {
 	env := sim.NewEnv(1)
-	tp := NewThreadPool(env, 2)
 	done := 0
+	tp := NewThreadPool(env, 2, func(w *sim.Proc, _ *Job, _ *graph.Node) {
+		w.Sleep(time.Millisecond)
+		done++
+	})
+	job := &Job{ID: 1}
 	env.Go("submitter", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			tp.Submit(1, func(w *sim.Proc) {
-				w.Sleep(time.Millisecond)
-				done++
-			})
+			tp.Submit(job, nil)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -253,11 +254,12 @@ func TestPoolStats(t *testing.T) {
 
 func TestJobThreadAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
-	tp := NewThreadPool(env, 4)
+	tp := NewThreadPool(env, 4, func(w *sim.Proc, _ *Job, _ *graph.Node) { w.Sleep(2 * time.Millisecond) })
+	a, b := &Job{ID: 7}, &Job{ID: 9}
 	env.Go("submitter", func(p *sim.Proc) {
-		tp.Submit(7, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
-		tp.Submit(7, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
-		tp.Submit(9, func(w *sim.Proc) { w.Sleep(2 * time.Millisecond) })
+		tp.Submit(a, nil)
+		tp.Submit(a, nil)
+		tp.Submit(b, nil)
 		p.Sleep(time.Millisecond)
 		if got := tp.JobThreads(7); got != 2 {
 			t.Errorf("job 7 threads = %d, want 2", got)

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"olympian/internal/graph"
 	"olympian/internal/sim"
 )
 
@@ -10,9 +11,13 @@ import (
 // the "execution may be delayed" behaviour the paper notes, and the
 // mechanism behind Olympian's reduced scalability for some DNNs (§4.3):
 // suspended gangs hold their threads, so Olympian reaches the limit sooner.
+//
+// A task is a (job, node) value that every thread hands to the pool's one
+// run function, so a submission allocates nothing.
 type ThreadPool struct {
 	env *sim.Env
 	max int
+	run func(p *sim.Proc, job *Job, node *graph.Node)
 
 	idle    []*worker
 	backlog []task
@@ -38,25 +43,26 @@ type PoolStats struct {
 }
 
 type task struct {
-	jobID int
-	fn    func(p *sim.Proc)
+	job  *Job
+	node *graph.Node
 }
 
 type worker struct {
 	cond *sim.Cond
-	next task // held by value; next.fn == nil means none assigned
+	next task // held by value; next.job == nil means none assigned
 }
 
-// NewThreadPool returns a pool that will grow up to max threads.
-func NewThreadPool(env *sim.Env, max int) *ThreadPool {
-	return &ThreadPool{env: env, max: max, perJob: make(map[int]int)}
+// NewThreadPool returns a pool that will grow up to max threads, each
+// running run for the tasks submitted to it.
+func NewThreadPool(env *sim.Env, max int, run func(p *sim.Proc, job *Job, node *graph.Node)) *ThreadPool {
+	return &ThreadPool{env: env, max: max, run: run, perJob: make(map[int]int)}
 }
 
-// Submit schedules fn to run on a pool thread on behalf of jobID. If no
-// thread is available and the pool is at its limit, the task is delayed
-// until one frees up.
-func (tp *ThreadPool) Submit(jobID int, fn func(p *sim.Proc)) {
-	t := task{jobID: jobID, fn: fn}
+// Submit schedules the pool's run function for (job, node) on a pool
+// thread. If no thread is available and the pool is at its limit, the task
+// is delayed until one frees up.
+func (tp *ThreadPool) Submit(job *Job, node *graph.Node) {
+	t := task{job: job, node: node}
 	if n := len(tp.idle); n > 0 {
 		w := tp.idle[n-1]
 		tp.idle = tp.idle[:n-1]
@@ -82,19 +88,20 @@ func (tp *ThreadPool) spawn(first task) {
 
 func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 	for {
-		for w.next.fn == nil {
+		for w.next.job == nil {
 			w.cond.Wait(p)
 		}
 		t := w.next
 		w.next = task{}
-		tp.perJob[t.jobID]++
+		id := t.job.ID
+		tp.perJob[id]++
 		if used := tp.InUse(); used > tp.stats.PeakInUse {
 			tp.stats.PeakInUse = used
 		}
-		t.fn(p)
-		tp.perJob[t.jobID]--
-		if tp.perJob[t.jobID] == 0 {
-			delete(tp.perJob, t.jobID)
+		tp.run(p, t.job, t.node)
+		tp.perJob[id]--
+		if tp.perJob[id] == 0 {
+			delete(tp.perJob, id)
 		}
 		tp.stats.Completed++
 		if len(tp.backlog) > 0 {

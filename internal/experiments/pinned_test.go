@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"olympian/internal/obs"
 	"olympian/internal/telemetry"
+	"olympian/internal/workload"
 )
 
 // Hashes (fnv-64a) of the -quick overload experiment's telemetry timeline
@@ -46,6 +48,62 @@ func TestOverloadOutputsPinned(t *testing.T) {
 	}
 	if got := fnv64(prom.Bytes()); got != pinnedOverloadProm {
 		t.Errorf("Prometheus exposition hash %#x, want %#x", got, uint64(pinnedOverloadProm))
+	}
+}
+
+// Hashes (fnv-64a) of the paper path's modeled outputs at -quick size: the
+// Fig 11 pair's per-client finish records and Olympian quantum records at
+// seeds 1 and 2, and the rendered Fig 15 overflow report. They pin the
+// gang-of-threads model (event order, in-flight window, overflow) against
+// changes to the simulator's internals.
+var pinnedFig11 = map[int64]struct{ finishes, quanta uint64 }{
+	1: {0x5f60833456530c45, 0xadbae268e26ed823},
+	2: {0xa610807883f2af25, 0x5bcb8712081c3a10},
+}
+
+const pinnedFig15Report = 0x94486012554214d8
+
+func TestFig11PairPinned(t *testing.T) {
+	for seed, want := range pinnedFig11 {
+		o := quickOpts()
+		o.Seed = seed
+		o = o.withDefaults()
+		clients := o.homogeneous(o.clients())
+		results, err := o.runAll([]workload.RunSpec{
+			{Config: workload.Config{Kind: workload.Vanilla}, Clients: clients},
+			{Config: workload.Config{Kind: workload.Olympian, Quantum: o.quantum()}, Clients: clients},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fin, qua bytes.Buffer
+		for _, res := range results {
+			for _, r := range res.Finishes.Records {
+				fmt.Fprintf(&fin, "%s %d %s %d\n", res.Kind, r.Client, r.Model, r.Finish)
+			}
+		}
+		for _, q := range results[1].Quanta {
+			fmt.Fprintf(&qua, "%d %d %d %d %d %d %d\n",
+				q.Client, q.JobID, q.Start, q.End, q.GPUDuration, q.OverflowKernels, q.ActiveJobs)
+		}
+		if got := fnv64(fin.Bytes()); got != want.finishes {
+			t.Errorf("seed %d: finish records hash %#x, want %#x", seed, got, want.finishes)
+		}
+		if got := fnv64(qua.Bytes()); got != want.quanta {
+			t.Errorf("seed %d: quantum records hash %#x, want %#x", seed, got, want.quanta)
+		}
+	}
+}
+
+func TestFig15ReportPinned(t *testing.T) {
+	r, err := Fig15Overflow(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	r.Fprint(&b)
+	if got := fnv64(b.Bytes()); got != pinnedFig15Report {
+		t.Errorf("Fig 15 report hash %#x, want %#x\n%s", got, uint64(pinnedFig15Report), b.String())
 	}
 }
 

@@ -120,6 +120,10 @@ type Kernel struct {
 	launched func()
 	executed func()
 
+	// acct indexes the owner's entry in Device.owners, looked up once at
+	// dispatch.
+	acct int32
+
 	// Lifecycle spans covering the launch/H2D phase and the execution
 	// phase; zero (no-op) when the device has no recorder.
 	launchSpan obs.SpanID
@@ -153,6 +157,16 @@ type stream struct {
 	weight float64
 }
 
+// ownerAcct is one job's kernel accounting: kernels dispatched, kernels in
+// their execution phase, and the GPU duration (Figure 5) as closed busy time
+// plus the start of the open interval while active > 0.
+type ownerAcct struct {
+	count  int
+	active int
+	start  sim.Time
+	busy   time.Duration
+}
+
 // Device is a simulated GPU.
 type Device struct {
 	env  *sim.Env
@@ -173,10 +187,11 @@ type Device struct {
 	outstanding int // kernels dispatched and not yet finished
 	subSeq      uint64
 
-	ownerActive map[int]int
-	ownerStart  map[int]sim.Time
-	ownerBusy   map[int]time.Duration
-	ownerCount  map[int]int
+	// Per-owner accounting: ownerIdx maps a job to its entry in owners.
+	// The entries are values in one slice, not one record per owner on the
+	// heap: a serving fleet sees an owner per request.
+	ownerIdx map[int]int32
+	owners   []ownerAcct
 
 	globalStart sim.Time
 	globalBusy  time.Duration
@@ -232,13 +247,10 @@ func New(env *sim.Env, spec Spec) *Device {
 		spec.Capacity = 1.0
 	}
 	d := &Device{
-		env:         env,
-		spec:        spec,
-		streams:     make(map[int]*stream),
-		ownerActive: make(map[int]int),
-		ownerStart:  make(map[int]sim.Time),
-		ownerBusy:   make(map[int]time.Duration),
-		ownerCount:  make(map[int]int),
+		env:      env,
+		spec:     spec,
+		streams:  make(map[int]*stream),
+		ownerIdx: make(map[int]int32),
 	}
 	d.pumpFn = d.pump
 	return d
@@ -437,10 +449,10 @@ func (d *Device) crash(recovery time.Duration) {
 	if d.active > 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	for owner, n := range d.ownerActive {
-		if n > 0 {
-			d.ownerBusy[owner] += now.Sub(d.ownerStart[owner])
-			d.ownerActive[owner] = 0
+	for i := range d.owners {
+		if o := &d.owners[i]; o.active > 0 {
+			o.busy += now.Sub(o.start)
+			o.active = 0
 		}
 	}
 	d.active = 0
@@ -704,7 +716,14 @@ func (d *Device) begin(k *Kernel) {
 	d.inUse += k.Occupancy
 	d.outstanding++
 	d.stats.KernelsRun++
-	d.ownerCount[k.Owner]++
+	i, ok := d.ownerIdx[k.Owner]
+	if !ok {
+		i = int32(len(d.owners))
+		d.owners = append(d.owners, ownerAcct{})
+		d.ownerIdx[k.Owner] = i
+	}
+	k.acct = i
+	d.owners[i].count++
 	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
 	// A recycled kernel still holds its previous use's span; crash() must
 	// not mistake it for this use's.
@@ -735,10 +754,11 @@ func (d *Device) execStart(k *Kernel) {
 	if d.active == 1 {
 		d.globalStart = now
 	}
-	if d.ownerActive[k.Owner] == 0 {
-		d.ownerStart[k.Owner] = now
+	o := &d.owners[k.acct]
+	if o.active == 0 {
+		o.start = now
 	}
-	d.ownerActive[k.Owner]++
+	o.active++
 	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), k.executed)
 }
 
@@ -753,9 +773,10 @@ func (d *Device) finish(k *Kernel) {
 	if d.active == 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	d.ownerActive[k.Owner]--
-	if d.ownerActive[k.Owner] == 0 {
-		d.ownerBusy[k.Owner] += now.Sub(d.ownerStart[k.Owner])
+	o := &d.owners[k.acct]
+	o.active--
+	if o.active == 0 {
+		o.busy += now.Sub(o.start)
 	}
 	if d.outstanding == 0 && d.barrierDur > 0 && d.barrierAt == 0 {
 		d.armBarrier()
@@ -779,20 +800,29 @@ func (d *Device) finish(k *Kernel) {
 // OwnerBusy returns job owner's accumulated GPU duration (the Figure 5
 // union of busy intervals), including any interval still open.
 func (d *Device) OwnerBusy(owner int) time.Duration {
-	busy := d.ownerBusy[owner]
-	if d.ownerActive[owner] > 0 {
-		busy += d.env.Now().Sub(d.ownerStart[owner])
+	o := d.owner(owner)
+	busy := o.busy
+	if o.active > 0 {
+		busy += d.env.Now().Sub(o.start)
 	}
 	return busy
 }
 
 // OwnerKernels returns how many kernels owner has completed or started.
-func (d *Device) OwnerKernels(owner int) int { return d.ownerCount[owner] }
+func (d *Device) OwnerKernels(owner int) int { return d.owner(owner).count }
 
 // ActiveKernels returns the number of owner's kernels currently resident —
 // nonzero for a job that has just been switched out means quantum overflow
 // (Figure 15).
-func (d *Device) ActiveKernels(owner int) int { return d.ownerActive[owner] }
+func (d *Device) ActiveKernels(owner int) int { return d.owner(owner).active }
+
+// owner returns owner's accounting, zero for an owner with no kernels.
+func (d *Device) owner(owner int) ownerAcct {
+	if i, ok := d.ownerIdx[owner]; ok {
+		return d.owners[i]
+	}
+	return ownerAcct{}
+}
 
 // StreamWeight returns the service weight drawn for a stream (1.0 before
 // the stream's first submission).

@@ -64,6 +64,32 @@ func BenchmarkSimProcHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSemaphoreBarge measures the guarded wake-up: holder releases
+// a width-1 semaphore and re-acquires it at once, so the waiter it signalled
+// finds the slot taken. One op is one such cycle, in which the event loop
+// re-queues the waiter without switching into it. It must report 0
+// allocs/op.
+func BenchmarkSimSemaphoreBarge(b *testing.B) {
+	env := NewEnv(1)
+	sem := env.NewSemaphore(1)
+	env.Go("holder", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			sem.Acquire(p)
+			p.Sleep(time.Microsecond)
+			sem.Release()
+		}
+	})
+	env.Go("waiter", func(p *Proc) {
+		sem.Acquire(p)
+		sem.Release()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSimSpawn measures a process's whole life on a pooled carrier:
 // spawn, first dispatch and exit. One op is one short-lived process.
 func BenchmarkSimSpawn(b *testing.B) {

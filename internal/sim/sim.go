@@ -24,6 +24,14 @@
 // goroutine. Shutdown resumes each remaining process with its kill flag set,
 // and the process unwinds from the point where it parked.
 //
+// Guarded wake-ups: Semaphore and WaitGroup give their Cond a guard, their
+// own wait condition. When step pops the resumption of a process waiting on
+// such a Cond and the condition is false again (a running process took the
+// slot a Release freed before the woken waiter could), it re-queues the
+// process at the back of the waiters itself, as the process's own wait loop
+// would, and spends no switch on it. Env.Handoffs counts the switches that
+// remain.
+//
 // Event representation: the queue is a 4-ary min-heap of event values —
 // no container/heap interface boxing, no per-event pointer allocation. An
 // event is either a callback (fn) or the resumption of a parked process
@@ -132,11 +140,12 @@ type Env struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	handoff *Proc      // the proc a yielding carrier asks the loop owner to resume
-	idle    []*carrier // carriers whose proc has exited, reused by Go
-	live    int        // non-daemon procs that have started and not yet exited
-	procs   map[*Proc]struct{}
-	procSeq int
+	handoff  *Proc      // the proc a yielding carrier asks the loop owner to resume
+	handoffs uint64     // carrier switches made by the loop owner
+	idle     []*carrier // carriers whose proc has exited, reused by Go
+	live     int        // non-daemon procs that have started and not yet exited
+	procs    map[*Proc]struct{}
+	procSeq  int
 
 	stopped  bool
 	shutdown bool
@@ -238,6 +247,12 @@ func (e *Env) scheduleProc(d Duration, p *Proc) {
 	e.events.push(event{at: e.now.Add(d), seq: e.seq, proc: p})
 }
 
+// Handoffs returns how many times the loop owner has switched into a
+// process's carrier: one per dispatch that a parking process could not
+// serve in place (see step). It measures the simulator's own work, not the
+// modeled system's.
+func (e *Env) Handoffs() uint64 { return e.handoffs }
+
 // Stop halts the run after the current event completes.
 func (e *Env) Stop() { e.stopped = true }
 
@@ -309,14 +324,17 @@ func (p *Proc) Now() Time { return p.env.now }
 // carrier is a coroutine that runs processes one after another. next and
 // stop come from iter.Pull (see newCarrier); yield is the coroutine's side of
 // the switch and may only be called on the carrier itself. p and fn are the
-// assigned process, nil while the carrier is idle.
+// assigned process, nil while the carrier is idle. guarded is the guarded
+// Cond the process is waiting on, nil otherwise; it lives here rather than
+// on Proc, which it would push into a larger allocation size class.
 type carrier struct {
-	env   *Env
-	p     *Proc
-	fn    func(*Proc)
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	env     *Env
+	p       *Proc
+	fn      func(*Proc)
+	guarded *Cond
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 }
 
 // maxPooled caps the carriers Shutdown keeps for later environments: enough
@@ -353,7 +371,7 @@ func (c *carrier) runProc() {
 	if !p.killed {
 		runKillable(c.fn, p)
 	}
-	c.p, c.fn = nil, nil
+	c.p, c.fn, c.guarded = nil, nil, nil
 	p.dead = true
 	if !p.daemon {
 		e.live--
@@ -454,6 +472,7 @@ func (e *Env) runLoop() {
 				return
 			}
 		}
+		e.handoffs++
 		q.c.next()
 	}
 }
@@ -461,7 +480,10 @@ func (e *Env) runLoop() {
 // step runs queued callbacks until it pops the resumption of a live process,
 // and returns that process with the clock at its wakeup time; nil when the
 // run is over for now (queue empty, Stop called, or past the time limit).
-// Both the loop owner and parking processes call it.
+// Both the loop owner and parking processes call it. A process woken on a
+// guarded Cond whose condition is false again is not returned: step puts it
+// back at the end of the Cond's waiters, with its park reason unchanged,
+// and keeps popping.
 func (e *Env) step() *Proc {
 	for {
 		if len(e.events) == 0 || e.stopped || (e.limit > 0 && e.events[0].at > e.limit) {
@@ -481,6 +503,13 @@ func (e *Env) step() *Proc {
 			continue
 		}
 		e.now = ev.at
+		if c := q.c.guarded; c != nil {
+			if c.guard.blocked() {
+				c.waiters = append(c.waiters, q)
+				continue
+			}
+			q.c.guarded = nil
+		}
 		q.why = ""
 		return q
 	}
@@ -661,13 +690,25 @@ func (ev *Event) Wait(p *Proc) {
 type Cond struct {
 	env     *Env
 	waiters []*Proc
-	label   string
 	parkWhy string // "cond:"+label, precomputed so Wait never allocates it
+	// guard is the wait condition of the Semaphore or WaitGroup that owns
+	// the Cond, nil for a plain one; step consults it before switching
+	// into a woken waiter.
+	guard guard
+}
+
+// guard is a wait condition the event loop can evaluate on a waiter's
+// behalf. A waiter resumed while blocked() still holds would only re-check
+// it and wait again, so step re-queues it at the back of the waiters
+// instead — the same queue position its own loop would take — and no
+// coroutine switch is spent on the proc.
+type guard interface {
+	blocked() bool
 }
 
 // NewCond returns a condition variable; label appears in deadlock reports.
 func (e *Env) NewCond(label string) *Cond {
-	return &Cond{env: e, label: label, parkWhy: "cond:" + label}
+	return &Cond{env: e, parkWhy: "cond:" + label}
 }
 
 // Wait blocks p until another process calls Signal or Broadcast. Callers
@@ -675,6 +716,9 @@ func (e *Env) NewCond(label string) *Cond {
 // condition holds.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
+	if c.guard != nil {
+		p.c.guarded = c
+	}
 	p.park(c.parkWhy)
 }
 
@@ -702,16 +746,28 @@ func (c *Cond) Broadcast() {
 }
 
 // Semaphore is a counting semaphore for processes.
+//
+// Release does not hand its slot to a waiter: it frees the slot and wakes
+// the longest waiter, which takes the slot only if one is still free when
+// it runs. A running process that acquires first wins (barging), and the
+// woken waiter goes back to the end of the queue. The executor's in-flight
+// kernel window is modeled this way: a gang thread that releases its slot
+// and reaches its next GPU node at the same instant takes the slot again.
+// The event loop re-queues such a waiter without switching into it (see
+// step).
 type Semaphore struct {
-	env  *Env
+	cond Cond
 	free int
-	cond *Cond
 }
 
 // NewSemaphore returns a semaphore with n free slots.
 func (e *Env) NewSemaphore(n int) *Semaphore {
-	return &Semaphore{env: e, free: n, cond: e.NewCond("semaphore")}
+	s := &Semaphore{free: n}
+	s.cond = Cond{env: e, parkWhy: "cond:semaphore", guard: s}
+	return s
 }
+
+func (s *Semaphore) blocked() bool { return s.free <= 0 }
 
 // Acquire blocks p until a slot is free, then takes it.
 func (s *Semaphore) Acquire(p *Proc) {
@@ -732,15 +788,18 @@ func (s *Semaphore) Free() int { return s.free }
 
 // WaitGroup counts in-flight tasks; Wait blocks until the count reaches zero.
 type WaitGroup struct {
-	env   *Env
+	cond  Cond
 	count int
-	cond  *Cond
 }
 
 // NewWaitGroup returns a wait group with count zero.
 func (e *Env) NewWaitGroup() *WaitGroup {
-	return &WaitGroup{env: e, cond: e.NewCond("waitgroup")}
+	wg := &WaitGroup{}
+	wg.cond = Cond{env: e, parkWhy: "cond:waitgroup", guard: wg}
+	return wg
 }
+
+func (wg *WaitGroup) blocked() bool { return wg.count > 0 }
 
 // Add increments the count by n.
 func (wg *WaitGroup) Add(n int) { wg.count += n }

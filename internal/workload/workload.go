@@ -195,6 +195,10 @@ type Result struct {
 	// Timeline is the run's merged virtual-time telemetry (nil unless
 	// Config.Telemetry and Config.Obs were both set).
 	Timeline *telemetry.Timeline
+	// Handoffs counts the simulator's switches into process carriers
+	// (sim.Env.Handoffs): the cost of the run to the simulator, not a
+	// modeled quantity.
+	Handoffs uint64
 }
 
 // Run executes the workload and returns its measurements.
@@ -378,6 +382,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		runErr = env.Run()
 	}
 	env.Shutdown()
+	res.Handoffs = env.Handoffs()
 	res.Elapsed = time.Duration(lastFinish)
 	res.Device = dev.Stats()
 	res.Pool = eng.Pool().Stats()
