@@ -76,15 +76,26 @@ func TestWriteTrace(t *testing.T) {
 func TestEDFPolicyFavorsDeadlines(t *testing.T) {
 	clients := HomogeneousClients(ResNet152, 60, 2, 4)
 	clients[3].Deadline = 50 * time.Millisecond // tight SLO
-	res, err := Simulate(Config{Scheduler: SchedulerOlympian, Policy: EDFPolicy()}, clients)
+	cfg := Config{Scheduler: SchedulerOlympian, Policy: EDFPolicy()}
+	res, err := Simulate(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fins := res.FinishTimes()
-	for i := 0; i < 3; i++ {
-		if fins[3] >= fins[i] {
-			t.Fatalf("deadline client finished at %v, after best-effort client %d at %v",
-				fins[3], i, fins[i])
+	// The multi-GPU path on one device must honour the policy and the
+	// deadline alike.
+	multi, err := SimulateMulti(cfg, 1, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		fins []time.Duration
+	}{{"Simulate", res.FinishTimes()}, {"SimulateMulti", multi.FinishTimes()}} {
+		for i := 0; i < 3; i++ {
+			if run.fins[3] >= run.fins[i] {
+				t.Fatalf("%s: deadline client finished at %v, after best-effort client %d at %v",
+					run.name, run.fins[3], i, run.fins[i])
+			}
 		}
 	}
 }

@@ -59,7 +59,8 @@ type Config struct {
 	MaxQueue     int
 	Deadline     time.Duration
 	// MaxFailovers caps how often one request is re-dispatched after
-	// drains before it fails with the drain error (default 3).
+	// drains before it fails with the drain error (default 3; negative
+	// disables failover).
 	MaxFailovers int
 	// HedgeDelay, when > 0, arms a hedge timer per request: if the request
 	// has not completed after this delay, a duplicate is dispatched to the
@@ -127,11 +128,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = workloadDefaultQuantum
 	}
-	if cfg.MaxFailovers == 0 {
-		cfg.MaxFailovers = 3
-	} else if cfg.MaxFailovers < 0 {
-		cfg.MaxFailovers = 0
-	}
+	cfg.MaxFailovers = failoverCap(cfg.MaxFailovers, 3)
 	if cfg.Profiles == nil {
 		cfg.Profiles = profiler.NewStore()
 	}

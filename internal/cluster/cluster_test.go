@@ -191,3 +191,24 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("device-level requests sum to %d, want 20", devReqs)
 	}
 }
+
+// TestFoldRejectsUnknownAttempt: a report for an attempt its request no
+// longer holds — delivered twice, or crossed between requests — must fail
+// loudly instead of folding into the wrong state.
+func TestFoldRejectsUnknownAttempt(t *testing.T) {
+	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices()})
+	r := &ShardedRequest{}
+	id := c.dispatch(&r.request, 1, false)
+	if att, open := c.fold(&r.request, id); att.dev != 1 || !open {
+		t.Fatalf("fold = %+v, open %v; want device 1, undecided", att, open)
+	}
+	if n := c.OutstandingAttempts(); n != 0 {
+		t.Fatalf("%d attempts outstanding after the fold", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a duplicate report folded without a panic")
+		}
+	}()
+	c.fold(&r.request, id)
+}

@@ -217,10 +217,11 @@ func renderObs(t *testing.T, rec *obs.Recorder) (string, string) {
 
 // TestShardedEnginesBitIdentical is the tentpole invariant: for every
 // scenario, the parallel engine (at several worker counts, including the
-// serial degradation) must produce stats, decision-log hashes, and lifecycle
-// trace bytes identical to the single-heap reference engine.
+// serial degradation, under GOMAXPROCS 1 and 4) must produce stats,
+// decision-log hashes, and lifecycle trace bytes identical to the
+// single-heap reference engine.
 func TestShardedEnginesBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range shardedScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -233,21 +234,24 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 			if ref.Completed == 0 {
 				t.Fatalf("reference run completed nothing: %+v", ref)
 			}
-			for _, workers := range []int{0, 1, 2} {
-				rec := obs.NewRecorder()
-				got := runSharded(t, sc, Sharded, workers, false, rec)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", workers, ref, got)
-				}
-				if got.DecisionHash != ref.DecisionHash {
-					t.Errorf("workers=%d: decision hash %x, want %x", workers, got.DecisionHash, ref.DecisionHash)
-				}
-				gotTrace, gotProm := renderObs(t, rec)
-				if gotTrace != refTrace {
-					t.Errorf("workers=%d: lifecycle trace bytes differ from single-heap reference", workers)
-				}
-				if gotProm != refProm {
-					t.Errorf("workers=%d: metrics differ from single-heap reference:\n%s\nvs\n%s", workers, gotProm, refProm)
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{0, 1, 2} {
+					rec := obs.NewRecorder()
+					got := runSharded(t, sc, Sharded, workers, false, rec)
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("procs=%d workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", procs, workers, ref, got)
+					}
+					if got.DecisionHash != ref.DecisionHash {
+						t.Errorf("procs=%d workers=%d: decision hash %x, want %x", procs, workers, got.DecisionHash, ref.DecisionHash)
+					}
+					gotTrace, gotProm := renderObs(t, rec)
+					if gotTrace != refTrace {
+						t.Errorf("procs=%d workers=%d: lifecycle trace bytes differ from single-heap reference", procs, workers)
+					}
+					if gotProm != refProm {
+						t.Errorf("procs=%d workers=%d: metrics differ from single-heap reference:\n%s\nvs\n%s", procs, workers, gotProm, refProm)
+					}
 				}
 			}
 		})

@@ -22,7 +22,10 @@
 //
 // LLMServer.Submit and Ingest never park, so no per-device agent process is
 // needed: cross-shard messages call them directly and subscribe to the
-// request's completion event.
+// request's completion event. Prefill and decode attempts follow the shared
+// fleet lifecycle (fleet.go) — each report returns under its (request,
+// attempt id) pair and is folded by one attemptDone — and this file adds
+// the KV handoff, retries, and token and per-class accounting.
 package cluster
 
 import (
@@ -97,7 +100,8 @@ type LLMConfig struct {
 	RetryRefund    float64
 	RetryBackoff   time.Duration
 	RetryJitter    float64
-	// MaxFailovers caps per-request re-dispatches after drains (default 2).
+	// MaxFailovers caps per-request re-dispatches after drains (default 2;
+	// negative disables failover).
 	MaxFailovers int
 	// Route selects the routing policy (default LeastOutstanding).
 	Route RoutePolicy
@@ -137,9 +141,7 @@ func (cfg LLMConfig) withDefaults() LLMConfig {
 	if cfg.DecodeSpec.Name == "" {
 		cfg.DecodeSpec = gpu.GTX1080Ti
 	}
-	if cfg.MaxFailovers <= 0 {
-		cfg.MaxFailovers = 2
-	}
+	cfg.MaxFailovers = failoverCap(cfg.MaxFailovers, 2)
 	if cfg.MaxRetries > 0 {
 		if cfg.RetryBudgetMax <= 0 {
 			cfg.RetryBudgetMax = 32
@@ -169,11 +171,11 @@ func (cfg LLMConfig) withDefaults() LLMConfig {
 	return cfg
 }
 
-// LLMRequest is one generation request as the fleet front-end sees it.
+// LLMRequest is one generation request as the fleet front-end sees it. ID,
+// Class, Hops, ArriveAt, FinishAt, Err, Finished and Failed come from the
+// shared request state.
 type LLMRequest struct {
-	// ID is the arrival index; Class the priority class.
-	ID    int
-	Class overload.Class
+	request
 	// PromptTokens and OutputTokens are the request's dimensions.
 	PromptTokens int
 	OutputTokens int
@@ -181,9 +183,8 @@ type LLMRequest struct {
 	// the request.
 	PrefillDev int
 	DecodeDev  int
-	// Hops counts failover re-dispatches after drains; Retries re-dispatches
-	// after capacity rejections (shed, queue-full, KV exhaustion).
-	Hops    int
+	// Retries counts re-dispatches after capacity rejections (shed,
+	// queue-full, KV exhaustion).
 	Retries int
 	// TokensOut is the total output tokens delivered across all attempts.
 	TokensOut int
@@ -192,23 +193,10 @@ type LLMRequest struct {
 	// OutputTokens, and re-dispatches carry the reduced budget so a cut is
 	// never silently restored.
 	Truncated int
-	// ArriveAt/FirstTokenAt/LastTokenAt/FinishAt are front-end stamps in
-	// global virtual time.
-	ArriveAt     sim.Time
+	// FirstTokenAt/LastTokenAt are front-end stamps in global virtual time.
 	FirstTokenAt sim.Time
 	LastTokenAt  sim.Time
-	FinishAt     sim.Time
-	// Err is the terminal error (nil on success or in flight).
-	Err error
-
-	settled bool
 }
-
-// Finished reports whether the request reached a terminal state.
-func (r *LLMRequest) Finished() bool { return r.settled }
-
-// Failed reports whether the request ended in an error.
-func (r *LLMRequest) Failed() bool { return r.settled && r.Err != nil }
 
 // TTFT is the time to first token; 0 before one was delivered.
 func (r *LLMRequest) TTFT() time.Duration {
@@ -247,10 +235,10 @@ type LLMCluster struct {
 	servers []*serving.LLMServer
 	links   []*llm.Link // egress link per prefill device, owned by shard 0
 
-	requests   []*LLMRequest // retained unless Slim
-	attemptReq map[int]*LLMRequest
-	reqCount   int
-	attempts   int
+	requests []*LLMRequest // retained unless Slim
+	// prefillModel and decodeModel are the role pseudo-models the shared
+	// router places; one decision log covers both pools.
+	prefillModel, decodeModel string
 
 	retryBudget *overload.RetryBudget
 	retryRng    *rand.Rand
@@ -270,11 +258,6 @@ type LLMCluster struct {
 
 	handoffsC *obs.Series
 }
-
-// prefillModel and decodeModel are the role pseudo-models the shared router
-// places; one decision log covers both pools.
-func prefillModel(m string) string { return m + "#prefill" }
-func decodeModel(m string) string  { return m + "#decode" }
 
 // NewLLM builds the disaggregated fleet: shard 0 the front-end, shard i+1
 // device i (prefill replicas first, then decode).
@@ -304,18 +287,16 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	dprof := profiles[cfg.DecodeSpec.Name]
 
 	n := cfg.PrefillReplicas + cfg.DecodeReplicas
-	c := &LLMCluster{
-		cfg:        cfg,
-		attemptReq: make(map[int]*LLMRequest),
-	}
+	c := &LLMCluster{cfg: cfg, prefillModel: cfg.Model + "#prefill", decodeModel: cfg.Model + "#decode"}
 	c.fleet.init(fleetConfig{
 		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
-		route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
+		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
+		obs: cfg.Obs, telemetry: cfg.Telemetry,
 		debt: func(m string) (time.Duration, error) {
 			// Per-dispatch debt for the cost-weighted policy: a
 			// representative prefill pass, or a representative decode
 			// residency.
-			if m == decodeModel(cfg.Model) {
+			if m == c.decodeModel {
 				return dprof.DecodeStep(1, 512) * 64, nil
 			}
 			return pprof.Prefill(256), nil
@@ -334,6 +315,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 		c.classTTFTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", cl))
 		c.classTPOTs[cls] = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", cl))
 	}
+	warm := llmWarmupFor(cfg)
 	prefillDevs := make([]int, 0, cfg.PrefillReplicas)
 	decodeDevs := make([]int, 0, cfg.DecodeReplicas)
 
@@ -377,24 +359,11 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			decodeDevs = append(decodeDevs, i)
 		}
 
-		i, srv, env := i, srv, env
-		devRec := c.children[i+1]
-		warm := llmWarmupFor(cfg)
-		srv.Device().SetCrashObserver(func(recovery time.Duration) {
-			// Device-side: unwind every live sequence (their done events fan
-			// drained-attempt reports back), arm the revival timer on our own
-			// heap, and tell the front-end to mark us dead.
-			drained := srv.OnCrash()
-			devRec.Instant(obs.LayerCluster, "crash_drain", obs.NoReq, obs.NoClass, i, int64(drained))
-			if recovery > 0 {
-				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
-			}
-			c.reportCrash(i)
-		})
-		c.watchReady(i, srv.Device())
+		// A crash unwinds every live sequence.
+		c.watchCrashes(i, srv.Device(), warm, srv.OnCrash)
 	}
-	c.router.setReplicas(prefillModel(cfg.Model), prefillDevs)
-	c.router.setReplicas(decodeModel(cfg.Model), decodeDevs)
+	c.router.setReplicas(c.prefillModel, prefillDevs)
+	c.router.setReplicas(c.decodeModel, decodeDevs)
 	return c, nil
 }
 
@@ -414,26 +383,16 @@ func llmWarmupFor(cfg LLMConfig) time.Duration {
 // FrontEnv). Routing errors (every replica dead) are synchronous; a
 // replica's own rejection arrives asynchronously as a failed attempt.
 func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLMRequest, error) {
-	dev, err := c.router.Route(prefillModel(c.cfg.Model), false)
+	dev, err := c.router.Route(c.prefillModel, false)
 	if err != nil {
 		return nil, err
 	}
-	r := &LLMRequest{
-		ID:           c.reqCount,
-		Class:        class,
-		PromptTokens: prompt,
-		OutputTokens: output,
-		PrefillDev:   dev,
-		DecodeDev:    -1,
-		ArriveAt:     c.shards.Env(0).Now(),
-	}
-	c.reqCount++
+	r := &LLMRequest{PromptTokens: prompt, OutputTokens: output, PrefillDev: dev, DecodeDev: -1}
+	c.admit(&r.request, class, dev, "llm_route")
 	c.perClass[class].Submitted++
 	if !c.cfg.Slim {
 		c.requests = append(c.requests, r)
 	}
-	c.routesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "llm_route", r.ID, int(class), obs.NoDevice, int64(dev))
 	c.dispatchPrefill(r, dev)
 	return r, nil
 }
@@ -444,9 +403,7 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 // previous attempt's degraded mode cut — a truncation is never silently
 // restored by a re-dispatch.
 func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
+	id := c.dispatch(&r.request, dev, false)
 	r.PrefillDev = dev
 	srv := c.servers[dev]
 	class, prompt, have := r.Class, r.PromptTokens, r.TokensOut
@@ -454,49 +411,61 @@ func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
 	mname := c.cfg.Model
 	c.shards.Send(0, dev+1, c.net, func() {
 		inner, err := srv.Submit(mname, class, prompt, output, have)
-		if err != nil {
-			rep := llmReport{err: err, kvUtil: srv.KVUtilization()}
-			c.shards.Send(dev+1, 0, c.net, func() { c.prefillDone(id, dev, rep) })
-			return
-		}
-		inner.Done().Subscribe(func() {
-			rep := llmReport{
-				tokensOut:    inner.TokensOut,
-				kvTokens:     inner.KVTokens(),
-				truncated:    inner.Truncated,
-				kvUtil:       srv.KVUtilization(),
-				firstTokenAt: inner.FirstTokenAt,
-				lastTokenAt:  inner.LastTokenAt,
-				handedOff:    inner.HandedOff,
-				err:          inner.Err,
-			}
-			c.shards.Send(dev+1, 0, c.net, func() { c.prefillDone(id, dev, rep) })
-		})
+		c.report(r, id, dev, have, srv, inner, err)
 	})
 }
 
-// prefillDone folds a prefill attempt's report in on shard 0: book the KV
-// shipment on the device's egress link and dispatch the decode ingest, or
-// settle/fail over.
-func (c *LLMCluster) prefillDone(id, dev int, rep llmReport) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
-	c.router.release(dev)
-	c.router.SetPressure(dev, rep.kvUtil)
-	if r.settled {
+// report returns one attempt's outcome from device dev to the front-end
+// under its (request, attempt id) pair: a synchronous rejection at once,
+// carrying the have tokens already delivered, otherwise when the
+// device-side request finishes. It runs in the device's context, so the
+// report is snapshotted there and r is only carried, never read.
+func (c *LLMCluster) report(r *LLMRequest, id, dev, have int, srv *serving.LLMServer, inner *llm.Request, err error) {
+	if err != nil {
+		rep := llmReport{tokensOut: have, err: err, kvUtil: srv.KVUtilization()}
+		c.shards.Send(dev+1, 0, c.net, func() { c.attemptDone(r, id, rep) })
+		return
+	}
+	inner.Done().Subscribe(func() {
+		rep := llmReport{
+			tokensOut:    inner.TokensOut,
+			kvTokens:     inner.KVTokens(),
+			truncated:    inner.Truncated,
+			kvUtil:       srv.KVUtilization(),
+			firstTokenAt: inner.FirstTokenAt,
+			lastTokenAt:  inner.LastTokenAt,
+			handedOff:    inner.HandedOff,
+			err:          inner.Err,
+		}
+		c.shards.Send(dev+1, 0, c.net, func() { c.attemptDone(r, id, rep) })
+	})
+}
+
+// attemptDone folds one attempt's report in on shard 0. A failed attempt
+// fails over, retries or settles; a prefill that handed its KV off moves on
+// to decode; any other success — a decode, or a prefill that already met
+// the budget (single-token outputs) — settles the request.
+func (c *LLMCluster) attemptDone(r *LLMRequest, id int, rep llmReport) {
+	att, open := c.fold(&r.request, id)
+	c.router.SetPressure(att.dev, rep.kvUtil)
+	if !open {
 		return
 	}
 	c.absorb(r, rep)
-	if rep.err != nil {
+	switch {
+	case rep.err != nil:
 		c.attemptFailed(r, rep)
-		return
-	}
-	if !rep.handedOff {
-		// The prefill pass already met the budget (single-token outputs).
+	case rep.handedOff:
+		c.handoff(r, att.dev, rep)
+	default:
 		c.settle(r, nil)
-		return
 	}
-	ddev, err := c.router.Route(decodeModel(c.cfg.Model), false)
+}
+
+// handoff books a finished prefill's KV shipment on the device's egress link
+// and dispatches the decode ingest to arrive when the transfer completes.
+func (c *LLMCluster) handoff(r *LLMRequest, dev int, rep llmReport) {
+	ddev, err := c.router.Route(c.decodeModel, false)
 	if err != nil {
 		c.settle(r, err)
 		return
@@ -517,9 +486,7 @@ func (c *LLMCluster) prefillDone(id, dev int, rep llmReport) {
 // dispatchDecode sends the ingest to the decode replica after the KV
 // transfer completes.
 func (c *LLMCluster) dispatchDecode(r *LLMRequest, dev int, rep llmReport, delay time.Duration) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
+	id := c.dispatch(&r.request, dev, false)
 	srv := c.servers[dev]
 	class, prompt := r.Class, r.PromptTokens
 	output := r.OutputTokens - r.Truncated
@@ -527,40 +494,8 @@ func (c *LLMCluster) dispatchDecode(r *LLMRequest, dev int, rep llmReport, delay
 	arriveAt, firstAt, lastAt := r.ArriveAt, r.FirstTokenAt, r.LastTokenAt
 	c.shards.Send(0, dev+1, delay, func() {
 		inner, err := srv.Ingest(class, prompt, output, have, arriveAt, firstAt, lastAt)
-		if err != nil {
-			drep := llmReport{tokensOut: have, err: err, kvUtil: srv.KVUtilization()}
-			c.shards.Send(dev+1, 0, c.net, func() { c.decodeDone(id, dev, drep) })
-			return
-		}
-		inner.Done().Subscribe(func() {
-			drep := llmReport{
-				tokensOut:    inner.TokensOut,
-				truncated:    inner.Truncated,
-				kvUtil:       srv.KVUtilization(),
-				firstTokenAt: inner.FirstTokenAt,
-				lastTokenAt:  inner.LastTokenAt,
-				err:          inner.Err,
-			}
-			c.shards.Send(dev+1, 0, c.net, func() { c.decodeDone(id, dev, drep) })
-		})
+		c.report(r, id, dev, have, srv, inner, err)
 	})
-}
-
-// decodeDone folds a decode attempt's report in on shard 0.
-func (c *LLMCluster) decodeDone(id, dev int, rep llmReport) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
-	c.router.release(dev)
-	c.router.SetPressure(dev, rep.kvUtil)
-	if r.settled {
-		return
-	}
-	c.absorb(r, rep)
-	if rep.err != nil {
-		c.attemptFailed(r, rep)
-		return
-	}
-	c.settle(r, nil)
 }
 
 // absorb merges an attempt's token progress into the front-end record.
@@ -595,14 +530,9 @@ func (c *LLMCluster) retryable(err error) bool {
 // through the same partial-carry dispatch path after a jittered backoff,
 // gated by the front-end retry budget so rejection storms cannot amplify.
 func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
-	if errors.Is(rep.err, serving.ErrDrained) && r.Hops < c.cfg.MaxFailovers {
-		if next, rerr := c.router.Route(prefillModel(c.cfg.Model), true); rerr == nil {
-			r.Hops++
-			c.failovers++
-			c.rec.Instant(obs.LayerCluster, "llm_failover", r.ID, int(r.Class), obs.NoDevice, int64(next))
-			c.dispatchPrefill(r, next)
-			return
-		}
+	if next, ok := c.failover(&r.request, rep.err, c.prefillModel, "llm_failover"); ok {
+		c.dispatchPrefill(r, next)
+		return
 	}
 	if c.retryable(rep.err) && r.Retries < c.cfg.MaxRetries {
 		if !c.retryBudget.Allow() {
@@ -618,7 +548,7 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 				if r.settled {
 					return
 				}
-				next, rerr := c.router.Route(prefillModel(c.cfg.Model), true)
+				next, rerr := c.router.Route(c.prefillModel, true)
 				if rerr != nil {
 					c.settle(r, origErr)
 					return
@@ -633,9 +563,7 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 
 // settle decides the request on shard 0.
 func (c *LLMCluster) settle(r *LLMRequest, err error) {
-	r.settled = true
-	r.Err = err
-	r.FinishAt = c.shards.Env(0).Now()
+	c.stamp(&r.request, err)
 	c.tokensDelivered += r.TokensOut
 	c.truncatedTokens += r.Truncated
 	pc := &c.perClass[r.Class]
@@ -676,15 +604,8 @@ func (c *LLMCluster) settle(r *LLMRequest, err error) {
 // Server returns device i's LLM serving replica.
 func (c *LLMCluster) Server(i int) *serving.LLMServer { return c.servers[i] }
 
-// Devices returns the fleet size (prefill + decode).
-func (c *LLMCluster) Devices() int { return len(c.servers) }
-
 // Requests returns all fleet-level requests; nil in Slim mode.
 func (c *LLMCluster) Requests() []*LLMRequest { return c.requests }
-
-// OutstandingAttempts returns dispatch attempts with no report folded back
-// yet; zero after quiescence, or an attempt's completion was lost.
-func (c *LLMCluster) OutstandingAttempts() int { return len(c.attemptReq) }
 
 // LLMClassStats is one priority class's fleet-level accounting. LostTokens
 // is output budget never delivered on shed/expired/failed settlements;

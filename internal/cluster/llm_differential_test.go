@@ -170,11 +170,11 @@ func driveLLM(t *testing.T, c *LLMCluster, sc llmScenario) LLMClusterStats {
 
 // TestLLMEnginesBitIdentical is the disaggregation invariant: for every
 // llm-shaped scenario — including crashes mid-generation and KV-pressure
-// preemption — the parallel engine at several worker counts must produce
-// stats, decision hashes, and lifecycle trace bytes identical to the
-// single-heap reference.
+// preemption — the parallel engine at several worker counts, under
+// GOMAXPROCS 1 and 4, must produce stats, decision hashes, and lifecycle
+// trace bytes identical to the single-heap reference.
 func TestLLMEnginesBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range llmScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -187,21 +187,24 @@ func TestLLMEnginesBitIdentical(t *testing.T) {
 			if ref.Completed == 0 {
 				t.Fatalf("reference run completed nothing: %+v", ref)
 			}
-			for _, workers := range []int{1, 2} {
-				rec := obs.NewRecorder()
-				got := runLLM(t, sc, Sharded, workers, rec)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", workers, ref, got)
-				}
-				if got.DecisionHash != ref.DecisionHash {
-					t.Errorf("workers=%d: decision hash %x, want %x", workers, got.DecisionHash, ref.DecisionHash)
-				}
-				gotTrace, gotProm := renderObs(t, rec)
-				if gotTrace != refTrace {
-					t.Errorf("workers=%d: lifecycle trace bytes differ from single-heap reference", workers)
-				}
-				if gotProm != refProm {
-					t.Errorf("workers=%d: metrics differ from single-heap reference", workers)
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{1, 2} {
+					rec := obs.NewRecorder()
+					got := runLLM(t, sc, Sharded, workers, rec)
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("procs=%d workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", procs, workers, ref, got)
+					}
+					if got.DecisionHash != ref.DecisionHash {
+						t.Errorf("procs=%d workers=%d: decision hash %x, want %x", procs, workers, got.DecisionHash, ref.DecisionHash)
+					}
+					gotTrace, gotProm := renderObs(t, rec)
+					if gotTrace != refTrace {
+						t.Errorf("procs=%d workers=%d: lifecycle trace bytes differ from single-heap reference", procs, workers)
+					}
+					if gotProm != refProm {
+						t.Errorf("procs=%d workers=%d: metrics differ from single-heap reference", procs, workers)
+					}
 				}
 			}
 		})
@@ -221,6 +224,26 @@ func TestLLMCrashScenarioExercisesFailover(t *testing.T) {
 	}
 	if st.Completed == 0 {
 		t.Fatalf("nothing survived the crashes: %+v", st)
+	}
+}
+
+// TestLLMNegativeMaxFailoversDisables: as in Config, a negative
+// MaxFailovers turns failover off — the crash scenario still crashes
+// devices, but no drained attempt is re-dispatched.
+func TestLLMNegativeMaxFailoversDisables(t *testing.T) {
+	sc := llmScenarios()[1]
+	base := sc.cfg
+	sc.cfg = func() LLMConfig {
+		cfg := base()
+		cfg.MaxFailovers = -1
+		return cfg
+	}
+	st := runLLM(t, sc, SingleHeap, 0, nil)
+	if st.Crashes == 0 {
+		t.Fatalf("crash scenario crashed nothing: %+v", st)
+	}
+	if st.Failovers != 0 {
+		t.Fatalf("MaxFailovers -1 still failed over %d times", st.Failovers)
 	}
 }
 
@@ -255,5 +278,34 @@ func TestLLMOverloadScenarioDegrades(t *testing.T) {
 	if batch.TruncatedTokens != st.TruncatedTokens || inter.TruncatedTokens != 0 {
 		t.Fatalf("truncation leaked into the interactive class: batch %d, interactive %d, total %d",
 			batch.TruncatedTokens, inter.TruncatedTokens, st.TruncatedTokens)
+	}
+}
+
+// TestLLMSlimMatchesRetained: slim mode must change memory behavior only —
+// for every llm scenario on both engines, the stats and the streamed
+// decision fingerprint equal the retained run's, and no request is kept.
+func TestLLMSlimMatchesRetained(t *testing.T) {
+	for _, sc := range llmScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			for _, engine := range []Engine{SingleHeap, Sharded} {
+				full := runLLM(t, sc, engine, 0, nil)
+				cfg := sc.cfg()
+				cfg.Slim = true
+				c, err := NewLLM(cfg, engine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slim := driveLLM(t, c, sc)
+				if c.Requests() != nil {
+					t.Fatalf("%v: slim mode retained %d requests", engine, len(c.Requests()))
+				}
+				if slim.DecisionHash != full.DecisionHash {
+					t.Errorf("%v: slim decision hash %x, retained %x", engine, slim.DecisionHash, full.DecisionHash)
+				}
+				if !reflect.DeepEqual(full, slim) {
+					t.Errorf("%v: slim stats differ from retained\nfull: %+v\nslim: %+v", engine, full, slim)
+				}
+			}
+		})
 	}
 }

@@ -9,14 +9,20 @@
 // virtual time run in parallel across a worker pool. The SingleHeap engine
 // runs the same shards on one shared event heap as the reference.
 //
+// The attempt lifecycle — numbering, folding reports, drain failover, the
+// settle stamp — is the shared fleet core's (fleet.go); this file adds
+// hedging, loser cancellation, and stall and partition handling.
+//
 // Every cross-shard interaction is a message:
 //
-//	submit:  front-end routes, then sends the attempt to the device's agent
-//	         (a daemon process that calls serving.SubmitClass from process
-//	         context and subscribes to the request's completion event).
+//	submit:  front-end routes, opens an attempt in the request's inline
+//	         slots, then sends it to the device's agent (a daemon process
+//	         that calls serving.SubmitClass from process context and
+//	         subscribes to the request's completion event).
 //	report:  the device snapshots the attempt's outcome in its own context
-//	         and sends it back; the front-end settles the race, re-dispatches
-//	         drained attempts, and cancels losers with cancel messages.
+//	         and sends it back under its (request, attempt id) pair; the
+//	         front-end folds it, settles the race, re-dispatches drained
+//	         attempts, and cancels losers with cancel messages.
 //	stall:   a stalled device drains its own queue, then reports the stall;
 //	         the front-end takes it out of rotation until the stall clears.
 //
@@ -29,7 +35,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -78,9 +83,6 @@ type ShardedCluster struct {
 
 	// Front-end bookkeeping, all owned by shard 0.
 	requests   []*ShardedRequest // retained unless Slim
-	attemptReq map[int]*ShardedRequest
-	reqCount   int
-	attempts   int
 	completed  int
 	failed     int
 	hedges     int
@@ -97,44 +99,18 @@ type ShardedCluster struct {
 // failover (drained attempts re-dispatch to surviving replicas) and may be
 // hedged (a duplicate races the primary on another replica; first completion
 // wins, the loser is cancelled). Every dispatch attempt lives on its device's
-// shard; the front-end only sees attempt outcome reports.
+// shard; the front-end only sees attempt outcome reports. ID, Class, Hops,
+// ArriveAt, FinishAt, Err, Finished and Failed come from the shared request
+// state.
 type ShardedRequest struct {
-	// ID is the request's cluster-level arrival index.
-	ID int
+	request
 	// Model is the target model name.
 	Model string
-	// Class is the request's priority class.
-	Class overload.Class
 	// Device is the replica that finally served (or last held) the request.
 	Device int
-	// Hops counts failover re-dispatches.
-	Hops int
 	// Hedged reports whether a duplicate was dispatched.
 	Hedged bool
-	// ArriveAt is when the request entered the front-end; FinishAt is when
-	// the winning (or last) attempt's report arrived back, so Latency spans
-	// both network hops.
-	ArriveAt sim.Time
-	FinishAt sim.Time
-	// Err is the request's final error (nil on success or in flight).
-	Err error
-
-	pending []shardAttempt
-	settled bool
 }
-
-// shardAttempt is the front-end's handle on one in-flight dispatch.
-type shardAttempt struct {
-	id    int
-	dev   int
-	hedge bool
-}
-
-// Finished reports whether the request has completed or failed.
-func (r *ShardedRequest) Finished() bool { return r.settled }
-
-// Failed reports whether the request ended in an error.
-func (r *ShardedRequest) Failed() bool { return r.settled && r.Err != nil }
 
 // Latency returns the end-to-end response time from front-end arrival to the
 // winning report's return; 0 in flight or after a failure.
@@ -152,14 +128,13 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	cfg = cfg.withDefaults()
 	n := len(cfg.Devices)
 	c := &ShardedCluster{
-		cfg:        cfg,
-		attemptReq: make(map[int]*ShardedRequest),
-		byModel:    make(map[string]*obs.Hist),
+		cfg:     cfg,
+		byModel: make(map[string]*obs.Hist),
 	}
 	c.fleet.init(fleetConfig{
 		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
-		route: cfg.Route, slim: cfg.Slim, obs: cfg.Obs, telemetry: cfg.Telemetry,
-		debt: debtUnit(cfg),
+		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
+		obs: cfg.Obs, telemetry: cfg.Telemetry, debt: debtUnit(cfg),
 	}, engine)
 	reg := c.rec.Registry()
 	reg.CounterView("olympian_cluster_hedges_total", "Hedged duplicates dispatched.", &c.hedges)
@@ -196,33 +171,22 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		c.servers = append(c.servers, srv)
 		c.agents = append(c.agents, newShardAgent(c, i, srv))
 
-		i := i
 		devRec := c.children[i+1]
 		drainsC := devRec.Registry().Counter("olympian_cluster_drains_total", "Devices drained on stall.")
-		srv.Device().SetStallObserver(func(until sim.Time) {
-			// Device-side: drain our own queue (the drained requests' done
-			// events fan failed-attempt reports back through the agent), then
-			// tell the front-end to route around us.
+		// Device-side: drain our own queue; the drained requests' done events
+		// fan failed-attempt reports back through the agent (a crash's
+		// in-flight batches fail through the crash path).
+		drain := func() int {
 			drained := srv.DrainQueued()
 			drainsC.Inc()
-			devRec.Instant(obs.LayerCluster, "drain", obs.NoReq, obs.NoClass, i, int64(drained))
+			return drained
+		}
+		srv.Device().SetStallObserver(func(until sim.Time) {
+			// Then tell the front-end to route around us.
+			devRec.Instant(obs.LayerCluster, "drain", obs.NoReq, obs.NoClass, i, int64(drain()))
 			c.shards.Send(i+1, 0, c.net, func() { c.stallReported(i, until) })
 		})
-		srv.Device().SetCrashObserver(func(recovery time.Duration) {
-			// Device-side: drain our queue (in-flight batches fail through
-			// the crash path and fan reports back through the agent), arm the
-			// revival timer on our own heap, and tell the front-end to mark
-			// us dead — no timer expiry there brings us back.
-			drained := srv.DrainQueued()
-			drainsC.Inc()
-			devRec.Instant(obs.LayerCluster, "crash_drain", obs.NoReq, obs.NoClass, i, int64(drained))
-			if recovery > 0 {
-				warm := warmupFor(cfg, i)
-				env.Schedule(recovery, func() { srv.Device().Revive(warm) })
-			}
-			c.reportCrash(i)
-		})
-		c.watchReady(i, srv.Device())
+		c.watchCrashes(i, srv.Device(), warmupFor(cfg, i), drain)
 		if inj != nil {
 			c.schedulePartitions(i, inj)
 		}
@@ -237,7 +201,6 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 func (c *ShardedCluster) schedulePartitions(device int, inj *faults.Injector) {
 	env := c.shards.Env(0)
 	for _, w := range inj.PartitionWindows() {
-		w := w
 		env.ScheduleAt(sim.Time(w.From), func() {
 			c.partitions++
 			c.rec.Instant(obs.LayerCluster, "partition", obs.NoReq, obs.NoClass, device, int64(w.Dur))
@@ -266,9 +229,12 @@ type shardAgent struct {
 }
 
 // agentOp is one front-end command: a dispatch attempt, or its cancellation.
+// req rides along so the attempt's report can name its request; only shard
+// 0 dereferences it.
 type agentOp struct {
 	cancel  bool
 	attempt int
+	req     *ShardedRequest
 	model   string
 	class   overload.Class
 }
@@ -319,23 +285,23 @@ func (a *shardAgent) exec(p *sim.Proc, op agentOp) {
 	if err != nil {
 		// Synchronous rejection (e.g. unknown model): surface it as a failed
 		// attempt — under the sharded engine even these arrive asynchronously.
-		a.report(op.attempt, err)
+		a.report(op.req, op.attempt, err)
 		return
 	}
-	id := op.attempt
+	r, id := op.req, op.attempt
 	a.inner[id] = inner
 	inner.Done().Subscribe(func() {
 		delete(a.inner, id)
-		a.report(id, inner.Err)
+		a.report(r, id, inner.Err)
 	})
 }
 
 // report sends one attempt outcome back to the front-end. The error is
 // snapshotted here, in the device's own context, so the closure the
 // front-end runs touches no device-shard state.
-func (a *shardAgent) report(attempt int, err error) {
+func (a *shardAgent) report(r *ShardedRequest, attempt int, err error) {
 	c := a.c
-	c.shards.Send(a.shard, 0, c.net, func() { c.attemptDone(attempt, err) })
+	c.shards.Send(a.shard, 0, c.net, func() { c.attemptDone(r, attempt, err) })
 }
 
 // SubmitEvent routes one request of the given class and dispatches it to the
@@ -348,89 +314,57 @@ func (c *ShardedCluster) SubmitEvent(modelName string, class overload.Class) (*S
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardedRequest{
-		ID:       c.reqCount,
-		Model:    modelName,
-		Class:    class,
-		Device:   dev,
-		ArriveAt: c.shards.Env(0).Now(),
-	}
-	c.reqCount++
+	r := &ShardedRequest{Model: modelName, Device: dev}
+	c.admit(&r.request, class, dev, "route")
 	if !c.cfg.Slim {
 		c.requests = append(c.requests, r)
 	}
-	c.routesC.Inc()
-	c.rec.Instant(obs.LayerCluster, "route", r.ID, int(class), obs.NoDevice, int64(dev))
-	c.dispatch(r, dev, false)
+	c.send(r, dev, false)
 	if c.cfg.HedgeDelay > 0 {
 		c.armHedge(r)
 	}
 	return r, nil
 }
 
-// dispatch registers one attempt and sends it to the device's agent.
-func (c *ShardedCluster) dispatch(r *ShardedRequest, dev int, hedge bool) {
-	id := c.attempts
-	c.attempts++
-	c.attemptReq[id] = r
-	r.pending = append(r.pending, shardAttempt{id: id, dev: dev, hedge: hedge})
-	op := agentOp{attempt: id, model: r.Model, class: r.Class}
+// send dispatches one attempt to the device's agent.
+func (c *ShardedCluster) send(r *ShardedRequest, dev int, hedge bool) {
+	op := agentOp{attempt: c.dispatch(&r.request, dev, hedge), req: r, model: r.Model, class: r.Class}
 	agent := c.agents[dev]
 	c.shards.Send(0, dev+1, c.net, func() { agent.enqueue(op) })
 }
 
 // attemptDone folds one attempt outcome report into the request's state.
 // Runs on shard 0 when the report message is delivered.
-func (c *ShardedCluster) attemptDone(id int, err error) {
-	r := c.attemptReq[id]
-	delete(c.attemptReq, id)
-	var att shardAttempt
-	for i, a := range r.pending {
-		if a.id == id {
-			att = a
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			break
-		}
-	}
-	c.router.release(att.dev)
-	if r.settled {
+func (c *ShardedCluster) attemptDone(r *ShardedRequest, id int, err error) {
+	att, open := c.fold(&r.request, id)
+	if !open {
 		// A loser finishing after the race was decided: cancelled, or a
 		// photo-finish completion on the slower replica.
 		return
 	}
-	switch {
-	case err == nil:
+	if err == nil {
 		c.settle(r, att.dev, nil)
 		if att.hedge {
 			c.hedgeWins++
 			c.rec.Instant(obs.LayerCluster, "hedge_win", r.ID, int(r.Class), obs.NoDevice, int64(att.dev))
 		}
-	case errors.Is(err, serving.ErrDrained) && r.Hops < c.cfg.MaxFailovers:
-		if next, rerr := c.router.Route(r.Model, true); rerr == nil {
-			r.Hops++
-			c.failovers++
-			c.rec.Instant(obs.LayerCluster, "failover", r.ID, int(r.Class), obs.NoDevice, int64(next))
-			c.dispatch(r, next, att.hedge)
-			return
-		}
-		if len(r.pending) == 0 {
-			c.settle(r, att.dev, err)
-		}
-	default:
-		// Terminal failure for this attempt; another attempt may still be
-		// racing, so only the last one standing settles the request.
-		if len(r.pending) == 0 {
-			c.settle(r, att.dev, err)
-		}
+		return
+	}
+	if next, ok := c.failover(&r.request, err, r.Model, "failover"); ok {
+		c.send(r, next, att.hedge)
+		return
+	}
+	// Terminal failure for this attempt; another attempt may still be
+	// racing, so only the last one standing settles the request.
+	if r.nlive == 0 {
+		c.settle(r, att.dev, err)
 	}
 }
 
 // settle decides the request and sends cancel messages for any still-racing
 // attempts; their eventual reports release the router slots.
 func (c *ShardedCluster) settle(r *ShardedRequest, dev int, err error) {
-	r.settled = true
-	r.Err = err
-	r.FinishAt = c.shards.Env(0).Now()
+	c.stamp(&r.request, err)
 	if err == nil {
 		r.Device = dev
 		c.completed++
@@ -438,7 +372,7 @@ func (c *ShardedCluster) settle(r *ShardedRequest, dev int, err error) {
 	} else {
 		c.failed++
 	}
-	for _, a := range r.pending {
+	for _, a := range r.inflight() {
 		op := agentOp{cancel: true, attempt: a.id}
 		agent := c.agents[a.dev]
 		c.shards.Send(0, a.dev+1, c.net, func() { agent.enqueue(op) })
@@ -468,8 +402,8 @@ func (c *ShardedCluster) armHedge(r *ShardedRequest) {
 		if r.settled || r.Hedged {
 			return
 		}
-		exclude := make([]int, 0, len(r.pending))
-		for _, a := range r.pending {
+		exclude := make([]int, 0, r.nlive)
+		for _, a := range r.inflight() {
 			exclude = append(exclude, a.dev)
 		}
 		dev, err := c.router.RouteHedge(r.Model, exclude)
@@ -479,7 +413,7 @@ func (c *ShardedCluster) armHedge(r *ShardedRequest) {
 		r.Hedged = true
 		c.hedges++
 		c.rec.Instant(obs.LayerCluster, "hedge", r.ID, int(r.Class), obs.NoDevice, int64(dev))
-		c.dispatch(r, dev, true)
+		c.send(r, dev, true)
 	})
 }
 
@@ -500,18 +434,9 @@ func (c *ShardedCluster) stallReported(dev int, until sim.Time) {
 // Server returns device i's serving front-end.
 func (c *ShardedCluster) Server(i int) *serving.Server { return c.servers[i] }
 
-// Devices returns the fleet size.
-func (c *ShardedCluster) Devices() int { return len(c.servers) }
-
 // Requests returns all cluster-level requests submitted so far; nil in Slim
 // mode, which does not retain them.
 func (c *ShardedCluster) Requests() []*ShardedRequest { return c.requests }
-
-// OutstandingAttempts returns how many dispatch attempts are still in flight
-// (dispatched, no outcome report folded back yet). After a run has quiesced
-// it must be zero — the request-conservation checker asserts this: a nonzero
-// count means some attempt's completion was lost.
-func (c *ShardedCluster) OutstandingAttempts() int { return len(c.attemptReq) }
 
 // Stats summarises the cluster's activity so far. Rates use the shard
 // horizon (the latest virtual time any shard reached) as the elapsed-time

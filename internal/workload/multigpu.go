@@ -134,6 +134,9 @@ func RunMulti(cfg MultiConfig, clients []ClientSpec) (*MultiResult, error) {
 					job.Weight = spec.Weight
 				}
 				job.Priority = spec.Priority
+				if spec.Deadline > 0 {
+					job.Deadline = p.Now().Add(spec.Deadline)
+				}
 				eng.Run(p, job)
 			}
 			res.Finishes.Add(i, spec.Model, time.Duration(p.Now()))
@@ -178,6 +181,8 @@ func policyClone(p core.Policy) core.Policy {
 		return core.NewLottery()
 	case "deficit-rr":
 		return core.NewDeficitRR()
+	case "edf":
+		return core.NewEDF()
 	default:
 		return core.NewFair()
 	}
