@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"olympian"
+	"olympian/cmd/internal/spec"
 	"olympian/internal/model"
 	"olympian/internal/obs"
 	"olympian/internal/overload"
@@ -157,117 +158,24 @@ func (a *api) handleProfile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type clientGroup struct {
-	Model    string `json:"model"`
-	Batch    int    `json:"batch"`
-	Batches  int    `json:"batches"`
-	Count    int    `json:"count"`
-	Weight   int    `json:"weight"`
-	Priority int    `json:"priority"`
-}
+// The request caps spec.Simulation enforces, under the names the handler
+// tests use: every endpoint that expands client groups takes maxClients,
+// and the simulating ones also take maxJobs.
+const (
+	maxClients = spec.MaxClients
+	maxJobs    = spec.MaxJobs
+)
 
-type simulateRequest struct {
-	Scheduler string        `json:"scheduler"` // tf-serving | olympian | cpu-timer
-	Policy    string        `json:"policy"`    // fair | weighted | priority | lottery | deficit-rr
-	QuantumUs int           `json:"quantumUs"`
-	Seed      int64         `json:"seed"`
-	Clients   []clientGroup `json:"clients"`
-}
-
-// maxClients caps how many clients one request's groups may expand to. The
-// paper's largest workload is the 40-client scalability ramp, and an 11 GB
-// GPU holds about 45 Inception clients, so the cap leaves ample room while a
-// ~100-byte body can no longer ask for billions of clients.
-const maxClients = 1000
-
-// maxJobs caps the sequential jobs one /simulate or /trace request may run,
-// summed over clients as max(count,1)×max(batches,1). It is maxClients
-// clients at the paper's 10 batches each, far above the 40×10 jobs of the
-// largest experiment. /plan is analytic, so its cost does not grow with
-// batches and it only takes the client cap.
-const maxJobs = maxClients * 10
-
-// expandClients turns client groups into a flat client list, failing before
-// it allocates when the groups ask for more than maxClients in total.
-func expandClients(groups []clientGroup) ([]olympian.Client, error) {
-	total := 0
-	for _, g := range groups {
-		n := max(g.Count, 1)
-		if n > maxClients-total {
-			return nil, fmt.Errorf("clients: more than %d requested", maxClients)
-		}
-		total += n
-	}
-	clients := make([]olympian.Client, 0, total)
-	for _, g := range groups {
-		for i := max(g.Count, 1); i > 0; i-- {
-			clients = append(clients, olympian.Client{
-				Model: g.Model, Batch: g.Batch, Batches: g.Batches,
-				Weight: g.Weight, Priority: g.Priority,
-			})
-		}
-	}
-	return clients, nil
-}
-
-// buildSimulation translates a request into a simulation config and
-// clients.
-func buildSimulation(req simulateRequest) (olympian.Config, []olympian.Client, error) {
-	cfg := olympian.Config{Seed: req.Seed, Quantum: time.Duration(req.QuantumUs) * time.Microsecond}
-	switch req.Scheduler {
-	case "", "tf-serving":
-		cfg.Scheduler = olympian.SchedulerTFServing
-	case "olympian":
-		cfg.Scheduler = olympian.SchedulerOlympian
-	case "cpu-timer":
-		cfg.Scheduler = olympian.SchedulerCPUTimer
-	case "kernel-slicing":
-		cfg.Scheduler = olympian.SchedulerKernelSlicing
-	default:
-		return cfg, nil, fmt.Errorf("unknown scheduler %q", req.Scheduler)
-	}
-	switch req.Policy {
-	case "", "fair":
-		cfg.Policy = olympian.FairPolicy()
-	case "weighted":
-		cfg.Policy = olympian.WeightedFairPolicy()
-	case "priority":
-		cfg.Policy = olympian.PriorityPolicy()
-	case "lottery":
-		cfg.Policy = olympian.LotteryPolicy()
-	case "deficit-rr":
-		cfg.Policy = olympian.DeficitRoundRobinPolicy()
-	case "edf":
-		cfg.Policy = olympian.EDFPolicy()
-	default:
-		return cfg, nil, fmt.Errorf("unknown policy %q", req.Policy)
-	}
-	clients, err := expandClients(req.Clients)
-	if err != nil {
-		return cfg, nil, err
-	}
-	if len(clients) == 0 {
-		return cfg, nil, fmt.Errorf("no clients in request")
-	}
-	jobs := 0
-	for _, c := range clients {
-		n := max(c.Batches, 1)
-		if n > maxJobs-jobs {
-			return cfg, nil, fmt.Errorf("jobs: more than %d requested (clients × batches)", maxJobs)
-		}
-		jobs += n
-	}
-	return cfg, clients, nil
-}
-
+// handleSimulate runs the spec.Simulation in the body and answers with its
+// finish times and scheduling statistics.
 func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
+	var req spec.Simulation
 	if err := decodeJSON(w, r, &req); err != nil {
 		a.simErrC.Inc()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, clients, err := buildSimulation(req)
+	cfg, clients, err := req.Build()
 	if err != nil {
 		a.simErrC.Inc()
 		writeError(w, http.StatusBadRequest, err)
@@ -298,7 +206,7 @@ func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // handlePlan predicts finish times analytically (processor-sharing fluid
 // model) without running the simulation.
 func handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
+	var req spec.Simulation
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -314,13 +222,9 @@ func handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("planner supports fair|weighted|priority, not %q", req.Policy))
 		return
 	}
-	clients, err := expandClients(req.Clients)
+	clients, err := req.ExpandClients()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(clients) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("no clients in request"))
 		return
 	}
 	fins, err := olympian.Plan(clients, policy, olympian.GTX1080Ti)
@@ -338,7 +242,7 @@ func handlePlan(w http.ResponseWriter, r *http.Request) {
 // handleTrace runs a simulation and returns its scheduling timeline as a
 // Chrome trace (open with chrome://tracing or ui.perfetto.dev).
 func (a *api) handleTrace(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
+	var req spec.Simulation
 	if err := decodeJSON(w, r, &req); err != nil {
 		a.simErrC.Inc()
 		writeError(w, http.StatusBadRequest, err)
@@ -347,7 +251,7 @@ func (a *api) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if req.Scheduler == "" {
 		req.Scheduler = "olympian"
 	}
-	cfg, clients, err := buildSimulation(req)
+	cfg, clients, err := req.Build()
 	if err != nil {
 		a.simErrC.Inc()
 		writeError(w, http.StatusBadRequest, err)

@@ -86,6 +86,11 @@ func TestRunScenarioErrors(t *testing.T) {
 		"badgpu.json":    `{"gpu":"tpu","clients":[{"model":"vgg","batch":10}]}`,
 		"noclients.json": `{"scheduler":"olympian"}`,
 		"badjson.json":   `{nope`,
+		// Caps shared with olympian-serve, and the fleet bound: each must
+		// fail before anything is simulated.
+		"toomanyclients.json": `{"clients":[{"model":"inception-v4","batch":1,"count":1001}]}`,
+		"toomanyjobs.json":    `{"clients":[{"model":"inception-v4","batch":1,"batches":2000000000}]}`,
+		"toomanygpus.json":    `{"gpus":65,"clients":[{"model":"inception-v4","batch":1}]}`,
 	} {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {

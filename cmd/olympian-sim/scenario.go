@@ -8,39 +8,28 @@ import (
 	"time"
 
 	"olympian"
+	"olympian/cmd/internal/spec"
 )
 
 // scenario is a JSON description of a custom simulation, run with
-// `olympian-sim -scenario file.json`. See examples/scenarios/.
+// `olympian-sim -scenario file.json`. See examples/scenarios/. Besides its
+// own fields it takes every spec.Simulation field: scheduler (tf-serving |
+// olympian | cpu-timer | kernel-slicing), policy (fair | weighted |
+// priority | lottery | deficit-rr | edf), quantumUs, seed, and client
+// groups capped at spec.MaxClients clients and spec.MaxJobs jobs.
 type scenario struct {
 	// Name labels the output.
 	Name string `json:"name"`
-	// Scheduler: tf-serving | olympian | cpu-timer (default tf-serving).
-	Scheduler string `json:"scheduler"`
-	// Policy: fair | weighted | priority | lottery | deficit-rr | edf.
-	Policy string `json:"policy"`
-	// QuantumUs is Q in microseconds (0 = default).
-	QuantumUs int `json:"quantumUs"`
 	// GPU: gtx-1080ti | titan-x.
 	GPU string `json:"gpu"`
-	// GPUs > 1 runs the multi-device extension.
+	// GPUs > 1 runs the multi-device extension, on at most maxGPUs.
 	GPUs int `json:"gpus"`
-	// Seed drives randomness.
-	Seed int64 `json:"seed"`
-	// Clients are client groups, expanded by Count.
-	Clients []scenarioClients `json:"clients"`
+	spec.Simulation
 }
 
-type scenarioClients struct {
-	Model      string `json:"model"`
-	Batch      int    `json:"batch"`
-	Batches    int    `json:"batches"`
-	Count      int    `json:"count"`
-	Weight     int    `json:"weight"`
-	Priority   int    `json:"priority"`
-	ArriveMs   int    `json:"arriveMs"`
-	DeadlineMs int    `json:"deadlineMs"`
-}
+// maxGPUs bounds a scenario's device count at the largest fleet the repo
+// runs, the sharded experiment's 64-device sweep.
+const maxGPUs = 64
 
 // runScenario loads and executes a scenario file.
 func runScenario(w io.Writer, path string) error {
@@ -52,37 +41,9 @@ func runScenario(w io.Writer, path string) error {
 	if err := json.Unmarshal(data, &sc); err != nil {
 		return fmt.Errorf("scenario %s: %w", path, err)
 	}
-	cfg := olympian.Config{
-		Seed:    sc.Seed,
-		Quantum: time.Duration(sc.QuantumUs) * time.Microsecond,
-	}
-	switch sc.Scheduler {
-	case "", "tf-serving":
-		cfg.Scheduler = olympian.SchedulerTFServing
-	case "olympian":
-		cfg.Scheduler = olympian.SchedulerOlympian
-	case "cpu-timer":
-		cfg.Scheduler = olympian.SchedulerCPUTimer
-	case "kernel-slicing":
-		cfg.Scheduler = olympian.SchedulerKernelSlicing
-	default:
-		return fmt.Errorf("scenario: unknown scheduler %q", sc.Scheduler)
-	}
-	switch sc.Policy {
-	case "", "fair":
-		cfg.Policy = olympian.FairPolicy()
-	case "weighted":
-		cfg.Policy = olympian.WeightedFairPolicy()
-	case "priority":
-		cfg.Policy = olympian.PriorityPolicy()
-	case "lottery":
-		cfg.Policy = olympian.LotteryPolicy()
-	case "deficit-rr":
-		cfg.Policy = olympian.DeficitRoundRobinPolicy()
-	case "edf":
-		cfg.Policy = olympian.EDFPolicy()
-	default:
-		return fmt.Errorf("scenario: unknown policy %q", sc.Policy)
+	cfg, clients, err := sc.Build()
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	switch sc.GPU {
 	case "", "gtx-1080ti":
@@ -92,55 +53,29 @@ func runScenario(w io.Writer, path string) error {
 	default:
 		return fmt.Errorf("scenario: unknown gpu %q", sc.GPU)
 	}
-	var clients []olympian.Client
-	for _, g := range sc.Clients {
-		count := g.Count
-		if count <= 0 {
-			count = 1
-		}
-		for i := 0; i < count; i++ {
-			clients = append(clients, olympian.Client{
-				Model: g.Model, Batch: g.Batch, Batches: g.Batches,
-				Weight: g.Weight, Priority: g.Priority,
-				ArriveAt: time.Duration(g.ArriveMs) * time.Millisecond,
-				Deadline: time.Duration(g.DeadlineMs) * time.Millisecond,
-			})
-		}
+	if sc.GPUs > maxGPUs {
+		return fmt.Errorf("scenario: gpus %d above %d", sc.GPUs, maxGPUs)
 	}
-	if len(clients) == 0 {
-		return fmt.Errorf("scenario: no clients")
-	}
+	cfg.GPUs = sc.GPUs
 
 	name := sc.Name
 	if name == "" {
 		name = path
 	}
-	fmt.Fprintf(w, "== scenario: %s ==\n", name)
-	if sc.GPUs > 1 {
-		res, err := olympian.SimulateMulti(cfg, sc.GPUs, clients)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "gpus: %d, placement %v\n", sc.GPUs, res.GPUClients())
-		printFinishes(w, clients, res.FinishTimes())
-		fmt.Fprintf(w, "spread %.3fx, elapsed %v, switches %d\n",
-			res.FinishSpread(), res.Elapsed().Round(time.Millisecond), res.TokenSwitches())
-		return nil
-	}
 	res, err := olympian.Simulate(cfg, clients)
 	if err != nil {
 		return err
 	}
-	printFinishes(w, clients, res.FinishTimes())
+	fmt.Fprintf(w, "== scenario: %s ==\n", name)
+	if sc.GPUs > 1 {
+		fmt.Fprintf(w, "gpus: %d, placement %v\n", sc.GPUs, res.GPUClients())
+	}
+	fmt.Fprintln(w, "client  model          finish")
+	for i, f := range res.FinishTimes() {
+		fmt.Fprintf(w, "%6d  %-13s  %.2fs\n", i, clients[i].Model, f.Seconds())
+	}
 	fmt.Fprintf(w, "spread %.3fx, utilization %.1f%%, switches %d, mean quantum %v\n",
 		res.FinishSpread(), res.Utilization()*100, res.TokenSwitches(),
 		res.MeanQuantum().Round(time.Microsecond))
 	return nil
-}
-
-func printFinishes(w io.Writer, clients []olympian.Client, fins []time.Duration) {
-	fmt.Fprintln(w, "client  model          finish")
-	for i, f := range fins {
-		fmt.Fprintf(w, "%6d  %-13s  %.2fs\n", i, clients[i].Model, f.Seconds())
-	}
 }

@@ -9,25 +9,8 @@ import (
 	"olympian/internal/workload"
 )
 
-// MultiGPUResult is the outcome of a multi-device simulation.
-type MultiGPUResult struct {
-	inner *workload.MultiResult
-}
-
-// FinishTimes returns each client's completion time in client order.
-func (r *MultiGPUResult) FinishTimes() []time.Duration { return r.inner.Finishes.Durations() }
-
-// FinishSpread returns max/min of the finish times.
-func (r *MultiGPUResult) FinishSpread() float64 { return r.inner.Finishes.Summary().Spread() }
-
-// Elapsed returns the virtual time of the last completion.
-func (r *MultiGPUResult) Elapsed() time.Duration { return r.inner.Elapsed }
-
-// TokenSwitches returns gang switches summed over all devices.
-func (r *MultiGPUResult) TokenSwitches() int { return r.inner.Switches }
-
 // GPUClients returns how many clients were placed on each device.
-func (r *MultiGPUResult) GPUClients() []int {
+func (r *Result) GPUClients() []int {
 	out := make([]int, len(r.inner.PerGPU))
 	for i, share := range r.inner.PerGPU {
 		out[i] = share.Clients
@@ -36,33 +19,12 @@ func (r *MultiGPUResult) GPUClients() []int {
 }
 
 // GPUUtilizations returns per-device utilization.
-func (r *MultiGPUResult) GPUUtilizations() []float64 {
+func (r *Result) GPUUtilizations() []float64 {
 	out := make([]float64, len(r.inner.PerGPU))
 	for i, share := range r.inner.PerGPU {
 		out[i] = share.Utilization
 	}
 	return out
-}
-
-// SimulateMulti runs clients across several simulated GPUs with
-// least-loaded placement and one scheduler per device — the paper's §7
-// multi-GPU future-work item.
-func SimulateMulti(cfg Config, gpus int, clients []Client) (*MultiGPUResult, error) {
-	res, err := workload.RunMulti(workload.MultiConfig{
-		Config: workload.Config{
-			Seed:           cfg.Seed,
-			Spec:           cfg.GPU,
-			Kind:           cfg.Scheduler,
-			Policy:         cfg.Policy,
-			Quantum:        cfg.Quantum,
-			ThreadPoolSize: cfg.ThreadPoolSize,
-		},
-		GPUs: gpus,
-	}, clients)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiGPUResult{inner: res}, nil
 }
 
 // WriteTrace exports the run's scheduling timeline in the Chrome

@@ -6,32 +6,34 @@ import (
 	"time"
 )
 
-func TestSimulateMultiPlacementAndSpeedup(t *testing.T) {
+func TestSimulateMultiGPUSchedulers(t *testing.T) {
 	clients := HomogeneousClients(Inception, 50, 2, 4)
-	one, err := SimulateMulti(Config{Scheduler: SchedulerOlympian}, 1, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := SimulateMulti(Config{Scheduler: SchedulerOlympian}, 2, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := two.GPUClients(); len(got) != 2 || got[0]+got[1] != 4 {
-		t.Fatalf("placement %v", got)
-	}
-	if two.Elapsed() >= one.Elapsed() {
-		t.Fatalf("2 GPUs (%v) not faster than 1 (%v)", two.Elapsed(), one.Elapsed())
-	}
-	if two.FinishSpread() > 1.05 {
-		t.Fatalf("multi-GPU fairness spread %.3f", two.FinishSpread())
-	}
-	for _, u := range two.GPUUtilizations() {
-		if u <= 0 || u > 1 {
-			t.Fatalf("utilization %v", u)
+	for _, kind := range []Scheduler{SchedulerOlympian, SchedulerCPUTimer, SchedulerKernelSlicing} {
+		one, err := Simulate(Config{Scheduler: kind}, clients)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if two.TokenSwitches() == 0 {
-		t.Fatal("no scheduling activity on either device")
+		two, err := Simulate(Config{Scheduler: kind, GPUs: 2}, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := two.GPUClients(); len(got) != 2 || got[0]+got[1] != 4 {
+			t.Fatalf("%s: placement %v", kind, got)
+		}
+		if two.Elapsed() >= one.Elapsed() {
+			t.Fatalf("%s: 2 GPUs (%v) not faster than 1 (%v)", kind, two.Elapsed(), one.Elapsed())
+		}
+		if two.FinishSpread() > 1.05 {
+			t.Fatalf("%s: multi-GPU fairness spread %.3f", kind, two.FinishSpread())
+		}
+		for _, u := range two.GPUUtilizations() {
+			if u <= 0 || u > 1 {
+				t.Fatalf("%s: utilization %v", kind, u)
+			}
+		}
+		if two.TokenSwitches() == 0 {
+			t.Fatalf("%s: no scheduling activity on either device", kind)
+		}
 	}
 }
 
@@ -81,22 +83,21 @@ func TestEDFPolicyFavorsDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The multi-GPU path on one device must honour the policy and the
-	// deadline alike.
-	multi, err := SimulateMulti(cfg, 1, clients)
+	fins := res.FinishTimes()
+	for i := 0; i < 3; i++ {
+		if fins[3] >= fins[i] {
+			t.Fatalf("deadline client finished at %v, after best-effort client %d at %v", fins[3], i, fins[i])
+		}
+	}
+	// On two GPUs, least-allocated placement puts the deadline client on
+	// device 1 with client 1, whose scheduler must honour the policy too.
+	cfg.Policy, cfg.GPUs = EDFPolicy(), 2
+	two, err := Simulate(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []struct {
-		name string
-		fins []time.Duration
-	}{{"Simulate", res.FinishTimes()}, {"SimulateMulti", multi.FinishTimes()}} {
-		for i := 0; i < 3; i++ {
-			if run.fins[3] >= run.fins[i] {
-				t.Fatalf("%s: deadline client finished at %v, after best-effort client %d at %v",
-					run.name, run.fins[3], i, run.fins[i])
-			}
-		}
+	if fins := two.FinishTimes(); fins[3] >= fins[1] {
+		t.Fatalf("2 GPUs: deadline client finished at %v, after its device-mate at %v", fins[3], fins[1])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"olympian/internal/metrics"
 	"olympian/internal/model"
-	"olympian/internal/par"
 	"olympian/internal/workload"
 )
 
@@ -30,25 +29,19 @@ func ExtMultiGPU(o Options) (*Report, error) {
 	for i := range clients {
 		clients[i] = workload.ClientSpec{Model: model.Inception, Batch: o.batchSize(), Batches: batches}
 	}
-	if err := o.ensureProfiles(clients, defaultSpec()); err != nil {
-		return nil, err
-	}
 	r.Headers = []string{"GPUs", "last finish", "speedup", "fairness spread", "per-GPU clients"}
 	// Each device count is an independent simulation; speedups are derived
 	// against the 1-GPU baseline after all three finish.
 	gpuCounts := []int{1, 2, 4}
-	multis := make([]*workload.MultiResult, len(gpuCounts))
-	if err := par.For(len(gpuCounts), func(i int) error {
-		res, err := workload.RunMulti(workload.MultiConfig{
-			Config: workload.Config{
-				Seed: o.Seed, Kind: workload.Olympian, Quantum: o.quantum(),
-				Profiles: o.Profiles,
-			},
-			GPUs: gpuCounts[i],
-		}, clients)
-		multis[i] = res
-		return err
-	}); err != nil {
+	specs := make([]workload.RunSpec, len(gpuCounts))
+	for i, n := range gpuCounts {
+		specs[i] = workload.RunSpec{
+			Config:  workload.Config{Kind: workload.Olympian, Quantum: o.quantum(), GPUs: n},
+			Clients: clients,
+		}
+	}
+	multis, err := o.runAll(specs)
+	if err != nil {
 		return nil, err
 	}
 	base := multis[0].Elapsed

@@ -107,6 +107,24 @@ func TestFig15ReportPinned(t *testing.T) {
 	}
 }
 
+// pinnedExtMultiGPUReport hashes the rendered -quick ext-multigpu report
+// (last finish, speedup, spread and placement at 1, 2 and 4 GPUs). It was
+// recorded while the multi-device runs had their own closed-loop driver;
+// running them as Run with a device count must leave it byte-identical.
+const pinnedExtMultiGPUReport = 0x2c34971849e3d763
+
+func TestExtMultiGPUReportPinned(t *testing.T) {
+	r, err := ExtMultiGPU(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	r.Fprint(&b)
+	if got := fnv64(b.Bytes()); got != pinnedExtMultiGPUReport {
+		t.Errorf("ext-multigpu report hash %#x, want %#x\n%s", got, uint64(pinnedExtMultiGPUReport), b.String())
+	}
+}
+
 func fnv64(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)

@@ -893,9 +893,9 @@ func (s *LLMServer) Stats() LLMStats {
 		KernelRetries:     s.kernelRetries,
 		TokensEmitted:     s.tokensEmitted,
 		EmittedByRequests: s.emittedByRequests,
-		TTFT:              histPercentiles(s.ttftHist),
-		TPOT:              histPercentiles(s.tpotHist),
-		QueueDelay:        histPercentiles(s.qdHist),
+		TTFT:              HistPercentiles(s.ttftHist),
+		TPOT:              HistPercentiles(s.tpotHist),
+		QueueDelay:        HistPercentiles(s.qdHist),
 		KV:                s.kv.Stats(),
 		MemoryPeak:        s.dev.Stats().MemoryPeak,
 		ByClass:           s.byClass,

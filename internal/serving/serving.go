@@ -223,9 +223,6 @@ func HistPercentiles(h *obs.Hist) metrics.Percentiles {
 	return metrics.Percentiles{N: n, P50: p50, P95: p95, P99: p99}
 }
 
-// histPercentiles is the package-internal alias.
-func histPercentiles(h *obs.Hist) metrics.Percentiles { return HistPercentiles(h) }
-
 // ModelAdmission is one model's adaptive-admission limiter state at report
 // time.
 type ModelAdmission struct {
@@ -1034,7 +1031,7 @@ func (s *Server) Stats() Stats {
 	sort.Strings(names)
 	for _, name := range names {
 		st.PerModel = append(st.PerModel, ModelLatency{
-			Model: name, Latency: histPercentiles(s.modelHists[name]),
+			Model: name, Latency: HistPercentiles(s.modelHists[name]),
 		})
 	}
 	limNames := make([]string, 0, len(s.limiters))

@@ -170,6 +170,12 @@ func TestDeadlockErrorNamesProcsByID(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		env.Go("waiter", func(p *Proc) { ev.Wait(p) })
 	}
+	// A parked daemon (an idle pool worker, say) is not stuck: the report
+	// must leave it out even though its name sorts first.
+	env.Go("idle-daemon", func(p *Proc) {
+		p.SetDaemon(true)
+		env.NewEvent().Wait(p)
+	})
 	err := env.Run()
 	env.Shutdown()
 	if err == nil {
@@ -177,5 +183,8 @@ func TestDeadlockErrorNamesProcsByID(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "waiter#1 blocked on event; waiter#2 blocked on event") {
 		t.Fatalf("deadlock report %q does not list both waiters by id, in id order", err)
+	}
+	if !strings.Contains(err.Error(), "2 live procs") || strings.Contains(err.Error(), "idle-daemon") {
+		t.Fatalf("deadlock report %q counts or lists the parked daemon", err)
 	}
 }

@@ -593,9 +593,9 @@ func (e *Env) StuckError() error {
 }
 
 func (e *Env) deadlockError() error {
-	list := make([]*Proc, 0, len(e.procs))
+	list := make([]*Proc, 0, e.live)
 	for p := range e.procs {
-		if !p.dead {
+		if !p.dead && !p.daemon {
 			list = append(list, p)
 		}
 	}

@@ -9,11 +9,11 @@ import (
 
 func TestRunMultiScalesThroughput(t *testing.T) {
 	clients := smallClients(4, 2)
-	one, err := RunMulti(MultiConfig{Config: Config{Seed: 1, Kind: Olympian}, GPUs: 1}, clients)
+	one, err := Run(Config{Seed: 1, Kind: Olympian, GPUs: 1}, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunMulti(MultiConfig{Config: Config{Seed: 1, Kind: Olympian}, GPUs: 2}, clients)
+	two, err := Run(Config{Seed: 1, Kind: Olympian, GPUs: 2}, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +27,15 @@ func TestRunMultiScalesThroughput(t *testing.T) {
 	if two.PerGPU[0].Clients != 2 || two.PerGPU[1].Clients != 2 {
 		t.Fatalf("placement %+v, want 2/2", two.PerGPU)
 	}
+	mean := (two.PerGPU[0].Utilization + two.PerGPU[1].Utilization) / 2
+	if two.Utilization != mean {
+		t.Fatalf("fleet utilization %v, want the per-GPU mean %v", two.Utilization, mean)
+	}
 }
 
 func TestRunMultiVanilla(t *testing.T) {
-	res, err := RunMulti(MultiConfig{Config: Config{Seed: 1, Kind: Vanilla}, GPUs: 2}, smallClients(4, 1))
+	clients := smallClients(4, 1)
+	res, err := Run(Config{Seed: 1, Kind: Vanilla, GPUs: 2, ReserveMemory: true}, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +45,19 @@ func TestRunMultiVanilla(t *testing.T) {
 	if len(res.Finishes.Records) != 4 {
 		t.Fatalf("%d finishes", len(res.Finishes.Records))
 	}
+	// Each client reserves on the device it was placed on, so device 0
+	// holds only its own two clients' memory.
+	bytes, err := model.MemoryBytes(clients[0].Model, clients[0].Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Device.MemoryPeak != 2*bytes {
+		t.Fatalf("device 0 memory peak %d, want two clients' %d", res.Device.MemoryPeak, 2*bytes)
+	}
 }
 
 func TestRunMultiRejectsEmpty(t *testing.T) {
-	if _, err := RunMulti(MultiConfig{GPUs: 2}, nil); err == nil {
+	if _, err := Run(Config{GPUs: 2}, nil); err == nil {
 		t.Fatal("expected error for empty client set")
 	}
 }

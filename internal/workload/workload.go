@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"olympian/internal/core"
@@ -102,8 +103,14 @@ type Config struct {
 	SwitchCost time.Duration
 	// Jitter is node-duration noise (defaults to 0.03).
 	Jitter float64
-	// ThreadPoolSize caps the shared pool (defaults to the engine default).
+	// ThreadPoolSize caps each device's shared pool (defaults to the engine
+	// default).
 	ThreadPoolSize int
+	// GPUs is the number of devices the serving process drives (the paper's
+	// §7 multi-GPU extension); values ≤ 1 mean one. Every device gets its
+	// own engine, scheduler and fault injector, and each client is placed
+	// on the device with the least model memory assigned so far.
+	GPUs int
 	// Profiles supplies precomputed offline profiles; missing entries are
 	// profiled on the fly for Olympian runs (without being cached back, so a
 	// run's results never depend on which runs preceded it). The store is
@@ -164,24 +171,28 @@ const DefaultRetryBudget = 32
 // DefaultQuantum is used when a run does not choose Q via profiling.
 const DefaultQuantum = 1200 * time.Microsecond
 
-// Result aggregates a run's measurements.
+// Result aggregates a run's measurements. Device and Pool describe device
+// 0; the other fields cover every device.
 type Result struct {
 	// Kind echoes the scheduler used.
 	Kind SchedulerKind
 	// Finishes holds each successful client's completion time.
 	Finishes *metrics.FinishSet
-	// Quanta are Olympian's scheduling-interval records (empty for vanilla).
+	// Quanta are Olympian's scheduling-interval records (empty for
+	// vanilla), concatenated in device order.
 	Quanta []core.QuantumRecord
-	// Switches counts token hand-offs.
+	// Switches counts token hand-offs, summed over devices.
 	Switches int
 	// Elapsed is the virtual time at which the last client finished.
 	Elapsed time.Duration
 	// Utilization is GPU busy time divided by elapsed time (the
-	// nvidia-smi-style metric the paper reports).
+	// nvidia-smi-style metric the paper reports), averaged over devices.
 	Utilization float64
 	// SMEfficiency is occupancy-weighted GPU time divided by elapsed time:
-	// the fraction of SM capacity actually used.
+	// the fraction of SM capacity actually used, averaged over devices.
 	SMEfficiency float64
+	// PerGPU reports each device's placed clients and utilization.
+	PerGPU []GPUShare
 	// Pool reports thread-pool pressure.
 	Pool executor.PoolStats
 	// Device reports GPU counters.
@@ -201,6 +212,22 @@ type Result struct {
 	Handoffs uint64
 }
 
+// GPUShare is one device's share of a run.
+type GPUShare struct {
+	Clients     int
+	Utilization float64
+}
+
+// device is one GPU of a run with the engine and scheduler driving it, and
+// the model memory placed on it.
+type device struct {
+	gpu   *gpu.Device
+	inj   *faults.Injector
+	sched *core.Scheduler
+	eng   *executor.Engine
+	mem   int64
+}
+
 // Run executes the workload and returns its measurements.
 func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	if len(clients) == 0 {
@@ -211,6 +238,9 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	}
 	if cfg.Kind == 0 {
 		cfg.Kind = Vanilla
+	}
+	if cfg.Kind < Vanilla || cfg.Kind > KernelSlicing {
+		return nil, fmt.Errorf("workload: unknown scheduler kind %d", cfg.Kind)
 	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = DefaultQuantum
@@ -226,6 +256,12 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var profiles map[*graph.Graph]*profiler.Result
+	if cfg.Kind == Olympian || cfg.Kind == KernelSlicing {
+		if profiles, err = resolveProfiles(graphs, cfg); err != nil {
+			return nil, err
+		}
+	}
 
 	env := sim.NewEnv(cfg.Seed)
 	cfg.Obs.Bind(env, "run:"+cfg.Kind.String())
@@ -234,54 +270,10 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		sampler = telemetry.NewSampler(*cfg.Telemetry, cfg.Obs.Registry())
 		sampler.Bind(env)
 	}
-	dev := gpu.New(env, cfg.Spec)
-
-	var inj *faults.Injector
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		inj = faults.New(cfg.Seed, *cfg.Faults)
-		dev.InjectFaults(inj)
+	devs := make([]device, max(cfg.GPUs, 1))
+	for d := range devs {
+		devs[d] = newDevice(env, cfg, d, profiles)
 	}
-
-	var sched *core.Scheduler
-	var hooks executor.Hooks
-	switch cfg.Kind {
-	case Vanilla:
-		hooks = executor.NopHooks{}
-	case Olympian, WallClockSlicing, KernelSlicing:
-		mode := core.CostBased
-		if cfg.Kind == WallClockSlicing {
-			mode = core.WallClock
-		}
-		sched = core.New(env, dev, core.Config{
-			Policy:     cfg.Policy,
-			Quantum:    cfg.Quantum,
-			SwitchCost: cfg.SwitchCost,
-			Mode:       mode,
-		})
-		if cfg.Kind != WallClockSlicing {
-			if err := attachProfiles(sched, graphs, cfg); err != nil {
-				return nil, err
-			}
-		}
-		hooks = sched
-	default:
-		return nil, fmt.Errorf("workload: unknown scheduler kind %d", cfg.Kind)
-	}
-
-	engCfg := executor.Config{
-		ThreadPoolSize: cfg.ThreadPoolSize,
-		Jitter:         cfg.Jitter,
-		Faults:         inj,
-		Obs:            cfg.Obs,
-	}
-	if cfg.Kind == KernelSlicing {
-		// Related-work parameters: slices near the quantum scale, with the
-		// hundreds-of-microseconds context-switch cost the paper cites for
-		// preempting a massively parallel GPU context.
-		engCfg.KernelSliceDur = 300 * time.Microsecond
-		engCfg.KernelSlicePenalty = 150 * time.Microsecond
-	}
-	eng := executor.New(env, dev, engCfg, hooks)
 
 	retryTokens := cfg.RetryBudget
 	if retryTokens == 0 {
@@ -290,7 +282,11 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		retryTokens = 0
 	}
 	budget := overload.NewRetryBudget(float64(retryTokens), 1)
-	res := &Result{Kind: cfg.Kind, Finishes: &metrics.FinishSet{Label: cfg.Kind.String()}}
+	res := &Result{
+		Kind:     cfg.Kind,
+		Finishes: &metrics.FinishSet{Label: cfg.Kind.String()},
+		PerGPU:   make([]GPUShare, len(devs)),
+	}
 	reg := cfg.Obs.Registry()
 	reg.CounterView("olympian_client_retries_total", "Client batch retries.", &res.Degraded.BatchRetries)
 	if cfg.Obs != nil {
@@ -306,13 +302,19 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	for i, spec := range clients {
 		i, spec := i, spec
 		g := graphs[spec.Ref()]
+		// buildGraphs has already rejected unknown models.
+		bytes, _ := model.MemoryBytes(spec.Model, spec.Batch)
+		target := 0
+		for d := 1; d < len(devs); d++ {
+			if devs[d].mem < devs[target].mem {
+				target = d
+			}
+		}
+		devs[target].mem += bytes
+		res.PerGPU[target].Clients++
+		dev, eng, inj := devs[target].gpu, devs[target].eng, devs[target].inj
 		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			if cfg.ReserveMemory {
-				bytes, merr := model.MemoryBytes(spec.Model, spec.Batch)
-				if merr != nil {
-					res.FailedClients = append(res.FailedClients, i)
-					return
-				}
 				for dev.Alloc(bytes) != nil {
 					if !cfg.QueueOnMemory {
 						res.FailedClients = append(res.FailedClients, i)
@@ -384,18 +386,25 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	env.Shutdown()
 	res.Handoffs = env.Handoffs()
 	res.Elapsed = time.Duration(lastFinish)
-	res.Device = dev.Stats()
-	res.Pool = eng.Pool().Stats()
-	res.Degraded.KernelRetries = eng.KernelRetries()
-	if inj != nil {
-		c := inj.Counters()
-		res.Degraded.KernelFaults = c.KernelFaults
-		res.Degraded.DeviceStalls = c.DeviceStalls
-		res.Degraded.JobAborts = c.JobAborts
-	}
-	if sched != nil {
-		res.Quanta = sched.Records()
-		res.Switches = sched.Switches()
+	res.Device = devs[0].gpu.Stats()
+	res.Pool = devs[0].eng.Pool().Stats()
+	for _, d := range devs {
+		res.Degraded.KernelRetries += d.eng.KernelRetries()
+		if d.inj != nil {
+			c := d.inj.Counters()
+			res.Degraded.KernelFaults += c.KernelFaults
+			res.Degraded.DeviceStalls += c.DeviceStalls
+			res.Degraded.JobAborts += c.JobAborts
+		}
+		if d.sched != nil {
+			// Records already returns a copy; keep the first device's as is.
+			if res.Quanta == nil {
+				res.Quanta = d.sched.Records()
+			} else {
+				res.Quanta = append(res.Quanta, d.sched.Records()...)
+			}
+			res.Switches += d.sched.Switches()
+		}
 	}
 	if sampler != nil {
 		res.Timeline = telemetry.Merge(*cfg.Telemetry, []*telemetry.Sampler{sampler})
@@ -406,10 +415,89 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	}
 
 	if res.Elapsed > 0 {
-		res.Utilization = dev.TotalBusy().Seconds() / res.Elapsed.Seconds()
-		res.SMEfficiency = dev.OccupancyTime().Seconds() / res.Elapsed.Seconds()
+		elapsed := res.Elapsed.Seconds()
+		for i, d := range devs {
+			u := d.gpu.TotalBusy().Seconds() / elapsed
+			res.PerGPU[i].Utilization = u
+			res.Utilization += u
+			res.SMEfficiency += d.gpu.OccupancyTime().Seconds() / elapsed
+		}
+		res.Utilization /= float64(len(devs))
+		res.SMEfficiency /= float64(len(devs))
 	}
 	return res, nil
+}
+
+// newDevice builds device d of a run: its GPU, its fault injector (device 0
+// seeded by cfg.Seed, the others offset from it as the cluster fleets do),
+// its scheduler for every kind but vanilla, and its execution engine.
+// Device 0 runs cfg.Policy itself; the others get fresh policies of the
+// same kind.
+func newDevice(env *sim.Env, cfg Config, d int, profiles map[*graph.Graph]*profiler.Result) device {
+	dv := device{gpu: gpu.New(env, cfg.Spec)}
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
+		dv.inj = faults.New(cfg.Seed+int64(d)*1031, *cfg.Faults)
+		dv.gpu.InjectFaults(dv.inj)
+	}
+	var hooks executor.Hooks = executor.NopHooks{}
+	if cfg.Kind != Vanilla {
+		policy := cfg.Policy
+		if d > 0 {
+			policy = policyClone(policy)
+		}
+		mode := core.CostBased
+		if cfg.Kind == WallClockSlicing {
+			mode = core.WallClock
+		}
+		dv.sched = core.New(env, dv.gpu, core.Config{
+			Policy:     policy,
+			Quantum:    cfg.Quantum,
+			SwitchCost: cfg.SwitchCost,
+			Mode:       mode,
+		})
+		for g, prof := range profiles {
+			dv.sched.SetProfile(g, prof.JobProfile(cfg.Quantum))
+		}
+		hooks = dv.sched
+	}
+	engCfg := executor.Config{
+		ThreadPoolSize: cfg.ThreadPoolSize,
+		Jitter:         cfg.Jitter,
+		Faults:         dv.inj,
+		Obs:            cfg.Obs,
+		Device:         d,
+	}
+	if cfg.Kind == KernelSlicing {
+		// Related-work parameters: slices near the quantum scale, with the
+		// hundreds-of-microseconds context-switch cost the paper cites for
+		// preempting a massively parallel GPU context.
+		engCfg.KernelSliceDur = 300 * time.Microsecond
+		engCfg.KernelSlicePenalty = 150 * time.Microsecond
+	}
+	dv.eng = executor.New(env, dv.gpu, engCfg, hooks)
+	return dv
+}
+
+// policyClone returns a fresh policy instance of the same kind, since
+// stateful policies must not be shared across schedulers.
+func policyClone(p core.Policy) core.Policy {
+	if p == nil {
+		return core.NewFair()
+	}
+	switch p.Name() {
+	case "weighted-fair":
+		return core.NewWeightedFair()
+	case "priority":
+		return core.NewPriority()
+	case "lottery":
+		return core.NewLottery()
+	case "deficit-rr":
+		return core.NewDeficitRR()
+	case "edf":
+		return core.NewEDF()
+	default:
+		return core.NewFair()
+	}
 }
 
 // budgetObserver adapts the run's shared retry budget onto the lifecycle
@@ -440,9 +528,10 @@ func buildGraphs(clients []ClientSpec) (map[ModelRef]*graph.Graph, error) {
 	return graphs, nil
 }
 
-// attachProfiles ensures every graph has an offline profile and registers
-// it with the scheduler at the configured quantum.
-func attachProfiles(sched *core.Scheduler, graphs map[ModelRef]*graph.Graph, cfg Config) error {
+// resolveProfiles finds every graph's offline profile: an override, the
+// shared store, or else a fresh on-the-fly profile.
+func resolveProfiles(graphs map[ModelRef]*graph.Graph, cfg Config) (map[*graph.Graph]*profiler.Result, error) {
+	out := make(map[*graph.Graph]*profiler.Result, len(graphs))
 	for ref, g := range graphs {
 		prof := cfg.ProfileOverrides[ref]
 		if prof == nil && cfg.Profiles != nil {
@@ -459,13 +548,13 @@ func attachProfiles(sched *core.Scheduler, graphs map[ModelRef]*graph.Graph, cfg
 				Spec: cfg.Spec, Seed: cfg.Seed + 1000, Jitter: 0,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			prof = p
 		}
-		sched.SetProfile(g, prof.JobProfile(cfg.Quantum))
+		out[g] = prof
 	}
-	return nil
+	return out, nil
 }
 
 // Profile computes (and caches into dst) offline profiles for the given
@@ -492,4 +581,37 @@ func Profile(dst *profiler.Store, refs []ModelRef, spec gpu.Spec, seed int64) er
 		})
 		return err
 	})
+}
+
+// PoissonClients generates an open-loop arrival process (a paper §7
+// "realistic workloads" extension): single-batch requests of the given
+// model arrive with exponential interarrival times at the given rate until
+// horizon.
+func PoissonClients(modelName string, batch int, ratePerSec float64, horizon time.Duration, seed int64) []ClientSpec {
+	rng := rand.New(rand.NewSource(seed))
+	var out []ClientSpec
+	t := time.Duration(0)
+	for {
+		gap := time.Duration(rng.ExpFloat64() / ratePerSec * float64(time.Second))
+		t += gap
+		if t >= horizon {
+			return out
+		}
+		out = append(out, ClientSpec{
+			Model:    modelName,
+			Batch:    batch,
+			Batches:  1,
+			ArriveAt: t,
+		})
+	}
+}
+
+// Latencies returns per-client response times (finish minus arrival) for a
+// result produced from arrival-stamped clients.
+func Latencies(res *metrics.FinishSet, clients []ClientSpec) []time.Duration {
+	out := make([]time.Duration, 0, len(res.Records))
+	for _, rec := range res.Records {
+		out = append(out, rec.Finish-clients[rec.Client].ArriveAt)
+	}
+	return out
 }

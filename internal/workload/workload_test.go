@@ -204,26 +204,31 @@ func TestQueueOnMemoryAdmitsEventually(t *testing.T) {
 
 func TestRunWithFaultsIsDeterministic(t *testing.T) {
 	plan := &faults.Plan{KernelFailRate: 0.05, AbortRate: 0.0005}
-	run := func() *Result {
-		res, err := Run(Config{Seed: 11, Kind: Olympian, Faults: plan}, smallClients(3, 2))
-		if err != nil {
-			t.Fatal(err)
+	for _, gpus := range []int{1, 2} {
+		run := func() *Result {
+			res, err := Run(Config{Seed: 11, Kind: Olympian, Faults: plan, GPUs: gpus}, smallClients(3, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	a := run()
-	if a.Degraded.KernelFaults == 0 {
-		t.Fatal("no kernel faults injected at a 5% rate")
-	}
-	if a.Degraded.KernelRetries == 0 {
-		t.Fatal("no kernel retries despite injected faults")
-	}
-	if len(a.Finishes.Records) != 3 {
-		t.Fatalf("%d finishes, want all clients to complete", len(a.Finishes.Records))
-	}
-	b := run()
-	if a.Degraded != b.Degraded || a.Elapsed != b.Elapsed {
-		t.Fatalf("same seed, different outcomes:\n%+v %v\n%+v %v", a.Degraded, a.Elapsed, b.Degraded, b.Elapsed)
+		a := run()
+		if a.Degraded.KernelFaults == 0 {
+			t.Fatalf("%d GPUs: no kernel faults injected at a 5%% rate", gpus)
+		}
+		if a.Degraded.KernelRetries == 0 {
+			t.Fatalf("%d GPUs: no kernel retries despite injected faults", gpus)
+		}
+		if gpus > 1 && a.Degraded.KernelFaults == a.Device.KernelFaults {
+			t.Fatalf("%d GPUs: every fault hit device 0 (%d); the others have no injector", gpus, a.Device.KernelFaults)
+		}
+		if len(a.Finishes.Records) != 3 {
+			t.Fatalf("%d GPUs: %d finishes, want all clients to complete", gpus, len(a.Finishes.Records))
+		}
+		b := run()
+		if a.Degraded != b.Degraded || a.Elapsed != b.Elapsed {
+			t.Fatalf("%d GPUs: same seed, different outcomes:\n%+v %v\n%+v %v", gpus, a.Degraded, a.Elapsed, b.Degraded, b.Elapsed)
+		}
 	}
 }
 

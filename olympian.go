@@ -145,8 +145,13 @@ type Config struct {
 	// QueueOnMemory, with ReserveMemory, queues clients for memory instead
 	// of rejecting them.
 	QueueOnMemory bool
-	// ThreadPoolSize caps the shared CPU thread pool (0 = default).
+	// ThreadPoolSize caps each device's shared CPU thread pool (0 =
+	// default).
 	ThreadPoolSize int
+	// GPUs is the number of simulated devices (the paper's §7 multi-GPU
+	// future-work item; 0 or 1 = one). Each device has its own scheduler,
+	// and clients are placed on the device with the least model memory.
+	GPUs int
 }
 
 // Result is the outcome of a simulation.
@@ -161,13 +166,15 @@ func (r *Result) FinishTimes() []time.Duration { return r.inner.Finishes.Duratio
 // unpredictability metric.
 func (r *Result) FinishSpread() float64 { return r.inner.Finishes.Summary().Spread() }
 
-// Utilization returns GPU busy time over elapsed time.
+// Utilization returns GPU busy time over elapsed time, averaged over
+// devices.
 func (r *Result) Utilization() float64 { return r.inner.Utilization }
 
 // Elapsed returns the virtual time at which the last client finished.
 func (r *Result) Elapsed() time.Duration { return r.inner.Elapsed }
 
-// TokenSwitches returns the number of gang switches the scheduler made.
+// TokenSwitches returns the number of gang switches the schedulers made,
+// summed over devices.
 func (r *Result) TokenSwitches() int { return r.inner.Switches }
 
 // FailedClients lists clients that could not be admitted (device memory).
@@ -223,6 +230,7 @@ func Simulate(cfg Config, clients []Client) (*Result, error) {
 		ReserveMemory:  cfg.ReserveMemory,
 		QueueOnMemory:  cfg.QueueOnMemory,
 		ThreadPoolSize: cfg.ThreadPoolSize,
+		GPUs:           cfg.GPUs,
 	}, clients)
 	if err != nil {
 		return nil, err
