@@ -151,8 +151,10 @@ type Config struct {
 const DefaultKernelRetries = 3
 
 // DefaultMaxInflight matches the small per-session kernel pipeline depth of
-// the TensorFlow runtime, which keeps switch-time overflow at the 2-3
-// kernels the paper reports.
+// the TensorFlow runtime. The paper reports 2-3 kernels of switch-time
+// overflow; at this depth the measured maximum is 1 (EXPERIMENTS.md, fig15),
+// and no single depth closes that gap together with the others (ROADMAP
+// item 10).
 const DefaultMaxInflight = 2
 
 // DefaultThreadPoolSize matches TF-Serving's large default inter-op pool.

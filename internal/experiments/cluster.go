@@ -89,28 +89,23 @@ func (r clusterRun) run(o Options, rec *obs.Recorder, label string) (cluster.Sta
 		return cluster.Stats{}, err
 	}
 	// Open-loop Poisson arrivals: pre-draw each request's arrival time and
-	// model from a seeded stream and schedule its submission on the
-	// front-end (arrival order decides routing order).
-	env := c.FrontEnv()
+	// model from a seeded stream until one lands past the horizon (arrival
+	// order decides routing order).
 	rng := rand.New(rand.NewSource(r.seed + 17))
-	at := 0.0
-	horizon := r.horizon.Seconds()
-	for at < horizon {
+	var arrivals []invariant.Arrival
+	for at := 0.0; at < r.horizon.Seconds(); {
 		at += rng.ExpFloat64() / r.rate
-		arrive := time.Duration(at * float64(time.Second))
-		name := clusterModels[rng.Intn(len(clusterModels))]
-		env.Schedule(arrive, func() { c.SubmitEvent(name, overload.Interactive) })
+		arrivals = append(arrivals, invariant.Arrival{
+			At:    time.Duration(at * float64(time.Second)),
+			Model: clusterModels[rng.Intn(len(clusterModels))],
+			Class: overload.Interactive,
+		})
 	}
-	if err := c.Run(); err != nil {
-		return cluster.Stats{}, err
+	st, vs, err := invariant.DriveSharded(c, len(arrivals), replay(arrivals), "run:"+label)
+	if err == nil && len(vs) > 0 {
+		err = fmt.Errorf("cluster %s: request conservation violated: %v", label, vs)
 	}
-	c.Shutdown()
-	c.FinishObs("run:" + label)
-	st := c.Stats()
-	if vs := invariant.CheckSharded(c, st); len(vs) > 0 {
-		return cluster.Stats{}, fmt.Errorf("cluster %s: request conservation violated: %v", label, vs)
-	}
-	return st, nil
+	return st, err
 }
 
 // Cluster reproduces the extension experiment for the multi-GPU fleet
@@ -139,12 +134,8 @@ func Cluster(o Options) (*Report, error) {
 
 	var goodput []float64
 	for _, n := range counts {
-		devices := make([]gpu.Spec, n)
-		for i := range devices {
-			devices[i] = gpu.GTX1080Ti
-		}
 		st, err := clusterRun{
-			devices: devices, route: cluster.LeastOutstanding,
+			devices: shardedFleet(n), route: cluster.LeastOutstanding,
 			rate: perDevRate * float64(n), horizon: horizon, seed: o.Seed,
 		}.run(o, o.Obs, fmt.Sprintf("cluster-scale-%d", n))
 		if err != nil {

@@ -389,6 +389,7 @@ func TestClusterScalesAndFailsOver(t *testing.T) {
 	if r.Metric("failover_failed") != 0 {
 		t.Fatalf("%v requests failed despite failover", r.Metric("failover_failed"))
 	}
+	checkReportPinned(t, r, pinnedClusterReport)
 }
 
 // TestShardedSweepCompletesEveryRequest runs the sharded experiment's slim
@@ -436,6 +437,7 @@ func TestOverloadControl(t *testing.T) {
 	if over := r.Metric("hedge_overcount"); over != 0 {
 		t.Fatalf("hedged fleet accounted %+.0f extra completions, want exactly 0", over)
 	}
+	checkReportPinned(t, r, pinnedOverloadReport)
 }
 
 // TestOverloadDeterministicWhenObserved: recording the sweep must not leak
@@ -476,5 +478,40 @@ func TestLLMServingPlane(t *testing.T) {
 	}
 	if ratio := r.Metric("pressure_tpot_ratio"); ratio <= 1 {
 		t.Fatalf("KV pressure did not degrade the TPOT tail: %.2fx", ratio)
+	}
+	checkReportPinned(t, r, pinnedLLMReport)
+}
+
+// TestRecoveryAuditedAndIdentical: every crash cell conserves its requests,
+// the hardest cell is bit-identical across engines and reruns, and the
+// rendered sweep is pinned.
+func TestRecoveryAuditedAndIdentical(t *testing.T) {
+	r, err := Recovery(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentityAndAudit(t, r)
+	checkReportPinned(t, r, pinnedRecoveryReport)
+}
+
+// TestLLMOverloadAuditedAndIdentical: the overload sweep conserves requests
+// and tokens, the 4x cell is bit-identical across engines and reruns, and
+// the rendered sweep is pinned.
+func TestLLMOverloadAuditedAndIdentical(t *testing.T) {
+	r, err := LLMOverload(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentityAndAudit(t, r)
+	checkReportPinned(t, r, pinnedLLMOverloadReport)
+}
+
+func checkIdentityAndAudit(t *testing.T, r *Report) {
+	t.Helper()
+	if r.Metric("bit_identical") != 1 {
+		t.Errorf("%s: engines or same-seed reruns diverged", r.ID)
+	}
+	if n := r.Metric("invariant_violations"); n != 0 {
+		t.Errorf("%s: %v conservation violations", r.ID, n)
 	}
 }

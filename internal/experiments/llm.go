@@ -10,12 +10,13 @@ import (
 	"olympian/internal/invariant"
 	"olympian/internal/llm"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 )
 
 // llmCell drives one LLM serving scenario: a prefill/decode-disaggregated
 // fleet under a Poisson arrival train whose sequence dimensions are drawn
 // from a length distribution. The arrival schedule (times and dimensions) is
-// precomputed from the cell's own RNG before the cluster exists, so every
+// drawn from the cell's own RNG, apart from the fleet's streams, so every
 // engine replays the identical workload.
 type llmCell struct {
 	dist     llm.LengthDist
@@ -45,7 +46,8 @@ func (lc llmCell) config() cluster.LLMConfig {
 	return cfg
 }
 
-// run executes the cell on one engine and audits the quiesced fleet.
+// run executes the cell on one engine and audits the quiesced fleet. The
+// fleet is fault-free, so a rejected arrival is an error.
 func (lc llmCell) run(engine cluster.Engine, workers int) (cluster.LLMClusterStats, []invariant.Violation, error) {
 	cfg := lc.config()
 	cfg.Workers = workers
@@ -53,39 +55,19 @@ func (lc llmCell) run(engine cluster.Engine, workers int) (cluster.LLMClusterSta
 	if err != nil {
 		return cluster.LLMClusterStats{}, nil, err
 	}
-	// Precompute the arrival train: exponential gaps at the cell's rate,
-	// dimensions from the length distribution. The workload RNG is separate
-	// from the fleet's seed-derived streams.
+	// Exponential gaps at the cell's rate, dimensions from the length
+	// distribution.
 	rng := rand.New(rand.NewSource(lc.seed ^ 0x6c6c6d))
 	at := time.Duration(0)
-	type arrival struct {
-		at             time.Duration
-		prompt, output int
-	}
-	arrivals := make([]arrival, lc.requests)
-	for i := range arrivals {
-		gap := time.Duration(rng.ExpFloat64() / lc.rate * float64(time.Second))
-		at += gap
+	st, vs, err := invariant.DriveLLM(c, lc.requests, func() invariant.Arrival {
+		at += time.Duration(rng.ExpFloat64() / lc.rate * float64(time.Second))
 		p, o := lc.dist.Sample(rng)
-		arrivals[i] = arrival{at: at, prompt: p, output: o}
+		return invariant.Arrival{At: at, Class: overload.Batch, Prompt: p, Output: o}
+	}, "")
+	if err == nil && st.Requests != lc.requests {
+		err = fmt.Errorf("llm: %d of %d arrivals rejected at routing", lc.requests-st.Requests, lc.requests)
 	}
-	env := c.FrontEnv()
-	for _, a := range arrivals {
-		a := a
-		env.Schedule(a.at, func() {
-			// With the whole prefill pool dead routing can fail
-			// synchronously; the fleet here keeps it fault-free.
-			if _, err := c.SubmitEvent(0, a.prompt, a.output); err != nil {
-				panic(err)
-			}
-		})
-	}
-	if err := c.Run(); err != nil {
-		return cluster.LLMClusterStats{}, nil, err
-	}
-	c.Shutdown()
-	st := c.Stats()
-	return st, invariant.CheckLLM(c, st), nil
+	return st, vs, err
 }
 
 // LLM measures the autoregressive serving plane: TTFT/TPOT percentiles and

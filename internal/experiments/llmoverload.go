@@ -17,8 +17,8 @@ import (
 // plane armed — token-rate AIMD admission, TTFT deadlines, TPOT budgets,
 // degraded-mode truncation, least-KV-pressure routing, and capacity retries —
 // under a Poisson arrival train mixing ~30% interactive traffic into a batch
-// base. The arrival schedule (times, dimensions, classes) is precomputed from
-// the cell's own RNG before the cluster exists, so every engine replays the
+// base. The arrival schedule (times, dimensions, classes) is drawn from the
+// cell's own RNG, apart from the fleet's streams, so every engine replays the
 // identical workload.
 type llmOverloadCell struct {
 	dist     llm.LengthDist
@@ -63,7 +63,8 @@ type overloadTally struct {
 	interWithinSLO int
 }
 
-// run executes the cell on one engine and audits the quiesced fleet.
+// run executes the cell on one engine and audits the quiesced fleet. The
+// fleet is fault-free, so a rejected arrival is an error.
 func (lc llmOverloadCell) run(engine cluster.Engine, workers int) (cluster.LLMClusterStats, overloadTally, []invariant.Violation, error) {
 	cfg := lc.config()
 	cfg.Workers = workers
@@ -73,36 +74,21 @@ func (lc llmOverloadCell) run(engine cluster.Engine, workers int) (cluster.LLMCl
 	}
 	rng := rand.New(rand.NewSource(lc.seed ^ 0x6f766c64))
 	at := time.Duration(0)
-	type arrival struct {
-		at             time.Duration
-		class          overload.Class
-		prompt, output int
-	}
-	arrivals := make([]arrival, lc.requests)
-	for i := range arrivals {
+	st, vs, err := invariant.DriveLLM(c, lc.requests, func() invariant.Arrival {
 		at += time.Duration(rng.ExpFloat64() / lc.rate * float64(time.Second))
 		p, o := lc.dist.Sample(rng)
 		class := overload.Batch
 		if rng.Float64() < 0.3 {
 			class = overload.Interactive
 		}
-		arrivals[i] = arrival{at: at, class: class, prompt: p, output: o}
+		return invariant.Arrival{At: at, Class: class, Prompt: p, Output: o}
+	}, "")
+	if err == nil && st.Requests != lc.requests {
+		err = fmt.Errorf("llmoverload: %d of %d arrivals rejected at routing", lc.requests-st.Requests, lc.requests)
 	}
-	env := c.FrontEnv()
-	for _, a := range arrivals {
-		a := a
-		env.Schedule(a.at, func() {
-			// The fleet is fault-free, so routing cannot fail synchronously.
-			if _, err := c.SubmitEvent(a.class, a.prompt, a.output); err != nil {
-				panic(err)
-			}
-		})
-	}
-	if err := c.Run(); err != nil {
+	if err != nil {
 		return cluster.LLMClusterStats{}, overloadTally{}, nil, err
 	}
-	c.Shutdown()
-	st := c.Stats()
 	var tally overloadTally
 	for _, r := range c.Requests() {
 		if r.Class != overload.Interactive || r.Err != nil {
@@ -113,7 +99,7 @@ func (lc llmOverloadCell) run(engine cluster.Engine, workers int) (cluster.LLMCl
 			tally.interWithinSLO++
 		}
 	}
-	return st, tally, invariant.CheckLLM(c, st), nil
+	return st, tally, vs, nil
 }
 
 // degradedTokens is the class's absorbed degradation: tokens lost to

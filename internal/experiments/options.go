@@ -103,9 +103,6 @@ func (o Options) homogeneous(n int) []workload.ClientSpec {
 	return clients
 }
 
-// defaultSpec is the reference platform for experiments.
-func defaultSpec() gpu.Spec { return gpu.GTX1080Ti }
-
 // ensureProfiles fills the shared cache for the given client set.
 func (o Options) ensureProfiles(clients []workload.ClientSpec, spec gpu.Spec) error {
 	refs := make([]workload.ModelRef, 0, len(clients))

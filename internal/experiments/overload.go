@@ -120,25 +120,20 @@ func overloadHedge(o Options, horizon time.Duration, rec *obs.Recorder) (cluster
 	if err != nil {
 		return cluster.Stats{}, err
 	}
-	env := c.FrontEnv()
 	rng := rand.New(rand.NewSource(o.Seed + 23))
-	rate := 50.0
-	t := 0.0
-	for t < horizon.Seconds() {
+	const rate = 50.0
+	var arrivals []invariant.Arrival
+	for t := 0.0; t < horizon.Seconds(); {
 		t += rng.ExpFloat64() / rate
-		arrive := time.Duration(t * float64(time.Second))
-		env.Schedule(arrive, func() { c.SubmitEvent(model.Inception, overload.Interactive) })
+		arrivals = append(arrivals, invariant.Arrival{
+			At: time.Duration(t * float64(time.Second)), Model: model.Inception, Class: overload.Interactive,
+		})
 	}
-	if err := c.Run(); err != nil {
-		return cluster.Stats{}, err
+	st, vs, err := invariant.DriveSharded(c, len(arrivals), replay(arrivals), "run:overload-hedge")
+	if err == nil && len(vs) > 0 {
+		err = fmt.Errorf("overload-hedge: request conservation violated: %v", vs)
 	}
-	c.Shutdown()
-	c.FinishObs("run:overload-hedge")
-	st := c.Stats()
-	if vs := invariant.CheckSharded(c, st); len(vs) > 0 {
-		return cluster.Stats{}, fmt.Errorf("overload-hedge: request conservation violated: %v", vs)
-	}
-	return st, nil
+	return st, err
 }
 
 // Overload is the overload-control experiment: it sweeps offered load from

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"olympian/internal/cluster"
 	"olympian/internal/obs"
 	"olympian/internal/telemetry"
 	"olympian/internal/workload"
@@ -100,11 +101,7 @@ func TestFig15ReportPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	r.Fprint(&b)
-	if got := fnv64(b.Bytes()); got != pinnedFig15Report {
-		t.Errorf("Fig 15 report hash %#x, want %#x\n%s", got, uint64(pinnedFig15Report), b.String())
-	}
+	checkReportPinned(t, r, pinnedFig15Report)
 }
 
 // pinnedExtMultiGPUReport hashes the rendered -quick ext-multigpu report
@@ -118,10 +115,54 @@ func TestExtMultiGPUReportPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReportPinned(t, r, pinnedExtMultiGPUReport)
+}
+
+// Hashes (fnv-64a) of the open-loop fleet experiments' rendered -quick
+// reports, and of the sharded experiment's stats (its report carries
+// wall-clock fields): the identity scenario's single-heap reference and an
+// 8-device single-heap sweep. They were recorded while each experiment
+// scheduled its own arrivals; feeding every train through
+// invariant.DriveSharded/DriveLLM must leave them byte-identical.
+const (
+	pinnedClusterReport     = 0x05927289da40a917
+	pinnedRecoveryReport    = 0x67d988c6fe1aa6f0
+	pinnedLLMReport         = 0x09e9cb9b9f1585d2
+	pinnedLLMOverloadReport = 0x6bc4cd7f63c223a0
+	pinnedOverloadReport    = 0x4e9fd2ecf27bdeff
+	pinnedShardedIdentity   = 0x839d5a218b1a7b36
+	pinnedShardedSweep      = 0x778295be4de387b6
+)
+
+func TestShardedStatsPinned(t *testing.T) {
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.Stats, error) {
+		return shardedIdentity(quickOpts(), engine, workers)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identical || !deterministic {
+		t.Fatalf("sharded identity scenario: engines identical = %v, rerun identical = %v", identical, deterministic)
+	}
+	if got := fnv64([]byte(fmt.Sprintf("%+v", ref))); got != pinnedShardedIdentity {
+		t.Errorf("identity scenario stats hash %#x, want %#x\n%+v", got, uint64(pinnedShardedIdentity), ref)
+	}
+	st, _, err := shardedSweep(cluster.SingleHeap, 8, 20_000, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fnv64([]byte(fmt.Sprintf("%+v", st))); got != pinnedShardedSweep {
+		t.Errorf("8-device sweep stats hash %#x, want %#x\n%+v", got, uint64(pinnedShardedSweep), st)
+	}
+}
+
+// checkReportPinned compares the fnv-64a hash of r's rendering with want.
+func checkReportPinned(t *testing.T, r *Report, want uint64) {
+	t.Helper()
 	var b bytes.Buffer
 	r.Fprint(&b)
-	if got := fnv64(b.Bytes()); got != pinnedExtMultiGPUReport {
-		t.Errorf("ext-multigpu report hash %#x, want %#x\n%s", got, uint64(pinnedExtMultiGPUReport), b.String())
+	if got := fnv64(b.Bytes()); got != want {
+		t.Errorf("%s report hash %#x, want %#x\n%s", r.ID, got, want, b.String())
 	}
 }
 

@@ -45,7 +45,8 @@ func (rc recoveryCell) config() cluster.Config {
 }
 
 // run executes the cell on one engine and audits the quiesced run with the
-// request-conservation checker.
+// request-conservation checker. With two clean devices a route can never
+// fail synchronously, so a rejected arrival is an error.
 func (rc recoveryCell) run(engine cluster.Engine, workers int) (cluster.Stats, []invariant.Violation, error) {
 	cfg := rc.config()
 	cfg.Workers = workers
@@ -53,21 +54,15 @@ func (rc recoveryCell) run(engine cluster.Engine, workers int) (cluster.Stats, [
 	if err != nil {
 		return cluster.Stats{}, nil, err
 	}
-	env := c.FrontEnv()
-	for i := 0; i < rc.requests; i++ {
-		env.Schedule(time.Duration(i)*rc.gap, func() {
-			// With two clean devices a route can never fail synchronously.
-			if _, err := c.SubmitEvent(model.Micro, overload.Interactive); err != nil {
-				panic(err)
-			}
-		})
+	i := -1
+	st, vs, err := invariant.DriveSharded(c, rc.requests, func() invariant.Arrival {
+		i++
+		return invariant.Arrival{At: time.Duration(i) * rc.gap, Model: model.Micro, Class: overload.Interactive}
+	}, "")
+	if err == nil && st.Requests != rc.requests {
+		err = fmt.Errorf("recovery: %d of %d arrivals rejected at routing", rc.requests-st.Requests, rc.requests)
 	}
-	if err := c.Run(); err != nil {
-		return cluster.Stats{}, nil, err
-	}
-	c.Shutdown()
-	st := c.Stats()
-	return st, invariant.CheckSharded(c, st), nil
+	return st, vs, err
 }
 
 // Recovery measures the crash-recovery plane: goodput retention, MTTR, and

@@ -48,6 +48,15 @@ func engineIdentity[S any](run func(cluster.Engine, int) (S, error)) (ref S, ide
 	return ref, identical, reflect.DeepEqual(ref, again), nil
 }
 
+// replay returns an arrival train's next function over pre-drawn arrivals.
+func replay(arrivals []invariant.Arrival) func() invariant.Arrival {
+	i := -1
+	return func() invariant.Arrival {
+		i++
+		return arrivals[i]
+	}
+}
+
 // shardedIdentity runs the hardest differential scenario — stalls, drains,
 // failover, cost-weighted routing — on one engine and returns its stats.
 func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Stats, error) {
@@ -73,31 +82,24 @@ func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Sta
 	if err != nil {
 		return cluster.Stats{}, err
 	}
-	env := c.FrontEnv()
-	for _, m := range []string{model.Inception, model.ResNet50} {
-		m := m
-		for i := 0; i < 80; i++ {
-			env.Schedule(time.Duration(i)*500*time.Microsecond, func() {
-				c.SubmitEvent(m, overload.Interactive)
-			})
-		}
+	// Each 500µs tick brings one Inception and then one ResNet-50 request.
+	models := []string{model.Inception, model.ResNet50}
+	i := -1
+	st, vs, err := invariant.DriveSharded(c, 160, func() invariant.Arrival {
+		i++
+		return invariant.Arrival{At: time.Duration(i/2) * 500 * time.Microsecond, Model: models[i%2], Class: overload.Interactive}
+	}, "")
+	if err == nil && len(vs) > 0 {
+		err = fmt.Errorf("sharded: request conservation violated: %v", vs)
 	}
-	if err := c.Run(); err != nil {
-		return cluster.Stats{}, err
-	}
-	st := c.Stats()
-	c.Shutdown()
-	if vs := invariant.CheckSharded(c, st); len(vs) > 0 {
-		return cluster.Stats{}, fmt.Errorf("sharded: request conservation violated: %v", vs)
-	}
-	return st, nil
+	return st, err
 }
 
 // shardedSweep drives an open-loop Poisson sweep of the micro model through
-// a sharded cluster in slim mode, returning stats and wall-clock time. The
-// arrival generator reschedules itself so millions of arrivals cost O(1)
-// pending events, and all randomness lives in one private seeded stream on
-// the front-end shard — both engines see the identical arrival sequence.
+// a sharded cluster in slim mode, returning stats and the wall-clock time of
+// the whole driven run. The arrival train holds one pending event however
+// long it is, and all randomness lives in one private seeded stream drawn
+// as the train advances — both engines see the identical arrival sequence.
 // A sweep that does not complete every request is an error.
 func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float64, seed int64) (cluster.Stats, time.Duration, error) {
 	c, err := cluster.NewSharded(cluster.Config{
@@ -111,35 +113,21 @@ func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float
 	if err != nil {
 		return cluster.Stats{}, 0, err
 	}
-	env := c.FrontEnv()
 	rng := rand.New(rand.NewSource(seed + 17))
 	rate := perDevRate * float64(devices)
-	var firstErr error
-	n := 0
-	var gen func()
-	gen = func() {
-		if _, err := c.SubmitEvent(model.Micro, overload.Interactive); err != nil && firstErr == nil {
-			firstErr = err
-			return
-		}
-		n++
-		if n < requests {
-			env.Schedule(time.Duration(rng.ExpFloat64()*float64(time.Second)/rate), gen)
-		}
-	}
-	env.Schedule(0, gen)
+	at := time.Duration(0)
 	start := time.Now()
-	if err := c.Run(); err != nil {
+	st, vs, err := invariant.DriveSharded(c, requests, func() invariant.Arrival {
+		a := invariant.Arrival{At: at, Model: model.Micro, Class: overload.Interactive}
+		at += time.Duration(rng.ExpFloat64() * float64(time.Second) / rate)
+		return a
+	}, "")
+	wall := time.Since(start)
+	if err != nil {
 		return cluster.Stats{}, 0, err
 	}
-	wall := time.Since(start)
-	if firstErr != nil {
-		return cluster.Stats{}, 0, firstErr
-	}
-	st := c.Stats()
-	c.Shutdown()
-	if st.Completed != st.Requests || st.Requests != requests {
-		return cluster.Stats{}, 0, fmt.Errorf("sharded: %d-device %v sweep lost requests: %+v", devices, engine, st)
+	if len(vs) > 0 || st.Completed != st.Requests || st.Requests != requests {
+		return cluster.Stats{}, 0, fmt.Errorf("sharded: %d-device %v sweep lost requests: %+v %v", devices, engine, st, vs)
 	}
 	return st, wall, nil
 }

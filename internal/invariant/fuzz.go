@@ -184,6 +184,32 @@ func ScheduleFromJSON(data []byte) (Schedule, error) {
 	return s.Clamp(), nil
 }
 
+// faultPlans translates the device plans into per-device fault plans, nil
+// for a device with none; partition windows forward only when asked.
+func (s Schedule) faultPlans(partitions bool) []*faults.Plan {
+	us := func(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
+	plans := make([]*faults.Plan, s.Devices)
+	for i := 0; i < s.Devices && i < len(s.Plans); i++ {
+		p := s.Plans[i]
+		fp := &faults.Plan{}
+		for _, at := range p.CrashAtUS {
+			fp.Crashes = append(fp.Crashes, faults.CrashEvent{At: us(at), Recovery: us(p.RecoveryUS)})
+		}
+		if partitions {
+			for _, from := range p.PartFromUS {
+				fp.Partitions = append(fp.Partitions, faults.Window{From: us(from), Dur: us(p.PartDurUS)})
+			}
+		}
+		if p.StallEveryUS > 0 && p.StallDurUS > 0 {
+			fp.StallEvery, fp.StallDur = us(p.StallEveryUS), us(p.StallDurUS)
+		}
+		if fp.Enabled() {
+			plans[i] = fp
+		}
+	}
+	return plans
+}
+
 // config translates the schedule into a cluster config. The micro model keeps
 // each request a handful of events, so a full cross-engine check stays under
 // a few milliseconds of wall clock.
@@ -192,34 +218,10 @@ func (s Schedule) config() cluster.Config {
 	for i := range devs {
 		devs[i] = gpu.GTX1080Ti
 	}
-	plans := make([]*faults.Plan, s.Devices)
-	for i := 0; i < s.Devices && i < len(s.Plans); i++ {
-		p := s.Plans[i]
-		fp := &faults.Plan{}
-		for _, at := range p.CrashAtUS {
-			fp.Crashes = append(fp.Crashes, faults.CrashEvent{
-				At:       time.Duration(at) * time.Microsecond,
-				Recovery: time.Duration(p.RecoveryUS) * time.Microsecond,
-			})
-		}
-		for _, from := range p.PartFromUS {
-			fp.Partitions = append(fp.Partitions, faults.Window{
-				From: time.Duration(from) * time.Microsecond,
-				Dur:  time.Duration(p.PartDurUS) * time.Microsecond,
-			})
-		}
-		if p.StallEveryUS > 0 && p.StallDurUS > 0 {
-			fp.StallEvery = time.Duration(p.StallEveryUS) * time.Microsecond
-			fp.StallDur = time.Duration(p.StallDurUS) * time.Microsecond
-		}
-		if fp.Enabled() {
-			plans[i] = fp
-		}
-	}
 	return cluster.Config{
 		Seed:               s.Seed,
 		Devices:            devs,
-		Faults:             plans,
+		Faults:             s.faultPlans(true),
 		MaxBatch:           8,
 		BatchTimeout:       500 * time.Microsecond,
 		TestStrandDrainNth: s.StrandNth,
@@ -237,31 +239,15 @@ func (s Schedule) Run(engine cluster.Engine, workers int) (cluster.Stats, []Viol
 	if err != nil {
 		return cluster.Stats{}, nil, err
 	}
-	env := c.FrontEnv()
-	rejected := 0
-	for i := 0; i < s.Arrivals; i++ {
-		i := i
+	i := -1
+	return DriveSharded(c, s.Arrivals, func() Arrival {
+		i++
 		class := overload.Interactive
 		if i%3 == 2 {
 			class = overload.Batch
 		}
-		env.Schedule(time.Duration(int64(i)*s.GapUS)*time.Microsecond, func() {
-			if _, err := c.SubmitEvent(model.Micro, class); err != nil {
-				rejected++
-			}
-		})
-	}
-	if err := c.Run(); err != nil {
-		return cluster.Stats{}, nil, err
-	}
-	c.Shutdown()
-	st := c.Stats()
-	vs := CheckSharded(c, st)
-	if st.Requests+rejected != s.Arrivals {
-		vs = append(vs, violatef("arrival-conservation",
-			"%d arrivals but %d routed + %d rejected", s.Arrivals, st.Requests, rejected))
-	}
-	return st, vs, nil
+		return Arrival{At: time.Duration(int64(i)*s.GapUS) * time.Microsecond, Model: model.Micro, Class: class}
+	}, "")
 }
 
 // llmConfig translates an LLM-mode schedule into a disaggregated-fleet
@@ -275,24 +261,6 @@ func (s Schedule) llmConfig() cluster.LLMConfig {
 	if s.KVSlackKB > 0 {
 		spec.Name = "fuzz-starved"
 		spec.MemoryBytes = weights + s.KVSlackKB<<10
-	}
-	plans := make([]*faults.Plan, s.Devices)
-	for i := 0; i < s.Devices && i < len(s.Plans); i++ {
-		p := s.Plans[i]
-		fp := &faults.Plan{}
-		for _, at := range p.CrashAtUS {
-			fp.Crashes = append(fp.Crashes, faults.CrashEvent{
-				At:       time.Duration(at) * time.Microsecond,
-				Recovery: time.Duration(p.RecoveryUS) * time.Microsecond,
-			})
-		}
-		if p.StallEveryUS > 0 && p.StallDurUS > 0 {
-			fp.StallEvery = time.Duration(p.StallEveryUS) * time.Microsecond
-			fp.StallDur = time.Duration(p.StallDurUS) * time.Microsecond
-		}
-		if fp.Enabled() {
-			plans[i] = fp
-		}
 	}
 	return cluster.LLMConfig{
 		Seed:            s.Seed,
@@ -308,7 +276,7 @@ func (s Schedule) llmConfig() cluster.LLMConfig {
 		KVWatermark:     0.7,
 		DegradedTail:    4,
 		MaxRetries:      2,
-		Faults:          plans,
+		Faults:          s.faultPlans(false),
 	}
 }
 
@@ -321,73 +289,39 @@ func (s Schedule) runLLM(engine cluster.Engine, workers int) (cluster.LLMCluster
 	if err != nil {
 		return cluster.LLMClusterStats{}, nil, err
 	}
-	env := c.FrontEnv()
-	rejected := 0
-	for i := 0; i < s.Arrivals; i++ {
-		i := i
+	i := -1
+	return DriveLLM(c, s.Arrivals, func() Arrival {
+		i++
 		class := overload.Batch
 		if i%3 == 2 {
 			class = overload.Interactive
 		}
-		prompt := 16 + (i%5)*24
-		output := 20 + (i%6)*25
-		env.Schedule(time.Duration(int64(i)*s.GapUS)*time.Microsecond, func() {
-			if _, err := c.SubmitEvent(class, prompt, output); err != nil {
-				rejected++
-			}
-		})
-	}
-	if err := c.Run(); err != nil {
-		return cluster.LLMClusterStats{}, nil, err
-	}
-	c.Shutdown()
-	st := c.Stats()
-	vs := CheckLLM(c, st)
-	if st.Requests+rejected != s.Arrivals {
-		vs = append(vs, violatef("arrival-conservation",
-			"%d arrivals but %d routed + %d rejected", s.Arrivals, st.Requests, rejected))
-	}
-	return st, vs, nil
-}
-
-// checkLLM is Check for LLM-mode schedules: audit both engines and require
-// bit-identical stats and decision hashes.
-func (s Schedule) checkLLM() ([]Violation, error) {
-	ref, vs, err := s.runLLM(cluster.SingleHeap, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, workers := range []int{1, 2} {
-		got, gvs, err := s.runLLM(cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, gvs...)
-		if !reflect.DeepEqual(ref, got) {
-			vs = append(vs, violatef("engine-identity",
-				"workers=%d llm stats diverge from single-heap reference\nref: %+v\ngot: %+v", workers, ref, got))
-		} else if got.DecisionHash != ref.DecisionHash {
-			vs = append(vs, violatef("engine-identity",
-				"workers=%d llm decision hash %x, reference %x", workers, got.DecisionHash, ref.DecisionHash))
-		}
-	}
-	return vs, nil
+		return Arrival{At: time.Duration(int64(i)*s.GapUS) * time.Microsecond, Class: class,
+			Prompt: 16 + (i%5)*24, Output: 20 + (i%6)*25}
+	}, "")
 }
 
 // Check is the fuzz target's oracle: run the schedule on the single-heap
-// reference engine and on the parallel engine, audit both for conservation,
-// and require bit-identical stats and decision hashes. The returned slice is
-// empty exactly when the schedule holds every invariant.
+// reference engine and on the parallel engine, audit every run for
+// conservation, and require bit-identical stats, decision hash included.
+// The returned slice is empty exactly when the schedule holds every
+// invariant.
 func (s Schedule) Check() ([]Violation, error) {
 	if s.LLM {
-		return s.checkLLM()
+		return crossCheck(s.runLLM)
 	}
-	ref, vs, err := s.Run(cluster.SingleHeap, 0)
+	return crossCheck(s.Run)
+}
+
+// crossCheck runs one schedule through run on the single-heap engine and on
+// the parallel engine at 1 and 2 workers.
+func crossCheck[S any](run func(cluster.Engine, int) (S, []Violation, error)) ([]Violation, error) {
+	ref, vs, err := run(cluster.SingleHeap, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, workers := range []int{1, 2} {
-		got, gvs, err := s.Run(cluster.Sharded, workers)
+		got, gvs, err := run(cluster.Sharded, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -395,9 +329,6 @@ func (s Schedule) Check() ([]Violation, error) {
 		if !reflect.DeepEqual(ref, got) {
 			vs = append(vs, violatef("engine-identity",
 				"workers=%d stats diverge from single-heap reference\nref: %+v\ngot: %+v", workers, ref, got))
-		} else if got.DecisionHash != ref.DecisionHash {
-			vs = append(vs, violatef("engine-identity",
-				"workers=%d decision hash %x, reference %x", workers, got.DecisionHash, ref.DecisionHash))
 		}
 	}
 	return vs, nil

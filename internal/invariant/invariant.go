@@ -10,6 +10,10 @@
 // fuzz bytes into a bounded Schedule, run on both cluster engines, audited,
 // and cross-checked for bit-identity. Failing schedules shrink greedily to a
 // minimal JSON repro that replays deterministically.
+//
+// Every open-loop fleet run goes through one driver (drive.go): DriveSharded
+// and DriveLLM feed an Arrival train into a fleet, run and shut it down, and
+// return its stats with these audits and arrival conservation applied.
 package invariant
 
 import (

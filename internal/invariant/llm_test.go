@@ -8,29 +8,28 @@ import (
 	"olympian/internal/faults"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/serving"
 )
 
 // runLLMFleet drives a disaggregated fleet through crashes and KV pressure
-// and returns it quiesced.
-func runLLMFleet(t *testing.T, cfg cluster.LLMConfig, n int) (*cluster.LLMCluster, cluster.LLMClusterStats) {
+// and returns its audited stats.
+func runLLMFleet(t *testing.T, cfg cluster.LLMConfig, n int) (cluster.LLMClusterStats, []Violation) {
 	t.Helper()
 	c, err := cluster.NewLLM(cfg, cluster.SingleHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := c.FrontEnv()
-	for i := 0; i < n; i++ {
-		i := i
-		env.Schedule(time.Duration(i)*250*time.Microsecond, func() {
-			c.SubmitEvent(0, 16+(i%5)*32, 20+(i%6)*20)
-		})
-	}
-	if err := c.Run(); err != nil {
+	i := -1
+	st, vs, err := DriveLLM(c, n, func() Arrival {
+		i++
+		return Arrival{At: time.Duration(i) * 250 * time.Microsecond, Class: overload.Batch,
+			Prompt: 16 + (i%5)*32, Output: 20 + (i%6)*20}
+	}, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.Shutdown()
-	return c, c.Stats()
+	return st, vs
 }
 
 func TestCheckLLMPassesOnFaultedRun(t *testing.T) {
@@ -41,7 +40,7 @@ func TestCheckLLMPassesOnFaultedRun(t *testing.T) {
 	starved := gpu.GTX1080Ti
 	starved.Name = "starved"
 	starved.MemoryBytes = weights + (512 << 10)
-	c, st := runLLMFleet(t, cluster.LLMConfig{
+	st, vs := runLLMFleet(t, cluster.LLMConfig{
 		Seed:            21,
 		Model:           model.LLMTiny,
 		PrefillReplicas: 1,
@@ -56,7 +55,7 @@ func TestCheckLLMPassesOnFaultedRun(t *testing.T) {
 	if st.Crashes == 0 || st.Preemptions == 0 {
 		t.Fatalf("run exercised neither crash nor preemption: %+v", st)
 	}
-	if vs := CheckLLM(c, st); len(vs) != 0 {
+	if len(vs) != 0 {
 		t.Fatalf("violations on a healthy run: %v", vs)
 	}
 }

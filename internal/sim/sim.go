@@ -240,6 +240,43 @@ func (e *Env) Schedule(d Duration, fn func()) {
 	e.events.push(event{at: e.now.Add(d), seq: e.seq, fn: fn})
 }
 
+// ScheduleTrain runs fire n times, the i-th time at e.Now()+d_i, where d_i is
+// the i-th value next returns. Offsets must be non-decreasing; one below its
+// predecessor is raised to it. next is pulled lazily, for callback i+1 only
+// after callback i fired, so a caller may stash the value it fires on. Only
+// one callback of the train is queued at a time, yet ties order exactly as n
+// back-to-back Schedule calls made now would: the train reserves its n
+// sequence numbers up front.
+func (e *Env) ScheduleTrain(n int, next func() Duration, fire func()) {
+	t := &train{env: e, start: e.now, seq: e.seq, left: n, next: next, fire: fire}
+	e.seq += uint64(max(n, 0))
+	t.step = func() {
+		t.fire()
+		t.push()
+	}
+	t.push()
+}
+
+// train is one ScheduleTrain in flight: seq numbers the callback last
+// queued, left counts those not yet queued.
+type train struct {
+	env        *Env
+	start      Time
+	seq        uint64
+	left       int
+	next       func() Duration
+	fire, step func()
+}
+
+func (t *train) push() {
+	if t.left <= 0 {
+		return
+	}
+	t.seq++
+	t.left--
+	t.env.events.push(event{at: max(t.start.Add(t.next()), t.env.now), seq: t.seq, fn: t.step})
+}
+
 // scheduleProc queues the resumption of p at time e.Now()+d. Unlike
 // Schedule, it allocates nothing: the wakeup is a plain heap entry.
 func (e *Env) scheduleProc(d Duration, p *Proc) {
