@@ -158,14 +158,6 @@ func (a *api) handleProfile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The request caps spec.Simulation enforces, under the names the handler
-// tests use: every endpoint that expands client groups takes maxClients,
-// and the simulating ones also take maxJobs.
-const (
-	maxClients = spec.MaxClients
-	maxJobs    = spec.MaxJobs
-)
-
 // handleSimulate runs the spec.Simulation in the body and answers with its
 // finish times and scheduling statistics.
 func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -393,6 +385,13 @@ func runTimelineDemo(seed int64, mult float64) (*telemetry.Timeline, error) {
 	return tl, nil
 }
 
+// maxFullRuns caps the full-size experiment runs in progress at once. Each
+// takes seconds to minutes of CPU, so more would only queue for the cores.
+const maxFullRuns = 2
+
+// fullRuns holds one token per full-size experiment run in progress.
+var fullRuns = make(chan struct{}, maxFullRuns)
+
 func (a *api) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/experiments/")
 	if id == "" {
@@ -401,6 +400,17 @@ func (a *api) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	quick := r.URL.Query().Get("quick") != ""
+	if !quick {
+		select {
+		case fullRuns <- struct{}{}:
+			defer func() { <-fullRuns }()
+		default:
+			a.expErrC.Inc()
+			writeError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("%d full-size experiments already running; retry later or pass ?quick=1", maxFullRuns))
+			return
+		}
+	}
 	rep, err := olympian.RunExperiment(id, quick)
 	if err != nil {
 		a.expErrC.Inc()

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"olympian/cmd/internal/spec"
 )
 
 func do(t *testing.T, h http.Handler, method, path, body string) (*httptest.ResponseRecorder, map[string]any) {
@@ -103,6 +105,33 @@ func TestExperimentEndpoints(t *testing.T) {
 	}
 }
 
+// TestFullSizeExperimentsBounded fills the full-size run semaphore: a
+// further full-size run is refused with 503 and counted as an experiment
+// error, while a quick run still goes through.
+func TestFullSizeExperimentsBounded(t *testing.T) {
+	for i := 0; i < maxFullRuns; i++ {
+		fullRuns <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < maxFullRuns; i++ {
+			<-fullRuns
+		}
+	}()
+	h := newHandler()
+	rec, obj := do(t, h, "POST", "/experiments/fig4", "")
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("full-size run over the cap: status %d: %v", rec.Code, obj)
+	}
+	rec, obj = do(t, h, "POST", "/experiments/fig4?quick=1", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("quick run with the full-size cap reached: status %d: %v", rec.Code, obj)
+	}
+	rec, _ = do(t, h, "GET", "/metrics", "")
+	if body := rec.Body.String(); !strings.Contains(body, "olympian_experiment_errors_total 1\n") {
+		t.Fatalf("refused run not counted as an experiment error:\n%s", body)
+	}
+}
+
 func TestPlanEndpoint(t *testing.T) {
 	h := newHandler()
 	body := `{"policy":"weighted",
@@ -156,7 +185,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 // TestClientCountCapped checks that a tiny body asking for billions of
-// clients, or groups that only together pass maxClients, is rejected with
+// clients, or groups that only together pass spec.MaxClients, is rejected with
 // 400 by the cap on every endpoint that expands client groups, and that the
 // cap itself is still accepted.
 func TestClientCountCapped(t *testing.T) {
@@ -167,7 +196,7 @@ func TestClientCountCapped(t *testing.T) {
 	for _, body := range []string{
 		`{"clients":[{"model":"inception","batch":1,"batches":1,"count":2000000000}]}`,
 		`{"clients":[` + group(math.MaxInt64) + "," + group(1) + `]}`,
-		`{"clients":[` + group(maxClients/2+1) + "," + group(maxClients/2) + `]}`,
+		`{"clients":[` + group(spec.MaxClients/2+1) + "," + group(spec.MaxClients/2) + `]}`,
 	} {
 		for _, path := range []string{"/simulate", "/plan", "/trace"} {
 			rec, obj := do(t, h, "POST", path, body)
@@ -176,15 +205,15 @@ func TestClientCountCapped(t *testing.T) {
 			}
 		}
 	}
-	body := `{"clients":[` + group(maxClients) + `]}`
+	body := `{"clients":[` + group(spec.MaxClients) + `]}`
 	if rec, obj := do(t, h, "POST", "/plan", body); rec.Code != http.StatusOK {
-		t.Fatalf("/plan with exactly %d clients: status %d: %v", maxClients, rec.Code, obj["error"])
+		t.Fatalf("/plan with exactly %d clients: status %d: %v", spec.MaxClients, rec.Code, obj["error"])
 	}
 }
 
 // TestJobBudgetCapped checks that a tiny body asking one client for
 // billions of sequential batches, or groups whose clients × batches only
-// together pass maxJobs, is rejected with 400 before any simulation starts
+// together pass spec.MaxJobs, is rejected with 400 before any simulation starts
 // on the endpoints that simulate, while the analytic /plan still answers.
 func TestJobBudgetCapped(t *testing.T) {
 	h := newHandler()
@@ -195,7 +224,7 @@ func TestJobBudgetCapped(t *testing.T) {
 	for _, body := range []string{
 		huge,
 		`{"clients":[` + group(1, math.MaxInt64) + "," + group(1, 1) + `]}`,
-		`{"clients":[` + group(maxClients/2, maxJobs/maxClients) + "," + group(maxClients/2, maxJobs/maxClients+1) + `]}`,
+		`{"clients":[` + group(spec.MaxClients/2, spec.MaxJobs/spec.MaxClients) + "," + group(spec.MaxClients/2, spec.MaxJobs/spec.MaxClients+1) + `]}`,
 	} {
 		for _, path := range []string{"/simulate", "/trace"} {
 			rec, obj := do(t, h, "POST", path, body)

@@ -33,7 +33,7 @@ func twoDevices() []gpu.Spec { return []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti} }
 func TestRoundRobinCyclesReplicas(t *testing.T) {
 	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
 	runTraffic(t, c, []string{model.Inception}, 6, time.Millisecond)
-	decs := c.Router().Decisions()
+	decs := c.Router().decisions
 	if len(decs) != 6 {
 		t.Fatalf("%d decisions, want 6", len(decs))
 	}
@@ -50,7 +50,7 @@ func TestLeastOutstandingBalances(t *testing.T) {
 	// must split them 4/4.
 	runTraffic(t, c, []string{model.Inception}, 8, 0)
 	counts := make([]int, 2)
-	for _, d := range c.Router().Decisions() {
+	for _, d := range c.Router().decisions {
 		counts[d.Device]++
 	}
 	if counts[0] != 4 || counts[1] != 4 {
@@ -62,7 +62,7 @@ func TestCostWeightedSpreadsDebt(t *testing.T) {
 	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted})
 	runTraffic(t, c, []string{model.Inception, model.ResNet50}, 6, time.Millisecond)
 	counts := make([]int, 2)
-	for _, d := range c.Router().Decisions() {
+	for _, d := range c.Router().decisions {
 		counts[d.Device]++
 	}
 	// Equal per-model unit costs on identical devices: debt must stay
@@ -82,7 +82,7 @@ func TestPlacementRestrictsRouting(t *testing.T) {
 	}}
 	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Placement: pl})
 	runTraffic(t, c, []string{model.Inception}, 4, time.Millisecond)
-	for _, d := range c.Router().Decisions() {
+	for _, d := range c.Router().decisions {
 		if d.Device != 1 {
 			t.Fatalf("decision %+v escaped the placement (want device 1)", d)
 		}
@@ -126,7 +126,7 @@ func TestFailoverReroutesQueuedRequests(t *testing.T) {
 	}
 	// Drained requests must have hopped off the stalled device.
 	hopped := 0
-	for _, d := range c.Router().Decisions() {
+	for _, d := range c.Router().decisions {
 		if d.Failover {
 			hopped++
 		}
@@ -147,7 +147,7 @@ func TestClusterDeterminism(t *testing.T) {
 			Faults: plans, Route: CostWeighted, BatchTimeout: 4 * time.Millisecond,
 		})
 		runTraffic(t, c, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
-		return c.Stats(), c.Router().Decisions()
+		return c.Stats(), c.Router().decisions
 	}
 	st1, dec1 := run()
 	st2, dec2 := run()

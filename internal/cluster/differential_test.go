@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"testing"
@@ -206,7 +207,7 @@ func testTelemetry() *telemetry.Config {
 func renderObs(t *testing.T, rec *obs.Recorder) (string, string) {
 	t.Helper()
 	var tr, pm bytes.Buffer
-	if err := trace.WriteLifecycle(&tr, rec.Trace()); err != nil {
+	if err := trace.WriteLifecycleTimeline(&tr, rec.Trace(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Registry().WritePrometheus(&pm); err != nil {
@@ -272,12 +273,18 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 	if refTL == nil || refTL.Ticks == 0 {
 		t.Fatal("reference run sampled no telemetry ticks")
 	}
-	if len(refTL.HistKeys()) == 0 {
-		t.Fatal("no histogram families reached the timeline")
-	}
 	var refJSON bytes.Buffer
 	if err := refTL.WriteJSON(&refJSON); err != nil {
 		t.Fatal(err)
+	}
+	var refHists struct {
+		Hists map[string]json.RawMessage `json:"hists"`
+	}
+	if err := json.Unmarshal(refJSON.Bytes(), &refHists); err != nil {
+		t.Fatal(err)
+	}
+	if len(refHists.Hists) == 0 {
+		t.Fatal("no histogram families reached the timeline")
 	}
 	_, refProm := renderObs(t, refRec)
 
@@ -333,7 +340,7 @@ func TestShardedSlimMatchesRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Requests() != nil || c.Router().Decisions() != nil {
+	if c.Requests() != nil || c.Router().decisions != nil {
 		t.Fatal("slim mode retained requests or decisions")
 	}
 }

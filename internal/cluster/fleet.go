@@ -284,9 +284,6 @@ func (f *fleet) readyReported(dev int) {
 // Devices returns the fleet size.
 func (f *fleet) Devices() int { return len(f.children) - 1 }
 
-// Engine returns which execution engine the cluster runs on.
-func (f *fleet) Engine() Engine { return f.engine }
-
 // FrontEnv returns shard 0's environment — schedule arrival generators here.
 func (f *fleet) FrontEnv() *sim.Env { return f.shards.Env(0) }
 

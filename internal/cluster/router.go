@@ -167,9 +167,6 @@ func (rt *Router) Revive(device int) {
 	rt.downUntil[device] = 0
 }
 
-// Dead reports whether a device is marked permanently failed.
-func (rt *Router) Dead(device int) bool { return rt.dead[device] }
-
 // Down reports whether a device is currently out of rotation.
 func (rt *Router) Down(device int) bool { return rt.env.Now() < rt.downUntil[device] }
 
@@ -289,9 +286,6 @@ func writeDecision(w io.Writer, d Decision) {
 // pressure sequences.
 func (rt *Router) SetPressure(device int, p float64) { rt.pressure[device] = p }
 
-// Pressure returns a device's last reported KV utilization.
-func (rt *Router) Pressure(device int) float64 { return rt.pressure[device] }
-
 // release retires one outstanding request from a device.
 func (rt *Router) release(device int) {
 	if rt.outstanding[device] > 0 {
@@ -302,10 +296,6 @@ func (rt *Router) release(device int) {
 // Outstanding returns the requests currently routed to a device and not yet
 // completed.
 func (rt *Router) Outstanding(device int) int { return rt.outstanding[device] }
-
-// Decisions returns the routing log in dispatch order; nil in slim mode,
-// which streams decisions into the fingerprint without retaining them.
-func (rt *Router) Decisions() []Decision { return rt.decisions }
 
 // Count returns how many routing decisions have been made.
 func (rt *Router) Count() int { return rt.count }

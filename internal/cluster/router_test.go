@@ -90,7 +90,7 @@ func TestRouteHedgeExcludesBusyReplicas(t *testing.T) {
 	if _, err := rt.RouteHedge(model.Inception, []int{0, 1}); err == nil {
 		t.Fatal("RouteHedge with every replica excluded succeeded, want error")
 	}
-	decs := rt.Decisions()
+	decs := rt.decisions
 	if len(decs) != 1 || !decs[0].Hedge {
 		t.Fatalf("decision log %+v, want exactly one hedge-marked decision", decs)
 	}
@@ -122,7 +122,7 @@ func TestHedgedRequestsFirstWinNoDoubleCount(t *testing.T) {
 		t.Fatalf("%d requests recorded, want %d", st.Requests, n)
 	}
 	hedgeDecs := 0
-	for _, d := range c.Router().Decisions() {
+	for _, d := range c.Router().decisions {
 		if d.Hedge {
 			hedgeDecs++
 		}
@@ -184,14 +184,14 @@ func TestMarkDeadNeverExpiresByTimer(t *testing.T) {
 	env := sim.NewEnv(1)
 	rt := testRouter(env, 2, RoundRobin)
 	rt.MarkDead(0)
-	if !rt.Dead(0) {
+	if !rt.dead[0] {
 		t.Fatal("device 0 not dead after MarkDead")
 	}
 	// A stale transient window around the crash must not matter either way.
 	rt.MarkDown(0, sim.Time(0).Add(time.Millisecond))
 	// MarkUp clears the transient state but must not resurrect the dead.
 	rt.MarkUp(0)
-	if !rt.Dead(0) {
+	if !rt.dead[0] {
 		t.Fatal("MarkUp resurrected a dead device")
 	}
 	env.Go("probe", func(p *sim.Proc) {
@@ -222,7 +222,7 @@ func TestReviveReadmitsAndClearsTransient(t *testing.T) {
 	rt.MarkDead(0)
 	rt.MarkDown(0, sim.Time(0).Add(time.Hour))
 	rt.Revive(0)
-	if rt.Dead(0) {
+	if rt.dead[0] {
 		t.Fatal("device 0 still dead after Revive")
 	}
 	if rt.Down(0) {
@@ -290,8 +290,8 @@ func TestRouteLeastKVPressure(t *testing.T) {
 	if dev, _ := rt.Route(model.Inception, false); dev != 2 {
 		t.Fatalf("routed to device %d after pressure update, want 2", dev)
 	}
-	if rt.Pressure(1) != 0.95 {
-		t.Fatalf("pressure readback %v, want 0.95", rt.Pressure(1))
+	if rt.pressure[1] != 0.95 {
+		t.Fatalf("pressure readback %v, want 0.95", rt.pressure[1])
 	}
 }
 

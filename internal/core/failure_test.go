@@ -52,8 +52,8 @@ func TestRapidChurn(t *testing.T) {
 				t.Fatalf("%s: client %d never finished", policy.Name(), i)
 			}
 		}
-		if h.sched.ActiveJobs() != 0 {
-			t.Fatalf("%s: %d jobs leaked", policy.Name(), h.sched.ActiveJobs())
+		if len(h.sched.jobs) != 0 {
+			t.Fatalf("%s: %d jobs leaked", policy.Name(), len(h.sched.jobs))
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestHolderAbortReclaimsToken(t *testing.T) {
 	abortedClient := -1
 	h.env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		abortedClient = h.sched.HolderClient()
+		abortedClient = holderClient(h.sched)
 		if abortedClient < 0 {
 			t.Error("no token holder at abort time")
 			return
@@ -124,8 +124,8 @@ func TestHolderAbortReclaimsToken(t *testing.T) {
 		t.Fatalf("run wedged after holder abort: %v", err)
 	}
 	h.env.Shutdown()
-	if h.sched.ActiveJobs() != 0 {
-		t.Fatalf("%d jobs still registered after drain", h.sched.ActiveJobs())
+	if len(h.sched.jobs) != 0 {
+		t.Fatalf("%d jobs still registered after drain", len(h.sched.jobs))
 	}
 	if !errors.Is(jobs[abortedClient].Err(), faults.ErrJobAborted) {
 		t.Fatalf("aborted job err = %v", jobs[abortedClient].Err())
@@ -193,8 +193,8 @@ func TestInjectedAbortsNeverStrandToken(t *testing.T) {
 		t.Fatalf("run wedged under injected aborts: %v", err)
 	}
 	env.Shutdown()
-	if sched.ActiveJobs() != 0 {
-		t.Fatalf("%d jobs leaked", sched.ActiveJobs())
+	if len(sched.jobs) != 0 {
+		t.Fatalf("%d jobs leaked", len(sched.jobs))
 	}
 	if inj.Counters().JobAborts == 0 {
 		t.Fatal("no aborts injected; the test exercised nothing")

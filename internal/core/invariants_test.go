@@ -104,26 +104,34 @@ func TestWallClockIntervalsNearQ(t *testing.T) {
 	}
 }
 
+// holderClient is the client id of the current token holder, or -1.
+func holderClient(s *Scheduler) int {
+	if s.holder == nil {
+		return -1
+	}
+	return s.holder.job.Client
+}
+
 func TestHolderClientTracksToken(t *testing.T) {
 	q := 300 * time.Microsecond
 	h := newHarness(t, 1, Config{Quantum: q})
 	g := chainGraph(t, "m", 50, 80*time.Microsecond)
 	h.sched.SetProfile(g, uniformProfile(g, q))
-	if h.sched.HolderClient() != -1 {
+	if holderClient(h.sched) != -1 {
 		t.Fatal("holder before any job")
 	}
 	h.run(t, []clientSpec{{graph: g}, {graph: g}})
-	if h.sched.HolderClient() != -1 {
-		t.Fatalf("holder %d after all jobs finished", h.sched.HolderClient())
+	if holderClient(h.sched) != -1 {
+		t.Fatalf("holder %d after all jobs finished", holderClient(h.sched))
 	}
-	if h.sched.ActiveJobs() != 0 {
+	if len(h.sched.jobs) != 0 {
 		t.Fatal("jobs leaked")
 	}
 }
 
 func TestSchedulerConfigDefaults(t *testing.T) {
 	h := newHarness(t, 1, Config{})
-	cfg := h.sched.Config()
+	cfg := h.sched.cfg
 	if cfg.Policy == nil || cfg.Quantum <= 0 || cfg.Mode != CostBased {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}

@@ -152,9 +152,6 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config) *Scheduler {
 // SetProfile attaches the offline profile for a graph.
 func (s *Scheduler) SetProfile(g *graph.Graph, p *JobProfile) { s.profiles[g] = p }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Register implements executor.Hooks (Algorithm 2 line 4).
 func (s *Scheduler) Register(p *sim.Proc, job *executor.Job) {
 	js := &jobState{
@@ -388,14 +385,3 @@ func (s *Scheduler) Records() []QuantumRecord {
 
 // Switches returns the number of token hand-offs so far.
 func (s *Scheduler) Switches() int { return s.switches }
-
-// ActiveJobs returns the number of registered jobs.
-func (s *Scheduler) ActiveJobs() int { return len(s.jobs) }
-
-// HolderClient returns the client id of the current token holder, or -1.
-func (s *Scheduler) HolderClient() int {
-	if s.holder == nil {
-		return -1
-	}
-	return s.holder.job.Client
-}

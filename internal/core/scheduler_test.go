@@ -260,8 +260,8 @@ func TestDeregisterPassesToken(t *testing.T) {
 	if fin[0] >= fin[1] {
 		t.Fatalf("short job should finish first: %v", fin)
 	}
-	if h.sched.ActiveJobs() != 0 {
-		t.Fatalf("%d jobs still registered after run", h.sched.ActiveJobs())
+	if len(h.sched.jobs) != 0 {
+		t.Fatalf("%d jobs still registered after run", len(h.sched.jobs))
 	}
 }
 

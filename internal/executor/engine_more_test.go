@@ -6,6 +6,7 @@ import (
 
 	"olympian/internal/gpu"
 	"olympian/internal/graph"
+	"olympian/internal/obs"
 	"olympian/internal/sim"
 )
 
@@ -105,7 +106,9 @@ func TestNodeOverheadSlowsRun(t *testing.T) {
 func TestStreamCarriesClientID(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := gpu.New(env, testSpec)
-	eng := New(env, dev, Config{}, nil)
+	rec := obs.NewRecorder()
+	rec.Bind(env, "stream")
+	eng := New(env, dev, Config{Obs: rec}, nil)
 	g := wideGraph(t, 2, time.Millisecond, 0.5)
 	job := eng.NewJob(42, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
@@ -113,13 +116,19 @@ func TestStreamCarriesClientID(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	// The stream weight is drawn lazily on first submission; a drawn
-	// weight for stream 42 proves kernels ran on the client's stream.
-	if dev.StreamWeight(42) == 0 {
-		t.Fatal("no kernels submitted on the client's stream")
+	// Each kernel span carries its submission stream as Arg.
+	kernels := 0
+	for _, s := range rec.Spans() {
+		if s.Layer != obs.LayerGPU || s.Name != "kernel" {
+			continue
+		}
+		if s.Arg != 42 || int(s.Req) != job.ID {
+			t.Fatalf("kernel of job %d on stream %d, want job %d on the client's stream 42", s.Req, s.Arg, job.ID)
+		}
+		kernels++
 	}
-	if dev.OwnerKernels(job.ID) != 2 {
-		t.Fatalf("owner kernels %d, want 2", dev.OwnerKernels(job.ID))
+	if kernels != 2 {
+		t.Fatalf("owner kernels %d, want 2", kernels)
 	}
 }
 
@@ -161,7 +170,7 @@ func TestKernelSlicingSplitsAndPays(t *testing.T) {
 	if job.EndAt != want {
 		t.Fatalf("sliced kernel finished at %v, want %v", job.EndAt, want)
 	}
-	if got := dev.OwnerKernels(job.ID); got != 3 {
+	if got := dev.Stats().KernelsRun; got != 3 {
 		t.Fatalf("%d kernel launches, want 3 slices", got)
 	}
 }
@@ -180,7 +189,7 @@ func TestKernelSlicingLeavesSmallKernelsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	if got := dev.OwnerKernels(job.ID); got != 1 {
+	if got := dev.Stats().KernelsRun; got != 1 {
 		t.Fatalf("%d launches for a sub-slice kernel, want 1", got)
 	}
 }

@@ -217,17 +217,8 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 	return e
 }
 
-// Env returns the engine's simulation environment.
-func (e *Engine) Env() *sim.Env { return e.env }
-
-// Device returns the engine's GPU device.
-func (e *Engine) Device() *gpu.Device { return e.dev }
-
 // Pool returns the engine's shared thread pool.
 func (e *Engine) Pool() *ThreadPool { return e.pool }
-
-// Hooks returns the engine's scheduler hooks.
-func (e *Engine) Hooks() Hooks { return e.hooks }
 
 // KernelRetries returns how many transiently failed kernels were
 // relaunched so far.

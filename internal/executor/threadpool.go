@@ -117,14 +117,5 @@ func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 // InUse returns the number of threads currently executing tasks.
 func (tp *ThreadPool) InUse() int { return tp.total - len(tp.idle) }
 
-// Total returns the number of threads in existence.
-func (tp *ThreadPool) Total() int { return tp.total }
-
-// JobThreads returns how many pool threads are currently working for jobID.
-func (tp *ThreadPool) JobThreads(jobID int) int { return tp.perJob[jobID] }
-
-// Backlog returns the number of delayed submissions still waiting.
-func (tp *ThreadPool) Backlog() int { return len(tp.backlog) }
-
 // Stats returns a snapshot of pool counters.
 func (tp *ThreadPool) Stats() PoolStats { return tp.stats }

@@ -263,9 +263,6 @@ func (in *Injector) RetryJitter() float64 {
 	return in.retryRNG.Float64()
 }
 
-// Plan returns the injector's configuration.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // KernelFails draws whether the next completing kernel fails transiently.
 func (in *Injector) KernelFails() bool {
 	if in == nil || in.plan.KernelFailRate <= 0 {

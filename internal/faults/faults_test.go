@@ -68,7 +68,7 @@ func TestStreamsAreIndependent(t *testing.T) {
 
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	in := New(1, Plan{})
-	if in.Plan().Enabled() {
+	if in.plan.Enabled() {
 		t.Fatal("zero plan reports enabled")
 	}
 	for i := 0; i < 100; i++ {

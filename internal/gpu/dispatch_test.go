@@ -287,7 +287,7 @@ func TestCrashReviveExecCountsExact(t *testing.T) {
 		if ok[s] != perProc || crashed[s] != 2 {
 			t.Errorf("session %d: %d ok and %d crashed mid-kernel, want %d and 2", s, ok[s], crashed[s], perProc)
 		}
-		if got := dev.OwnerKernels(s); got != perProc+2 {
+		if got := dev.owner(s).count; got != perProc+2 {
 			t.Errorf("owner %d dispatched %d kernels, want %d", s, got, perProc+2)
 		}
 	}

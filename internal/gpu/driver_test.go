@@ -115,7 +115,7 @@ func TestStreamBiasDeterministicPerSeed(t *testing.T) {
 		}
 		out := make([]float64, 5)
 		for s := 0; s < 5; s++ {
-			out[s] = dev.StreamWeight(s)
+			out[s] = streamWeight(dev, s)
 		}
 		return out
 	}
@@ -167,7 +167,7 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 	if err := env.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	w0, w1 := dev.StreamWeight(0), dev.StreamWeight(1)
+	w0, w1 := streamWeight(dev, 0), streamWeight(dev, 1)
 	shareWant := w0 / (w0 + w1)
 	shareGot := float64(served[0]) / float64(served[0]+served[1])
 	if math.Abs(shareGot-shareWant) > 0.10 {
@@ -235,4 +235,13 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// streamWeight is the service weight drawn for a stream, 1 before the
+// stream's first submission.
+func streamWeight(d *Device, id int) float64 {
+	if st := d.streams[id]; st != nil {
+		return st.weight
+	}
+	return 1
 }

@@ -14,12 +14,13 @@ func TestInjectedKernelFaultMarksErr(t *testing.T) {
 	dev := New(env, noLaunch)
 	dev.InjectFaults(faults.New(1, faults.Plan{KernelFailRate: 1}))
 	k := &Kernel{Owner: 1, Stream: 1, Duration: time.Millisecond, Occupancy: 1}
-	dev.Submit(k)
+	completed := false
+	dev.Submit(k).Subscribe(func() { completed = true })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	if !k.Done.Triggered() {
+	if !completed {
 		t.Fatal("kernel never completed")
 	}
 	if !errors.Is(k.Err, faults.ErrKernelFault) {
@@ -98,7 +99,7 @@ func TestStallObserverFiresAtStallOnset(t *testing.T) {
 	var seen []stall
 	dev.SetStallObserver(func(until sim.Time) {
 		seen = append(seen, stall{at: env.Now(), until: until})
-		if !dev.Stalled() {
+		if !dev.stalled() {
 			t.Error("observer fired while device not stalled")
 		}
 	})

@@ -256,9 +256,6 @@ func New(env *sim.Env, spec Spec) *Device {
 	return d
 }
 
-// Spec returns the device's hardware description.
-func (d *Device) Spec() Spec { return d.spec }
-
 // Observe attaches a lifecycle recorder, identifying this device as index
 // device in the recorder's track layout. A nil recorder keeps the disabled
 // fast path. Call before the run starts.
@@ -396,9 +393,6 @@ func (d *Device) SetReadyObserver(fn func()) { d.onReady = fn }
 // Dead reports whether the device is crashed or still warming up — in either
 // state it admits no kernels.
 func (d *Device) Dead() bool { return d.dead }
-
-// Warming reports whether the device is in the warm-up phase of a restart.
-func (d *Device) Warming() bool { return d.warming }
 
 // Crashes returns how many crashes have fired; Revives how many restarts
 // completed.
@@ -550,10 +544,6 @@ func (d *Device) rand() *rand.Rand {
 // router uses it to drain the device and fail requests over to surviving
 // replicas. The callback runs in event-loop context and must not block.
 func (d *Device) SetStallObserver(fn func(until sim.Time)) { d.onStall = fn }
-
-// Stalled reports whether an injected driver stall currently blocks kernel
-// admission.
-func (d *Device) Stalled() bool { return d.stalled() }
 
 // armStall schedules the next injected driver stall, if the injector plans
 // stalls and none is pending. The stall chain is re-armed only while the
@@ -808,9 +798,6 @@ func (d *Device) OwnerBusy(owner int) time.Duration {
 	return busy
 }
 
-// OwnerKernels returns how many kernels owner has completed or started.
-func (d *Device) OwnerKernels(owner int) int { return d.owner(owner).count }
-
 // ActiveKernels returns the number of owner's kernels currently resident —
 // nonzero for a job that has just been switched out means quantum overflow
 // (Figure 15).
@@ -822,15 +809,6 @@ func (d *Device) owner(owner int) ownerAcct {
 		return d.owners[i]
 	}
 	return ownerAcct{}
-}
-
-// StreamWeight returns the service weight drawn for a stream (1.0 before
-// the stream's first submission).
-func (d *Device) StreamWeight(streamID int) float64 {
-	if st := d.streams[streamID]; st != nil {
-		return st.weight
-	}
-	return 1
 }
 
 // OccupancyTime returns accumulated SM occupancy-time: the integral of
@@ -848,12 +826,6 @@ func (d *Device) TotalBusy() time.Duration {
 	}
 	return busy
 }
-
-// QueueLen returns the number of kernels waiting for dispatch.
-func (d *Device) QueueLen() int { return d.queued }
-
-// Active returns the number of kernels currently resident.
-func (d *Device) Active() int { return d.active }
 
 // ErrOutOfMemory is Alloc's answer when a reservation does not fit. It is a
 // fixed value so that callers probing for room (KV growth under pressure

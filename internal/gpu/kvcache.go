@@ -61,21 +61,8 @@ func NewKVCache(dev *Device, blockTokens int, bytesPerToken int64) *KVCache {
 	}
 }
 
-// BlockTokens returns the block granularity in tokens.
-func (kc *KVCache) BlockTokens() int { return kc.blockTokens }
-
-// BlockBytes returns one block's device-memory footprint.
-func (kc *KVCache) BlockBytes() int64 { return kc.blockBytes }
-
 func (kc *KVCache) blocksFor(tokens int) int {
 	return (tokens + kc.blockTokens - 1) / kc.blockTokens
-}
-
-// CanFit reports whether growing a fresh sequence to the given token count
-// would succeed right now.
-func (kc *KVCache) CanFit(tokens int) bool {
-	need := int64(kc.blocksFor(tokens)) * kc.blockBytes
-	return kc.dev.MemoryInUse()+need <= kc.dev.Spec().MemoryBytes
 }
 
 // Grow ensures the sequence's cache covers tokens total tokens, reserving
@@ -117,9 +104,6 @@ func (kc *KVCache) Release(seq int) {
 	delete(kc.seqs, seq)
 	kc.stats.Seqs--
 }
-
-// SeqTokens returns the tokens cached for a sequence (0 when absent).
-func (kc *KVCache) SeqTokens(seq int) int { return kc.seqs[seq].tokens }
 
 // BytesInUse returns the cache's current device-memory footprint.
 func (kc *KVCache) BytesInUse() int64 {

@@ -38,11 +38,11 @@ func TestKVCacheGrowReleaseAccounting(t *testing.T) {
 	if st.BlocksInUse != 5 || st.Seqs != 2 || st.Grown != 5 {
 		t.Fatalf("stats = %+v, want 5 blocks / 2 seqs / 5 grown", st)
 	}
-	if dev.MemoryInUse() != 5*kc.BlockBytes() {
-		t.Fatalf("device memory %d, want %d", dev.MemoryInUse(), 5*kc.BlockBytes())
+	if dev.MemoryInUse() != 5*kc.blockBytes {
+		t.Fatalf("device memory %d, want %d", dev.MemoryInUse(), 5*kc.blockBytes)
 	}
-	if kc.SeqTokens(1) != 17 || kc.SeqTokens(2) != 40 {
-		t.Fatalf("seq tokens = %d, %d", kc.SeqTokens(1), kc.SeqTokens(2))
+	if kc.seqs[1].tokens != 17 || kc.seqs[2].tokens != 40 {
+		t.Fatalf("seq tokens = %d, %d", kc.seqs[1].tokens, kc.seqs[2].tokens)
 	}
 
 	kc.Release(1)
@@ -67,17 +67,11 @@ func TestKVCacheCompetesWithWeights(t *testing.T) {
 	}
 	kc := NewKVCache(dev, 16, 64) // 1 KiB blocks
 
-	if !kc.CanFit(32) {
-		t.Fatalf("2 KiB of cache must fit beside 8 KiB of weights")
-	}
 	if err := kc.Grow(7, 32); err != nil {
-		t.Fatal(err)
-	}
-	if kc.CanFit(1) {
-		t.Fatalf("device is full; CanFit must say no")
+		t.Fatalf("2 KiB of cache must fit beside 8 KiB of weights: %v", err)
 	}
 	if err := kc.Grow(8, 1); err == nil {
-		t.Fatalf("Grow past device memory must fail")
+		t.Fatalf("device is full; Grow past device memory must fail")
 	}
 	st := kc.Stats()
 	if st.AllocFailures != 1 {

@@ -164,16 +164,3 @@ func (g *Graph) GPUDurations() []time.Duration {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// OpClasses returns the distinct Op names in the graph in first-seen order.
-func (g *Graph) OpClasses() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, n := range g.Nodes {
-		if !seen[n.Op] {
-			seen[n.Op] = true
-			out = append(out, n.Op)
-		}
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,27 +121,6 @@ func TestGPUDurationsSorted(t *testing.T) {
 	}
 }
 
-func TestOpClassesFirstSeenOrder(t *testing.T) {
-	b := &Node{Op: "conv", Device: CPU, Duration: 1}
-	c := &Node{Op: "relu", Device: CPU, Duration: 1}
-	d := &Node{Op: "conv", Device: CPU, Duration: 1}
-	root := &Node{Op: "root", Device: CPU, Duration: 1, Children: []*Node{b, c, d}}
-	g := &Graph{Model: "m", BatchSize: 1, Root: root}
-	if err := g.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	classes := g.OpClasses()
-	want := []string{"root", "conv", "relu"}
-	if len(classes) != 3 {
-		t.Fatalf("classes %v", classes)
-	}
-	for i := range want {
-		if classes[i] != want[i] {
-			t.Fatalf("classes %v, want %v", classes, want)
-		}
-	}
-}
-
 // Property: Finalize over a random chain assigns dense IDs 0..n-1 and Stats
 // node counts always add up.
 func TestPropertyChainFinalize(t *testing.T) {
@@ -178,39 +156,5 @@ func TestPropertyChainFinalize(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	b := &Node{Op: "conv", Device: GPU, Duration: time.Millisecond, Occupancy: 1}
-	root := &Node{Op: "root", Device: CPU, Duration: time.Microsecond, Children: []*Node{b}}
-	g := &Graph{Model: "m", BatchSize: 1, Root: root}
-	if err := g.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := g.WriteDOT(&buf, 10); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "conv", "shape=box", "shape=ellipse", "n0 -> n1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteDOTElides(t *testing.T) {
-	head, _ := chain(50, CPU, time.Microsecond)
-	g := &Graph{Model: "m", BatchSize: 1, Root: head}
-	if err := g.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := g.WriteDOT(&buf, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "40 more nodes") {
-		t.Fatalf("expected elision marker:\n%s", buf.String())
 	}
 }

@@ -5,11 +5,11 @@
 // twice. The checks are pure functions over the public stats surfaces, so
 // every experiment can audit itself at no cost to the simulated system.
 //
-// The package also hosts a deterministic chaos fuzzer (fuzz.go): randomized
-// fault schedules — crashes, restarts, partitions, stalls — are decoded from
-// fuzz bytes into a bounded Schedule, run on both cluster engines, audited,
-// and cross-checked for bit-identity. Failing schedules shrink greedily to a
-// minimal JSON repro that replays deterministically.
+// The package tests host a deterministic chaos fuzzer (schedule_test.go):
+// randomized fault schedules — crashes, restarts, partitions, stalls — are
+// decoded from fuzz bytes into a bounded Schedule, run on both cluster
+// engines, audited, and cross-checked for bit-identity. Failing schedules
+// shrink greedily to a minimal JSON repro that replays deterministically.
 //
 // Every open-loop fleet run goes through one driver (drive.go): DriveSharded
 // and DriveLLM feed an Arrival train into a fleet, run and shut it down, and

@@ -45,9 +45,6 @@ func NewBatcher(maxSeqs, maxBatchTokens int) *Batcher {
 	return &Batcher{maxSeqs: slots}
 }
 
-// Slots returns the effective batch bound.
-func (b *Batcher) Slots() int { return b.maxSeqs }
-
 // Enqueue appends a request to the prefill queue. Its Class must be valid.
 func (b *Batcher) Enqueue(r *Request) {
 	b.queue[r.Class].pushBack(entry{r, b.back})
@@ -65,9 +62,6 @@ func (b *Batcher) EnqueueFront(r *Request) {
 
 // QueueLen returns how many requests are waiting for prefill.
 func (b *Batcher) QueueLen() int { return b.queued }
-
-// Ready returns how many prefilled sequences are waiting for a slot.
-func (b *Batcher) Ready() int { return len(b.ready) }
 
 // Running returns the in-flight decode batch in join order. Callers must not
 // mutate the slice.

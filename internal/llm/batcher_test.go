@@ -181,9 +181,9 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 		if got != want {
 			t.Fatalf("op %d: batcher returned %v, reference %v", op, got, want)
 		}
-		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || b.Ready() != len(ref.ready) {
+		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || len(b.ready) != len(ref.ready) {
 			t.Fatalf("op %d: queue/work/ready = %d/%v/%d, reference %d/%v/%d", op,
-				b.QueueLen(), b.HasWork(), b.Ready(), ref.QueueLen(), ref.HasWork(), len(ref.ready))
+				b.QueueLen(), b.HasWork(), len(b.ready), ref.QueueLen(), ref.HasWork(), len(ref.ready))
 		}
 		sameRequests(t, op, "Running", b.Running(), ref.running)
 		maxQueue = max(maxQueue, ref.QueueLen())

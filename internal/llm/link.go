@@ -62,6 +62,3 @@ func (l *Link) Transfers() int { return l.transfers }
 
 // Bytes returns the total payload carried.
 func (l *Link) Bytes() int64 { return l.bytes }
-
-// BusyUntil returns when the link next goes idle.
-func (l *Link) BusyUntil() sim.Time { return l.busyUntil }

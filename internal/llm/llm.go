@@ -182,16 +182,9 @@ func (r *Request) Truncate(budget int) int {
 // tokens carried in via Have).
 func (r *Request) EmittedHere() int { return r.TokensOut - r.Have }
 
-// Remaining is how many output tokens are still to generate.
-func (r *Request) Remaining() int { return r.OutputTokens - r.TokensOut }
-
 // KVTokens is the cache footprint in tokens: the prompt plus every output
 // token produced so far.
 func (r *Request) KVTokens() int { return r.PromptTokens + r.TokensOut }
-
-// Partial reports whether the request failed after delivering new tokens —
-// the accounting case that must not be folded into plain failures.
-func (r *Request) Partial() bool { return r.finished && r.Err != nil && r.EmittedHere() > 0 }
 
 // QueueDelay is the wait from arrival to the first prefill kernel; 0 while
 // waiting or when the request never reached the device.
@@ -217,14 +210,4 @@ func (r *Request) TPOT() time.Duration {
 		return 0
 	}
 	return time.Duration(r.LastTokenAt-r.FirstTokenAt) / time.Duration(r.TokensOut-1)
-}
-
-// Latency is the end-to-end response time of a successful request; 0 in
-// flight or after a failure (partial results are reported through TokensOut
-// and Partial, not folded into completion latency).
-func (r *Request) Latency() time.Duration {
-	if !r.finished || r.Err != nil || r.FinishAt < r.ArriveAt {
-		return 0
-	}
-	return time.Duration(r.FinishAt - r.ArriveAt)
 }

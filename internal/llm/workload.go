@@ -22,12 +22,6 @@ func (d LengthDist) Sample(rng *rand.Rand) (prompt, output int) {
 	return prompt, output
 }
 
-// MeanTokens returns the distribution's expected total tokens per request.
-func (d LengthDist) MeanTokens() float64 {
-	return float64(clampMin(d.PromptMin)+clampMax(d.PromptMin, d.PromptMax))/2 +
-		float64(clampMin(d.OutputMin)+clampMax(d.OutputMin, d.OutputMax))/2
-}
-
 func clampMin(lo int) int {
 	if lo < 1 {
 		return 1

@@ -145,29 +145,9 @@ type TokenPercentiles struct {
 	TPOT Percentiles
 }
 
-// Ok reports whether either token metric holds samples.
-func (tp TokenPercentiles) Ok() bool { return tp.TTFT.Ok() || tp.TPOT.Ok() }
-
 // String renders both metrics in milliseconds.
 func (tp TokenPercentiles) String() string {
 	return fmt.Sprintf("ttft[%s] tpot[%s]", tp.TTFT, tp.TPOT)
-}
-
-// CDFPoint is one (value, cumulative fraction) pair.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns the empirical CDF of xs.
-func CDF(xs []float64) []CDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Frac: float64(i+1) / float64(len(sorted))}
-	}
-	return out
 }
 
 // FractionBelow returns the fraction of xs strictly below threshold.
@@ -388,60 +368,6 @@ func (f *FinishSet) ByModel() map[string][]time.Duration {
 	return out
 }
 
-// QuantumLog records per-quantum GPU durations per client (Figures 14/16)
-// and the wall durations of scheduling intervals (Figure 12).
-type QuantumLog struct {
-	perClient map[int][]time.Duration
-	intervals []time.Duration
-}
-
-// NewQuantumLog returns an empty log.
-func NewQuantumLog() *QuantumLog {
-	return &QuantumLog{perClient: make(map[int][]time.Duration)}
-}
-
-// AddQuantum records one quantum's GPU duration for a client.
-func (q *QuantumLog) AddQuantum(client int, gpuDur time.Duration) {
-	q.perClient[client] = append(q.perClient[client], gpuDur)
-}
-
-// AddInterval records the wall duration of one scheduling interval.
-func (q *QuantumLog) AddInterval(d time.Duration) {
-	q.intervals = append(q.intervals, d)
-}
-
-// Clients returns the client ids with recorded quanta, sorted.
-func (q *QuantumLog) Clients() []int {
-	out := make([]int, 0, len(q.perClient))
-	for c := range q.perClient {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ClientQuanta returns the recorded quanta for one client.
-func (q *QuantumLog) ClientQuanta(client int) []time.Duration { return q.perClient[client] }
-
-// ClientSummary summarizes a client's per-quantum GPU durations in
-// microseconds.
-func (q *QuantumLog) ClientSummary(client int) Summary {
-	return Summarize(DurationsToMicros(q.perClient[client]))
-}
-
-// Intervals returns the scheduling-interval durations.
-func (q *QuantumLog) Intervals() []time.Duration { return q.intervals }
-
-// IntervalSummary summarizes scheduling-interval durations in seconds.
-func (q *QuantumLog) IntervalSummary() Summary {
-	return SummarizeDurations(q.intervals)
-}
-
 // FormatSeconds renders a duration in seconds with two decimals, the
 // paper's finish-time format.
 func FormatSeconds(d time.Duration) string { return fmt.Sprintf("%.2fs", d.Seconds()) }
-
-// FormatMicros renders a duration in whole microseconds.
-func FormatMicros(d time.Duration) string {
-	return fmt.Sprintf("%dus", d.Microseconds())
-}

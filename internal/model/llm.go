@@ -33,7 +33,7 @@ const (
 	// LLMTiny is a deliberately small synthetic LLM for tests and benchmarks
 	// that push many requests through a fleet: microsecond-scale kernels and
 	// a 2 KiB/token KV footprint keep event counts and memory pressure
-	// configurable. Like Micro it is excluded from LLMNames.
+	// configurable. It is a test-scale artifact, not a calibrated model.
 	LLMTiny = "llm-tiny"
 )
 
@@ -88,11 +88,6 @@ var llmDefs = map[string]llmDef{
 		decodePerKV:     8 * time.Nanosecond,
 	},
 }
-
-// LLMNames returns the full-size autoregressive models in ascending size
-// order. LLMTiny is excluded: it is a test-scale artifact, not a calibrated
-// model.
-func LLMNames() []string { return []string{LLM1B, LLM3B} }
 
 // IsLLM reports whether the name denotes an autoregressive model (including
 // LLMTiny).

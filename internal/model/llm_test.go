@@ -6,12 +6,9 @@ import (
 )
 
 func TestLLMNamesAndLookup(t *testing.T) {
-	for _, name := range LLMNames() {
+	for _, name := range []string{LLM1B, LLM3B} {
 		if !IsLLM(name) {
-			t.Fatalf("LLMNames entry %q not IsLLM", name)
-		}
-		if IsLLM(name) && name == LLMTiny {
-			t.Fatalf("LLMTiny must be excluded from LLMNames")
+			t.Fatalf("%q not IsLLM", name)
 		}
 		w, err := LLMWeightsBytes(name)
 		if err != nil || w <= 0 {
@@ -34,7 +31,7 @@ func TestLLMNamesAndLookup(t *testing.T) {
 }
 
 func TestLLMCostsScaleWithDimensions(t *testing.T) {
-	for _, name := range append(LLMNames(), LLMTiny) {
+	for _, name := range []string{LLM1B, LLM3B, LLMTiny} {
 		p64, _ := LLMPrefillTime(name, 64)
 		p512, _ := LLMPrefillTime(name, 512)
 		if p512 <= p64 {

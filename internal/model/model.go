@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"olympian/internal/graph"
@@ -465,16 +464,4 @@ func gpuChain(durs []time.Duration, ops []string, occ float64) *graph.Node {
 	}
 	head.Async = true
 	return head
-}
-
-// DurationCDF returns (durations, cumulative fraction) points for the GPU
-// nodes of a graph — the paper's Figure 4.
-func DurationCDF(g *graph.Graph) (durs []time.Duration, frac []float64) {
-	durs = g.GPUDurations()
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	frac = make([]float64, len(durs))
-	for i := range durs {
-		frac[i] = float64(i+1) / float64(len(durs))
-	}
-	return durs, frac
 }

@@ -57,12 +57,12 @@ func tracedServingRun(t *testing.T, seed int64) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteLifecycle(&buf, rec.Trace()); err != nil {
+	if err := trace.WriteLifecycleTimeline(&buf, rec.Trace(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Spans()) == 0 || len(rec.Instants()) == 0 {
+	if len(rec.Spans()) == 0 || len(rec.Trace().Instants) == 0 {
 		t.Fatalf("instrumentation recorded nothing: %d spans, %d instants",
-			len(rec.Spans()), len(rec.Instants()))
+			len(rec.Spans()), len(rec.Trace().Instants))
 	}
 	return buf.Bytes()
 }

@@ -48,7 +48,6 @@ const (
 	// LayerTelemetry is the telemetry plane: SLO burn-rate alert
 	// transitions evaluated on the sampled virtual timeline.
 	LayerTelemetry
-	numLayers
 )
 
 // String names the layer.
@@ -164,9 +163,6 @@ func NewRecorder() *Recorder {
 		reqSeq:  make(map[int32]uint32),
 	}
 }
-
-// Enabled reports whether the recorder records anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // MuteLayer drops every span and instant the given layer would record.
 // GPU tracing in particular multiplies trace volume by the per-inference
@@ -460,15 +456,6 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// Instants returns the recorded instants (shared backing array; treat as
-// read-only).
-func (r *Recorder) Instants() []Instant {
-	if r == nil {
-		return nil
-	}
-	return r.points
 }
 
 // Trace snapshots the recorder. Spans still open are clamped to the trace

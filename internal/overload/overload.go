@@ -164,9 +164,6 @@ func (l *Limiter) SetObserver(o Observer) { l.obs = o }
 // Limit returns the current concurrency limit.
 func (l *Limiter) Limit() float64 { return l.limit }
 
-// Inflight returns the admitted-and-unfinished request count.
-func (l *Limiter) Inflight() int { return l.inflight }
-
 // Admitted returns how many requests were admitted so far.
 func (l *Limiter) Admitted() int { return l.admitted }
 
@@ -175,9 +172,6 @@ func (l *Limiter) Sheds() int { return l.sheds }
 
 // Decreases returns how many multiplicative decreases fired.
 func (l *Limiter) Decreases() int { return l.decreases }
-
-// HasCapacity reports whether another request fits under the current limit.
-func (l *Limiter) HasCapacity() bool { return l.HasCapacityFrac(1) }
 
 // HasCapacityFrac reports whether another request fits under frac of the
 // current limit. Admission gives lower priority classes a reduced fraction,
@@ -278,12 +272,6 @@ func (b *RetryBudget) Allow() bool {
 func (b *RetryBudget) OnSuccess() {
 	b.tokens = math.Min(b.tokens+b.refund, b.max)
 }
-
-// Tokens returns the remaining budget.
-func (b *RetryBudget) Tokens() float64 { return b.tokens }
-
-// Denied returns how many retries the budget refused.
-func (b *RetryBudget) Denied() int { return b.denied }
 
 // maxBackoffShift caps exponential growth so the delay cannot overflow.
 const maxBackoffShift = 16

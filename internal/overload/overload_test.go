@@ -66,23 +66,23 @@ func TestLimiterFloorAndCeiling(t *testing.T) {
 
 func TestLimiterAccounting(t *testing.T) {
 	l := NewLimiter(AIMDConfig{Initial: 2})
-	if !l.HasCapacity() {
+	if !l.HasCapacityFrac(1) {
 		t.Fatal("fresh limiter should have capacity")
 	}
 	l.Acquire()
 	l.Acquire()
-	if l.HasCapacity() {
+	if l.HasCapacityFrac(1) {
 		t.Fatal("limit 2 with 2 in flight should be full")
 	}
 	l.Release()
-	if !l.HasCapacity() || l.Inflight() != 1 {
-		t.Fatalf("inflight %d after release, want 1 with capacity", l.Inflight())
+	if !l.HasCapacityFrac(1) || l.inflight != 1 {
+		t.Fatalf("inflight %d after release, want 1 with capacity", l.inflight)
 	}
 	// Release never goes negative.
 	l.Release()
 	l.Release()
-	if l.Inflight() != 0 {
-		t.Fatalf("inflight %d, want 0", l.Inflight())
+	if l.inflight != 0 {
+		t.Fatalf("inflight %d, want 0", l.inflight)
 	}
 	if l.Admitted() != 2 {
 		t.Fatalf("admitted %d, want 2", l.Admitted())
@@ -119,8 +119,8 @@ func TestRetryBudgetDrainsAndRefunds(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("empty budget allowed a retry")
 	}
-	if b.Denied() != 1 {
-		t.Fatalf("denied %d, want 1", b.Denied())
+	if b.denied != 1 {
+		t.Fatalf("denied %d, want 1", b.denied)
 	}
 	// Two successes refund one token.
 	b.OnSuccess()
@@ -132,8 +132,8 @@ func TestRetryBudgetDrainsAndRefunds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.OnSuccess()
 	}
-	if b.Tokens() != 2 {
-		t.Fatalf("tokens %v, want capped at 2", b.Tokens())
+	if b.tokens != 2 {
+		t.Fatalf("tokens %v, want capped at 2", b.tokens)
 	}
 }
 

@@ -109,8 +109,6 @@ type TokenLimiter struct {
 	admitted  int
 	sheds     int
 	decreases int
-
-	obs Observer
 }
 
 // NewTokenLimiter returns a limiter at cfg's initial token limit.
@@ -119,23 +117,8 @@ func NewTokenLimiter(cfg TokenAIMDConfig) *TokenLimiter {
 	return &TokenLimiter{cfg: cfg, limit: cfg.Initial}
 }
 
-// SetObserver registers o to be notified of limit cuts; nil unregisters.
-func (l *TokenLimiter) SetObserver(o Observer) { l.obs = o }
-
 // Limit returns the current token limit.
 func (l *TokenLimiter) Limit() float64 { return l.limit }
-
-// InflightTokens returns the admitted-and-unfinished predicted token cost.
-func (l *TokenLimiter) InflightTokens() int { return l.inflight }
-
-// Admitted returns how many requests were admitted so far.
-func (l *TokenLimiter) Admitted() int { return l.admitted }
-
-// Sheds returns how many shed/congestion signals the limiter has absorbed.
-func (l *TokenLimiter) Sheds() int { return l.sheds }
-
-// Decreases returns how many multiplicative decreases fired.
-func (l *TokenLimiter) Decreases() int { return l.decreases }
 
 // HasCapacity reports whether a request of the given predicted token cost
 // fits under the class's fraction of the current limit. An idle limiter
@@ -196,7 +179,4 @@ func (l *TokenLimiter) OnCongestion(now time.Duration) {
 	l.nextDecrease = now + l.cfg.Cooldown
 	l.limit = math.Max(l.limit*l.cfg.Beta, l.cfg.Min)
 	l.decreases++
-	if l.obs != nil {
-		l.obs.LimitChanged(l.limit)
-	}
 }

@@ -17,8 +17,8 @@ func TestTokenLimiterIdleAlwaysAdmits(t *testing.T) {
 		t.Fatal("saturated limiter admitted more work")
 	}
 	l.Release(5000)
-	if !l.HasCapacity(Batch, 1) || l.InflightTokens() != 0 {
-		t.Fatalf("inflight %d after release, want 0 with capacity", l.InflightTokens())
+	if !l.HasCapacity(Batch, 1) || l.inflight != 0 {
+		t.Fatalf("inflight %d after release, want 0 with capacity", l.inflight)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestTokenLimiterShedsNeverDecrease(t *testing.T) {
 	if got := l.Limit(); got != 1000 {
 		t.Fatalf("limit %v after self-sheds, want unchanged 1000", got)
 	}
-	if l.Sheds() != 50 || l.Decreases() != 0 {
-		t.Fatalf("sheds=%d decreases=%d, want 50/0", l.Sheds(), l.Decreases())
+	if l.sheds != 50 || l.decreases != 0 {
+		t.Fatalf("sheds=%d decreases=%d, want 50/0", l.sheds, l.decreases)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestTokenLimiterCooldownCoalesces(t *testing.T) {
 	if got := l.Limit(); got != 800 {
 		t.Fatalf("limit after burst %v, want one halving to 800", got)
 	}
-	if l.Decreases() != 1 {
-		t.Fatalf("decreases %d, want 1", l.Decreases())
+	if l.decreases != 1 {
+		t.Fatalf("decreases %d, want 1", l.decreases)
 	}
 	l.OnCongestion(7 * time.Millisecond)
 	if got := l.Limit(); got != 400 {
@@ -129,12 +129,12 @@ func TestTokenLimiterReleaseClamps(t *testing.T) {
 	l := NewTokenLimiter(TokenAIMDConfig{Initial: 100})
 	l.Acquire(40)
 	l.Release(100)
-	if l.InflightTokens() != 0 {
-		t.Fatalf("inflight %d, want clamped at 0", l.InflightTokens())
+	if l.inflight != 0 {
+		t.Fatalf("inflight %d, want clamped at 0", l.inflight)
 	}
 	l.Acquire(-10)
-	if l.InflightTokens() != 0 || l.Admitted() != 2 {
-		t.Fatalf("inflight=%d admitted=%d, want 0/2", l.InflightTokens(), l.Admitted())
+	if l.inflight != 0 || l.admitted != 2 {
+		t.Fatalf("inflight=%d admitted=%d, want 0/2", l.inflight, l.admitted)
 	}
 }
 

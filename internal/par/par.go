@@ -103,9 +103,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes f(i) for every i in [0, n) and returns when all calls have
 // finished. Indexes are claimed atomically, so slot i's effects land in
 // slot i regardless of which worker ran it. With one worker (or n == 1) the

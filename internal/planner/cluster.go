@@ -97,18 +97,6 @@ type Placement struct {
 	LoadShare []float64
 }
 
-// DevicesFor returns the device IDs hosting (model, batch), ascending.
-func (pl *Placement) DevicesFor(modelName string, batch int) []int {
-	var out []int
-	for _, r := range pl.Replicas {
-		if r.Model == modelName && r.Batch == batch {
-			out = append(out, r.Device)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ReplicaCount derives how many replicas a model needs: its offered GPU
 // demand divided by the fleet's mean per-device quantum budget
 // (ClockScale × targetUtil reference-GPU-seconds per second), rounded up,

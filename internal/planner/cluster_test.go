@@ -2,6 +2,7 @@ package planner
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -74,10 +75,10 @@ func TestPlacementHeterogeneousDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.DevicesFor("large", 1); len(got) != 1 || got[0] != 1 {
+	if got := devicesFor(pl, "large", 1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("large model on %v, want [1]", got)
 	}
-	if got := pl.DevicesFor("small", 1); len(got) != 1 {
+	if got := devicesFor(pl, "small", 1); len(got) != 1 {
 		t.Fatalf("small model on %v, want one device", got)
 	}
 	// Spread should account for the faster clock: the same demand loads
@@ -100,7 +101,7 @@ func TestPlacementDeterministicTieBreak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pl.DevicesFor("m", 4); len(got) != 1 || got[0] != 0 {
+		if got := devicesFor(pl, "m", 4); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("%v: tie broke to %v, want [0]", pol, got)
 		}
 	}
@@ -155,4 +156,16 @@ func TestPlacementSpreadBalancesLoad(t *testing.T) {
 			t.Fatalf("spread load shares uneven: %v", pl.LoadShare)
 		}
 	}
+}
+
+// devicesFor returns the device IDs hosting (model, batch), ascending.
+func devicesFor(pl *Placement, modelName string, batch int) []int {
+	var out []int
+	for _, r := range pl.Replicas {
+		if r.Model == modelName && r.Batch == batch {
+			out = append(out, r.Device)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

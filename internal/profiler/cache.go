@@ -51,24 +51,6 @@ func (s *Store) Get(k Key) (*Result, bool) {
 	return ent.res, true
 }
 
-// Put stores a precomputed profile under k, replacing any completed entry.
-// An in-flight computation for k is left to finish and keeps its slot.
-func (s *Store) Put(k Key, r *Result) {
-	ent := &storeEntry{ready: make(chan struct{}), res: r}
-	close(ent.ready)
-	s.mu.Lock()
-	if old, ok := s.m[k]; ok {
-		select {
-		case <-old.ready:
-		default:
-			s.mu.Unlock()
-			return
-		}
-	}
-	s.m[k] = ent
-	s.mu.Unlock()
-}
-
 // GetOrCompute returns the profile for k, computing it with f on first use.
 // Concurrent callers for the same key share a single computation; its result
 // (or error) is cached for all of them.

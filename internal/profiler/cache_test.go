@@ -44,21 +44,23 @@ func TestStoreGetOrComputeSingleFlight(t *testing.T) {
 	}
 }
 
-func TestStorePutAndGet(t *testing.T) {
+func TestStoreGetServesComputed(t *testing.T) {
 	s := NewStore()
 	k := Key{Model: "m", Batch: 8}
 	if _, ok := s.Get(k); ok {
 		t.Fatal("empty store reported a profile")
 	}
 	want := &Result{Model: "m", Batch: 8}
-	s.Put(k, want)
+	if r, err := s.GetOrCompute(k, func() (*Result, error) { return want, nil }); err != nil || r != want {
+		t.Fatalf("GetOrCompute = %v, %v", r, err)
+	}
 	got, ok := s.Get(k)
 	if !ok || got != want {
 		t.Fatalf("Get = %v, %v; want the stored profile", got, ok)
 	}
 	// GetOrCompute must serve the stored profile without computing.
 	r, err := s.GetOrCompute(k, func() (*Result, error) {
-		t.Fatal("computed despite Put")
+		t.Fatal("recomputed a stored key")
 		return nil, nil
 	})
 	if err != nil || r != want {

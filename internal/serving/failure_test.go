@@ -37,7 +37,7 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 	if st.Degraded.BatchFailures != 1 {
 		t.Fatalf("batch failures %d, want 1", st.Degraded.BatchFailures)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if r.FinishAt == 0 {
 			t.Fatalf("request %d never completed", r.ID)
 		}
@@ -62,7 +62,7 @@ func TestBoundedQueueShedsAtAdmission(t *testing.T) {
 	if st.Degraded.Drops != 6 {
 		t.Fatalf("drops %d, want 6", st.Degraded.Drops)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if !r.Failed() {
 			continue
 		}
@@ -94,7 +94,7 @@ func TestDeadlineExpiryDropsQueuedRequests(t *testing.T) {
 	if st.Degraded.Expired != 3 || st.Failed != 3 {
 		t.Fatalf("stats %+v, want 3 expired", st)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if !errors.Is(r.Err, ErrExpired) {
 			t.Fatalf("request %d err = %v, want ErrExpired", r.ID, r.Err)
 		}
@@ -143,7 +143,7 @@ func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 	if st.Degraded.BatchRetries != 1 || st.Degraded.BatchFailures != 1 {
 		t.Fatalf("degraded %v, want 1 retry then 1 failure", st.Degraded)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if !errors.Is(r.Err, faults.ErrKernelFault) {
 			t.Fatalf("request %d err = %v, want wrapped kernel fault", r.ID, r.Err)
 		}
@@ -166,7 +166,7 @@ func TestServingUnderFaultsIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.Shutdown()
-		for _, r := range srv.Requests() {
+		for _, r := range srv.requests {
 			if r.FinishAt == 0 {
 				t.Fatalf("request %d never reached a terminal state", r.ID)
 			}
@@ -257,7 +257,7 @@ func TestMaxBatchOverflowSplits(t *testing.T) {
 		t.Fatalf("stats %+v, want 19 requests over 3 batches", st)
 	}
 	sizes := map[int]int{}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		sizes[r.BatchSize]++
 	}
 	if sizes[8] != 16 || sizes[3] != 3 {

@@ -10,13 +10,13 @@ import (
 
 func TestLatencyZeroWhileInFlight(t *testing.T) {
 	// A request that has not finished has FinishAt == 0; Latency and
-	// QueueDelay must read 0, not a bogus negative duration.
+	// queueDelay must read 0, not a bogus negative duration.
 	r := &Request{ArriveAt: sim.Time(5 * time.Millisecond)}
 	if got := r.Latency(); got != 0 {
 		t.Fatalf("in-flight Latency() = %v, want 0", got)
 	}
-	if got := r.QueueDelay(); got != 0 {
-		t.Fatalf("un-batched QueueDelay() = %v, want 0", got)
+	if got := queueDelay(r); got != 0 {
+		t.Fatalf("un-batched queue delay = %v, want 0", got)
 	}
 }
 
@@ -37,15 +37,15 @@ func TestShedAndExpiredReportZeroDelays(t *testing.T) {
 	if st.Failed == 0 {
 		t.Fatal("no requests shed or expired; the test exercised nothing")
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if r.Latency() < 0 {
 			t.Fatalf("request %d Latency() = %v, negative", r.ID, r.Latency())
 		}
-		if r.QueueDelay() < 0 {
-			t.Fatalf("request %d QueueDelay() = %v, negative", r.ID, r.QueueDelay())
+		if queueDelay(r) < 0 {
+			t.Fatalf("request %d queue delay = %v, negative", r.ID, queueDelay(r))
 		}
-		if r.Failed() && r.BatchedAt == 0 && r.QueueDelay() != 0 {
-			t.Fatalf("failed request %d QueueDelay() = %v, want 0", r.ID, r.QueueDelay())
+		if r.Failed() && r.BatchedAt == 0 && queueDelay(r) != 0 {
+			t.Fatalf("failed request %d queue delay = %v, want 0", r.ID, queueDelay(r))
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestDrainQueuedFailsOnlyQueuedRequests(t *testing.T) {
 	if drained != 3 {
 		t.Fatalf("drained %d requests, want 3", drained)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if r.Err != ErrDrained {
 			t.Fatalf("request %d err = %v, want ErrDrained", r.ID, r.Err)
 		}
@@ -102,4 +102,14 @@ func TestDrainQueuedFailsOnlyQueuedRequests(t *testing.T) {
 			t.Fatalf("drained request %d never reached a terminal state", r.ID)
 		}
 	}
+}
+
+// queueDelay is the time r spent waiting in the batcher, or 0 for a request
+// shed, expired, or drained before the batcher dispatched it (BatchedAt is
+// never stamped on those paths).
+func queueDelay(r *Request) time.Duration {
+	if r.BatchedAt == 0 || r.BatchedAt < r.ArriveAt {
+		return 0
+	}
+	return time.Duration(r.BatchedAt - r.ArriveAt)
 }

@@ -358,21 +358,6 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 // Device exposes the replica's GPU.
 func (s *LLMServer) Device() *gpu.Device { return s.dev }
 
-// KV exposes the replica's cache allocator.
-func (s *LLMServer) KV() *gpu.KVCache { return s.kv }
-
-// Profile exposes the fitted cost curves.
-func (s *LLMServer) Profile() *profiler.LLMProfile { return s.prof }
-
-// Model returns the served model name.
-func (s *LLMServer) Model() string { return s.cfg.Model }
-
-// Requests returns the retained request log; nil in Slim mode.
-func (s *LLMServer) Requests() []*llm.Request { return s.requests }
-
-// QueueLen returns prefill-queue plus ingest-pending occupancy.
-func (s *LLMServer) QueueLen() int { return s.batch.QueueLen() + len(s.pending) }
-
 // Submit enqueues a fresh request (Colocated or PrefillRole). have carries
 // tokens already delivered by a previous replica (failover recompute).
 // Callable from event or process context; completion is the request's Done

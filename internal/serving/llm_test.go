@@ -102,7 +102,7 @@ func TestLLMColocatedEndToEnd(t *testing.T) {
 				if r.OutputTokens >= 2 && r.TPOT() <= 0 {
 					t.Fatalf("request %d has no TPOT", r.ID)
 				}
-				if r.Latency() <= 0 {
+				if r.FinishAt <= r.ArriveAt {
 					t.Fatalf("request %d has no latency", r.ID)
 				}
 			}
@@ -230,7 +230,7 @@ func TestLLMCrashMidDecodeReportsPartialTokens(t *testing.T) {
 	if r == nil || !r.Finished() || !errors.Is(r.Err, ErrDrained) {
 		t.Fatalf("want ErrDrained, got %+v", r)
 	}
-	if !r.Partial() || r.TokensOut == 0 || r.TokensOut >= r.OutputTokens {
+	if r.EmittedHere() == 0 || r.TokensOut == 0 || r.TokensOut >= r.OutputTokens {
 		t.Fatalf("want a partial result, got %d/%d tokens", r.TokensOut, r.OutputTokens)
 	}
 	st := srv.Stats()

@@ -102,16 +102,6 @@ func (r *Request) Latency() time.Duration {
 	return time.Duration(r.FinishAt - r.ArriveAt)
 }
 
-// QueueDelay returns time spent waiting in the batcher, or 0 for a request
-// that was shed, expired, or drained before the batcher ever dispatched it
-// (BatchedAt is never stamped on those paths).
-func (r *Request) QueueDelay() time.Duration {
-	if r.BatchedAt == 0 || r.BatchedAt < r.ArriveAt {
-		return 0
-	}
-	return time.Duration(r.BatchedAt - r.ArriveAt)
-}
-
 // Config parameterises a server.
 type Config struct {
 	// Spec is the GPU platform (defaults to GTX1080Ti).
@@ -957,10 +947,6 @@ func (s *Server) graphFor(modelName string, batch int) (*graph.Graph, error) {
 	}
 	return g, nil
 }
-
-// Requests returns all requests submitted so far; nil in Slim mode, which
-// does not retain them.
-func (s *Server) Requests() []*Request { return s.requests }
 
 // AvailAt summarizes the device's crash-recovery behaviour normalized against
 // the caller's clock; the zero value means the device never crashed. The

@@ -48,7 +48,7 @@ func TestBatcherFlushesOnFullBatch(t *testing.T) {
 	if st.Requests != 16 || st.Batches != 2 {
 		t.Fatalf("stats %+v, want 16 requests in 2 batches", st)
 	}
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if r.BatchSize != 8 {
 			t.Fatalf("request %d rode batch of %d, want 8", r.ID, r.BatchSize)
 		}
@@ -70,9 +70,9 @@ func TestBatcherFlushesOnTimeout(t *testing.T) {
 	if st.Batches != 1 {
 		t.Fatalf("%d batches, want 1 (timeout flush)", st.Batches)
 	}
-	for _, r := range srv.Requests() {
-		if r.QueueDelay() < 5*time.Millisecond-time.Microsecond {
-			t.Fatalf("request %d flushed after %v, want the 5ms timeout", r.ID, r.QueueDelay())
+	for _, r := range srv.requests {
+		if queueDelay(r) < 5*time.Millisecond-time.Microsecond {
+			t.Fatalf("request %d flushed after %v, want the 5ms timeout", r.ID, queueDelay(r))
 		}
 		if r.BatchSize != 3 {
 			t.Fatalf("batch size %d, want 3", r.BatchSize)
@@ -88,12 +88,12 @@ func TestLatencyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	for _, r := range srv.Requests() {
+	for _, r := range srv.requests {
 		if r.Latency() <= 0 {
 			t.Fatalf("request %d latency %v", r.ID, r.Latency())
 		}
-		if r.Latency() < r.QueueDelay() {
-			t.Fatalf("latency %v < queue delay %v", r.Latency(), r.QueueDelay())
+		if r.Latency() < queueDelay(r) {
+			t.Fatalf("latency %v < queue delay %v", r.Latency(), queueDelay(r))
 		}
 	}
 	st := srv.Stats()

@@ -144,10 +144,10 @@ func TestCondWaitSignalCycleAllocs(t *testing.T) {
 	}).SetDaemon(true)
 	var avg float64
 	env.Go("signaller", func(p *Proc) {
-		p.Yield() // let the waiter park first
+		p.Sleep(0) // let the waiter park first
 		avg = testing.AllocsPerRun(200, func() {
 			cond.Signal()
-			p.Yield() // the waiter runs, re-waits, and hands back
+			p.Sleep(0) // the waiter runs, re-waits, and hands back
 		})
 	})
 	if err := env.Run(); err != nil {
@@ -184,7 +184,7 @@ func TestEventResetCycleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	if !ev.Triggered() {
+	if !ev.triggered {
 		t.Fatal("event not triggered after the last cycle")
 	}
 	if avg > 0 {

@@ -98,7 +98,7 @@ func BenchmarkSimSpawn(b *testing.B) {
 	env.Go("spawner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			env.Go("child", child)
-			p.Yield() // the child runs and exits, returning its carrier
+			p.Sleep(0) // the child runs and exits, returning its carrier
 		}
 	})
 	b.ReportAllocs()

@@ -147,7 +147,7 @@ func TestCarrierReusedAfterExit(t *testing.T) {
 func TestSpawnSteadyStateAllocs(t *testing.T) {
 	env := NewEnv(1)
 	warmHeap(t, env, 64)
-	fn := func(p *Proc) { p.Yield() }
+	fn := func(p *Proc) { p.Sleep(0) }
 	env.Go("warm", fn)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	if env.Now() != Time(3*time.Millisecond) {
 		t.Fatalf("6 tasks at width 2 should take 3ms, took %v", env.Now())
 	}
-	if sem.Free() != 2 {
-		t.Fatalf("free %d, want 2", sem.Free())
+	if sem.free != 2 {
+		t.Fatalf("free %d, want 2", sem.free)
 	}
 }
 

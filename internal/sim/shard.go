@@ -109,15 +109,6 @@ func NewShards(cfg ShardsConfig) *Shards {
 	return s
 }
 
-// N returns the shard count.
-func (s *Shards) N() int { return len(s.envs) }
-
-// Lookahead returns the minimum cross-shard latency L.
-func (s *Shards) Lookahead() Duration { return s.lookahead }
-
-// SingleHeap reports whether the reference engine is active.
-func (s *Shards) SingleHeap() bool { return s.single }
-
 // Env returns shard i's environment. Under SingleHeap all shards share one.
 func (s *Shards) Env(i int) *Env { return s.envs[i] }
 

@@ -346,15 +346,6 @@ func (p *Proc) SetDaemon(v bool) {
 	}
 }
 
-// ID returns the process's unique id within its environment.
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the label given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -585,10 +576,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park("sleep")
 }
 
-// Yield reschedules the process at the current time, letting any other
-// same-time events run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Run executes events until the queue is empty, Stop is called, or the
 // optional time limit is reached. It returns an error if live processes
 // remain parked with no runnable events (deadlock).
@@ -664,9 +651,6 @@ type Event struct {
 
 // NewEvent returns an untriggered event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
-
-// Triggered reports whether the event has fired.
-func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Trigger fires the event, scheduling all waiters to resume at the current
 // time. Triggering an already-triggered event is a no-op.
@@ -820,9 +804,6 @@ func (s *Semaphore) Release() {
 	s.cond.Signal()
 }
 
-// Free returns the number of free slots.
-func (s *Semaphore) Free() int { return s.free }
-
 // WaitGroup counts in-flight tasks; Wait blocks until the count reaches zero.
 type WaitGroup struct {
 	cond  Cond
@@ -851,9 +832,6 @@ func (wg *WaitGroup) Done() {
 		wg.cond.Broadcast()
 	}
 }
-
-// Count returns the current count.
-func (wg *WaitGroup) Count() int { return wg.count }
 
 // Wait blocks p until the count is zero.
 func (wg *WaitGroup) Wait(p *Proc) {

@@ -63,12 +63,14 @@ func TestSamplerScrapesOnVirtualClock(t *testing.T) {
 	tl := Merge(cfg, []*Sampler{s})
 	last := tl.Ticks - 1
 	// Counter rate over the full retained window ≈ 1000 events/s (one per ms).
-	rate := tl.Rate("toy_requests_total", 100*time.Millisecond, last)
+	c := tl.scalars["toy_requests_total"]
+	rate := (c.valueAt(tl, last) - c.valueAt(tl, last-tl.windowTicks(100*time.Millisecond))) / 0.1
 	if rate < 900 || rate > 1100 {
 		t.Fatalf("rate = %v, want ≈1000", rate)
 	}
 	// Windowed quantile over the slow tail sees ~80ms.
-	p99 := tl.QuantileOver("toy_latency_seconds", 50*time.Millisecond, last, 0.99)
+	d := tl.histDelta(tl.hists["toy_latency_seconds"], tl.windowTicks(50*time.Millisecond), last)
+	p99 := obs.QuantileOfBuckets(d.buckets, 0.99)
 	if p99 < 0.06 || p99 > 0.1 {
 		t.Fatalf("windowed p99 = %v, want ≈0.08", p99)
 	}
@@ -190,7 +192,7 @@ func TestFinishToExtendsWithFinalState(t *testing.T) {
 	}
 	s.FinishTo(3)
 	tl := Merge(cfg, []*Sampler{s})
-	vals := tl.Values("toy_requests_total")
+	vals := tl.scalars["toy_requests_total"].vals
 	want := []float64{1, 2, 2}
 	if len(vals) != len(want) {
 		t.Fatalf("vals = %v, want %v", vals, want)
@@ -219,7 +221,7 @@ func TestRingEviction(t *testing.T) {
 	if tl.Ticks-tl.Start != 8 {
 		t.Fatalf("retained %d ticks, want 8", tl.Ticks-tl.Start)
 	}
-	if got := len(tl.Values("toy_requests_total")); got != 8 {
+	if got := len(tl.scalars["toy_requests_total"].vals); got != 8 {
 		t.Fatalf("series length %d, want 8", got)
 	}
 }

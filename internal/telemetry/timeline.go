@@ -151,40 +151,6 @@ func (s *tlScalar) valueAt(tl *Timeline, t int) float64 {
 	return s.vals[t-tl.Start]
 }
 
-// Delta returns a counter series' increase over the window ending at tick
-// at. The window start clamps to the retained window, where values read 0.
-func (tl *Timeline) Delta(key string, window sim.Duration, at int) float64 {
-	s := tl.scalars[key]
-	if s == nil {
-		return 0
-	}
-	return s.valueAt(tl, at) - s.valueAt(tl, at-tl.windowTicks(window))
-}
-
-// Rate returns a counter series' per-second rate over the window ending at
-// tick at.
-func (tl *Timeline) Rate(key string, window sim.Duration, at int) float64 {
-	w := tl.windowTicks(window)
-	secs := (sim.Duration(w) * tl.Interval).Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return tl.Delta(key, window, at) / secs
-}
-
-// QuantileOver estimates the q-quantile (seconds) of a histogram series over
-// the window ending at tick at, from the delta of its cumulative snapshots —
-// the same estimator the whole-run histogram uses. Returns 0 on an empty
-// window.
-func (tl *Timeline) QuantileOver(key string, window sim.Duration, at int, q float64) float64 {
-	h := tl.hists[key]
-	if h == nil {
-		return 0
-	}
-	d := tl.histDelta(h, tl.windowTicks(window), at)
-	return obs.QuantileOfBuckets(d.buckets, q)
-}
-
 func (tl *Timeline) histAt(h *tlHist, t int) histSnap {
 	if t < tl.Start {
 		return histSnap{}
@@ -286,22 +252,6 @@ func (tl *Timeline) Evaluate(slos []SLO, rules []BurnRule) {
 // Burns returns the per-tick long-window burn-rate series for "slo/rule"
 // keys, aligned at Start. The serve CLI exposes the final values as gauges.
 func (tl *Timeline) Burns() map[string][]float64 { return tl.burns }
-
-// ScalarKeys returns the merged scalar series keys in sorted order.
-func (tl *Timeline) ScalarKeys() []string { return tl.scalarOrder }
-
-// HistKeys returns the merged histogram series keys in sorted order.
-func (tl *Timeline) HistKeys() []string { return tl.histOrder }
-
-// Values returns a merged scalar's retained values (aligned at Start), or
-// nil for an unknown key.
-func (tl *Timeline) Values(key string) []float64 {
-	s := tl.scalars[key]
-	if s == nil {
-		return nil
-	}
-	return s.vals
-}
 
 // LogAlerts records every alert as an obs instant at its virtual timestamp,
 // so alert transitions land on the lifecycle trace's telemetry track next to

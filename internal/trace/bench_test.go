@@ -56,7 +56,7 @@ func BenchmarkWriteLifecycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteLifecycle(io.Discard, tr); err != nil {
+		if err := WriteLifecycleTimeline(io.Discard, tr, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -120,26 +120,21 @@ func writeProcessMeta(jw *jsonWriter, pid int, tids uint8) {
 	}
 }
 
-// WriteLifecycle renders an obs.Trace as a request-lifecycle Chrome/Perfetto
-// trace: one process per device, one track per request class (plus executor,
-// GPU, and client tracks), spans as complete slices and point events as
-// thread-scoped instants. Each span carries the id "r<req>.<seq>" (request
-// ID plus per-request monotonic counter) when it belongs to a request.
-// Output is a deterministic function of the trace: metadata is sorted and
-// events keep recorded order, so same-seed runs render byte-identically.
-func WriteLifecycle(w io.Writer, tr *obs.Trace) error {
-	return WriteLifecycleTimeline(w, tr, nil)
-}
-
-// WriteLifecycleTimeline renders the lifecycle trace plus the telemetry
-// plane's burn-rate series as Perfetto counter tracks ("C" events on the
-// cluster process): one counter per SLO/rule pair, sampled at every retained
-// tick, shifted by the timeline's trace offset so the counters overlay the
-// run whose alerts were logged. Alert transitions themselves already ride
-// the lifecycle trace as telemetry-track instants (Timeline.LogAlerts), so
-// the counters and the instants line up. Output stays a deterministic
-// function of (trace, timeline): counter keys render in sorted order. A nil
-// timeline renders the lifecycle trace alone.
+// WriteLifecycleTimeline renders an obs.Trace as a request-lifecycle
+// Chrome/Perfetto trace: one process per device, one track per request class
+// (plus executor, GPU, and client tracks), spans as complete slices and point
+// events as thread-scoped instants. Each span carries the id "r<req>.<seq>"
+// (request ID plus per-request monotonic counter) when it belongs to a
+// request. Metadata is sorted and events keep recorded order, so same-seed
+// runs render byte-identically.
+//
+// A non-nil timeline adds the telemetry plane's burn-rate series as Perfetto
+// counter tracks ("C" events on the cluster process): one counter per
+// SLO/rule pair, sampled at every retained tick, shifted by the timeline's
+// trace offset so the counters overlay the run whose alerts were logged.
+// Alert transitions themselves already ride the lifecycle trace as
+// telemetry-track instants (Timeline.LogAlerts), so the counters and the
+// instants line up. Counter keys render in sorted order.
 //
 // The trace streams to w as it renders. A non-finite burn rate is an error
 // reported before anything is written.

@@ -51,7 +51,7 @@ func lifecycleFixture(t *testing.T) *obs.Trace {
 // Refresh with: go test ./internal/trace -run Golden -update
 func TestWriteLifecycleGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteLifecycle(&buf, lifecycleFixture(t)); err != nil {
+	if err := WriteLifecycleTimeline(&buf, lifecycleFixture(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "lifecycle.golden.json", buf.Bytes())
@@ -84,7 +84,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // thread-scoped.
 func TestWriteLifecycleStructure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteLifecycle(&buf, lifecycleFixture(t)); err != nil {
+	if err := WriteLifecycleTimeline(&buf, lifecycleFixture(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
@@ -142,7 +142,7 @@ func TestWriteLifecycleStructure(t *testing.T) {
 // array (same Perfetto constraint as WriteChromeTrace).
 func TestWriteLifecycleEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteLifecycle(&buf, &obs.Trace{}); err != nil {
+	if err := WriteLifecycleTimeline(&buf, &obs.Trace{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {

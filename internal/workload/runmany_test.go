@@ -111,7 +111,7 @@ func TestRunManyRecordingMatchesSerialTrace(t *testing.T) {
 	}
 	render := func(rec *obs.Recorder) (string, string) {
 		var tr, pm bytes.Buffer
-		if err := trace.WriteLifecycle(&tr, rec.Trace()); err != nil {
+		if err := trace.WriteLifecycleTimeline(&tr, rec.Trace(), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := rec.Registry().WritePrometheus(&pm); err != nil {
