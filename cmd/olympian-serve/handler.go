@@ -370,7 +370,7 @@ func runTimelineDemo(seed int64, mult float64) (*telemetry.Timeline, error) {
 		n++
 		env.Go(fmt.Sprintf("client-%d", n), func(p *sim.Proc) {
 			p.Sleep(at)
-			req, err := srv.SubmitClass(p, model.Inception, class)
+			req, err := srv.SubmitClass(model.Inception, class)
 			if err != nil {
 				return
 			}

@@ -215,7 +215,7 @@ func (r *LLMRequest) TPOT() time.Duration {
 }
 
 // llmReport is one attempt outcome, snapshotted in the device's own context
-// so the closure the front-end runs touches no device-shard state.
+// so the front-end reads no device-shard state.
 type llmReport struct {
 	tokensOut    int
 	kvTokens     int
@@ -233,7 +233,8 @@ type LLMCluster struct {
 	fleet
 	cfg     LLMConfig
 	servers []*serving.LLMServer
-	links   []*llm.Link // egress link per prefill device, owned by shard 0
+	links   []*llm.Link   // egress link per prefill device, owned by shard 0
+	free    []*llmAttempt // attempt records, owned by shard 0
 
 	requests []*LLMRequest // retained unless Slim
 	// prefillModel and decodeModel are the role pseudo-models the shared
@@ -403,50 +404,119 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 // previous attempt's degraded mode cut — a truncation is never silently
 // restored by a re-dispatch.
 func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
-	id := c.dispatch(&r.request, dev, false)
 	r.PrefillDev = dev
-	srv := c.servers[dev]
-	class, prompt, have := r.Class, r.PromptTokens, r.TokensOut
-	output := r.OutputTokens - r.Truncated
-	mname := c.cfg.Model
-	c.shards.Send(0, dev+1, c.net, func() {
-		inner, err := srv.Submit(mname, class, prompt, output, have)
-		c.report(r, id, dev, have, srv, inner, err)
+	t := c.newAttempt(r, dev, false)
+	t.have = r.TokensOut
+	t.next = (*llmAttempt).run
+	c.shards.Send(0, dev+1, c.net, t.hop)
+}
+
+// llmAttempt is one prefill or decode attempt's record, carried to the
+// device by the dispatch message and back by the report. Ownership moves
+// with the messages: shard 0 fills it and sends it, the device then alone
+// touches it until it sends the report, and shard 0 returns it to the free
+// list at fold.
+type llmAttempt struct {
+	c *LLMCluster
+
+	// Set on shard 0 before the dispatch message: the request and attempt id
+	// the report returns under, and the device op's arguments.
+	req                       *LLMRequest
+	id, dev                   int
+	srv                       *serving.LLMServer
+	decode                    bool
+	class                     overload.Class
+	prompt, output, have      int
+	arriveAt, firstAt, lastAt sim.Time // decode ingest only
+
+	// Set on the device before the report message.
+	inner *llm.Request
+	rep   llmReport
+
+	// hop is t.step bound once: both messages and the completion
+	// subscription deliver it, and next names the action it runs there
+	// (run on the device, done on the device at completion, back on
+	// shard 0). A method expression allocates nothing, so a record costs one
+	// closure for its whole life.
+	hop  func()
+	next func(*llmAttempt)
+}
+
+// step runs the attempt's next action.
+func (t *llmAttempt) step() { t.next(t) }
+
+// newAttempt takes a record from shard 0's free list, or makes one, and
+// opens attempt r on dev with the arguments both roles share.
+func (c *LLMCluster) newAttempt(r *LLMRequest, dev int, decode bool) *llmAttempt {
+	var t *llmAttempt
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		t = &llmAttempt{c: c}
+		t.hop = t.step
+	}
+	t.req, t.dev, t.srv, t.decode = r, dev, c.servers[dev], decode
+	t.id = c.dispatch(&r.request, dev, false)
+	t.class, t.prompt, t.output = r.Class, r.PromptTokens, r.OutputTokens-r.Truncated
+	return t
+}
+
+// run executes the attempt's op on the device. A synchronous rejection
+// reports at once, carrying the have tokens already delivered; otherwise the
+// report waits for the device-side request to finish.
+func (t *llmAttempt) run() {
+	var inner *llm.Request
+	var err error
+	if t.decode {
+		inner, err = t.srv.Ingest(t.class, t.prompt, t.output, t.have, t.arriveAt, t.firstAt, t.lastAt)
+	} else {
+		inner, err = t.srv.Submit(t.c.cfg.Model, t.class, t.prompt, t.output, t.have)
+	}
+	if err != nil {
+		t.send(llmReport{tokensOut: t.have, err: err, kvUtil: t.srv.KVUtilization()})
+		return
+	}
+	t.inner = inner
+	t.next = (*llmAttempt).done
+	inner.Done().Subscribe(t.hop)
+}
+
+// done runs on the device when the attempt's request finishes.
+func (t *llmAttempt) done() {
+	in := t.inner
+	t.send(llmReport{
+		tokensOut:    in.TokensOut,
+		kvTokens:     in.KVTokens(),
+		truncated:    in.Truncated,
+		kvUtil:       t.srv.KVUtilization(),
+		firstTokenAt: in.FirstTokenAt,
+		lastTokenAt:  in.LastTokenAt,
+		handedOff:    in.HandedOff,
+		err:          in.Err,
 	})
 }
 
-// report returns one attempt's outcome from device dev to the front-end
-// under its (request, attempt id) pair: a synchronous rejection at once,
-// carrying the have tokens already delivered, otherwise when the
-// device-side request finishes. It runs in the device's context, so the
-// report is snapshotted there and r is only carried, never read.
-func (c *LLMCluster) report(r *LLMRequest, id, dev, have int, srv *serving.LLMServer, inner *llm.Request, err error) {
-	if err != nil {
-		rep := llmReport{tokensOut: have, err: err, kvUtil: srv.KVUtilization()}
-		c.shards.Send(dev+1, 0, c.net, func() { c.attemptDone(r, id, rep) })
-		return
-	}
-	inner.Done().Subscribe(func() {
-		rep := llmReport{
-			tokensOut:    inner.TokensOut,
-			kvTokens:     inner.KVTokens(),
-			truncated:    inner.Truncated,
-			kvUtil:       srv.KVUtilization(),
-			firstTokenAt: inner.FirstTokenAt,
-			lastTokenAt:  inner.LastTokenAt,
-			handedOff:    inner.HandedOff,
-			err:          inner.Err,
-		}
-		c.shards.Send(dev+1, 0, c.net, func() { c.attemptDone(r, id, rep) })
-	})
+// send reports the outcome, snapshotted in the device's own context, to the
+// front-end.
+func (t *llmAttempt) send(rep llmReport) {
+	t.inner, t.rep = nil, rep
+	t.next = (*llmAttempt).back
+	t.c.shards.Send(t.dev+1, 0, t.c.net, t.hop)
 }
+
+// back runs on shard 0 when the report message is delivered.
+func (t *llmAttempt) back() { t.c.attemptDone(t) }
 
 // attemptDone folds one attempt's report in on shard 0. A failed attempt
 // fails over, retries or settles; a prefill that handed its KV off moves on
 // to decode; any other success — a decode, or a prefill that already met
 // the budget (single-token outputs) — settles the request.
-func (c *LLMCluster) attemptDone(r *LLMRequest, id int, rep llmReport) {
-	att, open := c.fold(&r.request, id)
+func (c *LLMCluster) attemptDone(t *llmAttempt) {
+	r, rep := t.req, t.rep
+	att, open := c.fold(&r.request, t.id)
+	t.req, t.srv, t.rep = nil, nil, llmReport{}
+	c.free = append(c.free, t)
 	c.router.SetPressure(att.dev, rep.kvUtil)
 	if !open {
 		return
@@ -486,16 +556,11 @@ func (c *LLMCluster) handoff(r *LLMRequest, dev int, rep llmReport) {
 // dispatchDecode sends the ingest to the decode replica after the KV
 // transfer completes.
 func (c *LLMCluster) dispatchDecode(r *LLMRequest, dev int, rep llmReport, delay time.Duration) {
-	id := c.dispatch(&r.request, dev, false)
-	srv := c.servers[dev]
-	class, prompt := r.Class, r.PromptTokens
-	output := r.OutputTokens - r.Truncated
-	have := rep.tokensOut
-	arriveAt, firstAt, lastAt := r.ArriveAt, r.FirstTokenAt, r.LastTokenAt
-	c.shards.Send(0, dev+1, delay, func() {
-		inner, err := srv.Ingest(class, prompt, output, have, arriveAt, firstAt, lastAt)
-		c.report(r, id, dev, have, srv, inner, err)
-	})
+	t := c.newAttempt(r, dev, true)
+	t.have = rep.tokensOut
+	t.arriveAt, t.firstAt, t.lastAt = r.ArriveAt, r.FirstTokenAt, r.LastTokenAt
+	t.next = (*llmAttempt).run
+	c.shards.Send(0, dev+1, delay, t.hop)
 }
 
 // absorb merges an attempt's token progress into the front-end record.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"olympian/internal/sim"
@@ -97,6 +97,10 @@ type Router struct {
 	// the retained log, so both modes fingerprint identically.
 	slim     bool
 	slimHash hash.Hash64
+	buf      []byte // appendDecision's reused output
+
+	// live and healthy are route's reused candidate lists.
+	live, healthy []int
 }
 
 // newRouter wires a router over n devices.
@@ -206,7 +210,7 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 		}
 		cands = kept
 	}
-	live := make([]int, 0, len(cands))
+	live := rt.live[:0]
 	for _, d := range cands {
 		if !rt.dead[d] {
 			live = append(live, d)
@@ -218,13 +222,15 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 		}
 		return -1, fmt.Errorf("cluster: no live replicas for model %q", modelName)
 	}
+	rt.live = live
 	cands = live
-	healthy := make([]int, 0, len(cands))
+	healthy := rt.healthy[:0]
 	for _, d := range cands {
 		if !rt.Down(d) {
 			healthy = append(healthy, d)
 		}
 	}
+	rt.healthy = healthy
 	if len(healthy) > 0 {
 		cands = healthy
 	}
@@ -266,18 +272,29 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 	d := Decision{Seq: rt.count, Model: modelName, Device: pick, Failover: failover, Hedge: hedge}
 	rt.count++
 	if rt.slim {
-		writeDecision(rt.slimHash, d)
+		rt.buf = appendDecision(rt.buf[:0], d)
+		rt.slimHash.Write(rt.buf)
 	} else {
 		rt.decisions = append(rt.decisions, d)
 	}
 	return pick, nil
 }
 
-// writeDecision renders one decision into the hash stream. Both the retained
+// appendDecision renders one decision as "seq:model:device:failover:hedge;"
+// (integers in decimal, booleans as true/false) onto b. Both the retained
 // and the streaming fingerprint paths go through this single encoder, so the
 // two modes (and the two cluster engines) hash identical bytes.
-func writeDecision(w io.Writer, d Decision) {
-	fmt.Fprintf(w, "%d:%s:%d:%t:%t;", d.Seq, d.Model, d.Device, d.Failover, d.Hedge)
+func appendDecision(b []byte, d Decision) []byte {
+	b = strconv.AppendInt(b, int64(d.Seq), 10)
+	b = append(b, ':')
+	b = append(b, d.Model...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(d.Device), 10)
+	b = append(b, ':')
+	b = strconv.AppendBool(b, d.Failover)
+	b = append(b, ':')
+	b = strconv.AppendBool(b, d.Hedge)
+	return append(b, ';')
 }
 
 // SetPressure records a device's latest KV-cache utilization for the
@@ -308,8 +325,10 @@ func (rt *Router) DecisionHash() uint64 {
 		return rt.slimHash.Sum64()
 	}
 	h := fnv.New64a()
+	var b []byte
 	for _, d := range rt.decisions {
-		writeDecision(h, d)
+		b = appendDecision(b[:0], d)
+		h.Write(b)
 	}
 	return h.Sum64()
 }

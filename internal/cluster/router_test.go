@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -315,5 +317,30 @@ func TestRouteLeastKVPressureTiesBreakDeterministically(t *testing.T) {
 	rt.release(0)
 	if dev, _ := rt.Route(model.Inception, false); dev != 0 {
 		t.Fatalf("post-release route to device %d, want 0", dev)
+	}
+}
+
+// TestAppendDecisionMatchesFmt pins the decision encoder's bytes to the
+// fmt rendering every decision hash was defined by, kept here as the
+// reference: seq 0, the largest seq, a model name holding the separators,
+// and every failover/hedge combination.
+func TestAppendDecisionMatchesFmt(t *testing.T) {
+	var cases []Decision
+	for _, seq := range []int{0, 7, math.MaxInt} {
+		for _, m := range []string{model.Micro, "a:b;c", ""} {
+			for _, fo := range []bool{false, true} {
+				for _, hedge := range []bool{false, true} {
+					cases = append(cases, Decision{Seq: seq, Model: m, Device: seq % 13, Failover: fo, Hedge: hedge})
+				}
+			}
+		}
+	}
+	buf := []byte("stale")
+	for _, d := range cases {
+		want := fmt.Sprintf("%d:%s:%d:%t:%t;", d.Seq, d.Model, d.Device, d.Failover, d.Hedge)
+		buf = appendDecision(buf[:0], d)
+		if string(buf) != want {
+			t.Errorf("appendDecision(%+v) = %q, want %q", d, buf, want)
+		}
 	}
 }

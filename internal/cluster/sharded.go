@@ -16,9 +16,10 @@
 // Every cross-shard interaction is a message:
 //
 //	submit:  front-end routes, opens an attempt in the request's inline
-//	         slots, then sends it to the device's agent (a daemon process
-//	         that calls serving.SubmitClass from process context and
-//	         subscribes to the request's completion event).
+//	         slots, then sends its record to the device's agent (an op
+//	         queue drained by one event callback, which calls
+//	         serving.SubmitClass and subscribes to the request's
+//	         completion event).
 //	report:  the device snapshots the attempt's outcome in its own context
 //	         and sends it back under its (request, attempt id) pair; the
 //	         front-end folds it, settles the race, re-dispatches drained
@@ -80,6 +81,7 @@ type ShardedCluster struct {
 	cfg     Config
 	servers []*serving.Server
 	agents  []*shardAgent
+	free    []*shardedAttempt // attempt records, owned by shard 0
 
 	// Front-end bookkeeping, all owned by shard 0.
 	requests   []*ShardedRequest // retained unless Slim
@@ -169,7 +171,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
 		}
 		c.servers = append(c.servers, srv)
-		c.agents = append(c.agents, newShardAgent(c, i, srv))
+		c.agents = append(c.agents, newShardAgent(env, i+1, srv))
 
 		devRec := c.children[i+1]
 		drainsC := devRec.Registry().Counter("olympian_cluster_drains_total", "Devices drained on stall.")
@@ -215,94 +217,139 @@ func (c *ShardedCluster) schedulePartitions(device int, inj *faults.Injector) {
 	}
 }
 
-// shardAgent executes front-end commands on its device's shard. Submit and
-// cancel need process context (serving.SubmitClass and the gang-abort path
-// both park), so the agent is a daemon process draining a FIFO op queue that
-// cross-shard messages append to.
+// shardAgent executes front-end commands on its device's shard. Delivered
+// cross-shard messages append ops to a FIFO; the first op into an empty FIFO
+// schedules drain, which runs every queued op in order at that event's
+// (time, seq) slot. serving.SubmitClass and Cancel never park, so no process
+// is needed.
 type shardAgent struct {
-	c     *ShardedCluster
+	env   *sim.Env
 	shard int // device+1
 	srv   *serving.Server
-	cond  *sim.Cond
 	ops   []agentOp
+	drain func() // a.run, bound once
+	// inner maps a live attempt id to its device-side request, so a cancel
+	// (which carries only the id) can find it. Device-shard state.
 	inner map[int]*serving.Request
 }
 
-// agentOp is one front-end command: a dispatch attempt, or its cancellation.
-// req rides along so the attempt's report can name its request; only shard
-// 0 dereferences it.
+// agentOp is one front-end command: a dispatch attempt, or, when att is
+// nil, the cancellation of attempt cancel.
 type agentOp struct {
-	cancel  bool
-	attempt int
-	req     *ShardedRequest
-	model   string
-	class   overload.Class
+	att    *shardedAttempt
+	cancel int
 }
 
-func newShardAgent(c *ShardedCluster, device int, srv *serving.Server) *shardAgent {
-	env := c.shards.Env(device + 1)
-	name := fmt.Sprintf("cluster-agent-%d", device)
-	a := &shardAgent{
-		c:     c,
-		shard: device + 1,
-		srv:   srv,
-		cond:  env.NewCond(name),
-		inner: make(map[int]*serving.Request),
-	}
-	proc := env.Go(name, func(p *sim.Proc) {
-		for {
-			for len(a.ops) == 0 {
-				a.cond.Wait(p)
-			}
-			op := a.ops[0]
-			a.ops[0] = agentOp{}
-			a.ops = a.ops[1:]
-			a.exec(p, op)
-		}
-	})
-	proc.SetDaemon(true)
+func newShardAgent(env *sim.Env, shard int, srv *serving.Server) *shardAgent {
+	a := &shardAgent{env: env, shard: shard, srv: srv, inner: make(map[int]*serving.Request)}
+	a.drain = a.run
 	return a
 }
 
 // enqueue appends one op; called in the agent's shard context by delivered
 // cross-shard messages.
 func (a *shardAgent) enqueue(op agentOp) {
+	if len(a.ops) == 0 {
+		a.env.Schedule(0, a.drain)
+	}
 	a.ops = append(a.ops, op)
-	a.cond.Signal()
 }
 
-func (a *shardAgent) exec(p *sim.Proc, op agentOp) {
-	if op.cancel {
-		if inner, ok := a.inner[op.attempt]; ok {
-			// A landed cancel completes the request with ErrCanceled, so its
-			// done subscriber reports back; a miss means the request already
-			// finished and its natural report is on the wire.
-			a.srv.Cancel(p, inner)
+// run executes the queued ops in FIFO order and empties the queue, keeping
+// its array for the next batch of messages.
+func (a *shardAgent) run() {
+	for i := 0; i < len(a.ops); i++ {
+		op := a.ops[i]
+		a.ops[i] = agentOp{}
+		if op.att == nil {
+			if inner, ok := a.inner[op.cancel]; ok {
+				// A landed cancel completes the request with ErrCanceled, so
+				// its done subscriber reports back; a miss means the request
+				// already finished and its natural report is on the wire.
+				a.srv.Cancel(inner)
+			}
+			continue
 		}
-		return
+		a.submit(op.att)
 	}
-	inner, err := a.srv.SubmitClass(p, op.model, op.class)
+	a.ops = a.ops[:0]
+}
+
+func (a *shardAgent) submit(t *shardedAttempt) {
+	inner, err := a.srv.SubmitClass(t.model, t.class)
 	if err != nil {
 		// Synchronous rejection (e.g. unknown model): surface it as a failed
 		// attempt — under the sharded engine even these arrive asynchronously.
-		a.report(op.req, op.attempt, err)
+		t.send(err)
 		return
 	}
-	r, id := op.req, op.attempt
-	a.inner[id] = inner
-	inner.Done().Subscribe(func() {
-		delete(a.inner, id)
-		a.report(r, id, inner.Err)
-	})
+	t.inner = inner
+	a.inner[t.id] = inner
+	t.next = (*shardedAttempt).done
+	inner.Done().Subscribe(t.hop)
 }
 
-// report sends one attempt outcome back to the front-end. The error is
-// snapshotted here, in the device's own context, so the closure the
-// front-end runs touches no device-shard state.
-func (a *shardAgent) report(r *ShardedRequest, attempt int, err error) {
-	c := a.c
-	c.shards.Send(a.shard, 0, c.net, func() { c.attemptDone(r, attempt, err) })
+// shardedAttempt is one dispatch attempt's record, carried to the device by
+// the submit message and back by the report. Ownership moves with the
+// messages: shard 0 fills it and sends it, the device then alone touches it
+// until it sends the report, and shard 0 returns it to the free list at fold.
+type shardedAttempt struct {
+	c     *ShardedCluster
+	agent *shardAgent
+
+	// Set on shard 0 before the submit message.
+	req   *ShardedRequest
+	id    int
+	model string
+	class overload.Class
+
+	// Set on the device before the report message.
+	inner *serving.Request
+	err   error
+
+	// hop is t.step bound once: both messages and the completion
+	// subscription deliver it, and next names the action it runs there
+	// (arrive on the device, done on the device at completion, back on
+	// shard 0). A method expression allocates nothing, so a record costs one
+	// closure for its whole life.
+	hop  func()
+	next func(*shardedAttempt)
 }
+
+// step runs the attempt's next action.
+func (t *shardedAttempt) step() { t.next(t) }
+
+// newAttempt takes a record from shard 0's free list, or makes one.
+func (c *ShardedCluster) newAttempt() *shardedAttempt {
+	if n := len(c.free); n > 0 {
+		t := c.free[n-1]
+		c.free = c.free[:n-1]
+		return t
+	}
+	t := &shardedAttempt{c: c}
+	t.hop = t.step
+	return t
+}
+
+// arrive runs on the device when the submit message is delivered.
+func (t *shardedAttempt) arrive() { t.agent.enqueue(agentOp{att: t}) }
+
+// done runs on the device when the attempt's request completes.
+func (t *shardedAttempt) done() {
+	delete(t.agent.inner, t.id)
+	t.send(t.inner.Err)
+}
+
+// send snapshots the attempt's outcome in the device's own context and
+// reports it to the front-end.
+func (t *shardedAttempt) send(err error) {
+	t.inner, t.err = nil, err
+	t.next = (*shardedAttempt).back
+	t.c.shards.Send(t.agent.shard, 0, t.c.net, t.hop)
+}
+
+// back runs on shard 0 when the report message is delivered.
+func (t *shardedAttempt) back() { t.c.attemptDone(t) }
 
 // SubmitEvent routes one request of the given class and dispatches it to the
 // chosen replica. It must run in shard 0's execution context — an event
@@ -328,15 +375,20 @@ func (c *ShardedCluster) SubmitEvent(modelName string, class overload.Class) (*S
 
 // send dispatches one attempt to the device's agent.
 func (c *ShardedCluster) send(r *ShardedRequest, dev int, hedge bool) {
-	op := agentOp{attempt: c.dispatch(&r.request, dev, hedge), req: r, model: r.Model, class: r.Class}
-	agent := c.agents[dev]
-	c.shards.Send(0, dev+1, c.net, func() { agent.enqueue(op) })
+	t := c.newAttempt()
+	t.agent, t.req, t.model, t.class = c.agents[dev], r, r.Model, r.Class
+	t.id = c.dispatch(&r.request, dev, hedge)
+	t.next = (*shardedAttempt).arrive
+	c.shards.Send(0, dev+1, c.net, t.hop)
 }
 
-// attemptDone folds one attempt outcome report into the request's state.
-// Runs on shard 0 when the report message is delivered.
-func (c *ShardedCluster) attemptDone(r *ShardedRequest, id int, err error) {
-	att, open := c.fold(&r.request, id)
+// attemptDone folds one attempt outcome report into the request's state and
+// frees its record. Runs on shard 0 when the report message is delivered.
+func (c *ShardedCluster) attemptDone(t *shardedAttempt) {
+	r, err := t.req, t.err
+	att, open := c.fold(&r.request, t.id)
+	t.req, t.err = nil, nil
+	c.free = append(c.free, t)
 	if !open {
 		// A loser finishing after the race was decided: cancelled, or a
 		// photo-finish completion on the slower replica.
@@ -373,9 +425,10 @@ func (c *ShardedCluster) settle(r *ShardedRequest, dev int, err error) {
 		c.failed++
 	}
 	for _, a := range r.inflight() {
-		op := agentOp{cancel: true, attempt: a.id}
-		agent := c.agents[a.dev]
-		c.shards.Send(0, a.dev+1, c.net, func() { agent.enqueue(op) })
+		// Rare, so a closure: it holds the id by value because the attempt's
+		// record may be recycled while the cancel is in flight.
+		agent, id := c.agents[a.dev], a.id
+		c.shards.Send(0, a.dev+1, c.net, func() { agent.enqueue(agentOp{cancel: id}) })
 		c.rec.Instant(obs.LayerCluster, "cancel_loser", r.ID, int(r.Class), obs.NoDevice, int64(a.dev))
 	}
 }

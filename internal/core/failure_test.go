@@ -118,7 +118,7 @@ func TestHolderAbortReclaimsToken(t *testing.T) {
 			t.Error("no token holder at abort time")
 			return
 		}
-		h.eng.AbortJob(p, jobs[abortedClient], faults.ErrJobAborted)
+		h.eng.AbortJob(jobs[abortedClient], faults.ErrJobAborted)
 	})
 	if err := h.env.Run(); err != nil {
 		t.Fatalf("run wedged after holder abort: %v", err)

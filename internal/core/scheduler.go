@@ -227,7 +227,7 @@ func (s *Scheduler) Yield(p *sim.Proc, job *executor.Job) {
 // token. Waking them lets each observe the abort in Yield and unwind, so
 // the job reaches Deregister — where the token, if held, is handed off —
 // instead of stranding the gang (and with it the token) forever.
-func (s *Scheduler) Cancel(p *sim.Proc, job *executor.Job) {
+func (s *Scheduler) Cancel(job *executor.Job) {
 	js := s.state(job)
 	if js == nil {
 		return

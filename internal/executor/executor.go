@@ -81,7 +81,7 @@ type Hooks interface {
 type JobCanceller interface {
 	// Cancel is called once when job is aborted; implementations wake any
 	// of the job's parked threads.
-	Cancel(p *sim.Proc, job *Job)
+	Cancel(job *Job)
 }
 
 // NopHooks is vanilla TF-Serving: no scheduling beyond the GPU driver's.
@@ -229,7 +229,7 @@ func (e *Engine) KernelRetries() int { return e.kernelRetries }
 // gang thread skips its remaining work at the next check point, and Run
 // deregisters the job through the normal path — so the scheduling token is
 // reclaimed and never stranded on an aborted holder.
-func (e *Engine) AbortJob(p *sim.Proc, job *Job, err error) {
+func (e *Engine) AbortJob(job *Job, err error) {
 	if job.aborted {
 		return
 	}
@@ -238,7 +238,7 @@ func (e *Engine) AbortJob(p *sim.Proc, job *Job, err error) {
 	e.abortsC.Inc()
 	e.cfg.Obs.Instant(obs.LayerExecutor, "job_abort", job.ID, obs.NoClass, e.cfg.Device, int64(job.Client))
 	if c, ok := e.hooks.(JobCanceller); ok {
-		c.Cancel(p, job)
+		c.Cancel(job)
 	}
 }
 
@@ -283,7 +283,7 @@ func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
 			queue, head = queue[:0], 0
 		}
 		if !job.aborted && e.cfg.Faults.JobAborts() {
-			e.AbortJob(p, job, faults.ErrJobAborted)
+			e.AbortJob(job, faults.ErrJobAborted)
 		}
 		if job.aborted {
 			return
@@ -366,11 +366,11 @@ func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Dur
 			// The device is gone, not glitching: retrying against a dead
 			// device would spin the retry budget on instant failures. Abort
 			// immediately so the serving layer can fail the batch over.
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
+			e.AbortJob(job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
 			return false
 		}
 		if attempt >= e.cfg.KernelRetries {
-			e.AbortJob(p, job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
+			e.AbortJob(job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
 				job.ID, n.ID, err, attempt+1))
 			return false
 		}

@@ -122,8 +122,8 @@ func TestAbortJobIsIdempotent(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(500 * time.Microsecond)
-		eng.AbortJob(p, job, first)
-		eng.AbortJob(p, job, errors.New("second"))
+		eng.AbortJob(job, first)
+		eng.AbortJob(job, errors.New("second"))
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -23,10 +23,6 @@ type ThreadPool struct {
 	backlog []task
 	total   int
 
-	// perJob counts threads currently executing (or suspended inside) a
-	// task for each job.
-	perJob map[int]int
-
 	stats PoolStats
 }
 
@@ -55,7 +51,7 @@ type worker struct {
 // NewThreadPool returns a pool that will grow up to max threads, each
 // running run for the tasks submitted to it.
 func NewThreadPool(env *sim.Env, max int, run func(p *sim.Proc, job *Job, node *graph.Node)) *ThreadPool {
-	return &ThreadPool{env: env, max: max, run: run, perJob: make(map[int]int)}
+	return &ThreadPool{env: env, max: max, run: run}
 }
 
 // Submit schedules the pool's run function for (job, node) on a pool
@@ -93,16 +89,10 @@ func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 		}
 		t := w.next
 		w.next = task{}
-		id := t.job.ID
-		tp.perJob[id]++
 		if used := tp.InUse(); used > tp.stats.PeakInUse {
 			tp.stats.PeakInUse = used
 		}
 		tp.run(p, t.job, t.node)
-		tp.perJob[id]--
-		if tp.perJob[id] == 0 {
-			delete(tp.perJob, id)
-		}
 		tp.stats.Completed++
 		if len(tp.backlog) > 0 {
 			w.next = tp.backlog[0]

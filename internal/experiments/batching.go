@@ -58,7 +58,7 @@ func ExtBatching(o Options) (*Report, error) {
 			n++
 			env.Go("request", func(p *sim.Proc) {
 				p.Sleep(at)
-				req, err := srv.Submit(p, model.Inception)
+				req, err := srv.Submit(model.Inception)
 				if err != nil {
 					return
 				}

@@ -125,7 +125,7 @@ func Chaos(o Options) (*Report, error) {
 			at := t
 			env.Go("request", func(p *sim.Proc) {
 				p.Sleep(at)
-				req, err := srv.Submit(p, model.Inception)
+				req, err := srv.Submit(model.Inception)
 				if err != nil {
 					return
 				}

@@ -76,7 +76,7 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 		n++
 		env.Go(fmt.Sprintf("client-%d", n), func(p *sim.Proc) {
 			p.Sleep(at)
-			req, err := srv.SubmitClass(p, model.Inception, class)
+			req, err := srv.SubmitClass(model.Inception, class)
 			if err != nil {
 				return
 			}

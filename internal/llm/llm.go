@@ -95,7 +95,7 @@ type Request struct {
 	// Err is the terminal error (nil while running or on success).
 	Err error
 
-	done     *sim.Event
+	done     sim.Event
 	finished bool
 }
 
@@ -122,13 +122,13 @@ func NewRequest(env *sim.Env, id int, model string, class overload.Class, prompt
 		Have:         have,
 		TokensOut:    have,
 		ArriveAt:     env.Now(),
-		done:         env.NewEvent(),
+		done:         env.MakeEvent(),
 	}
 }
 
 // Done returns the completion event, triggered exactly once at terminal
 // state (success, handoff, or failure).
-func (r *Request) Done() *sim.Event { return r.done }
+func (r *Request) Done() *sim.Event { return &r.done }
 
 // Finished reports whether the request reached a terminal state here.
 func (r *Request) Finished() bool { return r.finished }

@@ -46,7 +46,7 @@ func tracedServingRun(t *testing.T, seed int64) []byte {
 		}
 		env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 			p.Sleep(arrive)
-			req, err := srv.SubmitClass(p, model.Inception, class)
+			req, err := srv.SubmitClass(model.Inception, class)
 			if err != nil {
 				return
 			}
@@ -106,7 +106,7 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 			arrive := time.Duration(i) * 700 * time.Microsecond
 			env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 				p.Sleep(arrive)
-				req, err := srv.Submit(p, model.Inception)
+				req, err := srv.Submit(model.Inception)
 				if err != nil {
 					return
 				}

@@ -37,8 +37,8 @@ func TestServerCountersReadStats(t *testing.T) {
 			cfg:  Config{MaxBatch: 4, BatchTimeout: time.Hour, MaxQueue: 1},
 			submit: func(env *sim.Env, srv *Server) {
 				env.Go("clients", func(p *sim.Proc) {
-					srv.SubmitClass(p, model.Inception, overload.Batch)
-					srv.SubmitClass(p, model.Inception, overload.Interactive)
+					srv.SubmitClass(model.Inception, overload.Batch)
+					srv.SubmitClass(model.Inception, overload.Interactive)
 				})
 			},
 			want: func(st Stats) int { return st.Degraded.Evictions },

@@ -25,7 +25,7 @@ func TestDrainQueuedSortedOrderAndIdempotence(t *testing.T) {
 		i, m := i, m
 		env.Go("client", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * time.Microsecond)
-			req, err := srv.Submit(p, m)
+			req, err := srv.Submit(m)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
@@ -77,7 +77,7 @@ func TestCancelAfterDrainIsNoop(t *testing.T) {
 	var req *Request
 	env.Go("client", func(p *sim.Proc) {
 		var err error
-		req, err = srv.Submit(p, model.Inception)
+		req, err = srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 		}
@@ -85,7 +85,7 @@ func TestCancelAfterDrainIsNoop(t *testing.T) {
 	env.Schedule(time.Millisecond, func() { srv.DrainQueued() })
 	env.Go("canceller", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		if srv.Cancel(p, req) {
+		if srv.Cancel(req) {
 			t.Error("Cancel landed on an already-drained request")
 		}
 		if !errors.Is(req.Err, ErrDrained) {
@@ -109,7 +109,7 @@ func TestDrainThenResubmitSurvives(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond})
 	completed := 0
 	env.Go("client", func(p *sim.Proc) {
-		req, err := srv.Submit(p, model.Inception)
+		req, err := srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -121,7 +121,7 @@ func TestDrainThenResubmitSurvives(t *testing.T) {
 		}
 		// Resubmit from the drained waiter's own context — the failover
 		// pattern the cluster uses.
-		re, err := srv.Submit(p, model.Inception)
+		re, err := srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("resubmit: %v", err)
 			return
@@ -152,7 +152,7 @@ func TestStrandDrainNthPlantsLeak(t *testing.T) {
 	var reqs []*Request
 	env.Go("clients", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			r, err := srv.Submit(p, model.Inception)
+			r, err := srv.Submit(model.Inception)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return

@@ -195,7 +195,7 @@ func TestTimeoutFlushRacesFullBatch(t *testing.T) {
 	submitN(t, env, srv, model.Inception, 3, 0)
 	env.Go("late", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		req, err := srv.Submit(p, model.Inception)
+		req, err := srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -224,7 +224,7 @@ func TestBatcherReuseAfterIdle(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		env.Go("second-wave", func(p *sim.Proc) {
 			p.Sleep(80 * time.Millisecond)
-			req, err := srv.Submit(p, model.Inception)
+			req, err := srv.Submit(model.Inception)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return

@@ -48,10 +48,10 @@ func TestSubmitClassRejectsInvalidClass(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{})
 	env.Go("client", func(p *sim.Proc) {
-		if _, err := srv.SubmitClass(p, model.Inception, overload.NumClasses); err == nil {
+		if _, err := srv.SubmitClass(model.Inception, overload.NumClasses); err == nil {
 			t.Error("out-of-range class accepted")
 		}
-		if _, err := srv.SubmitClass(p, model.Inception, -1); err == nil {
+		if _, err := srv.SubmitClass(model.Inception, -1); err == nil {
 			t.Error("negative class accepted")
 		}
 	})
@@ -70,14 +70,14 @@ func TestAIMDLimiterShedsPastLimit(t *testing.T) {
 	var admitted, shedReq *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
-		admitted, err = srv.SubmitClass(p, model.Inception, overload.Interactive)
+		admitted, err = srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("first submit: %v", err)
 			return
 		}
 		// Limit is pinned at 1 and one request is in flight: the next
 		// interactive arrival must shed (nothing lower-class to evict).
-		shedReq, err = srv.SubmitClass(p, model.Inception, overload.Interactive)
+		shedReq, err = srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("second submit: %v", err)
 		}
@@ -113,12 +113,12 @@ func TestInteractiveEvictsQueuedBatch(t *testing.T) {
 	var victim, inter *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
-		victim, err = srv.SubmitClass(p, model.Inception, overload.Batch)
+		victim, err = srv.SubmitClass(model.Inception, overload.Batch)
 		if err != nil {
 			t.Errorf("batch submit: %v", err)
 			return
 		}
-		inter, err = srv.SubmitClass(p, model.Inception, overload.Interactive)
+		inter, err = srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("interactive submit: %v", err)
 		}
@@ -151,12 +151,12 @@ func TestBatchNeverEvictsEqualOrHigherClass(t *testing.T) {
 	var first, second *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
-		first, err = srv.SubmitClass(p, model.Inception, overload.Batch)
+		first, err = srv.SubmitClass(model.Inception, overload.Batch)
 		if err != nil {
 			t.Errorf("first submit: %v", err)
 			return
 		}
-		second, err = srv.SubmitClass(p, model.Inception, overload.Batch)
+		second, err = srv.SubmitClass(model.Inception, overload.Batch)
 		if err != nil {
 			t.Errorf("second submit: %v", err)
 		}
@@ -180,18 +180,18 @@ func TestCancelQueuedRequest(t *testing.T) {
 	env := sim.NewEnv(5)
 	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour})
 	env.Go("client", func(p *sim.Proc) {
-		req, err := srv.Submit(p, model.Inception)
+		req, err := srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		if !srv.Cancel(p, req) {
+		if !srv.Cancel(req) {
 			t.Error("cancel of a queued request did not land")
 		}
 		if !errors.Is(req.Err, ErrCanceled) {
 			t.Errorf("cancelled request got %v, want ErrCanceled", req.Err)
 		}
-		if srv.Cancel(p, req) {
+		if srv.Cancel(req) {
 			t.Error("second cancel of a finished request landed")
 		}
 	})
@@ -210,7 +210,7 @@ func TestCancelDispatchedRequestAbortsJob(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond})
 	env.Go("client", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // submit off t=0 so BatchedAt is observable
-		req, err := srv.Submit(p, model.Inception)
+		req, err := srv.Submit(model.Inception)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -223,7 +223,7 @@ func TestCancelDispatchedRequestAbortsJob(t *testing.T) {
 			t.Error("request not dispatched yet; test timing broken")
 			return
 		}
-		if !srv.Cancel(p, req) {
+		if !srv.Cancel(req) {
 			t.Error("cancel of a dispatched request did not land")
 		}
 		if !errors.Is(req.Err, ErrCanceled) {
@@ -255,7 +255,7 @@ func TestAdmissionLimitAdaptsUnderLoad(t *testing.T) {
 		i := i
 		env.Go("client", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * 15 * time.Millisecond)
-			req, err := srv.Submit(p, model.Inception)
+			req, err := srv.Submit(model.Inception)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return

@@ -74,7 +74,7 @@ type Request struct {
 	// failed permanently.
 	Err error
 
-	done *sim.Event
+	done sim.Event
 	// span is the open queue-wait lifecycle span; the zero value means no
 	// recorder or not queued.
 	span obs.SpanID
@@ -262,6 +262,7 @@ type Server struct {
 	cfg   Config
 
 	queues   map[string][]*Request
+	spare    [][]*Request // batch slices of finished batch procs, for reuse
 	flushers map[string]*sim.Cond
 	graphs   map[graphKey]*graph.Graph
 	profiles map[graphKey]*profiler.Result
@@ -452,11 +453,11 @@ func (o *limiterObserver) RetryDenied() {}
 // Device exposes the server's GPU for measurement.
 func (s *Server) Device() *gpu.Device { return s.dev }
 
-// Submit enqueues a request from process context at the default
-// (interactive) priority class and returns it; wait on completion with
-// req.Wait(p).
-func (s *Server) Submit(p *sim.Proc, modelName string) (*Request, error) {
-	return s.SubmitClass(p, modelName, overload.Interactive)
+// Submit enqueues a request at the default (interactive) priority class and
+// returns it; wait on completion with req.Wait(p) or subscribe to
+// req.Done(). It never parks, so event callbacks may call it too.
+func (s *Server) Submit(modelName string) (*Request, error) {
+	return s.SubmitClass(modelName, overload.Interactive)
 }
 
 // batchAdmitFrac is the fraction of the AIMD limit visible to classes below
@@ -467,8 +468,8 @@ const batchAdmitFrac = 0.8
 // pressure — the AIMD limiter or the bounded queue at capacity — lower
 // classes are shed first: a low-class arrival is rejected outright, while a
 // high-class arrival displaces the newest queued request of a strictly
-// lower class.
-func (s *Server) SubmitClass(p *sim.Proc, modelName string, class overload.Class) (*Request, error) {
+// lower class. Like Submit it never parks.
+func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, error) {
 	if !class.Valid() {
 		return nil, fmt.Errorf("serving: invalid priority class %d", class)
 	}
@@ -479,8 +480,8 @@ func (s *Server) SubmitClass(p *sim.Proc, modelName string, class overload.Class
 		ID:       s.reqCount,
 		Model:    modelName,
 		Class:    class,
-		ArriveAt: p.Now(),
-		done:     s.env.NewEvent(),
+		ArriveAt: s.env.Now(),
+		done:     s.env.MakeEvent(),
 	}
 	if s.cfg.Deadline > 0 {
 		req.Deadline = req.ArriveAt.Add(s.cfg.Deadline)
@@ -607,7 +608,7 @@ func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
 
 // Done returns the request's completion event. Cross-shard forwarders
 // subscribe to it instead of spawning a waiter process per attempt.
-func (r *Request) Done() *sim.Event { return r.done }
+func (r *Request) Done() *sim.Event { return &r.done }
 
 // startBatcher spawns the per-model batching loop: it flushes when the
 // queue is full or the oldest request has waited past the timeout.
@@ -686,8 +687,9 @@ func (s *Server) releaseSlot(r *Request) {
 // batch, and when every rider of an in-flight batch has been cancelled the
 // batch's job is aborted through the executor's gang-abort path (the same
 // unwind injected job kills use), so the device and scheduler token are
-// reclaimed. The cluster router uses this to cancel hedge losers.
-func (s *Server) Cancel(p *sim.Proc, r *Request) bool {
+// reclaimed. The cluster router uses this to cancel hedge losers. It never
+// parks.
+func (s *Server) Cancel(r *Request) bool {
 	if r.FinishAt != 0 || r.Err != nil {
 		return false
 	}
@@ -707,7 +709,7 @@ func (s *Server) Cancel(p *sim.Proc, r *Request) bool {
 		b.live--
 		if b.live == 0 && b.job != nil && !b.job.Aborted() {
 			// Last rider gone: nobody is waiting on this batch anymore.
-			s.eng.AbortJob(p, b.job, ErrCanceled)
+			s.eng.AbortJob(b.job, ErrCanceled)
 		}
 		return true
 	}
@@ -786,15 +788,21 @@ func (s *Server) dropExpired(modelName string) {
 // proc named procName.
 func (s *Server) flush(modelName, procName string) {
 	s.dropExpired(modelName)
-	batch := s.queues[modelName]
-	if len(batch) == 0 {
+	q := s.queues[modelName]
+	if len(q) == 0 {
 		return
 	}
-	if len(batch) > s.cfg.MaxBatch {
-		batch = batch[:s.cfg.MaxBatch]
+	// The batch gets its own storage and the queue shifts down in place, so
+	// later arrivals refill the queue's array instead of growing a new one.
+	size := min(len(q), s.cfg.MaxBatch)
+	var batch []*Request
+	if n := len(s.spare); n > 0 {
+		batch, s.spare = s.spare[n-1], s.spare[:n-1]
 	}
-	s.queues[modelName] = s.queues[modelName][len(batch):]
-	size := len(batch)
+	batch = append(batch, q[:size]...)
+	rest := copy(q, q[size:])
+	clear(q[rest:])
+	s.queues[modelName] = q[:rest]
 	g, err := s.graphFor(modelName, size)
 	if err != nil {
 		// Unknown models are rejected at Submit, but the zoo can still
@@ -821,6 +829,8 @@ func (s *Server) flush(modelName, procName string) {
 	clientID := s.clients
 	s.env.Go(procName, func(p *sim.Proc) {
 		s.runBatch(p, clientID, g, batch)
+		clear(batch)
+		s.spare = append(s.spare, batch[:0])
 	})
 }
 

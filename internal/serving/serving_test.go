@@ -26,7 +26,7 @@ func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, g
 		i := i
 		env.Go("frontend", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * gap)
-			req, err := srv.Submit(p, modelName)
+			req, err := srv.Submit(modelName)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
@@ -128,7 +128,7 @@ func TestSubmitUnknownModel(t *testing.T) {
 	srv := newTestServer(t, env, Config{})
 	var submitErr error
 	env.Go("frontend", func(p *sim.Proc) {
-		_, submitErr = srv.Submit(p, "bogus")
+		_, submitErr = srv.Submit("bogus")
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"olympian/internal/par"
@@ -155,21 +156,24 @@ func (s *Shards) deliver() {
 		}
 		s.outbox[i] = s.outbox[i][:0]
 	}
-	if len(batch) > 1 {
-		sort.Slice(batch, func(a, b int) bool {
-			if batch[a].at != batch[b].at {
-				return batch[a].at < batch[b].at
-			}
-			if batch[a].from != batch[b].from {
-				return batch[a].from < batch[b].from
-			}
-			return batch[a].seq < batch[b].seq
-		})
-	}
+	slices.SortFunc(batch, mailOrder)
 	for _, m := range batch {
 		s.envs[m.to].ScheduleAt(m.at, m.fn)
 	}
 	s.scratch = batch[:0]
+}
+
+// mailOrder is the barrier delivery order: (arrival time, source shard,
+// per-source sequence), a strict total order, so any sort yields the same
+// sequence.
+func mailOrder(a, b shardMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Run executes the simulation to completion: windows advance until every
@@ -210,6 +214,9 @@ func (s *Shards) runParallel() error {
 	pool := par.NewPool(s.workers)
 	defer pool.Close()
 	active := make([]int, 0, len(s.envs))
+	var limit Time
+	// Bound once: the window loop only updates active and limit.
+	runActive := func(k int) { s.envs[active[k]].RunWindow(limit) }
 	for {
 		s.deliver()
 		for _, e := range s.envs {
@@ -227,7 +234,7 @@ func (s *Shards) runParallel() error {
 		if !ok {
 			break
 		}
-		limit := t.Add(s.lookahead) - 1
+		limit = t.Add(s.lookahead) - 1
 		active = active[:0]
 		for i, e := range s.envs {
 			if at, hit := e.NextEventTime(); hit && at <= limit {
@@ -237,10 +244,7 @@ func (s *Shards) runParallel() error {
 		if len(active) == 1 {
 			s.envs[active[0]].RunWindow(limit)
 		} else {
-			idx := active
-			pool.Run(len(idx), func(k int) {
-				s.envs[idx[k]].RunWindow(limit)
-			})
+			pool.Run(len(active), runActive)
 		}
 	}
 	for _, e := range s.envs {

@@ -134,24 +134,43 @@ func TestShardsHorizon(t *testing.T) {
 	}
 }
 
-// TestEventSubscribe covers the no-goroutine completion path: callbacks run
-// after waiters, and subscribing after the trigger still fires.
+// TestEventSubscribe covers the no-goroutine completion path on an event
+// held by value: callbacks run after waiters and in registration order
+// (the first one sits in the inline slot, the rest in the overflow list),
+// a Reset event orders its next subscribers the same way, and subscribing
+// after the trigger still fires.
 func TestEventSubscribe(t *testing.T) {
 	env := NewEnv(1)
-	ev := env.NewEvent()
+	ev := env.MakeEvent()
 	var order []string
 	env.Go("waiter", func(p *Proc) {
 		ev.Wait(p)
 		order = append(order, "waiter")
 	})
-	ev.Subscribe(func() { order = append(order, "sub") })
+	for _, name := range []string{"sub1", "sub2", "sub3"} {
+		ev.Subscribe(func() { order = append(order, name) })
+	}
 	env.Schedule(time.Millisecond, func() { ev.Trigger() })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"waiter", "sub"}; !reflect.DeepEqual(order, want) {
+	if want := []string{"waiter", "sub1", "sub2", "sub3"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}
+
+	order = order[:0]
+	ev.Reset()
+	for _, name := range []string{"again1", "again2"} {
+		ev.Subscribe(func() { order = append(order, name) })
+	}
+	ev.Trigger()
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"again1", "again2"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("after Reset: order %v, want %v", order, want)
+	}
+
 	fired := false
 	ev.Subscribe(func() { fired = true })
 	if err := env.Run(); err != nil {

@@ -641,19 +641,27 @@ func (e *Env) deadlockError() error {
 }
 
 // Event is a one-shot occurrence processes can wait on. Once triggered,
-// subsequent waits return immediately until Reset re-arms it.
+// subsequent waits return immediately until Reset re-arms it. An owner may
+// hold it by value (see MakeEvent); its first subscriber is kept inline, so
+// the common single-subscriber completion event allocates nothing.
 type Event struct {
 	env       *Env
 	triggered bool
 	waiters   []*Proc
-	subs      []func()
+	sub       func()   // first subscriber
+	subs      []func() // later subscribers, in registration order
 }
 
 // NewEvent returns an untriggered event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
+// MakeEvent returns an untriggered event as a value, for embedding in the
+// struct that owns it; the event must not be copied once in use.
+func (e *Env) MakeEvent() Event { return Event{env: e} }
+
 // Trigger fires the event, scheduling all waiters to resume at the current
-// time. Triggering an already-triggered event is a no-op.
+// time, then every subscriber in registration order. Triggering an
+// already-triggered event is a no-op.
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
@@ -664,6 +672,11 @@ func (ev *Event) Trigger() {
 	}
 	clear(ev.waiters)
 	ev.waiters = ev.waiters[:0]
+	if ev.sub == nil {
+		return
+	}
+	ev.env.Schedule(0, ev.sub)
+	ev.sub = nil
 	for _, fn := range ev.subs {
 		ev.env.Schedule(0, fn)
 	}
@@ -676,7 +689,7 @@ func (ev *Event) Trigger() {
 // cycle. Resetting an untriggered event with waiters would strand them, so
 // it panics.
 func (ev *Event) Reset() {
-	if len(ev.waiters) > 0 || len(ev.subs) > 0 {
+	if len(ev.waiters) > 0 || ev.sub != nil {
 		panic("sim: Reset of an event with waiters")
 	}
 	ev.triggered = false
@@ -687,11 +700,14 @@ func (ev *Event) Reset() {
 // needs no process, so completion fan-out at scale costs no goroutine.
 // Callbacks run after any waiters scheduled by the same Trigger.
 func (ev *Event) Subscribe(fn func()) {
-	if ev.triggered {
+	switch {
+	case ev.triggered:
 		ev.env.Schedule(0, fn)
-		return
+	case ev.sub == nil:
+		ev.sub = fn
+	default:
+		ev.subs = append(ev.subs, fn)
 	}
-	ev.subs = append(ev.subs, fn)
 }
 
 // Wait blocks p until the event is triggered.
