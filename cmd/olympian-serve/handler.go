@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -12,12 +11,9 @@ import (
 
 	"olympian"
 	"olympian/cmd/internal/spec"
+	"olympian/internal/experiments"
 	"olympian/internal/model"
 	"olympian/internal/obs"
-	"olympian/internal/overload"
-	"olympian/internal/serving"
-	"olympian/internal/sim"
-	"olympian/internal/telemetry"
 )
 
 // api holds the server's metrics registry; handlers that count domain events
@@ -300,7 +296,7 @@ func (a *api) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		mult = v
 	}
-	tl, err := runTimelineDemo(seed, mult)
+	tl, err := experiments.OverloadTimeline(seed, mult)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -325,64 +321,6 @@ func (a *api) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = tl.WriteJSON(w)
-}
-
-// runTimelineDemo replays the overload experiment's hardest sweep point with
-// the telemetry plane attached: open-loop Poisson arrivals at mult times the
-// single-device saturation rate against an AIMD-admitted serving front-end,
-// sampled every telemetry tick on the virtual clock. Everything runs in
-// simulated time, so the timeline is a deterministic function of (seed, mult).
-func runTimelineDemo(seed int64, mult float64) (*telemetry.Timeline, error) {
-	env := sim.NewEnv(seed)
-	defer env.Shutdown()
-	rec := obs.NewRecorder()
-	rec.Bind(env, "timeline-demo")
-	tcfg := telemetry.Config{SLOs: telemetry.DefaultServingSLOs(), Rules: telemetry.DefaultRules()}
-	sampler := telemetry.NewSampler(tcfg, rec.Registry())
-	sampler.Bind(env)
-	srv, err := serving.NewServer(env, serving.Config{
-		MaxBatch:     8,
-		BatchTimeout: 2 * time.Millisecond,
-		MaxQueue:     64,
-		Deadline:     120 * time.Millisecond,
-		Seed:         seed,
-		Admission:    &overload.AIMDConfig{},
-		Obs:          rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	const horizon = time.Second
-	rate := 260.0 * mult
-	rng := rand.New(rand.NewSource(seed + 57))
-	t := time.Duration(0)
-	n := 0
-	for {
-		t += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		if t >= horizon {
-			break
-		}
-		at := t
-		class := overload.Batch
-		if rng.Float64() < 0.3 {
-			class = overload.Interactive
-		}
-		n++
-		env.Go(fmt.Sprintf("client-%d", n), func(p *sim.Proc) {
-			p.Sleep(at)
-			req, err := srv.SubmitClass(model.Inception, class)
-			if err != nil {
-				return
-			}
-			req.Wait(p)
-		})
-	}
-	if err := env.Run(); err != nil {
-		return nil, err
-	}
-	tl := telemetry.Merge(tcfg, []*telemetry.Sampler{sampler})
-	tl.LogAlerts(rec)
-	return tl, nil
 }
 
 // maxFullRuns caps the full-size experiment runs in progress at once. Each

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -305,6 +306,13 @@ func TestTimelineEndpoint(t *testing.T) {
 	rec2, _ := do(t, h, "GET", "/timeline?seed=1&load=4", "")
 	if rec.Body.String() != rec2.Body.String() {
 		t.Fatal("same-seed timeline responses differ")
+	}
+	// The body is pinned: the demo replays one point of the overload
+	// experiment, so its bytes move only when that experiment's output does.
+	f := fnv.New64a()
+	f.Write(rec.Body.Bytes())
+	if got, want := f.Sum64(), uint64(0x59fcb6b2b6b3d81e); got != want {
+		t.Fatalf("timeline body hash %#016x, want %#016x", got, want)
 	}
 
 	// Final burn rates land on the scrape endpoint as slo/rule gauges.

@@ -80,7 +80,7 @@ type LLMConfig struct {
 	// Admission, when non-nil, arms each replica's token-rate AIMD
 	// admission gate; ExpectedOutput is the predicted output length its
 	// cost model charges (0 = the request's own budget).
-	Admission      *overload.TokenAIMDConfig
+	Admission      *overload.AIMDConfig
 	ExpectedOutput int
 	// KVWatermark and DegradedTail arm degraded mode on every replica:
 	// above the watermark batch-class output budgets are truncated

@@ -109,7 +109,7 @@ func llmScenarios() []llmScenario {
 					Route:           LeastKVPressure,
 					TTFTDeadline:    time.Millisecond,
 					TPOTBudget:      2 * time.Millisecond,
-					Admission:       &overload.TokenAIMDConfig{Initial: 384, Min: 128, Max: 2048},
+					Admission:       &overload.AIMDConfig{Initial: 384, Min: 128, Max: 2048},
 					KVWatermark:     0.7,
 					DegradedTail:    4,
 					MaxRetries:      2,

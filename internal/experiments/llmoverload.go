@@ -39,7 +39,7 @@ func (lc llmOverloadCell) config() cluster.LLMConfig {
 		Route:           cluster.LeastKVPressure,
 		TTFTDeadline:    lc.ttftSLO,
 		TPOTBudget:      lc.tpotSLO,
-		Admission:       &overload.TokenAIMDConfig{Initial: 2048, Min: 256, Max: 4096},
+		Admission:       &overload.AIMDConfig{Initial: 2048, Min: 256, Max: 4096},
 		KVWatermark:     0.85,
 		DegradedTail:    8,
 		MaxRetries:      3,

@@ -99,6 +99,31 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 	return pt, nil
 }
 
+// overloadBase returns the sweep's base arrival rate and horizon. The rate
+// sits near the single-device saturation point for this batching
+// configuration, so 1x is the goodput plateau and 2-4x are genuinely past
+// capacity.
+func overloadBase(quick bool) (rate float64, horizon time.Duration) {
+	if quick {
+		return 260, time.Second
+	}
+	return 280, 2 * time.Second
+}
+
+// OverloadTimeline replays one point of the quick overload sweep, at mult
+// times the base rate, with the telemetry plane attached and returns its
+// virtual-time timeline (series, burn rates, alert log). The timeline is a
+// deterministic function of (seed, mult).
+func OverloadTimeline(seed int64, mult float64) (*telemetry.Timeline, error) {
+	tcfg := telemetry.Config{SLOs: telemetry.DefaultServingSLOs(), Rules: telemetry.DefaultRules()}
+	rate, horizon := overloadBase(true)
+	pt, err := overloadServe(Options{Seed: seed, Telemetry: &tcfg}, rate*mult, horizon, obs.NewRecorder(), "timeline-demo")
+	if err != nil {
+		return nil, err
+	}
+	return pt.timeline, nil
+}
+
 // overloadHedge drives a two-device fleet where device 0 stalls repeatedly,
 // with hedged requests racing a duplicate on the healthy device after a
 // deterministic delay.
@@ -153,13 +178,7 @@ func Overload(o Options) (*Report, error) {
 			"interactive done/shed", "batch done/shed", "limit"},
 	}
 
-	// baseRate sits near the single-device saturation point for this
-	// batching configuration, so 1x is the goodput plateau and 2-4x are
-	// genuinely past capacity.
-	baseRate, horizon := 280.0, 2*time.Second
-	if o.Quick {
-		baseRate, horizon = 260.0, time.Second
-	}
+	baseRate, horizon := overloadBase(o.Quick)
 
 	mults := []float64{0.5, 1, 2, 4}
 	points := make([]overloadPoint, 0, len(mults))

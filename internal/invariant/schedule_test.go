@@ -272,7 +272,7 @@ func (s Schedule) llmConfig() cluster.LLMConfig {
 		Route:           cluster.LeastKVPressure,
 		TTFTDeadline:    2 * time.Millisecond,
 		TPOTBudget:      time.Millisecond,
-		Admission:       &overload.TokenAIMDConfig{Initial: 512, Min: 128, Max: 4096},
+		Admission:       &overload.AIMDConfig{Initial: 512, Min: 128, Max: 4096},
 		KVWatermark:     0.7,
 		DegradedTail:    4,
 		MaxRetries:      2,

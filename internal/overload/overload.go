@@ -5,10 +5,11 @@
 //
 // Four cooperating pieces live here:
 //
-//   - an AIMD adaptive admission Limiter: each model's concurrency limit
-//     grows additively on deadline-met completions and shrinks
-//     multiplicatively on shed/expiry signals, so admission tracks the
-//     capacity the device actually delivers instead of a static queue cap;
+//   - an AIMD adaptive admission Limiter: each model's limit, in requests
+//     or predicted tokens, grows additively on deadline-met completions and
+//     shrinks multiplicatively on congestion signals, so admission tracks
+//     the capacity the device actually delivers instead of a static queue
+//     cap;
 //   - priority Classes (interactive > batch) with strict-priority
 //     shedding: under pressure the serving layer drops low-priority work
 //     first and can displace queued low-priority requests to admit
@@ -59,48 +60,73 @@ func (c Class) String() string {
 // Valid reports whether c is a usable class value.
 func (c Class) Valid() bool { return c >= 0 && c < NumClasses }
 
-// AIMDConfig parameterises an adaptive admission limiter. The zero value
-// selects the defaults documented per field.
+// AIMDConfig parameterises an adaptive admission Limiter. Limits and steps
+// are in the limiter's cost unit: requests for a serving front-end, predicted
+// tokens for an LLM server. A zero field selects the unit's default: 8 / 1 /
+// 256 / 1 for requests and 4096 / 512 / 262144 / 64 for tokens (Initial /
+// Min / Max / Add), Beta 0.7 and Cooldown 5ms for both.
 type AIMDConfig struct {
-	// Initial is the starting concurrency limit (default 8).
+	// Initial is the starting limit.
 	Initial float64
-	// Min is the limit's floor — admission never closes entirely
-	// (default 1).
+	// Min is the limit's floor.
 	Min float64
-	// Max is the limit's ceiling (default 256).
+	// Max is the limit's ceiling.
 	Max float64
-	// Add is the additive-increase step: one deadline-met completion grows
-	// the limit by Add/limit, i.e. the limit grows by Add per limit's worth
-	// of successes — the classic per-round AIMD slope (default 1).
+	// Add is the additive-increase step: a deadline-met completion of cost c
+	// grows the limit by Add·c/limit, i.e. the limit grows by Add per limit's
+	// worth of successful cost — the classic per-round AIMD slope.
 	Add float64
 	// Beta is the multiplicative-decrease factor applied on a congestion
-	// signal, in (0,1) (default 0.7).
+	// signal, in (0,1).
 	Beta float64
 	// Cooldown is the minimum spacing between multiplicative decreases, so
-	// one burst of sheds at a single instant counts as one congestion
-	// event, not dozens (default 5ms).
+	// one burst of congestion signals at a single instant counts as one
+	// congestion event, not dozens.
 	Cooldown time.Duration
 }
 
-// withDefaults fills unset fields.
-func (c AIMDConfig) withDefaults() AIMDConfig {
+// TokenAIMDConfig is AIMDConfig under its former LLM-specific name, kept
+// because the benchmark's workload definitions still spell it.
+type TokenAIMDConfig = AIMDConfig
+
+// Unit is what a Limiter's cost counts; it picks the config defaults.
+type Unit int
+
+// Cost units.
+const (
+	// Requests charges every request cost 1.
+	Requests Unit = iota
+	// Tokens charges a request its predicted token footprint (prompt +
+	// expected output), so one long document and a dozen chat turns charge
+	// the gate proportionally.
+	Tokens
+)
+
+// defaults holds each unit's zero-field defaults.
+var defaults = [...]AIMDConfig{
+	Requests: {Initial: 8, Min: 1, Max: 256, Add: 1, Beta: 0.7, Cooldown: 5 * time.Millisecond},
+	Tokens:   {Initial: 4096, Min: 512, Max: 262144, Add: 64, Beta: 0.7, Cooldown: 5 * time.Millisecond},
+}
+
+// withDefaults fills unset fields from def.
+func (c AIMDConfig) withDefaults(def AIMDConfig) AIMDConfig {
 	if c.Initial <= 0 {
-		c.Initial = 8
+		c.Initial = def.Initial
 	}
 	if c.Min <= 0 {
-		c.Min = 1
+		c.Min = def.Min
 	}
 	if c.Max <= 0 {
-		c.Max = 256
+		c.Max = def.Max
 	}
 	if c.Add <= 0 {
-		c.Add = 1
+		c.Add = def.Add
 	}
 	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.7
+		c.Beta = def.Beta
 	}
 	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Millisecond
+		c.Cooldown = def.Cooldown
 	}
 	return c
 }
@@ -124,80 +150,81 @@ func (c AIMDConfig) Validate() error {
 	return nil
 }
 
-// Observer receives overload-control events. Implementations live above
-// this package (the observability layer adapts them onto its trace
-// recorder); keeping the interface here lets the control plane announce
-// events without depending on anything beyond the standard library.
-// Callbacks run synchronously in simulation context and must not block.
-type Observer interface {
-	// LimitChanged fires after a multiplicative decrease with the new limit.
-	LimitChanged(limit float64)
-	// RetryDenied fires when a retry budget refuses a retry.
-	RetryDenied()
-}
+// batchFrac is the fraction of the limit visible to classes below
+// Interactive: the headroom near the limit stays reserved for interactive
+// arrivals, so shedding starts at the bottom of the priority lattice.
+const batchFrac = 0.8
 
-// Limiter is a per-model AIMD concurrency limiter. It is simulation state:
-// single-goroutine use only, with time supplied by the caller.
+// Limiter is a cost-weighted AIMD admission limiter: in-flight cost is held
+// against an adaptive limit that grows additively on deadline-met
+// completions and shrinks multiplicatively on congestion signals. It is
+// simulation state: single-goroutine use only, with time supplied by the
+// caller.
 type Limiter struct {
 	cfg      AIMDConfig
 	limit    float64
-	inflight int
+	inflight int // admitted-and-unfinished cost
 
 	nextDecrease time.Duration
 
 	admitted  int
 	sheds     int
 	decreases int
-
-	obs Observer
 }
 
-// NewLimiter returns a limiter at cfg's initial limit.
-func NewLimiter(cfg AIMDConfig) *Limiter {
-	cfg = cfg.withDefaults()
+// NewLimiter returns a limiter at cfg's initial limit, with zero fields
+// taken from unit's defaults.
+func NewLimiter(cfg AIMDConfig, unit Unit) *Limiter {
+	cfg = cfg.withDefaults(defaults[unit])
 	return &Limiter{cfg: cfg, limit: cfg.Initial}
 }
 
-// SetObserver registers o to be notified of limit cuts; nil unregisters.
-func (l *Limiter) SetObserver(o Observer) { l.obs = o }
-
-// Limit returns the current concurrency limit.
+// Limit returns the current limit.
 func (l *Limiter) Limit() float64 { return l.limit }
 
 // Admitted returns how many requests were admitted so far.
 func (l *Limiter) Admitted() int { return l.admitted }
 
-// Sheds returns how many congestion signals the limiter has absorbed.
+// Sheds returns how many sheds and congestion signals the limiter has
+// absorbed.
 func (l *Limiter) Sheds() int { return l.sheds }
 
 // Decreases returns how many multiplicative decreases fired.
 func (l *Limiter) Decreases() int { return l.decreases }
 
-// HasCapacityFrac reports whether another request fits under frac of the
-// current limit. Admission gives lower priority classes a reduced fraction,
-// so the headroom near the limit stays reserved for higher classes and
-// shedding starts at the bottom of the priority lattice.
-func (l *Limiter) HasCapacityFrac(frac float64) bool {
-	return float64(l.inflight) < math.Floor(l.limit*frac)
+// HasCapacity reports whether a request of the given cost fits under the
+// class's fraction of the current limit: all of it for Interactive, 80% for
+// Batch. An idle limiter always admits: a lone request larger than the
+// class's share must run, not wait at a gate nothing else is holding.
+func (l *Limiter) HasCapacity(class Class, cost int) bool {
+	if l.inflight == 0 {
+		return true
+	}
+	frac := 1.0
+	if class < Interactive {
+		frac = batchFrac
+	}
+	return float64(l.inflight+max(cost, 0)) <= math.Floor(l.limit*frac)
 }
 
-// Acquire admits one request.
-func (l *Limiter) Acquire() {
-	l.inflight++
+// Acquire admits one request of the given cost.
+func (l *Limiter) Acquire(cost int) {
+	l.inflight += max(cost, 0)
 	l.admitted++
 }
 
-// Release retires one admitted request, whatever its outcome.
-func (l *Limiter) Release() {
-	if l.inflight > 0 {
-		l.inflight--
-	}
+// Release retires an admitted request's cost, whatever its outcome.
+func (l *Limiter) Release(cost int) {
+	l.inflight = max(l.inflight-max(cost, 0), 0)
 }
 
-// OnSuccess is the additive-increase signal: a request completed within its
-// deadline, so capacity is there to be claimed.
-func (l *Limiter) OnSuccess() {
-	l.limit = math.Min(l.limit+l.cfg.Add/math.Max(l.limit, 1), l.cfg.Max)
+// OnSuccess is the additive-increase signal: a request of the given cost
+// completed within its deadline, so capacity is there to be claimed.
+func (l *Limiter) OnSuccess(cost int) {
+	if cost <= 0 {
+		return
+	}
+	l.limit = math.Min(l.limit+l.cfg.Add*float64(cost)/math.Max(l.limit, 1), l.cfg.Max)
 }
 
 // NoteShed records a shed caused by the limiter itself without cutting the
@@ -207,22 +234,20 @@ func (l *Limiter) OnSuccess() {
 // high, collapsing goodput instead of protecting it.
 func (l *Limiter) NoteShed() { l.sheds++ }
 
-// OnCongestion is the multiplicative-decrease signal — a server-side SLO
-// failure such as a queue-overflow drop, an in-queue expiry, or a deadline
-// miss — at virtual time now. Decreases within the cooldown of the previous
-// one are coalesced: the burst still counts in Sheds but cuts the limit
-// only once.
-func (l *Limiter) OnCongestion(now time.Duration) {
+// OnCongestion is the multiplicative-decrease signal at virtual time now: a
+// server-side SLO failure (a queue-overflow drop, an in-queue or TTFT
+// expiry, a deadline miss) or KV-cache pressure. Decreases within the
+// cooldown of the previous one are coalesced: the burst still counts in
+// Sheds but cuts the limit only once. It reports whether the limit was cut.
+func (l *Limiter) OnCongestion(now time.Duration) bool {
 	l.sheds++
 	if now < l.nextDecrease {
-		return
+		return false
 	}
 	l.nextDecrease = now + l.cfg.Cooldown
 	l.limit = math.Max(l.limit*l.cfg.Beta, l.cfg.Min)
 	l.decreases++
-	if l.obs != nil {
-		l.obs.LimitChanged(l.limit)
-	}
+	return true
 }
 
 // RetryBudget is a token pool capping retries relative to successful work:
@@ -234,12 +259,7 @@ type RetryBudget struct {
 	max    float64
 	refund float64
 	denied int
-	obs    Observer
 }
-
-// SetObserver registers o to be notified of denied retries; nil
-// unregisters.
-func (b *RetryBudget) SetObserver(o Observer) { b.obs = o }
 
 // NewRetryBudget returns a full pool of max tokens that refunds
 // refundPerSuccess tokens per successful completion. A zero or negative max
@@ -259,9 +279,6 @@ func NewRetryBudget(max, refundPerSuccess float64) *RetryBudget {
 func (b *RetryBudget) Allow() bool {
 	if b.tokens < 1 {
 		b.denied++
-		if b.obs != nil {
-			b.obs.RetryDenied()
-		}
 		return false
 	}
 	b.tokens--

@@ -108,7 +108,7 @@ func TestLLMCountersReadStats(t *testing.T) {
 	}{
 		{"ttft-expiry", LLMConfig{TTFTDeadline: time.Microsecond}, func(st LLMStats) int { return st.Expired }},
 		{"tpot-miss", LLMConfig{TPOTBudget: time.Nanosecond}, func(st LLMStats) int { return st.TPOTMisses }},
-		{"admission-shed", LLMConfig{Admission: &overload.TokenAIMDConfig{Initial: 300, Min: 64, Max: 1024}},
+		{"admission-shed", LLMConfig{Admission: &overload.AIMDConfig{Initial: 300, Min: 64, Max: 1024}},
 			func(st LLMStats) int { return st.AdmissionSheds }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -81,7 +81,7 @@ type LLMConfig struct {
 	// output) and sheds with ErrShed when the class's fraction of the
 	// adaptive token limit is full. KV pressure and TTFT expiries feed the
 	// limiter's congestion signal; its own sheds never do.
-	Admission *overload.TokenAIMDConfig
+	Admission *overload.AIMDConfig
 	// ExpectedOutput is the predicted output length used for the admission
 	// cost; 0 charges the request's own output budget (oracle prediction).
 	ExpectedOutput int
@@ -227,7 +227,7 @@ type LLMServer struct {
 	reqCount int
 	requests []*llm.Request // retained unless Slim
 
-	limiter   *overload.TokenLimiter
+	limiter   *overload.Limiter
 	admitCost map[int]int // request ID -> charged admission tokens
 	kvBudget  int64       // device memory left for KV after weights
 	degraded  bool
@@ -321,7 +321,7 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		obsDev:   cfg.Device,
 	}
 	if cfg.Admission != nil {
-		s.limiter = overload.NewTokenLimiter(*cfg.Admission)
+		s.limiter = overload.NewLimiter(*cfg.Admission, overload.Tokens)
 		s.admitCost = make(map[int]int)
 	}
 	reg := cfg.Obs.Registry()

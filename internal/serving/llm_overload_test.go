@@ -27,7 +27,7 @@ func TestLLMConfigValidate(t *testing.T) {
 		{"watermark-above-one", LLMConfig{KVWatermark: 1.5}},
 		{"watermark-negative", LLMConfig{KVWatermark: -0.1}},
 		{"negative-degraded-tail", LLMConfig{DegradedTail: -2}},
-		{"bad-admission", LLMConfig{Admission: &overload.TokenAIMDConfig{Beta: 2}}},
+		{"bad-admission", LLMConfig{Admission: &overload.AIMDConfig{Beta: 2}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,7 +48,7 @@ func TestLLMConfigValidate(t *testing.T) {
 	if err := (LLMConfig{
 		MaxSeqs: 8, MaxQueue: 32, TTFTDeadline: 50 * time.Millisecond,
 		TPOTBudget: 5 * time.Millisecond, KVWatermark: 0.9, DegradedTail: 8,
-		Admission: &overload.TokenAIMDConfig{Initial: 2048},
+		Admission: &overload.AIMDConfig{Initial: 2048},
 	}).Validate(); err != nil {
 		t.Fatalf("sane config rejected: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestLLMAdmissionGateShedsAndReleases(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newLLMTestServer(t, env, LLMConfig{
 		Model: model.LLMTiny,
-		Admission: &overload.TokenAIMDConfig{
+		Admission: &overload.AIMDConfig{
 			Initial: 64, Min: 64, Max: 64, Add: 1, Beta: 0.5,
 		},
 	})

@@ -278,3 +278,39 @@ func TestAdmissionLimitAdaptsUnderLoad(t *testing.T) {
 		t.Fatalf("healthy-load limiter state %+v, want limit grown past 8, 20 admitted, 0 decreases", a)
 	}
 }
+
+func TestIdleLimiterAdmitsBatch(t *testing.T) {
+	env := sim.NewEnv(5)
+	// At limit 1 the batch fraction floors to zero slots. Arrivals spaced
+	// far wider than service time each find the server idle, and an idle
+	// limiter must admit them: otherwise nothing ever completes and the
+	// limit never grows back.
+	srv := newTestServer(t, env, Config{
+		MaxBatch: 4, BatchTimeout: time.Millisecond,
+		Admission: &overload.AIMDConfig{Initial: 1, Min: 1},
+	})
+	const n = 5
+	for i := 0; i < n; i++ {
+		i := i
+		env.Go("client", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * time.Second)
+			req, err := srv.SubmitClass(model.Inception, overload.Batch)
+			if err != nil {
+				t.Errorf("submit: %v", err)
+				return
+			}
+			req.Wait(p)
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	st := srv.Stats()
+	if got := st.Degraded.ByClass[overload.Batch]; got.Completed != n || got.Shed != 0 {
+		t.Fatalf("batch class counts %+v, want %d completed and none shed", got, n)
+	}
+	if a := st.Admission[0]; a.Admitted != n {
+		t.Fatalf("limiter state %+v, want %d admitted", a, n)
+	}
+}

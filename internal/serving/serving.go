@@ -267,6 +267,9 @@ type Server struct {
 	graphs   map[graphKey]*graph.Graph
 	profiles map[graphKey]*profiler.Result
 	limiters map[string]*overload.Limiter
+	// limitGauges holds each limiter's limit gauge, registered with the
+	// limiter when recording is on.
+	limitGauges map[string]*obs.Series
 
 	requests []*Request
 	reqCount int
@@ -354,16 +357,17 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	dev := gpu.New(env, cfg.Spec)
 	dev.InjectFaults(cfg.Faults)
 	s := &Server{
-		env:       env,
-		dev:       dev,
-		cfg:       cfg,
-		queues:    make(map[string][]*Request),
-		flushers:  make(map[string]*sim.Cond),
-		graphs:    make(map[graphKey]*graph.Graph),
-		profiles:  make(map[graphKey]*profiler.Result),
-		limiters:  make(map[string]*overload.Limiter),
-		retryLeft: cfg.RetryBudget,
-		build:     model.Build,
+		env:         env,
+		dev:         dev,
+		cfg:         cfg,
+		queues:      make(map[string][]*Request),
+		flushers:    make(map[string]*sim.Cond),
+		graphs:      make(map[graphKey]*graph.Graph),
+		profiles:    make(map[graphKey]*profiler.Result),
+		limiters:    make(map[string]*overload.Limiter),
+		limitGauges: make(map[string]*obs.Series),
+		retryLeft:   cfg.RetryBudget,
+		build:       model.Build,
 	}
 	s.rec = cfg.Obs
 	s.obsDev = cfg.Device
@@ -434,22 +438,6 @@ func failReason(err error) string {
 	}
 }
 
-// limiterObserver adapts a model's AIMD limiter onto the lifecycle
-// recorder: every multiplicative decrease becomes an overload-layer
-// instant plus a gauge update. Only attached when recording is on.
-type limiterObserver struct {
-	s     *Server
-	gauge *obs.Series
-}
-
-func (o *limiterObserver) LimitChanged(limit float64) {
-	o.s.rec.Instant(obs.LayerOverload, "limit_cut", obs.NoReq, obs.NoClass, o.s.obsDev, int64(limit))
-	o.s.limitCutsC.Inc()
-	o.gauge.Set(limit)
-}
-
-func (o *limiterObserver) RetryDenied() {}
-
 // Device exposes the server's GPU for measurement.
 func (s *Server) Device() *gpu.Device { return s.dev }
 
@@ -459,10 +447,6 @@ func (s *Server) Device() *gpu.Device { return s.dev }
 func (s *Server) Submit(modelName string) (*Request, error) {
 	return s.SubmitClass(modelName, overload.Interactive)
 }
-
-// batchAdmitFrac is the fraction of the AIMD limit visible to classes below
-// Interactive; the remainder is reserved headroom for interactive arrivals.
-const batchAdmitFrac = 0.8
 
 // SubmitClass enqueues a request with an explicit priority class. Under
 // pressure — the AIMD limiter or the bounded queue at capacity — lower
@@ -503,16 +487,11 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		s.startBatcher(modelName)
 	}
 	lim := s.limiter(modelName)
-	frac := 1.0
-	if class < overload.Interactive {
-		// Lower classes only see a fraction of the learned limit: the top
-		// slice is reserved for interactive work, so under pressure batch
-		// arrivals shed before any interactive request does.
-		frac = batchAdmitFrac
-	}
-	if lim != nil && !lim.HasCapacityFrac(frac) && !s.evictLower(modelName, class) {
-		// Adaptive admission: the model is over its learned concurrency
-		// limit and no lower-priority queued work can make room. The
+	if lim != nil && !lim.HasCapacity(class, 1) && !s.evictLower(modelName, class) {
+		// Adaptive admission: the model is over its class's share of the
+		// learned concurrency limit (batch sees only part of it, so under
+		// pressure batch arrivals shed before any interactive request does)
+		// and no lower-priority queued work can make room. The
 		// limiter's own sheds are flow control working, not a congestion
 		// signal — only SLO failures (overflow, expiry, misses) cut the
 		// limit.
@@ -527,14 +506,12 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		// learned limit overshot actual capacity, so it is a decrease
 		// signal.
 		s.degraded.Drops++
-		if lim != nil {
-			lim.OnCongestion(time.Duration(s.env.Now()))
-		}
+		s.congest(modelName, s.env.Now())
 		s.shed(req, ErrQueueFull)
 		return req, nil
 	}
 	if lim != nil {
-		lim.Acquire()
+		lim.Acquire(1)
 		req.admitted = true
 	}
 	s.reqC[class].Inc()
@@ -554,17 +531,27 @@ func (s *Server) limiter(modelName string) *overload.Limiter {
 	}
 	lim, ok := s.limiters[modelName]
 	if !ok {
-		lim = overload.NewLimiter(*s.cfg.Admission)
+		lim = overload.NewLimiter(*s.cfg.Admission, overload.Requests)
 		s.limiters[modelName] = lim
 		if s.rec != nil {
-			lim.SetObserver(&limiterObserver{
-				s: s,
-				gauge: s.rec.Registry().Gauge("olympian_overload_admission_limit",
-					"Current AIMD concurrency limit.", "device", strconv.Itoa(s.obsDev), "model", modelName),
-			})
+			s.limitGauges[modelName] = s.rec.Registry().Gauge("olympian_overload_admission_limit",
+				"Current AIMD concurrency limit.", "device", strconv.Itoa(s.obsDev), "model", modelName)
 		}
 	}
 	return lim
+}
+
+// congest feeds an SLO failure (a queue overflow, an in-queue expiry, a
+// deadline miss) to the model's limiter at now, if it has one. A limit cut
+// becomes an overload-layer instant, a counter tick and a gauge update.
+func (s *Server) congest(modelName string, now sim.Time) {
+	lim := s.limiters[modelName]
+	if lim == nil || !lim.OnCongestion(time.Duration(now)) {
+		return
+	}
+	s.rec.Instant(obs.LayerOverload, "limit_cut", obs.NoReq, obs.NoClass, s.obsDev, int64(lim.Limit()))
+	s.limitCutsC.Inc()
+	s.limitGauges[modelName].Set(lim.Limit())
 }
 
 // shed rejects a request at admission; fail books the per-class Shed tally.
@@ -677,7 +664,7 @@ func (s *Server) releaseSlot(r *Request) {
 	}
 	r.admitted = false
 	if lim := s.limiters[r.Model]; lim != nil {
-		lim.Release()
+		lim.Release(1)
 	}
 }
 
@@ -774,9 +761,7 @@ func (s *Server) dropExpired(modelName string) {
 		if r.Deadline > 0 && now > r.Deadline {
 			s.degraded.Expired++
 			s.fail(r, ErrExpired)
-			if lim := s.limiters[modelName]; lim != nil {
-				lim.OnCongestion(time.Duration(now))
-			}
+			s.congest(modelName, now)
 			continue
 		}
 		kept = append(kept, r)
@@ -919,11 +904,9 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 			s.degraded.DeadlineMisses++
 			s.degraded.ByClass[r.Class].DeadlineMisses++
 			s.rec.Instant(obs.LayerServing, "deadline_miss", r.ID, int(r.Class), s.obsDev, 0)
-			if lim != nil {
-				lim.OnCongestion(time.Duration(now))
-			}
+			s.congest(r.Model, now)
 		} else if lim != nil {
-			lim.OnSuccess()
+			lim.OnSuccess(1)
 		}
 		s.latHist.Observe(r.Latency())
 		s.modelHist(r.Model).Observe(r.Latency())

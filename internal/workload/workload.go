@@ -290,7 +290,6 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	reg := cfg.Obs.Registry()
 	reg.CounterView("olympian_client_retries_total", "Client batch retries.", &res.Degraded.BatchRetries)
 	if cfg.Obs != nil {
-		budget.SetObserver(budgetObserver{cfg.Obs})
 		reg.CounterView("olympian_overload_retry_denied_total", "Retries refused by the budget.", &res.Degraded.RetryDenied)
 	}
 
@@ -356,6 +355,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 					}
 					if !budget.Allow() {
 						res.Degraded.RetryDenied++
+						cfg.Obs.Instant(obs.LayerOverload, "retry_denied", obs.NoReq, obs.NoClass, 0, 0)
 						res.Degraded.BatchFailures++
 						break
 					}
@@ -498,17 +498,6 @@ func policyClone(p core.Policy) core.Policy {
 	default:
 		return core.NewFair()
 	}
-}
-
-// budgetObserver adapts the run's shared retry budget onto the lifecycle
-// recorder: every denial becomes an overload-layer instant. Only attached
-// when recording is on.
-type budgetObserver struct{ rec *obs.Recorder }
-
-func (o budgetObserver) LimitChanged(float64) {}
-
-func (o budgetObserver) RetryDenied() {
-	o.rec.Instant(obs.LayerOverload, "retry_denied", obs.NoReq, obs.NoClass, 0, 0)
 }
 
 // buildGraphs constructs one shared graph per distinct model reference.
