@@ -9,7 +9,7 @@
 //	olympian-sim -seed 7 fig3          # different randomness
 //	olympian-sim cluster               # multi-GPU fleet: scaling + failover
 //	olympian-sim overload              # overload control: admission, shedding, hedging
-//	olympian-sim sharded               # parallel core: engine identity + 64-device sweep
+//	olympian-sim sharded               # sharded core: engine identity + 64-device sweep
 //	olympian-sim -trace-out t.json overload  # lifecycle trace for ui.perfetto.dev
 //	olympian-sim -timeline-out tl.json overload  # virtual-time telemetry + SLO alerts
 //

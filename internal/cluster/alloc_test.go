@@ -47,7 +47,6 @@ func fleetAllocs(t *testing.T, n int) float64 {
 		MaxBatch:     8,
 		BatchTimeout: 2 * time.Millisecond,
 		Slim:         true,
-		Workers:      1,
 	}
 	i := 0
 	next := func() invariant.Arrival {

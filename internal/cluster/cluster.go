@@ -104,8 +104,8 @@ type Config struct {
 	// doubles as the conservative lookahead that bounds each shard's
 	// safe-execution window (default DefaultNetLatency).
 	NetLatency time.Duration
-	// Workers bounds the sharded engine's worker pool (0 = GOMAXPROCS; 1
-	// degrades gracefully to serial execution with identical output).
+	// Workers is ignored: the sharded engine runs its windows serially. It
+	// stays only because the benchmark's workload definitions still set it.
 	Workers int
 	// Slim disables per-request retention in the cluster and its serving
 	// stacks, and streams routing decisions into the fingerprint instead of

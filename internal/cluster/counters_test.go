@@ -29,7 +29,7 @@ func observedRuns(t *testing.T) []observedRun {
 	var runs []observedRun
 	for _, sc := range shardedScenarios() {
 		rec := obs.NewRecorder()
-		c := runShardedTelemetry(t, sc, SingleHeap, 0, rec)
+		c := runShardedTelemetry(t, sc, SingleHeap, rec)
 		run := observe(t, "sharded/"+sc.name, rec, c.Timeline().WriteJSON)
 		run.twins = shardedTwins(c, c.Stats())
 		runs = append(runs, run)

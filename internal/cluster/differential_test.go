@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -135,10 +134,9 @@ func shardedScenarios() []shardedScenario {
 
 // runSharded executes one scenario on the given engine and returns its
 // stats. The recorder, when non-nil, receives the merged per-shard traces.
-func runSharded(t *testing.T, sc shardedScenario, engine Engine, workers int, slim bool, rec *obs.Recorder) Stats {
+func runSharded(t *testing.T, sc shardedScenario, engine Engine, slim bool, rec *obs.Recorder) Stats {
 	t.Helper()
 	cfg := sc.cfg()
-	cfg.Workers = workers
 	cfg.Slim = slim
 	cfg.Obs = rec
 	c, err := NewSharded(cfg, engine)
@@ -178,10 +176,9 @@ func driveSharded(t *testing.T, c *ShardedCluster, sc shardedScenario) {
 // runShardedTelemetry is runSharded with the virtual-clock telemetry plane
 // attached: per-shard samplers over the default serving SLOs, merged into one
 // timeline by FinishObs. It returns the finished cluster.
-func runShardedTelemetry(t *testing.T, sc shardedScenario, engine Engine, workers int, rec *obs.Recorder) *ShardedCluster {
+func runShardedTelemetry(t *testing.T, sc shardedScenario, engine Engine, rec *obs.Recorder) *ShardedCluster {
 	t.Helper()
 	cfg := sc.cfg()
-	cfg.Workers = workers
 	cfg.Obs = rec
 	cfg.Telemetry = testTelemetry()
 	c, err := NewSharded(cfg, engine)
@@ -217,17 +214,15 @@ func renderObs(t *testing.T, rec *obs.Recorder) (string, string) {
 }
 
 // TestShardedEnginesBitIdentical is the tentpole invariant: for every
-// scenario, the parallel engine (at several worker counts, including the
-// serial degradation, under GOMAXPROCS 1 and 4) must produce stats,
-// decision-log hashes, and lifecycle trace bytes identical to the
-// single-heap reference engine.
+// scenario, the sharded engine must produce stats, decision-log hashes,
+// lifecycle trace bytes and metrics identical to the single-heap reference
+// engine.
 func TestShardedEnginesBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range shardedScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			refRec := obs.NewRecorder()
-			ref := runSharded(t, sc, SingleHeap, 0, false, refRec)
+			ref := runSharded(t, sc, SingleHeap, false, refRec)
 			refTrace, refProm := renderObs(t, refRec)
 			if ref.DecisionHash == 0 {
 				t.Fatal("reference run produced a zero decision hash")
@@ -235,25 +230,20 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 			if ref.Completed == 0 {
 				t.Fatalf("reference run completed nothing: %+v", ref)
 			}
-			for _, procs := range []int{1, 4} {
-				runtime.GOMAXPROCS(procs)
-				for _, workers := range []int{0, 1, 2} {
-					rec := obs.NewRecorder()
-					got := runSharded(t, sc, Sharded, workers, false, rec)
-					if !reflect.DeepEqual(ref, got) {
-						t.Errorf("procs=%d workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", procs, workers, ref, got)
-					}
-					if got.DecisionHash != ref.DecisionHash {
-						t.Errorf("procs=%d workers=%d: decision hash %x, want %x", procs, workers, got.DecisionHash, ref.DecisionHash)
-					}
-					gotTrace, gotProm := renderObs(t, rec)
-					if gotTrace != refTrace {
-						t.Errorf("procs=%d workers=%d: lifecycle trace bytes differ from single-heap reference", procs, workers)
-					}
-					if gotProm != refProm {
-						t.Errorf("procs=%d workers=%d: metrics differ from single-heap reference:\n%s\nvs\n%s", procs, workers, gotProm, refProm)
-					}
-				}
+			rec := obs.NewRecorder()
+			got := runSharded(t, sc, Sharded, false, rec)
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("stats differ from single-heap reference\nref: %+v\ngot: %+v", ref, got)
+			}
+			if got.DecisionHash != ref.DecisionHash {
+				t.Errorf("decision hash %x, want %x", got.DecisionHash, ref.DecisionHash)
+			}
+			gotTrace, gotProm := renderObs(t, rec)
+			if gotTrace != refTrace {
+				t.Error("lifecycle trace bytes differ from single-heap reference")
+			}
+			if gotProm != refProm {
+				t.Errorf("metrics differ from single-heap reference:\n%s\nvs\n%s", gotProm, refProm)
 			}
 		})
 	}
@@ -262,13 +252,13 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 // TestShardedTelemetryBitIdentical extends the engine-identity invariant to
 // the telemetry plane: with per-shard samplers attached, the merged timeline
 // JSON, the alert log, and the full Prometheus exposition must be
-// byte-identical between the single-heap reference and the sharded engine at
-// worker counts {1,2} — and attaching the plane must not perturb the
-// simulation itself (stats match an unsampled, un-observed run).
+// byte-identical between the single-heap reference and the sharded engine —
+// and attaching the plane must not perturb the simulation itself (stats
+// match an unsampled, un-observed run).
 func TestShardedTelemetryBitIdentical(t *testing.T) {
 	sc := shardedScenarios()[3] // overload: queue pressure burns the latency SLOs
 	refRec := obs.NewRecorder()
-	ref := runShardedTelemetry(t, sc, SingleHeap, 0, refRec)
+	ref := runShardedTelemetry(t, sc, SingleHeap, refRec)
 	refStats, refTL := ref.Stats(), ref.Timeline()
 	if refTL == nil || refTL.Ticks == 0 {
 		t.Fatal("reference run sampled no telemetry ticks")
@@ -290,34 +280,32 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 
 	// Zero perturbation: the sampler only reads, so the sampled run's stats
 	// equal a run with no recorder and no sampler at all.
-	bare := runSharded(t, sc, SingleHeap, 0, false, nil)
+	bare := runSharded(t, sc, SingleHeap, false, nil)
 	if !reflect.DeepEqual(refStats, bare) {
 		t.Errorf("telemetry sampling perturbed the simulation\nsampled: %+v\nbare:    %+v", refStats, bare)
 	}
 
-	for _, workers := range []int{1, 2} {
-		rec := obs.NewRecorder()
-		got := runShardedTelemetry(t, sc, Sharded, workers, rec)
-		gotStats, gotTL := got.Stats(), got.Timeline()
-		if !reflect.DeepEqual(refStats, gotStats) {
-			t.Errorf("workers=%d: stats differ from single-heap reference", workers)
-		}
-		if gotTL == nil {
-			t.Fatalf("workers=%d: sharded run produced no timeline", workers)
-		}
-		var gotJSON bytes.Buffer
-		if err := gotTL.WriteJSON(&gotJSON); err != nil {
-			t.Fatal(err)
-		}
-		if gotJSON.String() != refJSON.String() {
-			t.Errorf("workers=%d: timeline JSON differs from single-heap reference", workers)
-		}
-		if !reflect.DeepEqual(refTL.Alerts, gotTL.Alerts) {
-			t.Errorf("workers=%d: alert log differs\nref: %+v\ngot: %+v", workers, refTL.Alerts, gotTL.Alerts)
-		}
-		if _, gotProm := renderObs(t, rec); gotProm != refProm {
-			t.Errorf("workers=%d: Prometheus exposition differs from single-heap reference", workers)
-		}
+	rec := obs.NewRecorder()
+	got := runShardedTelemetry(t, sc, Sharded, rec)
+	gotStats, gotTL := got.Stats(), got.Timeline()
+	if !reflect.DeepEqual(refStats, gotStats) {
+		t.Error("stats differ from single-heap reference")
+	}
+	if gotTL == nil {
+		t.Fatal("sharded run produced no timeline")
+	}
+	var gotJSON bytes.Buffer
+	if err := gotTL.WriteJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON.String() != refJSON.String() {
+		t.Error("timeline JSON differs from single-heap reference")
+	}
+	if !reflect.DeepEqual(refTL.Alerts, gotTL.Alerts) {
+		t.Errorf("alert log differs\nref: %+v\ngot: %+v", refTL.Alerts, gotTL.Alerts)
+	}
+	if _, gotProm := renderObs(t, rec); gotProm != refProm {
+		t.Error("Prometheus exposition differs from single-heap reference")
 	}
 }
 
@@ -327,8 +315,8 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 func TestShardedSlimMatchesRetained(t *testing.T) {
 	sc := shardedScenarios()[1]
 	for _, engine := range []Engine{SingleHeap, Sharded} {
-		full := runSharded(t, sc, engine, 0, false, nil)
-		slim := runSharded(t, sc, engine, 0, true, nil)
+		full := runSharded(t, sc, engine, false, nil)
+		slim := runSharded(t, sc, engine, true, nil)
 		if !reflect.DeepEqual(full, slim) {
 			t.Errorf("%v: slim stats differ from retained\nfull: %+v\nslim: %+v", engine, full, slim)
 		}
@@ -349,7 +337,7 @@ func TestShardedSlimMatchesRetained(t *testing.T) {
 // land every request despite stalls, and the engines must agree on it.
 func TestShardedFailoverCompletes(t *testing.T) {
 	sc := shardedScenarios()[1]
-	st := runSharded(t, sc, Sharded, 0, false, nil)
+	st := runSharded(t, sc, Sharded, false, nil)
 	if st.Degraded.DeviceStalls == 0 {
 		t.Fatal("no stall fired; the fault plan never engaged")
 	}
@@ -374,7 +362,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	if sc.name != "crash" {
 		t.Fatalf("scenario order changed: got %q, want crash", sc.name)
 	}
-	st := runSharded(t, sc, Sharded, 0, false, nil)
+	st := runSharded(t, sc, Sharded, false, nil)
 	if st.Crashes < 2 {
 		t.Fatalf("crashes = %d, want the restarting and the permanent device to fire", st.Crashes)
 	}
@@ -397,7 +385,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	if st.Completed == 0 {
 		t.Fatal("nothing completed despite two live replicas per model")
 	}
-	again := runSharded(t, sc, Sharded, 0, false, nil)
+	again := runSharded(t, sc, Sharded, false, nil)
 	if !reflect.DeepEqual(st, again) {
 		t.Fatalf("same-seed recovery runs differ\nfirst: %+v\nagain: %+v", st, again)
 	}
@@ -407,7 +395,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 // across shards without double-counting completions.
 func TestShardedHedgeRaces(t *testing.T) {
 	sc := shardedScenarios()[3]
-	st := runSharded(t, sc, Sharded, 0, false, nil)
+	st := runSharded(t, sc, Sharded, false, nil)
 	if st.Hedges == 0 {
 		t.Fatal("no hedge dispatched; scenario mistuned")
 	}

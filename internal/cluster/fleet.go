@@ -103,7 +103,6 @@ type fleetConfig struct {
 	devices      int
 	seed         int64
 	netLatency   time.Duration
-	workers      int
 	route        RoutePolicy
 	slim         bool
 	maxFailovers int // defaulted
@@ -125,7 +124,6 @@ func (f *fleet) init(fc fleetConfig, engine Engine) {
 			Lookahead:  fc.netLatency,
 			Seed:       fc.seed,
 			SingleHeap: engine == SingleHeap,
-			Workers:    fc.workers,
 		}),
 		net:          fc.netLatency,
 		parent:       fc.obs,
@@ -315,7 +313,7 @@ func (f *fleet) FinishObs(label string) {
 // timeline and evaluates the configured SLO burn-rate rules. Each shard's
 // sampler ticks on its own virtual clock; Merge extends the early-quiescing
 // ones to the global tick count, so the result is identical on the
-// single-heap and parallel engines. Returns nil when telemetry is off; call
+// single-heap and sharded engines. Returns nil when telemetry is off; call
 // after Run (the merge is cached).
 func (f *fleet) Timeline() *telemetry.Timeline {
 	if f.samplers == nil {

@@ -119,7 +119,7 @@ type LLMConfig struct {
 	// in Config).
 	H2DBandwidth float64
 	WarmupBase   time.Duration
-	// Workers sizes the sharded engine's worker pool (0 = NumCPU).
+	// Workers is ignored, as in Config.
 	Workers int
 	// Slim drops per-request retention and streams the decision hash.
 	Slim bool
@@ -290,7 +290,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	n := cfg.PrefillReplicas + cfg.DecodeReplicas
 	c := &LLMCluster{cfg: cfg, prefillModel: cfg.Model + "#prefill", decodeModel: cfg.Model + "#decode"}
 	c.fleet.init(fleetConfig{
-		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
 		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry,
 		debt: func(m string) (time.Duration, error) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -131,10 +130,9 @@ func llmScenarios() []llmScenario {
 }
 
 // runLLM executes one scenario on the given engine and returns its stats.
-func runLLM(t *testing.T, sc llmScenario, engine Engine, workers int, rec *obs.Recorder) LLMClusterStats {
+func runLLM(t *testing.T, sc llmScenario, engine Engine, rec *obs.Recorder) LLMClusterStats {
 	t.Helper()
 	cfg := sc.cfg()
-	cfg.Workers = workers
 	cfg.Obs = rec
 	c, err := NewLLM(cfg, engine)
 	if err != nil {
@@ -170,16 +168,14 @@ func driveLLM(t *testing.T, c *LLMCluster, sc llmScenario) LLMClusterStats {
 
 // TestLLMEnginesBitIdentical is the disaggregation invariant: for every
 // llm-shaped scenario — including crashes mid-generation and KV-pressure
-// preemption — the parallel engine at several worker counts, under
-// GOMAXPROCS 1 and 4, must produce stats, decision hashes, and lifecycle
-// trace bytes identical to the single-heap reference.
+// preemption — the sharded engine must produce stats, decision hashes,
+// lifecycle trace bytes and metrics identical to the single-heap reference.
 func TestLLMEnginesBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range llmScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			refRec := obs.NewRecorder()
-			ref := runLLM(t, sc, SingleHeap, 0, refRec)
+			ref := runLLM(t, sc, SingleHeap, refRec)
 			refTrace, refProm := renderObs(t, refRec)
 			if ref.DecisionHash == 0 {
 				t.Fatal("reference run produced a zero decision hash")
@@ -187,25 +183,20 @@ func TestLLMEnginesBitIdentical(t *testing.T) {
 			if ref.Completed == 0 {
 				t.Fatalf("reference run completed nothing: %+v", ref)
 			}
-			for _, procs := range []int{1, 4} {
-				runtime.GOMAXPROCS(procs)
-				for _, workers := range []int{1, 2} {
-					rec := obs.NewRecorder()
-					got := runLLM(t, sc, Sharded, workers, rec)
-					if !reflect.DeepEqual(ref, got) {
-						t.Errorf("procs=%d workers=%d: stats differ from single-heap reference\nref: %+v\ngot: %+v", procs, workers, ref, got)
-					}
-					if got.DecisionHash != ref.DecisionHash {
-						t.Errorf("procs=%d workers=%d: decision hash %x, want %x", procs, workers, got.DecisionHash, ref.DecisionHash)
-					}
-					gotTrace, gotProm := renderObs(t, rec)
-					if gotTrace != refTrace {
-						t.Errorf("procs=%d workers=%d: lifecycle trace bytes differ from single-heap reference", procs, workers)
-					}
-					if gotProm != refProm {
-						t.Errorf("procs=%d workers=%d: metrics differ from single-heap reference", procs, workers)
-					}
-				}
+			rec := obs.NewRecorder()
+			got := runLLM(t, sc, Sharded, rec)
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("stats differ from single-heap reference\nref: %+v\ngot: %+v", ref, got)
+			}
+			if got.DecisionHash != ref.DecisionHash {
+				t.Errorf("decision hash %x, want %x", got.DecisionHash, ref.DecisionHash)
+			}
+			gotTrace, gotProm := renderObs(t, rec)
+			if gotTrace != refTrace {
+				t.Error("lifecycle trace bytes differ from single-heap reference")
+			}
+			if gotProm != refProm {
+				t.Error("metrics differ from single-heap reference")
 			}
 		})
 	}
@@ -215,7 +206,7 @@ func TestLLMEnginesBitIdentical(t *testing.T) {
 // rotting into a no-op: it must actually crash devices mid-generation,
 // fail over, and leave partial work visible.
 func TestLLMCrashScenarioExercisesFailover(t *testing.T) {
-	st := runLLM(t, llmScenarios()[1], SingleHeap, 0, nil)
+	st := runLLM(t, llmScenarios()[1], SingleHeap, nil)
 	if st.Crashes < 2 {
 		t.Fatalf("want both decode crashes, got %+v", st)
 	}
@@ -238,7 +229,7 @@ func TestLLMNegativeMaxFailoversDisables(t *testing.T) {
 		cfg.MaxFailovers = -1
 		return cfg
 	}
-	st := runLLM(t, sc, SingleHeap, 0, nil)
+	st := runLLM(t, sc, SingleHeap, nil)
 	if st.Crashes == 0 {
 		t.Fatalf("crash scenario crashed nothing: %+v", st)
 	}
@@ -249,7 +240,7 @@ func TestLLMNegativeMaxFailoversDisables(t *testing.T) {
 
 // TestLLMPressureScenarioPreempts guards the kv-pressure scenario likewise.
 func TestLLMPressureScenarioPreempts(t *testing.T) {
-	st := runLLM(t, llmScenarios()[2], SingleHeap, 0, nil)
+	st := runLLM(t, llmScenarios()[2], SingleHeap, nil)
 	if st.Preemptions == 0 {
 		t.Fatalf("pressure scenario never preempted: %+v", st)
 	}
@@ -260,7 +251,7 @@ func TestLLMPressureScenarioPreempts(t *testing.T) {
 // budgets in degraded mode, and retry capacity rejections — otherwise the
 // bit-identity run over it proves nothing.
 func TestLLMOverloadScenarioDegrades(t *testing.T) {
-	st := runLLM(t, llmScenarios()[3], SingleHeap, 0, nil)
+	st := runLLM(t, llmScenarios()[3], SingleHeap, nil)
 	if st.Shed+st.Expired == 0 {
 		t.Fatalf("overload scenario shed and expired nothing: %+v", st)
 	}
@@ -288,7 +279,7 @@ func TestLLMSlimMatchesRetained(t *testing.T) {
 	for _, sc := range llmScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, engine := range []Engine{SingleHeap, Sharded} {
-				full := runLLM(t, sc, engine, 0, nil)
+				full := runLLM(t, sc, engine, nil)
 				cfg := sc.cfg()
 				cfg.Slim = true
 				c, err := NewLLM(cfg, engine)

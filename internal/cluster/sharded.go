@@ -5,9 +5,10 @@
 // (GPU, scheduler, executor, serving front-end) — and the cluster's shared
 // state (router, request bookkeeping, hedge timers) lives on shard 0, the
 // front-end. Shards interact only through sim.Shards.Send, whose delay is
-// clamped to the modeled network latency, so windows of Config.NetLatency
-// virtual time run in parallel across a worker pool. The SingleHeap engine
-// runs the same shards on one shared event heap as the reference.
+// clamped to the modeled network latency, so each window of Config.NetLatency
+// virtual time runs every shard to its end before any message crosses. The
+// SingleHeap engine runs the same shards on one shared event heap as the
+// reference.
 //
 // The attempt lifecycle — numbering, folding reports, drain failover, the
 // settle stamp — is the shared fleet core's (fleet.go); this file adds
@@ -30,9 +31,8 @@
 // Determinism: the construction in package sim makes each shard's execution a
 // pure function of its initial state plus the barrier mail order, and every
 // stack draws randomness from private streams (serving.Config.IsolateRand),
-// so the parallel engine, its serial degradation (Workers=1), and the
-// single-heap reference engine produce bit-identical stats, decision-log
-// hashes, and lifecycle traces.
+// so the sharded engine and the single-heap reference engine produce
+// bit-identical stats, decision-log hashes, and lifecycle traces.
 package cluster
 
 import (
@@ -52,9 +52,9 @@ type Engine int
 
 const (
 	// SingleHeap runs every shard on one shared event heap — the reference
-	// engine differential tests compare the parallel engine against.
+	// engine differential tests compare the sharded engine against.
 	SingleHeap Engine = iota
-	// Sharded runs each shard on its own heap, windows in parallel.
+	// Sharded runs each shard on its own heap, window by window.
 	Sharded
 )
 
@@ -71,7 +71,7 @@ func (e Engine) String() string {
 }
 
 // DefaultNetLatency is the fallback front-end<->device network latency (and
-// thus the conservative lookahead bounding each parallel window).
+// thus the conservative lookahead bounding each window).
 const DefaultNetLatency = 50 * time.Microsecond
 
 // ShardedCluster is a fleet of devices behind one router, executed on
@@ -124,7 +124,7 @@ func (r *ShardedRequest) Latency() time.Duration {
 }
 
 // NewSharded builds a sharded cluster: shard 0 is the front-end, shard i+1
-// hosts device i. The engine picks parallel execution or the single-heap
+// hosts device i. The engine picks per-shard heaps or the single-heap
 // reference; both produce bit-identical runs for equal configs and seeds.
 func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	cfg = cfg.withDefaults()
@@ -134,7 +134,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		byModel: make(map[string]*obs.Hist),
 	}
 	c.fleet.init(fleetConfig{
-		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency, workers: cfg.Workers,
+		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
 		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry, debt: debtUnit(cfg),
 	}, engine)
@@ -509,7 +509,7 @@ func (c *ShardedCluster) Stats() Stats {
 		ds.Utilization = util
 		// Re-normalize availability to the shard horizon: each device's own
 		// clock stops at its last local event, so the single-heap and
-		// parallel engines would otherwise disagree on open-ended downtime.
+		// sharded engines would otherwise disagree on open-ended downtime.
 		ds.Avail = srv.AvailAt(now)
 		st.PerDevice = append(st.PerDevice, ds)
 		st.Degraded.Merge(ds.Degraded)

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"time"
 
+	"olympian/internal/invariant"
 	"olympian/internal/metrics"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/serving"
 	"olympian/internal/sim"
 )
@@ -47,30 +49,24 @@ func ExtBatching(o Options) (*Report, error) {
 		}
 		// Open-loop Poisson arrivals.
 		rng := rand.New(rand.NewSource(o.Seed + 31))
-		t := time.Duration(0)
-		n := 0
-		for {
+		var arrivals []invariant.Arrival
+		for t := time.Duration(0); ; {
 			t += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 			if t >= horizon {
 				break
 			}
-			at := t
-			n++
-			env.Go("request", func(p *sim.Proc) {
-				p.Sleep(at)
-				req, err := srv.Submit(model.Inception)
-				if err != nil {
-					return
-				}
-				req.Wait(p)
-			})
+			arrivals = append(arrivals, invariant.Arrival{At: t, Model: model.Inception, Class: overload.Interactive})
 		}
+		serveArrivals(env, srv, arrivals)
 		if err := env.Run(); err != nil {
 			return nil, fmt.Errorf("ext-batching maxBatch=%d: %w", maxBatch, err)
 		}
 		drained := time.Duration(env.Now())
 		env.Shutdown()
 		st := srv.Stats()
+		if vs := invariant.CheckServing(fmt.Sprintf("ext-batching-b%d", maxBatch), st); len(vs) > 0 {
+			return nil, fmt.Errorf("ext-batching maxBatch=%d: request conservation violated: %v", maxBatch, vs)
+		}
 		r.AddRow(fmt.Sprintf("%d", maxBatch),
 			fmt.Sprintf("%d", st.Requests), fmt.Sprintf("%d", st.Batches),
 			fmt.Sprintf("%.1f", st.MeanBatchSize),

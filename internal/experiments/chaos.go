@@ -11,6 +11,7 @@ import (
 	"olympian/internal/metrics"
 	"olympian/internal/model"
 	"olympian/internal/obs"
+	"olympian/internal/overload"
 	"olympian/internal/serving"
 	"olympian/internal/sim"
 	"olympian/internal/workload"
@@ -92,13 +93,14 @@ func Chaos(o Options) (*Report, error) {
 		BurstDur:       100 * time.Millisecond,
 		BurstFactor:    4,
 	}
-	serve := func(rec *obs.Recorder) (serving.Stats, time.Duration, int) {
+	serve := func(rec *obs.Recorder) (serving.Stats, time.Duration, int, error) {
 		env := sim.NewEnv(o.Seed)
 		// A child recorder keeps the server's latency histograms to this
-		// run; it is spliced onto rec once the run quiesces.
+		// run; it is spliced onto rec once the run quiesces and shuts down.
 		child := rec.NewChild()
 		child.Bind(env, "run:chaos-serving")
 		defer rec.Splice(child)
+		defer env.Shutdown()
 		inj := faults.New(o.Seed, burstPlan)
 		srv, err := serving.NewServer(env, serving.Config{
 			MaxBatch:     8,
@@ -110,36 +112,30 @@ func Chaos(o Options) (*Report, error) {
 			Obs:          child,
 		})
 		if err != nil {
-			panic(err)
+			return serving.Stats{}, 0, 0, err
 		}
 		// Open-loop Poisson arrivals, thinned through the injector's burst
 		// windows: inside a burst the offered rate is BurstFactor higher.
 		rng := rand.New(rand.NewSource(o.Seed + 31))
-		t := time.Duration(0)
-		for {
+		var arrivals []invariant.Arrival
+		for t := time.Duration(0); ; {
 			f := inj.RateFactor(sim.Time(t))
 			t += time.Duration(rng.ExpFloat64() / (rate * f) * float64(time.Second))
 			if t >= horizon {
 				break
 			}
-			at := t
-			env.Go("request", func(p *sim.Proc) {
-				p.Sleep(at)
-				req, err := srv.Submit(model.Inception)
-				if err != nil {
-					return
-				}
-				req.Wait(p)
-			})
+			arrivals = append(arrivals, invariant.Arrival{At: t, Model: model.Inception, Class: overload.Interactive})
 		}
+		serveArrivals(env, srv, arrivals)
 		if err := env.Run(); err != nil {
-			return serving.Stats{}, 0, 0
+			return serving.Stats{}, 0, 0, err
 		}
-		drained := time.Duration(env.Now())
-		env.Shutdown()
-		return srv.Stats(), drained, inj.Counters().Bursts
+		return srv.Stats(), time.Duration(env.Now()), inj.Counters().Bursts, nil
 	}
-	st, drained, bursts := serve(o.Obs)
+	st, drained, bursts, err := serve(o.Obs)
+	if err != nil {
+		return nil, err
+	}
 	if st.Requests == 0 {
 		return nil, fmt.Errorf("chaos: serving run produced no requests")
 	}
@@ -148,7 +144,11 @@ func Chaos(o Options) (*Report, error) {
 	}
 	// Determinism probe runs un-observed; the recorder never steers the
 	// simulation, so stats must match regardless.
-	if st2, drained2, _ := serve(nil); !reflect.DeepEqual(st, st2) || drained != drained2 {
+	st2, drained2, _, err := serve(nil)
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(st, st2) || drained != drained2 {
 		deterministic = false
 	}
 	tailRatio := "no samples"

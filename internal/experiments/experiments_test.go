@@ -316,6 +316,7 @@ func TestExtBatchingConsolidates(t *testing.T) {
 	if r.Metric("p95_ms_b32") > 4*r.Metric("p95_ms_b1") {
 		t.Fatalf("batching degraded p95: %v vs %v", r.Metric("p95_ms_b32"), r.Metric("p95_ms_b1"))
 	}
+	checkReportPinned(t, r, pinnedExtBatchingReport)
 }
 
 func TestSpatialMultiplexingHeadroom(t *testing.T) {
@@ -363,6 +364,7 @@ func TestChaosHoldsUnderFaults(t *testing.T) {
 	if frac := r.Metric("serving_completed_frac"); frac < 0.8 {
 		t.Fatalf("serving completed only %.0f%% of requests under bursts", frac*100)
 	}
+	checkReportPinned(t, r, pinnedChaosReport)
 }
 
 func TestClusterScalesAndFailsOver(t *testing.T) {

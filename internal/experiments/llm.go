@@ -48,10 +48,8 @@ func (lc llmCell) config() cluster.LLMConfig {
 
 // run executes the cell on one engine and audits the quiesced fleet. The
 // fleet is fault-free, so a rejected arrival is an error.
-func (lc llmCell) run(engine cluster.Engine, workers int) (cluster.LLMClusterStats, []invariant.Violation, error) {
-	cfg := lc.config()
-	cfg.Workers = workers
-	c, err := cluster.NewLLM(cfg, engine)
+func (lc llmCell) run(engine cluster.Engine) (cluster.LLMClusterStats, []invariant.Violation, error) {
+	c, err := cluster.NewLLM(lc.config(), engine)
 	if err != nil {
 		return cluster.LLMClusterStats{}, nil, err
 	}
@@ -114,7 +112,7 @@ func LLM(o Options) (*Report, error) {
 				requests: requests, seed: o.Seed + 97,
 			}
 			probe = cell
-			st, vs, err := cell.run(cluster.Sharded, 0)
+			st, vs, err := cell.run(cluster.Sharded)
 			if err != nil {
 				return nil, err
 			}
@@ -154,11 +152,11 @@ func LLM(o Options) (*Report, error) {
 	ample := llmCell{dist: dists[0], rate: baseRate, requests: requests, seed: o.Seed + 97}
 	tight := ample
 	tight.starved = true
-	ampleSt, ampleVs, err := ample.run(cluster.Sharded, 0)
+	ampleSt, ampleVs, err := ample.run(cluster.Sharded)
 	if err != nil {
 		return nil, err
 	}
-	tightSt, tightVs, err := tight.run(cluster.Sharded, 0)
+	tightSt, tightVs, err := tight.run(cluster.Sharded)
 	if err != nil {
 		return nil, err
 	}
@@ -178,9 +176,9 @@ func LLM(o Options) (*Report, error) {
 	rep.SetMetric("invariant_violations", float64(violations))
 
 	// Engine identity on the hardest sweep cell: single-heap vs the
-	// parallel engine at two worker counts, plus a same-seed rerun.
-	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.LLMClusterStats, error) {
-		st, _, err := probe.run(engine, workers)
+	// sharded engine, plus a same-seed rerun.
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine) (cluster.LLMClusterStats, error) {
+		st, _, err := probe.run(engine)
 		return st, err
 	})
 	if err != nil {

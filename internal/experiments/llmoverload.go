@@ -65,10 +65,8 @@ type overloadTally struct {
 
 // run executes the cell on one engine and audits the quiesced fleet. The
 // fleet is fault-free, so a rejected arrival is an error.
-func (lc llmOverloadCell) run(engine cluster.Engine, workers int) (cluster.LLMClusterStats, overloadTally, []invariant.Violation, error) {
-	cfg := lc.config()
-	cfg.Workers = workers
-	c, err := cluster.NewLLM(cfg, engine)
+func (lc llmOverloadCell) run(engine cluster.Engine) (cluster.LLMClusterStats, overloadTally, []invariant.Violation, error) {
+	c, err := cluster.NewLLM(lc.config(), engine)
 	if err != nil {
 		return cluster.LLMClusterStats{}, overloadTally{}, nil, err
 	}
@@ -148,7 +146,7 @@ func LLMOverload(o Options) (*Report, error) {
 			dist: dist, rate: baseRate * load, requests: requests,
 			seed: o.Seed + 211, ttftSLO: ttftSLO, tpotSLO: tpotSLO,
 		}
-		st, tally, vs, err := cell.run(cluster.Sharded, 0)
+		st, tally, vs, err := cell.run(cluster.Sharded)
 		if err != nil {
 			return nil, err
 		}
@@ -218,10 +216,10 @@ func LLMOverload(o Options) (*Report, error) {
 	rep.SetMetric("retries", float64(peakSt.Retries))
 	rep.SetMetric("invariant_violations", float64(violations))
 
-	// Engine identity on the 4x cell: single-heap vs the parallel engine at
-	// two worker counts, plus a same-seed rerun.
-	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.LLMClusterStats, error) {
-		st, _, _, err := peak.run(engine, workers)
+	// Engine identity on the 4x cell: single-heap vs the sharded engine,
+	// plus a same-seed rerun.
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine) (cluster.LLMClusterStats, error) {
+		st, _, _, err := peak.run(engine)
 		return st, err
 	})
 	if err != nil {

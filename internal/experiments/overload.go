@@ -61,28 +61,19 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 		return overloadPoint{}, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed + 57))
-	t := time.Duration(0)
-	n := 0
-	for {
+	var arrivals []invariant.Arrival
+	for t := time.Duration(0); ; {
 		t += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 		if t >= horizon {
 			break
 		}
-		at := t
 		class := overload.Batch
 		if rng.Float64() < 0.3 {
 			class = overload.Interactive
 		}
-		n++
-		env.Go(fmt.Sprintf("client-%d", n), func(p *sim.Proc) {
-			p.Sleep(at)
-			req, err := srv.SubmitClass(model.Inception, class)
-			if err != nil {
-				return
-			}
-			req.Wait(p)
-		})
+		arrivals = append(arrivals, invariant.Arrival{At: t, Model: model.Inception, Class: class})
 	}
+	serveArrivals(env, srv, arrivals)
 	if err := env.Run(); err != nil {
 		return overloadPoint{}, err
 	}
@@ -91,12 +82,24 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 		return overloadPoint{}, fmt.Errorf("overload: request conservation violated: %v", vs)
 	}
 	rec.Splice(child)
-	pt := overloadPoint{offered: n, stats: st, horizon: horizon}
+	pt := overloadPoint{offered: len(arrivals), stats: st, horizon: horizon}
 	if sampler != nil {
 		pt.timeline = telemetry.Merge(*o.Telemetry, []*telemetry.Sampler{sampler})
 		pt.timeline.LogAlerts(rec)
 	}
 	return pt, nil
+}
+
+// serveArrivals submits each pre-drawn arrival to srv at its time through one
+// event train on env. Nothing waits on a reply: a rejected or failed request
+// shows in srv.Stats once the run quiesces.
+func serveArrivals(env *sim.Env, srv *serving.Server, arrivals []invariant.Arrival) {
+	next := replay(arrivals)
+	var a invariant.Arrival
+	env.ScheduleTrain(len(arrivals), func() time.Duration {
+		a = next()
+		return a.At
+	}, func() { srv.SubmitClass(a.Model, a.Class) })
 }
 
 // overloadBase returns the sweep's base arrival rate and horizon. The rate

@@ -47,10 +47,8 @@ func (rc recoveryCell) config() cluster.Config {
 // run executes the cell on one engine and audits the quiesced run with the
 // request-conservation checker. With two clean devices a route can never
 // fail synchronously, so a rejected arrival is an error.
-func (rc recoveryCell) run(engine cluster.Engine, workers int) (cluster.Stats, []invariant.Violation, error) {
-	cfg := rc.config()
-	cfg.Workers = workers
-	c, err := cluster.NewSharded(cfg, engine)
+func (rc recoveryCell) run(engine cluster.Engine) (cluster.Stats, []invariant.Violation, error) {
+	c, err := cluster.NewSharded(rc.config(), engine)
 	if err != nil {
 		return cluster.Stats{}, nil, err
 	}
@@ -91,7 +89,7 @@ func Recovery(o Options) (*Report, error) {
 
 	// Baseline: the same fleet and arrival train with no faults.
 	base := recoveryCell{requests: requests, gap: gap, seed: o.Seed + 41}
-	baseSt, baseVs, err := base.run(cluster.Sharded, 0)
+	baseSt, baseVs, err := base.run(cluster.Sharded)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +112,7 @@ func Recovery(o Options) (*Report, error) {
 				requests: requests, gap: gap, seed: o.Seed + 41,
 			}
 			probe = cell
-			st, vs, err := cell.run(cluster.Sharded, 0)
+			st, vs, err := cell.run(cluster.Sharded)
 			if err != nil {
 				return nil, err
 			}
@@ -158,10 +156,10 @@ func Recovery(o Options) (*Report, error) {
 	}
 
 	// Engine identity on the last (hardest) cell: the single-heap reference
-	// and the parallel engine at two worker counts must agree bit for bit,
-	// and a same-seed rerun must reproduce the run exactly.
-	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.Stats, error) {
-		st, _, err := probe.run(engine, workers)
+	// and the sharded engine must agree bit for bit, and a same-seed rerun
+	// must reproduce the run exactly.
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine) (cluster.Stats, error) {
+		st, _, err := probe.run(engine)
 		return st, err
 	})
 	if err != nil {

@@ -42,7 +42,7 @@ func Registry() []Entry {
 		{"chaos", "Chaos: fairness and tails under injected faults", Chaos},
 		{"cluster", "Extension: multi-GPU cluster serving", Cluster},
 		{"overload", "Overload control: adaptive admission, priority shedding, hedging", Overload},
-		{"sharded", "Parallel simulation core: sharded engines, identity and scale", Sharded},
+		{"sharded", "Sharded simulation core: engines, identity and scale", Sharded},
 		{"recovery", "Crash recovery: goodput retention, MTTR, availability", Recovery},
 		{"llm", "LLM serving: TTFT/TPOT under load, KV pressure, disaggregation", LLM},
 		{"llmoverload", "LLM overload control: token admission, SLO shedding, graceful degradation", LLMOverload},

@@ -25,27 +25,22 @@ func shardedFleet(n int) []gpu.Spec {
 }
 
 // engineIdentity probes one fleet scenario across engines: run executes it on
-// an engine with a worker-pool size. It returns the single-heap reference
-// run, whether the parallel engine reproduced it bit for bit at its serial
-// degradation (workers=1) and at full parallelism (workers=0 = GOMAXPROCS),
-// and whether a same-seed single-heap rerun did.
-func engineIdentity[S any](run func(cluster.Engine, int) (S, error)) (ref S, identical, deterministic bool, err error) {
-	if ref, err = run(cluster.SingleHeap, 0); err != nil {
+// one engine. It returns the single-heap reference run, whether the sharded
+// engine reproduced it bit for bit, and whether a same-seed single-heap rerun
+// did.
+func engineIdentity[S any](run func(cluster.Engine) (S, error)) (ref S, identical, deterministic bool, err error) {
+	if ref, err = run(cluster.SingleHeap); err != nil {
 		return ref, false, false, err
 	}
-	identical = true
-	for _, workers := range []int{1, 0} {
-		got, err := run(cluster.Sharded, workers)
-		if err != nil {
-			return ref, false, false, err
-		}
-		identical = identical && reflect.DeepEqual(ref, got)
-	}
-	again, err := run(cluster.SingleHeap, 0)
+	got, err := run(cluster.Sharded)
 	if err != nil {
 		return ref, false, false, err
 	}
-	return ref, identical, reflect.DeepEqual(ref, again), nil
+	again, err := run(cluster.SingleHeap)
+	if err != nil {
+		return ref, false, false, err
+	}
+	return ref, reflect.DeepEqual(ref, got), reflect.DeepEqual(ref, again), nil
 }
 
 // replay returns an arrival train's next function over pre-drawn arrivals.
@@ -59,7 +54,7 @@ func replay(arrivals []invariant.Arrival) func() invariant.Arrival {
 
 // shardedIdentity runs the hardest differential scenario — stalls, drains,
 // failover, cost-weighted routing — on one engine and returns its stats.
-func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Stats, error) {
+func shardedIdentity(o Options, engine cluster.Engine) (cluster.Stats, error) {
 	c, err := cluster.NewSharded(cluster.Config{
 		Seed:    o.Seed + 31,
 		Devices: shardedFleet(4),
@@ -77,7 +72,6 @@ func shardedIdentity(o Options, engine cluster.Engine, workers int) (cluster.Sta
 		Route:        cluster.CostWeighted,
 		BatchTimeout: 8 * time.Millisecond,
 		Profiles:     o.Profiles,
-		Workers:      workers,
 	}, engine)
 	if err != nil {
 		return cluster.Stats{}, err
@@ -132,18 +126,17 @@ func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float
 	return st, wall, nil
 }
 
-// Sharded exercises the parallel simulation core: the sharded per-device
-// engine must be bit-identical to the single-heap reference on the hardest
-// failover scenario, and the same sweep must scale to a 64-device fleet in
-// slim mode with bounded memory. Wall-clock numbers are hardware-dependent
-// (the parallel engine needs real cores to beat the single heap; on one core
-// it degrades gracefully to serial) and are reported as observations, not
-// asserted.
+// Sharded exercises the sharded simulation core: the per-device engine must
+// be bit-identical to the single-heap reference on the hardest failover
+// scenario, and the same sweep must scale to a 64-device fleet in slim mode
+// with bounded memory. Both engines run serially; the sharded one keeps
+// per-shard heaps small. Wall-clock numbers are hardware-dependent and are
+// reported as observations, not asserted.
 func Sharded(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
 		ID:    "sharded",
-		Title: "Parallel simulation core: sharded engines, identity and scale",
+		Title: "Sharded simulation core: engines, identity and scale",
 		Paper: "Implementation study: per-device sub-environments with conservative lookahead must preserve the single-heap semantics bit for bit",
 		Headers: []string{
 			"run", "engine", "devices", "requests", "completed",
@@ -151,16 +144,15 @@ func Sharded(o Options) (*Report, error) {
 		},
 	}
 
-	// Identity: the single-heap reference versus the parallel engine at its
-	// serial degradation (workers=1) and full parallelism (workers=0 =
-	// GOMAXPROCS) must agree on every stat, including the decision-log hash.
-	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine, workers int) (cluster.Stats, error) {
-		return shardedIdentity(o, engine, workers)
+	// Identity: the single-heap reference versus the sharded engine must
+	// agree on every stat, including the decision-log hash.
+	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine) (cluster.Stats, error) {
+		return shardedIdentity(o, engine)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.AddNote("identity: sharded engine (serial and parallel) bit-identical to single-heap = %v; same-seed rerun identical = %v (decision hash %x, %d failovers, %d stalls)",
+	rep.AddNote("identity: sharded engine bit-identical to single-heap = %v; same-seed rerun identical = %v (decision hash %x, %d failovers, %d stalls)",
 		identical, deterministic, ref.DecisionHash, ref.Failovers, ref.Degraded.DeviceStalls)
 	rep.SetMetric("bit_identical", boolMetric(identical && deterministic))
 
@@ -192,7 +184,7 @@ func Sharded(o Options) (*Report, error) {
 	if walls[1] > 0 {
 		speedup = walls[0].Seconds() / walls[1].Seconds()
 	}
-	rep.AddNote("8-device wall-clock speedup sharded/single-heap: %.2fx (hardware-dependent; needs >1 core to exceed 1x)", speedup)
+	rep.AddNote("8-device wall-clock speedup of serial sharding over the single heap: %.2fx (single-heap wall / sharded wall; hardware-dependent)", speedup)
 	rep.SetMetric("speedup_8dev", speedup)
 
 	// Scale: a 64-device fleet in slim mode. Slim retains no per-request or

@@ -232,10 +232,8 @@ func (s Schedule) config() cluster.Config {
 // Routing rejections (every replica dead) surface as synchronous submit
 // errors and are tallied, not treated as violations — a fully-dead fleet
 // legitimately rejects traffic.
-func (s Schedule) Run(engine cluster.Engine, workers int) (cluster.Stats, []Violation, error) {
-	cfg := s.config()
-	cfg.Workers = workers
-	c, err := cluster.NewSharded(cfg, engine)
+func (s Schedule) Run(engine cluster.Engine) (cluster.Stats, []Violation, error) {
+	c, err := cluster.NewSharded(s.config(), engine)
 	if err != nil {
 		return cluster.Stats{}, nil, err
 	}
@@ -282,10 +280,8 @@ func (s Schedule) llmConfig() cluster.LLMConfig {
 
 // runLLM executes an LLM-mode schedule on one engine and audits the quiesced
 // fleet, mirroring Run on the CNN plane.
-func (s Schedule) runLLM(engine cluster.Engine, workers int) (cluster.LLMClusterStats, []Violation, error) {
-	cfg := s.llmConfig()
-	cfg.Workers = workers
-	c, err := cluster.NewLLM(cfg, engine)
+func (s Schedule) runLLM(engine cluster.Engine) (cluster.LLMClusterStats, []Violation, error) {
+	c, err := cluster.NewLLM(s.llmConfig(), engine)
 	if err != nil {
 		return cluster.LLMClusterStats{}, nil, err
 	}
@@ -302,7 +298,7 @@ func (s Schedule) runLLM(engine cluster.Engine, workers int) (cluster.LLMCluster
 }
 
 // Check is the fuzz target's oracle: run the schedule on the single-heap
-// reference engine and on the parallel engine, audit every run for
+// reference engine and on the sharded engine, audit every run for
 // conservation, and require bit-identical stats, decision hash included.
 // The returned slice is empty exactly when the schedule holds every
 // invariant.
@@ -314,22 +310,20 @@ func (s Schedule) Check() ([]Violation, error) {
 }
 
 // crossCheck runs one schedule through run on the single-heap engine and on
-// the parallel engine at 1 and 2 workers.
-func crossCheck[S any](run func(cluster.Engine, int) (S, []Violation, error)) ([]Violation, error) {
-	ref, vs, err := run(cluster.SingleHeap, 0)
+// the sharded engine.
+func crossCheck[S any](run func(cluster.Engine) (S, []Violation, error)) ([]Violation, error) {
+	ref, vs, err := run(cluster.SingleHeap)
 	if err != nil {
 		return nil, err
 	}
-	for _, workers := range []int{1, 2} {
-		got, gvs, err := run(cluster.Sharded, workers)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, gvs...)
-		if !reflect.DeepEqual(ref, got) {
-			vs = append(vs, violatef("engine-identity",
-				"workers=%d stats diverge from single-heap reference\nref: %+v\ngot: %+v", workers, ref, got))
-		}
+	got, gvs, err := run(cluster.Sharded)
+	if err != nil {
+		return nil, err
+	}
+	vs = append(vs, gvs...)
+	if !reflect.DeepEqual(ref, got) {
+		vs = append(vs, violatef("engine-identity",
+			"sharded stats diverge from single-heap reference\nref: %+v\ngot: %+v", ref, got))
 	}
 	return vs, nil
 }

@@ -50,7 +50,7 @@ func tracedServingRun(t *testing.T, seed int64) []byte {
 			if err != nil {
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 		})
 	}
 	if err := env.Run(); err != nil {
@@ -106,11 +106,11 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 			arrive := time.Duration(i) * 700 * time.Microsecond
 			env.Go(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
 				p.Sleep(arrive)
-				req, err := srv.Submit(model.Inception)
+				req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 				if err != nil {
 					return
 				}
-				req.Wait(p)
+				req.Done().Wait(p)
 			})
 		}
 		if err := env.Run(); err != nil {

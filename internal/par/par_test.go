@@ -65,44 +65,3 @@ func TestForZeroAndSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestPoolRunsEveryIndexExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 0} {
-		p := NewPool(workers)
-		const n = 257
-		var hits [n]int32
-		// Repeated rounds on one pool: the sharded engine reuses its pool
-		// once per lookahead window.
-		for round := 0; round < 3; round++ {
-			for i := range hits {
-				hits[i] = 0
-			}
-			p.Run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d round=%d: index %d ran %d times", workers, round, i, h)
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestPoolSingleWorkerRunsInline(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	order := make([]int, 0, 5)
-	p.Run(5, func(i int) { order = append(order, i) }) // safe: inline
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("inline pool ran out of order: %v", order)
-		}
-	}
-}
-
-func TestPoolZeroAndNegativeN(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	p.Run(0, func(i int) { t.Fatal("ran with n=0") })
-	p.Run(-1, func(i int) { t.Fatal("ran with n<0") })
-}

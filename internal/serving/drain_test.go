@@ -25,12 +25,12 @@ func TestDrainQueuedSortedOrderAndIdempotence(t *testing.T) {
 		i, m := i, m
 		env.Go("client", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * time.Microsecond)
-			req, err := srv.Submit(m)
+			req, err := srv.SubmitClass(m, overload.Interactive)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 			if !errors.Is(req.Err, ErrDrained) {
 				t.Errorf("request %d err = %v, want ErrDrained", req.ID, req.Err)
 			}
@@ -77,7 +77,7 @@ func TestCancelAfterDrainIsNoop(t *testing.T) {
 	var req *Request
 	env.Go("client", func(p *sim.Proc) {
 		var err error
-		req, err = srv.Submit(model.Inception)
+		req, err = srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 		}
@@ -109,24 +109,24 @@ func TestDrainThenResubmitSurvives(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond})
 	completed := 0
 	env.Go("client", func(p *sim.Proc) {
-		req, err := srv.Submit(model.Inception)
+		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		req.Wait(p)
+		req.Done().Wait(p)
 		if !errors.Is(req.Err, ErrDrained) {
 			t.Errorf("first attempt err = %v, want ErrDrained", req.Err)
 			return
 		}
 		// Resubmit from the drained waiter's own context — the failover
 		// pattern the cluster uses.
-		re, err := srv.Submit(model.Inception)
+		re, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("resubmit: %v", err)
 			return
 		}
-		re.Wait(p)
+		re.Done().Wait(p)
 		if re.Err != nil {
 			t.Errorf("resubmitted request failed: %v", re.Err)
 			return
@@ -152,7 +152,7 @@ func TestStrandDrainNthPlantsLeak(t *testing.T) {
 	var reqs []*Request
 	env.Go("clients", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			r, err := srv.Submit(model.Inception)
+			r, err := srv.SubmitClass(model.Inception, overload.Interactive)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return

@@ -10,6 +10,7 @@ import (
 	"olympian/internal/faults"
 	"olympian/internal/graph"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/sim"
 )
 
@@ -195,12 +196,12 @@ func TestTimeoutFlushRacesFullBatch(t *testing.T) {
 	submitN(t, env, srv, model.Inception, 3, 0)
 	env.Go("late", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		req, err := srv.Submit(model.Inception)
+		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		req.Wait(p)
+		req.Done().Wait(p)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -224,12 +225,12 @@ func TestBatcherReuseAfterIdle(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		env.Go("second-wave", func(p *sim.Proc) {
 			p.Sleep(80 * time.Millisecond)
-			req, err := srv.Submit(model.Inception)
+			req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 		})
 	}
 	if err := env.Run(); err != nil {

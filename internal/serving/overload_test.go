@@ -180,7 +180,7 @@ func TestCancelQueuedRequest(t *testing.T) {
 	env := sim.NewEnv(5)
 	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour})
 	env.Go("client", func(p *sim.Proc) {
-		req, err := srv.Submit(model.Inception)
+		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -210,7 +210,7 @@ func TestCancelDispatchedRequestAbortsJob(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond})
 	env.Go("client", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // submit off t=0 so BatchedAt is observable
-		req, err := srv.Submit(model.Inception)
+		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
@@ -255,12 +255,12 @@ func TestAdmissionLimitAdaptsUnderLoad(t *testing.T) {
 		i := i
 		env.Go("client", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * 15 * time.Millisecond)
-			req, err := srv.Submit(model.Inception)
+			req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 		})
 	}
 	if err := env.Run(); err != nil {
@@ -299,7 +299,7 @@ func TestIdleLimiterAdmitsBatch(t *testing.T) {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 		})
 	}
 	if err := env.Run(); err != nil {

@@ -58,7 +58,7 @@ type Request struct {
 	// Model is the target model name.
 	Model string
 	// Class is the request's priority class; under pressure lower classes
-	// are shed first (Submit defaults to overload.Interactive).
+	// are shed first.
 	Class overload.Class
 	// ArriveAt is when the request entered the server.
 	ArriveAt sim.Time
@@ -441,18 +441,12 @@ func failReason(err error) string {
 // Device exposes the server's GPU for measurement.
 func (s *Server) Device() *gpu.Device { return s.dev }
 
-// Submit enqueues a request at the default (interactive) priority class and
-// returns it; wait on completion with req.Wait(p) or subscribe to
-// req.Done(). It never parks, so event callbacks may call it too.
-func (s *Server) Submit(modelName string) (*Request, error) {
-	return s.SubmitClass(modelName, overload.Interactive)
-}
-
 // SubmitClass enqueues a request with an explicit priority class. Under
 // pressure — the AIMD limiter or the bounded queue at capacity — lower
 // classes are shed first: a low-class arrival is rejected outright, while a
 // high-class arrival displaces the newest queued request of a strictly
-// lower class. Like Submit it never parks.
+// lower class. It never parks, so event callbacks may call it; wait on
+// completion with req.Done().
 func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, error) {
 	if !class.Valid() {
 		return nil, fmt.Errorf("serving: invalid priority class %d", class)
@@ -589,9 +583,6 @@ func (s *Server) evictLower(modelName string, class overload.Class) bool {
 	s.shed(v, ErrShed)
 	return true
 }
-
-// Wait blocks p until the request's batch has completed.
-func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
 
 // Done returns the request's completion event. Cross-shard forwarders
 // subscribe to it instead of spawning a waiter process per attempt.
@@ -790,7 +781,7 @@ func (s *Server) flush(modelName, procName string) {
 	s.queues[modelName] = q[:rest]
 	g, err := s.graphFor(modelName, size)
 	if err != nil {
-		// Unknown models are rejected at Submit, but the zoo can still
+		// Unknown models are rejected at SubmitClass, but the zoo can still
 		// fail to build a given batch size. Fail the affected requests
 		// instead of taking the whole server down.
 		s.degraded.BatchFailures++

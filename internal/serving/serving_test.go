@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/sim"
 )
 
@@ -26,12 +27,12 @@ func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, g
 		i := i
 		env.Go("frontend", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * gap)
-			req, err := srv.Submit(modelName)
+			req, err := srv.SubmitClass(modelName, overload.Interactive)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
 			}
-			req.Wait(p)
+			req.Done().Wait(p)
 		})
 	}
 }
@@ -128,7 +129,7 @@ func TestSubmitUnknownModel(t *testing.T) {
 	srv := newTestServer(t, env, Config{})
 	var submitErr error
 	env.Go("frontend", func(p *sim.Proc) {
-		_, submitErr = srv.Submit("bogus")
+		_, submitErr = srv.SubmitClass("bogus", overload.Interactive)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

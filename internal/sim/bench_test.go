@@ -109,13 +109,12 @@ func BenchmarkSimSpawn(b *testing.B) {
 }
 
 // BenchmarkShardsWindow measures one conservative-lookahead window of two
-// active shards on the serial path (Workers 1): in each window both shards
-// run one tick that sends one message to the other, so every barrier sorts
-// and delivers two messages. One op is one window. It must report 0
-// allocs/op.
+// active shards: in each window both shards run one tick that sends one
+// message to the other, so every barrier sorts and delivers two messages.
+// One op is one window. It must report 0 allocs/op.
 func BenchmarkShardsWindow(b *testing.B) {
 	const lookahead = 50 * time.Microsecond
-	s := NewShards(ShardsConfig{N: 2, Lookahead: lookahead, Seed: 1, Workers: 1})
+	s := NewShards(ShardsConfig{N: 2, Lookahead: lookahead, Seed: 1})
 	noop := func() {}
 	for i := 0; i < 2; i++ {
 		env, left := s.Env(i), b.N

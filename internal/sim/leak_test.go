@@ -29,9 +29,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		if _, err := profiler.ProfileLLM(model.LLMTiny, gpu.GTX1080Ti, 1); err != nil {
 			t.Fatal(err)
 		}
-		// One worker keeps the run on this goroutine, so no pool worker
-		// exits asynchronously and the count below is exact.
-		c, err := cluster.NewSharded(cluster.Config{Seed: 1, Workers: 1, Devices: []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti}}, cluster.Sharded)
+		c, err := cluster.NewSharded(cluster.Config{Seed: 1, Devices: []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti}}, cluster.Sharded)
 		if err != nil {
 			t.Fatal(err)
 		}

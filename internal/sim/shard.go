@@ -3,20 +3,21 @@
 // A Shards value partitions one logical simulation into n sub-environments
 // ("shards"), each with a private event heap and virtual clock. Shards only
 // influence each other through Send, whose delivery delay is clamped to a
-// minimum Lookahead L. That bound makes windowed parallel execution safe:
+// minimum Lookahead L. That bound makes windowed execution safe:
 //
 //	t      := min over shards of the next queued event time
 //	window := [t, t+L)
 //
 // Every event executed this window carries a timestamp in [t, t+L), so any
 // message it sends arrives at or after t+L — strictly outside the window.
-// Shards therefore cannot affect each other inside a window and may run it
-// concurrently. At the barrier the coordinator drains all outboxes in one
-// deterministic order — (arrival time, source shard, per-source sequence) —
-// schedules the messages on their destination heaps, and opens the next
-// window at the new global minimum. The schedule of every shard is a pure
-// function of the initial state plus this drain order, so the parallel
-// engine and the single-heap reference engine produce bit-identical runs.
+// Shards therefore cannot affect each other inside a window, and the
+// coordinator runs each shard's window to its end in shard-index order. At
+// the barrier it drains all outboxes in one deterministic order — (arrival
+// time, source shard, per-source sequence) — schedules the messages on their
+// destination heaps, and opens the next window at the new global minimum.
+// The schedule of every shard is a pure function of the initial state plus
+// this drain order, so the sharded engine and the single-heap reference
+// engine produce bit-identical runs.
 package sim
 
 import (
@@ -24,8 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"olympian/internal/par"
 )
 
 // DefaultLookahead is the fallback minimum cross-shard latency. 50µs is far
@@ -45,12 +44,9 @@ type ShardsConfig struct {
 	Seed int64
 	// SingleHeap runs every shard on one shared event heap — the reference
 	// engine for differential testing. Windows, barriers, and mailbox drain
-	// order are identical to the parallel engine; only the execution
-	// interleaving inside a window collapses onto one heap.
+	// order are identical to the sharded engine; only the execution order
+	// inside a window collapses onto one heap.
 	SingleHeap bool
-	// Workers bounds the worker pool for parallel windows (0 = GOMAXPROCS).
-	// Ignored under SingleHeap.
-	Workers int
 }
 
 // envSeedStride separates per-shard environment RNG streams. Model stacks
@@ -71,9 +67,8 @@ type shardMsg struct {
 // Shards coordinates n sub-environments under conservative lookahead.
 type Shards struct {
 	envs      []*Env
-	single    bool
+	heaps     []*Env // the distinct environments: envs[:1] under SingleHeap
 	lookahead Duration
-	workers   int
 
 	outbox  [][]shardMsg // per-source, drained at barriers
 	outSeq  []uint64
@@ -90,9 +85,7 @@ func NewShards(cfg ShardsConfig) *Shards {
 		cfg.Lookahead = DefaultLookahead
 	}
 	s := &Shards{
-		single:    cfg.SingleHeap,
 		lookahead: cfg.Lookahead,
-		workers:   cfg.Workers,
 		envs:      make([]*Env, cfg.N),
 		outbox:    make([][]shardMsg, cfg.N),
 		outSeq:    make([]uint64, cfg.N),
@@ -102,10 +95,12 @@ func NewShards(cfg ShardsConfig) *Shards {
 		for i := range s.envs {
 			s.envs[i] = shared
 		}
+		s.heaps = s.envs[:1]
 	} else {
 		for i := range s.envs {
 			s.envs[i] = NewEnv(cfg.Seed + int64(i)*envSeedStride)
 		}
+		s.heaps = s.envs
 	}
 	return s
 }
@@ -130,7 +125,7 @@ func (s *Shards) Horizon() Time {
 // to at least the lookahead. It must be called from shard from's execution
 // context (process or event callback). Messages queue in a per-source outbox
 // and are drained at the next barrier in (arrival time, source, sequence)
-// order, so delivery is deterministic under any worker interleaving.
+// order, so delivery does not depend on which shard ran first.
 func (s *Shards) Send(from, to int, d Duration, fn func()) {
 	if d < s.lookahead {
 		d = s.lookahead
@@ -177,56 +172,23 @@ func mailOrder(a, b shardMsg) int {
 }
 
 // Run executes the simulation to completion: windows advance until every
-// heap is empty and no messages are pending, or any shard calls Stop. It
-// returns a deadlock error if parked non-daemon processes remain with
-// nothing left to run them.
+// heap is empty and no messages are pending, or any shard calls Stop. Each
+// window runs every heap up to its end, in shard-index order. It returns a
+// deadlock error if parked non-daemon processes remain with nothing left to
+// run them.
 func (s *Shards) Run() error {
 	if s.ran {
 		return fmt.Errorf("sim: Shards.Run called twice")
 	}
 	s.ran = true
-	if s.single {
-		return s.runSingle()
-	}
-	return s.runParallel()
-}
-
-// runSingle is the reference engine: the same window/barrier loop, executed
-// on the one shared heap.
-func (s *Shards) runSingle() error {
-	env := s.envs[0]
 	for {
 		s.deliver()
-		if env.Stopped() {
-			return nil
-		}
-		t, ok := env.NextEventTime()
-		if !ok {
-			break
-		}
-		// RunWindow's limit is inclusive; the window [t, t+L) excludes t+L.
-		env.RunWindow(t.Add(s.lookahead) - 1)
-	}
-	return env.StuckError()
-}
-
-func (s *Shards) runParallel() error {
-	pool := par.NewPool(s.workers)
-	defer pool.Close()
-	active := make([]int, 0, len(s.envs))
-	var limit Time
-	// Bound once: the window loop only updates active and limit.
-	runActive := func(k int) { s.envs[active[k]].RunWindow(limit) }
-	for {
-		s.deliver()
-		for _, e := range s.envs {
+		var t Time
+		ok := false
+		for _, e := range s.heaps {
 			if e.Stopped() {
 				return nil
 			}
-		}
-		var t Time
-		ok := false
-		for _, e := range s.envs {
 			if at, hit := e.NextEventTime(); hit && (!ok || at < t) {
 				t, ok = at, true
 			}
@@ -234,20 +196,13 @@ func (s *Shards) runParallel() error {
 		if !ok {
 			break
 		}
-		limit = t.Add(s.lookahead) - 1
-		active = active[:0]
-		for i, e := range s.envs {
-			if at, hit := e.NextEventTime(); hit && at <= limit {
-				active = append(active, i)
-			}
-		}
-		if len(active) == 1 {
-			s.envs[active[0]].RunWindow(limit)
-		} else {
-			pool.Run(len(active), runActive)
+		// RunWindow's limit is inclusive; the window [t, t+L) excludes t+L.
+		limit := t.Add(s.lookahead) - 1
+		for _, e := range s.heaps {
+			e.RunWindow(limit) // returns at once when nothing is due
 		}
 	}
-	for _, e := range s.envs {
+	for _, e := range s.heaps {
 		if err := e.StuckError(); err != nil {
 			return err
 		}
@@ -258,11 +213,7 @@ func (s *Shards) runParallel() error {
 // Shutdown terminates remaining processes on every shard. Call once after
 // Run; the shards must not be used afterwards.
 func (s *Shards) Shutdown() {
-	if s.single {
-		s.envs[0].Shutdown()
-		return
-	}
-	for _, e := range s.envs {
+	for _, e := range s.heaps {
 		e.Shutdown()
 	}
 }

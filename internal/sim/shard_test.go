@@ -12,9 +12,9 @@ import (
 // sleeps on its own pattern and sends tagged messages around the ring, and
 // receipt callbacks occasionally ack back to the sender. It returns one
 // receipt log per shard, recorded with the receiving shard's clock.
-func runShardMesh(single bool, workers int) [][]string {
+func runShardMesh(single bool) [][]string {
 	const n = 3
-	s := NewShards(ShardsConfig{N: n, Lookahead: 20 * time.Microsecond, Seed: 7, SingleHeap: single, Workers: workers})
+	s := NewShards(ShardsConfig{N: n, Lookahead: 20 * time.Microsecond, Seed: 7, SingleHeap: single})
 	logs := make([][]string, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -43,19 +43,12 @@ func runShardMesh(single bool, workers int) [][]string {
 }
 
 // TestShardsEnginesIdentical is the core invariant: the single-heap
-// reference engine, the parallel engine, and the parallel engine degraded
-// to one worker all produce identical per-shard receipt sequences and
-// timestamps.
+// reference engine and the sharded engine produce identical per-shard
+// receipt sequences and timestamps.
 func TestShardsEnginesIdentical(t *testing.T) {
-	ref := runShardMesh(true, 0)
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"parallel", 0}, {"serial-degraded", 1}, {"two-workers", 2}} {
-		got := runShardMesh(false, tc.workers)
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("%s: logs diverge from single-heap reference\nref: %v\ngot: %v", tc.name, ref, got)
-		}
+	ref := runShardMesh(true)
+	if got := runShardMesh(false); !reflect.DeepEqual(ref, got) {
+		t.Errorf("logs diverge from single-heap reference\nref: %v\ngot: %v", ref, got)
 	}
 	// The mesh must actually have exchanged messages (20 sends per shard
 	// plus acks for even k).

@@ -9,7 +9,7 @@
 // boundaries without occupying the event queue, so enabling sampling cannot
 // perturb event order, randomness, or results. For a given seed the merged
 // timeline, alert log, and rendered JSON are byte-identical between the
-// single-heap and sharded engines at any worker count.
+// single-heap and sharded engines.
 package telemetry
 
 import (
