@@ -107,10 +107,10 @@ type Config struct {
 	// Workers is ignored: the sharded engine runs its windows serially. It
 	// stays only because the benchmark's workload definitions still set it.
 	Workers int
-	// Slim disables per-request retention in the cluster and its serving
-	// stacks, and streams routing decisions into the fingerprint instead of
-	// retaining the log, so multi-million-request sweeps hold memory
-	// proportional to latency samples only. Stats are unchanged.
+	// Slim stops the front end retaining its request list (Requests returns
+	// nil) and the router its decision log, so multi-million-request sweeps
+	// skip per-request front-end memory. The serving stacks never retain
+	// requests, and Stats and the decision fingerprint are unchanged.
 	Slim bool
 }
 

@@ -24,7 +24,6 @@ import (
 // those steps: hedging and loser cancellation for the sharded fleet, KV
 // handoff, retries and token accounting for the LLM fleet.
 type fleet struct {
-	engine Engine
 	shards *sim.Shards
 	net    time.Duration
 	router *Router
@@ -118,7 +117,6 @@ type fleetConfig struct {
 func (f *fleet) init(fc fleetConfig, engine Engine) {
 	n := fc.devices
 	*f = fleet{
-		engine: engine,
 		shards: sim.NewShards(sim.ShardsConfig{
 			N:          n + 1,
 			Lookahead:  fc.netLatency,

@@ -121,7 +121,8 @@ type LLMConfig struct {
 	WarmupBase   time.Duration
 	// Workers is ignored, as in Config.
 	Workers int
-	// Slim drops per-request retention and streams the decision hash.
+	// Slim stops the front end retaining its request list and the router its
+	// decision log, as in Config.
 	Slim bool
 	// Obs, when non-nil, records the fleet's request lifecycle.
 	Obs *obs.Recorder
@@ -346,7 +347,6 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 			Obs:            c.children[i+1],
 			Device:         i,
 			IsolateRand:    true,
-			Slim:           cfg.Slim,
 			Profile:        prof,
 		})
 		if err != nil {

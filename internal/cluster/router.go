@@ -89,15 +89,15 @@ type Router struct {
 	// must never resurrect a crashed device.
 	dead []bool
 
+	// decisions is the retained routing log; slim stops route appending to
+	// it, so multi-million-request sweeps stay O(1) in routing memory.
 	decisions []Decision
+	slim      bool
 	count     int
-	// slim streams each decision straight into the running hash instead of
-	// retaining it, so multi-million-request sweeps stay O(1) in routing
-	// memory. The hash covers exactly the bytes DecisionHash would fold over
-	// the retained log, so both modes fingerprint identically.
-	slim     bool
-	slimHash hash.Hash64
-	buf      []byte // appendDecision's reused output
+	// hash folds every decision into the running fingerprint as route
+	// makes it, in both modes.
+	hash hash.Hash64
+	buf  []byte // appendDecision's reused output
 
 	// live and healthy are route's reused candidate lists.
 	live, healthy []int
@@ -121,16 +121,13 @@ func newRouter(env *sim.Env, n int, policy RoutePolicy, debtUnit func(string) (t
 		debtUnit:    debtUnit,
 		downUntil:   make([]sim.Time, n),
 		dead:        make([]bool, n),
+		hash:        fnv.New64a(),
 	}
 }
 
-// setSlim switches the router to streaming-hash decision recording: the
-// decision log is folded into the fingerprint as it is produced and not
-// retained (Decisions returns nil; Count and DecisionHash still work).
-func (rt *Router) setSlim() {
-	rt.slim = true
-	rt.slimHash = fnv.New64a()
-}
+// setSlim stops the router retaining its decision log; Count and
+// DecisionHash still cover every decision.
+func (rt *Router) setSlim() { rt.slim = true }
 
 // setReplicas restricts a model to the given device indices.
 func (rt *Router) setReplicas(modelName string, devices []int) {
@@ -271,19 +268,17 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 	rt.outstanding[pick]++
 	d := Decision{Seq: rt.count, Model: modelName, Device: pick, Failover: failover, Hedge: hedge}
 	rt.count++
-	if rt.slim {
-		rt.buf = appendDecision(rt.buf[:0], d)
-		rt.slimHash.Write(rt.buf)
-	} else {
+	rt.buf = appendDecision(rt.buf[:0], d)
+	rt.hash.Write(rt.buf)
+	if !rt.slim {
 		rt.decisions = append(rt.decisions, d)
 	}
 	return pick, nil
 }
 
 // appendDecision renders one decision as "seq:model:device:failover:hedge;"
-// (integers in decimal, booleans as true/false) onto b. Both the retained
-// and the streaming fingerprint paths go through this single encoder, so the
-// two modes (and the two cluster engines) hash identical bytes.
+// (integers in decimal, booleans as true/false) onto b: the bytes the
+// decision fingerprint folds, identical across both cluster engines.
 func appendDecision(b []byte, d Decision) []byte {
 	b = strconv.AppendInt(b, int64(d.Seq), 10)
 	b = append(b, ':')
@@ -317,18 +312,7 @@ func (rt *Router) Outstanding(device int) int { return rt.outstanding[device] }
 // Count returns how many routing decisions have been made.
 func (rt *Router) Count() int { return rt.count }
 
-// DecisionHash folds the routing log into one FNV-1a hash — a compact
-// fingerprint two same-seed runs can compare for byte-identical routing.
-// Slim and retained modes hash the same byte stream.
-func (rt *Router) DecisionHash() uint64 {
-	if rt.slim {
-		return rt.slimHash.Sum64()
-	}
-	h := fnv.New64a()
-	var b []byte
-	for _, d := range rt.decisions {
-		b = appendDecision(b[:0], d)
-		h.Write(b)
-	}
-	return h.Sum64()
-}
+// DecisionHash returns the FNV-1a hash of every routing decision so far — a
+// compact fingerprint two same-seed runs can compare for byte-identical
+// routing.
+func (rt *Router) DecisionHash() uint64 { return rt.hash.Sum64() }

@@ -164,7 +164,6 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 			Obs:                c.children[i+1],
 			Device:             i,
 			IsolateRand:        true,
-			Slim:               cfg.Slim,
 			TestStrandDrainNth: cfg.TestStrandDrainNth,
 		})
 		if err != nil {

@@ -100,13 +100,11 @@ func (w *weightedFair) Grant(_ *rand.Rand, jobs []*executor.Job, last *executor.
 // priority always grants the highest-priority active job; ties break toward
 // the earliest-registered job, so equal-priority jobs effectively fair-share
 // (the paper's Figure 18 two-level experiment).
-type priority struct {
-	lastTopID int
-}
+type priority struct{}
 
 // NewPriority returns the paper's priority-scheduling policy. Priorities
 // are read from each job's Priority field; higher runs first.
-func NewPriority() Policy { return &priority{lastTopID: -1} }
+func NewPriority() Policy { return &priority{} }
 
 // Name implements Policy.
 func (*priority) Name() string { return "priority" }

@@ -95,12 +95,11 @@ type QuantumRecord struct {
 
 // jobState is the scheduler's bookkeeping for a registered job.
 type jobState struct {
-	job           *executor.Job
-	cond          *sim.Cond
-	profile       *JobProfile
-	cumulated     time.Duration // cumulatedCost of Algorithm 2
-	busySnapshot  time.Duration // device busy at grant time
-	quantaGranted int
+	job          *executor.Job
+	cond         *sim.Cond
+	profile      *JobProfile
+	cumulated    time.Duration // cumulatedCost of Algorithm 2
+	busySnapshot time.Duration // device busy at grant time
 }
 
 // Scheduler implements executor.Hooks with Olympian's scheduling logic.
@@ -331,7 +330,6 @@ func (s *Scheduler) grant(js *jobState) {
 	s.holder = js
 	s.intervalStart = s.env.Now()
 	js.busySnapshot = s.dev.OwnerBusy(js.job.ID)
-	js.quantaGranted++
 	js.cond.Broadcast()
 }
 

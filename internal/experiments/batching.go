@@ -32,11 +32,7 @@ func ExtBatching(o Options) (*Report, error) {
 		rate = 40
 	}
 	r.Headers = []string{"max batch", "requests", "batches", "mean size", "p50 latency", "p95 latency", "drained at"}
-	type point struct {
-		maxBatch int
-		drain    time.Duration
-	}
-	var pts []point
+	var drains []time.Duration
 	for _, maxBatch := range []int{1, 8, 32} {
 		env := sim.NewEnv(o.Seed)
 		srv, err := serving.NewServer(env, serving.Config{
@@ -72,11 +68,11 @@ func ExtBatching(o Options) (*Report, error) {
 			fmt.Sprintf("%.1f", st.MeanBatchSize),
 			fmt.Sprintf("%.0fms", st.P50*1e3), fmt.Sprintf("%.0fms", st.P95*1e3),
 			metrics.FormatSeconds(drained))
-		pts = append(pts, point{maxBatch: maxBatch, drain: drained})
+		drains = append(drains, drained)
 		r.SetMetric(fmt.Sprintf("p95_ms_b%d", maxBatch), st.P95*1e3)
 	}
-	first, last := pts[0], pts[len(pts)-1]
-	r.AddNote("batching consolidates the same requests into fewer, larger jobs (fewer kernel launches and sessions) at comparable latency; drained %v vs %v", first.drain, last.drain)
-	r.SetMetric("drain_ratio", first.drain.Seconds()/last.drain.Seconds())
+	first, last := drains[0], drains[len(drains)-1]
+	r.AddNote("batching consolidates the same requests into fewer, larger jobs (fewer kernel launches and sessions) at comparable latency; drained %v vs %v", first, last)
+	r.SetMetric("drain_ratio", first.Seconds()/last.Seconds())
 	return r, nil
 }

@@ -187,9 +187,10 @@ func Sharded(o Options) (*Report, error) {
 	rep.AddNote("8-device wall-clock speedup of serial sharding over the single heap: %.2fx (single-heap wall / sharded wall; hardware-dependent)", speedup)
 	rep.SetMetric("speedup_8dev", speedup)
 
-	// Scale: a 64-device fleet in slim mode. Slim retains no per-request or
-	// per-decision state, so request count only moves wall-clock, not memory
-	// — the full-size run extrapolates linearly to the 10M-request sweep.
+	// Scale: a 64-device fleet in slim mode. Slim retains no front-end
+	// request list or decision log, so memory grows only by the devices'
+	// per-job accounting (tens of bytes per request) and the full-size run
+	// extrapolates linearly to the 10M-request sweep.
 	st, wall, err := shardedSweep(cluster.Sharded, 64, scaleN, perDevRate, o.Seed+3)
 	if err != nil {
 		return nil, err

@@ -151,7 +151,6 @@ type Stats struct {
 
 // stream is one submission queue.
 type stream struct {
-	id     int
 	rank   int // first-seen order among the device's streams
 	queue  []*Kernel
 	weight float64
@@ -294,7 +293,7 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	k.queuedAt = d.env.Now()
 	st := d.streams[k.Stream]
 	if st == nil {
-		st = &stream{id: k.Stream, rank: len(d.streams), weight: d.drawWeight()}
+		st = &stream{rank: len(d.streams), weight: d.drawWeight()}
 		d.streams[k.Stream] = st
 	}
 	if len(st.queue) == 0 {

@@ -39,8 +39,6 @@ const (
 
 // llmDef holds one LLM's calibration constants.
 type llmDef struct {
-	name string
-
 	// weightsBytes is the resident parameter footprint on device.
 	weightsBytes int64
 	// kvBytesPerToken is the attention-cache footprint per cached token
@@ -58,7 +56,6 @@ type llmDef struct {
 // llmDefs is the autoregressive zoo, keyed by name.
 var llmDefs = map[string]llmDef{
 	LLM1B: {
-		name:            LLM1B,
 		weightsBytes:    5 << 29, // 2.5 GiB
 		kvBytesPerToken: 128 << 10,
 		prefillBase:     300 * time.Microsecond,
@@ -68,7 +65,6 @@ var llmDefs = map[string]llmDef{
 		decodePerKV:     250 * time.Nanosecond,
 	},
 	LLM3B: {
-		name:            LLM3B,
 		weightsBytes:    6 << 30,
 		kvBytesPerToken: 224 << 10,
 		prefillBase:     500 * time.Microsecond,
@@ -78,7 +74,6 @@ var llmDefs = map[string]llmDef{
 		decodePerKV:     500 * time.Nanosecond,
 	},
 	LLMTiny: {
-		name:            LLMTiny,
 		weightsBytes:    64 << 20,
 		kvBytesPerToken: 2 << 10,
 		prefillBase:     40 * time.Microsecond,

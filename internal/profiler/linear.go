@@ -16,7 +16,6 @@ type LinearModel struct {
 
 	classFits map[string]linFit
 	durFit    linFit
-	costFit   linFit
 }
 
 // linFit is y = a + m*x by least squares.
@@ -76,7 +75,7 @@ func FitLinearModel(points []struct {
 	// Per-class mean cost at each profiled batch size.
 	classBatch := make(map[string][]float64) // class -> xs
 	classCost := make(map[string][]float64)  // class -> mean cost ys
-	var durXs, durYs, costXs, costYs []float64
+	var durXs, durYs []float64
 	for _, pp := range pps {
 		sums := make(map[string]float64)
 		counts := make(map[string]int)
@@ -94,15 +93,12 @@ func FitLinearModel(points []struct {
 		}
 		durXs = append(durXs, b)
 		durYs = append(durYs, float64(pp.r.GPUDuration))
-		costXs = append(costXs, b)
-		costYs = append(costYs, float64(pp.r.TotalCost))
 	}
 	lm := &LinearModel{Model: name, classFits: make(map[string]linFit, len(classBatch))}
 	for class, xs := range classBatch {
 		lm.classFits[class] = fitLine(xs, classCost[class])
 	}
 	lm.durFit = fitLine(durXs, durYs)
-	lm.costFit = fitLine(costXs, costYs)
 	return lm, nil
 }
 

@@ -25,11 +25,12 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 		}
 		return model.Build(modelName, batch)
 	}
-	submitN(t, env, srv, model.ResNet152, 3, 0)
-	submitN(t, env, srv, model.Inception, 3, 0)
+	reqs := submitN(t, env, srv, model.ResNet152, 3, 0)
+	reqs2 := submitN(t, env, srv, model.Inception, 3, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	reqs = append(reqs, reqs2...)
 	env.Shutdown()
 	st := srv.Stats()
 	if st.Failed != 3 || st.Completed != 3 {
@@ -38,11 +39,11 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 	if st.Degraded.BatchFailures != 1 {
 		t.Fatalf("batch failures %d, want 1", st.Degraded.BatchFailures)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if r.FinishAt == 0 {
 			t.Fatalf("request %d never completed", r.ID)
 		}
-		if failed := r.Model == model.ResNet152; failed != r.Failed() {
+		if failed := r.Model == model.ResNet152; failed != (r.Err != nil) {
 			t.Fatalf("request %d (%s) err = %v", r.ID, r.Model, r.Err)
 		}
 	}
@@ -51,7 +52,7 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 func TestBoundedQueueShedsAtAdmission(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: 5 * time.Millisecond, MaxQueue: 4})
-	submitN(t, env, srv, model.Inception, 10, 10*time.Microsecond)
+	reqs := submitN(t, env, srv, model.Inception, 10, 10*time.Microsecond)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +64,8 @@ func TestBoundedQueueShedsAtAdmission(t *testing.T) {
 	if st.Degraded.Drops != 6 {
 		t.Fatalf("drops %d, want 6", st.Degraded.Drops)
 	}
-	for _, r := range srv.requests {
-		if !r.Failed() {
+	for _, r := range reqs {
+		if r.Err == nil {
 			continue
 		}
 		if !errors.Is(r.Err, ErrQueueFull) {
@@ -83,7 +84,7 @@ func TestDeadlineExpiryDropsQueuedRequests(t *testing.T) {
 	// the queue and must be dropped, never dispatched.
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond, Deadline: time.Millisecond})
-	submitN(t, env, srv, model.Inception, 3, 0)
+	reqs := submitN(t, env, srv, model.Inception, 3, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestDeadlineExpiryDropsQueuedRequests(t *testing.T) {
 	if st.Degraded.Expired != 3 || st.Failed != 3 {
 		t.Fatalf("stats %+v, want 3 expired", st)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if !errors.Is(r.Err, ErrExpired) {
 			t.Fatalf("request %d err = %v, want ErrExpired", r.ID, r.Err)
 		}
@@ -132,7 +133,7 @@ func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 		MaxRetries: 1, RetryBackoff: 100 * time.Microsecond,
 		Faults: inj,
 	})
-	submitN(t, env, srv, model.Inception, 2, 0)
+	reqs := submitN(t, env, srv, model.Inception, 2, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 	if st.Degraded.BatchRetries != 1 || st.Degraded.BatchFailures != 1 {
 		t.Fatalf("degraded %v, want 1 retry then 1 failure", st.Degraded)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if !errors.Is(r.Err, faults.ErrKernelFault) {
 			t.Fatalf("request %d err = %v, want wrapped kernel fault", r.ID, r.Err)
 		}
@@ -162,12 +163,12 @@ func TestServingUnderFaultsIsDeterministic(t *testing.T) {
 			MaxBatch: 4, BatchTimeout: time.Millisecond,
 			Seed: 7, Faults: inj,
 		})
-		submitN(t, env, srv, model.Inception, 16, 200*time.Microsecond)
+		reqs := submitN(t, env, srv, model.Inception, 16, 200*time.Microsecond)
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
 		env.Shutdown()
-		for _, r := range srv.requests {
+		for _, r := range reqs {
 			if r.FinishAt == 0 {
 				t.Fatalf("request %d never reached a terminal state", r.ID)
 			}
@@ -248,7 +249,7 @@ func TestMaxBatchOverflowSplits(t *testing.T) {
 	// remainder, with no request left behind.
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: 2 * time.Millisecond})
-	submitN(t, env, srv, model.Inception, 19, 0)
+	reqs := submitN(t, env, srv, model.Inception, 19, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestMaxBatchOverflowSplits(t *testing.T) {
 		t.Fatalf("stats %+v, want 19 requests over 3 batches", st)
 	}
 	sizes := map[int]int{}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		sizes[r.BatchSize]++
 	}
 	if sizes[8] != 16 || sizes[3] != 3 {

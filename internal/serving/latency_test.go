@@ -28,7 +28,7 @@ func TestShedAndExpiredReportZeroDelays(t *testing.T) {
 	})
 	// A burst far beyond the bounded queue forces sheds; the tight deadline
 	// expires whatever queues too long.
-	submitN(t, env, srv, model.Inception, 24, 0)
+	reqs := submitN(t, env, srv, model.Inception, 24, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestShedAndExpiredReportZeroDelays(t *testing.T) {
 	if st.Failed == 0 {
 		t.Fatal("no requests shed or expired; the test exercised nothing")
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if r.Latency() < 0 {
 			t.Fatalf("request %d Latency() = %v, negative", r.ID, r.Latency())
 		}
 		if queueDelay(r) < 0 {
 			t.Fatalf("request %d queue delay = %v, negative", r.ID, queueDelay(r))
 		}
-		if r.Failed() && r.BatchedAt == 0 && queueDelay(r) != 0 {
+		if r.Err != nil && r.BatchedAt == 0 && queueDelay(r) != 0 {
 			t.Fatalf("failed request %d queue delay = %v, want 0", r.ID, queueDelay(r))
 		}
 	}
@@ -81,7 +81,7 @@ func TestDrainQueuedFailsOnlyQueuedRequests(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Hour})
 	// Three requests sit in the batcher (batch of 4 never fills, timeout
 	// never fires); a later drain must fail exactly those three.
-	submitN(t, env, srv, model.Inception, 3, 0)
+	reqs := submitN(t, env, srv, model.Inception, 3, 0)
 	drained := -1
 	env.Go("drainer", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
@@ -94,7 +94,7 @@ func TestDrainQueuedFailsOnlyQueuedRequests(t *testing.T) {
 	if drained != 3 {
 		t.Fatalf("drained %d requests, want 3", drained)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if r.Err != ErrDrained {
 			t.Fatalf("request %d err = %v, want ErrDrained", r.ID, r.Err)
 		}

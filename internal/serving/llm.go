@@ -103,8 +103,6 @@ type LLMConfig struct {
 	// IsolateRand gives the device a private random stream so multi-replica
 	// topologies stay deterministic regardless of construction order.
 	IsolateRand bool
-	// Slim drops per-request retention, keeping only streaming tallies.
-	Slim bool
 	// Profile supplies pre-fitted cost curves; measured at construction when
 	// nil.
 	Profile *profiler.LLMProfile
@@ -225,7 +223,6 @@ type LLMServer struct {
 	running []*llm.Request
 
 	reqCount int
-	requests []*llm.Request // retained unless Slim
 
 	limiter   *overload.Limiter
 	admitCost map[int]int // request ID -> charged admission tokens
@@ -242,8 +239,7 @@ type LLMServer struct {
 	admissionSheds, truncatedTokens, sloAttained [overload.NumClasses]int
 
 	// TTFT/TPOT/queue-delay histograms recorded at source; Stats derives its
-	// percentiles from these in both retained and Slim modes (bounded memory,
-	// ≤ ~19% relative error).
+	// percentiles from these in bounded memory (≤ ~19% relative error).
 	ttftHist *obs.Hist
 	tpotHist *obs.Hist
 	qdHist   *obs.Hist
@@ -406,9 +402,6 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 		s.limiter.Acquire(cost)
 		s.admitCost[r.ID] = cost
 	}
-	if !s.cfg.Slim {
-		s.requests = append(s.requests, r)
-	}
 	s.batch.Enqueue(r)
 	s.cond.Signal()
 	return r, nil
@@ -439,9 +432,6 @@ func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriv
 	r.LastTokenAt = lastTokenAt
 	s.ingested++
 	s.rec.Instant(obs.LayerServing, "llm_ingest", r.ID, int(class), s.obsDev, int64(r.KVTokens()))
-	if !s.cfg.Slim {
-		s.requests = append(s.requests, r)
-	}
 	s.pending = append(s.pending, r)
 	s.cond.Signal()
 	return r, nil

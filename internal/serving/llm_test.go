@@ -2,7 +2,6 @@ package serving
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -57,59 +56,54 @@ func checkLLMConservation(t *testing.T, srv *LLMServer) {
 }
 
 // TestLLMColocatedEndToEnd serves a short staggered train on one colocated
-// replica, in retained and in Slim mode: every request completes with all
-// its tokens either way.
+// replica: every request completes with all its tokens.
 func TestLLMColocatedEndToEnd(t *testing.T) {
-	for _, slim := range []bool{false, true} {
-		t.Run(fmt.Sprintf("slim=%v", slim), func(t *testing.T) {
-			env := sim.NewEnv(1)
-			srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny, Slim: slim})
-			var reqs []*llm.Request
-			for i, out := range []int{1, 4, 16, 40} {
-				out := out
-				env.Schedule(time.Duration(i)*10*time.Microsecond, func() {
-					r, err := srv.Submit(model.LLMTiny, 0, 32, out, 0)
-					if err != nil {
-						t.Errorf("submit: %v", err)
-						return
-					}
-					reqs = append(reqs, r)
-				})
+	env := sim.NewEnv(1)
+	srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny})
+	var reqs []*llm.Request
+	for i, out := range []int{1, 4, 16, 40} {
+		out := out
+		env.Schedule(time.Duration(i)*10*time.Microsecond, func() {
+			r, err := srv.Submit(model.LLMTiny, 0, 32, out, 0)
+			if err != nil {
+				t.Errorf("submit: %v", err)
+				return
 			}
-			if err := env.Run(); err != nil {
-				t.Fatal(err)
-			}
-			env.Shutdown()
-			st := srv.Stats()
-			if st.Completed != 4 || st.Failed != 0 || st.Shed != 0 {
-				t.Fatalf("stats %+v, want 4 completed", st)
-			}
-			want := 1 + 4 + 16 + 40
-			if st.TokensEmitted != want {
-				t.Fatalf("tokens emitted %d, want %d", st.TokensEmitted, want)
-			}
-			checkLLMConservation(t, srv)
-			for _, r := range reqs {
-				if !r.Finished() || r.Err != nil {
-					t.Fatalf("request %d not completed: err=%v", r.ID, r.Err)
-				}
-				if r.TTFT() <= 0 {
-					t.Fatalf("request %d has no TTFT", r.ID)
-				}
-				if r.TokensOut != r.OutputTokens {
-					t.Fatalf("request %d delivered %d/%d tokens", r.ID, r.TokensOut, r.OutputTokens)
-				}
-				if r.OutputTokens >= 2 && r.TPOT() <= 0 {
-					t.Fatalf("request %d has no TPOT", r.ID)
-				}
-				if r.FinishAt <= r.ArriveAt {
-					t.Fatalf("request %d has no latency", r.ID)
-				}
-			}
-			if st.TTFT.P50 <= 0 || st.TPOT.P50 <= 0 {
-				t.Fatalf("percentiles not populated: %+v", st)
-			}
+			reqs = append(reqs, r)
 		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	st := srv.Stats()
+	if st.Completed != 4 || st.Failed != 0 || st.Shed != 0 {
+		t.Fatalf("stats %+v, want 4 completed", st)
+	}
+	want := 1 + 4 + 16 + 40
+	if st.TokensEmitted != want {
+		t.Fatalf("tokens emitted %d, want %d", st.TokensEmitted, want)
+	}
+	checkLLMConservation(t, srv)
+	for _, r := range reqs {
+		if !r.Finished() || r.Err != nil {
+			t.Fatalf("request %d not completed: err=%v", r.ID, r.Err)
+		}
+		if r.TTFT() <= 0 {
+			t.Fatalf("request %d has no TTFT", r.ID)
+		}
+		if r.TokensOut != r.OutputTokens {
+			t.Fatalf("request %d delivered %d/%d tokens", r.ID, r.TokensOut, r.OutputTokens)
+		}
+		if r.OutputTokens >= 2 && r.TPOT() <= 0 {
+			t.Fatalf("request %d has no TPOT", r.ID)
+		}
+		if r.FinishAt <= r.ArriveAt {
+			t.Fatalf("request %d has no latency", r.ID)
+		}
+	}
+	if st.TTFT.P50 <= 0 || st.TPOT.P50 <= 0 {
+		t.Fatalf("percentiles not populated: %+v", st)
 	}
 }
 

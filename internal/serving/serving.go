@@ -89,9 +89,6 @@ type Request struct {
 	canceled bool
 }
 
-// Failed reports whether the request ended in an error.
-func (r *Request) Failed() bool { return r.Err != nil }
-
 // Latency returns the request's end-to-end response time, or 0 for a
 // request that has not finished (FinishAt is only stamped on completion or
 // failure, so an in-flight request must not report a garbage duration).
@@ -161,11 +158,6 @@ type Config struct {
 	// sharded cluster requires it: with a shared source, co-resident stacks'
 	// draws would interleave differently between engines.
 	IsolateRand bool
-	// Slim disables per-request retention: Requests returns nil and Stats is
-	// computed from streaming tallies, so multi-million-request sweeps hold
-	// memory proportional to the completed-latency samples only. Stats are
-	// identical to the retained path.
-	Slim bool
 	// TestStrandDrainNth, when positive, plants a deliberate bug in
 	// DrainQueued for invariant-checker tests: every Nth drained request is
 	// silently removed from its queue without being failed, stranding its
@@ -265,28 +257,23 @@ type Server struct {
 	spare    [][]*Request // batch slices of finished batch procs, for reuse
 	flushers map[string]*sim.Cond
 	graphs   map[graphKey]*graph.Graph
-	profiles map[graphKey]*profiler.Result
 	limiters map[string]*overload.Limiter
 	// limitGauges holds each limiter's limit gauge, registered with the
 	// limiter when recording is on.
 	limitGauges map[string]*obs.Series
 
-	requests []*Request
 	reqCount int
 	batches  int
 	clients  int
-
-	// Slim-mode streaming tallies, mirroring what Stats derives from the
-	// retained request slice on the normal path.
-	slimCompleted int
-	slimFailed    int
-	slimSizes     int
+	// batchSizes sums the batch sizes completed requests rode in, for
+	// Stats.MeanBatchSize.
+	batchSizes int
 
 	// Latency and queue-delay histograms, recorded at source on every
-	// completion/dispatch in both retained and Slim modes; Stats derives its
-	// quantiles from these in bounded memory. Registered in the obs registry
-	// when recording is on so the telemetry sampler and Prometheus exposition
-	// see them; standalone otherwise.
+	// completion/dispatch; Stats derives its quantiles from these in bounded
+	// memory. Registered in the obs registry when recording is on so the
+	// telemetry sampler and Prometheus exposition see them; standalone
+	// otherwise.
 	latHist    *obs.Hist
 	qdHist     *obs.Hist
 	modelHists map[string]*obs.Hist
@@ -363,7 +350,6 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 		queues:      make(map[string][]*Request),
 		flushers:    make(map[string]*sim.Cond),
 		graphs:      make(map[graphKey]*graph.Graph),
-		profiles:    make(map[graphKey]*profiler.Result),
 		limiters:    make(map[string]*overload.Limiter),
 		limitGauges: make(map[string]*obs.Series),
 		retryLeft:   cfg.RetryBudget,
@@ -465,9 +451,6 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		req.Deadline = req.ArriveAt.Add(s.cfg.Deadline)
 	}
 	s.reqCount++
-	if !s.cfg.Slim {
-		s.requests = append(s.requests, req)
-	}
 	s.degraded.ByClass[class].Submitted++
 	if s.dev.Dead() {
 		// Crashed replica: fail fast with the drain sentinel so the cluster
@@ -642,9 +625,6 @@ func (s *Server) fail(r *Request, err error) {
 		s.failReasonC[reason].Inc()
 	}
 	s.releaseSlot(r)
-	if s.cfg.Slim {
-		s.slimFailed++
-	}
 	r.done.Trigger()
 }
 
@@ -901,15 +881,13 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		}
 		s.latHist.Observe(r.Latency())
 		s.modelHist(r.Model).Observe(r.Latency())
-		if s.cfg.Slim {
-			s.slimCompleted++
-			s.slimSizes += r.BatchSize
-		}
+		s.batchSizes += r.BatchSize
 		r.done.Trigger()
 	}
 }
 
-// graphFor caches graphs (and Olympian profiles) per (model, batch size).
+// graphFor caches graphs per (model, batch size), registering each new
+// graph's Olympian profile with the scheduler.
 func (s *Server) graphFor(modelName string, batch int) (*graph.Graph, error) {
 	key := graphKey{model: modelName, batch: batch}
 	if g, ok := s.graphs[key]; ok {
@@ -926,7 +904,6 @@ func (s *Server) graphFor(modelName string, batch int) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.profiles[key] = prof
 		s.sched.SetProfile(g, prof.JobProfile(s.cfg.Quantum))
 	}
 	return g, nil
@@ -967,27 +944,15 @@ func (s *Server) modelHist(modelName string) *obs.Hist {
 	return h
 }
 
-// Stats summarises completed requests. Latency quantiles come from the
-// source-recorded histograms in both retained and Slim modes (≤ ~19%
-// relative error from log bucketing), so the two modes report identical
-// values with bounded memory.
+// Stats summarises completed requests. Completed and Failed sum the
+// per-class tallies fail and runBatch book; latency quantiles come from the
+// source-recorded histograms (≤ ~19% relative error from log bucketing), so
+// memory stays bounded however many requests were served.
 func (s *Server) Stats() Stats {
 	st := Stats{Requests: s.reqCount, Batches: s.batches}
-	var sizes int
-	if s.cfg.Slim {
-		st.Completed, st.Failed = s.slimCompleted, s.slimFailed
-		sizes = s.slimSizes
-	}
-	for _, r := range s.requests {
-		if r.Failed() {
-			st.Failed++
-			continue
-		}
-		if r.FinishAt == 0 {
-			continue
-		}
-		st.Completed++
-		sizes += r.BatchSize
+	for _, c := range s.degraded.ByClass {
+		st.Completed += c.Completed
+		st.Failed += c.Shed + c.Expired + c.Failed
 	}
 	if s.latHist.Count() > 0 {
 		st.P50 = s.latHist.Quantile(0.50)
@@ -1017,7 +982,7 @@ func (s *Server) Stats() Stats {
 		})
 	}
 	if st.Completed > 0 {
-		st.MeanBatchSize = float64(sizes) / float64(st.Completed)
+		st.MeanBatchSize = float64(s.batchSizes) / float64(st.Completed)
 	}
 	if now := s.env.Now(); now > 0 {
 		st.Utilization = s.dev.TotalBusy().Seconds() / now.Seconds()

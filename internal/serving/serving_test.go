@@ -20,9 +20,11 @@ func newTestServer(t *testing.T, env *sim.Env, cfg Config) *Server {
 }
 
 // submitN fires n requests for modelName with the given interarrival gap
-// and waits for them all.
-func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, gap time.Duration) {
+// and waits for them all. It returns the requests, filled in as each one is
+// submitted while the environment runs.
+func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, gap time.Duration) []*Request {
 	t.Helper()
+	reqs := make([]*Request, n)
 	for i := 0; i < n; i++ {
 		i := i
 		env.Go("frontend", func(p *sim.Proc) {
@@ -32,15 +34,17 @@ func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, g
 				t.Errorf("submit: %v", err)
 				return
 			}
+			reqs[i] = req
 			req.Done().Wait(p)
 		})
 	}
+	return reqs
 }
 
 func TestBatcherFlushesOnFullBatch(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour})
-	submitN(t, env, srv, model.Inception, 16, 0) // all arrive at t=0
+	reqs := submitN(t, env, srv, model.Inception, 16, 0) // all arrive at t=0
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestBatcherFlushesOnFullBatch(t *testing.T) {
 	if st.Requests != 16 || st.Batches != 2 {
 		t.Fatalf("stats %+v, want 16 requests in 2 batches", st)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if r.BatchSize != 8 {
 			t.Fatalf("request %d rode batch of %d, want 8", r.ID, r.BatchSize)
 		}
@@ -62,7 +66,7 @@ func TestBatcherFlushesOnFullBatch(t *testing.T) {
 func TestBatcherFlushesOnTimeout(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond})
-	submitN(t, env, srv, model.Inception, 3, 0)
+	reqs := submitN(t, env, srv, model.Inception, 3, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +75,7 @@ func TestBatcherFlushesOnTimeout(t *testing.T) {
 	if st.Batches != 1 {
 		t.Fatalf("%d batches, want 1 (timeout flush)", st.Batches)
 	}
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if queueDelay(r) < 5*time.Millisecond-time.Microsecond {
 			t.Fatalf("request %d flushed after %v, want the 5ms timeout", r.ID, queueDelay(r))
 		}
@@ -84,12 +88,12 @@ func TestBatcherFlushesOnTimeout(t *testing.T) {
 func TestLatencyAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond})
-	submitN(t, env, srv, model.ResNet152, 4, 0)
+	reqs := submitN(t, env, srv, model.ResNet152, 4, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	for _, r := range srv.requests {
+	for _, r := range reqs {
 		if r.Latency() <= 0 {
 			t.Fatalf("request %d latency %v", r.ID, r.Latency())
 		}

@@ -3,7 +3,10 @@ package fixture
 
 import "fixture/internal/a"
 
-// Run calls the one export the root module uses.
-func Run() int { return a.Used() }
+// Run calls the exports the root module uses.
+func Run() int {
+	s := a.NewS()
+	return a.Used() + s.Get() + *s.Addr()
+}
 
 var _ a.Namer = a.T{}

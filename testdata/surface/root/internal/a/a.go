@@ -24,3 +24,27 @@ func (T) Dead() {}
 
 // unusedHelper is unexported and has no caller.
 func unusedHelper() {}
+
+// S holds one unexported field per case the write-only field gate decides.
+type S struct {
+	read    int   // read by Get
+	written int   // set in a literal, assigned and incremented, never read
+	addr    int   // only assigned, but Addr hands out its address
+	log     []int // only ever appended to itself
+}
+
+// NewS writes every field of S.
+func NewS() *S {
+	s := &S{written: 1}
+	s.written++
+	s.written += 2
+	s.addr = 4
+	s.log = append(s.log, 1)
+	return s
+}
+
+// Get reads S.read.
+func (s *S) Get() int { return s.read }
+
+// Addr takes S.addr's address.
+func (s *S) Addr() *int { return &s.addr }

@@ -7,3 +7,9 @@ func TestUnused(t *testing.T) {
 		t.Fatal("Unused")
 	}
 }
+
+func TestWritten(t *testing.T) {
+	if s := NewS(); s.written != 4 || len(s.log) != 1 {
+		t.Fatal("NewS")
+	}
+}
