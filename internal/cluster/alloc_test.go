@@ -22,7 +22,7 @@ import (
 // closure per message and fmt in the decision hash the same run made 14.87.
 const requestAllocBudget = 4.5
 
-// TestShardedRequestAllocBudget runs a slim 2-device fleet of model.Micro at
+// TestShardedRequestAllocBudget runs a 2-device fleet of model.Micro at
 // two lengths and charges the difference in allocations to the extra
 // requests, so construction, profiling and the first batches cancel out.
 // Arrivals are evenly spaced, so every batch past the first few has the same
@@ -46,7 +46,6 @@ func fleetAllocs(t *testing.T, n int) float64 {
 		Route:        cluster.LeastOutstanding,
 		MaxBatch:     8,
 		BatchTimeout: 2 * time.Millisecond,
-		Slim:         true,
 	}
 	i := 0
 	next := func() invariant.Arrival {

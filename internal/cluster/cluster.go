@@ -13,7 +13,7 @@
 // executing, matching the gpu model. Because every step — stall schedule,
 // drain order, re-dispatch order, routing scores — is driven by the
 // deterministic simulation kernel, two same-seed runs produce byte-identical
-// stats and routing decision logs.
+// stats and routing decision fingerprints.
 package cluster
 
 import (
@@ -107,10 +107,9 @@ type Config struct {
 	// Workers is ignored: the sharded engine runs its windows serially. It
 	// stays only because the benchmark's workload definitions still set it.
 	Workers int
-	// Slim stops the front end retaining its request list (Requests returns
-	// nil) and the router its decision log, so multi-million-request sweeps
-	// skip per-request front-end memory. The serving stacks never retain
-	// requests, and Stats and the decision fingerprint are unchanged.
+	// Slim is ignored: no fleet retains its requests or routing decisions.
+	// It stays only because the benchmark's workload definitions still set
+	// it.
 	Slim bool
 }
 
@@ -253,8 +252,8 @@ type Stats struct {
 	// Utilization is each device's busy fraction over the run.
 	Utilization []float64
 	// PerModel holds cluster-level end-to-end latency percentiles, sorted
-	// by model name, read off source histograms (obs.Hist) in both retained
-	// and slim modes (DESIGN.md §15 "Telemetry plane").
+	// by model name, read off source histograms (obs.Hist; DESIGN.md §15
+	// "Telemetry plane").
 	PerModel []serving.ModelLatency
 	// Degraded merges every device's degraded-mode tallies.
 	Degraded metrics.Degraded

@@ -8,6 +8,7 @@ import (
 	"olympian/internal/faults"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
+	"olympian/internal/obs"
 	"olympian/internal/planner"
 )
 
@@ -30,16 +31,47 @@ func runTraffic(t *testing.T, c *ShardedCluster, models []string, n int, gap tim
 
 func twoDevices() []gpu.Spec { return []gpu.Spec{gpu.GTX1080Ti, gpu.GTX1080Ti} }
 
-func TestRoundRobinCyclesReplicas(t *testing.T) {
-	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
-	runTraffic(t, c, []string{model.Inception}, 6, time.Millisecond)
-	decs := c.Router().decisions
-	if len(decs) != 6 {
-		t.Fatalf("%d decisions, want 6", len(decs))
+// newRecorded is newSingleHeap with a fresh recorder attached, returned
+// with the cluster; the run's instants land on it at FinishObs.
+func newRecorded(t *testing.T, cfg Config) (*ShardedCluster, *obs.Recorder) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
+	return newSingleHeap(t, cfg), rec
+}
+
+// dispatches returns the devices of the recorded cluster instants called
+// name ("route", "failover" or "hedge") in dispatch order: each routing
+// instant's Arg is the device the router chose.
+func dispatches(rec *obs.Recorder, name string) []int {
+	var devs []int
+	for _, p := range rec.Trace().Instants {
+		if p.Layer == obs.LayerCluster && p.Name == name {
+			devs = append(devs, int(p.Arg))
+		}
 	}
-	for i, d := range decs {
-		if d.Device != i%2 {
-			t.Fatalf("decision %d routed to device %d, want strict alternation: %+v", i, d.Device, decs)
+	return devs
+}
+
+// deviceRequests returns how many requests each device's server received.
+func deviceRequests(st Stats) []int {
+	counts := make([]int, len(st.PerDevice))
+	for i, ds := range st.PerDevice {
+		counts[i] = ds.Requests
+	}
+	return counts
+}
+
+func TestRoundRobinCyclesReplicas(t *testing.T) {
+	c, rec := newRecorded(t, Config{Seed: 1, Devices: twoDevices(), Route: RoundRobin})
+	runTraffic(t, c, []string{model.Inception}, 6, time.Millisecond)
+	devs := dispatches(rec, "route")
+	if len(devs) != 6 || c.Router().Count() != 6 {
+		t.Fatalf("%d routes recorded, %d decisions; want 6", len(devs), c.Router().Count())
+	}
+	for i, d := range devs {
+		if d != i%2 {
+			t.Fatalf("request %d routed to device %d, want strict alternation: %v", i, d, devs)
 		}
 	}
 }
@@ -49,11 +81,7 @@ func TestLeastOutstandingBalances(t *testing.T) {
 	// All 8 requests arrive at t=0, before any completes: least-outstanding
 	// must split them 4/4.
 	runTraffic(t, c, []string{model.Inception}, 8, 0)
-	counts := make([]int, 2)
-	for _, d := range c.Router().decisions {
-		counts[d.Device]++
-	}
-	if counts[0] != 4 || counts[1] != 4 {
+	if counts := deviceRequests(c.Stats()); counts[0] != 4 || counts[1] != 4 {
 		t.Fatalf("least-outstanding split %v, want [4 4]", counts)
 	}
 }
@@ -61,16 +89,13 @@ func TestLeastOutstandingBalances(t *testing.T) {
 func TestCostWeightedSpreadsDebt(t *testing.T) {
 	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Route: CostWeighted})
 	runTraffic(t, c, []string{model.Inception, model.ResNet50}, 6, time.Millisecond)
-	counts := make([]int, 2)
-	for _, d := range c.Router().decisions {
-		counts[d.Device]++
-	}
+	st := c.Stats()
 	// Equal per-model unit costs on identical devices: debt must stay
 	// balanced, so neither device can take more than one extra request.
+	counts := deviceRequests(st)
 	if diff := counts[0] - counts[1]; diff < -1 || diff > 1 {
 		t.Fatalf("cost-weighted split %v, want balanced", counts)
 	}
-	st := c.Stats()
 	if st.Failed != 0 || st.Completed != 12 {
 		t.Fatalf("stats %+v, want 12 completed", st)
 	}
@@ -82,10 +107,8 @@ func TestPlacementRestrictsRouting(t *testing.T) {
 	}}
 	c := newSingleHeap(t, Config{Seed: 1, Devices: twoDevices(), Placement: pl})
 	runTraffic(t, c, []string{model.Inception}, 4, time.Millisecond)
-	for _, d := range c.Router().decisions {
-		if d.Device != 1 {
-			t.Fatalf("decision %+v escaped the placement (want device 1)", d)
-		}
+	if counts := deviceRequests(c.Stats()); counts[0] != 0 || counts[1] != 4 {
+		t.Fatalf("device requests %v escaped the placement (want [0 4])", counts)
 	}
 	if got := c.Router().Replicas(model.Inception); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("replicas %v, want [1]", got)
@@ -106,7 +129,7 @@ func TestFailoverReroutesQueuedRequests(t *testing.T) {
 		{StallEvery: 15 * time.Millisecond, StallDur: 40 * time.Millisecond},
 		nil,
 	}
-	c := newSingleHeap(t, Config{
+	c, rec := newRecorded(t, Config{
 		Seed: 42, Devices: twoDevices(), Faults: plans,
 		Route: RoundRobin, MaxBatch: 32, BatchTimeout: 8 * time.Millisecond,
 	})
@@ -124,20 +147,17 @@ func TestFailoverReroutesQueuedRequests(t *testing.T) {
 	if st.Completed != 80 {
 		t.Fatalf("%d completed, want all 80", st.Completed)
 	}
-	// Drained requests must have hopped off the stalled device.
-	hopped := 0
-	for _, d := range c.Router().decisions {
-		if d.Failover {
-			hopped++
-		}
+	// Every drained request was re-dispatched through the router.
+	if hopped := len(dispatches(rec, "failover")); hopped != st.Failovers {
+		t.Fatalf("trace shows %d failover dispatches, stats say %d", hopped, st.Failovers)
 	}
-	if hopped != st.Failovers {
-		t.Fatalf("decision log shows %d failover dispatches, stats say %d", hopped, st.Failovers)
+	if got, want := c.Router().Count(), st.Requests+st.Failovers; got != want {
+		t.Fatalf("%d routing decisions, want %d routes + failovers", got, want)
 	}
 }
 
 func TestClusterDeterminism(t *testing.T) {
-	run := func() (Stats, []Decision) {
+	run := func() Stats {
 		plans := []*faults.Plan{
 			{StallEvery: 20 * time.Millisecond, StallDur: 30 * time.Millisecond},
 			nil, nil,
@@ -147,15 +167,11 @@ func TestClusterDeterminism(t *testing.T) {
 			Faults: plans, Route: CostWeighted, BatchTimeout: 4 * time.Millisecond,
 		})
 		runTraffic(t, c, []string{model.Inception, model.ResNet50}, 40, time.Millisecond)
-		return c.Stats(), c.Router().decisions
+		return c.Stats()
 	}
-	st1, dec1 := run()
-	st2, dec2 := run()
+	st1, st2 := run(), run()
 	if !reflect.DeepEqual(st1, st2) {
 		t.Fatalf("same-seed stats diverged:\n%+v\n%+v", st1, st2)
-	}
-	if !reflect.DeepEqual(dec1, dec2) {
-		t.Fatal("same-seed routing decision logs diverged")
 	}
 	if st1.DecisionHash != st2.DecisionHash || st1.DecisionHash == 0 {
 		t.Fatalf("decision hashes %x vs %x, want equal and non-zero", st1.DecisionHash, st2.DecisionHash)

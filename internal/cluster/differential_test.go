@@ -134,10 +134,9 @@ func shardedScenarios() []shardedScenario {
 
 // runSharded executes one scenario on the given engine and returns its
 // stats. The recorder, when non-nil, receives the merged per-shard traces.
-func runSharded(t *testing.T, sc shardedScenario, engine Engine, slim bool, rec *obs.Recorder) Stats {
+func runSharded(t *testing.T, sc shardedScenario, engine Engine, rec *obs.Recorder) Stats {
 	t.Helper()
 	cfg := sc.cfg()
-	cfg.Slim = slim
 	cfg.Obs = rec
 	c, err := NewSharded(cfg, engine)
 	if err != nil {
@@ -214,7 +213,7 @@ func renderObs(t *testing.T, rec *obs.Recorder) (string, string) {
 }
 
 // TestShardedEnginesBitIdentical is the tentpole invariant: for every
-// scenario, the sharded engine must produce stats, decision-log hashes,
+// scenario, the sharded engine must produce stats, decision hashes,
 // lifecycle trace bytes and metrics identical to the single-heap reference
 // engine.
 func TestShardedEnginesBitIdentical(t *testing.T) {
@@ -222,7 +221,7 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			refRec := obs.NewRecorder()
-			ref := runSharded(t, sc, SingleHeap, false, refRec)
+			ref := runSharded(t, sc, SingleHeap, refRec)
 			refTrace, refProm := renderObs(t, refRec)
 			if ref.DecisionHash == 0 {
 				t.Fatal("reference run produced a zero decision hash")
@@ -231,7 +230,7 @@ func TestShardedEnginesBitIdentical(t *testing.T) {
 				t.Fatalf("reference run completed nothing: %+v", ref)
 			}
 			rec := obs.NewRecorder()
-			got := runSharded(t, sc, Sharded, false, rec)
+			got := runSharded(t, sc, Sharded, rec)
 			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("stats differ from single-heap reference\nref: %+v\ngot: %+v", ref, got)
 			}
@@ -280,7 +279,7 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 
 	// Zero perturbation: the sampler only reads, so the sampled run's stats
 	// equal a run with no recorder and no sampler at all.
-	bare := runSharded(t, sc, SingleHeap, false, nil)
+	bare := runSharded(t, sc, SingleHeap, nil)
 	if !reflect.DeepEqual(refStats, bare) {
 		t.Errorf("telemetry sampling perturbed the simulation\nsampled: %+v\nbare:    %+v", refStats, bare)
 	}
@@ -309,35 +308,11 @@ func TestShardedTelemetryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedSlimMatchesRetained: slim mode must change memory behavior
-// only — stats (including the streamed decision fingerprint) stay identical
-// to the retained path on both engines.
-func TestShardedSlimMatchesRetained(t *testing.T) {
-	sc := shardedScenarios()[1]
-	for _, engine := range []Engine{SingleHeap, Sharded} {
-		full := runSharded(t, sc, engine, false, nil)
-		slim := runSharded(t, sc, engine, true, nil)
-		if !reflect.DeepEqual(full, slim) {
-			t.Errorf("%v: slim stats differ from retained\nfull: %+v\nslim: %+v", engine, full, slim)
-		}
-	}
-	// Slim drops the retained logs themselves.
-	cfg := sc.cfg()
-	cfg.Slim = true
-	c, err := NewSharded(cfg, Sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Requests() != nil || c.Router().decisions != nil {
-		t.Fatal("slim mode retained requests or decisions")
-	}
-}
-
 // TestShardedFailoverCompletes: the message-passing failover path must still
 // land every request despite stalls, and the engines must agree on it.
 func TestShardedFailoverCompletes(t *testing.T) {
 	sc := shardedScenarios()[1]
-	st := runSharded(t, sc, Sharded, false, nil)
+	st := runSharded(t, sc, Sharded, nil)
 	if st.Degraded.DeviceStalls == 0 {
 		t.Fatal("no stall fired; the fault plan never engaged")
 	}
@@ -362,7 +337,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	if sc.name != "crash" {
 		t.Fatalf("scenario order changed: got %q, want crash", sc.name)
 	}
-	st := runSharded(t, sc, Sharded, false, nil)
+	st := runSharded(t, sc, Sharded, nil)
 	if st.Crashes < 2 {
 		t.Fatalf("crashes = %d, want the restarting and the permanent device to fire", st.Crashes)
 	}
@@ -385,7 +360,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	if st.Completed == 0 {
 		t.Fatal("nothing completed despite two live replicas per model")
 	}
-	again := runSharded(t, sc, Sharded, false, nil)
+	again := runSharded(t, sc, Sharded, nil)
 	if !reflect.DeepEqual(st, again) {
 		t.Fatalf("same-seed recovery runs differ\nfirst: %+v\nagain: %+v", st, again)
 	}
@@ -395,7 +370,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 // across shards without double-counting completions.
 func TestShardedHedgeRaces(t *testing.T) {
 	sc := shardedScenarios()[3]
-	st := runSharded(t, sc, Sharded, false, nil)
+	st := runSharded(t, sc, Sharded, nil)
 	if st.Hedges == 0 {
 		t.Fatal("no hedge dispatched; scenario mistuned")
 	}

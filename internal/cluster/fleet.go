@@ -88,12 +88,6 @@ type attempt struct {
 	hedge bool
 }
 
-// Finished reports whether the request has completed or failed.
-func (r *request) Finished() bool { return r.settled }
-
-// Failed reports whether the request ended in an error.
-func (r *request) Failed() bool { return r.settled && r.Err != nil }
-
 // inflight returns the request's attempts still awaiting their reports.
 func (r *request) inflight() []attempt { return r.live[:r.nlive] }
 
@@ -103,7 +97,6 @@ type fleetConfig struct {
 	seed         int64
 	netLatency   time.Duration
 	route        RoutePolicy
-	slim         bool
 	maxFailovers int // defaulted
 	obs          *obs.Recorder
 	telemetry    *telemetry.Config
@@ -149,9 +142,6 @@ func (f *fleet) init(fc fleetConfig, engine Engine) {
 	reg.CounterView("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.", &f.crashes)
 	reg.CounterView("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.", &f.revives)
 	f.router = newRouter(f.shards.Env(0), n, fc.route, fc.debt)
-	if fc.slim {
-		f.router.setSlim()
-	}
 }
 
 // failoverCap applies the MaxFailovers rule both fleets share: 0 takes the
@@ -283,7 +273,7 @@ func (f *fleet) Devices() int { return len(f.children) - 1 }
 // FrontEnv returns shard 0's environment — schedule arrival generators here.
 func (f *fleet) FrontEnv() *sim.Env { return f.shards.Env(0) }
 
-// Router exposes the routing layer (decision log, health controls).
+// Router exposes the routing layer (decision fingerprint, health controls).
 func (f *fleet) Router() *Router { return f.router }
 
 // Run executes the simulation to completion across all shards.

@@ -6,8 +6,8 @@
 // (router, request bookkeeping, transfer links), shard i+1 hosts device i's
 // serving.LLMServer. Devices 0..P-1 run llm.PrefillRole, P..P+D-1
 // llm.DecodeRole. One Router covers both pools through role pseudo-models
-// ("<model>#prefill", "<model>#decode"), so every placement choice lands in
-// a single decision log and one DecisionHash fingerprints the whole fleet.
+// ("<model>#prefill", "<model>#decode"), so one DecisionHash fingerprints
+// every placement choice across the whole fleet.
 //
 // A request's life: route to a prefill replica; the prefill pass emits the
 // first token and hands the KV off; the front-end books the shipment on the
@@ -121,8 +121,7 @@ type LLMConfig struct {
 	WarmupBase   time.Duration
 	// Workers is ignored, as in Config.
 	Workers int
-	// Slim stops the front end retaining its request list and the router its
-	// decision log, as in Config.
+	// Slim is ignored, as in Config.
 	Slim bool
 	// Obs, when non-nil, records the fleet's request lifecycle.
 	Obs *obs.Recorder
@@ -173,17 +172,13 @@ func (cfg LLMConfig) withDefaults() LLMConfig {
 }
 
 // LLMRequest is one generation request as the fleet front-end sees it. ID,
-// Class, Hops, ArriveAt, FinishAt, Err, Finished and Failed come from the
-// shared request state.
+// Class, Hops, ArriveAt, FinishAt and Err come from the shared request
+// state.
 type LLMRequest struct {
 	request
 	// PromptTokens and OutputTokens are the request's dimensions.
 	PromptTokens int
 	OutputTokens int
-	// PrefillDev and DecodeDev are the last replicas of each role to hold
-	// the request.
-	PrefillDev int
-	DecodeDev  int
 	// Retries counts re-dispatches after capacity rejections (shed,
 	// queue-full, KV exhaustion).
 	Retries int
@@ -237,9 +232,8 @@ type LLMCluster struct {
 	links   []*llm.Link   // egress link per prefill device, owned by shard 0
 	free    []*llmAttempt // attempt records, owned by shard 0
 
-	requests []*LLMRequest // retained unless Slim
 	// prefillModel and decodeModel are the role pseudo-models the shared
-	// router places; one decision log covers both pools.
+	// router places; one decision fingerprint covers both pools.
 	prefillModel, decodeModel string
 
 	retryBudget *overload.RetryBudget
@@ -254,11 +248,12 @@ type LLMCluster struct {
 	// Fleet-level TTFT/TPOT histograms recorded at settle on shard 0; the
 	// "all" series aggregates every class, the per-class series slice the
 	// same completions by priority. Stats derives its percentiles from these
-	// with bounded memory in both retained and Slim modes.
+	// with bounded memory.
 	ttftHist, tpotHist     *obs.Hist
 	classTTFTs, classTPOTs [overload.NumClasses]*obs.Hist
 
 	handoffsC *obs.Series
+	onSettle  []func(*LLMRequest) // OnSettle's observers
 }
 
 // NewLLM builds the disaggregated fleet: shard 0 the front-end, shard i+1
@@ -292,7 +287,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	c := &LLMCluster{cfg: cfg, prefillModel: cfg.Model + "#prefill", decodeModel: cfg.Model + "#decode"}
 	c.fleet.init(fleetConfig{
 		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
-		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
+		route: cfg.Route, maxFailovers: cfg.MaxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry,
 		debt: func(m string) (time.Duration, error) {
 			// Per-dispatch debt for the cost-weighted policy: a
@@ -388,12 +383,9 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 	if err != nil {
 		return nil, err
 	}
-	r := &LLMRequest{PromptTokens: prompt, OutputTokens: output, PrefillDev: dev, DecodeDev: -1}
+	r := &LLMRequest{PromptTokens: prompt, OutputTokens: output}
 	c.admit(&r.request, class, dev, "llm_route")
 	c.perClass[class].Submitted++
-	if !c.cfg.Slim {
-		c.requests = append(c.requests, r)
-	}
 	c.dispatchPrefill(r, dev)
 	return r, nil
 }
@@ -404,7 +396,6 @@ func (c *LLMCluster) SubmitEvent(class overload.Class, prompt, output int) (*LLM
 // previous attempt's degraded mode cut — a truncation is never silently
 // restored by a re-dispatch.
 func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
-	r.PrefillDev = dev
 	t := c.newAttempt(r, dev, false)
 	t.have = r.TokensOut
 	t.next = (*llmAttempt).run
@@ -540,7 +531,6 @@ func (c *LLMCluster) handoff(r *LLMRequest, dev int, rep llmReport) {
 		c.settle(r, err)
 		return
 	}
-	r.DecodeDev = ddev
 	c.routesC.Inc()
 	kvPerTok, _ := model.LLMKVBytesPerToken(c.cfg.Model)
 	bytes := int64(rep.kvTokens) * kvPerTok
@@ -626,7 +616,7 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 	c.settle(r, rep.err)
 }
 
-// settle decides the request on shard 0.
+// settle decides the request on shard 0, then runs the OnSettle observers.
 func (c *LLMCluster) settle(r *LLMRequest, err error) {
 	c.stamp(&r.request, err)
 	c.tokensDelivered += r.TokensOut
@@ -664,13 +654,18 @@ func (c *LLMCluster) settle(r *LLMRequest, err error) {
 		}
 	}
 	c.rec.Instant(obs.LayerCluster, "llm_settle", r.ID, int(r.Class), obs.NoDevice, int64(r.TokensOut))
+	for _, fn := range c.onSettle {
+		fn(r)
+	}
 }
 
 // Server returns device i's LLM serving replica.
 func (c *LLMCluster) Server(i int) *serving.LLMServer { return c.servers[i] }
 
-// Requests returns all fleet-level requests; nil in Slim mode.
-func (c *LLMCluster) Requests() []*LLMRequest { return c.requests }
+// OnSettle registers fn to run as each request settles, after every tally
+// is booked; observers run in registration order. Register before Run. An
+// observer must not mutate the request or schedule events.
+func (c *LLMCluster) OnSettle(fn func(*LLMRequest)) { c.onSettle = append(c.onSettle, fn) }
 
 // LLMClassStats is one priority class's fleet-level accounting. LostTokens
 // is output budget never delivered on shed/expired/failed settlements;

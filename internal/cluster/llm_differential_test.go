@@ -271,32 +271,3 @@ func TestLLMOverloadScenarioDegrades(t *testing.T) {
 			batch.TruncatedTokens, inter.TruncatedTokens, st.TruncatedTokens)
 	}
 }
-
-// TestLLMSlimMatchesRetained: slim mode must change memory behavior only —
-// for every llm scenario on both engines, the stats and the streamed
-// decision fingerprint equal the retained run's, and no request is kept.
-func TestLLMSlimMatchesRetained(t *testing.T) {
-	for _, sc := range llmScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			for _, engine := range []Engine{SingleHeap, Sharded} {
-				full := runLLM(t, sc, engine, nil)
-				cfg := sc.cfg()
-				cfg.Slim = true
-				c, err := NewLLM(cfg, engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slim := driveLLM(t, c, sc)
-				if c.Requests() != nil {
-					t.Fatalf("%v: slim mode retained %d requests", engine, len(c.Requests()))
-				}
-				if slim.DecisionHash != full.DecisionHash {
-					t.Errorf("%v: slim decision hash %x, retained %x", engine, slim.DecisionHash, full.DecisionHash)
-				}
-				if !reflect.DeepEqual(full, slim) {
-					t.Errorf("%v: slim stats differ from retained\nfull: %+v\nslim: %+v", engine, full, slim)
-				}
-			}
-		})
-	}
-}

@@ -43,6 +43,13 @@ func checkLLMClusterConservation(t *testing.T, c *LLMCluster, st LLMClusterStats
 	}
 }
 
+// settled collects c's requests, in settle order, as they settle.
+func settled(c *LLMCluster) *[]*LLMRequest {
+	var reqs []*LLMRequest
+	c.OnSettle(func(r *LLMRequest) { reqs = append(reqs, r) })
+	return &reqs
+}
+
 func TestLLMClusterDisaggregatedFlow(t *testing.T) {
 	cfg := LLMConfig{
 		Seed:            5,
@@ -54,6 +61,7 @@ func TestLLMClusterDisaggregatedFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := settled(c)
 	env := c.FrontEnv()
 	const n = 20
 	wantTokens := 0
@@ -99,8 +107,11 @@ func TestLLMClusterDisaggregatedFlow(t *testing.T) {
 		t.Fatalf("decode device stats %+v", dd)
 	}
 	checkLLMClusterConservation(t, c, st)
-	for _, r := range c.Requests() {
-		if !r.Finished() || r.Err != nil || r.TokensOut != r.OutputTokens {
+	if len(*reqs) != n {
+		t.Fatalf("%d requests settled, want %d", len(*reqs), n)
+	}
+	for _, r := range *reqs {
+		if r.Err != nil || r.TokensOut != r.OutputTokens {
 			t.Fatalf("request %d: %+v", r.ID, r)
 		}
 	}
@@ -126,6 +137,7 @@ func TestLLMClusterCrashMidGenerationFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := settled(c)
 	env := c.FrontEnv()
 	const n = 24
 	for i := 0; i < n; i++ {
@@ -149,7 +161,7 @@ func TestLLMClusterCrashMidGenerationFailsOver(t *testing.T) {
 	}
 	checkLLMClusterConservation(t, c, st)
 	recomputed := 0
-	for _, r := range c.Requests() {
+	for _, r := range *reqs {
 		if r.Hops > 0 {
 			recomputed++
 			if r.TokensOut != r.OutputTokens {
@@ -326,6 +338,7 @@ func TestLLMClusterRetryCarriesPartialTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := settled(c)
 	env := c.FrontEnv()
 	env.Schedule(0, func() {
 		c.SubmitEvent(0, 48, 400)
@@ -339,8 +352,11 @@ func TestLLMClusterRetryCarriesPartialTokens(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatalf("kv exhaustion never retried: %+v", st)
 	}
-	r := c.Requests()[0]
-	if !r.Failed() || r.Retries == 0 {
+	if len(*reqs) != 1 {
+		t.Fatalf("%d requests settled, want 1", len(*reqs))
+	}
+	r := (*reqs)[0]
+	if r.Err == nil || r.Retries == 0 {
 		t.Fatalf("request did not fail through retries: %+v", r)
 	}
 	if r.TokensOut == 0 {

@@ -49,9 +49,9 @@ func (p RoutePolicy) String() string {
 	}
 }
 
-// Decision is one routing choice, recorded in dispatch order. The sequence
-// is part of a run's deterministic output: two same-seed runs must produce
-// byte-identical decision logs.
+// Decision is one routing choice, folded into the router's fingerprint in
+// dispatch order. The sequence is part of a run's deterministic output: two
+// same-seed runs must produce the same DecisionHash.
 type Decision struct {
 	// Seq is the dispatch index.
 	Seq int
@@ -89,15 +89,11 @@ type Router struct {
 	// must never resurrect a crashed device.
 	dead []bool
 
-	// decisions is the retained routing log; slim stops route appending to
-	// it, so multi-million-request sweeps stay O(1) in routing memory.
-	decisions []Decision
-	slim      bool
-	count     int
-	// hash folds every decision into the running fingerprint as route
-	// makes it, in both modes.
-	hash hash.Hash64
-	buf  []byte // appendDecision's reused output
+	// count numbers the decisions; hash folds each into the running
+	// fingerprint as route makes it, so no decision is retained.
+	count int
+	hash  hash.Hash64
+	buf   []byte // appendDecision's reused output
 
 	// live and healthy are route's reused candidate lists.
 	live, healthy []int
@@ -124,10 +120,6 @@ func newRouter(env *sim.Env, n int, policy RoutePolicy, debtUnit func(string) (t
 		hash:        fnv.New64a(),
 	}
 }
-
-// setSlim stops the router retaining its decision log; Count and
-// DecisionHash still cover every decision.
-func (rt *Router) setSlim() { rt.slim = true }
 
 // setReplicas restricts a model to the given device indices.
 func (rt *Router) setReplicas(modelName string, devices []int) {
@@ -270,9 +262,6 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 	rt.count++
 	rt.buf = appendDecision(rt.buf[:0], d)
 	rt.hash.Write(rt.buf)
-	if !rt.slim {
-		rt.decisions = append(rt.decisions, d)
-	}
 	return pick, nil
 }
 

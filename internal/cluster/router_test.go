@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -92,9 +93,13 @@ func TestRouteHedgeExcludesBusyReplicas(t *testing.T) {
 	if _, err := rt.RouteHedge(model.Inception, []int{0, 1}); err == nil {
 		t.Fatal("RouteHedge with every replica excluded succeeded, want error")
 	}
-	decs := rt.decisions
-	if len(decs) != 1 || !decs[0].Hedge {
-		t.Fatalf("decision log %+v, want exactly one hedge-marked decision", decs)
+	if n := rt.Count(); n != 1 {
+		t.Fatalf("%d decisions, want exactly the one hedge", n)
+	}
+	want := fnv.New64a()
+	want.Write(appendDecision(nil, Decision{Seq: 0, Model: model.Inception, Device: 1, Hedge: true}))
+	if got := rt.DecisionHash(); got != want.Sum64() {
+		t.Fatalf("decision hash %x, want %x for one hedge-marked decision to device 1", got, want.Sum64())
 	}
 }
 
@@ -103,7 +108,7 @@ func TestHedgedRequestsFirstWinNoDoubleCount(t *testing.T) {
 		{StallEvery: 15 * time.Millisecond, StallDur: 50 * time.Millisecond},
 		nil,
 	}
-	c := newSingleHeap(t, Config{
+	c, rec := newRecorded(t, Config{
 		Seed: 9, Devices: twoDevices(), Faults: plans,
 		Route: RoundRobin, MaxBatch: 8, BatchTimeout: 4 * time.Millisecond,
 		HedgeDelay: 20 * time.Millisecond,
@@ -123,14 +128,8 @@ func TestHedgedRequestsFirstWinNoDoubleCount(t *testing.T) {
 	if st.Requests != n {
 		t.Fatalf("%d requests recorded, want %d", st.Requests, n)
 	}
-	hedgeDecs := 0
-	for _, d := range c.Router().decisions {
-		if d.Hedge {
-			hedgeDecs++
-		}
-	}
-	if hedgeDecs != st.Hedges {
-		t.Fatalf("decision log has %d hedge dispatches, stats say %d", hedgeDecs, st.Hedges)
+	if hedged := len(dispatches(rec, "hedge")); hedged != st.Hedges {
+		t.Fatalf("trace has %d hedge dispatches, stats say %d", hedged, st.Hedges)
 	}
 	if st.HedgeWins > st.Hedges {
 		t.Fatalf("hedge wins %d exceed hedges %d", st.HedgeWins, st.Hedges)

@@ -32,7 +32,7 @@
 // pure function of its initial state plus the barrier mail order, and every
 // stack draws randomness from private streams (serving.Config.IsolateRand),
 // so the sharded engine and the single-heap reference engine produce
-// bit-identical stats, decision-log hashes, and lifecycle traces.
+// bit-identical stats, decision hashes, and lifecycle traces.
 package cluster
 
 import (
@@ -84,7 +84,6 @@ type ShardedCluster struct {
 	free    []*shardedAttempt // attempt records, owned by shard 0
 
 	// Front-end bookkeeping, all owned by shard 0.
-	requests   []*ShardedRequest // retained unless Slim
 	completed  int
 	failed     int
 	hedges     int
@@ -92,9 +91,9 @@ type ShardedCluster struct {
 	partitions int
 	// byModel holds fleet-level end-to-end latency histograms recorded at
 	// settle (front-end arrival to winning report), one per model; Stats
-	// derives PerModel from these with bounded memory in both retained and
-	// Slim modes.
-	byModel map[string]*obs.Hist
+	// derives PerModel from these with bounded memory.
+	byModel  map[string]*obs.Hist
+	onSettle []func(*ShardedRequest) // OnSettle's observers
 }
 
 // ShardedRequest is one cluster-level inference request. It survives
@@ -102,14 +101,11 @@ type ShardedCluster struct {
 // hedged (a duplicate races the primary on another replica; first completion
 // wins, the loser is cancelled). Every dispatch attempt lives on its device's
 // shard; the front-end only sees attempt outcome reports. ID, Class, Hops,
-// ArriveAt, FinishAt, Err, Finished and Failed come from the shared request
-// state.
+// ArriveAt, FinishAt and Err come from the shared request state.
 type ShardedRequest struct {
 	request
 	// Model is the target model name.
 	Model string
-	// Device is the replica that finally served (or last held) the request.
-	Device int
 	// Hedged reports whether a duplicate was dispatched.
 	Hedged bool
 }
@@ -135,7 +131,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	}
 	c.fleet.init(fleetConfig{
 		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
-		route: cfg.Route, slim: cfg.Slim, maxFailovers: cfg.MaxFailovers,
+		route: cfg.Route, maxFailovers: cfg.MaxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry, debt: debtUnit(cfg),
 	}, engine)
 	reg := c.rec.Registry()
@@ -360,11 +356,8 @@ func (c *ShardedCluster) SubmitEvent(modelName string, class overload.Class) (*S
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardedRequest{Model: modelName, Device: dev}
+	r := &ShardedRequest{Model: modelName}
 	c.admit(&r.request, class, dev, "route")
-	if !c.cfg.Slim {
-		c.requests = append(c.requests, r)
-	}
 	c.send(r, dev, false)
 	if c.cfg.HedgeDelay > 0 {
 		c.armHedge(r)
@@ -394,11 +387,7 @@ func (c *ShardedCluster) attemptDone(t *shardedAttempt) {
 		return
 	}
 	if err == nil {
-		c.settle(r, att.dev, nil)
-		if att.hedge {
-			c.hedgeWins++
-			c.rec.Instant(obs.LayerCluster, "hedge_win", r.ID, int(r.Class), obs.NoDevice, int64(att.dev))
-		}
+		c.settle(r, att, nil)
 		return
 	}
 	if next, ok := c.failover(&r.request, err, r.Model, "failover"); ok {
@@ -408,16 +397,16 @@ func (c *ShardedCluster) attemptDone(t *shardedAttempt) {
 	// Terminal failure for this attempt; another attempt may still be
 	// racing, so only the last one standing settles the request.
 	if r.nlive == 0 {
-		c.settle(r, att.dev, err)
+		c.settle(r, att, err)
 	}
 }
 
-// settle decides the request and sends cancel messages for any still-racing
-// attempts; their eventual reports release the router slots.
-func (c *ShardedCluster) settle(r *ShardedRequest, dev int, err error) {
+// settle decides the request on the report of attempt att, sends cancel
+// messages for any still-racing attempts (their eventual reports release the
+// router slots), books a winning hedge and then runs the OnSettle observers.
+func (c *ShardedCluster) settle(r *ShardedRequest, att attempt, err error) {
 	c.stamp(&r.request, err)
 	if err == nil {
-		r.Device = dev
 		c.completed++
 		c.modelHist(r.Model).Observe(r.Latency())
 	} else {
@@ -429,6 +418,13 @@ func (c *ShardedCluster) settle(r *ShardedRequest, dev int, err error) {
 		agent, id := c.agents[a.dev], a.id
 		c.shards.Send(0, a.dev+1, c.net, func() { agent.enqueue(agentOp{cancel: id}) })
 		c.rec.Instant(obs.LayerCluster, "cancel_loser", r.ID, int(r.Class), obs.NoDevice, int64(a.dev))
+	}
+	if err == nil && att.hedge {
+		c.hedgeWins++
+		c.rec.Instant(obs.LayerCluster, "hedge_win", r.ID, int(r.Class), obs.NoDevice, int64(att.dev))
+	}
+	for _, fn := range c.onSettle {
+		fn(r)
 	}
 }
 
@@ -486,9 +482,10 @@ func (c *ShardedCluster) stallReported(dev int, until sim.Time) {
 // Server returns device i's serving front-end.
 func (c *ShardedCluster) Server(i int) *serving.Server { return c.servers[i] }
 
-// Requests returns all cluster-level requests submitted so far; nil in Slim
-// mode, which does not retain them.
-func (c *ShardedCluster) Requests() []*ShardedRequest { return c.requests }
+// OnSettle registers fn to run as each request settles, after every tally
+// is booked; observers run in registration order. Register before Run. An
+// observer must not mutate the request or schedule events.
+func (c *ShardedCluster) OnSettle(fn func(*ShardedRequest)) { c.onSettle = append(c.onSettle, fn) }
 
 // Stats summarises the cluster's activity so far. Rates use the shard
 // horizon (the latest virtual time any shard reached) as the elapsed-time

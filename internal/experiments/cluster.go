@@ -112,7 +112,7 @@ func (r clusterRun) run(o Options, rec *obs.Recorder, label string) (cluster.Sta
 // layer: goodput scaling from 1 to 8 devices under planned placement and
 // least-outstanding routing, fairness of per-device load, failover across
 // an injected device stall, and bit-identical same-seed determinism of the
-// whole stack including the router's decision log.
+// whole stack including the router's decision fingerprint.
 func Cluster(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
@@ -195,7 +195,7 @@ func Cluster(o Options) (*Report, error) {
 
 	// Determinism: the failover run (the hardest case — stalls, drains,
 	// re-dispatches) must be bit-identical on a second same-seed run,
-	// including the routing decision log.
+	// including the routing decision fingerprint.
 	// The probe runs un-observed: the recorder never steers the simulation,
 	// so stats and decision hash must match an observed run bit for bit.
 	fst2, err := fo.run(o, nil, "")

@@ -57,7 +57,7 @@ func (lc llmOverloadCell) config() cluster.LLMConfig {
 
 // overloadTally is the per-request accounting the stats cannot reconstruct:
 // interactive TTFT SLO attainment needs raw per-request latencies, not
-// percentiles.
+// percentiles, so run tallies each request as it settles.
 type overloadTally struct {
 	interCompleted int
 	interWithinSLO int
@@ -70,6 +70,15 @@ func (lc llmOverloadCell) run(engine cluster.Engine) (cluster.LLMClusterStats, o
 	if err != nil {
 		return cluster.LLMClusterStats{}, overloadTally{}, nil, err
 	}
+	var tally overloadTally
+	c.OnSettle(func(r *cluster.LLMRequest) {
+		if r.Class == overload.Interactive && r.Err == nil {
+			tally.interCompleted++
+			if ttft := r.TTFT(); ttft > 0 && ttft <= lc.ttftSLO {
+				tally.interWithinSLO++
+			}
+		}
+	})
 	rng := rand.New(rand.NewSource(lc.seed ^ 0x6f766c64))
 	at := time.Duration(0)
 	st, vs, err := invariant.DriveLLM(c, lc.requests, func() invariant.Arrival {
@@ -86,16 +95,6 @@ func (lc llmOverloadCell) run(engine cluster.Engine) (cluster.LLMClusterStats, o
 	}
 	if err != nil {
 		return cluster.LLMClusterStats{}, overloadTally{}, nil, err
-	}
-	var tally overloadTally
-	for _, r := range c.Requests() {
-		if r.Class != overload.Interactive || r.Err != nil {
-			continue
-		}
-		tally.interCompleted++
-		if ttft := r.TTFT(); ttft > 0 && ttft <= lc.ttftSLO {
-			tally.interWithinSLO++
-		}
 	}
 	return st, tally, vs, nil
 }

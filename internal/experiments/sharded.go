@@ -90,7 +90,7 @@ func shardedIdentity(o Options, engine cluster.Engine) (cluster.Stats, error) {
 }
 
 // shardedSweep drives an open-loop Poisson sweep of the micro model through
-// a sharded cluster in slim mode, returning stats and the wall-clock time of
+// a sharded cluster, returning stats and the wall-clock time of
 // the whole driven run. The arrival train holds one pending event however
 // long it is, and all randomness lives in one private seeded stream drawn
 // as the train advances — both engines see the identical arrival sequence.
@@ -102,7 +102,6 @@ func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float
 		Route:        cluster.LeastOutstanding,
 		MaxBatch:     16,
 		BatchTimeout: 2 * time.Millisecond,
-		Slim:         true,
 	}, engine)
 	if err != nil {
 		return cluster.Stats{}, 0, err
@@ -128,8 +127,8 @@ func shardedSweep(engine cluster.Engine, devices, requests int, perDevRate float
 
 // Sharded exercises the sharded simulation core: the per-device engine must
 // be bit-identical to the single-heap reference on the hardest failover
-// scenario, and the same sweep must scale to a 64-device fleet in slim mode
-// with bounded memory. Both engines run serially; the sharded one keeps
+// scenario, and the same sweep must scale to a 64-device fleet with bounded
+// memory. Both engines run serially; the sharded one keeps
 // per-shard heaps small. Wall-clock numbers are hardware-dependent and are
 // reported as observations, not asserted.
 func Sharded(o Options) (*Report, error) {
@@ -145,7 +144,7 @@ func Sharded(o Options) (*Report, error) {
 	}
 
 	// Identity: the single-heap reference versus the sharded engine must
-	// agree on every stat, including the decision-log hash.
+	// agree on every stat, including the decision hash.
 	ref, identical, deterministic, err := engineIdentity(func(engine cluster.Engine) (cluster.Stats, error) {
 		return shardedIdentity(o, engine)
 	})
@@ -187,9 +186,9 @@ func Sharded(o Options) (*Report, error) {
 	rep.AddNote("8-device wall-clock speedup of serial sharding over the single heap: %.2fx (single-heap wall / sharded wall; hardware-dependent)", speedup)
 	rep.SetMetric("speedup_8dev", speedup)
 
-	// Scale: a 64-device fleet in slim mode. Slim retains no front-end
-	// request list or decision log, so memory grows only by the devices'
-	// per-job accounting (tens of bytes per request) and the full-size run
+	// Scale: a 64-device fleet. No layer retains a settled request or a
+	// routing decision, so memory grows only by the devices' per-job
+	// accounting (tens of bytes per request) and the full-size run
 	// extrapolates linearly to the 10M-request sweep.
 	st, wall, err := shardedSweep(cluster.Sharded, 64, scaleN, perDevRate, o.Seed+3)
 	if err != nil {

@@ -21,10 +21,13 @@ type Arrival struct {
 // DriveSharded feeds n arrivals pulled from next into a freshly built fleet,
 // runs it to quiescence, shuts it down, folds its recording under label (a
 // no-op when recording is off) and returns its stats audited by
-// CheckSharded plus arrival conservation: every arrival was either routed
-// or rejected at submit. A rejection is not an error; callers that expect
-// none compare st.Requests with n.
+// CheckSharded, by the settle audit it registers before the run, and by
+// arrival conservation: every arrival was either routed or rejected at
+// submit. A rejection is not an error; callers that expect none compare
+// st.Requests with n.
 func DriveSharded(c *cluster.ShardedCluster, n int, next func() Arrival, label string) (cluster.Stats, []Violation, error) {
+	var audit settleAudit
+	c.OnSettle(audit.sharded)
 	st, rejected, err := drive(c, n, next, label, func(a *Arrival) error {
 		_, err := c.SubmitEvent(a.Model, a.Class)
 		return err
@@ -32,12 +35,15 @@ func DriveSharded(c *cluster.ShardedCluster, n int, next func() Arrival, label s
 	if err != nil {
 		return st, nil, err
 	}
-	return st, append(CheckSharded(c, st), arrivals(n, st.Requests, rejected)...), nil
+	vs := append(CheckSharded(c, st), audit.check(st.Requests, st.Completed, st.Failed, 0)...)
+	return st, append(vs, arrivals(n, st.Requests, rejected)...), nil
 }
 
 // DriveLLM is DriveSharded for a disaggregated LLM fleet, audited by
-// CheckLLM.
+// CheckLLM and the settle audit's token rules.
 func DriveLLM(c *cluster.LLMCluster, n int, next func() Arrival, label string) (cluster.LLMClusterStats, []Violation, error) {
+	var audit settleAudit
+	c.OnSettle(audit.llm)
 	st, rejected, err := drive(c, n, next, label, func(a *Arrival) error {
 		_, err := c.SubmitEvent(a.Class, a.Prompt, a.Output)
 		return err
@@ -45,7 +51,8 @@ func DriveLLM(c *cluster.LLMCluster, n int, next func() Arrival, label string) (
 	if err != nil {
 		return st, nil, err
 	}
-	return st, append(CheckLLM(c, st), arrivals(n, st.Requests, rejected)...), nil
+	vs := append(CheckLLM(c, st), audit.check(st.Requests, st.Completed, st.Failed+st.Shed+st.Expired, st.TokensDelivered)...)
+	return st, append(vs, arrivals(n, st.Requests, rejected)...), nil
 }
 
 // fleet is the lifecycle both cluster planes share.

@@ -13,7 +13,9 @@
 //
 // Every open-loop fleet run goes through one driver (drive.go): DriveSharded
 // and DriveLLM feed an Arrival train into a fleet, run and shut it down, and
-// return its stats with these audits and arrival conservation applied.
+// return its stats with these audits and arrival conservation applied. The
+// per-request rules run as each request settles (settle.go), so no layer
+// keeps a finished request for them.
 package invariant
 
 import (
@@ -99,39 +101,26 @@ func CheckStats(st cluster.Stats) []Violation {
 }
 
 // CheckSharded audits a quiesced sharded cluster beyond what its stats
-// expose: no dispatch attempt may still be in flight, the router must hold no
-// outstanding slots, and every retained request must have settled exactly
-// once, in counts matching the aggregate stats.
+// expose: no dispatch attempt may still be in flight and the router must
+// hold no outstanding slots. DriveSharded adds the per-request rules, which
+// it runs as each request settles.
 func CheckSharded(c *cluster.ShardedCluster, st cluster.Stats) []Violation {
-	vs := CheckStats(st)
-	if n := c.OutstandingAttempts(); n != 0 {
+	return append(CheckStats(st), quiesced(c.OutstandingAttempts(), c.Router(), c.Devices())...)
+}
+
+// quiesced audits a fleet after its run quiesced: it must have no
+// outstanding dispatch attempt, and its router no slot held on any of its
+// devices.
+func quiesced(outstanding int, rt *cluster.Router, devices int) []Violation {
+	var vs []Violation
+	if outstanding != 0 {
 		vs = append(vs, violatef("attempts-quiesced",
-			"%d dispatch attempts still in flight after the run quiesced", n))
+			"%d dispatch attempts still in flight after the run quiesced", outstanding))
 	}
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
+	for d := 0; d < devices; d++ {
 		if n := rt.Outstanding(d); n != 0 {
 			vs = append(vs, violatef("router-outstanding",
 				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
-	if reqs := c.Requests(); reqs != nil {
-		completed, failed := 0, 0
-		for _, r := range reqs {
-			switch {
-			case !r.Finished():
-				vs = append(vs, violatef("request-stranded",
-					"request %d (%s) never reached a terminal state", r.ID, r.Model))
-			case r.Failed():
-				failed++
-			default:
-				completed++
-			}
-		}
-		if completed != st.Completed || failed != st.Failed {
-			vs = append(vs, violatef("retained-mismatch",
-				"retained requests settle as %d completed / %d failed but stats report %d / %d",
-				completed, failed, st.Completed, st.Failed))
 		}
 	}
 	return vs

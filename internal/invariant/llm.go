@@ -91,47 +91,8 @@ func CheckLLMStats(st cluster.LLMClusterStats) []Violation {
 }
 
 // CheckLLM audits a quiesced fleet beyond its stats: no dispatch attempt in
-// flight, no router slot held, and every retained request terminal with
-// token counts matching the aggregate tally.
+// flight and no router slot held. DriveLLM adds the per-request rules, which
+// it runs as each request settles.
 func CheckLLM(c *cluster.LLMCluster, st cluster.LLMClusterStats) []Violation {
-	vs := CheckLLMStats(st)
-	if n := c.OutstandingAttempts(); n != 0 {
-		vs = append(vs, violatef("attempts-quiesced",
-			"%d dispatch attempts still in flight after the run quiesced", n))
-	}
-	rt := c.Router()
-	for d := 0; d < c.Devices(); d++ {
-		if n := rt.Outstanding(d); n != 0 {
-			vs = append(vs, violatef("router-outstanding",
-				"device %d holds %d outstanding routing slots after quiescence", d, n))
-		}
-	}
-	if reqs := c.Requests(); reqs != nil {
-		tokens := 0
-		for _, r := range reqs {
-			if !r.Finished() {
-				vs = append(vs, violatef("request-stranded",
-					"llm request %d never reached a terminal state", r.ID))
-				continue
-			}
-			tokens += r.TokensOut
-			// OutputTokens is the original budget; degraded-mode cuts are
-			// tracked in Truncated, so the effective budget is the difference.
-			if r.TokensOut > r.OutputTokens-r.Truncated {
-				vs = append(vs, violatef("llm-over-generation",
-					"request %d delivered %d of %d budgeted tokens (%d truncated)",
-					r.ID, r.TokensOut, r.OutputTokens, r.Truncated))
-			}
-			if r.Err == nil && r.TokensOut+r.Truncated != r.OutputTokens {
-				vs = append(vs, violatef("llm-under-generation",
-					"completed request %d delivered %d + %d truncated of %d tokens",
-					r.ID, r.TokensOut, r.Truncated, r.OutputTokens))
-			}
-		}
-		if tokens != st.TokensDelivered {
-			vs = append(vs, violatef("llm-delivery-tally",
-				"retained requests sum to %d delivered tokens, stats say %d", tokens, st.TokensDelivered))
-		}
-	}
-	return vs
+	return append(CheckLLMStats(st), quiesced(c.OutstandingAttempts(), c.Router(), c.Devices())...)
 }

@@ -82,6 +82,9 @@ type Request struct {
 	// HandedOff marks a prefill-role request whose KV left for a decode
 	// replica: locally terminal and successful, but not a completion.
 	HandedOff bool
+	// AdmitCost is the admission-gate tokens the serving replica charged
+	// for the request, zeroed when it releases them (0 = none charged).
+	AdmitCost int32
 
 	// ArriveAt is submission time; PrefillStartAt the first prefill kernel's
 	// start (0 = never scheduled); FirstTokenAt the first token's emission;

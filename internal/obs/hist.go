@@ -81,7 +81,7 @@ type Hist struct {
 }
 
 // NewHist returns a standalone histogram not registered anywhere. Layers use
-// it to keep bounded-memory latency summaries (slim-mode Stats) even when
+// it to keep bounded-memory latency summaries for Stats even when
 // observability is off.
 func NewHist() *Hist { return &Hist{} }
 

@@ -224,17 +224,18 @@ type LLMServer struct {
 
 	reqCount int
 
-	limiter   *overload.Limiter
-	admitCost map[int]int // request ID -> charged admission tokens
-	kvBudget  int64       // device memory left for KV after weights
-	degraded  bool
+	limiter  *overload.Limiter
+	kvBudget int64 // device memory left for KV after weights
+	degraded bool
 
-	submitted, completed, handedOff, failed, shed int
-	expired, partial, partialTokens               int
-	ingested, preemptions, kernelRetries          int
-	tokensEmitted, emittedByRequests              int
-	truncated, degradedEvents, tpotMisses         int
-	byClass                                       metrics.ByClass
+	submitted, completed, handedOff, failed int
+	partial, partialTokens                  int
+	ingested, preemptions, kernelRetries    int
+	tokensEmitted, emittedByRequests        int
+	truncated, degradedEvents               int
+	// byClass holds the per-class tallies; Stats sums Shed, Expired and
+	// TPOTMisses from them.
+	byClass metrics.ByClass
 	// Per-class tallies behind class-labelled counters; Stats sums them.
 	admissionSheds, truncatedTokens, sloAttained [overload.NumClasses]int
 
@@ -318,7 +319,6 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	}
 	if cfg.Admission != nil {
 		s.limiter = overload.NewLimiter(*cfg.Admission, overload.Tokens)
-		s.admitCost = make(map[int]int)
 	}
 	reg := cfg.Obs.Registry()
 	devLabel := strconv.Itoa(cfg.Device)
@@ -383,7 +383,6 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 		}
 		if !s.limiter.HasCapacity(class, cost) {
 			s.limiter.NoteShed()
-			s.shed++
 			s.admissionSheds[class]++
 			s.byClass[class].Shed++
 			s.rec.Instant(obs.LayerServing, "llm_admit_shed", s.reqCount, int(class), s.obsDev, int64(cost))
@@ -391,7 +390,6 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 		}
 	}
 	if s.cfg.MaxQueue > 0 && s.batch.QueueLen() >= s.cfg.MaxQueue {
-		s.shed++
 		s.byClass[class].Shed++
 		s.rec.Instant(obs.LayerServing, "llm_shed", s.reqCount, int(class), s.obsDev, int64(s.batch.QueueLen()))
 		return nil, ErrQueueFull
@@ -400,7 +398,7 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 	s.reqCount++
 	if s.limiter != nil {
 		s.limiter.Acquire(cost)
-		s.admitCost[r.ID] = cost
+		r.AdmitCost = int32(cost)
 	}
 	s.batch.Enqueue(r)
 	s.cond.Signal()
@@ -551,18 +549,15 @@ func (s *LLMServer) congest(now sim.Time) {
 	}
 }
 
-// releaseAdmission returns an admitted request's charged tokens to the gate
-// and reports the cost (0 when the gate is unarmed or the request was never
-// charged, e.g. a decode-role ingest).
+// releaseAdmission returns an admitted request's charged tokens to the gate,
+// exactly once, and reports the cost (0 when the gate is unarmed or the
+// request was never charged, e.g. a decode-role ingest).
 func (s *LLMServer) releaseAdmission(r *llm.Request) int {
-	if s.limiter == nil {
+	cost := int(r.AdmitCost)
+	if cost == 0 {
 		return 0
 	}
-	cost, ok := s.admitCost[r.ID]
-	if !ok {
-		return 0
-	}
-	delete(s.admitCost, r.ID)
+	r.AdmitCost = 0
 	s.limiter.Release(cost)
 	return cost
 }
@@ -580,7 +575,6 @@ func (s *LLMServer) expireTTFT(r *llm.Request, now sim.Time) bool {
 	if wait <= s.cfg.TTFTDeadline {
 		return false
 	}
-	s.expired++
 	s.byClass[r.Class].Expired++
 	s.rec.Instant(obs.LayerServing, "llm_expired", r.ID, int(r.Class), s.obsDev, int64(wait))
 	s.congest(now)
@@ -803,7 +797,6 @@ func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 	ok := s.cfg.TTFTDeadline <= 0 || r.TTFT() <= s.cfg.TTFTDeadline
 	if s.cfg.TPOTBudget > 0 && r.TPOT() > s.cfg.TPOTBudget {
 		ok = false
-		s.tpotMisses++
 		s.byClass[r.Class].DeadlineMisses++
 	}
 	cost := s.releaseAdmission(r)
@@ -846,19 +839,16 @@ func (s *LLMServer) Stats() LLMStats {
 	if s.limiter != nil {
 		limit = s.limiter.Limit()
 	}
-	return LLMStats{
+	st := LLMStats{
 		Model:             s.cfg.Model,
 		Requests:          s.submitted,
 		Completed:         s.completed,
 		HandedOff:         s.handedOff,
 		Failed:            s.failed,
-		Shed:              s.shed,
-		Expired:           s.expired,
 		AdmissionSheds:    classSum(s.admissionSheds),
 		Truncated:         s.truncated,
 		TruncatedTokens:   classSum(s.truncatedTokens),
 		DegradedEvents:    s.degradedEvents,
-		TPOTMisses:        s.tpotMisses,
 		SLOAttained:       classSum(s.sloAttained),
 		AdmitLimit:        limit,
 		Partial:           s.partial,
@@ -875,6 +865,12 @@ func (s *LLMServer) Stats() LLMStats {
 		MemoryPeak:        s.dev.Stats().MemoryPeak,
 		ByClass:           s.byClass,
 	}
+	for _, c := range s.byClass {
+		st.Shed += c.Shed
+		st.Expired += c.Expired
+		st.TPOTMisses += c.DeadlineMisses
+	}
+	return st
 }
 
 // classSum totals a per-class tally.

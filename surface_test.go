@@ -33,7 +33,6 @@ var surfaceAllow = map[string]string{
 // fieldAllow lists the unexported struct fields no non-test code reads that
 // stay anyway, each with its reason.
 var fieldAllow = map[string]string{
-	"cluster.Router.decisions":    "oracle: the cluster routing tests read each dispatch from the retained log",
 	"gpu.ownerAcct.count":         "oracle: the gpu tests check per-owner kernel counts with it",
 	"overload.RetryBudget.denied": "oracle: the retry-budget tests count denied retries with it",
 }
