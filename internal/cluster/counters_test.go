@@ -193,6 +193,7 @@ func llmTwins(c *LLMCluster, st LLMClusterStats) map[string]float64 {
 		}
 	}
 	for family, v := range map[string]int{
+		"olympian_cluster_routes_total":           st.Requests + st.Transfers,
 		"olympian_cluster_failovers_total":        st.Failovers,
 		"olympian_cluster_crashes_total":          st.Crashes,
 		"olympian_cluster_revives_total":          st.Revives,
@@ -213,7 +214,6 @@ var noTwin = map[string]string{
 	"olympian_executor_jobs_total":       "the executor keeps no job tally",
 	"olympian_executor_job_aborts_total": "the executor keeps no abort tally; Degraded.JobAborts counts injected aborts only, not crash or retry-exhaustion aborts",
 	"olympian_cluster_drains_total":      "stall and crash drains on the device shard; no tally",
-	"olympian_cluster_routes_total":      "an LLM fleet routes each request once for prefill and again for decode; no LLMClusterStats field counts both",
 	"olympian_llm_kv_exhausted_total":    "KV-exhaustion failures are folded into Failed; no separate tally",
 	"olympian_llm_decode_steps_total":    "the LLM server keeps no step tally",
 	"olympian_llm_prefills_total":        "the LLM server keeps no prefill-pass tally (recomputes included)",

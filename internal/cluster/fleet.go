@@ -46,13 +46,12 @@ type fleet struct {
 	// ShardedCluster reads each device's own counts instead.
 	failovers, crashes, revives int
 
-	// reqCount numbers arrivals; nextAttempt numbers dispatch attempts
-	// (monotonic, never reused, so a stale cancel can never match a later
-	// attempt); outstanding counts attempts not yet folded; maxFailovers
-	// caps each request's drain re-dispatches.
+	// reqCount numbers arrivals, each routed once, so the routes counter
+	// reads it; nextAttempt numbers dispatch attempts (monotonic, never
+	// reused, so a stale cancel can never match a later attempt);
+	// outstanding counts attempts not yet folded; maxFailovers caps each
+	// request's drain re-dispatches.
 	reqCount, nextAttempt, outstanding, maxFailovers int
-
-	routesC *obs.Series
 }
 
 // request is the front-end state ShardedRequest and LLMRequest share, owned
@@ -137,7 +136,7 @@ func (f *fleet) init(fc fleetConfig, engine Engine) {
 	}
 	f.rec = f.children[0]
 	reg := f.rec.Registry()
-	f.routesC = reg.Counter("olympian_cluster_routes_total", "Routing decisions.")
+	reg.CounterView("olympian_cluster_routes_total", "Routing decisions.", &f.reqCount)
 	reg.CounterView("olympian_cluster_failovers_total", "Requests re-dispatched after a drain.", &f.failovers)
 	reg.CounterView("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.", &f.crashes)
 	reg.CounterView("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.", &f.revives)
@@ -158,7 +157,6 @@ func failoverCap(n, def int) int {
 func (f *fleet) admit(r *request, class overload.Class, dev int, instant string) {
 	r.ID, r.Class, r.ArriveAt = f.reqCount, class, f.shards.Env(0).Now()
 	f.reqCount++
-	f.routesC.Inc()
 	f.rec.Instant(obs.LayerCluster, instant, r.ID, int(class), obs.NoDevice, int64(dev))
 }
 

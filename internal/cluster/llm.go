@@ -239,11 +239,12 @@ type LLMCluster struct {
 	retryBudget *overload.RetryBudget
 	retryRng    *rand.Rand
 
-	completed, failed, shed, expired int
-	partial, partialTokens           int
-	retries, retryDenied             int
-	tokensDelivered, truncatedTokens int
-	perClass                         [overload.NumClasses]LLMClassStats
+	partial, partialTokens int
+	retries, retryDenied   int
+	tokensDelivered        int
+	handoffs               int // KV shipments booked on the transfer links
+	// perClass holds the settlement tallies the fleet totals sum.
+	perClass [overload.NumClasses]LLMClassStats
 
 	// Fleet-level TTFT/TPOT histograms recorded at settle on shard 0; the
 	// "all" series aggregates every class, the per-class series slice the
@@ -252,8 +253,7 @@ type LLMCluster struct {
 	ttftHist, tpotHist     *obs.Hist
 	classTTFTs, classTPOTs [overload.NumClasses]*obs.Hist
 
-	handoffsC *obs.Series
-	onSettle  []func(*LLMRequest) // OnSettle's observers
+	onSettle []func(*LLMRequest) // OnSettle's observers
 }
 
 // NewLLM builds the disaggregated fleet: shard 0 the front-end, shard i+1
@@ -300,7 +300,9 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 		},
 	}, engine)
 	reg := c.rec.Registry()
-	c.handoffsC = reg.Counter("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.")
+	// A decode hand-off is a second routing decision for its request.
+	reg.CounterView("olympian_cluster_routes_total", "Routing decisions.", &c.handoffs)
+	reg.CounterView("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.", &c.handoffs)
 	reg.CounterView("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.", &c.retries)
 	reg.CounterView("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.", &c.retryDenied)
 	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
@@ -531,14 +533,13 @@ func (c *LLMCluster) handoff(r *LLMRequest, dev int, rep llmReport) {
 		c.settle(r, err)
 		return
 	}
-	c.routesC.Inc()
 	kvPerTok, _ := model.LLMKVBytesPerToken(c.cfg.Model)
 	bytes := int64(rep.kvTokens) * kvPerTok
 	now := c.shards.Env(0).Now()
 	// The link index is the prefill device's position in the prefill pool;
 	// prefill devices are 0..P-1, so it is dev itself.
 	done := c.links[dev].Transfer(now, bytes)
-	c.handoffsC.Inc()
+	c.handoffs++
 	c.rec.Instant(obs.LayerCluster, "llm_handoff", r.ID, int(r.Class), dev, bytes)
 	c.dispatchDecode(r, ddev, rep, done.Sub(now))
 }
@@ -620,12 +621,10 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 func (c *LLMCluster) settle(r *LLMRequest, err error) {
 	c.stamp(&r.request, err)
 	c.tokensDelivered += r.TokensOut
-	c.truncatedTokens += r.Truncated
 	pc := &c.perClass[r.Class]
 	pc.TruncatedTokens += r.Truncated
 	switch {
 	case err == nil:
-		c.completed++
 		pc.Completed++
 		c.retryBudget.OnSuccess()
 		if ttft := r.TTFT(); ttft > 0 {
@@ -637,15 +636,12 @@ func (c *LLMCluster) settle(r *LLMRequest, err error) {
 			c.classTPOTs[r.Class].Observe(tpot)
 		}
 	case errors.Is(err, serving.ErrExpired):
-		c.expired++
 		pc.Expired++
 		pc.LostTokens += r.OutputTokens - r.Truncated - r.TokensOut
 	case errors.Is(err, serving.ErrQueueFull), errors.Is(err, serving.ErrShed):
-		c.shed++
 		pc.Shed++
 		pc.LostTokens += r.OutputTokens - r.Truncated - r.TokensOut
 	default:
-		c.failed++
 		pc.Failed++
 		pc.LostTokens += r.OutputTokens - r.Truncated - r.TokensOut
 		if r.TokensOut > 0 {
@@ -744,10 +740,6 @@ func (c *LLMCluster) Stats() LLMClusterStats {
 		PrefillReplicas: c.cfg.PrefillReplicas,
 		DecodeReplicas:  c.cfg.DecodeReplicas,
 		Requests:        c.reqCount,
-		Completed:       c.completed,
-		Failed:          c.failed,
-		Shed:            c.shed,
-		Expired:         c.expired,
 		Partial:         c.partial,
 		PartialTokens:   c.partialTokens,
 		Failovers:       c.failovers,
@@ -755,8 +747,8 @@ func (c *LLMCluster) Stats() LLMClusterStats {
 		Revives:         c.revives,
 		Retries:         c.retries,
 		RetryDenied:     c.retryDenied,
-		TruncatedTokens: c.truncatedTokens,
 		TokensDelivered: c.tokensDelivered,
+		Transfers:       c.handoffs,
 		Tokens: metrics.TokenPercentiles{
 			TTFT: serving.HistPercentiles(c.ttftHist),
 			TPOT: serving.HistPercentiles(c.tpotHist),
@@ -766,8 +758,14 @@ func (c *LLMCluster) Stats() LLMClusterStats {
 		DecisionHash: c.router.DecisionHash(),
 	}
 	for cls := range st.PerClass {
-		st.PerClass[cls].TTFT = serving.HistPercentiles(c.classTTFTs[cls])
-		st.PerClass[cls].TPOT = serving.HistPercentiles(c.classTPOTs[cls])
+		pc := &st.PerClass[cls]
+		st.Completed += pc.Completed
+		st.Failed += pc.Failed
+		st.Shed += pc.Shed
+		st.Expired += pc.Expired
+		st.TruncatedTokens += pc.TruncatedTokens
+		pc.TTFT = serving.HistPercentiles(c.classTTFTs[cls])
+		pc.TPOT = serving.HistPercentiles(c.classTPOTs[cls])
 	}
 	for _, srv := range c.servers {
 		ds := srv.Stats()
@@ -776,7 +774,6 @@ func (c *LLMCluster) Stats() LLMClusterStats {
 		st.Preemptions += ds.Preemptions
 	}
 	for _, l := range c.links {
-		st.Transfers += l.Transfers()
 		st.TransferBytes += l.Bytes()
 	}
 	if now := c.shards.Horizon(); now > 0 {

@@ -60,16 +60,24 @@ func CheckClasses(scope string, d metrics.Degraded) []Violation {
 	return vs
 }
 
-// CheckServing audits one device's serving stats after its run quiesced.
+// CheckServing audits one device's serving stats after its run quiesced,
+// including that each shed had one reason: drop, admission shed or eviction.
 func CheckServing(scope string, st serving.Stats) []Violation {
 	vs := CheckClasses(scope, st.Degraded)
-	var submitted int
+	var submitted, shed int
 	for _, c := range st.Degraded.ByClass {
 		submitted += c.Submitted
+		shed += c.Shed
 	}
 	if submitted != st.Requests {
 		vs = append(vs, violatef("serving-conservation",
 			"%s: %d requests submitted but class tallies sum to %d", scope, st.Requests, submitted))
+	}
+	d := st.Degraded
+	if reasons := d.Drops + d.AdmissionSheds + d.Evictions; shed != reasons {
+		vs = append(vs, violatef("serving-shed-partition",
+			"%s: class tallies shed %d but drops %d + admission sheds %d + evictions %d = %d",
+			scope, shed, d.Drops, d.AdmissionSheds, d.Evictions, reasons))
 	}
 	return vs
 }

@@ -24,8 +24,6 @@ type Link struct {
 	latency   time.Duration
 	bytesPS   float64
 	busyUntil sim.Time
-
-	transfers int
 	bytes     int64
 }
 
@@ -52,13 +50,9 @@ func (l *Link) Transfer(now sim.Time, bytes int64) sim.Time {
 	}
 	dur := l.latency + time.Duration(float64(bytes)/l.bytesPS*float64(time.Second))
 	l.busyUntil = start.Add(dur)
-	l.transfers++
 	l.bytes += bytes
 	return l.busyUntil
 }
-
-// Transfers returns how many shipments the link carried.
-func (l *Link) Transfers() int { return l.transfers }
 
 // Bytes returns the total payload carried.
 func (l *Link) Bytes() int64 { return l.bytes }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"olympian/internal/faults"
+	"olympian/internal/llm"
 	"olympian/internal/model"
 	"olympian/internal/obs"
 	"olympian/internal/overload"
@@ -99,7 +100,9 @@ func TestServerCountersReadStats(t *testing.T) {
 }
 
 // TestLLMCountersReadStats does the same for an LLM replica pushed through
-// TTFT expiry, TPOT misses and the admission gate.
+// TTFT expiry, TPOT misses, the admission gate and prefill hand-offs, and
+// checks that the class tally sums to the replica totals: a hand-off is its
+// own outcome, never a class completion.
 func TestLLMCountersReadStats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -110,6 +113,7 @@ func TestLLMCountersReadStats(t *testing.T) {
 		{"tpot-miss", LLMConfig{TPOTBudget: time.Nanosecond}, func(st LLMStats) int { return st.TPOTMisses }},
 		{"admission-shed", LLMConfig{Admission: &overload.AIMDConfig{Initial: 300, Min: 64, Max: 1024}},
 			func(st LLMStats) int { return st.AdmissionSheds }},
+		{"prefill-handoff", LLMConfig{Role: llm.PrefillRole}, func(st LLMStats) int { return st.HandedOff }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
@@ -129,6 +133,15 @@ func TestLLMCountersReadStats(t *testing.T) {
 			st := srv.Stats()
 			if tc.want(st) == 0 {
 				t.Fatalf("case exercised nothing: %+v", st)
+			}
+			var submitted, completed int
+			for _, c := range st.ByClass {
+				submitted += c.Submitted
+				completed += c.Completed
+			}
+			if submitted != st.Requests || completed != st.Completed {
+				t.Errorf("class tally sums to %d submitted, %d completed; Stats has %d requests, %d completed",
+					submitted, completed, st.Requests, st.Completed)
 			}
 			got := familyTotals(rec)
 			for family, want := range map[string]int{

@@ -199,7 +199,9 @@ type LLMStats struct {
 	// AdmitLimit is the token-rate gate's final adaptive limit (0 when the
 	// gate is unarmed).
 	AdmitLimit float64
-	// ByClass carries per-class conservation counters.
+	// ByClass carries per-class conservation counters over local outcomes
+	// only: a hand-off counts in HandedOff and in no class, so
+	// Σ_c ByClass[c].Submitted == Requests but the class outcomes omit it.
 	ByClass metrics.ByClass
 }
 
@@ -228,13 +230,12 @@ type LLMServer struct {
 	kvBudget int64 // device memory left for KV after weights
 	degraded bool
 
-	submitted, completed, handedOff, failed int
-	partial, partialTokens                  int
-	ingested, preemptions, kernelRetries    int
-	tokensEmitted, emittedByRequests        int
-	truncated, degradedEvents               int
-	// byClass holds the per-class tallies; Stats sums Shed, Expired and
-	// TPOTMisses from them.
+	handedOff, partial, partialTokens    int
+	ingested, preemptions, kernelRetries int
+	tokensEmitted, emittedByRequests     int
+	truncated, degradedEvents            int
+	// byClass holds the per-class tallies; Stats sums Requests, Completed,
+	// Failed, Shed, Expired and TPOTMisses from them.
 	byClass metrics.ByClass
 	// Per-class tallies behind class-labelled counters; Stats sums them.
 	admissionSheds, truncatedTokens, sloAttained [overload.NumClasses]int
@@ -325,9 +326,11 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	s.ttftHist = obs.EnsureHist(reg.Histogram("olympian_llm_ttft_seconds", "Time to first token over completions.", "device", devLabel))
 	s.tpotHist = obs.EnsureHist(reg.Histogram("olympian_llm_tpot_seconds", "Mean inter-token gap over completions.", "device", devLabel))
 	s.qdHist = obs.EnsureHist(reg.Histogram("olympian_llm_queue_delay_seconds", "Arrival-to-first-prefill queue delay.", "device", devLabel))
-	reg.CounterView("olympian_llm_requests_total", "LLM requests arrived (submit or ingest).", &s.submitted, "device", devLabel)
-	reg.CounterView("olympian_llm_completed_total", "LLM requests completed.", &s.completed, "device", devLabel)
-	reg.CounterView("olympian_llm_failed_total", "LLM requests failed.", &s.failed, "device", devLabel)
+	for c := range s.byClass {
+		reg.CounterView("olympian_llm_requests_total", "LLM requests arrived (submit or ingest).", &s.byClass[c].Submitted, "device", devLabel)
+		reg.CounterView("olympian_llm_completed_total", "LLM requests completed.", &s.byClass[c].Completed, "device", devLabel)
+		reg.CounterView("olympian_llm_failed_total", "LLM requests failed.", &s.byClass[c].Failed, "device", devLabel)
+	}
 	reg.CounterView("olympian_llm_tokens_total", "Output tokens emitted.", &s.tokensEmitted, "device", devLabel)
 	reg.CounterView("olympian_llm_preemptions_total", "Sequences evicted from KV cache.", &s.preemptions, "device", devLabel)
 	reg.CounterView("olympian_llm_handoffs_total", "Prefilled sequences shipped to decode replicas.", &s.handedOff, "device", devLabel)
@@ -368,10 +371,8 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 	if !class.Valid() {
 		return nil, fmt.Errorf("serving: invalid class %d", class)
 	}
-	s.submitted++
 	s.byClass[class].Submitted++
 	if s.dev.Dead() {
-		s.failed++
 		s.byClass[class].Failed++
 		return nil, ErrDrained
 	}
@@ -416,10 +417,8 @@ func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriv
 	if !class.Valid() {
 		return nil, fmt.Errorf("serving: invalid class %d", class)
 	}
-	s.submitted++
 	s.byClass[class].Submitted++
 	if s.dev.Dead() {
-		s.failed++
 		s.byClass[class].Failed++
 		return nil, ErrDrained
 	}
@@ -680,7 +679,6 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 		s.kv.Release(r.ID)
 		r.HandedOff = true
 		s.handedOff++
-		s.byClass[r.Class].Completed++
 		s.emittedByRequests += r.EmittedHere()
 		s.rec.Instant(obs.LayerServing, "llm_handoff", r.ID, int(r.Class), s.obsDev, int64(r.KVTokens()))
 		cost := s.releaseAdmission(r)
@@ -785,7 +783,6 @@ growth:
 // SLO budgets: a late first token or an over-budget mean inter-token gap
 // forfeits SLO attainment (and the admission gate's additive increase).
 func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
-	s.completed++
 	s.byClass[r.Class].Completed++
 	s.emittedByRequests += r.EmittedHere()
 	if ttft := r.TTFT(); ttft > 0 {
@@ -812,7 +809,6 @@ func (s *LLMServer) bookComplete(r *llm.Request, now sim.Time) {
 // bookFail retires a failed request, keeping its delivered tokens visible as
 // partial work rather than folding them into a plain failure.
 func (s *LLMServer) bookFail(r *llm.Request, err error, now sim.Time) {
-	s.failed++
 	s.byClass[r.Class].Failed++
 	s.emittedByRequests += r.EmittedHere()
 	if r.EmittedHere() > 0 {
@@ -841,10 +837,7 @@ func (s *LLMServer) Stats() LLMStats {
 	}
 	st := LLMStats{
 		Model:             s.cfg.Model,
-		Requests:          s.submitted,
-		Completed:         s.completed,
 		HandedOff:         s.handedOff,
-		Failed:            s.failed,
 		AdmissionSheds:    classSum(s.admissionSheds),
 		Truncated:         s.truncated,
 		TruncatedTokens:   classSum(s.truncatedTokens),
@@ -866,6 +859,9 @@ func (s *LLMServer) Stats() LLMStats {
 		ByClass:           s.byClass,
 	}
 	for _, c := range s.byClass {
+		st.Requests += c.Submitted
+		st.Completed += c.Completed
+		st.Failed += c.Failed
 		st.Shed += c.Shed
 		st.Expired += c.Expired
 		st.TPOTMisses += c.DeadlineMisses

@@ -264,7 +264,6 @@ type Server struct {
 
 	reqCount int
 	batches  int
-	clients  int
 	// batchSizes sums the batch sizes completed requests rode in, for
 	// Stats.MeanBatchSize.
 	batchSizes int
@@ -373,7 +372,9 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	reg.CounterView("olympian_serving_batches_total", "Batches dispatched.", &s.batches, "device", devLabel)
 	reg.CounterView("olympian_serving_batch_retries_total", "Failed batch attempts retried.", &s.degraded.BatchRetries, "device", devLabel)
 	reg.CounterView("olympian_serving_evictions_total", "Queued low-priority requests displaced.", &s.degraded.Evictions, "device", devLabel)
-	reg.CounterView("olympian_serving_deadline_misses_total", "Completions past their deadline.", &s.degraded.DeadlineMisses, "device", devLabel)
+	for c := range s.degraded.ByClass {
+		reg.CounterView("olympian_serving_deadline_misses_total", "Completions past their deadline.", &s.degraded.ByClass[c].DeadlineMisses, "device", devLabel)
+	}
 	s.limitCutsC = reg.Counter("olympian_overload_limit_cuts_total", "AIMD multiplicative decreases.", "device", devLabel)
 	var hooks executor.Hooks = executor.NopHooks{}
 	if cfg.UseOlympian {
@@ -730,7 +731,6 @@ func (s *Server) dropExpired(modelName string) {
 	kept := q[:0]
 	for _, r := range q {
 		if r.Deadline > 0 && now > r.Deadline {
-			s.degraded.Expired++
 			s.fail(r, ErrExpired)
 			s.congest(modelName, now)
 			continue
@@ -781,8 +781,7 @@ func (s *Server) flush(modelName, procName string) {
 		r.span = 0
 	}
 	s.batches++
-	s.clients++
-	clientID := s.clients
+	clientID := s.batches
 	s.env.Go(procName, func(p *sim.Proc) {
 		s.runBatch(p, clientID, g, batch)
 		clear(batch)
@@ -872,7 +871,6 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		s.degraded.ByClass[r.Class].Completed++
 		s.rec.Span(obs.LayerServing, "request", r.ID, int(r.Class), s.obsDev, r.ArriveAt, now, int64(r.BatchSize))
 		if r.Deadline > 0 && now > r.Deadline {
-			s.degraded.DeadlineMisses++
 			s.degraded.ByClass[r.Class].DeadlineMisses++
 			s.rec.Instant(obs.LayerServing, "deadline_miss", r.ID, int(r.Class), s.obsDev, 0)
 			s.congest(r.Model, now)
@@ -944,15 +942,17 @@ func (s *Server) modelHist(modelName string) *obs.Hist {
 	return h
 }
 
-// Stats summarises completed requests. Completed and Failed sum the
-// per-class tallies fail and runBatch book; latency quantiles come from the
-// source-recorded histograms (≤ ~19% relative error from log bucketing), so
-// memory stays bounded however many requests were served.
+// Stats summarises completed requests. Completed, Failed, Expired and
+// DeadlineMisses sum the per-class tallies fail and runBatch book; latency
+// quantiles come from the source-recorded histograms (≤ ~19% relative error
+// from log bucketing), so memory stays bounded however many were served.
 func (s *Server) Stats() Stats {
-	st := Stats{Requests: s.reqCount, Batches: s.batches}
+	st := Stats{Requests: s.reqCount, Batches: s.batches, Degraded: s.degraded}
 	for _, c := range s.degraded.ByClass {
 		st.Completed += c.Completed
 		st.Failed += c.Shed + c.Expired + c.Failed
+		st.Degraded.Expired += c.Expired
+		st.Degraded.DeadlineMisses += c.DeadlineMisses
 	}
 	if s.latHist.Count() > 0 {
 		st.P50 = s.latHist.Quantile(0.50)
@@ -988,7 +988,6 @@ func (s *Server) Stats() Stats {
 		st.Utilization = s.dev.TotalBusy().Seconds() / now.Seconds()
 	}
 	st.Avail = s.AvailAt(s.env.Now())
-	st.Degraded = s.degraded
 	st.Degraded.DeviceCrashes = s.dev.Crashes()
 	st.Degraded.DeviceRevives = s.dev.Revives()
 	st.Degraded.KernelRetries = s.eng.KernelRetries()
