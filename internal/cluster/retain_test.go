@@ -16,19 +16,21 @@ import (
 // at two lengths and charges the difference in live heap to the extra
 // requests, so construction and profiling cancel out. A fleet that kept each
 // settled request or routing decision would blow the bound (229 B/request on
-// the sharded fleet and 349 on the LLM fleet when both were kept); what
-// remains is the devices' per-job accounting.
+// the sharded fleet and 349 on the LLM fleet when both were kept), and so
+// would devices that kept an entry per stream or per job owner (31 and 55
+// B/request when they did): nothing below the fleet outlives a settled
+// request.
 func TestFleetsRetainNoRequests(t *testing.T) {
 	for _, row := range []struct {
 		name        string
 		short, long int
-		// bound is bytes of live heap per extra request, above the 31
-		// (sharded) and 55 (LLM) measured on go1.24.
+		// bound is bytes of live heap per extra request: slack above the 0
+		// measured on go1.24.
 		bound float64
 		run   func(t *testing.T, n int) (keep any, completed func() int)
 	}{
-		{"sharded", 2000, 6000, 48, runShardedFleet},
-		{"llm", 1000, 3000, 80, runLLMFleet},
+		{"sharded", 2000, 6000, 8, runShardedFleet},
+		{"llm", 1000, 3000, 8, runLLMFleet},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			// A first run pays the process-wide one-time costs (the model

@@ -68,14 +68,14 @@ func TestLateArrivalGetsServed(t *testing.T) {
 	// arrives mid-run and must preempt at the next quantum boundary.
 	for i := 0; i < 2; i++ {
 		h.env.Go("early", func(p *sim.Proc) {
-			job := h.eng.NewJob(0, g)
+			job := h.eng.NewJob(&gpu.Stream{ID: i}, g)
 			job.Priority = 1
 			h.eng.Run(p, job)
 		})
 	}
 	h.env.Go("late", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		job := h.eng.NewJob(9, g)
+		job := h.eng.NewJob(&gpu.Stream{ID: 9}, g)
 		job.Priority = 5
 		h.eng.Run(p, job)
 		lateFinish = p.Now()
@@ -105,7 +105,7 @@ func TestHolderAbortReclaimsToken(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		h.env.Go("client", func(p *sim.Proc) {
-			jobs[i] = h.eng.NewJob(i, g)
+			jobs[i] = h.eng.NewJob(&gpu.Stream{ID: i}, g)
 			h.eng.Run(p, jobs[i])
 			finishes[i] = time.Duration(p.Now())
 		})
@@ -176,9 +176,10 @@ func TestInjectedAbortsNeverStrandToken(t *testing.T) {
 	for i := 0; i < nClients; i++ {
 		i := i
 		env.Go("client", func(p *sim.Proc) {
+			stream := &gpu.Stream{ID: i}
 			for b := 0; b < nBatches; b++ {
 				for {
-					job := eng.NewJob(i, g)
+					job := eng.NewJob(stream, g)
 					eng.Run(p, job)
 					if job.Err() == nil {
 						break

@@ -13,7 +13,7 @@ func TestRecordsWellFormed(t *testing.T) {
 	g := chainGraph(t, "m", 150, 70*time.Microsecond)
 	h.sched.SetProfile(g, uniformProfile(g, q))
 	h.run(t, []clientSpec{{graph: g, batches: 2}, {graph: g, batches: 2}, {graph: g}})
-	recs := h.sched.Records()
+	recs := h.records()
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -50,7 +50,7 @@ func TestQuantaAccountForAllGPUTime(t *testing.T) {
 	h.sched.SetProfile(g, uniformProfile(g, q))
 	h.run(t, []clientSpec{{graph: g}, {graph: g}, {graph: g}})
 	var attributed time.Duration
-	for _, r := range h.sched.Records() {
+	for _, r := range h.records() {
 		attributed += r.GPUDuration
 	}
 	total := h.dev.TotalBusy()
@@ -70,7 +70,7 @@ func TestSwitchCountMatchesCostArithmetic(t *testing.T) {
 	h.sched.SetProfile(g, prof)
 	h.run(t, []clientSpec{{graph: g}, {graph: g}})
 	perClient := map[int]int{}
-	for _, r := range h.sched.Records() {
+	for _, r := range h.records() {
 		perClient[r.Client]++
 	}
 	want := int(prof.TotalCost / prof.Threshold) // 80
@@ -86,7 +86,7 @@ func TestWallClockIntervalsNearQ(t *testing.T) {
 	h := newHarness(t, 1, Config{Quantum: q, Mode: WallClock, SwitchCost: 0})
 	g := chainGraph(t, "m", 300, 60*time.Microsecond)
 	h.run(t, []clientSpec{{graph: g}, {graph: g}})
-	recs := h.sched.Records()
+	recs := h.records()
 	if len(recs) < 20 {
 		t.Fatalf("only %d records", len(recs))
 	}

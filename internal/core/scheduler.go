@@ -99,7 +99,7 @@ type jobState struct {
 	cond         *sim.Cond
 	profile      *JobProfile
 	cumulated    time.Duration // cumulatedCost of Algorithm 2
-	busySnapshot time.Duration // device busy at grant time
+	busySnapshot time.Duration // stream busy at grant time
 }
 
 // Scheduler implements executor.Hooks with Olympian's scheduling logic.
@@ -115,9 +115,9 @@ type Scheduler struct {
 	holder *jobState
 
 	intervalStart sim.Time
-	records       []QuantumRecord
-	pending       QuantumRecord // last interval, awaiting overflow drain
-	pendingJob    *jobState     // nil when no interval is staged
+	onQuantum     []func(QuantumRecord) // OnQuantum's observers
+	pending       QuantumRecord         // last interval, awaiting overflow drain
+	pendingJob    *jobState             // nil when no interval is staged
 	switches      int
 	active        []*executor.Job // pick's scratch, reused at every hand-off
 }
@@ -185,6 +185,9 @@ func (s *Scheduler) Deregister(p *sim.Proc, job *executor.Job) {
 		return
 	}
 	s.closeInterval(departing)
+	// The departing job has no kernels left, so its interval is final now;
+	// finalizing later would read the busy time of its stream's next job.
+	s.finalizePending()
 	s.holder = nil
 	if len(s.jobs) == 0 {
 		return
@@ -329,11 +332,11 @@ func (s *Scheduler) pick(last *executor.Job) *jobState {
 func (s *Scheduler) grant(js *jobState) {
 	s.holder = js
 	s.intervalStart = s.env.Now()
-	js.busySnapshot = s.dev.OwnerBusy(js.job.ID)
+	js.busySnapshot = js.job.Stream.Busy()
 	js.cond.Broadcast()
 }
 
-// closeInterval stages the holder's just-finished interval for recording.
+// closeInterval stages the holder's just-finished interval.
 // The GPU duration is finalized lazily — at the next hand-off or at the
 // job's deregistration — so that overflow kernels that drain after the
 // switch (Figures 10/15) are attributed to the quantum that launched them.
@@ -346,21 +349,23 @@ func (s *Scheduler) closeInterval(js *jobState) {
 		Start:           s.intervalStart,
 		End:             now,
 		ActiveJobs:      len(s.jobs),
-		OverflowKernels: s.dev.ActiveKernels(js.job.ID),
+		OverflowKernels: js.job.Stream.Active(),
 	}
 	s.pendingJob = js
 }
 
-// finalizePending completes the staged interval record: by the time the
-// next hand-off happens, the previous holder's overflow kernels have
-// drained, so its busy delta is final.
+// finalizePending completes the staged interval record and hands it to the
+// OnQuantum observers: by the time the next hand-off happens, the previous
+// holder's overflow kernels have drained, so its busy delta is final.
 func (s *Scheduler) finalizePending() {
 	if s.pendingJob == nil {
 		return
 	}
-	s.pending.GPUDuration = s.dev.OwnerBusy(s.pendingJob.job.ID) - s.pendingJob.busySnapshot
-	s.records = append(s.records, s.pending)
+	s.pending.GPUDuration = s.pendingJob.job.Stream.Busy() - s.pendingJob.busySnapshot
 	s.pendingJob = nil
+	for _, fn := range s.onQuantum {
+		fn(s.pending)
+	}
 }
 
 // state finds the jobState for job, or nil if it is not registered.
@@ -373,13 +378,13 @@ func (s *Scheduler) state(job *executor.Job) *jobState {
 	return nil
 }
 
-// Records returns all completed scheduling intervals.
-func (s *Scheduler) Records() []QuantumRecord {
-	s.finalizePending()
-	out := make([]QuantumRecord, len(s.records))
-	copy(out, s.records)
-	return out
-}
+// OnQuantum registers fn to run as each scheduling interval is finalized,
+// in interval order. The scheduler keeps no record of its own.
+func (s *Scheduler) OnQuantum(fn func(QuantumRecord)) { s.onQuantum = append(s.onQuantum, fn) }
+
+// Flush finalizes an interval still staged, as when a run is cut short
+// before the next hand-off, so the OnQuantum observers see every interval.
+func (s *Scheduler) Flush() { s.finalizePending() }
 
 // Switches returns the number of token hand-offs so far.
 func (s *Scheduler) Switches() int { return s.switches }

@@ -50,12 +50,13 @@ func uniformProfile(g *graph.Graph, q time.Duration) *JobProfile {
 }
 
 // harness runs one job per client over the same graph and returns finish
-// times by client.
+// times by client. recs collects the scheduler's finalized intervals.
 type harness struct {
 	env   *sim.Env
 	dev   *gpu.Device
 	eng   *executor.Engine
 	sched *Scheduler
+	recs  []QuantumRecord
 }
 
 func newHarness(t *testing.T, seed int64, cfg Config) *harness {
@@ -64,7 +65,15 @@ func newHarness(t *testing.T, seed int64, cfg Config) *harness {
 	dev := gpu.New(env, testSpec)
 	sched := New(env, dev, cfg)
 	eng := executor.New(env, dev, executor.Config{}, sched)
-	return &harness{env: env, dev: dev, eng: eng, sched: sched}
+	h := &harness{env: env, dev: dev, eng: eng, sched: sched}
+	sched.OnQuantum(func(r QuantumRecord) { h.recs = append(h.recs, r) })
+	return h
+}
+
+// records returns every interval of the run, flushing one still staged.
+func (h *harness) records() []QuantumRecord {
+	h.sched.Flush()
+	return h.recs
 }
 
 type clientSpec struct {
@@ -85,8 +94,9 @@ func (h *harness) run(t *testing.T, specs []clientSpec) []time.Duration {
 			if batches == 0 {
 				batches = 1
 			}
+			stream := &gpu.Stream{ID: i}
 			for b := 0; b < batches; b++ {
-				job := h.eng.NewJob(i, spec.graph)
+				job := h.eng.NewJob(stream, spec.graph)
 				job.Weight = spec.weight
 				job.Priority = spec.priority
 				h.eng.Run(p, job)
@@ -134,7 +144,7 @@ func TestTokenGivesExclusiveAccessModuloOverflow(t *testing.T) {
 	g := chainGraph(t, "m", 100, 100*time.Microsecond)
 	h.sched.SetProfile(g, uniformProfile(g, q))
 	h.run(t, []clientSpec{{graph: g}, {graph: g}})
-	recs := h.sched.Records()
+	recs := h.records()
 	if len(recs) < 10 {
 		t.Fatalf("only %d scheduling intervals recorded", len(recs))
 	}
@@ -168,7 +178,7 @@ func TestQuantumThresholdSubtractsNotResets(t *testing.T) {
 	// run completing at all, with interleaving, is the main check; verify
 	// both jobs got several intervals.
 	perClient := map[int]int{}
-	for _, r := range h.sched.Records() {
+	for _, r := range h.records() {
 		perClient[r.Client]++
 	}
 	if perClient[0] < 3 || perClient[1] < 3 {
@@ -323,5 +333,53 @@ func TestUnprofiledJobFallsBackToNominalCosts(t *testing.T) {
 	}
 	if spread > 2*time.Millisecond {
 		t.Fatalf("fallback fair sharing diverged by %v", spread)
+	}
+}
+
+// TestReusedStreamRecordsPinned runs one closed-loop client through three
+// batches on one stream and pins every interval. A stream carries one job at
+// a time, but its busy time runs on across jobs, so each job's last interval
+// must be finalized when the job departs: read later, it would take in the
+// next job's GPU time. The values are those of the per-job accounting the
+// stream replaced, including the shift a solo job's self re-grant causes
+// (the third and fourth intervals of each job read 0s).
+func TestReusedStreamRecordsPinned(t *testing.T) {
+	q := time.Millisecond
+	h := newHarness(t, 1, Config{Quantum: q, SwitchCost: DefaultSwitchCost})
+	g := chainGraph(t, "m", 30, 100*time.Microsecond) // 3ms GPU work each
+	h.sched.SetProfile(g, uniformProfile(g, q))
+	h.run(t, []clientSpec{{graph: g, batches: 3}})
+	type rec struct {
+		job        int
+		start, end sim.Time
+		gpu        time.Duration
+		overflow   int
+	}
+	const ms = sim.Time(time.Millisecond)
+	want := []rec{
+		{1, 0, 1*ms + 1000, time.Millisecond, 0},
+		{1, 1*ms + 1000, 2*ms + 1000, time.Millisecond, 0},
+		{1, 2*ms + 1000, 3*ms + 1000, 0, 0},
+		{1, 3*ms + 1000, 3*ms + 1000, 0, 0},
+		{2, 3*ms + 1000, 4*ms + 2000, time.Millisecond, 0},
+		{2, 4*ms + 2000, 5*ms + 2000, time.Millisecond, 0},
+		{2, 5*ms + 2000, 6*ms + 2000, 0, 0},
+		{2, 6*ms + 2000, 6*ms + 2000, 0, 0},
+		{3, 6*ms + 2000, 7*ms + 3000, time.Millisecond, 0},
+		{3, 7*ms + 3000, 8*ms + 3000, time.Millisecond, 0},
+		{3, 8*ms + 3000, 9*ms + 3000, 0, 0},
+		{3, 9*ms + 3000, 9*ms + 3000, 0, 0},
+	}
+	var got []rec
+	for _, r := range h.records() {
+		got = append(got, rec{r.JobID, r.Start, r.End, r.GPUDuration, r.OverflowKernels})
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d intervals, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -33,7 +33,7 @@ func TestMaxInflightBoundsConcurrentKernels(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	eng := New(env, dev, Config{MaxInflight: 2}, nil)
 	g := wideGraph(t, 8, 4*time.Millisecond, 0.1)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestBFSOrderIsLevelOrder(t *testing.T) {
 	eng.NodeObserver = func(_ *Job, n *graph.Node, _, _ time.Duration) {
 		order = append(order, n.Op)
 	}
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestNodeOverheadSlowsRun(t *testing.T) {
 		dev := gpu.New(env, testSpec)
 		eng := New(env, dev, Config{NodeOverhead: overhead}, nil)
 		g := wideGraph(t, 4, time.Millisecond, 1.0)
-		job := eng.NewJob(1, g)
+		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestStreamCarriesClientID(t *testing.T) {
 	rec.Bind(env, "stream")
 	eng := New(env, dev, Config{Obs: rec}, nil)
 	g := wideGraph(t, 2, time.Millisecond, 0.5)
-	job := eng.NewJob(42, g)
+	job := eng.NewJob(&gpu.Stream{ID: 42}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestKernelSlicingSplitsAndPays(t *testing.T) {
 		KernelSlicePenalty: 100 * time.Microsecond,
 	}, nil)
 	g := wideGraph(t, 1, time.Millisecond, 1.0)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestKernelSlicingLeavesSmallKernelsAlone(t *testing.T) {
 		KernelSlicePenalty: 100 * time.Microsecond,
 	}, nil)
 	g := wideGraph(t, 1, 300*time.Microsecond, 1.0)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -31,8 +31,11 @@ import (
 type Job struct {
 	// ID uniquely identifies the job within an engine.
 	ID int
-	// Client is the submitting client's id (stable across a client's jobs).
+	// Client is the submitting client's id: its stream's ID.
 	Client int
+	// Stream is the client's GPU stream. It carries one job at a time, so
+	// its busy time and resident kernels are the job's while the job runs.
+	Stream *gpu.Stream
 	// Graph is the model dataflow graph to execute.
 	Graph *graph.Graph
 	// Weight is the weighted-fair-sharing weight (>= 1).
@@ -242,12 +245,13 @@ func (e *Engine) AbortJob(job *Job, err error) {
 	}
 }
 
-// NewJob allocates a job for a client run of g.
-func (e *Engine) NewJob(client int, g *graph.Graph) *Job {
+// NewJob allocates a job for a client run of g on the client's stream.
+func (e *Engine) NewJob(stream *gpu.Stream, g *graph.Graph) *Job {
 	e.jobSeq++
 	return &Job{
 		ID:       e.jobSeq,
-		Client:   client,
+		Client:   stream.ID,
+		Stream:   stream,
 		Graph:    g,
 		Weight:   1,
 		wg:       e.env.NewWaitGroup(),
@@ -355,7 +359,7 @@ func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Dur
 	for attempt := 0; ; attempt++ {
 		err := e.dev.Exec(p, gpu.Kernel{
 			Owner:     job.ID,
-			Stream:    job.Client,
+			Stream:    job.Stream,
 			Duration:  dur,
 			Occupancy: n.Occupancy,
 		})

@@ -41,7 +41,7 @@ func TestKernelRetryRecoversTransientFaults(t *testing.T) {
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 60, 100*time.Microsecond)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj, KernelRetries: 2}, nil)
 	g := gpuChain(t, 5, 100*time.Microsecond)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestInjectedAbortStopsGang(t *testing.T) {
 	inj := faults.New(2, faults.Plan{AbortRate: 0.05})
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 200, 50*time.Microsecond)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	var finished sim.Time
 	env.Go("client", func(p *sim.Proc) {
 		eng.Run(p, job)
@@ -117,7 +117,7 @@ func TestAbortJobIsIdempotent(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	eng := New(env, dev, Config{}, nil)
 	g := gpuChain(t, 3, time.Millisecond)
-	job := eng.NewJob(1, g)
+	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	first := errors.New("first")
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	env.Go("chaos", func(p *sim.Proc) {

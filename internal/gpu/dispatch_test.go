@@ -37,10 +37,11 @@ func dispatchTranscript(t *testing.T) string {
 	occ := []float64{0.25, 0.5, 1, 0.4, 0.1, 0.75}
 	for s := 1; s <= 3; s++ {
 		env.Go("session", func(p *sim.Proc) {
+			st := &Stream{ID: s}
 			for i := 0; i < 25; i++ {
 				k := &Kernel{
 					Owner:     s,
-					Stream:    s,
+					Stream:    st,
 					Duration:  time.Duration(20+10*((s+i)%5)) * time.Microsecond,
 					Occupancy: occ[(s*7+i)%len(occ)],
 				}
@@ -58,7 +59,7 @@ func dispatchTranscript(t *testing.T) string {
 			}
 			dev.Submit(&Kernel{
 				Owner:     100 + i,
-				Stream:    100 + i,
+				Stream:    &Stream{ID: 100 + i},
 				Duration:  time.Duration(10+5*(i%4)) * time.Microsecond,
 				Occupancy: occ[i%len(occ)],
 			})
@@ -146,13 +147,18 @@ func TestExecAfterManyStreamsAllocFree(t *testing.T) {
 	const streams = 10000
 	var avg float64
 	env.Go("batcher", func(p *sim.Proc) {
+		var mid *Stream
 		for s := 0; s < streams; s++ {
-			if err := dev.Exec(p, Kernel{Owner: 1, Stream: s, Duration: time.Microsecond, Occupancy: 0.5}); err != nil {
+			st := &Stream{ID: s}
+			if s == streams/2 {
+				mid = st
+			}
+			if err := dev.Exec(p, Kernel{Owner: 1, Stream: st, Duration: time.Microsecond, Occupancy: 0.5}); err != nil {
 				t.Errorf("stream %d: %v", s, err)
 				return
 			}
 		}
-		k := Kernel{Owner: 1, Stream: streams / 2, Duration: time.Microsecond, Occupancy: 0.5}
+		k := Kernel{Owner: 1, Stream: mid, Duration: time.Microsecond, Occupancy: 0.5}
 		avg = testing.AllocsPerRun(1000, func() {
 			if err := dev.Exec(p, k); err != nil {
 				t.Error(err)
@@ -169,9 +175,9 @@ func TestExecAfterManyStreamsAllocFree(t *testing.T) {
 	if got, want := dev.Stats().KernelsRun, streams+1001; got != want {
 		t.Fatalf("ran %d kernels, want %d", got, want)
 	}
-	if len(dev.streams) != streams || len(dev.busy) != 0 || dev.queued != 0 {
+	if dev.nstreams != streams || len(dev.busy) != 0 || dev.queued != 0 {
 		t.Fatalf("bookkeeping: %d streams seen (want %d), %d busy, %d queued",
-			len(dev.streams), streams, len(dev.busy), dev.queued)
+			dev.nstreams, streams, len(dev.busy), dev.queued)
 	}
 }
 
@@ -189,14 +195,15 @@ func TestCrashDuringRecycledLaunchEndsH2DSpan(t *testing.T) {
 	rec.Bind(env, "recycle")
 	dev.Observe(rec, 0)
 	env.Go("client", func(p *sim.Proc) {
-		if err := dev.Exec(p, Kernel{Owner: 1, Stream: 1, Duration: 100 * time.Microsecond, Occupancy: 1}); err != nil {
+		st := &Stream{ID: 1}
+		if err := dev.Exec(p, Kernel{Owner: 1, Stream: st, Duration: 100 * time.Microsecond, Occupancy: 1}); err != nil {
 			t.Errorf("first use: %v", err)
 		}
 		if len(dev.free) != 1 {
 			t.Errorf("free list holds %d kernels after a clean run, want 1", len(dev.free))
 		}
 		env.Schedule(5*time.Microsecond, func() { dev.crash(0) })
-		if err := dev.Exec(p, Kernel{Owner: 2, Stream: 1, Duration: 100 * time.Microsecond, Occupancy: 1}); !errors.Is(err, faults.ErrDeviceCrashed) {
+		if err := dev.Exec(p, Kernel{Owner: 2, Stream: st, Duration: 100 * time.Microsecond, Occupancy: 1}); !errors.Is(err, faults.ErrDeviceCrashed) {
 			t.Errorf("second use: err %v, want ErrDeviceCrashed", err)
 		}
 		if len(dev.free) != 0 {
@@ -253,11 +260,12 @@ func TestCrashReviveExecCountsExact(t *testing.T) {
 		env.Schedule(rec, func() { dev.Revive(warmup) })
 	})
 	var ok, crashed [3]int
+	streams := [3]*Stream{{ID: 0}, {ID: 1}, {ID: 2}}
 	for s := 1; s <= 2; s++ {
 		env.Go("session", func(p *sim.Proc) {
 			for ok[s] < perProc {
 				start := p.Now()
-				err := dev.Exec(p, Kernel{Owner: s, Stream: s, Duration: dur, Occupancy: 0.5})
+				err := dev.Exec(p, Kernel{Owner: s, Stream: streams[s], Duration: dur, Occupancy: 0.5})
 				switch {
 				case err == nil:
 					if took := p.Now().Sub(start); took != launch+dur {
@@ -287,8 +295,8 @@ func TestCrashReviveExecCountsExact(t *testing.T) {
 		if ok[s] != perProc || crashed[s] != 2 {
 			t.Errorf("session %d: %d ok and %d crashed mid-kernel, want %d and 2", s, ok[s], crashed[s], perProc)
 		}
-		if got := dev.owner(s).count; got != perProc+2 {
-			t.Errorf("owner %d dispatched %d kernels, want %d", s, got, perProc+2)
+		if got := streams[s].count; got != perProc+2 {
+			t.Errorf("stream %d dispatched %d kernels, want %d", s, got, perProc+2)
 		}
 	}
 	if want := 2 * (perProc + 2); st.KernelsRun != want {
@@ -307,7 +315,7 @@ func BenchmarkKernelDispatch(b *testing.B) {
 	env := sim.NewEnv(1)
 	dev := New(env, Spec{Name: "bench", ClockScale: 1, Capacity: 1})
 	env.Go("submitter", func(p *sim.Proc) {
-		k := Kernel{Owner: 1, Stream: 1, Duration: time.Microsecond, Occupancy: 1}
+		k := Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: time.Microsecond, Occupancy: 1}
 		if err := dev.Exec(p, k); err != nil { // first use builds the kernel
 			b.Error(err)
 			return

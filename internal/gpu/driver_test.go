@@ -15,11 +15,11 @@ func TestSwitchBarrierDrainsThenHolds(t *testing.T) {
 	var secondStart sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		// First kernel is running when the barrier is raised.
-		dev.Submit(&Kernel{Owner: 1, Stream: 1, Duration: 4 * time.Millisecond, Occupancy: 1})
+		dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 4 * time.Millisecond, Occupancy: 1})
 		p.Sleep(time.Millisecond)
 		dev.SwitchBarrier(500 * time.Microsecond)
 		// Second kernel must wait for drain (at 4ms) plus the hold.
-		ev := dev.Submit(&Kernel{Owner: 2, Stream: 2, Duration: time.Millisecond, Occupancy: 1})
+		ev := dev.Submit(&Kernel{Owner: 2, Stream: &Stream{ID: 2}, Duration: time.Millisecond, Occupancy: 1})
 		ev.Wait(p)
 		secondStart = p.Now() - sim.Time(time.Millisecond)
 	})
@@ -38,7 +38,7 @@ func TestSwitchBarrierOnIdleDeviceJustHolds(t *testing.T) {
 	var done sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		dev.SwitchBarrier(300 * time.Microsecond)
-		ev := dev.Submit(&Kernel{Owner: 1, Stream: 1, Duration: time.Millisecond, Occupancy: 1})
+		ev := dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: time.Millisecond, Occupancy: 1})
 		ev.Wait(p)
 		done = p.Now()
 	})
@@ -58,9 +58,9 @@ func TestBypassWindowLetsSmallKernelsFlow(t *testing.T) {
 		// Big kernel occupies the device; another big kernel queues behind
 		// it on stream 2; a small kernel on stream 3 can bypass the blocked
 		// big head while the bypass window is open.
-		dev.Submit(&Kernel{Owner: 1, Stream: 1, Duration: 2 * time.Millisecond, Occupancy: 0.6})
-		dev.Submit(&Kernel{Owner: 2, Stream: 2, Duration: 2 * time.Millisecond, Occupancy: 1.0})
-		ev := dev.Submit(&Kernel{Owner: 3, Stream: 3, Duration: 100 * time.Microsecond, Occupancy: 0.2})
+		dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 2 * time.Millisecond, Occupancy: 0.6})
+		dev.Submit(&Kernel{Owner: 2, Stream: &Stream{ID: 2}, Duration: 2 * time.Millisecond, Occupancy: 1.0})
+		ev := dev.Submit(&Kernel{Owner: 3, Stream: &Stream{ID: 3}, Duration: 100 * time.Microsecond, Occupancy: 0.2})
 		ev.Wait(p)
 		smallDone = p.Now()
 	})
@@ -77,14 +77,14 @@ func TestAgeBarrierEngagesAfterBypassWindow(t *testing.T) {
 	dev := New(env, noLaunch)
 	var lateDone sim.Time
 	env.Go("driver", func(p *sim.Proc) {
-		dev.Submit(&Kernel{Owner: 1, Stream: 1, Duration: 2 * time.Millisecond, Occupancy: 0.6})
-		dev.Submit(&Kernel{Owner: 2, Stream: 2, Duration: time.Millisecond, Occupancy: 1.0})
+		dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 2 * time.Millisecond, Occupancy: 0.6})
+		dev.Submit(&Kernel{Owner: 2, Stream: &Stream{ID: 2}, Duration: time.Millisecond, Occupancy: 1.0})
 		// Submit a small kernel well after the bypass window for the
 		// blocked stream-2 head has expired: admission is barred until the
 		// device drains at 2ms, even though the small kernel would fit
 		// beside the running 0.6-occupancy kernel.
 		p.Sleep(maxBypassWait + 100*time.Microsecond)
-		ev := dev.Submit(&Kernel{Owner: 3, Stream: 3, Duration: 100 * time.Microsecond, Occupancy: 0.2})
+		ev := dev.Submit(&Kernel{Owner: 3, Stream: &Stream{ID: 3}, Duration: 100 * time.Microsecond, Occupancy: 0.2})
 		ev.Wait(p)
 		lateDone = p.Now()
 	})
@@ -104,18 +104,17 @@ func TestStreamBiasDeterministicPerSeed(t *testing.T) {
 	weights := func(seed int64) []float64 {
 		env := sim.NewEnv(seed)
 		dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.3})
+		out := make([]float64, 5)
 		env.Go("submit", func(p *sim.Proc) {
-			for s := 0; s < 5; s++ {
-				ev := dev.Submit(&Kernel{Owner: s, Stream: s, Duration: time.Microsecond, Occupancy: 1})
+			for s := range out {
+				st := &Stream{ID: s}
+				ev := dev.Submit(&Kernel{Owner: s, Stream: st, Duration: time.Microsecond, Occupancy: 1})
 				ev.Wait(p)
+				out[s] = st.weight
 			}
 		})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
-		}
-		out := make([]float64, 5)
-		for s := 0; s < 5; s++ {
-			out[s] = streamWeight(dev, s)
 		}
 		return out
 	}
@@ -146,8 +145,8 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 	env := sim.NewEnv(3)
 	dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.8})
 	served := map[int]int{}
-	for s := 0; s < 2; s++ {
-		s := s
+	streams := [2]*Stream{{ID: 0}, {ID: 1}}
+	for s, st := range streams {
 		// Keep two kernels in flight per stream, as the executor's
 		// per-job pipeline does, so the driver always has a choice.
 		sem := env.NewSemaphore(2)
@@ -155,7 +154,7 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 			env.Go("stream", func(p *sim.Proc) {
 				for i := 0; i < 100; i++ {
 					sem.Acquire(p)
-					ev := dev.Submit(&Kernel{Owner: s, Stream: s, Duration: 50 * time.Microsecond, Occupancy: 1})
+					ev := dev.Submit(&Kernel{Owner: s, Stream: st, Duration: 50 * time.Microsecond, Occupancy: 1})
 					ev.Wait(p)
 					sem.Release()
 					served[s]++
@@ -167,7 +166,7 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 	if err := env.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	w0, w1 := streamWeight(dev, 0), streamWeight(dev, 1)
+	w0, w1 := streams[0].weight, streams[1].weight
 	shareWant := w0 / (w0 + w1)
 	shareGot := float64(served[0]) / float64(served[0]+served[1])
 	if math.Abs(shareGot-shareWant) > 0.10 {
@@ -181,7 +180,7 @@ func TestOccupancyTime(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
 	env.Go("submit", func(p *sim.Proc) {
-		ev := dev.Submit(&Kernel{Owner: 1, Stream: 1, Duration: 4 * time.Millisecond, Occupancy: 0.5})
+		ev := dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 4 * time.Millisecond, Occupancy: 0.5})
 		ev.Wait(p)
 	})
 	if err := env.Run(); err != nil {
@@ -193,8 +192,8 @@ func TestOccupancyTime(t *testing.T) {
 }
 
 // Property: under any random kernel mix, accounting invariants hold:
-// occupancy-time <= total busy <= elapsed, and per-owner busy sums to at
-// least the largest single kernel per owner.
+// occupancy-time <= total busy <= elapsed, and per-stream busy sums to at
+// least the global busy union.
 func TestPropertyAccountingInvariants(t *testing.T) {
 	prop := func(raw []uint16) bool {
 		if len(raw) == 0 || len(raw) > 30 {
@@ -203,13 +202,14 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 		env := sim.NewEnv(2)
 		dev := New(env, noLaunch)
 		wg := env.NewWaitGroup()
+		streams := [3]*Stream{{ID: 0}, {ID: 1}, {ID: 2}}
 		for i, r := range raw {
 			d := time.Duration(r%3000+1) * time.Microsecond
 			occ := float64(r%10+1) / 10
 			owner := i % 3
 			wg.Add(1)
 			env.Go("k", func(p *sim.Proc) {
-				ev := dev.Submit(&Kernel{Owner: owner, Stream: owner, Duration: d, Occupancy: occ})
+				ev := dev.Submit(&Kernel{Owner: owner, Stream: streams[owner], Duration: d, Occupancy: occ})
 				ev.Wait(p)
 				wg.Done()
 			})
@@ -223,25 +223,16 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 		if occT > busy+time.Nanosecond || busy > elapsed+time.Nanosecond {
 			return false
 		}
-		var ownerSum time.Duration
-		for o := 0; o < 3; o++ {
-			ownerSum += dev.OwnerBusy(o)
+		var streamSum time.Duration
+		for _, st := range streams {
+			streamSum += st.Busy()
 		}
-		// Owner busy unions can overlap each other but never exceed the
-		// per-owner serialized total; their sum is at least the global
+		// Stream busy unions can overlap each other but never exceed the
+		// per-stream serialized total; their sum is at least the global
 		// union and at most 3x elapsed.
-		return ownerSum >= busy && ownerSum <= 3*elapsed
+		return streamSum >= busy && streamSum <= 3*elapsed
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// streamWeight is the service weight drawn for a stream, 1 before the
-// stream's first submission.
-func streamWeight(d *Device, id int) float64 {
-	if st := d.streams[id]; st != nil {
-		return st.weight
-	}
-	return 1
 }

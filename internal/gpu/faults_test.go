@@ -13,7 +13,8 @@ func TestInjectedKernelFaultMarksErr(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
 	dev.InjectFaults(faults.New(1, faults.Plan{KernelFailRate: 1}))
-	k := &Kernel{Owner: 1, Stream: 1, Duration: time.Millisecond, Occupancy: 1}
+	st := &Stream{ID: 1}
+	k := &Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1}
 	completed := false
 	dev.Submit(k).Subscribe(func() { completed = true })
 	if err := env.Run(); err != nil {
@@ -30,15 +31,15 @@ func TestInjectedKernelFaultMarksErr(t *testing.T) {
 		t.Fatalf("device counted %d kernel faults, want 1", dev.Stats().KernelFaults)
 	}
 	// A failed kernel still occupied the device for its full duration.
-	if got := dev.OwnerBusy(1); got != time.Millisecond {
-		t.Fatalf("owner busy %v, want 1ms", got)
+	if got := st.Busy(); got != time.Millisecond {
+		t.Fatalf("stream busy %v, want 1ms", got)
 	}
 }
 
 func TestNoInjectorNoFaults(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
-	k := &Kernel{Owner: 1, Stream: 1, Duration: time.Millisecond, Occupancy: 1}
+	k := &Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: time.Millisecond, Occupancy: 1}
 	dev.Submit(k)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -60,8 +61,9 @@ func TestStallDelaysAdmissionNotResidents(t *testing.T) {
 		dev.InjectFaults(in)
 		var finished sim.Time
 		env.Go("client", func(p *sim.Proc) {
+			st := &Stream{ID: 1}
 			for i := 0; i < 4; i++ {
-				k := &Kernel{Owner: 1, Stream: 1, Duration: 500 * time.Microsecond, Occupancy: 1}
+				k := &Kernel{Owner: 1, Stream: st, Duration: 500 * time.Microsecond, Occupancy: 1}
 				dev.Submit(k)
 				k.Done.Wait(p)
 				if k.Err != nil {
@@ -104,8 +106,9 @@ func TestStallObserverFiresAtStallOnset(t *testing.T) {
 		}
 	})
 	env.Go("client", func(p *sim.Proc) {
+		st := &Stream{ID: 1}
 		for i := 0; i < 4; i++ {
-			k := &Kernel{Owner: 1, Stream: 1, Duration: 500 * time.Microsecond, Occupancy: 1}
+			k := &Kernel{Owner: 1, Stream: st, Duration: 500 * time.Microsecond, Occupancy: 1}
 			dev.Submit(k)
 			k.Done.Wait(p)
 		}

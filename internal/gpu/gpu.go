@@ -13,26 +13,26 @@
 // the oldest waiter, so large kernels cannot be starved by streams of small
 // ones.
 //
-// Streams are cheap: the serving layer opens one per batch, so a device
-// sees thousands over a run. The device remembers every stream it has seen,
-// to keep its weight, but dispatch looks only at the busy streams (those
-// with queued kernels), kept in first-seen order. A pick therefore costs
-// time in the number of busy streams, and it draws exactly what a scan over
-// every stream in first-seen order would. Exec, the blocking submit the
-// executor, the LLM server and the profiler use, recycles kernels and their
-// timers through a per-device free list, so steady-state dispatch allocates
-// nothing. A kernel failed by a crash is never recycled: its timers may
-// still be pending.
+// Streams are cheap: the serving layer opens one per batch. A Stream is a
+// handle its caller holds, as a CUDA stream is, with the weight drawn on its
+// first use and its own accounting, so the device keeps nothing per stream.
+// Dispatch looks only at the busy streams (those with queued kernels), kept
+// in first-seen order. A pick therefore costs time in the number of busy
+// streams, and it draws exactly what a scan over every stream in first-seen
+// order would. Exec, the blocking submit the executor, the LLM server and
+// the profiler use, recycles kernels and their timers through a per-device
+// free list, so steady-state dispatch allocates nothing. A kernel failed by
+// a crash is never recycled: its timers may still be pending.
 //
 // Capacity is modelled as SM occupancy: each kernel occupies a fraction of
 // the device in (0,1], and kernels run concurrently while they fit
 // (large-batch kernels occupy the whole device, which is why the paper finds
 // little room for spatial multiplexing).
 //
-// The device also keeps the paper's accounting primitives: the per-job "GPU
-// duration" (the union of intervals during which at least one of the job's
-// kernels is resident — Figure 5), total busy time for utilization, and
-// device-memory allocation for the scalability experiments.
+// The paper's accounting primitives are each stream's "GPU duration" (the
+// union of intervals during which at least one of its kernels executes —
+// Figure 5; a stream carries one job at a time), total busy time for
+// utilization, and device-memory allocation for the scalability experiments.
 package gpu
 
 import (
@@ -92,11 +92,12 @@ var (
 // Kernel is one unit of GPU work submitted by the middleware.
 type Kernel struct {
 	// Owner is the job the kernel belongs to. The device does not act on
-	// it (the driver is DNN-unaware); it is used only for accounting.
+	// it (the driver is DNN-unaware); it only labels GPU spans.
 	Owner int
-	// Stream is the submission stream (one per client session). FIFO order
-	// holds within a stream only.
-	Stream int
+	// Stream is the submission stream, held by the caller (one per client
+	// session). FIFO order holds within a stream only. Nil means the
+	// device's default stream.
+	Stream *Stream
 	// Duration is the kernel's reference execution time.
 	Duration time.Duration
 	// Occupancy is the SM fraction required, in (0,1].
@@ -119,10 +120,6 @@ type Kernel struct {
 	ep       uint64
 	launched func()
 	executed func()
-
-	// acct indexes the owner's entry in Device.owners, looked up once at
-	// dispatch.
-	acct int32
 
 	// Lifecycle spans covering the launch/H2D phase and the execution
 	// phase; zero (no-op) when the device has no recorder.
@@ -149,22 +146,40 @@ type Stats struct {
 	Downtime time.Duration
 }
 
-// stream is one submission queue.
-type stream struct {
+// Stream is one submission queue, opened and held by its caller. It binds
+// to the device of its first submission, which ranks it and draws its
+// service weight then. It also keeps its kernels' accounting: kernels
+// dispatched, kernels in their execution phase, and the GPU duration
+// (Figure 5) as closed busy time plus the start of the open interval while
+// active > 0.
+type Stream struct {
+	// ID labels the stream's GPU spans.
+	ID int
+
+	dev    *Device
 	rank   int // first-seen order among the device's streams
 	queue  []*Kernel
 	weight float64
-}
 
-// ownerAcct is one job's kernel accounting: kernels dispatched, kernels in
-// their execution phase, and the GPU duration (Figure 5) as closed busy time
-// plus the start of the open interval while active > 0.
-type ownerAcct struct {
 	count  int
 	active int
 	start  sim.Time
 	busy   time.Duration
 }
+
+// Busy returns the stream's accumulated GPU duration (the Figure 5 union of
+// busy intervals), including any interval still open.
+func (s *Stream) Busy() time.Duration {
+	if s.active > 0 {
+		return s.busy + s.dev.env.Now().Sub(s.start)
+	}
+	return s.busy
+}
+
+// Active returns the number of the stream's kernels in their execution
+// phase — nonzero for a job that has just been switched out means quantum
+// overflow (Figure 15).
+func (s *Stream) Active() int { return s.active }
 
 // Device is a simulated GPU.
 type Device struct {
@@ -172,25 +187,20 @@ type Device struct {
 	spec Spec
 	rng  *rand.Rand // nil: fall back to the environment's shared source
 
-	// Stream bookkeeping. streams holds every stream ever seen, so each
-	// keeps the weight drawn on its first use. busy holds only the streams
-	// with queued kernels, in first-seen (rank) order; dispatch reads only
-	// busy. cands is pump's reused candidate list.
-	streams     map[int]*stream
-	busy        []*stream
-	cands       []*stream
+	// Stream bookkeeping. nstreams counts the streams bound so far, which
+	// ranks the next. busy holds only the streams with queued kernels, in
+	// first-seen (rank) order; dispatch reads only busy. cands is pump's
+	// reused candidate list. stream0 is the default stream.
+	nstreams    int
+	stream0     Stream
+	busy        []*Stream
+	cands       []*Stream
 	free        []*Kernel // Exec's recycled kernels
 	queued      int
 	inUse       float64
 	active      int // kernels in their execution phase
 	outstanding int // kernels dispatched and not yet finished
 	subSeq      uint64
-
-	// Per-owner accounting: ownerIdx maps a job to its entry in owners.
-	// The entries are values in one slice, not one record per owner on the
-	// heap: a serving fleet sees an owner per request.
-	ownerIdx map[int]int32
-	owners   []ownerAcct
 
 	globalStart sim.Time
 	globalBusy  time.Duration
@@ -245,12 +255,7 @@ func New(env *sim.Env, spec Spec) *Device {
 	if spec.Capacity <= 0 {
 		spec.Capacity = 1.0
 	}
-	d := &Device{
-		env:      env,
-		spec:     spec,
-		streams:  make(map[int]*stream),
-		ownerIdx: make(map[int]int32),
-	}
+	d := &Device{env: env, spec: spec}
 	d.pumpFn = d.pump
 	return d
 }
@@ -291,10 +296,14 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	d.subSeq++
 	k.seq = d.subSeq
 	k.queuedAt = d.env.Now()
-	st := d.streams[k.Stream]
+	st := k.Stream
 	if st == nil {
-		st = &stream{rank: len(d.streams), weight: d.drawWeight()}
-		d.streams[k.Stream] = st
+		st = &d.stream0
+		k.Stream = st
+	}
+	if st.dev != d {
+		st.dev, st.rank, st.weight = d, d.nstreams, d.drawWeight()
+		d.nstreams++
 	}
 	if len(st.queue) == 0 {
 		d.markBusy(st)
@@ -322,6 +331,7 @@ func (d *Device) Exec(p *sim.Proc, k Kernel) error {
 	pk.Done.Wait(p)
 	err := pk.Err
 	if !errors.Is(err, faults.ErrDeviceCrashed) {
+		pk.Stream = nil // the free list must not keep the caller's stream
 		d.free = append(d.free, pk)
 	}
 	return err
@@ -343,7 +353,7 @@ func (d *Device) newKernel() *Kernel {
 
 // markBusy inserts st into the busy list at its first-seen position. New
 // streams have the highest rank, so the common case is an append.
-func (d *Device) markBusy(st *stream) {
+func (d *Device) markBusy(st *Stream) {
 	i := len(d.busy)
 	for i > 0 && d.busy[i-1].rank > st.rank {
 		i--
@@ -354,7 +364,7 @@ func (d *Device) markBusy(st *stream) {
 }
 
 // unmarkBusy removes st, whose queue has just drained, from the busy list.
-func (d *Device) unmarkBusy(st *stream) {
+func (d *Device) unmarkBusy(st *Stream) {
 	for i, b := range d.busy {
 		if b == st {
 			n := copy(d.busy[i:], d.busy[i+1:])
@@ -442,10 +452,10 @@ func (d *Device) crash(recovery time.Duration) {
 	if d.active > 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	for i := range d.owners {
-		if o := &d.owners[i]; o.active > 0 {
-			o.busy += now.Sub(o.start)
-			o.active = 0
+	for _, k := range d.resident {
+		if st := k.Stream; st.active > 0 {
+			st.busy += now.Sub(st.start)
+			st.active = 0
 		}
 	}
 	d.active = 0
@@ -705,15 +715,8 @@ func (d *Device) begin(k *Kernel) {
 	d.inUse += k.Occupancy
 	d.outstanding++
 	d.stats.KernelsRun++
-	i, ok := d.ownerIdx[k.Owner]
-	if !ok {
-		i = int32(len(d.owners))
-		d.owners = append(d.owners, ownerAcct{})
-		d.ownerIdx[k.Owner] = i
-	}
-	k.acct = i
-	d.owners[i].count++
-	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
+	k.Stream.count++
+	k.launchSpan = d.rec.StartSpan(obs.LayerGPU, "h2d", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream.ID))
 	// A recycled kernel still holds its previous use's span; crash() must
 	// not mistake it for this use's.
 	k.execSpan = 0
@@ -737,17 +740,17 @@ func (d *Device) begin(k *Kernel) {
 func (d *Device) execStart(k *Kernel) {
 	now := d.env.Now()
 	d.rec.EndSpan(k.launchSpan)
-	k.execSpan = d.rec.StartSpan(obs.LayerGPU, "kernel", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
+	k.execSpan = d.rec.StartSpan(obs.LayerGPU, "kernel", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream.ID))
 	d.occupancyNs += k.Occupancy * float64(k.Duration) / d.spec.ClockScale
 	d.active++
 	if d.active == 1 {
 		d.globalStart = now
 	}
-	o := &d.owners[k.acct]
-	if o.active == 0 {
-		o.start = now
+	st := k.Stream
+	if st.active == 0 {
+		st.start = now
 	}
-	o.active++
+	st.active++
 	d.env.Schedule(time.Duration(float64(k.Duration)/d.spec.ClockScale), k.executed)
 }
 
@@ -762,10 +765,10 @@ func (d *Device) finish(k *Kernel) {
 	if d.active == 0 {
 		d.globalBusy += now.Sub(d.globalStart)
 	}
-	o := &d.owners[k.acct]
-	o.active--
-	if o.active == 0 {
-		o.busy += now.Sub(o.start)
+	st := k.Stream
+	st.active--
+	if st.active == 0 {
+		st.busy += now.Sub(st.start)
 	}
 	if d.outstanding == 0 && d.barrierDur > 0 && d.barrierAt == 0 {
 		d.armBarrier()
@@ -780,34 +783,10 @@ func (d *Device) finish(k *Kernel) {
 	if d.inj.KernelFails() {
 		k.Err = faults.ErrKernelFault
 		d.stats.KernelFaults++
-		d.rec.Instant(obs.LayerGPU, "kernel_fault", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream))
+		d.rec.Instant(obs.LayerGPU, "kernel_fault", k.Owner, obs.NoClass, d.obsDev, int64(k.Stream.ID))
 	}
 	k.Done.Trigger()
 	d.pump()
-}
-
-// OwnerBusy returns job owner's accumulated GPU duration (the Figure 5
-// union of busy intervals), including any interval still open.
-func (d *Device) OwnerBusy(owner int) time.Duration {
-	o := d.owner(owner)
-	busy := o.busy
-	if o.active > 0 {
-		busy += d.env.Now().Sub(o.start)
-	}
-	return busy
-}
-
-// ActiveKernels returns the number of owner's kernels currently resident —
-// nonzero for a job that has just been switched out means quantum overflow
-// (Figure 15).
-func (d *Device) ActiveKernels(owner int) int { return d.owner(owner).active }
-
-// owner returns owner's accounting, zero for an owner with no kernels.
-func (d *Device) owner(owner int) ownerAcct {
-	if i, ok := d.ownerIdx[owner]; ok {
-		return d.owners[i]
-	}
-	return ownerAcct{}
 }
 
 // OccupancyTime returns accumulated SM occupancy-time: the integral of

@@ -15,8 +15,9 @@ func TestSingleKernelRunsForItsDuration(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
 	var done sim.Time
+	st := &Stream{ID: 1}
 	env.Go("submit", func(p *sim.Proc) {
-		ev := dev.Submit(&Kernel{Owner: 1, Duration: 5 * time.Millisecond, Occupancy: 1.0})
+		ev := dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: 5 * time.Millisecond, Occupancy: 1.0})
 		ev.Wait(p)
 		done = p.Now()
 	})
@@ -26,8 +27,8 @@ func TestSingleKernelRunsForItsDuration(t *testing.T) {
 	if done != sim.Time(5*time.Millisecond) {
 		t.Fatalf("kernel finished at %v, want 5ms", done)
 	}
-	if got := dev.OwnerBusy(1); got != 5*time.Millisecond {
-		t.Fatalf("owner busy %v, want 5ms", got)
+	if got := st.Busy(); got != 5*time.Millisecond {
+		t.Fatalf("stream busy %v, want 5ms", got)
 	}
 }
 
@@ -102,21 +103,22 @@ func TestHeadOfLineBlocking(t *testing.T) {
 func TestOwnerBusyIsUnionOfIntervals(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
+	st := &Stream{ID: 1}
 	env.Go("submit", func(p *sim.Proc) {
-		// Two overlapping kernels for owner 1: busy union is 3ms, not 4ms.
-		dev.Submit(&Kernel{Owner: 1, Duration: 2 * time.Millisecond, Occupancy: 0.3})
-		ev := dev.Submit(&Kernel{Owner: 1, Duration: 3 * time.Millisecond, Occupancy: 0.3})
+		// Two overlapping kernels on one stream: busy union is 3ms, not 4ms.
+		dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: 2 * time.Millisecond, Occupancy: 0.3})
+		ev := dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: 3 * time.Millisecond, Occupancy: 0.3})
 		ev.Wait(p)
 		// Idle gap, then another kernel.
 		p.Sleep(2 * time.Millisecond)
-		ev = dev.Submit(&Kernel{Owner: 1, Duration: 1 * time.Millisecond, Occupancy: 0.3})
+		ev = dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: 1 * time.Millisecond, Occupancy: 0.3})
 		ev.Wait(p)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dev.OwnerBusy(1); got != 4*time.Millisecond {
-		t.Fatalf("owner busy %v, want 4ms (3ms union + 1ms)", got)
+	if got := st.Busy(); got != 4*time.Millisecond {
+		t.Fatalf("stream busy %v, want 4ms (3ms union + 1ms)", got)
 	}
 	if got := dev.TotalBusy(); got != 4*time.Millisecond {
 		t.Fatalf("total busy %v, want 4ms", got)
@@ -183,19 +185,20 @@ func TestMemoryAccounting(t *testing.T) {
 func TestActiveKernelsTracksResidency(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := New(env, noLaunch)
+	st := &Stream{ID: 7}
 	env.Go("submit", func(p *sim.Proc) {
-		dev.Submit(&Kernel{Owner: 7, Duration: 2 * time.Millisecond, Occupancy: 0.5})
-		dev.Submit(&Kernel{Owner: 7, Duration: 4 * time.Millisecond, Occupancy: 0.5})
+		dev.Submit(&Kernel{Owner: 7, Stream: st, Duration: 2 * time.Millisecond, Occupancy: 0.5})
+		dev.Submit(&Kernel{Owner: 7, Stream: st, Duration: 4 * time.Millisecond, Occupancy: 0.5})
 		p.Sleep(time.Millisecond)
-		if got := dev.ActiveKernels(7); got != 2 {
+		if got := st.Active(); got != 2 {
 			t.Errorf("active at 1ms = %d, want 2", got)
 		}
 		p.Sleep(2 * time.Millisecond)
-		if got := dev.ActiveKernels(7); got != 1 {
+		if got := st.Active(); got != 1 {
 			t.Errorf("active at 3ms = %d, want 1", got)
 		}
 		p.Sleep(2 * time.Millisecond)
-		if got := dev.ActiveKernels(7); got != 0 {
+		if got := st.Active(); got != 0 {
 			t.Errorf("active at 5ms = %d, want 0", got)
 		}
 	})
@@ -227,7 +230,7 @@ func TestStatsCounters(t *testing.T) {
 
 // Property: for any mix of full-occupancy kernels, total busy time equals
 // the sum of scaled durations (work conservation, no overlap possible) and
-// per-owner busy sums to total.
+// per-stream busy sums to total.
 func TestPropertyWorkConservationFullOccupancy(t *testing.T) {
 	prop := func(raw []uint16) bool {
 		if len(raw) == 0 || len(raw) > 40 {
@@ -237,13 +240,14 @@ func TestPropertyWorkConservationFullOccupancy(t *testing.T) {
 		dev := New(env, noLaunch)
 		var want time.Duration
 		wg := env.NewWaitGroup()
+		streams := [3]*Stream{{ID: 0}, {ID: 1}, {ID: 2}}
 		for i, r := range raw {
 			d := time.Duration(r%5000+1) * time.Microsecond
 			want += d
 			owner := i % 3
 			wg.Add(1)
 			env.Go("sub", func(p *sim.Proc) {
-				ev := dev.Submit(&Kernel{Owner: owner, Duration: d, Occupancy: 1.0})
+				ev := dev.Submit(&Kernel{Owner: owner, Stream: streams[owner], Duration: d, Occupancy: 1.0})
 				ev.Wait(p)
 				wg.Done()
 			})
@@ -254,11 +258,11 @@ func TestPropertyWorkConservationFullOccupancy(t *testing.T) {
 		if dev.TotalBusy() != want {
 			return false
 		}
-		var perOwner time.Duration
-		for o := 0; o < 3; o++ {
-			perOwner += dev.OwnerBusy(o)
+		var perStream time.Duration
+		for _, st := range streams {
+			perStream += st.Busy()
 		}
-		return perOwner == want
+		return perStream == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -108,14 +108,14 @@ func ProfileSolo(g *graph.Graph, opts Options) (*Result, error) {
 		res.NodeCost[n.ID] = svc
 		res.TotalCost += svc
 	}
-	job := eng.NewJob(0, g)
+	job := eng.NewJob(&gpu.Stream{}, g)
 	env.Go("profiler", func(p *sim.Proc) { eng.Run(p, job) })
 	err := env.Run()
 	env.Shutdown()
 	if err != nil {
 		return nil, fmt.Errorf("profile %s/%d: %w", g.Model, g.BatchSize, err)
 	}
-	res.GPUDuration = dev.OwnerBusy(job.ID)
+	res.GPUDuration = job.Stream.Busy()
 	res.Runtime = time.Duration(job.EndAt - job.StartAt)
 	return res, nil
 }
@@ -251,8 +251,9 @@ func pairFinish(g *graph.Graph, prof *Result, q time.Duration, opts Options) (ti
 	for c := 0; c < 2; c++ {
 		c := c
 		env.Go("profpair", func(p *sim.Proc) {
+			stream := &gpu.Stream{ID: c}
 			for b := 0; b < batches; b++ {
-				job := eng.NewJob(c, g)
+				job := eng.NewJob(stream, g)
 				eng.Run(p, job)
 			}
 			if p.Now() > last {
@@ -334,7 +335,7 @@ func MeasureOnlineOverhead(g *graph.Graph, tax time.Duration, opts Options) (*On
 			cfg.OnlineProfilingTax = tax
 		}
 		eng := executor.New(env, dev, cfg, nil)
-		job := eng.NewJob(0, g)
+		job := eng.NewJob(&gpu.Stream{}, g)
 		env.Go("online", func(p *sim.Proc) { eng.Run(p, job) })
 		err := env.Run()
 		env.Shutdown()

@@ -643,7 +643,7 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 	}
 	start := p.Now()
 	for {
-		err := s.dev.Exec(p, gpu.Kernel{Owner: r.ID, Stream: 0, Duration: dur, Occupancy: 1})
+		err := s.dev.Exec(p, gpu.Kernel{Owner: r.ID, Duration: dur, Occupancy: 1})
 		if err == nil {
 			break
 		}
@@ -744,7 +744,7 @@ growth:
 	}
 	start := p.Now()
 	for {
-		err := s.dev.Exec(p, gpu.Kernel{Owner: -1, Stream: 0, Duration: dur, Occupancy: 1})
+		err := s.dev.Exec(p, gpu.Kernel{Owner: -1, Duration: dur, Occupancy: 1})
 		if err == nil {
 			break
 		}

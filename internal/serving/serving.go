@@ -791,16 +791,17 @@ func (s *Server) flush(modelName, procName string) {
 
 // batchRun tracks one dispatched batch so hedge-style cancellation can
 // reach the running job: live counts riders still waiting on the batch, and
-// job is the current (per-attempt) executor job.
+// job is the current (per-attempt) executor job, run on stream.
 type batchRun struct {
-	job  *executor.Job
-	live int
+	stream gpu.Stream
+	job    *executor.Job
+	live   int
 }
 
 // runBatch executes one batch job, retrying failed attempts with jittered
 // exponential backoff while the server-wide retry budget lasts.
 func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Request) {
-	br := &batchRun{live: len(batch)}
+	br := &batchRun{stream: gpu.Stream{ID: clientID}, live: len(batch)}
 	for _, r := range batch {
 		r.batch = br
 	}
@@ -814,7 +815,7 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 			// Every rider was cancelled before this attempt launched.
 			return
 		}
-		job := s.eng.NewJob(clientID, g)
+		job := s.eng.NewJob(&br.stream, g)
 		br.job = job
 		s.eng.Run(p, job)
 		jobErr = job.Err()

@@ -218,14 +218,15 @@ type GPUShare struct {
 	Utilization float64
 }
 
-// device is one GPU of a run with the engine and scheduler driving it, and
-// the model memory placed on it.
+// device is one GPU of a run with the engine and scheduler driving it, the
+// model memory placed on it and the scheduling intervals it recorded.
 type device struct {
-	gpu   *gpu.Device
-	inj   *faults.Injector
-	sched *core.Scheduler
-	eng   *executor.Engine
-	mem   int64
+	gpu    *gpu.Device
+	inj    *faults.Injector
+	sched  *core.Scheduler
+	eng    *executor.Engine
+	mem    int64
+	quanta []core.QuantumRecord
 }
 
 // Run executes the workload and returns its measurements.
@@ -273,6 +274,9 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	devs := make([]device, max(cfg.GPUs, 1))
 	for d := range devs {
 		devs[d] = newDevice(env, cfg, d, profiles)
+		if s := devs[d].sched; s != nil {
+			s.OnQuantum(func(r core.QuantumRecord) { devs[d].quanta = append(devs[d].quanta, r) })
+		}
 	}
 
 	retryTokens := cfg.RetryBudget
@@ -333,10 +337,12 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 			if batches <= 0 {
 				batches = 1
 			}
+			// One stream carries the client's batches and retries.
+			stream := &gpu.Stream{ID: i}
 			for b := 0; b < batches; b++ {
 				span := cfg.Obs.StartSpan(obs.LayerHarness, "client_batch", i, obs.NoClass, 0, int64(b))
 				for attempt := 0; ; attempt++ {
-					job := eng.NewJob(i, g)
+					job := eng.NewJob(stream, g)
 					if spec.Weight > 0 {
 						job.Weight = spec.Weight
 					}
@@ -388,7 +394,8 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	res.Elapsed = time.Duration(lastFinish)
 	res.Device = devs[0].gpu.Stats()
 	res.Pool = devs[0].eng.Pool().Stats()
-	for _, d := range devs {
+	for i := range devs {
+		d := &devs[i]
 		res.Degraded.KernelRetries += d.eng.KernelRetries()
 		if d.inj != nil {
 			c := d.inj.Counters()
@@ -397,11 +404,11 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 			res.Degraded.JobAborts += c.JobAborts
 		}
 		if d.sched != nil {
-			// Records already returns a copy; keep the first device's as is.
+			d.sched.Flush()
 			if res.Quanta == nil {
-				res.Quanta = d.sched.Records()
+				res.Quanta = d.quanta
 			} else {
-				res.Quanta = append(res.Quanta, d.sched.Records()...)
+				res.Quanta = append(res.Quanta, d.quanta...)
 			}
 			res.Switches += d.sched.Switches()
 		}

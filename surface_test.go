@@ -33,7 +33,7 @@ var surfaceAllow = map[string]string{
 // fieldAllow lists the unexported struct fields no non-test code reads that
 // stay anyway, each with its reason.
 var fieldAllow = map[string]string{
-	"gpu.ownerAcct.count":         "oracle: the gpu tests check per-owner kernel counts with it",
+	"gpu.Stream.count":            "oracle: the gpu tests check per-stream kernel counts with it",
 	"overload.RetryBudget.denied": "oracle: the retry-budget tests count denied retries with it",
 }
 
