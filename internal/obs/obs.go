@@ -88,8 +88,9 @@ const NoDevice = -1
 type SpanID int32
 
 // Span is one recorded interval. Its identity is (Req, Seq): Seq is a
-// per-request monotonic counter assigned at StartSpan, so IDs are a pure
-// function of simulation order.
+// per-request monotonic counter assigned when the span is recorded (or, for
+// a NewChild child's span, when Splice or Merge folds it in), so IDs are a
+// pure function of simulation order.
 type Span struct {
 	// Req is the request the span belongs to, or NoReq.
 	Req int32
@@ -124,7 +125,8 @@ type Instant struct {
 }
 
 // Trace is an immutable snapshot of a recorder's spans and instants, in
-// recorded (simulation) order.
+// recorded (simulation) order. Its slices may share the recorder's storage,
+// so treat them as read-only.
 type Trace struct {
 	Spans    []Span
 	Instants []Instant
@@ -150,8 +152,13 @@ type Recorder struct {
 	base   sim.Time
 	maxT   sim.Time
 	off    uint8 // bitmask of muted layers; zero = record everything
-	spans  []Span
-	points []Instant
+	spans  records[Span]
+	points records[Instant]
+	// open counts the spans Trace would clamp (End < Start), so Trace knows
+	// when it may share the records instead of copying them.
+	open int
+	// reqSeq holds each request's next span counter; nil on a NewChild
+	// recorder, whose spans the recorder folding it in numbers.
 	reqSeq map[int32]uint32
 }
 
@@ -197,7 +204,7 @@ func (r *Recorder) Bind(env *sim.Env, label string) {
 	if r == nil {
 		return
 	}
-	if len(r.spans) > 0 || len(r.points) > 0 {
+	if r.spans.n > 0 || r.points.n > 0 {
 		r.base = r.maxT + runGap
 	}
 	r.env = env
@@ -217,14 +224,13 @@ func (r *Recorder) Attach(env *sim.Env) {
 // NewChild returns a fresh recorder inheriting this recorder's layer mute
 // mask, with its own registry and an unshifted time base. Children record
 // one run (or one shard of a run) in isolation — safe to drive from a
-// worker goroutine — and are folded back with Splice or Merge.
+// worker goroutine — and are folded back with Splice or Merge, which number
+// their spans; a child therefore leaves every Seq zero.
 func (r *Recorder) NewChild() *Recorder {
 	if r == nil {
 		return nil
 	}
-	c := NewRecorder()
-	c.off = r.off
-	return c
+	return &Recorder{Metrics: NewRegistry(), off: r.off}
 }
 
 // Splice appends child's records onto this recorder's timeline exactly as
@@ -233,44 +239,70 @@ func (r *Recorder) NewChild() *Recorder {
 // land shifted by that base in their recorded order, per-request span
 // counters continue from the parent's, and the child's metrics are absorbed
 // into the parent registry. Splicing children in run order therefore
-// reproduces the serial single-recorder trace byte-for-byte.
+// reproduces the serial single-recorder trace byte-for-byte. Splice consumes
+// the child: its records are released.
 func (r *Recorder) Splice(child *Recorder) {
 	if r == nil || child == nil {
 		return
 	}
 	r.env = nil
-	if len(r.spans) > 0 || len(r.points) > 0 {
+	if r.spans.n > 0 || r.points.n > 0 {
 		r.base = r.maxT + runGap
 	}
-	for _, s := range child.spans {
-		s.Seq += r.reqSeq[s.Req]
-		// An open span (End < Start) keeps its zero End so Trace() still
-		// clamps it to the final horizon, exactly as the serial path would.
-		open := s.End < s.Start
-		s.Start += r.base
-		if !open {
-			s.End += r.base
-		}
-		r.spans = append(r.spans, s)
+	for i := 0; i < child.spans.n; i++ {
+		r.spans.push(r.place(r.shift(*child.spans.at(i))))
 	}
-	for _, p := range child.points {
+	for i := 0; i < child.points.n; i++ {
+		p := *child.points.at(i)
 		p.At += r.base
-		r.points = append(r.points, p)
-	}
-	for req, cnt := range child.reqSeq {
-		r.reqSeq[req] += cnt
+		r.points.push(p)
 	}
 	r.note(r.base + child.maxT)
 	r.Metrics.Absorb(child.Metrics)
+	child.release()
+}
+
+// shift moves a folded child span onto this recorder's timeline by the
+// base. An open span (End < Start) keeps its zero End so Trace() still
+// clamps it to the final horizon, exactly as the serial path would.
+func (r *Recorder) shift(s Span) Span {
+	if s.End >= s.Start {
+		s.End += r.base
+	}
+	s.Start += r.base
+	return s
+}
+
+// place readies s to be stored: it gets its request's next span counter
+// (a NewChild child keeps no counters and leaves Seq alone), and an open
+// span is counted.
+func (r *Recorder) place(s Span) Span {
+	if r.reqSeq != nil {
+		s.Seq = r.reqSeq[s.Req]
+		r.reqSeq[s.Req] = s.Seq + 1
+	}
+	if s.End < s.Start {
+		r.open++
+	}
+	return s
+}
+
+// release drops a folded child's records so their blocks can be collected.
+func (r *Recorder) release() {
+	r.spans, r.points, r.open = records[Span]{}, records[Instant]{}, 0
 }
 
 // Merge folds concurrent children — the per-shard recorders of one sharded
 // run — onto this recorder's timeline under a single base shift, recording
 // a run-boundary instant carrying label first (Bind's role for a sharded
 // run). Records interleave by (time, child index, child record index) and
-// per-request span counters are reassigned in that merged order, so the
+// per-request span counters are assigned in that merged order, so the
 // result is a pure function of the children's contents: engines that
 // produce identical shard recordings produce identical merged traces.
+//
+// Merge consumes the children: the merged records are written once, into
+// one exactly sized slice the parent adopts when it holds no records yet
+// (so Trace and Spans can share it), and each child's blocks are released.
 //
 // Metrics absorb in child order: counters sum; a gauge takes the value of
 // the last child that set it (per-device gauge labels keep that unambiguous).
@@ -279,54 +311,56 @@ func (r *Recorder) Merge(label string, children []*Recorder) {
 		return
 	}
 	r.env = nil
-	if len(r.spans) > 0 || len(r.points) > 0 {
+	if r.spans.n > 0 || r.points.n > 0 {
 		r.base = r.maxT + runGap
 	}
-	r.Instant(LayerHarness, label, NoReq, NoClass, NoDevice, 0)
 	nSpans, nPoints := 0, 0
 	for _, ch := range children {
 		if ch != nil {
-			nSpans += len(ch.spans)
-			nPoints += len(ch.points)
+			nSpans += ch.spans.n
+			nPoints += ch.points.n
+			r.note(r.base + ch.maxT)
 		}
 	}
-	spanRefs := make([]mergeRef, 0, nSpans)
-	pointRefs := make([]mergeRef, 0, nPoints)
+	// One ref buffer serves the span pass, then the instant pass.
+	refs := make([]mergeRef, 0, max(nSpans, nPoints))
 	for c, ch := range children {
-		if ch == nil {
-			continue
+		for i := 0; ch != nil && i < ch.spans.n; i++ {
+			refs = append(refs, mergeRef{ch.spans.at(i).Start, int32(c), int32(i)})
 		}
-		for i, s := range ch.spans {
-			spanRefs = append(spanRefs, mergeRef{s.Start, int32(c), int32(i)})
-		}
-		for i, p := range ch.points {
-			pointRefs = append(pointRefs, mergeRef{p.At, int32(c), int32(i)})
-		}
-		r.note(r.base + ch.maxT)
 	}
-	slices.SortFunc(spanRefs, mergeRef.compare)
-	slices.SortFunc(pointRefs, mergeRef.compare)
-	r.spans = slices.Grow(r.spans, nSpans)
-	r.points = slices.Grow(r.points, nPoints)
-	for _, ref := range spanRefs {
-		s := children[ref.child].spans[ref.idx]
-		s.Seq = r.reqSeq[s.Req]
-		r.reqSeq[s.Req] = s.Seq + 1
-		open := s.End < s.Start
-		s.Start += r.base
-		if !open {
-			s.End += r.base
-		}
-		r.spans = append(r.spans, s)
+	slices.SortFunc(refs, mergeRef.compare)
+	spans := make([]Span, len(refs))
+	for j, ref := range refs {
+		spans[j] = r.place(r.shift(*children[ref.child].spans.at(int(ref.idx))))
 	}
-	for _, ref := range pointRefs {
-		p := children[ref.child].points[ref.idx]
+	r.spans.extend(spans)
+
+	refs = refs[:0]
+	for c, ch := range children {
+		for i := 0; ch != nil && i < ch.points.n; i++ {
+			refs = append(refs, mergeRef{ch.points.at(i).At, int32(c), int32(i)})
+		}
+	}
+	slices.SortFunc(refs, mergeRef.compare)
+	// The run-boundary instant leads the merged instants (Bind's role).
+	points := make([]Instant, 0, 1+len(refs))
+	if !r.muted(LayerHarness) {
+		points = append(points, Instant{Req: NoReq, Class: NoClass, Device: NoDevice,
+			Layer: LayerHarness, Name: label, At: r.base})
+		r.note(r.base)
+	}
+	for _, ref := range refs {
+		p := *children[ref.child].points.at(int(ref.idx))
 		p.At += r.base
-		r.points = append(r.points, p)
+		points = append(points, p)
 	}
+	r.points.extend(points)
+
 	for _, ch := range children {
 		if ch != nil {
 			r.Metrics.Absorb(ch.Metrics)
+			ch.release()
 		}
 	}
 }
@@ -373,24 +407,30 @@ func (r *Recorder) StartSpan(layer Layer, name string, req, class, device int, a
 		return 0
 	}
 	t := r.now()
-	seq := r.reqSeq[int32(req)]
-	r.reqSeq[int32(req)] = seq + 1
-	r.spans = append(r.spans, Span{
-		Req: int32(req), Seq: seq, Class: int8(class), Device: int16(device),
+	r.spans.push(r.place(Span{
+		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, Start: t, Arg: arg,
-	})
+	}))
 	r.note(t)
-	return SpanID(len(r.spans)) // 1-based so the zero value stays invalid
+	return SpanID(r.spans.n) // 1-based so the zero value stays invalid
 }
 
 // EndSpan closes a span at the current virtual time. Invalid handles
-// (the zero value, or any handle on a nil recorder) are ignored.
+// (the zero value, or any handle on a nil recorder) are ignored. End each
+// span once: a Trace snapshot may share the records of closed spans.
 func (r *Recorder) EndSpan(id SpanID) {
-	if r == nil || id <= 0 || int(id) > len(r.spans) {
+	if r == nil || id <= 0 || int(id) > r.spans.n {
 		return
 	}
 	t := r.now()
-	r.spans[id-1].End = t
+	s := r.spans.at(int(id) - 1)
+	if s.End < s.Start {
+		r.open--
+	}
+	s.End = t
+	if s.End < s.Start {
+		r.open++
+	}
 	r.note(t)
 }
 
@@ -400,12 +440,10 @@ func (r *Recorder) Span(layer Layer, name string, req, class, device int, start,
 	if r == nil || r.muted(layer) {
 		return
 	}
-	seq := r.reqSeq[int32(req)]
-	r.reqSeq[int32(req)] = seq + 1
-	r.spans = append(r.spans, Span{
-		Req: int32(req), Seq: seq, Class: int8(class), Device: int16(device),
+	r.spans.push(r.place(Span{
+		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, Start: r.base + start, End: r.base + end, Arg: arg,
-	})
+	}))
 	r.note(r.base + end)
 }
 
@@ -415,7 +453,7 @@ func (r *Recorder) Instant(layer Layer, name string, req, class, device int, arg
 		return
 	}
 	t := r.now()
-	r.points = append(r.points, Instant{
+	r.points.push(Instant{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, At: t, Arg: arg,
 	})
@@ -442,39 +480,46 @@ func (r *Recorder) InstantAt(layer Layer, name string, req, class, device int, a
 		return
 	}
 	t := r.base + at
-	r.points = append(r.points, Instant{
+	r.points.push(Instant{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, At: t, Arg: arg,
 	})
 	r.note(t)
 }
 
-// Spans returns the recorded spans (shared backing array; treat as
-// read-only).
+// Spans returns the recorded spans in order, open ones unclamped; treat the
+// result as read-only. Records held in one piece (a merged fleet parent's)
+// are shared, not copied.
 func (r *Recorder) Spans() []Span {
-	if r == nil {
+	if r == nil || r.spans.n == 0 {
 		return nil
 	}
-	return r.spans
+	if spans, ok := r.spans.shared(); ok {
+		return spans
+	}
+	return r.spans.copied()
 }
 
 // Trace snapshots the recorder. Spans still open are clamped to the trace
-// horizon so the snapshot renders cleanly.
+// horizon so the snapshot renders cleanly. Records held in one piece are
+// shared rather than copied — spans only when none is open, since those
+// records are final.
 func (r *Recorder) Trace() *Trace {
 	if r == nil {
 		return &Trace{}
 	}
-	spans := make([]Span, len(r.spans))
-	copy(spans, r.spans)
-	for i := range spans {
-		if spans[i].End < spans[i].Start {
-			spans[i].End = r.maxT
+	spans, ok := r.spans.shared()
+	if !ok || r.open > 0 {
+		spans = r.spans.copied()
+		for i := range spans {
 			if spans[i].End < spans[i].Start {
-				spans[i].End = spans[i].Start
+				spans[i].End = max(r.maxT, spans[i].Start)
 			}
 		}
 	}
-	points := make([]Instant, len(r.points))
-	copy(points, r.points)
+	points, ok := r.points.shared()
+	if !ok {
+		points = r.points.copied()
+	}
 	return &Trace{Spans: spans, Instants: points}
 }

@@ -154,8 +154,8 @@ func TestMuteLayer(t *testing.T) {
 		t.Fatalf("muted layer leaked spans: %+v", r.Spans())
 	}
 	// Bind's harness instant plus nothing from the muted layer.
-	if len(r.points) != 1 || r.points[0].Layer != LayerHarness {
-		t.Fatalf("muted layer leaked instants: %+v", r.points)
+	if points := r.Trace().Instants; len(points) != 1 || points[0].Layer != LayerHarness {
+		t.Fatalf("muted layer leaked instants: %+v", points)
 	}
 }
 

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"unsafe"
+
 	"olympian/internal/obs"
 	"olympian/internal/sim"
 )
@@ -37,66 +39,81 @@ func (s histSnap) add(o histSnap) histSnap {
 	return s
 }
 
-// scalarRing is one scalar series' ring buffer. A series appears at the tick
-// its registry series is first scraped (first); pushes then cover every
-// consecutive tick, with the oldest evicted past the capacity. The touched
-// ring mirrors the registry's touched flag so gauge merging can apply the
-// same set-if-touched rule Registry.Absorb uses.
-type scalarRing struct {
-	name    string
-	labels  string
-	counter bool
-	first   int // absolute tick index of the first push
-	n       int // pushes so far
-	vals    []float64
-	touched []bool
+// A ring chunk holds ringChunk ticks, or fewer when that would pass
+// ringChunkBytes: Go's largest small-object size class, beyond which an
+// allocation rounds up to whole pages (32 histogram snapshots would waste a
+// fifth of their chunk).
+const (
+	ringChunk      = 32
+	ringChunkBytes = 32 << 10
+)
+
+// chunkLen is the number of ticks one chunk of T holds.
+func chunkLen[T any]() int {
+	var v T
+	return max(1, min(ringChunk, ringChunkBytes/int(unsafe.Sizeof(v))))
 }
 
-func (r *scalarRing) push(cap int, v float64, touched bool) {
-	if len(r.vals) < cap {
-		r.vals = append(r.vals, v)
-		r.touched = append(r.touched, touched)
-	} else {
-		r.vals[r.n%cap] = v
-		r.touched[r.n%cap] = touched
+// ring is one series' history over the last cap ticks. A series appears at
+// the tick its registry series is first scraped (first); pushes then cover
+// every consecutive tick, with the oldest evicted past the capacity. Values
+// live in chunks of chunkLen slots, each allocated when the ring first
+// reaches it and overwritten in place once the ring wraps, so a ring
+// allocates what it keeps and a push never copies earlier values.
+type ring[T any] struct {
+	cap    int
+	first  int // absolute tick index of the first push
+	n      int // pushes so far
+	chunks [][]T
+}
+
+func (r *ring[T]) push(v T) {
+	c := chunkLen[T]()
+	slot := r.n % r.cap
+	k := slot / c
+	if k == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]T, min(c, r.cap-k*c)))
 	}
+	r.chunks[k][slot%c] = v
 	r.n++
 }
 
-// at returns the value and touched flag for absolute tick t; ok is false
-// before the series first appeared or past the retained window.
-func (r *scalarRing) at(t int) (v float64, touched, ok bool) {
+// at returns the value for absolute tick t; ok is false before the series
+// first appeared or past the retained window.
+func (r *ring[T]) at(t int) (v T, ok bool) {
 	i := t - r.first
-	if i < 0 || i >= r.n || i < r.n-len(r.vals) {
-		return 0, false, false
+	if i < 0 || i >= r.n || i < r.n-r.cap {
+		return v, false
 	}
-	return r.vals[i%len(r.vals)], r.touched[i%len(r.vals)], true
+	c := chunkLen[T]()
+	slot := i % r.cap
+	return r.chunks[slot/c][slot%c], true
+}
+
+// scalarPoint is one scalar sample. touched mirrors the registry's touched
+// flag so gauge merging can apply the same set-if-touched rule
+// Registry.Absorb uses.
+type scalarPoint struct {
+	v       float64
+	touched bool
+}
+
+// seriesKey identifies a series within a registry.
+type seriesKey struct {
+	name, labels string
+}
+
+// scalarRing is one scalar series' ring buffer.
+type scalarRing struct {
+	seriesKey
+	counter bool
+	ring[scalarPoint]
 }
 
 // histRing is one histogram series' ring of cumulative snapshots.
 type histRing struct {
-	name   string
-	labels string
-	first  int
-	n      int
-	snaps  []histSnap
-}
-
-func (r *histRing) push(cap int, s histSnap) {
-	if len(r.snaps) < cap {
-		r.snaps = append(r.snaps, s)
-	} else {
-		r.snaps[r.n%cap] = s
-	}
-	r.n++
-}
-
-func (r *histRing) at(t int) (histSnap, bool) {
-	i := t - r.first
-	if i < 0 || i >= r.n || i < r.n-len(r.snaps) {
-		return histSnap{}, false
-	}
-	return r.snaps[i%len(r.snaps)], true
+	seriesKey
+	ring[histSnap]
 }
 
 // Sampler scrapes one registry into ring-buffer series on a fixed cadence of
@@ -110,9 +127,9 @@ type Sampler struct {
 
 	ticks     int
 	scalars   []*scalarRing
-	scalarIdx map[string]int
+	scalarIdx map[seriesKey]int
 	hists     []*histRing
-	histIdx   map[string]int
+	histIdx   map[seriesKey]int
 }
 
 // NewSampler builds a sampler over reg. Returns nil when reg is nil — the
@@ -124,8 +141,8 @@ func NewSampler(cfg Config, reg *obs.Registry) *Sampler {
 	return &Sampler{
 		cfg:       cfg.withDefaults(),
 		reg:       reg,
-		scalarIdx: make(map[string]int),
-		histIdx:   make(map[string]int),
+		scalarIdx: make(map[seriesKey]int),
+		histIdx:   make(map[seriesKey]int),
 	}
 }
 
@@ -157,24 +174,26 @@ func (s *Sampler) Scrape() {
 	}
 	tick := s.ticks
 	s.reg.VisitScalars(func(name, labels string, counter bool, v float64, touched bool) {
-		key := name + labels
+		key := seriesKey{name, labels}
 		i, ok := s.scalarIdx[key]
 		if !ok {
 			i = len(s.scalars)
 			s.scalarIdx[key] = i
-			s.scalars = append(s.scalars, &scalarRing{name: name, labels: labels, counter: counter, first: tick})
+			s.scalars = append(s.scalars, &scalarRing{seriesKey: key, counter: counter,
+				ring: ring[scalarPoint]{cap: s.cfg.Capacity, first: tick}})
 		}
-		s.scalars[i].push(s.cfg.Capacity, v, touched)
+		s.scalars[i].push(scalarPoint{v, touched})
 	})
 	s.reg.VisitHists(func(name, labels string, h *obs.Hist) {
-		key := name + labels
+		key := seriesKey{name, labels}
 		i, ok := s.histIdx[key]
 		if !ok {
 			i = len(s.hists)
 			s.histIdx[key] = i
-			s.hists = append(s.hists, &histRing{name: name, labels: labels, first: tick})
+			s.hists = append(s.hists, &histRing{seriesKey: key,
+				ring: ring[histSnap]{cap: s.cfg.Capacity, first: tick}})
 		}
-		s.hists[i].push(s.cfg.Capacity, histSnap{buckets: h.Buckets(), sumNs: h.SumNanos()})
+		s.hists[i].push(histSnap{buckets: h.Buckets(), sumNs: h.SumNanos()})
 	})
 	s.ticks++
 }

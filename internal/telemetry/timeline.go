@@ -91,14 +91,14 @@ func Merge(cfg Config, samplers []*Sampler) *Timeline {
 				tl.scalars[key] = m
 			}
 			for t := tl.Start; t < tl.Ticks; t++ {
-				v, touched, ok := r.at(t)
+				p, ok := r.at(t)
 				if !ok {
 					continue
 				}
 				if m.counter {
-					m.vals[t-tl.Start] += v
-				} else if touched {
-					m.vals[t-tl.Start] = v
+					m.vals[t-tl.Start] += p.v
+				} else if p.touched {
+					m.vals[t-tl.Start] = p.v
 				}
 			}
 		}
