@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"slices"
 
+	"olympian/internal/records"
 	"olympian/internal/sim"
 )
 
@@ -152,8 +153,8 @@ type Recorder struct {
 	base   sim.Time
 	maxT   sim.Time
 	off    uint8 // bitmask of muted layers; zero = record everything
-	spans  records[Span]
-	points records[Instant]
+	spans  records.Store[Span]
+	points records.Store[Instant]
 	// open counts the spans Trace would clamp (End < Start), so Trace knows
 	// when it may share the records instead of copying them.
 	open int
@@ -204,7 +205,7 @@ func (r *Recorder) Bind(env *sim.Env, label string) {
 	if r == nil {
 		return
 	}
-	if r.spans.n > 0 || r.points.n > 0 {
+	if r.spans.Len() > 0 || r.points.Len() > 0 {
 		r.base = r.maxT + runGap
 	}
 	r.env = env
@@ -246,16 +247,16 @@ func (r *Recorder) Splice(child *Recorder) {
 		return
 	}
 	r.env = nil
-	if r.spans.n > 0 || r.points.n > 0 {
+	if r.spans.Len() > 0 || r.points.Len() > 0 {
 		r.base = r.maxT + runGap
 	}
-	for i := 0; i < child.spans.n; i++ {
-		r.spans.push(r.place(r.shift(*child.spans.at(i))))
+	for i := 0; i < child.spans.Len(); i++ {
+		r.spans.Push(r.place(r.shift(*child.spans.At(i))))
 	}
-	for i := 0; i < child.points.n; i++ {
-		p := *child.points.at(i)
+	for i := 0; i < child.points.Len(); i++ {
+		p := *child.points.At(i)
 		p.At += r.base
-		r.points.push(p)
+		r.points.Push(p)
 	}
 	r.note(r.base + child.maxT)
 	r.Metrics.Absorb(child.Metrics)
@@ -289,7 +290,7 @@ func (r *Recorder) place(s Span) Span {
 
 // release drops a folded child's records so their blocks can be collected.
 func (r *Recorder) release() {
-	r.spans, r.points, r.open = records[Span]{}, records[Instant]{}, 0
+	r.spans, r.points, r.open = records.Store[Span]{}, records.Store[Instant]{}, 0
 }
 
 // Merge folds concurrent children — the per-shard recorders of one sharded
@@ -311,35 +312,35 @@ func (r *Recorder) Merge(label string, children []*Recorder) {
 		return
 	}
 	r.env = nil
-	if r.spans.n > 0 || r.points.n > 0 {
+	if r.spans.Len() > 0 || r.points.Len() > 0 {
 		r.base = r.maxT + runGap
 	}
 	nSpans, nPoints := 0, 0
 	for _, ch := range children {
 		if ch != nil {
-			nSpans += ch.spans.n
-			nPoints += ch.points.n
+			nSpans += ch.spans.Len()
+			nPoints += ch.points.Len()
 			r.note(r.base + ch.maxT)
 		}
 	}
 	// One ref buffer serves the span pass, then the instant pass.
 	refs := make([]mergeRef, 0, max(nSpans, nPoints))
 	for c, ch := range children {
-		for i := 0; ch != nil && i < ch.spans.n; i++ {
-			refs = append(refs, mergeRef{ch.spans.at(i).Start, int32(c), int32(i)})
+		for i := 0; ch != nil && i < ch.spans.Len(); i++ {
+			refs = append(refs, mergeRef{ch.spans.At(i).Start, int32(c), int32(i)})
 		}
 	}
 	slices.SortFunc(refs, mergeRef.compare)
 	spans := make([]Span, len(refs))
 	for j, ref := range refs {
-		spans[j] = r.place(r.shift(*children[ref.child].spans.at(int(ref.idx))))
+		spans[j] = r.place(r.shift(*children[ref.child].spans.At(int(ref.idx))))
 	}
-	r.spans.extend(spans)
+	r.spans.Extend(spans)
 
 	refs = refs[:0]
 	for c, ch := range children {
-		for i := 0; ch != nil && i < ch.points.n; i++ {
-			refs = append(refs, mergeRef{ch.points.at(i).At, int32(c), int32(i)})
+		for i := 0; ch != nil && i < ch.points.Len(); i++ {
+			refs = append(refs, mergeRef{ch.points.At(i).At, int32(c), int32(i)})
 		}
 	}
 	slices.SortFunc(refs, mergeRef.compare)
@@ -351,11 +352,11 @@ func (r *Recorder) Merge(label string, children []*Recorder) {
 		r.note(r.base)
 	}
 	for _, ref := range refs {
-		p := *children[ref.child].points.at(int(ref.idx))
+		p := *children[ref.child].points.At(int(ref.idx))
 		p.At += r.base
 		points = append(points, p)
 	}
-	r.points.extend(points)
+	r.points.Extend(points)
 
 	for _, ch := range children {
 		if ch != nil {
@@ -407,23 +408,23 @@ func (r *Recorder) StartSpan(layer Layer, name string, req, class, device int, a
 		return 0
 	}
 	t := r.now()
-	r.spans.push(r.place(Span{
+	r.spans.Push(r.place(Span{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, Start: t, Arg: arg,
 	}))
 	r.note(t)
-	return SpanID(r.spans.n) // 1-based so the zero value stays invalid
+	return SpanID(r.spans.Len()) // 1-based so the zero value stays invalid
 }
 
 // EndSpan closes a span at the current virtual time. Invalid handles
 // (the zero value, or any handle on a nil recorder) are ignored. End each
 // span once: a Trace snapshot may share the records of closed spans.
 func (r *Recorder) EndSpan(id SpanID) {
-	if r == nil || id <= 0 || int(id) > r.spans.n {
+	if r == nil || id <= 0 || int(id) > r.spans.Len() {
 		return
 	}
 	t := r.now()
-	s := r.spans.at(int(id) - 1)
+	s := r.spans.At(int(id) - 1)
 	if s.End < s.Start {
 		r.open--
 	}
@@ -440,7 +441,7 @@ func (r *Recorder) Span(layer Layer, name string, req, class, device int, start,
 	if r == nil || r.muted(layer) {
 		return
 	}
-	r.spans.push(r.place(Span{
+	r.spans.Push(r.place(Span{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, Start: r.base + start, End: r.base + end, Arg: arg,
 	}))
@@ -453,7 +454,7 @@ func (r *Recorder) Instant(layer Layer, name string, req, class, device int, arg
 		return
 	}
 	t := r.now()
-	r.points.push(Instant{
+	r.points.Push(Instant{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, At: t, Arg: arg,
 	})
@@ -480,7 +481,7 @@ func (r *Recorder) InstantAt(layer Layer, name string, req, class, device int, a
 		return
 	}
 	t := r.base + at
-	r.points.push(Instant{
+	r.points.Push(Instant{
 		Req: int32(req), Class: int8(class), Device: int16(device),
 		Layer: layer, Name: name, At: t, Arg: arg,
 	})
@@ -491,13 +492,13 @@ func (r *Recorder) InstantAt(layer Layer, name string, req, class, device int, a
 // result as read-only. Records held in one piece (a merged fleet parent's)
 // are shared, not copied.
 func (r *Recorder) Spans() []Span {
-	if r == nil || r.spans.n == 0 {
+	if r == nil || r.spans.Len() == 0 {
 		return nil
 	}
-	if spans, ok := r.spans.shared(); ok {
+	if spans, ok := r.spans.Shared(); ok {
 		return spans
 	}
-	return r.spans.copied()
+	return r.spans.AppendTo(make([]Span, 0, r.spans.Len()))
 }
 
 // Trace snapshots the recorder. Spans still open are clamped to the trace
@@ -508,18 +509,18 @@ func (r *Recorder) Trace() *Trace {
 	if r == nil {
 		return &Trace{}
 	}
-	spans, ok := r.spans.shared()
+	spans, ok := r.spans.Shared()
 	if !ok || r.open > 0 {
-		spans = r.spans.copied()
+		spans = r.spans.AppendTo(make([]Span, 0, r.spans.Len()))
 		for i := range spans {
 			if spans[i].End < spans[i].Start {
 				spans[i].End = max(r.maxT, spans[i].Start)
 			}
 		}
 	}
-	points, ok := r.points.shared()
+	points, ok := r.points.Shared()
 	if !ok {
-		points = r.points.copied()
+		points = r.points.AppendTo(make([]Instant, 0, r.points.Len()))
 	}
 	return &Trace{Spans: spans, Instants: points}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestTraceSharesMergedSpans(t *testing.T) {
 		t.Errorf("Trace of a merged recorder made %v allocations, want 1 (the Trace header)", allocs)
 	}
 	for i, ch := range children {
-		if ch.spans.n != 0 || ch.points.n != 0 || ch.spans.blocks != nil || ch.points.blocks != nil {
+		if !reflect.ValueOf(ch.spans).IsZero() || !reflect.ValueOf(ch.points).IsZero() {
 			t.Errorf("child %d still holds records after Merge", i)
 		}
 	}

@@ -533,7 +533,7 @@ func (e *Env) step() *Proc {
 		e.now = ev.at
 		if c := q.c.guarded; c != nil {
 			if c.guard.blocked() {
-				c.waiters = append(c.waiters, q)
+				c.push(q)
 				continue
 			}
 			q.c.guarded = nil
@@ -725,8 +725,12 @@ func (ev *Event) Wait(p *Proc) {
 //
 //	for !condition() { cond.Wait(p) }
 type Cond struct {
-	env     *Env
-	waiters []*Proc
+	// The waiters, oldest first, form a FIFO ring: ring[head] is the
+	// longest waiting and n procs follow it, wrapping at len(ring). Signal
+	// pops the front in O(1); push doubles the ring when it is full. Each
+	// waiter carries its Env, so the Cond keeps none and stays 64 bytes.
+	ring    []*Proc
+	head, n int32
 	parkWhy string // "cond:"+label, precomputed so Wait never allocates it
 	// guard is the wait condition of the Semaphore or WaitGroup that owns
 	// the Cond, nil for a plain one; step consults it before switching
@@ -745,14 +749,14 @@ type guard interface {
 
 // NewCond returns a condition variable; label appears in deadlock reports.
 func (e *Env) NewCond(label string) *Cond {
-	return &Cond{env: e, parkWhy: "cond:" + label}
+	return &Cond{parkWhy: "cond:" + label}
 }
 
 // Wait blocks p until another process calls Signal or Broadcast. Callers
 // must re-check their condition in a loop: a wake-up does not imply the
 // condition holds.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.push(p)
 	if c.guard != nil {
 		p.c.guarded = c
 	}
@@ -761,25 +765,49 @@ func (c *Cond) Wait(p *Proc) {
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.n > 0 {
+		p := c.pop()
+		p.env.scheduleProc(0, p)
 	}
-	p := c.waiters[0]
-	// Shift rather than reslice from the front: the backing array is reused
-	// across wait/signal cycles and holds no popped procs.
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	c.env.scheduleProc(0, p)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		c.env.scheduleProc(0, p)
+	for c.n > 0 {
+		p := c.pop()
+		p.env.scheduleProc(0, p)
 	}
-	clear(c.waiters)
-	c.waiters = c.waiters[:0]
+}
+
+// push adds p at the back of the waiters. A full ring is copied, oldest
+// first, into one twice its size (the first push allocates a single slot).
+func (c *Cond) push(p *Proc) {
+	size := int32(len(c.ring))
+	if c.n == size {
+		size = max(2*size, 1)
+		ring := make([]*Proc, size)
+		k := copy(ring, c.ring[c.head:])
+		copy(ring[k:], c.ring[:c.head])
+		c.ring, c.head = ring, 0
+	}
+	i := c.head + c.n
+	if i >= size {
+		i -= size
+	}
+	c.ring[i] = p
+	c.n++
+}
+
+// pop removes and returns the longest waiter; the ring must not be empty.
+// The vacated slot is cleared so the ring holds no popped procs.
+func (c *Cond) pop() *Proc {
+	p := c.ring[c.head]
+	c.ring[c.head] = nil
+	if c.head++; int(c.head) == len(c.ring) {
+		c.head = 0
+	}
+	c.n--
+	return p
 }
 
 // Semaphore is a counting semaphore for processes.
@@ -800,7 +828,7 @@ type Semaphore struct {
 // NewSemaphore returns a semaphore with n free slots.
 func (e *Env) NewSemaphore(n int) *Semaphore {
 	s := &Semaphore{free: n}
-	s.cond = Cond{env: e, parkWhy: "cond:semaphore", guard: s}
+	s.cond = Cond{parkWhy: "cond:semaphore", guard: s}
 	return s
 }
 
@@ -829,7 +857,7 @@ type WaitGroup struct {
 // NewWaitGroup returns a wait group with count zero.
 func (e *Env) NewWaitGroup() *WaitGroup {
 	wg := &WaitGroup{}
-	wg.cond = Cond{env: e, parkWhy: "cond:waitgroup", guard: wg}
+	wg.cond = Cond{parkWhy: "cond:waitgroup", guard: wg}
 	return wg
 }
 

@@ -22,6 +22,7 @@ import (
 	"olympian/internal/overload"
 	"olympian/internal/par"
 	"olympian/internal/profiler"
+	"olympian/internal/records"
 	"olympian/internal/sim"
 	"olympian/internal/telemetry"
 )
@@ -226,7 +227,7 @@ type device struct {
 	sched  *core.Scheduler
 	eng    *executor.Engine
 	mem    int64
-	quanta []core.QuantumRecord
+	quanta records.Store[core.QuantumRecord]
 }
 
 // Run executes the workload and returns its measurements.
@@ -275,7 +276,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	for d := range devs {
 		devs[d] = newDevice(env, cfg, d, profiles)
 		if s := devs[d].sched; s != nil {
-			s.OnQuantum(func(r core.QuantumRecord) { devs[d].quanta = append(devs[d].quanta, r) })
+			s.OnQuantum(devs[d].quanta.Push)
 		}
 	}
 
@@ -394,6 +395,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 	res.Elapsed = time.Duration(lastFinish)
 	res.Device = devs[0].gpu.Stats()
 	res.Pool = devs[0].eng.Pool().Stats()
+	nQuanta := 0
 	for i := range devs {
 		d := &devs[i]
 		res.Degraded.KernelRetries += d.eng.KernelRetries()
@@ -405,12 +407,17 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		}
 		if d.sched != nil {
 			d.sched.Flush()
-			if res.Quanta == nil {
-				res.Quanta = d.quanta
-			} else {
-				res.Quanta = append(res.Quanta, d.quanta...)
-			}
+			nQuanta += d.quanta.Len()
 			res.Switches += d.sched.Switches()
+		}
+	}
+	// Each device's intervals sit in fixed blocks; copy them once, device
+	// by device, into one exactly sized slice and drop the blocks.
+	if nQuanta > 0 {
+		res.Quanta = make([]core.QuantumRecord, 0, nQuanta)
+		for i := range devs {
+			res.Quanta = devs[i].quanta.AppendTo(res.Quanta)
+			devs[i].quanta = records.Store[core.QuantumRecord]{}
 		}
 	}
 	if sampler != nil {
