@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +16,13 @@ import (
 // *Registry hands out nil series whose methods are no-ops, so
 // instrumentation can be wired unconditionally.
 //
+// Families, and each family's series, sit in append-only slices in
+// registration order. A walk (VisitScalars, VisitHists, Absorb,
+// WritePrometheus) reads a slice's header under its lock and then iterates
+// without it: registration only appends, so elements before the
+// snapshotted length never change, and a concurrent registration is simply
+// not seen by a walk already under way.
+//
 // A counter view (CounterView) is the exception to the atomics: it reads an
 // int tally its layer keeps, so the registry never holds a second copy of
 // the count. The contract is that a view's source changes only on the
@@ -23,9 +30,9 @@ import (
 // shard's sampler scrapes it there), and that any other reader — a merge, a
 // render, a Stats call — reads it only after Run returns.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	order    []string
+	mu     sync.Mutex
+	byName map[string]*family
+	fams   []*family // registration order, append-only
 }
 
 // familyKind distinguishes how a family's series accumulate and render.
@@ -49,13 +56,16 @@ func (k familyKind) String() string {
 }
 
 type family struct {
-	name   string
-	help   string
-	kind   familyKind
-	mu     sync.Mutex
-	series map[string]*Series
-	hists  map[string]*Hist
-	order  []string
+	name string
+	help string
+	kind familyKind
+	mu   sync.Mutex
+	// series and hists are the family's series in registration order,
+	// append-only; byKey and histByKey find them by rendered label key.
+	series    []*Series
+	hists     []*Hist
+	byKey     map[string]*Series
+	histByKey map[string]*Hist
 }
 
 // Series is one (family, label set) time series. Its value is a float64
@@ -77,22 +87,38 @@ type Series struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{byName: make(map[string]*family)}
 }
 
 func (g *Registry) family(name, help string, kind familyKind) *family {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	f := g.families[name]
+	f := g.byName[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*Series)}
+		f = &family{name: name, help: help, kind: kind, byKey: make(map[string]*Series)}
 		if kind == kindHistogram {
-			f.hists = make(map[string]*Hist)
+			f.histByKey = make(map[string]*Hist)
 		}
-		g.families[name] = f
-		g.order = append(g.order, name)
+		g.byName[name] = f
+		g.fams = append(g.fams, f)
 	}
 	return f
+}
+
+// families returns the registration-ordered family slice as it stands; see
+// Registry for why iterating it unlocked is safe.
+func (g *Registry) families() []*family {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fams
+}
+
+// members returns the family's scalar and histogram series slices as they
+// stand, under the same contract.
+func (f *family) members() ([]*Series, []*Hist) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.series, f.hists
 }
 
 // renderLabels builds the `{k="v",...}` suffix. Labels are key/value pairs
@@ -127,11 +153,11 @@ func (f *family) get(kv []string) *Series {
 func (f *family) getByKey(key string) *Series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[key]
+	s := f.byKey[key]
 	if s == nil {
 		s = &Series{labels: key}
-		f.series[key] = s
-		f.order = append(f.order, key)
+		f.byKey[key] = s
+		f.series = append(f.series, s)
 	}
 	return s
 }
@@ -139,11 +165,11 @@ func (f *family) getByKey(key string) *Series {
 func (f *family) getHistByKey(key string) *Hist {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	h := f.hists[key]
+	h := f.histByKey[key]
 	if h == nil {
 		h = &Hist{labels: key}
-		f.hists[key] = h
-		f.order = append(f.order, key)
+		f.histByKey[key] = h
+		f.hists = append(f.hists, h)
 	}
 	return h
 }
@@ -291,16 +317,8 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	if g == nil {
 		return nil
 	}
-	g.mu.Lock()
-	names := make([]string, len(g.order))
-	copy(names, g.order)
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, g.families[n])
-	}
-	g.mu.Unlock()
-
+	fams := slices.Clone(g.families())
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	for _, f := range fams {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
@@ -310,30 +328,17 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		f.mu.Lock()
-		keys := make([]string, len(f.order))
-		copy(keys, f.order)
-		series := make([]*Series, len(keys))
-		hists := make([]*Hist, len(keys))
-		for i, k := range keys {
-			series[i] = f.series[k]
-			hists[i] = f.hists[k]
-		}
-		f.mu.Unlock()
-		idx := make([]int, len(keys))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-		for _, i := range idx {
-			if h := hists[i]; h != nil {
-				if err := writeHist(w, f.name, h); err != nil {
-					return err
-				}
-				continue
-			}
-			s := series[i]
+		ss, hs := f.members()
+		ss, hs = slices.Clone(ss), slices.Clone(hs)
+		slices.SortFunc(ss, func(a, b *Series) int { return strings.Compare(a.labels, b.labels) })
+		slices.SortFunc(hs, func(a, b *Hist) int { return strings.Compare(a.labels, b.labels) })
+		for _, s := range ss {
 			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(s.Value())); err != nil {
+				return err
+			}
+		}
+		for _, h := range hs {
+			if err := writeHist(w, f.name, h); err != nil {
 				return err
 			}
 		}
@@ -353,35 +358,21 @@ func (g *Registry) Absorb(other *Registry) {
 	if g == nil || other == nil {
 		return
 	}
-	other.mu.Lock()
-	names := append([]string(nil), other.order...)
-	other.mu.Unlock()
-	for _, name := range names {
-		other.mu.Lock()
-		of := other.families[name]
-		other.mu.Unlock()
+	for _, of := range other.families() {
 		f := g.family(of.name, of.help, of.kind)
-		of.mu.Lock()
-		keys := append([]string(nil), of.order...)
-		of.mu.Unlock()
-		for _, k := range keys {
-			of.mu.Lock()
-			os := of.series[k]
-			oh := of.hists[k]
-			of.mu.Unlock()
-			if oh != nil {
-				// Register even when untouched, then add exactly.
-				f.getHistByKey(k).absorb(oh)
-				continue
-			}
-			// Register the series even when untouched: a shared recorder
-			// renders zero-valued registered series, so the fold must too.
-			s := f.getByKey(k)
+		ss, hs := of.members()
+		// Register every series even when untouched: a shared recorder
+		// renders zero-valued registered series, so the fold must too.
+		for _, os := range ss {
+			s := f.getByKey(os.labels)
 			if of.kind == kindCounter {
 				s.Add(os.Value())
 			} else if os.touched.Load() {
 				s.Set(os.Value())
 			}
+		}
+		for _, oh := range hs {
+			f.getHistByKey(oh.labels).absorb(oh)
 		}
 	}
 }
@@ -394,81 +385,51 @@ func (g *Registry) Snapshot() map[string]float64 {
 	if g == nil {
 		return out
 	}
-	g.mu.Lock()
-	fams := make([]*family, 0, len(g.families))
-	for _, f := range g.families {
-		fams = append(fams, f)
-	}
-	g.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		for k, s := range f.series {
-			out[f.name+k] = s.Value()
+	for _, f := range g.families() {
+		ss, hs := f.members()
+		for _, s := range ss {
+			out[f.name+s.labels] = s.Value()
 		}
-		for k, h := range f.hists {
-			out[f.name+"_count"+k] = float64(h.Count())
-			out[f.name+"_sum"+k] = h.SumSeconds()
+		for _, h := range hs {
+			out[f.name+"_count"+h.labels] = float64(h.Count())
+			out[f.name+"_sum"+h.labels] = h.SumSeconds()
 		}
-		f.mu.Unlock()
 	}
 	return out
 }
 
 // VisitScalars calls fn for each scalar (counter or gauge) series of every
-// family, in registration order, with the series' touched state. The
-// telemetry sampler scrapes through this each tick.
+// non-histogram family, in registration order, with the series' touched
+// state. The telemetry sampler scrapes through this each tick; the walk
+// reads the registry in place and allocates nothing.
 func (g *Registry) VisitScalars(fn func(name, labels string, counter bool, v float64, touched bool)) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	names := append([]string(nil), g.order...)
-	g.mu.Unlock()
-	for _, name := range names {
-		g.mu.Lock()
-		f := g.families[name]
-		g.mu.Unlock()
+	for _, f := range g.families() {
 		if f.kind == kindHistogram {
 			continue
 		}
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		ss := make([]*Series, len(keys))
-		for i, k := range keys {
-			ss[i] = f.series[k]
-		}
-		f.mu.Unlock()
-		for i, k := range keys {
-			fn(f.name, k, f.kind == kindCounter, ss[i].Value(), ss[i].touched.Load())
+		ss, _ := f.members()
+		for _, s := range ss {
+			fn(f.name, s.labels, f.kind == kindCounter, s.Value(), s.touched.Load())
 		}
 	}
 }
 
-// VisitHists calls fn for each histogram series of every family, in
-// registration order.
+// VisitHists calls fn for each histogram series of every histogram family,
+// in registration order, reading the registry in place like VisitScalars.
 func (g *Registry) VisitHists(fn func(name, labels string, h *Hist)) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	names := append([]string(nil), g.order...)
-	g.mu.Unlock()
-	for _, name := range names {
-		g.mu.Lock()
-		f := g.families[name]
-		g.mu.Unlock()
+	for _, f := range g.families() {
 		if f.kind != kindHistogram {
 			continue
 		}
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		hs := make([]*Hist, len(keys))
-		for i, k := range keys {
-			hs[i] = f.hists[k]
-		}
-		f.mu.Unlock()
-		for i, k := range keys {
-			fn(f.name, k, hs[i])
+		_, hs := f.members()
+		for _, h := range hs {
+			fn(f.name, h.labels, h)
 		}
 	}
 }

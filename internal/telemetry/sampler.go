@@ -23,14 +23,6 @@ func (s histSnap) count() uint64 {
 	return n
 }
 
-func (s histSnap) sub(o histSnap) histSnap {
-	for i := range s.buckets {
-		s.buckets[i] -= o.buckets[i]
-	}
-	s.sumNs -= o.sumNs
-	return s
-}
-
 func (s histSnap) add(o histSnap) histSnap {
 	for i := range s.buckets {
 		s.buckets[i] += o.buckets[i]

@@ -44,6 +44,17 @@ func toyConfig() Config {
 	}
 }
 
+// histDelta is a merged histogram's snapshot difference over the w ticks
+// ending at tick at: the bucket counts a windowed quantile reads.
+func (tl *Timeline) histDelta(h *tlHist, w, at int) histSnap {
+	s, o := tl.histAt(h, at), tl.histAt(h, at-w)
+	for i := range s.buckets {
+		s.buckets[i] -= o.buckets[i]
+	}
+	s.sumNs -= o.sumNs
+	return s
+}
+
 // TestSamplerScrapesOnVirtualClock checks tick cadence and windowed queries.
 func TestSamplerScrapesOnVirtualClock(t *testing.T) {
 	env := sim.NewEnv(1)

@@ -17,11 +17,12 @@ type tlScalar struct {
 	vals    []float64 // index 0 = tick Start
 }
 
-// tlHist is one merged histogram series: cumulative snapshots per retained
-// tick.
+// tlHist is one merged histogram series: the rings of every shard that
+// holds it, in sampler order. Merge consumed those samplers, so the rings
+// never change again and histAt sums them where they sit.
 type tlHist struct {
 	name  string
-	snaps []histSnap
+	rings []*histRing
 }
 
 // Timeline is the merged, query-ready view of one run's telemetry: per-tick
@@ -56,6 +57,10 @@ type Timeline struct {
 // across shards, a gauge takes the last shard (in slice order) that touched
 // it — the same rule Registry.Absorb applies — and histogram snapshots add
 // exactly. Nil samplers are skipped; with none, an empty timeline returns.
+//
+// Merge consumes its samplers, the way obs.Recorder.Merge consumes its
+// children: the timeline reads their histogram rings in place, so a sampler
+// must not scrape (or be extended) after it has been merged.
 func Merge(cfg Config, samplers []*Sampler) *Timeline {
 	cfg = cfg.withDefaults()
 	tl := &Timeline{
@@ -106,14 +111,10 @@ func Merge(cfg Config, samplers []*Sampler) *Timeline {
 			key := r.name + r.labels
 			m := tl.hists[key]
 			if m == nil {
-				m = &tlHist{name: r.name, snaps: make([]histSnap, n)}
+				m = &tlHist{name: r.name}
 				tl.hists[key] = m
 			}
-			for t := tl.Start; t < tl.Ticks; t++ {
-				if snap, ok := r.at(t); ok {
-					m.snaps[t-tl.Start] = m.snaps[t-tl.Start].add(snap)
-				}
-			}
+			m.rings = append(m.rings, r)
 		}
 	}
 	for k := range tl.scalars {
@@ -151,23 +152,31 @@ func (s *tlScalar) valueAt(tl *Timeline, t int) float64 {
 	return s.vals[t-tl.Start]
 }
 
+// histAt returns a merged histogram's cumulative snapshot at absolute tick
+// t: the sum of its shard rings' snapshots (zero before the retained
+// window, the last tick past it).
 func (tl *Timeline) histAt(h *tlHist, t int) histSnap {
+	var sum histSnap
 	if t < tl.Start {
-		return histSnap{}
+		return sum
 	}
 	if t >= tl.Ticks {
 		t = tl.Ticks - 1
 	}
-	return h.snaps[t-tl.Start]
+	for _, r := range h.rings {
+		if snap, ok := r.at(t); ok {
+			sum = sum.add(snap)
+		}
+	}
+	return sum
 }
 
-func (tl *Timeline) histDelta(h *tlHist, w, at int) histSnap {
-	return tl.histAt(h, at).sub(tl.histAt(h, at-w))
-}
+// sloCount is an SLO's cumulative (good, total) event count at one tick.
+type sloCount struct{ good, total float64 }
 
 // sloCounts returns the (good, total) cumulative event counts of an SLO's
 // SLI at tick t, aggregated across every series of the source family.
-func (tl *Timeline) sloCounts(slo SLO, t int) (good, total float64) {
+func (tl *Timeline) sloCounts(slo SLO, t int) (c sloCount) {
 	if slo.Hist != "" {
 		// Integer accumulation: exact and order-independent.
 		var g, n uint64
@@ -180,26 +189,30 @@ func (tl *Timeline) sloCounts(slo SLO, t int) (good, total float64) {
 			g += obs.HistCountLE(snap.buckets, slo.Threshold)
 			n += snap.count()
 		}
-		return float64(g), float64(n)
+		return sloCount{float64(g), float64(n)}
 	}
 	for _, k := range tl.scalarOrder {
 		s := tl.scalars[k]
 		if s.name == slo.Good {
-			good += s.valueAt(tl, t)
-			total += s.valueAt(tl, t)
+			c.good += s.valueAt(tl, t)
+			c.total += s.valueAt(tl, t)
 		} else if s.name == slo.Bad {
-			total += s.valueAt(tl, t)
+			c.total += s.valueAt(tl, t)
 		}
 	}
-	return good, total
+	return c
 }
 
 // burnAt computes the SLO's burn rate over the window of w ticks ending at
-// tick t: error fraction divided by error budget. An empty window burns 0.
-func (tl *Timeline) burnAt(slo SLO, w, t int) float64 {
-	g1, n1 := tl.sloCounts(slo, t)
-	g0, n0 := tl.sloCounts(slo, t-w)
-	good, total := g1-g0, n1-n0
+// tick t from its per-tick counts (indexed from Start; earlier ticks count
+// zero): error fraction divided by error budget. An empty window burns 0.
+func (tl *Timeline) burnAt(slo SLO, counts []sloCount, w, t int) float64 {
+	c1 := counts[t-tl.Start]
+	var c0 sloCount
+	if t-w >= tl.Start {
+		c0 = counts[t-w-tl.Start]
+	}
+	good, total := c1.good-c0.good, c1.total-c0.total
 	if total <= 0 {
 		return 0
 	}
@@ -214,21 +227,27 @@ func (tl *Timeline) burnAt(slo SLO, w, t int) float64 {
 // the alert transitions: a rule fires at the first tick where both the long-
 // and short-window burn rates reach its factor, and resolves at the first
 // tick where either drops below. Iteration is in slice order and ticks
-// ascend, so the log is deterministic. Also called by Merge; callable again
-// with different rules (the alert log resets).
+// ascend, so the log is deterministic. Each SLO's cumulative counts are
+// computed once per retained tick and shared by every rule and window.
+// Also called by Merge; callable again with different rules (the alert log
+// resets).
 func (tl *Timeline) Evaluate(slos []SLO, rules []BurnRule) {
 	tl.Alerts = nil
 	tl.burns = make(map[string][]float64)
+	counts := make([]sloCount, tl.Ticks-tl.Start)
 	for _, slo := range slos {
+		for t := tl.Start; t < tl.Ticks; t++ {
+			counts[t-tl.Start] = tl.sloCounts(slo, t)
+		}
 		for _, rule := range rules {
 			long := tl.windowTicks(rule.Long)
 			short := tl.windowTicks(rule.Short)
 			burns := make([]float64, tl.Ticks-tl.Start)
 			firing := false
 			for t := tl.Start; t < tl.Ticks; t++ {
-				lb := tl.burnAt(slo, long, t)
+				lb := tl.burnAt(slo, counts, long, t)
 				burns[t-tl.Start] = lb
-				on := lb >= rule.Factor && tl.burnAt(slo, short, t) >= rule.Factor
+				on := lb >= rule.Factor && tl.burnAt(slo, counts, short, t) >= rule.Factor
 				if on != firing {
 					firing = on
 					state := "resolved"
@@ -323,15 +342,17 @@ func (tl *Timeline) WriteJSON(w io.Writer) error {
 		}
 		out.Series[k] = seriesJSON{Kind: kind, Values: s.vals}
 	}
+	n := tl.Ticks - tl.Start
 	for k, h := range tl.hists {
 		hj := histJSON{
-			Count: make([]uint64, len(h.snaps)),
-			SumNs: make([]int64, len(h.snaps)),
-			P50:   make([]float64, len(h.snaps)),
-			P95:   make([]float64, len(h.snaps)),
-			P99:   make([]float64, len(h.snaps)),
+			Count: make([]uint64, n),
+			SumNs: make([]int64, n),
+			P50:   make([]float64, n),
+			P95:   make([]float64, n),
+			P99:   make([]float64, n),
 		}
-		for i, snap := range h.snaps {
+		for i := range n {
+			snap := tl.histAt(h, tl.Start+i)
 			hj.Count[i] = snap.count()
 			hj.SumNs[i] = snap.sumNs
 			hj.P50[i] = obs.QuantileOfBuckets(snap.buckets, 0.50)
