@@ -1,7 +1,7 @@
 // Package spec decodes the JSON simulation description shared by
 // olympian-sim scenario files and olympian-serve's /simulate, /trace and
 // /plan bodies: scheduler and policy names, and client groups capped in the
-// clients and sequential jobs they may expand to.
+// clients, batch size and sequential jobs they may expand to.
 package spec
 
 import (
@@ -47,6 +47,11 @@ type ClientGroup struct {
 // room while a ~100-byte body can no longer ask for billions of clients.
 const MaxClients = 1000
 
+// MaxBatch caps a client's batch size. A model graph replicates its
+// preprocessing chain once per image, so the batch bounds the graph each
+// client builds; the cap is 4× the largest Table 2 batch (AlexNet, 256).
+const MaxBatch = 1024
+
 // MaxJobs caps the sequential jobs one simulation may run, summed over
 // clients as max(count,1)×max(batches,1). It is MaxClients clients at the
 // paper's 10 batches each, far above the 40×10 jobs of the largest
@@ -74,7 +79,8 @@ var policies = map[string]func() olympian.Policy{
 
 // Build translates s into a simulation config and its clients. It fails,
 // before anything is simulated, on an unknown name, on an empty or
-// over-cap client set, and on more than MaxJobs sequential jobs.
+// over-cap client set, on a batch above MaxBatch, and on more than MaxJobs
+// sequential jobs.
 func (s Simulation) Build() (olympian.Config, []olympian.Client, error) {
 	cfg := olympian.Config{Seed: s.Seed, Quantum: time.Duration(s.QuantumUs) * time.Microsecond}
 	sched, ok := schedulers[s.Scheduler]
@@ -102,11 +108,14 @@ func (s Simulation) Build() (olympian.Config, []olympian.Client, error) {
 }
 
 // ExpandClients turns the client groups into a flat client list, failing
-// before it allocates when the groups ask for more than MaxClients in total,
-// and failing when they ask for none.
+// before it allocates when the groups ask for more than MaxClients in total
+// or for a batch above MaxBatch, and failing when they ask for none.
 func (s Simulation) ExpandClients() ([]olympian.Client, error) {
 	total := 0
 	for _, g := range s.Clients {
+		if g.Batch > MaxBatch {
+			return nil, fmt.Errorf("batch: %d above the cap of %d", g.Batch, MaxBatch)
+		}
 		n := max(g.Count, 1)
 		if n > MaxClients-total {
 			return nil, fmt.Errorf("clients: more than %d requested", MaxClients)

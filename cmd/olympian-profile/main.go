@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"olympian/cmd/internal/spec"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
 	"olympian/internal/profiler"
@@ -35,7 +36,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("olympian-profile", flag.ContinueOnError)
 	var (
 		modelName = fs.String("model", "", "model to profile (see -models)")
-		batch     = fs.Int("batch", 100, "batch size (0 = the paper's Table 2 size)")
+		batch     = fs.Int("batch", 100, fmt.Sprintf("batch size, at most %d (0 = the paper's Table 2 size)", spec.MaxBatch))
 		gpuName   = fs.String("gpu", "gtx-1080ti", "GPU platform: gtx-1080ti or titan-x")
 		quantum   = fs.Duration("quantum", 1200*time.Microsecond, "quantum Q for the threshold")
 		curve     = fs.Bool("curve", false, "also trace the Overhead-Q curve")
@@ -55,7 +56,10 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	spec, err := lookupGPU(*gpuName)
+	if *batch > spec.MaxBatch {
+		return fmt.Errorf("-batch %d above the cap of %d", *batch, spec.MaxBatch)
+	}
+	platform, err := lookupGPU(*gpuName)
 	if err != nil {
 		return err
 	}
@@ -68,7 +72,7 @@ func run(args []string) error {
 		return fmt.Errorf("give -model <name> or -all (see -models for names)")
 	}
 
-	fmt.Printf("platform %s, quantum Q=%v\n", spec.Name, *quantum)
+	fmt.Printf("platform %s, quantum Q=%v\n", platform.Name, *quantum)
 	fmt.Println("model          batch  C_j        D_j        rate   T_j        solo runtime")
 	var curves []*profiler.OverheadCurve
 	for _, name := range names {
@@ -86,23 +90,23 @@ func run(args []string) error {
 		}
 		var prof *profiler.Result
 		if *fromDir != "" {
-			loaded, gpuOfProfile, lerr := profiler.ReadFile(profiler.StorePath(*fromDir, spec.Name, name, b))
+			loaded, gpuOfProfile, lerr := profiler.ReadFile(profiler.StorePath(*fromDir, platform.Name, name, b))
 			if lerr != nil {
 				return lerr
 			}
-			if gpuOfProfile != spec.Name {
-				return fmt.Errorf("profile for %s/%d was taken on %s, not %s", name, b, gpuOfProfile, spec.Name)
+			if gpuOfProfile != platform.Name {
+				return fmt.Errorf("profile for %s/%d was taken on %s, not %s", name, b, gpuOfProfile, platform.Name)
 			}
 			prof = loaded
 		} else {
-			p, perr := profiler.ProfileSolo(g, profiler.Options{Spec: spec, Seed: *seed})
+			p, perr := profiler.ProfileSolo(g, profiler.Options{Spec: platform, Seed: *seed})
 			if perr != nil {
 				return perr
 			}
 			prof = p
 		}
 		if *saveDir != "" {
-			if err := prof.WriteFile(profiler.StorePath(*saveDir, spec.Name, name, b), spec.Name); err != nil {
+			if err := prof.WriteFile(profiler.StorePath(*saveDir, platform.Name, name, b), platform.Name); err != nil {
 				return err
 			}
 		}
@@ -112,7 +116,7 @@ func run(args []string) error {
 			prof.Rate(), prof.Threshold(*quantum).Round(time.Microsecond),
 			prof.Runtime.Round(time.Millisecond))
 		if *curve {
-			c, err := profiler.MeasureOverheadCurve(g, prof, nil, profiler.Options{Spec: spec, Seed: *seed})
+			c, err := profiler.MeasureOverheadCurve(g, prof, nil, profiler.Options{Spec: platform, Seed: *seed})
 			if err != nil {
 				return err
 			}

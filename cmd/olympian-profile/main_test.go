@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +22,13 @@ func TestRunRequiresModel(t *testing.T) {
 func TestRunRejectsUnknownGPU(t *testing.T) {
 	if err := run([]string{"-model", "vgg", "-gpu", "tpu-v9"}); err == nil {
 		t.Fatal("expected error for unknown GPU")
+	}
+}
+
+func TestRunRejectsOversizeBatch(t *testing.T) {
+	err := run([]string{"-model", "inception-v4", "-batch", "1025"})
+	if err == nil || !strings.Contains(err.Error(), "above the cap") {
+		t.Fatalf("err = %v, want the batch cap", err)
 	}
 }
 

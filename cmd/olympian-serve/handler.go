@@ -130,14 +130,18 @@ func (a *api) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec := olympian.GTX1080Ti
+	platform := olympian.GTX1080Ti
 	if req.GPU == "titan-x" {
-		spec = olympian.TitanX
+		platform = olympian.TitanX
 	}
 	if req.Batch <= 0 {
 		req.Batch = 100
 	}
-	prof, err := olympian.Profile(req.Model, req.Batch, spec)
+	if req.Batch > spec.MaxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch: %d above the cap of %d", req.Batch, spec.MaxBatch))
+		return
+	}
+	prof, err := olympian.Profile(req.Model, req.Batch, platform)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

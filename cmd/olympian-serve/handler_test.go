@@ -239,6 +239,29 @@ func TestJobBudgetCapped(t *testing.T) {
 	}
 }
 
+// TestBatchCapped checks that a batch above spec.MaxBatch is rejected with 400
+// by the cap on every endpoint that builds a model graph or plans one, while
+// the cap itself is still accepted.
+func TestBatchCapped(t *testing.T) {
+	h := newHandler()
+	over := spec.MaxBatch + 1
+	for path, body := range map[string]string{
+		"/simulate": fmt.Sprintf(`{"clients":[{"model":"inception-v4","batch":%d}]}`, over),
+		"/trace":    fmt.Sprintf(`{"clients":[{"model":"inception-v4","batch":%d}]}`, over),
+		"/plan":     fmt.Sprintf(`{"clients":[{"model":"inception-v4","batch":1},{"model":"inception-v4","batch":%d}]}`, over),
+		"/profile":  fmt.Sprintf(`{"model":"inception-v4","batch":%d}`, over),
+	} {
+		rec, obj := do(t, h, "POST", path, body)
+		if msg, _ := obj["error"].(string); rec.Code != http.StatusBadRequest || !strings.Contains(msg, "above the cap") {
+			t.Errorf("%s with batch %d: status %d (error %q), want 400 from the batch cap", path, over, rec.Code, msg)
+		}
+	}
+	body := fmt.Sprintf(`{"clients":[{"model":"alexnet","batch":%d}]}`, spec.MaxBatch)
+	if rec, obj := do(t, h, "POST", "/plan", body); rec.Code != http.StatusOK {
+		t.Fatalf("/plan with batch %d: status %d: %v", spec.MaxBatch, rec.Code, obj["error"])
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	h := newHandler()
 	// Drive some traffic so counters move: one good simulate, one bad.

@@ -90,6 +90,7 @@ func TestRunScenarioErrors(t *testing.T) {
 		// fail before anything is simulated.
 		"toomanyclients.json": `{"clients":[{"model":"inception-v4","batch":1,"count":1001}]}`,
 		"toomanyjobs.json":    `{"clients":[{"model":"inception-v4","batch":1,"batches":2000000000}]}`,
+		"toobigbatch.json":    `{"clients":[{"model":"inception-v4","batch":1025}]}`,
 		"toomanygpus.json":    `{"gpus":65,"clients":[{"model":"inception-v4","batch":1}]}`,
 	} {
 		path := filepath.Join(dir, name)

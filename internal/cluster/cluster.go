@@ -48,20 +48,13 @@ type Config struct {
 	Placement *planner.Placement
 	// Route selects the routing policy (default LeastOutstanding).
 	Route RoutePolicy
-	// Policy builds each device's scheduler policy; per-device instances
-	// are required because policies are stateful (default core.NewFair).
-	Policy func() core.Policy
-	// Quantum, MaxBatch, BatchTimeout, MaxQueue, Deadline mirror
-	// serving.Config and apply to every device's front-end.
-	Quantum      time.Duration
+	// MaxBatch, BatchTimeout, MaxQueue, Deadline mirror serving.Config and
+	// apply to every device's front-end, each an Olympian stack (fair
+	// policy, Q = core.DefaultQuantum).
 	MaxBatch     int
 	BatchTimeout time.Duration
 	MaxQueue     int
 	Deadline     time.Duration
-	// MaxFailovers caps how often one request is re-dispatched after
-	// drains before it fails with the drain error (default 3; negative
-	// disables failover).
-	MaxFailovers int
 	// HedgeDelay, when > 0, arms a hedge timer per request: if the request
 	// has not completed after this delay, a duplicate is dispatched to the
 	// next-best replica (never one already serving it). First completion
@@ -72,14 +65,6 @@ type Config struct {
 	// Admission forwards an AIMD adaptive-admission config to every
 	// device's serving front-end (nil = static queue bounds only).
 	Admission *overload.AIMDConfig
-	// H2DBandwidth is the modeled host-to-device copy bandwidth in bytes
-	// per second, used to charge replica warm-up after a crash: reviving a
-	// device re-copies every placed replica's weights (default
-	// DefaultH2DBandwidth, PCIe 3.0 x16 class).
-	H2DBandwidth float64
-	// WarmupBase is the fixed restart overhead added to the weight-copy
-	// time on revival — driver/runtime re-initialization (default 2ms).
-	WarmupBase time.Duration
 	// TestStrandDrainNth forwards the serving layer's deliberate drain bug
 	// to every device; see serving.Config.TestStrandDrainNth. Test-only.
 	TestStrandDrainNth int
@@ -100,10 +85,6 @@ type Config struct {
 	// when Obs is nil (there are no registries to scrape).
 	Telemetry *telemetry.Config
 
-	// NetLatency is the modeled front-end<->device network latency; it
-	// doubles as the conservative lookahead that bounds each shard's
-	// safe-execution window (default DefaultNetLatency).
-	NetLatency time.Duration
 	// Workers is ignored: the sharded engine runs its windows serially. It
 	// stays only because the benchmark's workload definitions still set it.
 	Workers int
@@ -121,42 +102,35 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Route == 0 {
 		cfg.Route = LeastOutstanding
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = func() core.Policy { return core.NewFair() }
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = workloadDefaultQuantum
-	}
-	cfg.MaxFailovers = failoverCap(cfg.MaxFailovers, 3)
 	if cfg.Profiles == nil {
 		cfg.Profiles = profiler.NewStore()
 	}
-	if cfg.H2DBandwidth <= 0 {
-		cfg.H2DBandwidth = DefaultH2DBandwidth
-	}
-	if cfg.WarmupBase <= 0 {
-		cfg.WarmupBase = DefaultWarmupBase
-	}
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = DefaultNetLatency
-	}
 	return cfg
 }
+
+// maxFailovers caps how often one request is re-dispatched after drains
+// before it fails with the drain error.
+const maxFailovers = 3
 
 // DefaultH2DBandwidth is the modeled host-to-device copy bandwidth used to
 // charge crash-recovery warm-up: ~12 GB/s, PCIe 3.0 x16 sustained.
 const DefaultH2DBandwidth = 12e9
 
 // DefaultWarmupBase is the fixed restart overhead of a replica revival
-// before any weights are copied.
+// (driver/runtime re-initialization) before any weights are copied.
 const DefaultWarmupBase = 2 * time.Millisecond
+
+// h2dCopy is the time to copy bytes of weights to a device.
+func h2dCopy(bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / DefaultH2DBandwidth * float64(time.Second))
+}
 
 // warmupFor models the cost of resurrecting device: a fixed restart
 // overhead plus re-copying the weights of every replica placed there over
 // the modeled H2D link. Without a placement plan only the base applies (the
 // fleet serves models lazily, so there is nothing definite to pre-copy).
 func warmupFor(cfg Config, device int) time.Duration {
-	warm := cfg.WarmupBase
+	warm := DefaultWarmupBase
 	if cfg.Placement == nil {
 		return warm
 	}
@@ -165,7 +139,7 @@ func warmupFor(cfg Config, device int) time.Duration {
 			continue
 		}
 		if bytes, err := model.MemoryBytes(r.Model, r.Batch); err == nil {
-			warm += time.Duration(float64(bytes) / cfg.H2DBandwidth * float64(time.Second))
+			warm += h2dCopy(bytes)
 		}
 	}
 	return warm
@@ -187,7 +161,7 @@ func debtUnit(cfg Config) func(string) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		return prof.Threshold(cfg.Quantum), nil
+		return prof.Threshold(core.DefaultQuantum), nil
 	}
 }
 
@@ -211,10 +185,6 @@ func applyPlacement(rt *Router, pl *planner.Placement, devices int) error {
 	}
 	return nil
 }
-
-// workloadDefaultQuantum mirrors workload.DefaultQuantum without importing
-// the workload package (which would cycle through experiments).
-const workloadDefaultQuantum = 1200 * time.Microsecond
 
 // Stats aggregates the fleet's activity.
 type Stats struct {

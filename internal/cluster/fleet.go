@@ -25,7 +25,6 @@ import (
 // handoff, retries and token accounting for the LLM fleet.
 type fleet struct {
 	shards *sim.Shards
-	net    time.Duration
 	router *Router
 
 	// parent is the caller's recorder; children[0] records the front-end,
@@ -94,9 +93,8 @@ func (r *request) inflight() []attempt { return r.live[:r.nlive] }
 type fleetConfig struct {
 	devices      int
 	seed         int64
-	netLatency   time.Duration
 	route        RoutePolicy
-	maxFailovers int // defaulted
+	maxFailovers int
 	obs          *obs.Recorder
 	telemetry    *telemetry.Config
 	// debt is the cost-weighted router's per-request debt oracle.
@@ -111,11 +109,10 @@ func (f *fleet) init(fc fleetConfig, engine Engine) {
 	*f = fleet{
 		shards: sim.NewShards(sim.ShardsConfig{
 			N:          n + 1,
-			Lookahead:  fc.netLatency,
+			Lookahead:  DefaultNetLatency,
 			Seed:       fc.seed,
 			SingleHeap: engine == SingleHeap,
 		}),
-		net:          fc.netLatency,
 		parent:       fc.obs,
 		tel:          fc.telemetry,
 		children:     make([]*obs.Recorder, n+1),
@@ -141,15 +138,6 @@ func (f *fleet) init(fc fleetConfig, engine Engine) {
 	reg.CounterView("olympian_cluster_crashes_total", "Devices crashed permanently or pending restart.", &f.crashes)
 	reg.CounterView("olympian_cluster_revives_total", "Replicas re-admitted after restart warm-up.", &f.revives)
 	f.router = newRouter(f.shards.Env(0), n, fc.route, fc.debt)
-}
-
-// failoverCap applies the MaxFailovers rule both fleets share: 0 takes the
-// fleet's default, a negative value disables failover.
-func failoverCap(n, def int) int {
-	if n == 0 {
-		return def
-	}
-	return max(n, 0)
 }
 
 // admit opens a routed arrival's shared state on shard 0 — the next arrival
@@ -192,7 +180,7 @@ func (f *fleet) fold(r *request, id int) (attempt, bool) {
 // failover re-routes r to a surviving replica of modelName after one of its
 // attempts drained, logging the hop as instant, and returns the new device.
 // It reports false — the caller retries or settles — when err is not a
-// drain, r has spent its MaxFailovers hops, or no replica is routable.
+// drain, r has spent its maxFailovers hops, or no replica is routable.
 func (f *fleet) failover(r *request, err error, modelName, instant string) (int, bool) {
 	if !errors.Is(err, serving.ErrDrained) || r.Hops >= f.maxFailovers {
 		return 0, false
@@ -242,10 +230,10 @@ func (f *fleet) watchCrashes(i int, dev *gpu.Device, warm time.Duration, drain f
 		if recovery > 0 {
 			f.shards.Env(i+1).Schedule(recovery, func() { dev.Revive(warm) })
 		}
-		f.shards.Send(i+1, 0, f.net, func() { f.crashReported(i) })
+		f.shards.Send(i+1, 0, DefaultNetLatency, func() { f.crashReported(i) })
 	})
 	dev.SetReadyObserver(func() {
-		f.shards.Send(i+1, 0, f.net, func() { f.readyReported(i) })
+		f.shards.Send(i+1, 0, DefaultNetLatency, func() { f.readyReported(i) })
 	})
 }
 

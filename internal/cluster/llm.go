@@ -58,30 +58,23 @@ type LLMConfig struct {
 	// colocated deployment is a single serving.LLMServer, not a cluster).
 	PrefillReplicas int
 	DecodeReplicas  int
-	// PrefillSpec and DecodeSpec pick each pool's platform; zero values take
-	// the reference GTX 1080 Ti. A small DecodeSpec.MemoryBytes is how the
-	// llm experiment provokes KV pressure.
-	PrefillSpec gpu.Spec
-	DecodeSpec  gpu.Spec
-	// MaxSeqs / MaxBatchTokens / MaxStepTime bound each decode replica's
-	// continuous batch (serving.LLMConfig semantics).
-	MaxSeqs        int
-	MaxBatchTokens int
-	MaxStepTime    time.Duration
+	// DecodeSpec picks the decode pool's platform; the zero value takes the
+	// reference GTX 1080 Ti, which the prefill pool always runs on. A small
+	// DecodeSpec.MemoryBytes is how the llm experiment provokes KV pressure.
+	DecodeSpec gpu.Spec
+	// MaxSeqs bounds each decode replica's continuous batch
+	// (serving.LLMConfig semantics).
+	MaxSeqs int
 	// MaxQueue bounds each replica's prefill queue (0 = unbounded).
 	MaxQueue int
-	// BlockTokens is the KV-cache block granularity (default 16).
-	BlockTokens int
 	// TTFTDeadline and TPOTBudget arm per-request token SLOs on every
 	// replica: queued prefills past the TTFT deadline are shed un-run, and
 	// completions over the TPOT budget count as decode SLO misses.
 	TTFTDeadline time.Duration
 	TPOTBudget   time.Duration
 	// Admission, when non-nil, arms each replica's token-rate AIMD
-	// admission gate; ExpectedOutput is the predicted output length its
-	// cost model charges (0 = the request's own budget).
-	Admission      *overload.AIMDConfig
-	ExpectedOutput int
+	// admission gate, which charges each request its own output budget.
+	Admission *overload.AIMDConfig
 	// KVWatermark and DegradedTail arm degraded mode on every replica:
 	// above the watermark batch-class output budgets are truncated
 	// (serving.LLMConfig semantics).
@@ -90,35 +83,15 @@ type LLMConfig struct {
 	// MaxRetries caps per-request retries after capacity rejections (shed,
 	// queue-full, KV exhaustion); 0 disables them. A retry re-dispatches
 	// through the crash-failover path — delivered tokens carried, never
-	// re-emitted — after a jittered exponential backoff, gated by the
-	// front-end retry budget.
+	// re-emitted — after a jittered exponential backoff (llmRetryBackoff,
+	// llmRetryJitter), gated by the front-end retry budget (llmRetryBudget
+	// tokens, llmRetryRefund back per completion).
 	MaxRetries int
-	// RetryBudgetMax and RetryRefund parameterise the front-end retry token
-	// pool (defaults 32 and 0.1 when MaxRetries > 0); RetryBackoff and
-	// RetryJitter the backoff delay (defaults 200µs and 0.2).
-	RetryBudgetMax float64
-	RetryRefund    float64
-	RetryBackoff   time.Duration
-	RetryJitter    float64
-	// MaxFailovers caps per-request re-dispatches after drains (default 2;
-	// negative disables failover).
-	MaxFailovers int
 	// Route selects the routing policy (default LeastOutstanding).
 	Route RoutePolicy
-	// NetLatency is the front-end<->device hop and the shard lookahead
-	// (default DefaultNetLatency).
-	NetLatency time.Duration
-	// LinkLatency and LinkBytesPerSec shape each prefill replica's egress
-	// interconnect for KV handoffs (defaults in package llm).
-	LinkLatency     time.Duration
-	LinkBytesPerSec float64
 	// Faults optionally injects per-device fault plans; index i applies to
 	// device i in the prefill-then-decode order.
 	Faults []*faults.Plan
-	// H2DBandwidth and WarmupBase shape crash-recovery warm-up (defaults as
-	// in Config).
-	H2DBandwidth float64
-	WarmupBase   time.Duration
 	// Workers is ignored, as in Config.
 	Workers int
 	// Slim is ignored, as in Config.
@@ -135,41 +108,27 @@ func (cfg LLMConfig) withDefaults() LLMConfig {
 	if cfg.Model == "" {
 		cfg.Model = model.LLMTiny
 	}
-	if cfg.PrefillSpec.Name == "" {
-		cfg.PrefillSpec = gpu.GTX1080Ti
-	}
 	if cfg.DecodeSpec.Name == "" {
 		cfg.DecodeSpec = gpu.GTX1080Ti
-	}
-	cfg.MaxFailovers = failoverCap(cfg.MaxFailovers, 2)
-	if cfg.MaxRetries > 0 {
-		if cfg.RetryBudgetMax <= 0 {
-			cfg.RetryBudgetMax = 32
-		}
-		if cfg.RetryRefund <= 0 {
-			cfg.RetryRefund = 0.1
-		}
-		if cfg.RetryBackoff <= 0 {
-			cfg.RetryBackoff = 200 * time.Microsecond
-		}
-		if cfg.RetryJitter <= 0 {
-			cfg.RetryJitter = 0.2
-		}
 	}
 	if cfg.Route == 0 {
 		cfg.Route = LeastOutstanding
 	}
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = DefaultNetLatency
-	}
-	if cfg.H2DBandwidth <= 0 {
-		cfg.H2DBandwidth = DefaultH2DBandwidth
-	}
-	if cfg.WarmupBase <= 0 {
-		cfg.WarmupBase = DefaultWarmupBase
-	}
 	return cfg
 }
+
+// The LLM fleet's failover and retry constants: a request fails over at most
+// llmMaxFailovers times; capacity-rejection retries back off exponentially
+// from llmRetryBackoff with llmRetryJitter relative jitter and spend a
+// front-end pool of llmRetryBudget tokens that refunds llmRetryRefund per
+// completion.
+const (
+	llmMaxFailovers = 2
+	llmRetryBudget  = 32
+	llmRetryRefund  = 0.1
+	llmRetryBackoff = 200 * time.Microsecond
+	llmRetryJitter  = 0.2
+)
 
 // LLMRequest is one generation request as the fleet front-end sees it. ID,
 // Class, Hops, ArriveAt, FinishAt and Err come from the shared request
@@ -267,27 +226,23 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	if !model.IsLLM(cfg.Model) {
 		return nil, fmt.Errorf("cluster: %q is not an autoregressive model", cfg.Model)
 	}
-	// Profile each distinct spec once; replicas share the fitted curves, and
-	// the cost-weighted router charges prefill debt from the same fit.
-	profiles := map[string]*profiler.LLMProfile{}
-	for _, spec := range []gpu.Spec{cfg.PrefillSpec, cfg.DecodeSpec} {
-		if _, ok := profiles[spec.Name]; ok {
-			continue
-		}
-		prof, err := profiler.ProfileLLM(cfg.Model, spec, cfg.Seed)
-		if err != nil {
+	// The cost-weighted router charges prefill and decode debt from each
+	// pool's fitted curves, profiled once per distinct platform.
+	pprof, err := profiler.ProfileLLM(cfg.Model, gpu.GTX1080Ti, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	dprof := pprof
+	if cfg.DecodeSpec.Name != gpu.GTX1080Ti.Name {
+		if dprof, err = profiler.ProfileLLM(cfg.Model, cfg.DecodeSpec, cfg.Seed); err != nil {
 			return nil, err
 		}
-		profiles[spec.Name] = prof
 	}
-	pprof := profiles[cfg.PrefillSpec.Name]
-	dprof := profiles[cfg.DecodeSpec.Name]
 
 	n := cfg.PrefillReplicas + cfg.DecodeReplicas
 	c := &LLMCluster{cfg: cfg, prefillModel: cfg.Model + "#prefill", decodeModel: cfg.Model + "#decode"}
 	c.fleet.init(fleetConfig{
-		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
-		route: cfg.Route, maxFailovers: cfg.MaxFailovers,
+		devices: n, seed: cfg.Seed, route: cfg.Route, maxFailovers: llmMaxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry,
 		debt: func(m string) (time.Duration, error) {
 			// Per-dispatch debt for the cost-weighted policy: a
@@ -305,7 +260,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	reg.CounterView("olympian_cluster_kv_handoffs_total", "KV shipments booked on transfer links.", &c.handoffs)
 	reg.CounterView("olympian_cluster_llm_retries_total", "Requests re-dispatched after capacity rejections.", &c.retries)
 	reg.CounterView("olympian_cluster_llm_retry_denied_total", "Retries refused by the front-end retry budget.", &c.retryDenied)
-	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetMax, cfg.RetryRefund)
+	c.retryBudget = overload.NewRetryBudget(llmRetryBudget, llmRetryRefund)
 	c.retryRng = rand.New(rand.NewSource(cfg.Seed ^ 0x72747279))
 	c.ttftHist = obs.EnsureHist(reg.Histogram("olympian_cluster_ttft_seconds", "Fleet time to first token over completions.", "class", "all"))
 	c.tpotHist = obs.EnsureHist(reg.Histogram("olympian_cluster_tpot_seconds", "Fleet mean inter-token gap over completions.", "class", "all"))
@@ -319,32 +274,26 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 	decodeDevs := make([]int, 0, cfg.DecodeReplicas)
 
 	for i := 0; i < n; i++ {
-		role, spec, prof := llm.PrefillRole, cfg.PrefillSpec, pprof
+		role, spec := llm.PrefillRole, gpu.GTX1080Ti
 		if i >= cfg.PrefillReplicas {
-			role, spec, prof = llm.DecodeRole, cfg.DecodeSpec, dprof
+			role, spec = llm.DecodeRole, cfg.DecodeSpec
 		}
 		env := c.shards.Env(i + 1)
 		srv, err := serving.NewLLMServer(env, serving.LLMConfig{
-			Spec:           spec,
-			Model:          cfg.Model,
-			Role:           role,
-			MaxSeqs:        cfg.MaxSeqs,
-			MaxBatchTokens: cfg.MaxBatchTokens,
-			MaxQueue:       cfg.MaxQueue,
-			BlockTokens:    cfg.BlockTokens,
-			MaxStepTime:    cfg.MaxStepTime,
-			TTFTDeadline:   cfg.TTFTDeadline,
-			TPOTBudget:     cfg.TPOTBudget,
-			Admission:      cfg.Admission,
-			ExpectedOutput: cfg.ExpectedOutput,
-			KVWatermark:    cfg.KVWatermark,
-			DegradedTail:   cfg.DegradedTail,
-			Seed:           cfg.Seed + int64(i)*101,
-			Faults:         injector(cfg.Faults, cfg.Seed, i),
-			Obs:            c.children[i+1],
-			Device:         i,
-			IsolateRand:    true,
-			Profile:        prof,
+			Spec:         spec,
+			Model:        cfg.Model,
+			Role:         role,
+			MaxSeqs:      cfg.MaxSeqs,
+			MaxQueue:     cfg.MaxQueue,
+			TTFTDeadline: cfg.TTFTDeadline,
+			TPOTBudget:   cfg.TPOTBudget,
+			Admission:    cfg.Admission,
+			KVWatermark:  cfg.KVWatermark,
+			DegradedTail: cfg.DegradedTail,
+			Seed:         cfg.Seed + int64(i)*101,
+			Faults:       injector(cfg.Faults, cfg.Seed, i),
+			Obs:          c.children[i+1],
+			Device:       i,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
@@ -352,7 +301,7 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 		c.servers = append(c.servers, srv)
 		if role == llm.PrefillRole {
 			prefillDevs = append(prefillDevs, i)
-			c.links = append(c.links, llm.NewLink(cfg.LinkLatency, cfg.LinkBytesPerSec))
+			c.links = append(c.links, new(llm.Link))
 		} else {
 			decodeDevs = append(decodeDevs, i)
 		}
@@ -369,9 +318,9 @@ func NewLLM(cfg LLMConfig, engine Engine) (*LLMCluster, error) {
 // re-copying the resident weights over the H2D link (an LLM replica always
 // has its weights placed, unlike the lazy CNN fleet).
 func llmWarmupFor(cfg LLMConfig) time.Duration {
-	warm := cfg.WarmupBase
+	warm := DefaultWarmupBase
 	if bytes, err := model.LLMWeightsBytes(cfg.Model); err == nil {
-		warm += time.Duration(float64(bytes) / cfg.H2DBandwidth * float64(time.Second))
+		warm += h2dCopy(bytes)
 	}
 	return warm
 }
@@ -401,7 +350,7 @@ func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
 	t := c.newAttempt(r, dev, false)
 	t.have = r.TokensOut
 	t.next = (*llmAttempt).run
-	c.shards.Send(0, dev+1, c.net, t.hop)
+	c.shards.Send(0, dev+1, DefaultNetLatency, t.hop)
 }
 
 // llmAttempt is one prefill or decode attempt's record, carried to the
@@ -495,7 +444,7 @@ func (t *llmAttempt) done() {
 func (t *llmAttempt) send(rep llmReport) {
 	t.inner, t.rep = nil, rep
 	t.next = (*llmAttempt).back
-	t.c.shards.Send(t.dev+1, 0, t.c.net, t.hop)
+	t.c.shards.Send(t.dev+1, 0, DefaultNetLatency, t.hop)
 }
 
 // back runs on shard 0 when the report message is delivered.
@@ -597,7 +546,7 @@ func (c *LLMCluster) attemptFailed(r *LLMRequest, rep llmReport) {
 			attempt := r.Retries
 			r.Retries++
 			c.retries++
-			delay := overload.Backoff(c.cfg.RetryBackoff, attempt, c.cfg.RetryJitter, c.retryRng.Float64())
+			delay := overload.Backoff(llmRetryBackoff, attempt, llmRetryJitter, c.retryRng.Float64())
 			c.rec.Instant(obs.LayerCluster, "llm_retry", r.ID, int(r.Class), obs.NoDevice, int64(delay))
 			origErr := rep.err
 			c.shards.Env(0).Schedule(delay, func() {

@@ -218,26 +218,6 @@ func TestLLMCrashScenarioExercisesFailover(t *testing.T) {
 	}
 }
 
-// TestLLMNegativeMaxFailoversDisables: as in Config, a negative
-// MaxFailovers turns failover off — the crash scenario still crashes
-// devices, but no drained attempt is re-dispatched.
-func TestLLMNegativeMaxFailoversDisables(t *testing.T) {
-	sc := llmScenarios()[1]
-	base := sc.cfg
-	sc.cfg = func() LLMConfig {
-		cfg := base()
-		cfg.MaxFailovers = -1
-		return cfg
-	}
-	st := runLLM(t, sc, SingleHeap, nil)
-	if st.Crashes == 0 {
-		t.Fatalf("crash scenario crashed nothing: %+v", st)
-	}
-	if st.Failovers != 0 {
-		t.Fatalf("MaxFailovers -1 still failed over %d times", st.Failovers)
-	}
-}
-
 // TestLLMPressureScenarioPreempts guards the kv-pressure scenario likewise.
 func TestLLMPressureScenarioPreempts(t *testing.T) {
 	st := runLLM(t, llmScenarios()[2], SingleHeap, nil)

@@ -278,7 +278,6 @@ func TestLLMClusterRetriesRecoverQueueFullSheds(t *testing.T) {
 			DecodeReplicas:  1,
 			MaxQueue:        2,
 			MaxRetries:      maxRetries,
-			RetryBackoff:    2 * time.Millisecond,
 		}
 		c, err := NewLLM(cfg, SingleHeap)
 		if err != nil {
@@ -370,8 +369,9 @@ func TestLLMClusterRetryCarriesPartialTokens(t *testing.T) {
 }
 
 func TestLLMClusterRetryBudgetDeniesStorms(t *testing.T) {
-	// With a near-empty retry budget, a shed storm must surface failures
-	// instead of amplifying: denied retries settle immediately.
+	// A shed storm larger than the retry budget must surface failures
+	// instead of amplifying: once the pool is dry, denied retries settle
+	// immediately.
 	cfg := LLMConfig{
 		Seed:            15,
 		Model:           model.LLMTiny,
@@ -379,8 +379,6 @@ func TestLLMClusterRetryBudgetDeniesStorms(t *testing.T) {
 		DecodeReplicas:  1,
 		MaxQueue:        1,
 		MaxRetries:      3,
-		RetryBudgetMax:  2,
-		RetryRefund:     0.01,
 	}
 	c, err := NewLLM(cfg, SingleHeap)
 	if err != nil {
@@ -401,7 +399,7 @@ func TestLLMClusterRetryBudgetDeniesStorms(t *testing.T) {
 	if st.RetryDenied == 0 {
 		t.Fatalf("drained budget denied nothing: %+v", st)
 	}
-	if st.Retries > 2+st.Completed {
+	if float64(st.Retries) > llmRetryBudget+llmRetryRefund*float64(st.Completed) {
 		t.Fatalf("retries %d exceed the budget plus refunds: %+v", st.Retries, st)
 	}
 }

@@ -5,7 +5,7 @@
 // (GPU, scheduler, executor, serving front-end) — and the cluster's shared
 // state (router, request bookkeeping, hedge timers) lives on shard 0, the
 // front-end. Shards interact only through sim.Shards.Send, whose delay is
-// clamped to the modeled network latency, so each window of Config.NetLatency
+// clamped to the modeled network latency, so each window of DefaultNetLatency
 // virtual time runs every shard to its end before any message crosses. The
 // SingleHeap engine runs the same shards on one shared event heap as the
 // reference.
@@ -70,7 +70,7 @@ func (e Engine) String() string {
 	}
 }
 
-// DefaultNetLatency is the fallback front-end<->device network latency (and
+// DefaultNetLatency is the modeled front-end<->device network latency (and
 // thus the conservative lookahead bounding each window).
 const DefaultNetLatency = 50 * time.Microsecond
 
@@ -130,8 +130,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		byModel: make(map[string]*obs.Hist),
 	}
 	c.fleet.init(fleetConfig{
-		devices: n, seed: cfg.Seed, netLatency: cfg.NetLatency,
-		route: cfg.Route, maxFailovers: cfg.MaxFailovers,
+		devices: n, seed: cfg.Seed, route: cfg.Route, maxFailovers: maxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry, debt: debtUnit(cfg),
 	}, engine)
 	reg := c.rec.Registry()
@@ -148,8 +147,6 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		srv, err := serving.NewServer(env, serving.Config{
 			Spec:               spec,
 			UseOlympian:        true,
-			Policy:             cfg.Policy(),
-			Quantum:            cfg.Quantum,
 			MaxBatch:           cfg.MaxBatch,
 			BatchTimeout:       cfg.BatchTimeout,
 			MaxQueue:           cfg.MaxQueue,
@@ -181,7 +178,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		srv.Device().SetStallObserver(func(until sim.Time) {
 			// Then tell the front-end to route around us.
 			devRec.Instant(obs.LayerCluster, "drain", obs.NoReq, obs.NoClass, i, int64(drain()))
-			c.shards.Send(i+1, 0, c.net, func() { c.stallReported(i, until) })
+			c.shards.Send(i+1, 0, DefaultNetLatency, func() { c.stallReported(i, until) })
 		})
 		c.watchCrashes(i, srv.Device(), warmupFor(cfg, i), drain)
 		if inj != nil {
@@ -340,7 +337,7 @@ func (t *shardedAttempt) done() {
 func (t *shardedAttempt) send(err error) {
 	t.inner, t.err = nil, err
 	t.next = (*shardedAttempt).back
-	t.c.shards.Send(t.agent.shard, 0, t.c.net, t.hop)
+	t.c.shards.Send(t.agent.shard, 0, DefaultNetLatency, t.hop)
 }
 
 // back runs on shard 0 when the report message is delivered.
@@ -371,7 +368,7 @@ func (c *ShardedCluster) send(r *ShardedRequest, dev int, hedge bool) {
 	t.agent, t.req, t.model, t.class = c.agents[dev], r, r.Model, r.Class
 	t.id = c.dispatch(&r.request, dev, hedge)
 	t.next = (*shardedAttempt).arrive
-	c.shards.Send(0, dev+1, c.net, t.hop)
+	c.shards.Send(0, dev+1, DefaultNetLatency, t.hop)
 }
 
 // attemptDone folds one attempt outcome report into the request's state and
@@ -416,7 +413,7 @@ func (c *ShardedCluster) settle(r *ShardedRequest, att attempt, err error) {
 		// Rare, so a closure: it holds the id by value because the attempt's
 		// record may be recycled while the cancel is in flight.
 		agent, id := c.agents[a.dev], a.id
-		c.shards.Send(0, a.dev+1, c.net, func() { agent.enqueue(agentOp{cancel: id}) })
+		c.shards.Send(0, a.dev+1, DefaultNetLatency, func() { agent.enqueue(agentOp{cancel: id}) })
 		c.rec.Instant(obs.LayerCluster, "cancel_loser", r.ID, int(r.Class), obs.NoDevice, int64(a.dev))
 	}
 	if err == nil && att.hedge {

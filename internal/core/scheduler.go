@@ -64,7 +64,8 @@ type JobProfile struct {
 type Config struct {
 	// Policy selects which job receives each quantum. Defaults to Fair.
 	Policy Policy
-	// Quantum is Q, the desired per-quantum GPU duration.
+	// Quantum is Q, the desired per-quantum GPU duration (default
+	// DefaultQuantum).
 	Quantum time.Duration
 	// SwitchCost is the CPU cost of suspending one gang and resuming
 	// another (condition-variable wake-ups, cache disturbance). It delays
@@ -73,6 +74,10 @@ type Config struct {
 	// Mode selects cost-based (Olympian) or wall-clock (strawman) expiry.
 	Mode QuantumMode
 }
+
+// DefaultQuantum is the Q the paper's profiler chose for its 10-client
+// homogeneous workload; a run that does not choose Q runs with it.
+const DefaultQuantum = 1200 * time.Microsecond
 
 // DefaultSwitchCost approximates the measured cost of suspending and
 // resuming a gang of CPU threads.
@@ -135,7 +140,7 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config) *Scheduler {
 		cfg.Policy = NewFair()
 	}
 	if cfg.Quantum <= 0 {
-		cfg.Quantum = 1200 * time.Microsecond
+		cfg.Quantum = DefaultQuantum
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = CostBased

@@ -84,25 +84,6 @@ func TestBFSOrderIsLevelOrder(t *testing.T) {
 	}
 }
 
-func TestNodeOverheadSlowsRun(t *testing.T) {
-	run := func(overhead time.Duration) sim.Time {
-		env := sim.NewEnv(1)
-		dev := gpu.New(env, testSpec)
-		eng := New(env, dev, Config{NodeOverhead: overhead}, nil)
-		g := wideGraph(t, 4, time.Millisecond, 1.0)
-		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
-		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		env.Shutdown()
-		return job.EndAt
-	}
-	if fast, slow := run(0), run(100*time.Microsecond); slow <= fast {
-		t.Fatalf("node overhead did not slow the run: %v vs %v", slow, fast)
-	}
-}
-
 func TestStreamCarriesClientID(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := gpu.New(env, testSpec)

@@ -112,9 +112,6 @@ type Config struct {
 	// Jitter is the relative standard deviation applied to node durations,
 	// modelling OS and clock noise. Zero disables it.
 	Jitter float64
-	// NodeOverhead is per-node middleware bookkeeping time on the managing
-	// CPU thread.
-	NodeOverhead time.Duration
 	// OnlineProfilingTax, when nonzero, models running TensorFlow's CUPTI
 	// cost profiler online. Instrumentation cost is proportional to the
 	// number of graph nodes, so kernels of a graph with N nodes and total
@@ -137,11 +134,9 @@ type Config struct {
 	// preemption that Olympian's node-boundary switching avoids.
 	KernelSlicePenalty time.Duration
 	// Faults, when non-nil, injects job aborts at yield points; kernels
-	// failed by the same injector at the device are retried here.
+	// failed by the same injector at the device are retried here, up to
+	// DefaultKernelRetries times each.
 	Faults *faults.Injector
-	// KernelRetries caps resubmissions of a transiently failed kernel
-	// before the whole job is aborted. Zero means DefaultKernelRetries.
-	KernelRetries int
 	// Obs, when non-nil, records job spans, kernel retries, and aborts to
 	// the lifecycle trace. Nil keeps the zero-cost disabled path.
 	Obs *obs.Recorder
@@ -152,6 +147,10 @@ type Config struct {
 // DefaultKernelRetries is how often a transiently failed kernel is
 // relaunched before its job is given up on.
 const DefaultKernelRetries = 3
+
+// DefaultJitter is the node-duration noise the serving, workload and
+// profiler stacks run with.
+const DefaultJitter = 0.03
 
 // DefaultMaxInflight matches the small per-session kernel pipeline depth of
 // the TensorFlow runtime. The paper reports 2-3 kernels of switch-time
@@ -197,9 +196,6 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
-	}
-	if cfg.KernelRetries <= 0 {
-		cfg.KernelRetries = DefaultKernelRetries
 	}
 	e := &Engine{
 		env:   env,
@@ -321,9 +317,6 @@ func (e *Engine) runTask(w *sim.Proc, job *Job, node *graph.Node) {
 // completes (the thread "manages" the kernel, as the paper describes).
 func (e *Engine) compute(p *sim.Proc, job *Job, n *graph.Node) {
 	start := p.Now()
-	if e.cfg.NodeOverhead > 0 {
-		p.Sleep(e.cfg.NodeOverhead)
-	}
 	dur := e.jittered(n.Duration)
 	if n.IsGPU() {
 		if e.cfg.OnlineProfilingTax > 0 {
@@ -373,7 +366,7 @@ func (e *Engine) submitKernel(p *sim.Proc, job *Job, n *graph.Node, dur time.Dur
 			e.AbortJob(job, fmt.Errorf("executor: job %d node %d: %w", job.ID, n.ID, err))
 			return false
 		}
-		if attempt >= e.cfg.KernelRetries {
+		if attempt >= DefaultKernelRetries {
 			e.AbortJob(job, fmt.Errorf("executor: job %d node %d: %w (gave up after %d attempts)",
 				job.ID, n.ID, err, attempt+1))
 			return false

@@ -63,7 +63,7 @@ func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	inj := faults.New(1, faults.Plan{KernelFailRate: 1})
 	dev.InjectFaults(inj)
-	eng := New(env, dev, Config{Faults: inj, KernelRetries: 2}, nil)
+	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 5, 100*time.Microsecond)
 	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
@@ -77,9 +77,10 @@ func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 	if !errors.Is(job.Err(), faults.ErrKernelFault) {
 		t.Fatalf("job err = %v, want wrapped ErrKernelFault", job.Err())
 	}
-	// 1 launch + 2 retries for the first kernel, then give up.
-	if eng.KernelRetries() != 2 {
-		t.Fatalf("kernel retries = %d, want 2", eng.KernelRetries())
+	// 1 launch + DefaultKernelRetries retries for the first kernel, then
+	// give up.
+	if eng.KernelRetries() != DefaultKernelRetries {
+		t.Fatalf("kernel retries = %d, want %d", eng.KernelRetries(), DefaultKernelRetries)
 	}
 }
 

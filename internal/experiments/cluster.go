@@ -82,7 +82,7 @@ func (r clusterRun) run(o Options, rec *obs.Recorder, label string) (cluster.Sta
 	c, err := cluster.NewSharded(cluster.Config{
 		Seed: r.seed, Devices: r.devices, Faults: r.faults,
 		Placement: pl, Route: r.route,
-		Quantum: o.quantum(), MaxBatch: 16, BatchTimeout: bt,
+		MaxBatch: 16, BatchTimeout: bt,
 		Profiles: o.Profiles, Obs: rec,
 	}, cluster.SingleHeap)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"olympian/internal/core"
 	"olympian/internal/gpu"
 	"olympian/internal/model"
 	"olympian/internal/obs"
@@ -84,7 +85,7 @@ func (o Options) scaleBatch(b int) int {
 
 // quantum is the Q the paper's profiler chose for the 10-client homogeneous
 // and heterogeneous experiments (~1190us at 2.5% tolerance).
-func (o Options) quantum() time.Duration { return 1200 * time.Microsecond }
+func (o Options) quantum() time.Duration { return core.DefaultQuantum }
 
 // complexQuantum is the Q for the 14-client, 7-DNN workload (~1620us at 2%
 // tolerance).

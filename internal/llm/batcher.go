@@ -31,19 +31,8 @@ type Batcher struct {
 	running []*Request // in-flight decode batch, in join order
 }
 
-// NewBatcher bounds the decode batch by maxSeqs sequences and maxBatchTokens
-// decode tokens per step (≤0 means unbounded for that knob; both unbounded
-// defaults to 8 slots).
-func NewBatcher(maxSeqs, maxBatchTokens int) *Batcher {
-	slots := maxSeqs
-	if slots <= 0 || (maxBatchTokens > 0 && maxBatchTokens < slots) {
-		slots = maxBatchTokens
-	}
-	if slots <= 0 {
-		slots = 8
-	}
-	return &Batcher{maxSeqs: slots}
-}
+// NewBatcher bounds the decode batch by maxSeqs (> 0) sequences.
+func NewBatcher(maxSeqs int) *Batcher { return &Batcher{maxSeqs: maxSeqs} }
 
 // Enqueue appends a request to the prefill queue. Its Class must be valid.
 func (b *Batcher) Enqueue(r *Request) {
@@ -97,23 +86,13 @@ func (b *Batcher) NextPrefill() *Request {
 // the next token boundary.
 func (b *Batcher) Admit(r *Request) { b.ready = append(b.ready, r) }
 
-// PeekReady returns the next sequence Promote would admit, or nil when none
-// is ready or the batch is full — time-budgeted engines inspect it before
-// committing the join.
-func (b *Batcher) PeekReady() *Request {
+// PromoteOne joins the oldest ready sequence to the batch and returns it;
+// nil when none is ready or the batch is full.
+func (b *Batcher) PromoteOne() *Request {
 	if len(b.ready) == 0 || len(b.running) >= b.maxSeqs {
 		return nil
 	}
-	return b.ready[0]
-}
-
-// PromoteOne joins exactly one ready sequence (the PeekReady one) to the
-// batch; nil when none is admissible.
-func (b *Batcher) PromoteOne() *Request {
-	r := b.PeekReady()
-	if r == nil {
-		return nil
-	}
+	r := b.ready[0]
 	b.ready[0] = nil
 	b.ready = b.ready[1:]
 	b.running = append(b.running, r)

@@ -108,7 +108,7 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 	const ops = 10000
 	env := sim.NewEnv(1)
 	rng := rand.New(rand.NewSource(15))
-	b, ref := NewBatcher(3, 0), &refBatcher{maxSeqs: 3}
+	b, ref := NewBatcher(3), &refBatcher{maxSeqs: 3}
 	// held are requests out of both batchers: popped for prefill or
 	// preempted, waiting to be admitted or requeued.
 	var held []*Request
@@ -198,7 +198,7 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 // slots, so every NextPrefill pops and the popped request can go back.
 func requeueBatcher() *Batcher {
 	env := sim.NewEnv(1)
-	b := NewBatcher(8, 0)
+	b := NewBatcher(8)
 	for id := range 1000 {
 		b.Enqueue(NewRequest(env, id, "m", overload.Class(id%int(overload.NumClasses)), 8, 4, 0))
 	}

@@ -70,7 +70,7 @@ func newReq(env *sim.Env, id int) *Request {
 
 func TestBatcherTokenBoundaryMembership(t *testing.T) {
 	env := sim.NewEnv(1)
-	b := NewBatcher(2, 0)
+	b := NewBatcher(2)
 	r0, r1, r2 := newReq(env, 0), newReq(env, 1), newReq(env, 2)
 	for _, r := range []*Request{r0, r1, r2} {
 		b.Enqueue(r)
@@ -106,7 +106,7 @@ func TestBatcherTokenBoundaryMembership(t *testing.T) {
 
 func TestBatcherVictimIsNewestAndNeverLast(t *testing.T) {
 	env := sim.NewEnv(1)
-	b := NewBatcher(4, 4)
+	b := NewBatcher(4)
 	r0, r1, r2 := newReq(env, 0), newReq(env, 1), newReq(env, 2)
 	for _, r := range []*Request{r0, r1, r2} {
 		b.Enqueue(r)
@@ -133,29 +133,20 @@ func TestBatcherVictimIsNewestAndNeverLast(t *testing.T) {
 	}
 }
 
-func TestBatcherMaxBatchTokensBoundsSlots(t *testing.T) {
-	if got := NewBatcher(8, 3).maxSeqs; got != 3 {
-		t.Fatalf("slots = %d, want token budget 3", got)
-	}
-	if got := NewBatcher(0, 0).maxSeqs; got != 8 {
-		t.Fatalf("default slots = %d", got)
-	}
-}
-
 func TestLinkSerializesTransfers(t *testing.T) {
-	l := NewLink(100*time.Microsecond, 1e9) // 1 GB/s
-	// 1 MB at 1 GB/s = 1 ms, plus 100 µs latency.
-	d1 := l.Transfer(0, 1<<20)
-	want := sim.Time(100*time.Microsecond) + sim.Time(float64(1<<20)/1e9*1e9)
+	l := new(Link)
+	// 25 MB at 25 GB/s = 1 ms, plus 200 µs latency.
+	d1 := l.Transfer(0, 25e6)
+	want := sim.Time(DefaultLinkLatency + time.Millisecond)
 	if d1 != want {
 		t.Fatalf("first transfer done at %v, want %v", d1, want)
 	}
 	// Second transfer issued mid-flight queues behind the first.
 	d2 := l.Transfer(sim.Time(50*time.Microsecond), 0)
-	if d2 != d1.Add(100*time.Microsecond) {
+	if d2 != d1.Add(DefaultLinkLatency) {
 		t.Fatalf("queued transfer done at %v", d2)
 	}
-	if l.Bytes() != 1<<20 {
+	if l.Bytes() != 25e6 {
 		t.Fatalf("carried %d bytes", l.Bytes())
 	}
 }

@@ -141,7 +141,7 @@ type Stability struct {
 func MeasureStability(g *graph.Graph, runs int, opts Options) (*Stability, error) {
 	opts = opts.withDefaults()
 	if opts.Jitter == 0 {
-		opts.Jitter = 0.03
+		opts.Jitter = executor.DefaultJitter
 	}
 	costs := make([]float64, runs)
 	durs := make([]float64, runs)

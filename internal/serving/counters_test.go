@@ -54,8 +54,7 @@ func TestServerCountersReadStats(t *testing.T) {
 		},
 		{
 			name: "batch-retry",
-			cfg: Config{MaxBatch: 4, BatchTimeout: time.Millisecond, MaxRetries: 1, RetryBackoff: 100 * time.Microsecond,
-				Faults: faults.New(3, faults.Plan{KernelFailRate: 1})},
+			cfg:  Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: faults.New(3, faults.Plan{KernelFailRate: 1})},
 			submit: func(env *sim.Env, srv *Server) {
 				submitN(t, env, srv, model.Inception, 2, 0)
 			},

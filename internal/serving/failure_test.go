@@ -124,15 +124,11 @@ func TestDeadlineMissCountsLateCompletions(t *testing.T) {
 
 func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 	// Every kernel fails, so executor retries exhaust and each batch
-	// attempt aborts; the server retries MaxRetries times, then fails the
+	// attempt aborts; the server retries batchRetries times, then fails the
 	// requests instead of retrying forever.
 	env := sim.NewEnv(1)
 	inj := faults.New(3, faults.Plan{KernelFailRate: 1})
-	srv := newTestServer(t, env, Config{
-		MaxBatch: 4, BatchTimeout: time.Millisecond,
-		MaxRetries: 1, RetryBackoff: 100 * time.Microsecond,
-		Faults: inj,
-	})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: inj})
 	reqs := submitN(t, env, srv, model.Inception, 2, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -142,8 +138,8 @@ func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 	if st.Failed != 2 || st.Completed != 0 {
 		t.Fatalf("stats %+v, want both requests failed", st)
 	}
-	if st.Degraded.BatchRetries != 1 || st.Degraded.BatchFailures != 1 {
-		t.Fatalf("degraded %v, want 1 retry then 1 failure", st.Degraded)
+	if st.Degraded.BatchRetries != batchRetries || st.Degraded.BatchFailures != 1 {
+		t.Fatalf("degraded %v, want %d retries then 1 failure", st.Degraded, batchRetries)
 	}
 	for _, r := range reqs {
 		if !errors.Is(r.Err, faults.ErrKernelFault) {

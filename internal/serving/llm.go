@@ -6,9 +6,7 @@
 // until the longest member drains. The LLMServer instead re-forms the batch
 // at every token boundary — between fused decode steps — so sequences join
 // the moment their prefill lands and leave the moment their budget is met,
-// bounded by min(MaxSeqs, MaxBatchTokens) and, optionally, by a
-// profiler-predicted step-time budget (MaxStepTime), the token-level
-// analogue of the Olympian scheduling quantum.
+// bounded by MaxSeqs.
 //
 // Memory is the other scheduler input: every sequence's KV cache grows one
 // token per step through gpu.KVCache, competing with the resident weights.
@@ -37,9 +35,11 @@ import (
 	"olympian/internal/model"
 	"olympian/internal/obs"
 	"olympian/internal/overload"
-	"olympian/internal/profiler"
 	"olympian/internal/sim"
 )
+
+// kvBlockTokens is the KV-cache block granularity in tokens.
+const kvBlockTokens = 16
 
 // ErrKVExhausted marks a sequence failed because its KV cache cannot fit on
 // the device even with every other sequence preempted.
@@ -55,19 +55,11 @@ type LLMConfig struct {
 	// Role selects which stages run here: Colocated (default), PrefillRole,
 	// or DecodeRole.
 	Role llm.Role
-	// MaxSeqs bounds the decode batch width (default 8); MaxBatchTokens
-	// additionally caps decode tokens per step (each running sequence
-	// contributes one), 0 = no extra bound.
-	MaxSeqs        int
-	MaxBatchTokens int
+	// MaxSeqs bounds the decode batch width (default 8).
+	MaxSeqs int
 	// MaxQueue bounds the prefill queue; beyond it submissions are shed with
 	// ErrQueueFull (0 = unbounded).
 	MaxQueue int
-	// BlockTokens is the KV-cache block granularity (default 16).
-	BlockTokens int
-	// MaxStepTime, when positive, stops admitting ready sequences once the
-	// profiler predicts the next decode step would exceed it.
-	MaxStepTime time.Duration
 	// TTFTDeadline, when positive, sheds queued prefills whose first token
 	// was not produced by arrival+deadline: they expire un-run (ErrExpired)
 	// instead of burning prefill compute on an already-blown SLO. Recomputes
@@ -77,14 +69,11 @@ type LLMConfig struct {
 	// gap exceeds it as decode SLO misses (per-class DeadlineMisses).
 	TPOTBudget time.Duration
 	// Admission, when non-nil, arms a token-rate AIMD gate on Submit: each
-	// request is charged its predicted token cost (prompt + expected
-	// output) and sheds with ErrShed when the class's fraction of the
-	// adaptive token limit is full. KV pressure and TTFT expiries feed the
-	// limiter's congestion signal; its own sheds never do.
+	// request is charged its token cost (prompt + its own output budget, an
+	// oracle prediction) and sheds with ErrShed when the class's fraction of
+	// the adaptive token limit is full. KV pressure and TTFT expiries feed
+	// the limiter's congestion signal; its own sheds never do.
 	Admission *overload.AIMDConfig
-	// ExpectedOutput is the predicted output length used for the admission
-	// cost; 0 charges the request's own output budget (oracle prediction).
-	ExpectedOutput int
 	// KVWatermark in (0,1], when set, arms degraded mode: KV utilization at
 	// or above this fraction of the post-weights memory budget signals
 	// congestion and truncates batch-class output budgets to DegradedTail
@@ -93,19 +82,15 @@ type LLMConfig struct {
 	// DegradedTail is how many further tokens a batch-class sequence may
 	// generate once degraded mode engages (default 8 when KVWatermark set).
 	DegradedTail int
-	// Seed derives the server's private random streams under IsolateRand.
+	// Seed derives the server's private random stream: the device draws
+	// from it, never from the environment's shared source, so multi-replica
+	// topologies stay deterministic regardless of construction order.
 	Seed int64
 	// Faults optionally injects kernel faults, stalls, and crashes.
 	Faults *faults.Injector
 	// Obs optionally records lifecycle events; Device labels them.
 	Obs    *obs.Recorder
 	Device int
-	// IsolateRand gives the device a private random stream so multi-replica
-	// topologies stay deterministic regardless of construction order.
-	IsolateRand bool
-	// Profile supplies pre-fitted cost curves; measured at construction when
-	// nil.
-	Profile *profiler.LLMProfile
 }
 
 // Validate rejects explicit nonsense, mirroring Config.Validate on the CNN
@@ -114,21 +99,11 @@ type LLMConfig struct {
 // invalid admission config is a caller bug worth failing loudly on.
 // NewLLMServer calls it; callers building configs programmatically can too.
 func (c LLMConfig) Validate() error {
-	if c.MaxSeqs < 0 || c.MaxBatchTokens < 0 || c.MaxQueue < 0 {
-		return fmt.Errorf("serving: negative llm batch/queue bound (maxSeqs=%d maxBatchTokens=%d maxQueue=%d)",
-			c.MaxSeqs, c.MaxBatchTokens, c.MaxQueue)
-	}
-	if c.BlockTokens < 0 {
-		return fmt.Errorf("serving: negative llm kv block size %d", c.BlockTokens)
-	}
-	if c.MaxStepTime < 0 {
-		return fmt.Errorf("serving: negative llm step-time budget %v", c.MaxStepTime)
+	if c.MaxSeqs < 0 || c.MaxQueue < 0 {
+		return fmt.Errorf("serving: negative llm batch/queue bound (maxSeqs=%d maxQueue=%d)", c.MaxSeqs, c.MaxQueue)
 	}
 	if c.TTFTDeadline < 0 || c.TPOTBudget < 0 {
 		return fmt.Errorf("serving: negative llm slo budget (ttft=%v tpot=%v)", c.TTFTDeadline, c.TPOTBudget)
-	}
-	if c.ExpectedOutput < 0 {
-		return fmt.Errorf("serving: negative llm expected output %d", c.ExpectedOutput)
 	}
 	if c.KVWatermark < 0 || c.KVWatermark > 1 {
 		return fmt.Errorf("serving: llm kv watermark %v outside [0,1]", c.KVWatermark)
@@ -209,11 +184,10 @@ type LLMStats struct {
 // batching. Construction allocates the weights; the engine daemon drives
 // prefill and decode kernels from then on.
 type LLMServer struct {
-	env  *sim.Env
-	cfg  LLMConfig
-	dev  *gpu.Device
-	kv   *gpu.KVCache
-	prof *profiler.LLMProfile
+	env *sim.Env
+	cfg LLMConfig
+	dev *gpu.Device
+	kv  *gpu.KVCache
 
 	batch   *llm.Batcher
 	cond    *sim.Cond
@@ -272,9 +246,6 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	if cfg.MaxSeqs <= 0 {
 		cfg.MaxSeqs = 8
 	}
-	if cfg.BlockTokens <= 0 {
-		cfg.BlockTokens = 16
-	}
 	if cfg.KVWatermark > 0 && cfg.DegradedTail <= 0 {
 		cfg.DegradedTail = 8
 	}
@@ -288,9 +259,7 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	}
 	dev := gpu.New(env, cfg.Spec)
 	dev.InjectFaults(cfg.Faults)
-	if cfg.IsolateRand {
-		dev.SetRand(rand.New(rand.NewSource(cfg.Seed + 811)))
-	}
+	dev.SetRand(rand.New(rand.NewSource(cfg.Seed + 811)))
 	if cfg.Obs != nil {
 		dev.Observe(cfg.Obs, cfg.Device)
 	}
@@ -298,20 +267,12 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		return nil, fmt.Errorf("serving: %s weights do not fit on %s: %w: %d in use, %d requested, %d total",
 			cfg.Model, cfg.Spec.Name, err, dev.MemoryInUse(), weights, cfg.Spec.MemoryBytes)
 	}
-	prof := cfg.Profile
-	if prof == nil {
-		prof, err = profiler.ProfileLLM(cfg.Model, cfg.Spec, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
 	s := &LLMServer{
 		env:      env,
 		cfg:      cfg,
 		dev:      dev,
-		kv:       gpu.NewKVCache(dev, cfg.BlockTokens, kvPerTok),
-		prof:     prof,
-		batch:    llm.NewBatcher(cfg.MaxSeqs, cfg.MaxBatchTokens),
+		kv:       gpu.NewKVCache(dev, kvBlockTokens, kvPerTok),
+		batch:    llm.NewBatcher(cfg.MaxSeqs),
 		cond:     env.NewCond(fmt.Sprintf("llm-engine-%d", cfg.Device)),
 		grown:    make(map[*llm.Request]bool),
 		kvBudget: cfg.Spec.MemoryBytes - weights,
@@ -379,9 +340,6 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 	cost := 0
 	if s.limiter != nil {
 		cost = prompt + output
-		if s.cfg.ExpectedOutput > 0 {
-			cost = prompt + s.cfg.ExpectedOutput
-		}
 		if !s.limiter.HasCapacity(class, cost) {
 			s.limiter.NoteShed()
 			s.admissionSheds[class]++
@@ -475,7 +433,9 @@ func (s *LLMServer) drive(p *sim.Proc) {
 			continue
 		}
 		s.admitIngests()
-		s.promote()
+		// Ready sequences join at the token boundary, up to MaxSeqs.
+		for s.batch.PromoteOne() != nil {
+		}
 		if r := s.batch.NextPrefill(); r != nil {
 			if s.expireTTFT(r, p.Now()) {
 				continue
@@ -519,24 +479,6 @@ func (s *LLMServer) admitIngests() {
 		}
 		s.pending = s.pending[1:]
 		s.batch.Admit(r)
-	}
-}
-
-// promote joins ready sequences at the token boundary, bounded by slots and
-// the optional profiler-predicted step-time budget.
-func (s *LLMServer) promote() {
-	for {
-		r := s.batch.PeekReady()
-		if r == nil {
-			return
-		}
-		if s.cfg.MaxStepTime > 0 && len(s.batch.Running()) > 0 {
-			pred := s.prof.DecodeStep(len(s.batch.Running())+1, s.batch.KVTokens()+r.KVTokens()+1)
-			if pred > s.cfg.MaxStepTime {
-				return
-			}
-		}
-		s.batch.PromoteOne()
 	}
 }
 

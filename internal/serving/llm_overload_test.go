@@ -17,13 +17,9 @@ func TestLLMConfigValidate(t *testing.T) {
 		cfg  LLMConfig
 	}{
 		{"negative-max-seqs", LLMConfig{MaxSeqs: -1}},
-		{"negative-max-batch-tokens", LLMConfig{MaxBatchTokens: -8}},
 		{"negative-max-queue", LLMConfig{MaxQueue: -1}},
-		{"negative-block-tokens", LLMConfig{BlockTokens: -16}},
-		{"negative-step-time", LLMConfig{MaxStepTime: -time.Millisecond}},
 		{"negative-ttft-deadline", LLMConfig{TTFTDeadline: -time.Second}},
 		{"negative-tpot-budget", LLMConfig{TPOTBudget: -time.Millisecond}},
-		{"negative-expected-output", LLMConfig{ExpectedOutput: -4}},
 		{"watermark-above-one", LLMConfig{KVWatermark: 1.5}},
 		{"watermark-negative", LLMConfig{KVWatermark: -0.1}},
 		{"negative-degraded-tail", LLMConfig{DegradedTail: -2}},

@@ -342,28 +342,3 @@ func TestLLMRecomputeDoesNotReEmit(t *testing.T) {
 	}
 	checkLLMConservation(t, srv)
 }
-
-func TestLLMStepTimeBudgetLimitsBatch(t *testing.T) {
-	// With a tight profiler-predicted step budget the engine stops admitting
-	// ready sequences even though slots remain.
-	env := sim.NewEnv(1)
-	srv := newLLMTestServer(t, env, LLMConfig{
-		Model:       model.LLMTiny,
-		MaxSeqs:     16,
-		MaxStepTime: 30 * time.Microsecond, // ~ base + one small sequence
-	})
-	env.Schedule(0, func() {
-		for i := 0; i < 6; i++ {
-			srv.Submit(model.LLMTiny, 0, 64, 50, 0)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	env.Shutdown()
-	st := srv.Stats()
-	if st.Completed != 6 {
-		t.Fatalf("stats %+v, want 6 completed", st)
-	}
-	checkLLMConservation(t, srv)
-}

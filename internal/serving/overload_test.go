@@ -18,7 +18,6 @@ func TestConfigValidationRejectsNegatives(t *testing.T) {
 		want string
 	}{
 		{"maxqueue", Config{MaxQueue: -1}, "MaxQueue"},
-		{"retrybackoff", Config{RetryBackoff: -time.Millisecond}, "RetryBackoff"},
 		{"batchtimeout", Config{BatchTimeout: -time.Millisecond}, "BatchTimeout"},
 		{"deadline", Config{Deadline: -time.Second}, "Deadline"},
 		{"admission", Config{Admission: &overload.AIMDConfig{Min: 10, Max: 2}}, "min"},

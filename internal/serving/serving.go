@@ -103,12 +103,9 @@ func (r *Request) Latency() time.Duration {
 type Config struct {
 	// Spec is the GPU platform (defaults to GTX1080Ti).
 	Spec gpu.Spec
-	// Scheduler: nil hooks means vanilla TF-Serving; otherwise Olympian.
+	// UseOlympian selects the Olympian scheduler (fair policy, Q =
+	// core.DefaultQuantum); false runs vanilla TF-Serving.
 	UseOlympian bool
-	// Policy applies when UseOlympian (default fair).
-	Policy core.Policy
-	// Quantum is Q for Olympian runs.
-	Quantum time.Duration
 	// MaxBatch caps the batch size (default 32).
 	MaxBatch int
 	// BatchTimeout flushes a non-full batch once its oldest request has
@@ -116,7 +113,7 @@ type Config struct {
 	BatchTimeout time.Duration
 	// Seed drives randomness.
 	Seed int64
-	// Jitter is node-duration noise (default 0.03).
+	// Jitter is node-duration noise (default executor.DefaultJitter).
 	Jitter float64
 
 	// MaxQueue bounds each model's pending queue; requests arriving at a
@@ -126,16 +123,6 @@ type Config struct {
 	// dropped with ErrExpired, and late completions count as deadline
 	// misses (0 = no deadline).
 	Deadline time.Duration
-	// MaxRetries is how many times a failed batch is retried before its
-	// requests fail (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the base backoff before a retry, doubled per
-	// attempt (default 500us).
-	RetryBackoff time.Duration
-	// RetryBudget caps total retries server-wide so a persistent fault
-	// cannot melt the server into retry work (default 64; negative
-	// disables the budget, i.e. zero retries).
-	RetryBudget int
 	// Faults, when set, injects deterministic failures into the device
 	// and executor.
 	Faults *faults.Injector
@@ -167,14 +154,20 @@ type Config struct {
 	TestStrandDrainNth int
 }
 
+// A failed batch is retried up to batchRetries times after a jittered
+// exponential backoff from batchRetryBackoff; batchRetryBudget caps retries
+// server-wide so a persistent fault cannot melt the server into retry work.
+const (
+	batchRetries      = 2
+	batchRetryBackoff = 500 * time.Microsecond
+	batchRetryBudget  = 64
+)
+
 // Validate rejects configurations that are explicit nonsense rather than
 // zero-values asking for defaults.
 func (c Config) Validate() error {
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("serving: negative MaxQueue %d (use 0 for unbounded)", c.MaxQueue)
-	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("serving: negative RetryBackoff %v", c.RetryBackoff)
 	}
 	if c.BatchTimeout < 0 {
 		return fmt.Errorf("serving: negative BatchTimeout %v", c.BatchTimeout)
@@ -321,24 +314,8 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	if cfg.BatchTimeout <= 0 {
 		cfg.BatchTimeout = 10 * time.Millisecond
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 1200 * time.Microsecond
-	}
 	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.03
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	} else if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 500 * time.Microsecond
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 64
-	} else if cfg.RetryBudget < 0 {
-		cfg.RetryBudget = 0
+		cfg.Jitter = executor.DefaultJitter
 	}
 	dev := gpu.New(env, cfg.Spec)
 	dev.InjectFaults(cfg.Faults)
@@ -351,7 +328,7 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 		graphs:      make(map[graphKey]*graph.Graph),
 		limiters:    make(map[string]*overload.Limiter),
 		limitGauges: make(map[string]*obs.Series),
-		retryLeft:   cfg.RetryBudget,
+		retryLeft:   batchRetryBudget,
 		build:       model.Build,
 	}
 	s.rec = cfg.Obs
@@ -378,10 +355,7 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	s.limitCutsC = reg.Counter("olympian_overload_limit_cuts_total", "AIMD multiplicative decreases.", "device", devLabel)
 	var hooks executor.Hooks = executor.NopHooks{}
 	if cfg.UseOlympian {
-		s.sched = core.New(env, dev, core.Config{
-			Policy: cfg.Policy, Quantum: cfg.Quantum,
-			SwitchCost: core.DefaultSwitchCost,
-		})
+		s.sched = core.New(env, dev, core.Config{SwitchCost: core.DefaultSwitchCost})
 		hooks = s.sched
 	}
 	s.eng = executor.New(env, dev, executor.Config{
@@ -840,8 +814,8 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 			}
 			return
 		}
-		if attempt >= s.cfg.MaxRetries || s.retryLeft <= 0 {
-			if attempt < s.cfg.MaxRetries {
+		if attempt >= batchRetries || s.retryLeft <= 0 {
+			if attempt < batchRetries {
 				s.degraded.RetryDenied++
 			}
 			s.degraded.BatchFailures++
@@ -859,7 +833,7 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 		// Jittered exponential backoff (the jitter stream is seeded, so
 		// same-seed runs retry at identical instants; a nil injector
 		// degrades to plain exponential backoff).
-		p.Sleep(overload.Backoff(s.cfg.RetryBackoff, attempt, 0.5, s.cfg.Faults.RetryJitter()))
+		p.Sleep(overload.Backoff(batchRetryBackoff, attempt, 0.5, s.cfg.Faults.RetryJitter()))
 	}
 	now := p.Now()
 	lim := s.limiters[batch[0].Model]
@@ -903,7 +877,7 @@ func (s *Server) graphFor(modelName string, batch int) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.sched.SetProfile(g, prof.JobProfile(s.cfg.Quantum))
+		s.sched.SetProfile(g, prof.JobProfile(core.DefaultQuantum))
 	}
 	return g, nil
 }

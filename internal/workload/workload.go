@@ -98,12 +98,11 @@ type Config struct {
 	Kind SchedulerKind
 	// Policy is the Olympian scheduling policy (defaults to fair).
 	Policy core.Policy
-	// Quantum is Q. Zero means DefaultQuantum.
+	// Quantum is Q. Zero means core.DefaultQuantum. Node durations carry
+	// executor.DefaultJitter noise.
 	Quantum time.Duration
 	// SwitchCost overrides the default gang-switch cost.
 	SwitchCost time.Duration
-	// Jitter is node-duration noise (defaults to 0.03).
-	Jitter float64
 	// ThreadPoolSize caps each device's shared pool (defaults to the engine
 	// default).
 	ThreadPoolSize int
@@ -137,12 +136,10 @@ type Config struct {
 	// spends a token, each successful batch refunds one. The shared pool
 	// prevents retry storms — under correlated failure the budget drains
 	// and clients fail fast instead of amplifying load. Zero means
-	// DefaultRetryBudget; negative disables retries entirely.
+	// DefaultRetryBudget; negative disables retries entirely. A client
+	// backs off exponentially from clientRetryBackoff between attempts,
+	// jittered deterministically from the fault injector's retry stream.
 	RetryBudget int
-	// RetryBackoff is the base for exponential client backoff between
-	// retry attempts, jittered deterministically from the fault injector's
-	// retry stream (zero: overload's 1ms default).
-	RetryBackoff time.Duration
 	// Obs, when non-nil, records the run's lifecycle trace (client
 	// batches, executor jobs, kernels, retries) and its metrics. The
 	// recorder is bound to the run's environment at start; one recorder
@@ -169,8 +166,8 @@ const MaxBatchRetries = 3
 // RetryBudget zero.
 const DefaultRetryBudget = 32
 
-// DefaultQuantum is used when a run does not choose Q via profiling.
-const DefaultQuantum = 1200 * time.Microsecond
+// clientRetryBackoff is the base of a client's exponential retry backoff.
+const clientRetryBackoff = time.Millisecond
 
 // Result aggregates a run's measurements. Device and Pool describe device
 // 0; the other fields cover every device.
@@ -245,10 +242,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 		return nil, fmt.Errorf("workload: unknown scheduler kind %d", cfg.Kind)
 	}
 	if cfg.Quantum <= 0 {
-		cfg.Quantum = DefaultQuantum
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.03
+		cfg.Quantum = core.DefaultQuantum
 	}
 	if cfg.SwitchCost == 0 {
 		cfg.SwitchCost = core.DefaultSwitchCost
@@ -368,7 +362,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 					}
 					res.Degraded.BatchRetries++
 					cfg.Obs.Instant(obs.LayerHarness, "client_retry", i, obs.NoClass, 0, int64(attempt+1))
-					p.Sleep(overload.Backoff(cfg.RetryBackoff, attempt, 0.5, inj.RetryJitter()))
+					p.Sleep(overload.Backoff(clientRetryBackoff, attempt, 0.5, inj.RetryJitter()))
 				}
 				cfg.Obs.EndSpan(span)
 			}
@@ -476,7 +470,7 @@ func newDevice(env *sim.Env, cfg Config, d int, profiles map[*graph.Graph]*profi
 	}
 	engCfg := executor.Config{
 		ThreadPoolSize: cfg.ThreadPoolSize,
-		Jitter:         cfg.Jitter,
+		Jitter:         executor.DefaultJitter,
 		Faults:         dv.inj,
 		Obs:            cfg.Obs,
 		Device:         d,

@@ -293,10 +293,9 @@ func TestNegativeRetryBudgetDisablesRetries(t *testing.T) {
 func TestRetryBackoffIsDeterministic(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(Config{
-			Seed:         9,
-			Kind:         Vanilla,
-			Faults:       &faults.Plan{AbortRate: 0.3},
-			RetryBackoff: 2 * time.Millisecond,
+			Seed:   9,
+			Kind:   Vanilla,
+			Faults: &faults.Plan{AbortRate: 0.3},
 		}, []ClientSpec{
 			{Model: model.Inception, Batch: 10, Batches: 5},
 			{Model: model.Inception, Batch: 10, Batches: 5},

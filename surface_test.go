@@ -37,7 +37,29 @@ var fieldAllow = map[string]string{
 	"overload.RetryBudget.denied": "oracle: the retry-budget tests count denied retries with it",
 }
 
-// repoScan scans the repository once for both gates.
+// knobAllow lists the exported fields of internal *Config types that no
+// caller outside their package sets and that stay anyway, each with its
+// reason.
+var knobAllow = map[string]string{
+	"cluster.Config.Admission":          "oracle: the sharded/overload pin sets it",
+	"cluster.Config.TestStrandDrainNth": "oracle: the planted drain bug FuzzConservation must catch",
+	"cluster.LLMConfig.Faults":          "oracle: the LLM fleet's crash path, driven by FuzzConservation and the llm/* pins",
+	"cluster.LLMConfig.MaxSeqs":         "oracle: the llm/kv-pressure pin sets it",
+	"cluster.LLMConfig.Obs":             "oracle: the LLM fleet's trace path, driven by FuzzConservation and the llm/* pins",
+	"cluster.LLMConfig.Telemetry":       "oracle: the LLM fleet's timeline path, driven by FuzzConservation and the llm/* pins",
+	"executor.Config.MaxInflight":       "ROADMAP item 7 sweeps the in-flight depth",
+	"overload.AIMDConfig.Add":           "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
+	"overload.AIMDConfig.Beta":          "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
+	"overload.AIMDConfig.Cooldown":      "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
+	"serving.Config.Jitter":             "ROADMAP item 6 needs a way to turn node jitter off",
+	"telemetry.Config.Capacity":         "oracle: the ring-eviction and merge tests set it",
+	"telemetry.Config.Interval":         "oracle: the ring-eviction and merge tests set it",
+	"workload.Config.RetryBudget":       "oracle: one of the two pins of TestObservedRunCounters",
+	"workload.Config.SwitchCost":        "ROADMAP item 7 sweeps the per-switch cost",
+	"workload.Config.Telemetry":         "oracle: one of the two pins of TestObservedRunCounters",
+}
+
+// repoScan scans the repository once for all three gates.
 var repoScan = sync.OnceValues(func() (surfaceScan, error) { return scanDecls(".", "bench") })
 
 // TestInternalSurface keeps the code to what non-test code calls. Every
@@ -49,7 +71,7 @@ func TestInternalSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range surfaceProblems(scan.decls, surfaceAllow, "uses") {
+	for _, p := range surfaceProblems(scan.decls, surfaceAllow, "no non-test code uses it", "used") {
 		t.Error(p)
 	}
 }
@@ -62,13 +84,29 @@ func TestWriteOnlyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range surfaceProblems(scan.fields, fieldAllow, "reads") {
+	for _, p := range surfaceProblems(scan.fields, fieldAllow, "no non-test code reads it", "used") {
 		t.Error(p)
 	}
 }
 
-// TestSurfaceGateFixture runs the gate over testdata/surface: a root module
-// with one declaration per case, and a second module in bench/'s place.
+// TestConfigKnobsSet keeps configs to the knobs a caller sets: every
+// exported field of an exported internal type named *Config is written by a
+// non-test file of another package of the root module or of bench/, or is
+// listed in knobAllow. A knob only its own package's defaults write is a
+// constant in disguise.
+func TestConfigKnobsSet(t *testing.T) {
+	scan, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range surfaceProblems(scan.knobs, knobAllow, "no caller outside its package sets it", "set") {
+		t.Error(p)
+	}
+}
+
+// TestSurfaceGateFixture runs the gates over testdata/surface: a root module
+// with one declaration, field or knob per case, and a second module in
+// bench/'s place.
 func TestSurfaceGateFixture(t *testing.T) {
 	scan, err := scanDecls(filepath.Join("testdata", "surface", "root"), filepath.Join("..", "other"))
 	if err != nil {
@@ -81,7 +119,7 @@ func TestSurfaceGateFixture(t *testing.T) {
 	if _, ok := decls["a.T.Name"]; ok {
 		t.Error("a method that satisfies an interface must be exempt")
 	}
-	got := surfaceProblems(decls, map[string]string{"a.Used": "stale", "a.Gone": "stale"}, "uses")
+	got := surfaceProblems(decls, map[string]string{"a.Used": "stale", "a.Gone": "stale"}, "no non-test code uses it", "used")
 	want := []string{
 		"a.Gone: allowlisted but not declared",
 		"a.T.Dead: no non-test code uses it; delete it, or allowlist it with a reason",
@@ -92,7 +130,7 @@ func TestSurfaceGateFixture(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	got = surfaceProblems(scan.fields, nil, "reads")
+	got = surfaceProblems(scan.fields, nil, "no non-test code reads it", "used")
 	want = []string{
 		"a.S.log: no non-test code reads it; delete it, or allowlist it with a reason",
 		"a.S.written: no non-test code reads it; delete it, or allowlist it with a reason",
@@ -100,16 +138,25 @@ func TestSurfaceGateFixture(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("field problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+	got = surfaceProblems(scan.knobs, map[string]string{"a.Config.Allowed": "stale"}, "no caller outside its package sets it", "set")
+	want = []string{
+		"a.Config.Allowed: allowlisted but set; drop its entry",
+		"a.Config.Defaulted: no caller outside its package sets it; delete it, or allowlist it with a reason",
+		"a.Config.TestOnly: no caller outside its package sets it; delete it, or allowlist it with a reason",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("knob problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
-// surfaceProblems names each declaration missing from allow that no non-test
-// code uses (or reads, for fields: verb says which), and each allow entry
-// that is now used or no longer declared.
-func surfaceProblems(decls map[string]bool, allow map[string]string, verb string) []string {
+// surfaceProblems names each declaration missing from allow that the gate
+// finds unused (unused says how, for the message), and each allow entry
+// that is now used (past names the use) or no longer declared.
+func surfaceProblems(decls map[string]bool, allow map[string]string, unused, past string) []string {
 	var out []string
 	for name, used := range decls {
 		if _, ok := allow[name]; !ok && !used {
-			out = append(out, name+": no non-test code "+verb+" it; delete it, or allowlist it with a reason")
+			out = append(out, name+": "+unused+"; delete it, or allowlist it with a reason")
 		}
 	}
 	for name := range allow {
@@ -118,7 +165,7 @@ func surfaceProblems(decls map[string]bool, allow map[string]string, verb string
 		case !ok:
 			out = append(out, name+": allowlisted but not declared")
 		case used:
-			out = append(out, name+": allowlisted but used; drop its entry")
+			out = append(out, name+": allowlisted but "+past+"; drop its entry")
 		}
 	}
 	sort.Strings(out)
@@ -137,9 +184,12 @@ type listedPkg struct {
 // surface gate covers to whether non-test code uses it; keys are "pkg.Name"
 // or "pkg.Type.Method", pkg being the last element of the import path.
 // fields maps each unexported, non-embedded struct field of root's packages
-// to whether non-test code reads it; keys are "pkg.Type.field".
+// to whether non-test code reads it; keys are "pkg.Type.field". knobs maps
+// each exported field of an exported internal/ or cmd/internal/ type named
+// *Config to whether a non-test file of another package writes it; keys are
+// "pkg.Type.Field".
 type surfaceScan struct {
-	decls, fields map[string]bool
+	decls, fields, knobs map[string]bool
 }
 
 // scanDecls type-checks the non-test files of the module at root and of the
@@ -150,7 +200,8 @@ type surfaceScan struct {
 // package, that has the method: a call through the interface does not name
 // the method itself. A field reference is a read unless writtenFields says
 // it is a write, and comparing or hashing a struct (comparedTypes) reads
-// every field of it.
+// every field of it. A write counts toward knobs only from a package other
+// than the field's own.
 func scanDecls(root string, others ...string) (surfaceScan, error) {
 	// The source importer type-checks the standard library; with cgo off it
 	// reads only pure-Go files and needs no C toolchain.
@@ -159,6 +210,7 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 	imp := &cachingImporter{pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
 	used := map[types.Object]bool{}
 	read := map[types.Object]bool{}
+	set := map[types.Object]bool{}
 	type scoped struct {
 		pkg      *types.Package
 		internal bool
@@ -207,8 +259,13 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 			writes := writtenFields(files, info.Uses)
 			for id, obj := range info.Uses {
 				used[origin(obj)] = true
-				if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
-					read[origin(v)] = true
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					switch {
+					case !writes[id]:
+						read[origin(v)] = true
+					case v.Pkg() != pkg:
+						set[origin(v)] = true
+					}
 				}
 			}
 			for _, t := range comparedTypes(files, info.Types) {
@@ -221,7 +278,7 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 		}
 	}
 	ifaces := loadedInterfaces(imp.pkgs)
-	scan := surfaceScan{decls: map[string]bool{}, fields: map[string]bool{}}
+	scan := surfaceScan{decls: map[string]bool{}, fields: map[string]bool{}, knobs: map[string]bool{}}
 	decls := scan.decls
 	for _, sc := range scope {
 		base := path.Base(sc.pkg.Path())
@@ -238,6 +295,13 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 				continue
 			}
 			named := tn.Type().(*types.Named)
+			if st, ok := named.Underlying().(*types.Struct); ok && tn.Exported() && strings.HasSuffix(name, "Config") {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						scan.knobs[base+"."+name+"."+f.Name()] = set[f]
+					}
+				}
+			}
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() && !satisfies(named, m.Name(), ifaces) {
 					decls[base+"."+name+"."+m.Name()] = used[m]

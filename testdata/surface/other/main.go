@@ -4,4 +4,4 @@ package main
 
 import "fixture/internal/a"
 
-func main() { println(a.OnlyOther()) }
+func main() { println(a.OnlyOther() + a.Apply(a.Config{FromOther: 1})) }

@@ -6,7 +6,7 @@ import "fixture/internal/a"
 // Run calls the exports the root module uses.
 func Run() int {
 	s := a.NewS()
-	return a.Used() + s.Get() + *s.Addr()
+	return a.Used() + s.Get() + *s.Addr() + a.Apply(a.Config{FromRoot: 1, Allowed: 2})
 }
 
 var _ a.Namer = a.T{}

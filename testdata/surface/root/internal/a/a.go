@@ -48,3 +48,25 @@ func (s *S) Get() int { return s.read }
 
 // Addr takes S.addr's address.
 func (s *S) Addr() *int { return &s.addr }
+
+// Config holds one knob per case the config-knob gate decides.
+type Config struct {
+	FromRoot  int // set by the root module's fixture.go
+	FromOther int // set only by the second module
+	Defaulted int // set only by withDefaults
+	TestOnly  int // set only in a_test.go
+	Allowed   int // allowlisted, yet set by fixture.go
+}
+
+func (c Config) withDefaults() Config {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	return c
+}
+
+// Apply reads every knob of c.
+func Apply(c Config) int {
+	c = c.withDefaults()
+	return c.FromRoot + c.FromOther + c.Defaulted + c.TestOnly + c.Allowed
+}

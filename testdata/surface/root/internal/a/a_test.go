@@ -13,3 +13,9 @@ func TestWritten(t *testing.T) {
 		t.Fatal("NewS")
 	}
 }
+
+func TestApply(t *testing.T) {
+	if Apply(Config{TestOnly: 2}) != 3 {
+		t.Fatal("Apply")
+	}
+}
