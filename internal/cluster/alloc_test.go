@@ -18,9 +18,11 @@ import (
 // sharded fleet's steady path: routing, the submit and report messages, the
 // device agent's drain, serving's admission and batching, and the batch's
 // share of the executor, scheduler and GPU work. It sits just above the
-// measured 4.11 (go1.24); with a per-device agent process, a capturing
-// closure per message and fmt in the decision hash the same run made 14.87.
-const requestAllocBudget = 4.5
+// measured 2.23 (go1.24), of which the batch's share is its proc; allocating
+// the batch record, executor job, gang primitives and scheduler state per
+// batch made 3.98, and with a per-device agent process, a capturing closure
+// per message and fmt in the decision hash the same run made 14.87.
+const requestAllocBudget = 2.5
 
 // TestShardedRequestAllocBudget runs a 2-device fleet of model.Micro at
 // two lengths and charges the difference in allocations to the extra

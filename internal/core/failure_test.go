@@ -68,14 +68,16 @@ func TestLateArrivalGetsServed(t *testing.T) {
 	// arrives mid-run and must preempt at the next quantum boundary.
 	for i := 0; i < 2; i++ {
 		h.env.Go("early", func(p *sim.Proc) {
-			job := h.eng.NewJob(&gpu.Stream{ID: i}, g)
+			job := new(executor.Job)
+			h.eng.InitJob(job, &gpu.Stream{ID: i}, g)
 			job.Priority = 1
 			h.eng.Run(p, job)
 		})
 	}
 	h.env.Go("late", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond)
-		job := h.eng.NewJob(&gpu.Stream{ID: 9}, g)
+		job := new(executor.Job)
+		h.eng.InitJob(job, &gpu.Stream{ID: 9}, g)
 		job.Priority = 5
 		h.eng.Run(p, job)
 		lateFinish = p.Now()
@@ -105,7 +107,8 @@ func TestHolderAbortReclaimsToken(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		h.env.Go("client", func(p *sim.Proc) {
-			jobs[i] = h.eng.NewJob(&gpu.Stream{ID: i}, g)
+			jobs[i] = new(executor.Job)
+			h.eng.InitJob(jobs[i], &gpu.Stream{ID: i}, g)
 			h.eng.Run(p, jobs[i])
 			finishes[i] = time.Duration(p.Now())
 		})
@@ -179,7 +182,8 @@ func TestInjectedAbortsNeverStrandToken(t *testing.T) {
 			stream := &gpu.Stream{ID: i}
 			for b := 0; b < nBatches; b++ {
 				for {
-					job := eng.NewJob(stream, g)
+					job := new(executor.Job)
+					eng.InitJob(job, stream, g)
 					eng.Run(p, job)
 					if job.Err() == nil {
 						break

@@ -25,6 +25,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"olympian/internal/executor"
@@ -118,6 +119,7 @@ type Scheduler struct {
 
 	jobs   []*jobState // registration order
 	holder *jobState
+	free   []*jobState // deregistered records, reused with their Conds
 
 	intervalStart sim.Time
 	onQuantum     []func(QuantumRecord) // OnQuantum's observers
@@ -156,13 +158,19 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config) *Scheduler {
 // SetProfile attaches the offline profile for a graph.
 func (s *Scheduler) SetProfile(g *graph.Graph, p *JobProfile) { s.profiles[g] = p }
 
-// Register implements executor.Hooks (Algorithm 2 line 4).
+// Register implements executor.Hooks (Algorithm 2 line 4). The job's
+// record comes from the free list when one is there, so a steady stream of
+// jobs reuses both the records and their condition variables.
 func (s *Scheduler) Register(p *sim.Proc, job *executor.Job) {
-	js := &jobState{
-		job:     job,
-		cond:    s.env.NewCond("olympian-job"),
-		profile: s.profiles[job.Graph],
+	var js *jobState
+	if n := len(s.free); n > 0 {
+		js = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		js = &jobState{cond: s.env.NewCond("olympian-job")}
 	}
+	js.job, js.profile = job, s.profiles[job.Graph]
 	s.jobs = append(s.jobs, js)
 	if s.holder == nil {
 		s.grant(js)
@@ -182,29 +190,30 @@ func (s *Scheduler) Deregister(p *sim.Proc, job *executor.Job) {
 		return
 	}
 	departing := s.jobs[idx]
-	s.jobs = append(s.jobs[:idx], s.jobs[idx+1:]...)
+	s.jobs = slices.Delete(s.jobs, idx, idx+1)
 	if s.pendingJob == departing {
 		s.finalizePending()
 	}
-	if s.holder != departing {
-		return
-	}
-	s.closeInterval(departing)
-	// The departing job has no kernels left, so its interval is final now;
-	// finalizing later would read the busy time of its stream's next job.
-	s.finalizePending()
-	s.holder = nil
-	if len(s.jobs) == 0 {
-		return
-	}
-	next := s.pick(departing.job)
-	if next != nil {
-		s.switches++
-		if s.cfg.Mode == CostBased {
-			s.dev.SwitchBarrier(s.cfg.SwitchCost)
+	if s.holder == departing {
+		s.closeInterval(departing)
+		// The departing job has no kernels left, so its interval is final
+		// now; finalizing later would read the busy time of its stream's
+		// next job.
+		s.finalizePending()
+		s.holder = nil
+		if next := s.pick(departing.job); next != nil {
+			s.switches++
+			if s.cfg.Mode == CostBased {
+				s.dev.SwitchBarrier(s.cfg.SwitchCost)
+			}
+			s.grant(next)
 		}
-		s.grant(next)
 	}
+	// Nothing refers to the record now: it is neither the holder nor the
+	// staged interval's, and the job's gang, the only waiters on its Cond,
+	// has finished.
+	*departing = jobState{cond: departing.cond}
+	s.free = append(s.free, departing)
 }
 
 // Yield implements executor.Hooks (Algorithm 2 line 12): gang threads of

@@ -94,12 +94,15 @@ func (h *harness) run(t *testing.T, specs []clientSpec) []time.Duration {
 			if batches == 0 {
 				batches = 1
 			}
+			// One stream and one job carry the client's batches, as in
+			// workload.Run.
 			stream := &gpu.Stream{ID: i}
+			var job executor.Job
 			for b := 0; b < batches; b++ {
-				job := h.eng.NewJob(stream, spec.graph)
+				h.eng.InitJob(&job, stream, spec.graph)
 				job.Weight = spec.weight
 				job.Priority = spec.priority
-				h.eng.Run(p, job)
+				h.eng.Run(p, &job)
 			}
 			finishes[i] = time.Duration(p.Now())
 		})
@@ -381,5 +384,55 @@ func TestReusedStreamRecordsPinned(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("interval %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// recycleCheck wraps a scheduler and checks its record lists after every
+// Deregister: no slot past a list's length keeps a record, and a freed
+// record keeps its Cond but not its job or profile.
+type recycleCheck struct {
+	*Scheduler
+	t    *testing.T
+	seen map[*jobState]bool
+}
+
+func (c *recycleCheck) Register(p *sim.Proc, job *executor.Job) {
+	c.Scheduler.Register(p, job)
+	c.seen[c.jobs[len(c.jobs)-1]] = true
+}
+
+func (c *recycleCheck) Deregister(p *sim.Proc, job *executor.Job) {
+	c.Scheduler.Deregister(p, job)
+	for name, list := range map[string][]*jobState{"jobs": c.jobs, "free": c.free} {
+		for i, js := range list[len(list):cap(list)] {
+			if js != nil {
+				c.t.Errorf("%s[%d] past length %d still holds a record", name, len(list)+i, len(list))
+			}
+		}
+	}
+	for _, js := range c.free {
+		if js.job != nil || js.profile != nil || js.cond == nil {
+			c.t.Errorf("freed record %+v keeps its job or profile, or lost its Cond", *js)
+		}
+	}
+}
+
+// TestDeregisterRecyclesRecords runs three closed-loop clients through four
+// batches each. Every registration after the first three reuses a record
+// Deregister freed, and no removal leaves a stale pointer behind.
+func TestDeregisterRecyclesRecords(t *testing.T) {
+	q := 500 * time.Microsecond
+	h := newHarness(t, 1, Config{Quantum: q, SwitchCost: DefaultSwitchCost})
+	check := &recycleCheck{Scheduler: h.sched, t: t, seen: make(map[*jobState]bool)}
+	h.eng = executor.New(h.env, h.dev, executor.Config{}, check)
+	g := chainGraph(t, "m", 20, 100*time.Microsecond)
+	h.sched.SetProfile(g, uniformProfile(g, q))
+	h.run(t, []clientSpec{{graph: g, batches: 4}, {graph: g, batches: 4}, {graph: g, batches: 4}})
+	if len(check.seen) != 3 || len(h.sched.free) != 3 || len(h.sched.jobs) != 0 {
+		t.Fatalf("12 jobs used %d records, %d free and %d registered at the end, want 3, 3 and 0",
+			len(check.seen), len(h.sched.free), len(h.sched.jobs))
+	}
+	if h.sched.Switches() == 0 {
+		t.Fatal("no hand-offs: the clients never overlapped")
 	}
 }

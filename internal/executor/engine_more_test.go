@@ -33,7 +33,8 @@ func TestMaxInflightBoundsConcurrentKernels(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	eng := New(env, dev, Config{MaxInflight: 2}, nil)
 	g := wideGraph(t, 8, 4*time.Millisecond, 0.1)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -70,7 +71,8 @@ func TestBFSOrderIsLevelOrder(t *testing.T) {
 	eng.NodeObserver = func(_ *Job, n *graph.Node, _, _ time.Duration) {
 		order = append(order, n.Op)
 	}
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -91,7 +93,8 @@ func TestStreamCarriesClientID(t *testing.T) {
 	rec.Bind(env, "stream")
 	eng := New(env, dev, Config{Obs: rec}, nil)
 	g := wideGraph(t, 2, time.Millisecond, 0.5)
-	job := eng.NewJob(&gpu.Stream{ID: 42}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 42}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -141,7 +144,8 @@ func TestKernelSlicingSplitsAndPays(t *testing.T) {
 		KernelSlicePenalty: 100 * time.Microsecond,
 	}, nil)
 	g := wideGraph(t, 1, time.Millisecond, 1.0)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -164,7 +168,8 @@ func TestKernelSlicingLeavesSmallKernelsAlone(t *testing.T) {
 		KernelSlicePenalty: 100 * time.Microsecond,
 	}, nil)
 	g := wideGraph(t, 1, 300*time.Microsecond, 1.0)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,9 @@ import (
 )
 
 // Job is one in-flight Session::Run: a model graph being evaluated for one
-// input batch on behalf of a client.
+// input batch on behalf of a client. The caller holds it and readies it
+// with InitJob, once per run; a caller that keeps one Job across its runs
+// reuses its gang's primitives.
 type Job struct {
 	// ID uniquely identifies the job within an engine.
 	ID int
@@ -241,17 +243,29 @@ func (e *Engine) AbortJob(job *Job, err error) {
 	}
 }
 
-// NewJob allocates a job for a client run of g on the client's stream.
-func (e *Engine) NewJob(stream *gpu.Stream, g *graph.Graph) *Job {
+// InitJob (re)initializes job, which its caller holds, for a client run of g
+// on the client's stream, and gives it the engine's next ID. The job's
+// WaitGroup and in-flight Semaphore are allocated at its first
+// initialization and reused after it, waiter rings included, so a caller
+// that keeps one Job across its runs allocates nothing here. A job stays
+// with the engine that first initialized it. InitJob panics if the job's
+// gang is still live: threads in flight or kernel slots held.
+func (e *Engine) InitJob(job *Job, stream *gpu.Stream, g *graph.Graph) {
+	wg, inflight := job.wg, job.inflight
+	if wg == nil {
+		wg, inflight = e.env.NewWaitGroup(), e.env.NewSemaphore(e.cfg.MaxInflight)
+	} else if wg.Count() > 0 || inflight.Free() != e.cfg.MaxInflight {
+		panic(fmt.Sprintf("executor: InitJob on job %d while its gang is live", job.ID))
+	}
 	e.jobSeq++
-	return &Job{
+	*job = Job{
 		ID:       e.jobSeq,
 		Client:   stream.ID,
 		Stream:   stream,
 		Graph:    g,
 		Weight:   1,
-		wg:       e.env.NewWaitGroup(),
-		inflight: e.env.NewSemaphore(e.cfg.MaxInflight),
+		wg:       wg,
+		inflight: inflight,
 	}
 }
 

@@ -37,7 +37,8 @@ func TestRunExecutesAllNodes(t *testing.T) {
 	eng.NodeObserver = func(_ *Job, n *graph.Node, _, _ time.Duration) {
 		executed = append(executed, n.Op)
 	}
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -58,7 +59,8 @@ func TestJobTimesRecorded(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	eng := New(env, dev, Config{}, nil)
 	g := lineGraph(t)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) {
 		p.Sleep(5 * time.Millisecond)
 		eng.Run(p, job)
@@ -92,7 +94,8 @@ func TestHooksCalledPerNode(t *testing.T) {
 	hooks := &recordingHooks{}
 	eng := New(env, dev, Config{}, hooks)
 	g := lineGraph(t)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -121,7 +124,8 @@ func TestThreadPoolLimitDelaysExecution(t *testing.T) {
 		if err := g.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+		job := new(Job)
+		eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -145,7 +149,8 @@ func TestOnlineProfilingTaxInflatesRuntime(t *testing.T) {
 		dev := gpu.New(env, testSpec)
 		eng := New(env, dev, Config{OnlineProfilingTax: tax}, nil)
 		g := lineGraph(t)
-		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+		job := new(Job)
+		eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -166,7 +171,8 @@ func TestJitterPerturbsDurationsDeterministically(t *testing.T) {
 		dev := gpu.New(env, testSpec)
 		eng := New(env, dev, Config{Jitter: 0.1}, nil)
 		g := lineGraph(t)
-		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+		job := new(Job)
+		eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -204,7 +210,8 @@ func TestSoloModelRunMatchesCalibratedRuntime(t *testing.T) {
 		env := sim.NewEnv(1)
 		dev := gpu.New(env, gpu.GTX1080Ti)
 		eng := New(env, dev, Config{}, nil)
-		job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+		job := new(Job)
+		eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 		env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 		if err := env.Run(); err != nil {
 			t.Fatal(err)

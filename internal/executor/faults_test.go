@@ -41,7 +41,8 @@ func TestKernelRetryRecoversTransientFaults(t *testing.T) {
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 60, 100*time.Microsecond)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,8 @@ func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 5, 100*time.Microsecond)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -90,7 +92,8 @@ func TestInjectedAbortStopsGang(t *testing.T) {
 	inj := faults.New(2, faults.Plan{AbortRate: 0.05})
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 200, 50*time.Microsecond)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	var finished sim.Time
 	env.Go("client", func(p *sim.Proc) {
 		eng.Run(p, job)
@@ -118,7 +121,8 @@ func TestAbortJobIsIdempotent(t *testing.T) {
 	dev := gpu.New(env, testSpec)
 	eng := New(env, dev, Config{}, nil)
 	g := gpuChain(t, 3, time.Millisecond)
-	job := eng.NewJob(&gpu.Stream{ID: 1}, g)
+	job := new(Job)
+	eng.InitJob(job, &gpu.Stream{ID: 1}, g)
 	first := errors.New("first")
 	env.Go("client", func(p *sim.Proc) { eng.Run(p, job) })
 	env.Go("chaos", func(p *sim.Proc) {
@@ -133,4 +137,80 @@ func TestAbortJobIsIdempotent(t *testing.T) {
 	if job.Err() != first {
 		t.Fatalf("job err = %v, want the first abort reason", job.Err())
 	}
+}
+
+// TestInitJobReusesGang runs one caller-held job twice, the first run
+// aborted, as a workload client keeps one job across its retries: the
+// second InitJob keeps the gang's WaitGroup and Semaphore, takes the next
+// ID, and clears everything the first run and its caller set.
+func TestInitJobReusesGang(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := gpu.New(env, testSpec)
+	eng := New(env, dev, Config{}, nil)
+	g := gpuChain(t, 3, time.Millisecond)
+	stream := &gpu.Stream{ID: 4}
+	job := new(Job)
+	eng.InitJob(job, stream, g)
+	wg, inflight, first := job.wg, job.inflight, job.ID
+	job.Weight, job.Priority, job.Deadline = 3, 2, sim.Time(time.Second)
+	env.Go("client", func(p *sim.Proc) {
+		eng.Run(p, job)
+		if !job.Aborted() || job.EndAt == 0 {
+			t.Errorf("first run aborted=%v ended at %v, want an aborted, ended run", job.Aborted(), job.EndAt)
+		}
+		eng.InitJob(job, stream, g)
+		if job.wg != wg || job.inflight != inflight {
+			t.Error("InitJob replaced the reused job's WaitGroup or Semaphore")
+		}
+		want := Job{ID: first + 1, Client: 4, Stream: stream, Graph: g, Weight: 1, wg: wg, inflight: inflight}
+		if *job != want {
+			t.Errorf("reused job %+v, want %+v", *job, want)
+		}
+		eng.Run(p, job)
+	})
+	env.Go("chaos", func(p *sim.Proc) {
+		p.Sleep(500 * time.Microsecond)
+		eng.AbortJob(job, errors.New("abort"))
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if job.Aborted() || job.Err() != nil || job.EndAt <= job.StartAt {
+		t.Fatalf("second run aborted=%v err=%v over [%v, %v], want a clean run", job.Aborted(), job.Err(), job.StartAt, job.EndAt)
+	}
+}
+
+// TestInitJobPanicsOnLiveGang checks that a job whose gang still has a
+// thread in flight or a kernel slot held cannot be re-initialized.
+func TestInitJobPanicsOnLiveGang(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := gpu.New(env, testSpec)
+	eng := New(env, dev, Config{}, nil)
+	g := gpuChain(t, 1, time.Millisecond)
+	stream := &gpu.Stream{ID: 1}
+	job := new(Job)
+	eng.InitJob(job, stream, g)
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("InitJob with %s did not panic", what)
+			}
+		}()
+		eng.InitJob(job, stream, g)
+	}
+	job.wg.Add(1)
+	mustPanic("a gang thread in flight")
+	job.wg.Done()
+	env.Go("client", func(p *sim.Proc) {
+		job.inflight.Acquire(p)
+		mustPanic("a kernel slot held")
+		job.inflight.Release()
+		eng.InitJob(job, stream, g)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
 }

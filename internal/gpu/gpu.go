@@ -181,6 +181,17 @@ func (s *Stream) Busy() time.Duration {
 // overflow (Figure 15).
 func (s *Stream) Active() int { return s.active }
 
+// Reset makes an idle stream a fresh one labelled id, as if just opened: it
+// unbinds it, so its next Submit ranks it and draws its weight again, and
+// clears its accounting. Its queue's array is kept for that next use. Reset
+// panics if the stream still has queued or executing kernels.
+func (s *Stream) Reset(id int) {
+	if len(s.queue) > 0 || s.active > 0 {
+		panic(fmt.Sprintf("gpu: Reset of stream %d with %d queued and %d executing kernels", s.ID, len(s.queue), s.active))
+	}
+	*s = Stream{ID: id, queue: s.queue}
+}
+
 // Device is a simulated GPU.
 type Device struct {
 	env  *sim.Env

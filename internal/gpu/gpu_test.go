@@ -292,3 +292,71 @@ func TestPropertyMemoryBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamResetRebinds reuses one stream handle for a second client, as the
+// serving layer recycles its batch records: the reset stream is unbound, has
+// no accounting left, keeps its queue's array, and its next Submit ranks it
+// after every stream bound meanwhile.
+func TestStreamResetRebinds(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := New(env, noLaunch)
+	st, other := &Stream{ID: 1}, &Stream{ID: 2}
+	env.Go("submit", func(p *sim.Proc) {
+		if err := dev.Exec(p, Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1}); err != nil {
+			t.Error(err)
+		}
+		if err := dev.Exec(p, Kernel{Owner: 2, Stream: other, Duration: time.Millisecond, Occupancy: 1}); err != nil {
+			t.Error(err)
+		}
+		queue := cap(st.queue)
+		st.Reset(3)
+		if st.ID != 3 || st.dev != nil || st.count != 0 || st.Busy() != 0 || st.Active() != 0 {
+			t.Errorf("reset stream %+v, want an unbound stream 3 with no accounting", *st)
+		}
+		if queue == 0 || cap(st.queue) != queue {
+			t.Errorf("reset stream queue capacity %d, want the kept %d", cap(st.queue), queue)
+		}
+		if err := dev.Exec(p, Kernel{Owner: 3, Stream: st, Duration: time.Millisecond, Occupancy: 1}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st.rank != 2 || other.rank != 1 || dev.nstreams != 3 {
+		t.Fatalf("ranks %d and %d of %d streams, want the reset stream ranked 2 after the other's 1 of 3", st.rank, other.rank, dev.nstreams)
+	}
+	if st.count != 1 || st.Busy() != time.Millisecond {
+		t.Fatalf("reset stream ran %d kernels for %v, want 1 for 1ms", st.count, st.Busy())
+	}
+}
+
+// TestStreamResetPanicsWhenBusy checks that a stream with a queued or an
+// executing kernel cannot be reset.
+func TestStreamResetPanicsWhenBusy(t *testing.T) {
+	mustPanic := func(what string, st *Stream) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Reset with %s did not panic", what)
+			}
+		}()
+		st.Reset(9)
+	}
+	env := sim.NewEnv(1)
+	dev := New(env, noLaunch)
+	st := &Stream{ID: 1}
+	env.Go("submit", func(p *sim.Proc) {
+		first := dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1})
+		second := dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1})
+		mustPanic("a queued kernel", st)
+		first.Wait(p)
+		p.Sleep(time.Microsecond)
+		mustPanic("an executing kernel", st)
+		second.Wait(p)
+		st.Reset(9)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

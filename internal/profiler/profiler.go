@@ -108,8 +108,9 @@ func ProfileSolo(g *graph.Graph, opts Options) (*Result, error) {
 		res.NodeCost[n.ID] = svc
 		res.TotalCost += svc
 	}
-	job := eng.NewJob(&gpu.Stream{}, g)
-	env.Go("profiler", func(p *sim.Proc) { eng.Run(p, job) })
+	var job executor.Job
+	eng.InitJob(&job, &gpu.Stream{}, g)
+	env.Go("profiler", func(p *sim.Proc) { eng.Run(p, &job) })
 	err := env.Run()
 	env.Shutdown()
 	if err != nil {
@@ -252,9 +253,10 @@ func pairFinish(g *graph.Graph, prof *Result, q time.Duration, opts Options) (ti
 		c := c
 		env.Go("profpair", func(p *sim.Proc) {
 			stream := &gpu.Stream{ID: c}
+			var job executor.Job
 			for b := 0; b < batches; b++ {
-				job := eng.NewJob(stream, g)
-				eng.Run(p, job)
+				eng.InitJob(&job, stream, g)
+				eng.Run(p, &job)
 			}
 			if p.Now() > last {
 				last = p.Now()
@@ -335,8 +337,9 @@ func MeasureOnlineOverhead(g *graph.Graph, tax time.Duration, opts Options) (*On
 			cfg.OnlineProfilingTax = tax
 		}
 		eng := executor.New(env, dev, cfg, nil)
-		job := eng.NewJob(&gpu.Stream{}, g)
-		env.Go("online", func(p *sim.Proc) { eng.Run(p, job) })
+		var job executor.Job
+		eng.InitJob(&job, &gpu.Stream{}, g)
+		env.Go("online", func(p *sim.Proc) { eng.Run(p, &job) })
 		err := env.Run()
 		env.Shutdown()
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -247,7 +248,7 @@ type Server struct {
 	cfg   Config
 
 	queues   map[string][]*Request
-	spare    [][]*Request // batch slices of finished batch procs, for reuse
+	free     []*batchRun // records of finished batch procs, for reuse
 	flushers map[string]*sim.Cond
 	graphs   map[graphKey]*graph.Graph
 	limiters map[string]*overload.Limiter
@@ -629,7 +630,7 @@ func (s *Server) Cancel(r *Request) bool {
 	q := s.queues[r.Model]
 	for i, qr := range q {
 		if qr == r {
-			s.queues[r.Model] = append(q[:i], q[i+1:]...)
+			s.queues[r.Model] = slices.Delete(q, i, i+1)
 			s.degraded.Canceled++
 			s.fail(r, ErrCanceled)
 			return true
@@ -640,9 +641,9 @@ func (s *Server) Cancel(r *Request) bool {
 		s.degraded.Canceled++
 		s.fail(r, ErrCanceled)
 		b.live--
-		if b.live == 0 && b.job != nil && !b.job.Aborted() {
+		if b.live == 0 && !b.job.Aborted() {
 			// Last rider gone: nobody is waiting on this batch anymore.
-			s.eng.AbortJob(b.job, ErrCanceled)
+			s.eng.AbortJob(&b.job, ErrCanceled)
 		}
 		return true
 	}
@@ -711,6 +712,7 @@ func (s *Server) dropExpired(modelName string) {
 		}
 		kept = append(kept, r)
 	}
+	clear(q[len(kept):])
 	s.queues[modelName] = kept
 }
 
@@ -725,11 +727,8 @@ func (s *Server) flush(modelName, procName string) {
 	// The batch gets its own storage and the queue shifts down in place, so
 	// later arrivals refill the queue's array instead of growing a new one.
 	size := min(len(q), s.cfg.MaxBatch)
-	var batch []*Request
-	if n := len(s.spare); n > 0 {
-		batch, s.spare = s.spare[n-1], s.spare[:n-1]
-	}
-	batch = append(batch, q[:size]...)
+	br := s.newBatchRun()
+	br.riders = append(br.riders, q[:size]...)
 	rest := copy(q, q[size:])
 	clear(q[rest:])
 	s.queues[modelName] = q[:rest]
@@ -739,13 +738,14 @@ func (s *Server) flush(modelName, procName string) {
 		// fail to build a given batch size. Fail the affected requests
 		// instead of taking the whole server down.
 		s.degraded.BatchFailures++
-		for _, r := range batch {
+		for _, r := range br.riders {
 			s.fail(r, fmt.Errorf("serving: build %s/%d: %w", modelName, size, err))
 		}
+		s.recycle(br)
 		return
 	}
 	now := s.env.Now()
-	for _, r := range batch {
+	for _, r := range br.riders {
 		r.BatchedAt = now
 		r.BatchSize = size
 		s.qdHist.Observe(time.Duration(now - r.ArriveAt))
@@ -755,27 +755,63 @@ func (s *Server) flush(modelName, procName string) {
 		r.span = 0
 	}
 	s.batches++
-	clientID := s.batches
-	s.env.Go(procName, func(p *sim.Proc) {
-		s.runBatch(p, clientID, g, batch)
-		clear(batch)
-		s.spare = append(s.spare, batch[:0])
-	})
+	br.graph = g
+	br.stream.Reset(s.batches)
+	s.env.Go(procName, br.runFn)
 }
 
-// batchRun tracks one dispatched batch so hedge-style cancellation can
-// reach the running job: live counts riders still waiting on the batch, and
-// job is the current (per-attempt) executor job, run on stream.
+// batchRun is one dispatched batch and everything its proc runs on: the
+// riders, the graph, the stream (whose ID is the batch's client ID) and the
+// executor job of the current attempt, both held by value, and the proc
+// body, bound once. live counts riders still waiting on the batch, so
+// hedge-style cancellation can reach the running job. The server recycles
+// a record once its proc ends, when every rider is terminal.
 type batchRun struct {
+	s      *Server
+	riders []*Request
+	graph  *graph.Graph
 	stream gpu.Stream
-	job    *executor.Job
+	job    executor.Job
 	live   int
+	runFn  func(*sim.Proc) // run, bound once so a dispatch allocates no closure
+}
+
+// newBatchRun takes a record from the free list or makes one.
+func (s *Server) newBatchRun() *batchRun {
+	if n := len(s.free); n > 0 {
+		br := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return br
+	}
+	br := &batchRun{s: s}
+	br.runFn = br.run
+	return br
+}
+
+// run is a batch proc's body: it runs the batch, then returns the record.
+func (br *batchRun) run(p *sim.Proc) {
+	br.s.runBatch(p, br)
+	br.s.recycle(br)
+}
+
+// recycle returns a record whose riders are all terminal to the free list,
+// dropping its references to them and to the graph.
+func (s *Server) recycle(br *batchRun) {
+	for _, r := range br.riders {
+		r.batch = nil
+	}
+	clear(br.riders)
+	br.riders = br.riders[:0]
+	br.graph = nil
+	s.free = append(s.free, br)
 }
 
 // runBatch executes one batch job, retrying failed attempts with jittered
 // exponential backoff while the server-wide retry budget lasts.
-func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Request) {
-	br := &batchRun{stream: gpu.Stream{ID: clientID}, live: len(batch)}
+func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
+	batch := br.riders
+	br.live = len(batch)
 	for _, r := range batch {
 		r.batch = br
 	}
@@ -789,10 +825,9 @@ func (s *Server) runBatch(p *sim.Proc, clientID int, g *graph.Graph, batch []*Re
 			// Every rider was cancelled before this attempt launched.
 			return
 		}
-		job := s.eng.NewJob(&br.stream, g)
-		br.job = job
-		s.eng.Run(p, job)
-		jobErr = job.Err()
+		s.eng.InitJob(&br.job, &br.stream, br.graph)
+		s.eng.Run(p, &br.job)
+		jobErr = br.job.Err()
 		if jobErr == nil {
 			break
 		}

@@ -834,6 +834,9 @@ func (e *Env) NewSemaphore(n int) *Semaphore {
 
 func (s *Semaphore) blocked() bool { return s.free <= 0 }
 
+// Free returns the number of free slots.
+func (s *Semaphore) Free() int { return s.free }
+
 // Acquire blocks p until a slot is free, then takes it.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.free <= 0 {
@@ -862,6 +865,9 @@ func (e *Env) NewWaitGroup() *WaitGroup {
 }
 
 func (wg *WaitGroup) blocked() bool { return wg.count > 0 }
+
+// Count returns the number of tasks still in flight.
+func (wg *WaitGroup) Count() int { return wg.count }
 
 // Add increments the count by n.
 func (wg *WaitGroup) Add(n int) { wg.count += n }

@@ -332,12 +332,13 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 			if batches <= 0 {
 				batches = 1
 			}
-			// One stream carries the client's batches and retries.
+			// One stream and one job carry the client's batches and retries.
 			stream := &gpu.Stream{ID: i}
+			var job executor.Job
 			for b := 0; b < batches; b++ {
 				span := cfg.Obs.StartSpan(obs.LayerHarness, "client_batch", i, obs.NoClass, 0, int64(b))
 				for attempt := 0; ; attempt++ {
-					job := eng.NewJob(stream, g)
+					eng.InitJob(&job, stream, g)
 					if spec.Weight > 0 {
 						job.Weight = spec.Weight
 					}
@@ -345,7 +346,7 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 					if spec.Deadline > 0 {
 						job.Deadline = p.Now().Add(spec.Deadline)
 					}
-					eng.Run(p, job)
+					eng.Run(p, &job)
 					if job.Err() == nil {
 						budget.OnSuccess()
 						break
