@@ -357,7 +357,10 @@ func (c *LLMCluster) dispatchPrefill(r *LLMRequest, dev int) {
 // device by the dispatch message and back by the report. Ownership moves
 // with the messages: shard 0 fills it and sends it, the device then alone
 // touches it until it sends the report, and shard 0 returns it to the free
-// list at fold.
+// list at fold. The record holds the device-side request by value: the
+// replica drops every reference to it at or before its Done event fires,
+// and the report that returns the record to the free list leaves the device
+// only after that, so a reused record never aliases a live request.
 type llmAttempt struct {
 	c *LLMCluster
 
@@ -371,33 +374,42 @@ type llmAttempt struct {
 	prompt, output, have      int
 	arriveAt, firstAt, lastAt sim.Time // decode ingest only
 
-	// Set on the device before the report message.
-	inner *llm.Request
+	// Set on the device: the replica's request, initialized by Submit or
+	// Ingest, and the report it sends back.
+	inner llm.Request
 	rep   llmReport
 
 	// hop is t.step bound once: both messages and the completion
 	// subscription deliver it, and next names the action it runs there
 	// (run on the device, done on the device at completion, back on
-	// shard 0). A method expression allocates nothing, so a record costs one
-	// closure for its whole life.
+	// shard 0). A method expression allocates nothing, so beyond its share
+	// of a block a record costs one closure, made when the block is.
 	hop  func()
 	next func(*llmAttempt)
 }
 
+// llmAttemptBlock is how many attempt records newAttempt allocates at once
+// when the free list is empty.
+const llmAttemptBlock = 64
+
 // step runs the attempt's next action.
 func (t *llmAttempt) step() { t.next(t) }
 
-// newAttempt takes a record from shard 0's free list, or makes one, and
-// opens attempt r on dev with the arguments both roles share.
+// newAttempt takes a record from shard 0's free list, refilling the list a
+// block of records at a time, and opens attempt r on dev with the arguments
+// both roles share.
 func (c *LLMCluster) newAttempt(r *LLMRequest, dev int, decode bool) *llmAttempt {
-	var t *llmAttempt
-	if n := len(c.free); n > 0 {
-		t = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		t = &llmAttempt{c: c}
-		t.hop = t.step
+	if len(c.free) == 0 {
+		block := make([]llmAttempt, llmAttemptBlock)
+		for i := range block {
+			t := &block[i]
+			t.c = c
+			t.hop = t.step
+			c.free = append(c.free, t)
+		}
 	}
+	t := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
 	t.req, t.dev, t.srv, t.decode = r, dev, c.servers[dev], decode
 	t.id = c.dispatch(&r.request, dev, false)
 	t.class, t.prompt, t.output = r.Class, r.PromptTokens, r.OutputTokens-r.Truncated
@@ -408,25 +420,23 @@ func (c *LLMCluster) newAttempt(r *LLMRequest, dev int, decode bool) *llmAttempt
 // reports at once, carrying the have tokens already delivered; otherwise the
 // report waits for the device-side request to finish.
 func (t *llmAttempt) run() {
-	var inner *llm.Request
 	var err error
 	if t.decode {
-		inner, err = t.srv.Ingest(t.class, t.prompt, t.output, t.have, t.arriveAt, t.firstAt, t.lastAt)
+		err = t.srv.Ingest(&t.inner, t.class, t.prompt, t.output, t.have, t.arriveAt, t.firstAt, t.lastAt)
 	} else {
-		inner, err = t.srv.Submit(t.c.cfg.Model, t.class, t.prompt, t.output, t.have)
+		err = t.srv.Submit(&t.inner, t.c.cfg.Model, t.class, t.prompt, t.output, t.have)
 	}
 	if err != nil {
 		t.send(llmReport{tokensOut: t.have, err: err, kvUtil: t.srv.KVUtilization()})
 		return
 	}
-	t.inner = inner
 	t.next = (*llmAttempt).done
-	inner.Done().Subscribe(t.hop)
+	t.inner.Done().Subscribe(t.hop)
 }
 
 // done runs on the device when the attempt's request finishes.
 func (t *llmAttempt) done() {
-	in := t.inner
+	in := &t.inner
 	t.send(llmReport{
 		tokensOut:    in.TokensOut,
 		kvTokens:     in.KVTokens(),
@@ -442,7 +452,7 @@ func (t *llmAttempt) done() {
 // send reports the outcome, snapshotted in the device's own context, to the
 // front-end.
 func (t *llmAttempt) send(rep llmReport) {
-	t.inner, t.rep = nil, rep
+	t.rep = rep
 	t.next = (*llmAttempt).back
 	t.c.shards.Send(t.dev+1, 0, DefaultNetLatency, t.hop)
 }

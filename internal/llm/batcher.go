@@ -1,6 +1,10 @@
 package llm
 
-import "olympian/internal/overload"
+import (
+	"slices"
+
+	"olympian/internal/overload"
+)
 
 // Batcher is the continuous-batching membership policy: which sequences are
 // waiting for prefill, which have KV resident and wait for a batch slot, and
@@ -18,8 +22,9 @@ import "olympian/internal/overload"
 //
 // The prefill queue is one deque per class. Each entry carries an order key —
 // Enqueue takes back++, EnqueueFront takes --front — so the global FCFS order
-// across classes is key order, and every queue operation except the crash-time
-// TakeAll is O(1) and allocation-free once the deques have grown.
+// across classes is key order. The ready set is one more deque, FIFO with
+// unused keys. Every queue operation except the crash-time TakeAll is O(1)
+// and allocation-free once the deques have grown.
 type Batcher struct {
 	maxSeqs int
 
@@ -27,7 +32,7 @@ type Batcher struct {
 	front, back int64                      // order-key bounds of the queue
 	queued      int                        // total across the deques
 
-	ready   []*Request // prefilled, KV resident, waiting for a slot
+	ready   deque      // prefilled, KV resident, waiting for a slot
 	running []*Request // in-flight decode batch, in join order
 }
 
@@ -58,7 +63,7 @@ func (b *Batcher) Running() []*Request { return b.running }
 
 // HasWork reports whether anything is queued, ready, or running.
 func (b *Batcher) HasWork() bool {
-	return b.queued > 0 || len(b.ready) > 0 || len(b.running) > 0
+	return b.queued > 0 || b.ready.n > 0 || len(b.running) > 0
 }
 
 // Idle reports the opposite of HasWork.
@@ -71,7 +76,7 @@ func (b *Batcher) Idle() bool { return !b.HasWork() }
 // backlog of batch work (within one class the order is strict FCFS, and
 // preempted sequences re-entered at the front keep their place).
 func (b *Batcher) NextPrefill() *Request {
-	if b.queued == 0 || len(b.running)+len(b.ready) >= b.maxSeqs {
+	if b.queued == 0 || len(b.running)+b.ready.n >= b.maxSeqs {
 		return nil
 	}
 	c := len(b.queue) - 1
@@ -84,17 +89,15 @@ func (b *Batcher) NextPrefill() *Request {
 
 // Admit marks a prefilled (or ingested) sequence ready to join the batch at
 // the next token boundary.
-func (b *Batcher) Admit(r *Request) { b.ready = append(b.ready, r) }
+func (b *Batcher) Admit(r *Request) { b.ready.pushBack(entry{r: r}) }
 
 // PromoteOne joins the oldest ready sequence to the batch and returns it;
 // nil when none is ready or the batch is full.
 func (b *Batcher) PromoteOne() *Request {
-	if len(b.ready) == 0 || len(b.running) >= b.maxSeqs {
+	if b.ready.n == 0 || len(b.running) >= b.maxSeqs {
 		return nil
 	}
-	r := b.ready[0]
-	b.ready[0] = nil
-	b.ready = b.ready[1:]
+	r := b.ready.popFront().r
 	b.running = append(b.running, r)
 	return r
 }
@@ -104,7 +107,7 @@ func (b *Batcher) PromoteOne() *Request {
 func (b *Batcher) Leave(r *Request) {
 	for i, x := range b.running {
 		if x == r {
-			b.running = append(b.running[:i], b.running[i+1:]...)
+			b.running = slices.Delete(b.running, i, i+1)
 			return
 		}
 	}
@@ -128,7 +131,7 @@ func (b *Batcher) Victim() *Request {
 		}
 	}
 	v := b.running[vi]
-	b.running = append(b.running[:vi], b.running[vi+1:]...)
+	b.running = slices.Delete(b.running, vi, vi+1)
 	return v
 }
 
@@ -144,7 +147,8 @@ func (b *Batcher) KVTokens() int {
 
 // TakeAll empties every set and returns the former members in queue, ready,
 // running order — crash unwinding fails them all. The per-class deques merge
-// by order key, so queued comes back in global FCFS order.
+// by order key, so queued comes back in global FCFS order; ready is copied
+// out of its ring.
 func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
 	if b.queued > 0 {
 		queued = make([]*Request, 0, b.queued)
@@ -158,9 +162,15 @@ func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
 		}
 		queued = append(queued, b.queue[c].popFront().r)
 	}
-	ready, running = b.ready, b.running
+	if b.ready.n > 0 {
+		ready = make([]*Request, 0, b.ready.n)
+	}
+	for b.ready.n > 0 {
+		ready = append(ready, b.ready.popFront().r)
+	}
+	running = b.running
 	b.queued, b.front, b.back = 0, 0, 0
-	b.ready, b.running = nil, nil
+	b.running = nil
 	return queued, ready, running
 }
 

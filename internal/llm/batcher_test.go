@@ -115,7 +115,7 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 	nextID := 0
 	fresh := func() *Request {
 		class := overload.Class(rng.Intn(int(overload.NumClasses)))
-		r := NewRequest(env, nextID, "m", class, 1+rng.Intn(64), 1+rng.Intn(16), 0)
+		r := newRequest(env, nextID, "m", class, 1+rng.Intn(64), 1+rng.Intn(16), 0)
 		nextID++
 		return r
 	}
@@ -181,9 +181,9 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 		if got != want {
 			t.Fatalf("op %d: batcher returned %v, reference %v", op, got, want)
 		}
-		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || len(b.ready) != len(ref.ready) {
+		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || b.ready.n != len(ref.ready) {
 			t.Fatalf("op %d: queue/work/ready = %d/%v/%d, reference %d/%v/%d", op,
-				b.QueueLen(), b.HasWork(), len(b.ready), ref.QueueLen(), ref.HasWork(), len(ref.ready))
+				b.QueueLen(), b.HasWork(), b.ready.n, ref.QueueLen(), ref.HasWork(), len(ref.ready))
 		}
 		sameRequests(t, op, "Running", b.Running(), ref.running)
 		maxQueue = max(maxQueue, ref.QueueLen())
@@ -200,7 +200,7 @@ func requeueBatcher() *Batcher {
 	env := sim.NewEnv(1)
 	b := NewBatcher(8)
 	for id := range 1000 {
-		b.Enqueue(NewRequest(env, id, "m", overload.Class(id%int(overload.NumClasses)), 8, 4, 0))
+		b.Enqueue(newRequest(env, id, "m", overload.Class(id%int(overload.NumClasses)), 8, 4, 0))
 	}
 	return b
 }
@@ -218,6 +218,40 @@ func TestPrefillRequeueAllocFree(t *testing.T) {
 	}
 	if b.QueueLen() != 1000 {
 		t.Fatalf("queue length drifted to %d", b.QueueLen())
+	}
+}
+
+// TestBatcherReadyAllocsZero pins the decode replica's membership cycle: a
+// burst of sequences lands in the ready set, and as many of the oldest ready
+// ones join the batch and later leave it. Once the ready ring has grown, the
+// cycle must not allocate; a slice popped from the front reallocated about
+// once per cycle.
+func TestBatcherReadyAllocsZero(t *testing.T) {
+	env := sim.NewEnv(1)
+	b := NewBatcher(4)
+	rs := make([]*Request, 16)
+	for i := range rs {
+		rs[i] = newReq(env, i)
+	}
+	// A backlog of three keeps the ring non-empty, so the cycle wraps it.
+	for _, r := range rs[:3] {
+		b.Admit(r)
+	}
+	i := 3
+	allocs := testing.AllocsPerRun(1000, func() {
+		for range 4 {
+			b.Admit(rs[i%len(rs)])
+			i++
+		}
+		for range 4 {
+			b.Leave(b.PromoteOne())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Admit -> PromoteOne -> Leave allocates %.2f times per cycle, want 0", allocs)
+	}
+	if b.ready.n != 3 || len(b.Running()) != 0 {
+		t.Fatalf("ready/running drifted to %d/%d", b.ready.n, len(b.Running()))
 	}
 }
 

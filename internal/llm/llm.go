@@ -102,8 +102,12 @@ type Request struct {
 	finished bool
 }
 
-// NewRequest builds a request bound to the environment's completion event.
-func NewRequest(env *sim.Env, id int, model string, class overload.Class, prompt, output, have int) *Request {
+// InitRequest (re)initializes a request the caller holds and binds its
+// completion event to env. Every field is reset, so a record reused after
+// a terminal state starts clean; the caller must ensure nothing still
+// references the request's previous life (its Done has fired and every
+// holder has dropped it).
+func InitRequest(r *Request, env *sim.Env, id int, model string, class overload.Class, prompt, output, have int) {
 	if prompt < 1 {
 		prompt = 1
 	}
@@ -116,7 +120,7 @@ func NewRequest(env *sim.Env, id int, model string, class overload.Class, prompt
 	if have > output {
 		have = output
 	}
-	return &Request{
+	*r = Request{
 		ID:           id,
 		Model:        model,
 		Class:        class,

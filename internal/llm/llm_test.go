@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 
 func TestRequestTokenAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
-	r := NewRequest(env, 7, "llm-tiny", overload.Interactive, 100, 10, 3)
+	r := newRequest(env, 7, "llm-tiny", overload.Interactive, 100, 10, 3)
 	if r.TokensOut != 3 || r.Have != 3 || r.EmittedHere() != 0 {
 		t.Fatalf("carried tokens wrong: %+v", r)
 	}
@@ -58,14 +59,67 @@ func TestRequestTokenAccounting(t *testing.T) {
 
 func TestRequestClampsDimensions(t *testing.T) {
 	env := sim.NewEnv(1)
-	r := NewRequest(env, 0, "m", overload.Batch, 0, 0, 9)
+	r := newRequest(env, 0, "m", overload.Batch, 0, 0, 9)
 	if r.PromptTokens != 1 || r.OutputTokens != 1 || r.Have != 1 {
 		t.Fatalf("clamp failed: %+v", r)
 	}
 }
 
+// TestInitRequestResets reuses one record after each way a request ends —
+// completion, abort, truncation and hand-off — and requires InitRequest to
+// return it with every field reset and its Done event armed on the new env.
+func TestInitRequestResets(t *testing.T) {
+	ends := []struct {
+		name string
+		end  func(*Request, sim.Time)
+	}{
+		{"complete", func(r *Request, now sim.Time) { r.Complete(now) }},
+		{"abort", func(r *Request, now sim.Time) { r.Abort(errors.New("crash"), now) }},
+		{"truncate", func(r *Request, now sim.Time) { r.Truncate(2); r.Complete(now) }},
+		{"handoff", func(r *Request, now sim.Time) { r.HandedOff = true; r.Complete(now) }},
+	}
+	for _, e := range ends {
+		t.Run(e.name, func(t *testing.T) {
+			old := sim.NewEnv(1)
+			var r Request
+			InitRequest(&r, old, 3, "m", overload.Batch, 64, 16, 0)
+			r.TokensOut, r.Preemptions, r.AdmitCost = 9, 2, 80
+			r.PrefillStartAt, r.FirstTokenAt, r.LastTokenAt = sim.Time(1e6), sim.Time(2e6), sim.Time(4e6)
+			e.end(&r, sim.Time(5e6))
+			if err := old.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			env := sim.NewEnv(2)
+			InitRequest(&r, env, 4, "n", overload.Interactive, 32, 8, 2)
+			want := Request{ID: 4, Model: "n", Class: overload.Interactive, PromptTokens: 32, OutputTokens: 8, Have: 2, TokensOut: 2}
+			got := r
+			got.done = sim.Event{}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reused request = %+v, want %+v", got, want)
+			}
+			fired := false
+			r.Done().Subscribe(func() { fired = true })
+			r.Complete(env.Now())
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !fired || !r.Finished() {
+				t.Fatalf("reused request's Done did not fire on the new env (fired=%v finished=%v)", fired, r.Finished())
+			}
+		})
+	}
+}
+
+// newRequest initializes a fresh caller-held request.
+func newRequest(env *sim.Env, id int, model string, class overload.Class, prompt, output, have int) *Request {
+	r := new(Request)
+	InitRequest(r, env, id, model, class, prompt, output, have)
+	return r
+}
+
 func newReq(env *sim.Env, id int) *Request {
-	return NewRequest(env, id, "m", overload.Interactive, 8, 4, 0)
+	return newRequest(env, id, "m", overload.Interactive, 8, 4, 0)
 }
 
 func TestBatcherTokenBoundaryMembership(t *testing.T) {

@@ -122,7 +122,7 @@ func TestLLMCountersReadStats(t *testing.T) {
 			srv := newLLMTestServer(t, env, tc.cfg)
 			env.Schedule(0, func() {
 				for i := 0; i < 3; i++ {
-					srv.Submit(model.LLMTiny, overload.Class(i%2), 256, 8, 0)
+					submitLLM(srv, model.LLMTiny, overload.Class(i%2), 256, 8, 0)
 				}
 			})
 			if err := env.Run(); err != nil {

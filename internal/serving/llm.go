@@ -193,8 +193,8 @@ type LLMServer struct {
 	cond    *sim.Cond
 	pending []*llm.Request // decode-role ingests waiting for cache space
 
-	// Decode-step scratch, reused across steps. Only the engine daemon
-	// touches it, and it runs one step at a time.
+	// Decode-step scratch, reused across steps and empty between them. Only
+	// the engine daemon touches it, and it runs one step at a time.
 	grown   map[*llm.Request]bool
 	running []*llm.Request
 
@@ -318,24 +318,26 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 // Device exposes the replica's GPU.
 func (s *LLMServer) Device() *gpu.Device { return s.dev }
 
-// Submit enqueues a fresh request (Colocated or PrefillRole). have carries
-// tokens already delivered by a previous replica (failover recompute).
-// Callable from event or process context; completion is the request's Done
-// event.
-func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, output, have int) (*llm.Request, error) {
+// Submit enqueues a fresh request (Colocated or PrefillRole) in r, a record
+// the caller holds. have carries tokens already delivered by a previous
+// replica (failover recompute). r is initialized only once every synchronous
+// rejection has passed, and the server holds it until its Done event fires;
+// the caller may reuse it after that. Callable from event or process
+// context.
+func (s *LLMServer) Submit(r *llm.Request, modelName string, class overload.Class, prompt, output, have int) error {
 	if modelName != s.cfg.Model {
-		return nil, fmt.Errorf("serving: llm replica serves %q, not %q", s.cfg.Model, modelName)
+		return fmt.Errorf("serving: llm replica serves %q, not %q", s.cfg.Model, modelName)
 	}
 	if s.cfg.Role == llm.DecodeRole {
-		return nil, fmt.Errorf("serving: decode-role replica only accepts Ingest")
+		return fmt.Errorf("serving: decode-role replica only accepts Ingest")
 	}
 	if !class.Valid() {
-		return nil, fmt.Errorf("serving: invalid class %d", class)
+		return fmt.Errorf("serving: invalid class %d", class)
 	}
 	s.byClass[class].Submitted++
 	if s.dev.Dead() {
 		s.byClass[class].Failed++
-		return nil, ErrDrained
+		return ErrDrained
 	}
 	cost := 0
 	if s.limiter != nil {
@@ -345,15 +347,15 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 			s.admissionSheds[class]++
 			s.byClass[class].Shed++
 			s.rec.Instant(obs.LayerServing, "llm_admit_shed", s.reqCount, int(class), s.obsDev, int64(cost))
-			return nil, ErrShed
+			return ErrShed
 		}
 	}
 	if s.cfg.MaxQueue > 0 && s.batch.QueueLen() >= s.cfg.MaxQueue {
 		s.byClass[class].Shed++
 		s.rec.Instant(obs.LayerServing, "llm_shed", s.reqCount, int(class), s.obsDev, int64(s.batch.QueueLen()))
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
-	r := llm.NewRequest(s.env, s.reqCount, modelName, class, prompt, output, have)
+	llm.InitRequest(r, s.env, s.reqCount, modelName, class, prompt, output, have)
 	s.reqCount++
 	if s.limiter != nil {
 		s.limiter.Acquire(cost)
@@ -361,26 +363,27 @@ func (s *LLMServer) Submit(modelName string, class overload.Class, prompt, outpu
 	}
 	s.batch.Enqueue(r)
 	s.cond.Signal()
-	return r, nil
+	return nil
 }
 
 // Ingest admits a sequence whose prefill ran on another replica (DecodeRole
-// only): its KV arrives over the transfer link, is re-allocated here, and
-// the sequence joins the batch at the next token boundary. Stamps carry the
-// request's history in global virtual time.
-func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriveAt, firstTokenAt, lastTokenAt sim.Time) (*llm.Request, error) {
+// only) into r, a record the caller holds on Submit's terms: its KV arrives
+// over the transfer link, is re-allocated here, and the sequence joins the
+// batch at the next token boundary. Stamps carry the request's history in
+// global virtual time.
+func (s *LLMServer) Ingest(r *llm.Request, class overload.Class, prompt, output, have int, arriveAt, firstTokenAt, lastTokenAt sim.Time) error {
 	if s.cfg.Role != llm.DecodeRole {
-		return nil, fmt.Errorf("serving: Ingest requires a decode-role replica")
+		return fmt.Errorf("serving: Ingest requires a decode-role replica")
 	}
 	if !class.Valid() {
-		return nil, fmt.Errorf("serving: invalid class %d", class)
+		return fmt.Errorf("serving: invalid class %d", class)
 	}
 	s.byClass[class].Submitted++
 	if s.dev.Dead() {
 		s.byClass[class].Failed++
-		return nil, ErrDrained
+		return ErrDrained
 	}
-	r := llm.NewRequest(s.env, s.reqCount, s.cfg.Model, class, prompt, output, have)
+	llm.InitRequest(r, s.env, s.reqCount, s.cfg.Model, class, prompt, output, have)
 	s.reqCount++
 	r.ArriveAt = arriveAt
 	r.FirstTokenAt = firstTokenAt
@@ -389,7 +392,7 @@ func (s *LLMServer) Ingest(class overload.Class, prompt, output, have int, arriv
 	s.rec.Instant(obs.LayerServing, "llm_ingest", r.ID, int(class), s.obsDev, int64(r.KVTokens()))
 	s.pending = append(s.pending, r)
 	s.cond.Signal()
-	return r, nil
+	return nil
 }
 
 // OnCrash unwinds every live sequence after a device crash: queued, ready,
@@ -464,22 +467,29 @@ func (s *LLMServer) admitIngests() {
 	for len(s.pending) > 0 {
 		r := s.pending[0]
 		if r.Finished() { // crash-unwound while waiting
-			s.pending = s.pending[1:]
+			s.popPending()
 			continue
 		}
 		if err := s.kv.Grow(r.ID, r.KVTokens()); err != nil {
 			if s.batch.Idle() {
 				s.kvFailC.Inc()
 				s.rec.Instant(obs.LayerServing, "llm_kv_exhausted", r.ID, int(r.Class), s.obsDev, int64(r.KVTokens()))
-				s.pending = s.pending[1:]
+				s.popPending()
 				s.bookFail(r, ErrKVExhausted, s.env.Now())
 				continue
 			}
 			return
 		}
-		s.pending = s.pending[1:]
+		s.popPending()
 		s.batch.Admit(r)
 	}
+}
+
+// popPending drops the head ingest, clearing its slot so the array keeps no
+// pointer to a request its caller may reuse.
+func (s *LLMServer) popPending() {
+	s.pending[0] = nil
+	s.pending = s.pending[1:]
 }
 
 // congest feeds a KV-pressure or SLO-failure signal to the token-rate
@@ -638,7 +648,6 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 // met their budget — the token boundary where membership changes.
 func (s *LLMServer) runDecodeStep(p *sim.Proc) {
 	grown := s.grown
-	clear(grown)
 growth:
 	for {
 		for _, r := range s.batch.Running() {
@@ -670,13 +679,17 @@ growth:
 		}
 		break
 	}
+	clear(grown)
 	// Copy the membership: the step's kernel blocks, and a drain may change
-	// the batch meanwhile.
+	// the batch meanwhile. The copy is cleared when the step ends, so no
+	// pointer to a finished request, whose record its caller may reuse,
+	// survives until the next step.
 	running := append(s.running[:0], s.batch.Running()...)
 	s.running = running
 	if len(running) == 0 {
 		return
 	}
+	defer clear(running)
 	// Token-boundary degradation check: membership for this step is final
 	// and KV is at its post-growth peak.
 	s.checkDegraded(p.Now())

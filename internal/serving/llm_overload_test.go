@@ -61,7 +61,7 @@ func TestLLMTTFTExpiryShedsQueuedPrefills(t *testing.T) {
 		// All three arrive at one instant; prefill passes serialize, so only
 		// the first can make a 1µs TTFT. The rest must expire un-run.
 		for i := 0; i < 3; i++ {
-			r, err := srv.Submit(model.LLMTiny, overload.Batch, 256, 4, 0)
+			r, err := submitLLM(srv, model.LLMTiny, overload.Batch, 256, 4, 0)
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -106,11 +106,11 @@ func TestLLMTTFTExpiryExemptsCarriedRequests(t *testing.T) {
 		// A fresh request to occupy the engine, then a failover recompute with
 		// tokens already delivered: its first token exists, so it never
 		// expires however long it queues.
-		if _, err := srv.Submit(model.LLMTiny, overload.Batch, 256, 4, 0); err != nil {
+		if _, err := submitLLM(srv, model.LLMTiny, overload.Batch, 256, 4, 0); err != nil {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		r, err := srv.Submit(model.LLMTiny, overload.Batch, 64, 8, 5)
+		r, err := submitLLM(srv, model.LLMTiny, overload.Batch, 64, 8, 5)
 		if err != nil {
 			t.Errorf("submit carried: %v", err)
 			return
@@ -139,14 +139,14 @@ func TestLLMDegradedModeTruncatesBatchOnly(t *testing.T) {
 	var inter *llm.Request
 	env.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			r, err := srv.Submit(model.LLMTiny, overload.Batch, 32, 64, 0)
+			r, err := submitLLM(srv, model.LLMTiny, overload.Batch, 32, 64, 0)
 			if err != nil {
 				t.Errorf("submit batch %d: %v", i, err)
 				return
 			}
 			batchReqs = append(batchReqs, r)
 		}
-		r, err := srv.Submit(model.LLMTiny, overload.Interactive, 32, 24, 0)
+		r, err := submitLLM(srv, model.LLMTiny, overload.Interactive, 32, 24, 0)
 		if err != nil {
 			t.Errorf("submit interactive: %v", err)
 			return
@@ -194,17 +194,17 @@ func TestLLMAdmissionGateShedsAndReleases(t *testing.T) {
 	env.Schedule(0, func() {
 		// First request admits on the idle gate and holds 48 of 64 tokens;
 		// the second's 48 no longer fit and shed without cutting the limit.
-		if _, err := srv.Submit(model.LLMTiny, overload.Batch, 32, 16, 0); err != nil {
+		if _, err := submitLLM(srv, model.LLMTiny, overload.Batch, 32, 16, 0); err != nil {
 			t.Errorf("first submit: %v", err)
 			return
 		}
-		if _, err := srv.Submit(model.LLMTiny, overload.Batch, 32, 16, 0); !errors.Is(err, ErrShed) {
+		if _, err := submitLLM(srv, model.LLMTiny, overload.Batch, 32, 16, 0); !errors.Is(err, ErrShed) {
 			t.Errorf("second submit err %v, want ErrShed", err)
 		}
 	})
 	env.Schedule(20*time.Millisecond, func() {
 		// After the first completes its cost is released; capacity is back.
-		r, err := srv.Submit(model.LLMTiny, overload.Batch, 32, 16, 0)
+		r, err := submitLLM(srv, model.LLMTiny, overload.Batch, 32, 16, 0)
 		if err != nil {
 			t.Errorf("post-release submit: %v", err)
 			return
@@ -235,7 +235,7 @@ func TestLLMTPOTBudgetCountsMisses(t *testing.T) {
 		TPOTBudget: time.Nanosecond, // every real decode step misses
 	})
 	env.Schedule(0, func() {
-		if _, err := srv.Submit(model.LLMTiny, overload.Interactive, 32, 8, 0); err != nil {
+		if _, err := submitLLM(srv, model.LLMTiny, overload.Interactive, 32, 8, 0); err != nil {
 			t.Errorf("submit: %v", err)
 		}
 	})
@@ -263,7 +263,7 @@ func TestLLMSLOAttainedUnderGenerousBudgets(t *testing.T) {
 	})
 	env.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			if _, err := srv.Submit(model.LLMTiny, overload.Batch, 32, 8, 0); err != nil {
+			if _, err := submitLLM(srv, model.LLMTiny, overload.Batch, 32, 8, 0); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"olympian/internal/gpu"
 	"olympian/internal/llm"
 	"olympian/internal/model"
+	"olympian/internal/overload"
 	"olympian/internal/sim"
 )
 
@@ -26,6 +27,16 @@ func tinySpec(t *testing.T, kvSlack int64) gpu.Spec {
 		spec.MemoryBytes = weights + kvSlack
 	}
 	return spec
+}
+
+// submitLLM submits a fresh caller-held request, returning it only when
+// the server accepted it.
+func submitLLM(srv *LLMServer, modelName string, class overload.Class, prompt, output, have int) (*llm.Request, error) {
+	r := new(llm.Request)
+	if err := srv.Submit(r, modelName, class, prompt, output, have); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 func newLLMTestServer(t *testing.T, env *sim.Env, cfg LLMConfig) *LLMServer {
@@ -64,7 +75,7 @@ func TestLLMColocatedEndToEnd(t *testing.T) {
 	for i, out := range []int{1, 4, 16, 40} {
 		out := out
 		env.Schedule(time.Duration(i)*10*time.Microsecond, func() {
-			r, err := srv.Submit(model.LLMTiny, 0, 32, out, 0)
+			r, err := submitLLM(srv, model.LLMTiny, 0, 32, out, 0)
 			if err != nil {
 				t.Errorf("submit: %v", err)
 				return
@@ -119,10 +130,10 @@ func TestLLMContinuousBatchingJoinsMidGeneration(t *testing.T) {
 		}
 		var a, b *llm.Request
 		env.Schedule(0, func() {
-			a, _ = srv.Submit(model.LLMTiny, 0, 16, 400, 0)
+			a, _ = submitLLM(srv, model.LLMTiny, 0, 16, 400, 0)
 		})
 		env.Schedule(2*time.Millisecond, func() {
-			b, _ = srv.Submit(model.LLMTiny, 0, 16, 400, 0)
+			b, _ = submitLLM(srv, model.LLMTiny, 0, 16, 400, 0)
 		})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -157,8 +168,8 @@ func TestLLMKVPressurePreemptsAndRecovers(t *testing.T) {
 	})
 	var a, b *llm.Request
 	env.Schedule(0, func() {
-		a, _ = srv.Submit(model.LLMTiny, 0, 12, 24, 0)
-		b, _ = srv.Submit(model.LLMTiny, 0, 12, 24, 0)
+		a, _ = submitLLM(srv, model.LLMTiny, 0, 12, 24, 0)
+		b, _ = submitLLM(srv, model.LLMTiny, 0, 12, 24, 0)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -190,7 +201,7 @@ func TestLLMKVExhaustionFailsLoneSequence(t *testing.T) {
 	})
 	var r *llm.Request
 	env.Schedule(0, func() {
-		r, _ = srv.Submit(model.LLMTiny, 0, 200, 10, 0)
+		r, _ = submitLLM(srv, model.LLMTiny, 0, 200, 10, 0)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -215,7 +226,7 @@ func TestLLMCrashMidDecodeReportsPartialTokens(t *testing.T) {
 	srv.Device().SetCrashObserver(func(time.Duration) { srv.OnCrash() })
 	var r *llm.Request
 	env.Schedule(0, func() {
-		r, _ = srv.Submit(model.LLMTiny, 0, 16, 4000, 0)
+		r, _ = submitLLM(srv, model.LLMTiny, 0, 16, 4000, 0)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -240,7 +251,7 @@ func TestLLMBoundedQueueSheds(t *testing.T) {
 	var errs []error
 	env.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			_, err := srv.Submit(model.LLMTiny, 0, 8, 4, 0)
+			_, err := submitLLM(srv, model.LLMTiny, 0, 8, 4, 0)
 			errs = append(errs, err)
 		}
 	})
@@ -269,7 +280,7 @@ func TestLLMPrefillRoleHandsOff(t *testing.T) {
 	srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny, Role: llm.PrefillRole})
 	var r *llm.Request
 	env.Schedule(0, func() {
-		r, _ = srv.Submit(model.LLMTiny, 0, 64, 32, 0)
+		r, _ = submitLLM(srv, model.LLMTiny, 0, 64, 32, 0)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -291,11 +302,9 @@ func TestLLMPrefillRoleHandsOff(t *testing.T) {
 func TestLLMDecodeRoleIngests(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny, Role: llm.DecodeRole})
-	var r *llm.Request
+	r := new(llm.Request)
 	env.Schedule(time.Millisecond, func() {
-		var err error
-		r, err = srv.Ingest(0, 64, 32, 1, 0, sim.Time(500*time.Microsecond), sim.Time(500*time.Microsecond))
-		if err != nil {
+		if err := srv.Ingest(r, 0, 64, 32, 1, 0, sim.Time(500*time.Microsecond), sim.Time(500*time.Microsecond)); err != nil {
 			t.Errorf("ingest: %v", err)
 		}
 	})
@@ -303,7 +312,7 @@ func TestLLMDecodeRoleIngests(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Shutdown()
-	if r == nil || !r.Finished() || r.Err != nil {
+	if !r.Finished() || r.Err != nil {
 		t.Fatalf("ingested request did not complete: %+v", r)
 	}
 	if r.TokensOut != 32 {
@@ -327,7 +336,7 @@ func TestLLMRecomputeDoesNotReEmit(t *testing.T) {
 	srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny})
 	var r *llm.Request
 	env.Schedule(0, func() {
-		r, _ = srv.Submit(model.LLMTiny, 0, 16, 20, 5)
+		r, _ = submitLLM(srv, model.LLMTiny, 0, 16, 20, 5)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -341,4 +350,62 @@ func TestLLMRecomputeDoesNotReEmit(t *testing.T) {
 		t.Fatalf("emitted %d (request says %d), want 15", st.TokensEmitted, r.EmittedHere())
 	}
 	checkLLMConservation(t, srv)
+}
+
+// TestLLMKeepsNoFinishedRequests checks that a replica keeps no pointer to a
+// request once it is done, since the caller may reuse the record: after a
+// run, the decode step's membership copy and the array the pending ingests
+// were popped from hold only nil slots — also when a crash lands while a
+// decode step is in flight.
+func TestLLMKeepsNoFinishedRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		crash bool
+	}{{"steady", false}, {"crash mid-step", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			cfg := LLMConfig{Model: model.LLMTiny, Role: llm.DecodeRole}
+			if tc.crash {
+				cfg.Faults = faults.New(3, faults.Plan{Crashes: []faults.CrashEvent{{At: 2 * time.Millisecond}}})
+			}
+			srv := newLLMTestServer(t, env, cfg)
+			if tc.crash {
+				srv.Device().SetCrashObserver(func(time.Duration) { srv.OnCrash() })
+			}
+			rs := make([]llm.Request, 4)
+			var pending []*llm.Request
+			env.Schedule(0, func() {
+				for i := range rs {
+					if err := srv.Ingest(&rs[i], 0, 32, 400, 1, 0, 0, 0); err != nil {
+						t.Errorf("ingest %d: %v", i, err)
+					}
+				}
+				pending = srv.pending[:cap(srv.pending)]
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			env.Shutdown()
+			for i := range rs {
+				r := &rs[i]
+				if !r.Finished() || (r.Err != nil) != tc.crash {
+					t.Fatalf("request %d: finished=%v err=%v", i, r.Finished(), r.Err)
+				}
+				if tc.crash && (!errors.Is(r.Err, ErrDrained) || r.EmittedHere() == 0) {
+					t.Fatalf("request %d must drain mid-decode with tokens delivered: err=%v emitted=%d", i, r.Err, r.EmittedHere())
+				}
+			}
+			for i, r := range pending {
+				if r != nil {
+					t.Errorf("pending array slot %d still holds request %d", i, r.ID)
+				}
+			}
+			for i, r := range srv.running[:cap(srv.running)] {
+				if r != nil {
+					t.Errorf("decode-step membership slot %d still holds request %d", i, r.ID)
+				}
+			}
+			checkLLMConservation(t, srv)
+		})
+	}
 }

@@ -85,7 +85,7 @@ func serveCNN(t *testing.T, env *sim.Env, n int) (any, func() int) {
 func serveLLM(t *testing.T, env *sim.Env, n int) (any, func() int) {
 	srv := newLLMTestServer(t, env, LLMConfig{Model: model.LLMTiny})
 	env.ScheduleTrain(n, every(2*time.Millisecond), func() {
-		if _, err := srv.Submit(model.LLMTiny, overload.Interactive, 32, 4, 0); err != nil {
+		if _, err := submitLLM(srv, model.LLMTiny, overload.Interactive, 32, 4, 0); err != nil {
 			t.Errorf("submit: %v", err)
 		}
 	})
