@@ -217,7 +217,7 @@ func renderObs(t *testing.T, rec *obs.Recorder) (string, string) {
 // lifecycle trace bytes and metrics identical to the single-heap reference
 // engine.
 func TestShardedEnginesBitIdentical(t *testing.T) {
-	for _, sc := range shardedScenarios() {
+	for _, sc := range append(shardedScenarios(), recycleScenario()) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			refRec := obs.NewRecorder()

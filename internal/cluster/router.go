@@ -95,8 +95,8 @@ type Router struct {
 	hash  hash.Hash64
 	buf   []byte // appendDecision's reused output
 
-	// live and healthy are route's reused candidate lists.
-	live, healthy []int
+	// kept, live and healthy are route's reused candidate lists.
+	kept, live, healthy []int
 }
 
 // newRouter wires a router over n devices.
@@ -184,7 +184,7 @@ func (rt *Router) RouteHedge(modelName string, exclude []int) (int, error) {
 func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (int, error) {
 	cands := rt.Replicas(modelName)
 	if len(exclude) > 0 {
-		kept := make([]int, 0, len(cands))
+		kept := rt.kept[:0]
 		for _, d := range cands {
 			skip := false
 			for _, x := range exclude {
@@ -197,6 +197,7 @@ func (rt *Router) route(modelName string, failover, hedge bool, exclude []int) (
 				kept = append(kept, d)
 			}
 		}
+		rt.kept = kept
 		cands = kept
 	}
 	live := rt.live[:0]

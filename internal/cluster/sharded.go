@@ -18,8 +18,8 @@
 //
 //	submit:  front-end routes, opens an attempt in the request's inline
 //	         slots, then sends its record to the device's agent (an op
-//	         queue drained by one event callback, which calls
-//	         serving.SubmitClass and subscribes to the request's
+//	         queue drained by one event callback, which submits the
+//	         serving request the record holds and subscribes to its
 //	         completion event).
 //	report:  the device snapshots the attempt's outcome in its own context
 //	         and sends it back under its (request, attempt id) pair; the
@@ -83,6 +83,13 @@ type ShardedCluster struct {
 	agents  []*shardAgent
 	free    []*shardedAttempt // attempt records, owned by shard 0
 
+	// armed holds the requests whose hedge timers are pending, in arming
+	// order, which is also firing order (armHedge); hedgeTimer is
+	// c.fireHedge, bound once. exclude is fireHedge's reused device list.
+	armed      ring[*ShardedRequest]
+	hedgeTimer func()
+	exclude    []int
+
 	// Front-end bookkeeping, all owned by shard 0.
 	completed  int
 	failed     int
@@ -133,6 +140,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 		devices: n, seed: cfg.Seed, route: cfg.Route, maxFailovers: maxFailovers,
 		obs: cfg.Obs, telemetry: cfg.Telemetry, debt: debtUnit(cfg),
 	}, engine)
+	c.hedgeTimer = c.fireHedge
 	reg := c.rec.Registry()
 	reg.CounterView("olympian_cluster_hedges_total", "Hedged duplicates dispatched.", &c.hedges)
 	reg.CounterView("olympian_cluster_hedge_wins_total", "Races won by the hedge.", &c.hedgeWins)
@@ -212,8 +220,8 @@ func (c *ShardedCluster) schedulePartitions(device int, inj *faults.Injector) {
 // shardAgent executes front-end commands on its device's shard. Delivered
 // cross-shard messages append ops to a FIFO; the first op into an empty FIFO
 // schedules drain, which runs every queued op in order at that event's
-// (time, seq) slot. serving.SubmitClass and Cancel never park, so no process
-// is needed.
+// (time, seq) slot. serving.Server.Submit and Cancel never park, so no
+// process is needed.
 type shardAgent struct {
 	env   *sim.Env
 	shard int // device+1
@@ -268,23 +276,27 @@ func (a *shardAgent) run() {
 }
 
 func (a *shardAgent) submit(t *shardedAttempt) {
-	inner, err := a.srv.SubmitClass(t.model, t.class)
-	if err != nil {
+	if err := a.srv.Submit(&t.inner, t.model, t.class); err != nil {
 		// Synchronous rejection (e.g. unknown model): surface it as a failed
 		// attempt — under the sharded engine even these arrive asynchronously.
 		t.send(err)
 		return
 	}
-	t.inner = inner
-	a.inner[t.id] = inner
+	a.inner[t.id] = &t.inner
 	t.next = (*shardedAttempt).done
-	inner.Done().Subscribe(t.hop)
+	t.inner.Done().Subscribe(t.hop)
 }
 
 // shardedAttempt is one dispatch attempt's record, carried to the device by
 // the submit message and back by the report. Ownership moves with the
 // messages: shard 0 fills it and sends it, the device then alone touches it
 // until it sends the report, and shard 0 returns it to the free list at fold.
+//
+// The record holds the device-side serving request by value. Reuse is safe
+// because the server lets go of a request when its Done fires (Cancel drops
+// a dispatched rider from its batch), and a recycled record reaches a device
+// again only after the report and the next submit message have crossed, at
+// least 2 × DefaultNetLatency later.
 type shardedAttempt struct {
 	c     *ShardedCluster
 	agent *shardAgent
@@ -295,8 +307,9 @@ type shardedAttempt struct {
 	model string
 	class overload.Class
 
-	// Set on the device before the report message.
-	inner *serving.Request
+	// The device-side request, and its outcome, set on the device before
+	// the report message.
+	inner serving.Request
 	err   error
 
 	// hop is t.step bound once: both messages and the completion
@@ -332,10 +345,11 @@ func (t *shardedAttempt) done() {
 	t.send(t.inner.Err)
 }
 
-// send snapshots the attempt's outcome in the device's own context and
-// reports it to the front-end.
+// send snapshots the attempt's outcome in the device's own context, clears
+// the device-side request so the free record holds no pointers, and reports
+// the outcome to the front-end.
 func (t *shardedAttempt) send(err error) {
-	t.inner, t.err = nil, err
+	t.inner, t.err = serving.Request{}, err
 	t.next = (*shardedAttempt).back
 	t.c.shards.Send(t.agent.shard, 0, DefaultNetLatency, t.hop)
 }
@@ -442,24 +456,35 @@ func (c *ShardedCluster) modelHist(modelName string) *obs.Hist {
 // armHedge schedules the request's hedge timer on the front-end heap: if the
 // request is still undecided after HedgeDelay, a duplicate is dispatched to
 // the next-best replica not already serving it.
+//
+// Every timer is armed here, on shard 0's heap, with the same HedgeDelay.
+// Arming times never decrease and equal deadlines fire in arming (seq)
+// order, so timers fire in the order they were armed: the request goes on
+// the back of the armed FIFO, and each timer, one shared bound callback,
+// takes the front. Each keeps the (time, seq) slot its own closure had.
 func (c *ShardedCluster) armHedge(r *ShardedRequest) {
-	c.shards.Env(0).Schedule(c.cfg.HedgeDelay, func() {
-		if r.settled || r.Hedged {
-			return
-		}
-		exclude := make([]int, 0, r.nlive)
-		for _, a := range r.inflight() {
-			exclude = append(exclude, a.dev)
-		}
-		dev, err := c.router.RouteHedge(r.Model, exclude)
-		if err != nil {
-			return
-		}
-		r.Hedged = true
-		c.hedges++
-		c.rec.Instant(obs.LayerCluster, "hedge", r.ID, int(r.Class), obs.NoDevice, int64(dev))
-		c.send(r, dev, true)
-	})
+	c.armed.push(r)
+	c.shards.Env(0).Schedule(c.cfg.HedgeDelay, c.hedgeTimer)
+}
+
+// fireHedge runs the earliest pending hedge timer.
+func (c *ShardedCluster) fireHedge() {
+	r := c.armed.pop()
+	if r.settled || r.Hedged {
+		return
+	}
+	c.exclude = c.exclude[:0]
+	for _, a := range r.inflight() {
+		c.exclude = append(c.exclude, a.dev)
+	}
+	dev, err := c.router.RouteHedge(r.Model, c.exclude)
+	if err != nil {
+		return
+	}
+	r.Hedged = true
+	c.hedges++
+	c.rec.Instant(obs.LayerCluster, "hedge", r.ID, int(r.Class), obs.NoDevice, int64(dev))
+	c.send(r, dev, true)
 }
 
 // stallReported runs on shard 0 when a device's stall report arrives: the
@@ -538,4 +563,32 @@ func (c *ShardedCluster) Stats() Stats {
 	st.Decisions = c.router.Count()
 	st.DecisionHash = c.router.DecisionHash()
 	return st
+}
+
+// ring is a FIFO ring buffer that allocates only to grow.
+type ring[T any] struct {
+	buf      []T // len is zero or a power of two
+	first, n int
+}
+
+// push appends v at the back.
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		buf := make([]T, max(8, 2*len(q.buf)))
+		k := copy(buf, q.buf[q.first:])
+		copy(buf[k:], q.buf[:q.first])
+		q.buf, q.first = buf, 0
+	}
+	q.buf[(q.first+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+// pop removes and returns the front value; the ring must not be empty.
+func (q *ring[T]) pop() T {
+	v := q.buf[q.first]
+	var zero T
+	q.buf[q.first] = zero
+	q.first = (q.first + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
 }

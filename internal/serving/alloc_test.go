@@ -63,3 +63,39 @@ func serverAllocs(t *testing.T, n int) (float64, int) {
 	}
 	return float64(after.Mallocs - before.Mallocs), st.Batches
 }
+
+// TestDrainQueuedAllocsZero fills two models' queues from caller-held
+// records and drains them, over and over: once the batchers exist and the
+// queue arrays have grown, a submit-and-drain cycle allocates nothing, and
+// no queue array keeps a drained request.
+func TestDrainQueuedAllocsZero(t *testing.T) {
+	env := sim.NewEnv(1)
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour})
+	reqs := make([]Request, 8)
+	cycle := func() {
+		for i := range reqs {
+			m := model.AlexNet
+			if i%2 == 1 {
+				m = model.ResNet50
+			}
+			if err := srv.Submit(&reqs[i], m, overload.Interactive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := srv.DrainQueued(); n != len(reqs) {
+			t.Fatalf("drained %d of %d", n, len(reqs))
+		}
+	}
+	cycle() // starts the batchers and grows the arrays
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Errorf("a submit-and-drain cycle of %d requests makes %.1f allocs, want 0", len(reqs), a)
+	}
+	for _, q := range [][]*Request{srv.queues[model.AlexNet], srv.queues[model.ResNet50], srv.spare} {
+		for _, r := range q[:cap(q)] {
+			if r != nil {
+				t.Fatalf("a queue array still holds drained request %d", r.ID)
+			}
+		}
+	}
+	env.Shutdown()
+}

@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,6 +70,69 @@ func TestRecycledBatchRecordIgnoresStaleCancel(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Completed != 2 || st.Degraded.Canceled != 0 {
 		t.Fatalf("completed=%d canceled=%d, want 2 and 0", st.Completed, st.Degraded.Canceled)
+	}
+}
+
+// TestReusedCancelledRiderIgnoredByOldBatch cancels one rider of a running
+// two-rider batch and, before that batch finishes, reuses the rider's record
+// in a new Submit that dispatches in a batch of its own. The old batch must
+// neither complete the reused request nor clear its batch field: the
+// caller-held analogue of TestRecycledBatchRecordIgnoresStaleCancel.
+func TestReusedCancelledRiderIgnoredByOldBatch(t *testing.T) {
+	env := sim.NewEnv(1)
+	srv := newTestServer(t, env, Config{MaxBatch: 2, BatchTimeout: 100 * time.Microsecond})
+	var r, other Request
+	env.Go("client", func(p *sim.Proc) {
+		for _, req := range []*Request{&r, &other} {
+			if err := srv.Submit(req, model.Inception, overload.Interactive); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		p.Sleep(time.Millisecond)
+		old := r.batch
+		if old == nil || other.batch != old {
+			t.Error("the two requests did not dispatch together; test timing broken")
+			return
+		}
+		if !srv.Cancel(&r) || !errors.Is(r.Err, ErrCanceled) {
+			t.Errorf("cancel of a dispatched rider did not land: %v", r.Err)
+			return
+		}
+		if r.batch != nil || old.live != 1 || slices.Contains(old.riders, &r) {
+			t.Error("the cancelled rider is still on its batch")
+		}
+		if err := srv.Submit(&r, model.Inception, overload.Interactive); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(time.Millisecond)
+		fresh := r.batch
+		if fresh == nil || fresh == old || other.FinishAt != 0 {
+			t.Error("the reused request was not dispatched apart while the old batch ran; test timing broken")
+			return
+		}
+		other.Done().Wait(p)
+		if r.FinishAt != 0 || r.Err != nil {
+			t.Errorf("the old batch ended the reused request: finish %v, err %v", r.FinishAt, r.Err)
+		}
+		if r.batch != fresh {
+			t.Error("the old batch cleared the reused request's batch field")
+		}
+		r.Done().Wait(p)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
+	if t.Failed() {
+		return
+	}
+	if r.Err != nil || other.Err != nil {
+		t.Fatalf("requests failed: %v, %v", r.Err, other.Err)
+	}
+	if st := srv.Stats(); st.Completed != 2 || st.Degraded.Canceled != 1 {
+		t.Fatalf("completed=%d canceled=%d, want 2 and 1", st.Completed, st.Degraded.Canceled)
 	}
 }
 

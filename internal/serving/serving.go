@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -85,9 +84,6 @@ type Request struct {
 	// batch points at the in-flight batch carrying the request, so Cancel
 	// can reach the running job after dispatch.
 	batch *batchRun
-	// canceled marks a dispatched request whose completion must be ignored
-	// (its waiter already got ErrCanceled).
-	canceled bool
 }
 
 // Latency returns the request's end-to-end response time, or 0 for a
@@ -247,7 +243,12 @@ type Server struct {
 	sched *core.Scheduler
 	cfg   Config
 
-	queues   map[string][]*Request
+	queues map[string][]*Request
+	// models lists the models with a batcher, sorted, so DrainQueued and
+	// Stats visit them in a fixed order; spare is an empty queue array
+	// DrainQueued swaps in for each queue it detaches.
+	models   []string
+	spare    []*Request
 	free     []*batchRun // records of finished batch procs, for reuse
 	flushers map[string]*sim.Cond
 	graphs   map[graphKey]*graph.Graph
@@ -403,20 +404,36 @@ func failReason(err error) string {
 // Device exposes the server's GPU for measurement.
 func (s *Server) Device() *gpu.Device { return s.dev }
 
-// SubmitClass enqueues a request with an explicit priority class. Under
-// pressure — the AIMD limiter or the bounded queue at capacity — lower
-// classes are shed first: a low-class arrival is rejected outright, while a
-// high-class arrival displaces the newest queued request of a strictly
-// lower class. It never parks, so event callbacks may call it; wait on
-// completion with req.Done().
+// SubmitClass enqueues a new request with an explicit priority class; it is
+// Submit on a record of its own, returned for the caller to wait on with
+// req.Done().
 func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, error) {
-	if !class.Valid() {
-		return nil, fmt.Errorf("serving: invalid priority class %d", class)
-	}
-	if _, err := model.TargetRuntime(modelName, 1); err != nil {
+	req := new(Request)
+	if err := s.Submit(req, modelName, class); err != nil {
 		return nil, err
 	}
-	req := &Request{
+	return req, nil
+}
+
+// Submit enqueues r, a record the caller holds, as one request with an
+// explicit priority class. Under pressure — the AIMD limiter or the bounded
+// queue at capacity — lower classes are shed first: a low-class arrival is
+// rejected outright, while a high-class arrival displaces the newest queued
+// request of a strictly lower class. It never parks, so event callbacks may
+// call it.
+//
+// Submit initializes r only after its synchronous rejections (an invalid
+// class, an unknown model) have passed, and every field is reset then. The
+// server holds r until its Done event fires; the caller may reuse it after
+// that, but not before.
+func (s *Server) Submit(r *Request, modelName string, class overload.Class) error {
+	if !class.Valid() {
+		return fmt.Errorf("serving: invalid priority class %d", class)
+	}
+	if _, err := model.TargetRuntime(modelName, 1); err != nil {
+		return err
+	}
+	*r = Request{
 		ID:       s.reqCount,
 		Model:    modelName,
 		Class:    class,
@@ -424,7 +441,7 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		done:     s.env.MakeEvent(),
 	}
 	if s.cfg.Deadline > 0 {
-		req.Deadline = req.ArriveAt.Add(s.cfg.Deadline)
+		r.Deadline = r.ArriveAt.Add(s.cfg.Deadline)
 	}
 	s.reqCount++
 	s.degraded.ByClass[class].Submitted++
@@ -433,8 +450,8 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		// failover path resubmits elsewhere instead of queueing into a dead
 		// device. (The router should not have picked this replica; this
 		// covers the race where a crash lands between routing and submit.)
-		s.fail(req, ErrDrained)
-		return req, nil
+		s.fail(r, ErrDrained)
+		return nil
 	}
 	if _, ok := s.flushers[modelName]; !ok {
 		s.startBatcher(modelName)
@@ -450,8 +467,8 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		// limit.
 		s.degraded.AdmissionSheds++
 		lim.NoteShed()
-		s.shed(req, ErrShed)
-		return req, nil
+		s.shed(r, ErrShed)
+		return nil
 	}
 	if s.cfg.MaxQueue > 0 && len(s.queues[modelName]) >= s.cfg.MaxQueue && !s.evictLower(modelName, class) {
 		// Bounded queue full: shed at admission rather than let the
@@ -460,20 +477,20 @@ func (s *Server) SubmitClass(modelName string, class overload.Class) (*Request, 
 		// signal.
 		s.degraded.Drops++
 		s.congest(modelName, s.env.Now())
-		s.shed(req, ErrQueueFull)
-		return req, nil
+		s.shed(r, ErrQueueFull)
+		return nil
 	}
 	if lim != nil {
 		lim.Acquire(1)
-		req.admitted = true
+		r.admitted = true
 	}
 	s.reqC[class].Inc()
-	req.span = s.rec.StartSpan(obs.LayerServing, "queue", req.ID, int(class), s.obsDev, 0)
-	s.queues[modelName] = append(s.queues[modelName], req)
+	r.span = s.rec.StartSpan(obs.LayerServing, "queue", r.ID, int(class), s.obsDev, 0)
+	s.queues[modelName] = append(s.queues[modelName], r)
 	// Wake the batcher: it naps on an empty queue and flushes immediately
 	// once the batch is full.
 	s.flushers[modelName].Broadcast()
-	return req, nil
+	return nil
 }
 
 // limiter returns the model's AIMD admission limiter, creating it on first
@@ -550,6 +567,10 @@ func (r *Request) Done() *sim.Event { return &r.done }
 // startBatcher spawns the per-model batching loop: it flushes when the
 // queue is full or the oldest request has waited past the timeout.
 func (s *Server) startBatcher(modelName string) {
+	// Insert into a clipped copy, so a DrainQueued loop already ranging over
+	// the old list never sees it shift.
+	i, _ := slices.BinarySearch(s.models, modelName)
+	s.models = slices.Insert(slices.Clip(s.models), i, modelName)
 	cond := s.env.NewCond("batcher-" + modelName)
 	s.flushers[modelName] = cond
 	batchName := "batch-" + modelName // every batch proc of this model shares it
@@ -617,12 +638,13 @@ func (s *Server) releaseSlot(r *Request) {
 
 // Cancel aborts a request that has not finished yet, completing it with
 // ErrCanceled; it reports whether the cancel landed. A queued request is
-// removed from its batcher queue; a dispatched request is detached from its
-// batch, and when every rider of an in-flight batch has been cancelled the
-// batch's job is aborted through the executor's gang-abort path (the same
-// unwind injected job kills use), so the device and scheduler token are
-// reclaimed. The cluster router uses this to cancel hedge losers. It never
-// parks.
+// removed from its batcher queue; a dispatched request is dropped from its
+// batch, so the batch never touches it again and its caller may reuse the
+// record as soon as Done fires. When every rider of an in-flight batch has
+// been cancelled the batch's job is aborted through the executor's
+// gang-abort path (the same unwind injected job kills use), so the device
+// and scheduler token are reclaimed. The cluster router uses this to cancel
+// hedge losers. It never parks.
 func (s *Server) Cancel(r *Request) bool {
 	if r.FinishAt != 0 || r.Err != nil {
 		return false
@@ -637,7 +659,8 @@ func (s *Server) Cancel(r *Request) bool {
 		}
 	}
 	if b := r.batch; b != nil {
-		r.canceled = true
+		b.riders[slices.Index(b.riders, r)] = nil
+		r.batch = nil
 		s.degraded.Canceled++
 		s.fail(r, ErrCanceled)
 		b.live--
@@ -669,16 +692,12 @@ func (s *Server) DrainQueued() int {
 	defer func() { s.draining = false }()
 	// Drain in sorted model order: map iteration order would leak into the
 	// order drained waiters wake (and hence re-route), breaking same-seed
-	// determinism.
-	names := make([]string, 0, len(s.queues))
-	for name := range s.queues {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	// determinism. Each queue is detached by swapping in the spare array,
+	// and its own array, cleared, becomes the next spare.
 	n := 0
-	for _, name := range names {
+	for _, name := range s.models {
 		q := s.queues[name]
-		s.queues[name] = nil
+		s.queues[name] = s.spare
 		for _, r := range q {
 			if r.FinishAt != 0 {
 				continue // already terminal (e.g. canceled mid-drain)
@@ -694,6 +713,8 @@ func (s *Server) DrainQueued() int {
 			s.fail(r, ErrDrained)
 			n++
 		}
+		clear(q)
+		s.spare = q[:0]
 	}
 	return n
 }
@@ -764,8 +785,9 @@ func (s *Server) flush(modelName, procName string) {
 // riders, the graph, the stream (whose ID is the batch's client ID) and the
 // executor job of the current attempt, both held by value, and the proc
 // body, bound once. live counts riders still waiting on the batch, so
-// hedge-style cancellation can reach the running job. The server recycles
-// a record once its proc ends, when every rider is terminal.
+// hedge-style cancellation can reach the running job; a cancelled rider's
+// slot is nil. The server recycles a record once its proc ends, when every
+// rider is terminal.
 type batchRun struct {
 	s      *Server
 	riders []*Request
@@ -799,7 +821,9 @@ func (br *batchRun) run(p *sim.Proc) {
 // dropping its references to them and to the graph.
 func (s *Server) recycle(br *batchRun) {
 	for _, r := range br.riders {
-		r.batch = nil
+		if r != nil {
+			r.batch = nil
+		}
 	}
 	clear(br.riders)
 	br.riders = br.riders[:0]
@@ -810,14 +834,17 @@ func (s *Server) recycle(br *batchRun) {
 // runBatch executes one batch job, retrying failed attempts with jittered
 // exponential backoff while the server-wide retry budget lasts.
 func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
+	// Cancel drops a rider by nilling its slot, so every loop below skips
+	// nil slots, and the batch's class and model are read up front.
 	batch := br.riders
 	br.live = len(batch)
 	for _, r := range batch {
 		r.batch = br
 	}
+	class, modelName := batch[0].Class, batch[0].Model
 	// The batch span covers dispatch through final completion or failure,
 	// riding the class track of the request that opened the batch.
-	span := s.rec.StartSpan(obs.LayerServing, "batch", obs.NoReq, int(batch[0].Class), s.obsDev, int64(len(batch)))
+	span := s.rec.StartSpan(obs.LayerServing, "batch", obs.NoReq, int(class), s.obsDev, int64(len(batch)))
 	defer s.rec.EndSpan(span)
 	var jobErr error
 	for attempt := 0; ; attempt++ {
@@ -842,7 +869,7 @@ func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 			// cluster failover path re-dispatches them to live replicas.
 			s.degraded.CrashedBatches++
 			for _, r := range batch {
-				if r.canceled || r.FinishAt != 0 {
+				if r == nil {
 					continue
 				}
 				s.fail(r, ErrDrained)
@@ -855,7 +882,7 @@ func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 			}
 			s.degraded.BatchFailures++
 			for _, r := range batch {
-				if r.canceled || r.FinishAt != 0 {
+				if r == nil {
 					continue
 				}
 				s.fail(r, fmt.Errorf("serving: batch failed after %d attempts: %w", attempt+1, jobErr))
@@ -864,17 +891,17 @@ func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 		}
 		s.retryLeft--
 		s.degraded.BatchRetries++
-		s.rec.Instant(obs.LayerServing, "batch_retry", obs.NoReq, int(batch[0].Class), s.obsDev, int64(attempt+1))
+		s.rec.Instant(obs.LayerServing, "batch_retry", obs.NoReq, int(class), s.obsDev, int64(attempt+1))
 		// Jittered exponential backoff (the jitter stream is seeded, so
 		// same-seed runs retry at identical instants; a nil injector
 		// degrades to plain exponential backoff).
 		p.Sleep(overload.Backoff(batchRetryBackoff, attempt, 0.5, s.cfg.Faults.RetryJitter()))
 	}
 	now := p.Now()
-	lim := s.limiters[batch[0].Model]
+	lim := s.limiters[modelName]
 	for _, r := range batch {
-		if r.canceled || r.FinishAt != 0 {
-			continue // a terminal state landed mid-flight; never complete twice
+		if r == nil {
+			continue
 		}
 		r.FinishAt = now
 		s.releaseSlot(r)
@@ -969,27 +996,18 @@ func (s *Server) Stats() Stats {
 		st.P95 = s.latHist.Quantile(0.95)
 		st.P99 = s.latHist.Quantile(0.99)
 	}
-	names := make([]string, 0, len(s.modelHists))
-	for name := range s.modelHists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st.PerModel = append(st.PerModel, ModelLatency{
-			Model: name, Latency: HistPercentiles(s.modelHists[name]),
-		})
-	}
-	limNames := make([]string, 0, len(s.limiters))
-	for name := range s.limiters {
-		limNames = append(limNames, name)
-	}
-	sort.Strings(limNames)
-	for _, name := range limNames {
-		lim := s.limiters[name]
-		st.Admission = append(st.Admission, ModelAdmission{
-			Model: name, Limit: lim.Limit(), Admitted: lim.Admitted(),
-			Sheds: lim.Sheds(), Decreases: lim.Decreases(),
-		})
+	// Every model with a histogram or a limiter has a batcher, so walking
+	// the sorted batcher list reports both in name order.
+	for _, name := range s.models {
+		if h, ok := s.modelHists[name]; ok {
+			st.PerModel = append(st.PerModel, ModelLatency{Model: name, Latency: HistPercentiles(h)})
+		}
+		if lim := s.limiters[name]; lim != nil {
+			st.Admission = append(st.Admission, ModelAdmission{
+				Model: name, Limit: lim.Limit(), Admitted: lim.Admitted(),
+				Sheds: lim.Sheds(), Decreases: lim.Decreases(),
+			})
+		}
 	}
 	if st.Completed > 0 {
 		st.MeanBatchSize = float64(s.batchSizes) / float64(st.Completed)
