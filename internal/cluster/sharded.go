@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"olympian/internal/faults"
+	"olympian/internal/fifo"
 	"olympian/internal/obs"
 	"olympian/internal/overload"
 	"olympian/internal/serving"
@@ -86,7 +87,7 @@ type ShardedCluster struct {
 	// armed holds the requests whose hedge timers are pending, in arming
 	// order, which is also firing order (armHedge); hedgeTimer is
 	// c.fireHedge, bound once. exclude is fireHedge's reused device list.
-	armed      ring[*ShardedRequest]
+	armed      fifo.Ring[*ShardedRequest]
 	hedgeTimer func()
 	exclude    []int
 
@@ -463,13 +464,13 @@ func (c *ShardedCluster) modelHist(modelName string) *obs.Hist {
 // the back of the armed FIFO, and each timer, one shared bound callback,
 // takes the front. Each keeps the (time, seq) slot its own closure had.
 func (c *ShardedCluster) armHedge(r *ShardedRequest) {
-	c.armed.push(r)
+	c.armed.PushBack(r)
 	c.shards.Env(0).Schedule(c.cfg.HedgeDelay, c.hedgeTimer)
 }
 
 // fireHedge runs the earliest pending hedge timer.
 func (c *ShardedCluster) fireHedge() {
-	r := c.armed.pop()
+	r := c.armed.PopFront()
 	if r.settled || r.Hedged {
 		return
 	}
@@ -563,32 +564,4 @@ func (c *ShardedCluster) Stats() Stats {
 	st.Decisions = c.router.Count()
 	st.DecisionHash = c.router.DecisionHash()
 	return st
-}
-
-// ring is a FIFO ring buffer that allocates only to grow.
-type ring[T any] struct {
-	buf      []T // len is zero or a power of two
-	first, n int
-}
-
-// push appends v at the back.
-func (q *ring[T]) push(v T) {
-	if q.n == len(q.buf) {
-		buf := make([]T, max(8, 2*len(q.buf)))
-		k := copy(buf, q.buf[q.first:])
-		copy(buf[k:], q.buf[:q.first])
-		q.buf, q.first = buf, 0
-	}
-	q.buf[(q.first+q.n)&(len(q.buf)-1)] = v
-	q.n++
-}
-
-// pop removes and returns the front value; the ring must not be empty.
-func (q *ring[T]) pop() T {
-	v := q.buf[q.first]
-	var zero T
-	q.buf[q.first] = zero
-	q.first = (q.first + 1) & (len(q.buf) - 1)
-	q.n--
-	return v
 }

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"olympian/internal/fifo"
 	"olympian/internal/graph"
 	"olympian/internal/sim"
 )
@@ -20,7 +21,7 @@ type ThreadPool struct {
 	run func(p *sim.Proc, job *Job, node *graph.Node)
 
 	idle    []*worker
-	backlog []task
+	backlog fifo.Ring[task]
 	total   int
 
 	stats PoolStats
@@ -71,7 +72,7 @@ func (tp *ThreadPool) Submit(job *Job, node *graph.Node) {
 		return
 	}
 	tp.stats.Delayed++
-	tp.backlog = append(tp.backlog, t)
+	tp.backlog.PushBack(t)
 }
 
 func (tp *ThreadPool) spawn(first task) {
@@ -94,9 +95,8 @@ func (tp *ThreadPool) workerLoop(p *sim.Proc, w *worker) {
 		}
 		tp.run(p, t.job, t.node)
 		tp.stats.Completed++
-		if len(tp.backlog) > 0 {
-			w.next = tp.backlog[0]
-			tp.backlog = tp.backlog[1:]
+		if tp.backlog.Len() > 0 {
+			w.next = tp.backlog.PopFront()
 			continue
 		}
 		tp.idle = append(tp.idle, w)

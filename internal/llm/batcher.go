@@ -3,6 +3,7 @@ package llm
 import (
 	"slices"
 
+	"olympian/internal/fifo"
 	"olympian/internal/overload"
 )
 
@@ -20,20 +21,20 @@ import (
 // The Batcher is pure bookkeeping — no clock, no randomness — so both
 // cluster engines drive bit-identical membership sequences through it.
 //
-// The prefill queue is one deque per class. Each entry carries an order key —
+// The prefill queue is one ring per class. Each entry carries an order key —
 // Enqueue takes back++, EnqueueFront takes --front — so the global FCFS order
-// across classes is key order. The ready set is one more deque, FIFO with
-// unused keys. Every queue operation except the crash-time TakeAll is O(1)
-// and allocation-free once the deques have grown.
+// across classes is key order. The ready set is one more ring, a plain
+// FIFO. Every queue operation except the crash-time TakeAll is O(1)
+// and allocation-free once the rings have grown.
 type Batcher struct {
 	maxSeqs int
 
-	queue       [overload.NumClasses]deque // waiting for (re)prefill, one deque per class
-	front, back int64                      // order-key bounds of the queue
-	queued      int                        // total across the deques
+	queue       [overload.NumClasses]fifo.Ring[entry] // waiting for (re)prefill, one ring per class
+	front, back int64                                 // order-key bounds of the queue
+	queued      int                                   // total across the rings
 
-	ready   deque      // prefilled, KV resident, waiting for a slot
-	running []*Request // in-flight decode batch, in join order
+	ready   fifo.Ring[*Request] // prefilled, KV resident, waiting for a slot
+	running []*Request          // in-flight decode batch, in join order
 }
 
 // NewBatcher bounds the decode batch by maxSeqs (> 0) sequences.
@@ -41,7 +42,7 @@ func NewBatcher(maxSeqs int) *Batcher { return &Batcher{maxSeqs: maxSeqs} }
 
 // Enqueue appends a request to the prefill queue. Its Class must be valid.
 func (b *Batcher) Enqueue(r *Request) {
-	b.queue[r.Class].pushBack(entry{r, b.back})
+	b.queue[r.Class].PushBack(entry{r, b.back})
 	b.back++
 	b.queued++
 }
@@ -50,7 +51,7 @@ func (b *Batcher) Enqueue(r *Request) {
 // recomputation preserves its position ahead of newer arrivals.
 func (b *Batcher) EnqueueFront(r *Request) {
 	b.front--
-	b.queue[r.Class].pushFront(entry{r, b.front})
+	b.queue[r.Class].PushFront(entry{r, b.front})
 	b.queued++
 }
 
@@ -63,7 +64,7 @@ func (b *Batcher) Running() []*Request { return b.running }
 
 // HasWork reports whether anything is queued, ready, or running.
 func (b *Batcher) HasWork() bool {
-	return b.queued > 0 || b.ready.n > 0 || len(b.running) > 0
+	return b.queued > 0 || b.ready.Len() > 0 || len(b.running) > 0
 }
 
 // Idle reports the opposite of HasWork.
@@ -76,28 +77,28 @@ func (b *Batcher) Idle() bool { return !b.HasWork() }
 // backlog of batch work (within one class the order is strict FCFS, and
 // preempted sequences re-entered at the front keep their place).
 func (b *Batcher) NextPrefill() *Request {
-	if b.queued == 0 || len(b.running)+b.ready.n >= b.maxSeqs {
+	if b.queued == 0 || len(b.running)+b.ready.Len() >= b.maxSeqs {
 		return nil
 	}
 	c := len(b.queue) - 1
-	for b.queue[c].n == 0 {
+	for b.queue[c].Len() == 0 {
 		c--
 	}
 	b.queued--
-	return b.queue[c].popFront().r
+	return b.queue[c].PopFront().r
 }
 
 // Admit marks a prefilled (or ingested) sequence ready to join the batch at
 // the next token boundary.
-func (b *Batcher) Admit(r *Request) { b.ready.pushBack(entry{r: r}) }
+func (b *Batcher) Admit(r *Request) { b.ready.PushBack(r) }
 
 // PromoteOne joins the oldest ready sequence to the batch and returns it;
 // nil when none is ready or the batch is full.
 func (b *Batcher) PromoteOne() *Request {
-	if b.ready.n == 0 || len(b.running) >= b.maxSeqs {
+	if b.ready.Len() == 0 || len(b.running) >= b.maxSeqs {
 		return nil
 	}
-	r := b.ready.popFront().r
+	r := b.ready.PopFront()
 	b.running = append(b.running, r)
 	return r
 }
@@ -146,7 +147,7 @@ func (b *Batcher) KVTokens() int {
 }
 
 // TakeAll empties every set and returns the former members in queue, ready,
-// running order — crash unwinding fails them all. The per-class deques merge
+// running order — crash unwinding fails them all. The per-class rings merge
 // by order key, so queued comes back in global FCFS order; ready is copied
 // out of its ring.
 func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
@@ -156,17 +157,17 @@ func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
 	for range b.queued {
 		c := -1
 		for i := range b.queue {
-			if b.queue[i].n > 0 && (c < 0 || b.queue[i].at(0).key < b.queue[c].at(0).key) {
+			if b.queue[i].Len() > 0 && (c < 0 || b.queue[i].At(0).key < b.queue[c].At(0).key) {
 				c = i
 			}
 		}
-		queued = append(queued, b.queue[c].popFront().r)
+		queued = append(queued, b.queue[c].PopFront().r)
 	}
-	if b.ready.n > 0 {
-		ready = make([]*Request, 0, b.ready.n)
+	if b.ready.Len() > 0 {
+		ready = make([]*Request, 0, b.ready.Len())
 	}
-	for b.ready.n > 0 {
-		ready = append(ready, b.ready.popFront().r)
+	for b.ready.Len() > 0 {
+		ready = append(ready, b.ready.PopFront())
 	}
 	running = b.running
 	b.queued, b.front, b.back = 0, 0, 0
@@ -178,44 +179,4 @@ func (b *Batcher) TakeAll() (queued, ready, running []*Request) {
 type entry struct {
 	r   *Request
 	key int64
-}
-
-// deque is a ring buffer of entries that allocates only to grow.
-type deque struct {
-	buf      []entry // len is zero or a power of two
-	first, n int
-}
-
-func (q *deque) at(i int) *entry { return &q.buf[(q.first+i)&(len(q.buf)-1)] }
-
-func (q *deque) grow() {
-	if q.n < len(q.buf) {
-		return
-	}
-	buf := make([]entry, max(8, 2*len(q.buf)))
-	for i := range q.n {
-		buf[i] = *q.at(i)
-	}
-	q.buf, q.first = buf, 0
-}
-
-func (q *deque) pushBack(e entry) {
-	q.grow()
-	*q.at(q.n) = e
-	q.n++
-}
-
-func (q *deque) pushFront(e entry) {
-	q.grow()
-	q.first = (q.first - 1) & (len(q.buf) - 1)
-	q.buf[q.first] = e
-	q.n++
-}
-
-func (q *deque) popFront() entry {
-	e := q.buf[q.first]
-	q.buf[q.first] = entry{}
-	q.first = (q.first + 1) & (len(q.buf) - 1)
-	q.n--
-	return e
 }

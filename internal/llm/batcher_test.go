@@ -181,9 +181,9 @@ func TestBatcherMatchesSingleSliceReference(t *testing.T) {
 		if got != want {
 			t.Fatalf("op %d: batcher returned %v, reference %v", op, got, want)
 		}
-		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || b.ready.n != len(ref.ready) {
+		if b.QueueLen() != ref.QueueLen() || b.HasWork() != ref.HasWork() || b.ready.Len() != len(ref.ready) {
 			t.Fatalf("op %d: queue/work/ready = %d/%v/%d, reference %d/%v/%d", op,
-				b.QueueLen(), b.HasWork(), b.ready.n, ref.QueueLen(), ref.HasWork(), len(ref.ready))
+				b.QueueLen(), b.HasWork(), b.ready.Len(), ref.QueueLen(), ref.HasWork(), len(ref.ready))
 		}
 		sameRequests(t, op, "Running", b.Running(), ref.running)
 		maxQueue = max(maxQueue, ref.QueueLen())
@@ -250,8 +250,8 @@ func TestBatcherReadyAllocsZero(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Admit -> PromoteOne -> Leave allocates %.2f times per cycle, want 0", allocs)
 	}
-	if b.ready.n != 3 || len(b.Running()) != 0 {
-		t.Fatalf("ready/running drifted to %d/%d", b.ready.n, len(b.Running()))
+	if b.ready.Len() != 3 || len(b.Running()) != 0 {
+		t.Fatalf("ready/running drifted to %d/%d", b.ready.Len(), len(b.Running()))
 	}
 }
 

@@ -90,7 +90,7 @@ func TestDrainQueuedAllocsZero(t *testing.T) {
 	if a := testing.AllocsPerRun(20, cycle); a != 0 {
 		t.Errorf("a submit-and-drain cycle of %d requests makes %.1f allocs, want 0", len(reqs), a)
 	}
-	for _, q := range [][]*Request{srv.queues[model.AlexNet], srv.queues[model.ResNet50], srv.spare} {
+	for _, q := range [][]*Request{srv.byName[model.AlexNet].queue, srv.byName[model.ResNet50].queue, srv.spare} {
 		for _, r := range q[:cap(q)] {
 			if r != nil {
 				t.Fatalf("a queue array still holds drained request %d", r.ID)

@@ -178,7 +178,7 @@ func TestQueueRemovalsClearTail(t *testing.T) {
 	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour, Deadline: time.Millisecond})
 	checkTail := func(what string, want int) {
 		t.Helper()
-		q := srv.queues[model.Inception]
+		q := srv.byName[model.Inception].queue
 		if len(q) != want {
 			t.Errorf("after %s: %d queued, want %d", what, len(q), want)
 		}
@@ -208,7 +208,7 @@ func TestQueueRemovalsClearTail(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		srv.dropExpired(model.Inception)
+		srv.dropExpired(srv.byName[model.Inception])
 		checkTail("expiry", 2)
 	})
 	if err := env.Run(); err != nil {

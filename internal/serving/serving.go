@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"olympian/internal/core"
@@ -81,6 +82,8 @@ type Request struct {
 	// admitted marks a request counted against its model's admission
 	// limiter; cleared when the slot is released.
 	admitted bool
+	// batcher is the model's batcher, set when the request is queued.
+	batcher *batcher
 	// batch points at the in-flight batch carrying the request, so Cancel
 	// can reach the running job after dispatch.
 	batch *batchRun
@@ -243,19 +246,14 @@ type Server struct {
 	sched *core.Scheduler
 	cfg   Config
 
-	queues map[string][]*Request
-	// models lists the models with a batcher, sorted, so DrainQueued and
-	// Stats visit them in a fixed order; spare is an empty queue array
-	// DrainQueued swaps in for each queue it detaches.
-	models   []string
-	spare    []*Request
-	free     []*batchRun // records of finished batch procs, for reuse
-	flushers map[string]*sim.Cond
-	graphs   map[graphKey]*graph.Graph
-	limiters map[string]*overload.Limiter
-	// limitGauges holds each limiter's limit gauge, registered with the
-	// limiter when recording is on.
-	limitGauges map[string]*obs.Series
+	// byName holds each model's batcher, and models lists them sorted by
+	// model name, so DrainQueued and Stats visit them in a fixed order;
+	// spare is an empty queue array DrainQueued swaps in for each queue it
+	// detaches.
+	byName map[string]*batcher
+	models []*batcher
+	spare  []*Request
+	free   []*batchRun // records of finished batch procs, for reuse
 
 	reqCount int
 	batches  int
@@ -268,9 +266,8 @@ type Server struct {
 	// memory. Registered in the obs registry when recording is on so the
 	// telemetry sampler and Prometheus exposition see them; standalone
 	// otherwise.
-	latHist    *obs.Hist
-	qdHist     *obs.Hist
-	modelHists map[string]*obs.Hist
+	latHist *obs.Hist
+	qdHist  *obs.Hist
 
 	retryLeft int
 	degraded  metrics.Degraded
@@ -295,11 +292,6 @@ type Server struct {
 	build func(modelName string, batch int) (*graph.Graph, error)
 }
 
-type graphKey struct {
-	model string
-	batch int
-}
-
 // NewServer builds a server inside env. Explicitly invalid configurations
 // (negative queue caps, timeouts, or deadlines) are rejected rather than
 // silently replaced by defaults.
@@ -322,16 +314,12 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	dev := gpu.New(env, cfg.Spec)
 	dev.InjectFaults(cfg.Faults)
 	s := &Server{
-		env:         env,
-		dev:         dev,
-		cfg:         cfg,
-		queues:      make(map[string][]*Request),
-		flushers:    make(map[string]*sim.Cond),
-		graphs:      make(map[graphKey]*graph.Graph),
-		limiters:    make(map[string]*overload.Limiter),
-		limitGauges: make(map[string]*obs.Series),
-		retryLeft:   batchRetryBudget,
-		build:       model.Build,
+		env:       env,
+		dev:       dev,
+		cfg:       cfg,
+		byName:    make(map[string]*batcher),
+		retryLeft: batchRetryBudget,
+		build:     model.Build,
 	}
 	s.rec = cfg.Obs
 	s.obsDev = cfg.Device
@@ -339,7 +327,6 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	devLabel := strconv.Itoa(cfg.Device)
 	s.latHist = obs.EnsureHist(reg.Histogram("olympian_serving_request_latency_seconds", "End-to-end request latency.", "device", devLabel))
 	s.qdHist = obs.EnsureHist(reg.Histogram("olympian_serving_queue_delay_seconds", "Arrival-to-dispatch queue delay.", "device", devLabel))
-	s.modelHists = make(map[string]*obs.Hist)
 	for c := overload.Class(0); c < overload.NumClasses; c++ {
 		s.reqC[c] = reg.Counter("olympian_serving_requests_total", "Requests admitted to a model queue.", "device", devLabel, "class", c.String())
 		reg.CounterView("olympian_serving_completed_total", "Requests completed in time or late.", &s.degraded.ByClass[c].Completed, "device", devLabel, "class", c.String())
@@ -453,11 +440,11 @@ func (s *Server) Submit(r *Request, modelName string, class overload.Class) erro
 		s.fail(r, ErrDrained)
 		return nil
 	}
-	if _, ok := s.flushers[modelName]; !ok {
-		s.startBatcher(modelName)
+	b := s.byName[modelName]
+	if b == nil {
+		b = s.newBatcher(modelName)
 	}
-	lim := s.limiter(modelName)
-	if lim != nil && !lim.HasCapacity(class, 1) && !s.evictLower(modelName, class) {
+	if b.lim != nil && !b.lim.HasCapacity(class, 1) && !s.evictLower(b, class) {
 		// Adaptive admission: the model is over its class's share of the
 		// learned concurrency limit (batch sees only part of it, so under
 		// pressure batch arrivals shed before any interactive request does)
@@ -466,77 +453,115 @@ func (s *Server) Submit(r *Request, modelName string, class overload.Class) erro
 		// signal — only SLO failures (overflow, expiry, misses) cut the
 		// limit.
 		s.degraded.AdmissionSheds++
-		lim.NoteShed()
-		s.shed(r, ErrShed)
+		b.lim.NoteShed()
+		s.fail(r, ErrShed)
 		return nil
 	}
-	if s.cfg.MaxQueue > 0 && len(s.queues[modelName]) >= s.cfg.MaxQueue && !s.evictLower(modelName, class) {
+	if s.cfg.MaxQueue > 0 && len(b.queue) >= s.cfg.MaxQueue && !s.evictLower(b, class) {
 		// Bounded queue full: shed at admission rather than let the
 		// backlog blow every deadline downstream. Overflow means the
 		// learned limit overshot actual capacity, so it is a decrease
 		// signal.
 		s.degraded.Drops++
-		s.congest(modelName, s.env.Now())
-		s.shed(r, ErrQueueFull)
+		s.congest(b, s.env.Now())
+		s.fail(r, ErrQueueFull)
 		return nil
 	}
-	if lim != nil {
-		lim.Acquire(1)
+	if b.lim != nil {
+		b.lim.Acquire(1)
 		r.admitted = true
 	}
 	s.reqC[class].Inc()
 	r.span = s.rec.StartSpan(obs.LayerServing, "queue", r.ID, int(class), s.obsDev, 0)
-	s.queues[modelName] = append(s.queues[modelName], r)
-	// Wake the batcher: it naps on an empty queue and flushes immediately
-	// once the batch is full.
-	s.flushers[modelName].Broadcast()
+	r.batcher = b
+	b.queue = append(b.queue, r)
+	// Wake an idle batcher. One sleeping out its oldest request's timeout
+	// is not woken, so a batch that fills meanwhile still waits for that
+	// timeout (TF-Serving would close it at once).
+	if !b.armed {
+		b.armed = true
+		s.env.Schedule(0, b.wakeFn)
+	}
 	return nil
 }
 
-// limiter returns the model's AIMD admission limiter, creating it on first
-// use; nil when adaptive admission is off.
-func (s *Server) limiter(modelName string) *overload.Limiter {
-	if s.cfg.Admission == nil {
-		return nil
+// batcher is one model's batching queue (TF-Serving's batching layer): it
+// flushes the queue as a batch when it wakes to a full queue or to an oldest
+// request that has waited BatchTimeout. It also holds the model's admission limiter,
+// latency histogram and graph cache. Event callbacks run it (see wake).
+type batcher struct {
+	s         *Server
+	model     string
+	batchName string // every batch proc of the model shares it
+	queue     []*Request
+	// lim is the model's AIMD admission limiter, nil when adaptive
+	// admission is off; limitGauge is its limit, nil also when recording
+	// is off.
+	lim        *overload.Limiter
+	limitGauge *obs.Series
+	hist       *obs.Hist            // latency histogram, registered at the first completion
+	graphs     map[int]*graph.Graph // by batch size
+	// armed is set while a wake is scheduled or running; an arrival at an
+	// unarmed batcher schedules one.
+	armed  bool
+	wakeFn func() // wake, bound once
+}
+
+// newBatcher makes the model's batcher and schedules its first wake.
+func (s *Server) newBatcher(modelName string) *batcher {
+	b := &batcher{s: s, model: modelName, batchName: "batch-" + modelName, graphs: make(map[int]*graph.Graph)}
+	b.wakeFn = b.wake
+	if s.cfg.Admission != nil {
+		b.lim = overload.NewLimiter(*s.cfg.Admission, overload.Requests)
+		b.limitGauge = s.rec.Registry().Gauge("olympian_overload_admission_limit",
+			"Current AIMD concurrency limit.", "device", strconv.Itoa(s.obsDev), "model", modelName)
 	}
-	lim, ok := s.limiters[modelName]
-	if !ok {
-		lim = overload.NewLimiter(*s.cfg.Admission, overload.Requests)
-		s.limiters[modelName] = lim
-		if s.rec != nil {
-			s.limitGauges[modelName] = s.rec.Registry().Gauge("olympian_overload_admission_limit",
-				"Current AIMD concurrency limit.", "device", strconv.Itoa(s.obsDev), "model", modelName)
+	s.byName[modelName] = b
+	// Insert into a clipped copy, so a DrainQueued loop already ranging over
+	// the old list never sees it shift.
+	i, _ := slices.BinarySearchFunc(s.models, modelName, func(b *batcher, name string) int { return strings.Compare(b.model, name) })
+	s.models = slices.Insert(slices.Clip(s.models), i, b)
+	b.armed = true
+	s.env.Schedule(0, b.wakeFn)
+	return b
+}
+
+// wake runs the batcher. While requests are queued it flushes a full queue,
+// or one whose oldest request has timed out, and otherwise sleeps until that
+// timeout; a sleeping batcher ignores arrivals. On an empty queue it
+// disarms until the next arrival.
+func (b *batcher) wake() {
+	s := b.s
+	for len(b.queue) > 0 {
+		if len(b.queue) < s.cfg.MaxBatch {
+			if remain := s.cfg.BatchTimeout - time.Duration(s.env.Now()-b.queue[0].ArriveAt); remain > 0 {
+				s.env.Schedule(remain, b.wakeFn)
+				return
+			}
 		}
+		s.flush(b)
 	}
-	return lim
+	b.armed = false
 }
 
 // congest feeds an SLO failure (a queue overflow, an in-queue expiry, a
 // deadline miss) to the model's limiter at now, if it has one. A limit cut
 // becomes an overload-layer instant, a counter tick and a gauge update.
-func (s *Server) congest(modelName string, now sim.Time) {
-	lim := s.limiters[modelName]
-	if lim == nil || !lim.OnCongestion(time.Duration(now)) {
+func (s *Server) congest(b *batcher, now sim.Time) {
+	if b.lim == nil || !b.lim.OnCongestion(time.Duration(now)) {
 		return
 	}
-	s.rec.Instant(obs.LayerOverload, "limit_cut", obs.NoReq, obs.NoClass, s.obsDev, int64(lim.Limit()))
+	s.rec.Instant(obs.LayerOverload, "limit_cut", obs.NoReq, obs.NoClass, s.obsDev, int64(b.lim.Limit()))
 	s.limitCutsC.Inc()
-	s.limitGauges[modelName].Set(lim.Limit())
-}
-
-// shed rejects a request at admission; fail books the per-class Shed tally.
-// Callers decide whether the event is also a congestion signal for the
-// model's limiter.
-func (s *Server) shed(r *Request, err error) {
-	s.fail(r, err)
+	b.limitGauge.Set(b.lim.Limit())
 }
 
 // evictLower displaces the newest queued request of a class strictly below
 // class, failing it with ErrShed, and reports whether room was made.
 // Strict-priority shedding: interactive arrivals never queue behind batch
 // work that will be dropped anyway.
-func (s *Server) evictLower(modelName string, class overload.Class) bool {
-	q := s.queues[modelName]
+func (s *Server) evictLower(b *batcher, class overload.Class) bool {
+	q := b.queue
 	victim := -1
 	for i, r := range q {
 		if r.Class >= class {
@@ -550,53 +575,19 @@ func (s *Server) evictLower(modelName string, class overload.Class) bool {
 		return false
 	}
 	v := q[victim]
-	s.queues[modelName] = append(q[:victim], q[victim+1:]...)
+	b.queue = append(q[:victim], q[victim+1:]...)
 	s.degraded.Evictions++
 	s.rec.Instant(obs.LayerServing, "evict", v.ID, int(v.Class), s.obsDev, int64(class))
-	if lim := s.limiters[modelName]; lim != nil {
-		lim.NoteShed()
+	if b.lim != nil {
+		b.lim.NoteShed()
 	}
-	s.shed(v, ErrShed)
+	s.fail(v, ErrShed)
 	return true
 }
 
 // Done returns the request's completion event. Cross-shard forwarders
 // subscribe to it instead of spawning a waiter process per attempt.
 func (r *Request) Done() *sim.Event { return &r.done }
-
-// startBatcher spawns the per-model batching loop: it flushes when the
-// queue is full or the oldest request has waited past the timeout.
-func (s *Server) startBatcher(modelName string) {
-	// Insert into a clipped copy, so a DrainQueued loop already ranging over
-	// the old list never sees it shift.
-	i, _ := slices.BinarySearch(s.models, modelName)
-	s.models = slices.Insert(slices.Clip(s.models), i, modelName)
-	cond := s.env.NewCond("batcher-" + modelName)
-	s.flushers[modelName] = cond
-	batchName := "batch-" + modelName // every batch proc of this model shares it
-	proc := s.env.Go("batcher-"+modelName, func(p *sim.Proc) {
-		for {
-			for len(s.queues[modelName]) == 0 {
-				cond.Wait(p)
-			}
-			for len(s.queues[modelName]) > 0 && len(s.queues[modelName]) < s.cfg.MaxBatch {
-				// Wait out the remaining timeout of the oldest request;
-				// more arrivals during the nap may fill the batch early.
-				oldest := s.queues[modelName][0].ArriveAt
-				remain := s.cfg.BatchTimeout - time.Duration(p.Now()-oldest)
-				if remain <= 0 {
-					break
-				}
-				p.Sleep(remain)
-			}
-			if len(s.queues[modelName]) == 0 {
-				continue
-			}
-			s.flush(modelName, batchName)
-		}
-	})
-	proc.SetDaemon(true)
-}
 
 // fail completes a request with an error at the current sim time. It is the
 // single point that books the request's terminal state into the per-class
@@ -631,9 +622,7 @@ func (s *Server) releaseSlot(r *Request) {
 		return
 	}
 	r.admitted = false
-	if lim := s.limiters[r.Model]; lim != nil {
-		lim.Release(1)
-	}
+	r.batcher.lim.Release(1)
 }
 
 // Cancel aborts a request that has not finished yet, completing it with
@@ -649,24 +638,23 @@ func (s *Server) Cancel(r *Request) bool {
 	if r.FinishAt != 0 || r.Err != nil {
 		return false
 	}
-	q := s.queues[r.Model]
-	for i, qr := range q {
-		if qr == r {
-			s.queues[r.Model] = slices.Delete(q, i, i+1)
+	if b := r.batcher; b != nil {
+		if i := slices.Index(b.queue, r); i >= 0 {
+			b.queue = slices.Delete(b.queue, i, i+1)
 			s.degraded.Canceled++
 			s.fail(r, ErrCanceled)
 			return true
 		}
 	}
-	if b := r.batch; b != nil {
-		b.riders[slices.Index(b.riders, r)] = nil
+	if br := r.batch; br != nil {
+		br.riders[slices.Index(br.riders, r)] = nil
 		r.batch = nil
 		s.degraded.Canceled++
 		s.fail(r, ErrCanceled)
-		b.live--
-		if b.live == 0 && !b.job.Aborted() {
+		br.live--
+		if br.live == 0 && !br.job.Aborted() {
 			// Last rider gone: nobody is waiting on this batch anymore.
-			s.eng.AbortJob(&b.job, ErrCanceled)
+			s.eng.AbortJob(&br.job, ErrCanceled)
 		}
 		return true
 	}
@@ -695,9 +683,9 @@ func (s *Server) DrainQueued() int {
 	// determinism. Each queue is detached by swapping in the spare array,
 	// and its own array, cleared, becomes the next spare.
 	n := 0
-	for _, name := range s.models {
-		q := s.queues[name]
-		s.queues[name] = s.spare
+	for _, b := range s.models {
+		q := b.queue
+		b.queue = s.spare
 		for _, r := range q {
 			if r.FinishAt != 0 {
 				continue // already terminal (e.g. canceled mid-drain)
@@ -721,27 +709,26 @@ func (s *Server) DrainQueued() int {
 
 // dropExpired removes requests whose deadline already passed from a
 // model's queue, failing each with ErrExpired.
-func (s *Server) dropExpired(modelName string) {
+func (s *Server) dropExpired(b *batcher) {
 	now := s.env.Now()
-	q := s.queues[modelName]
+	q := b.queue
 	kept := q[:0]
 	for _, r := range q {
 		if r.Deadline > 0 && now > r.Deadline {
 			s.fail(r, ErrExpired)
-			s.congest(modelName, now)
+			s.congest(b, now)
 			continue
 		}
 		kept = append(kept, r)
 	}
 	clear(q[len(kept):])
-	s.queues[modelName] = kept
+	b.queue = kept
 }
 
-// flush dispatches the queued requests of a model as one batch job, on a
-// proc named procName.
-func (s *Server) flush(modelName, procName string) {
-	s.dropExpired(modelName)
-	q := s.queues[modelName]
+// flush dispatches the model's queued requests as one batch job.
+func (s *Server) flush(b *batcher) {
+	s.dropExpired(b)
+	q := b.queue
 	if len(q) == 0 {
 		return
 	}
@@ -752,15 +739,15 @@ func (s *Server) flush(modelName, procName string) {
 	br.riders = append(br.riders, q[:size]...)
 	rest := copy(q, q[size:])
 	clear(q[rest:])
-	s.queues[modelName] = q[:rest]
-	g, err := s.graphFor(modelName, size)
+	b.queue = q[:rest]
+	g, err := s.graphFor(b, size)
 	if err != nil {
 		// Unknown models are rejected at SubmitClass, but the zoo can still
 		// fail to build a given batch size. Fail the affected requests
 		// instead of taking the whole server down.
 		s.degraded.BatchFailures++
 		for _, r := range br.riders {
-			s.fail(r, fmt.Errorf("serving: build %s/%d: %w", modelName, size, err))
+			s.fail(r, fmt.Errorf("serving: build %s/%d: %w", b.model, size, err))
 		}
 		s.recycle(br)
 		return
@@ -778,7 +765,7 @@ func (s *Server) flush(modelName, procName string) {
 	s.batches++
 	br.graph = g
 	br.stream.Reset(s.batches)
-	s.env.Go(procName, br.runFn)
+	s.env.Go(b.batchName, br.runFn)
 }
 
 // batchRun is one dispatched batch and everything its proc runs on: the
@@ -835,13 +822,13 @@ func (s *Server) recycle(br *batchRun) {
 // exponential backoff while the server-wide retry budget lasts.
 func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 	// Cancel drops a rider by nilling its slot, so every loop below skips
-	// nil slots, and the batch's class and model are read up front.
+	// nil slots, and the batch's class and batcher are read up front.
 	batch := br.riders
 	br.live = len(batch)
 	for _, r := range batch {
 		r.batch = br
 	}
-	class, modelName := batch[0].Class, batch[0].Model
+	class, b := batch[0].Class, batch[0].batcher
 	// The batch span covers dispatch through final completion or failure,
 	// riding the class track of the request that opened the batch.
 	span := s.rec.StartSpan(obs.LayerServing, "batch", obs.NoReq, int(class), s.obsDev, int64(len(batch)))
@@ -898,7 +885,6 @@ func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 		p.Sleep(overload.Backoff(batchRetryBackoff, attempt, 0.5, s.cfg.Faults.RetryJitter()))
 	}
 	now := p.Now()
-	lim := s.limiters[modelName]
 	for _, r := range batch {
 		if r == nil {
 			continue
@@ -910,29 +896,28 @@ func (s *Server) runBatch(p *sim.Proc, br *batchRun) {
 		if r.Deadline > 0 && now > r.Deadline {
 			s.degraded.ByClass[r.Class].DeadlineMisses++
 			s.rec.Instant(obs.LayerServing, "deadline_miss", r.ID, int(r.Class), s.obsDev, 0)
-			s.congest(r.Model, now)
-		} else if lim != nil {
-			lim.OnSuccess(1)
+			s.congest(b, now)
+		} else if b.lim != nil {
+			b.lim.OnSuccess(1)
 		}
 		s.latHist.Observe(r.Latency())
-		s.modelHist(r.Model).Observe(r.Latency())
+		b.latency().Observe(r.Latency())
 		s.batchSizes += r.BatchSize
 		r.done.Trigger()
 	}
 }
 
-// graphFor caches graphs per (model, batch size), registering each new
+// graphFor caches the model's graphs per batch size, registering each new
 // graph's Olympian profile with the scheduler.
-func (s *Server) graphFor(modelName string, batch int) (*graph.Graph, error) {
-	key := graphKey{model: modelName, batch: batch}
-	if g, ok := s.graphs[key]; ok {
+func (s *Server) graphFor(b *batcher, batch int) (*graph.Graph, error) {
+	if g, ok := b.graphs[batch]; ok {
 		return g, nil
 	}
-	g, err := s.build(modelName, batch)
+	g, err := s.build(b.model, batch)
 	if err != nil {
 		return nil, err
 	}
-	s.graphs[key] = g
+	b.graphs[batch] = g
 	if s.sched != nil {
 		// Profile offline in a side simulation, as the operator would.
 		prof, err := profiler.ProfileSolo(g, profiler.Options{Spec: s.cfg.Spec, Seed: s.cfg.Seed + 77})
@@ -965,18 +950,16 @@ func (s *Server) AvailAt(now sim.Time) metrics.Availability {
 	return a
 }
 
-// modelHist lazily creates the per-model latency histogram. First-completion
+// latency lazily creates the model's latency histogram. First-completion
 // order is deterministic for a given seed, so registration order (and thus
 // sampler traversal) matches across engines.
-func (s *Server) modelHist(modelName string) *obs.Hist {
-	h, ok := s.modelHists[modelName]
-	if !ok {
-		h = obs.EnsureHist(s.rec.Registry().Histogram(
+func (b *batcher) latency() *obs.Hist {
+	if b.hist == nil {
+		b.hist = obs.EnsureHist(b.s.rec.Registry().Histogram(
 			"olympian_serving_model_latency_seconds", "Request latency by model.",
-			"device", strconv.Itoa(s.obsDev), "model", modelName))
-		s.modelHists[modelName] = h
+			"device", strconv.Itoa(b.s.obsDev), "model", b.model))
 	}
-	return h
+	return b.hist
 }
 
 // Stats summarises completed requests. Completed, Failed, Expired and
@@ -996,15 +979,13 @@ func (s *Server) Stats() Stats {
 		st.P95 = s.latHist.Quantile(0.95)
 		st.P99 = s.latHist.Quantile(0.99)
 	}
-	// Every model with a histogram or a limiter has a batcher, so walking
-	// the sorted batcher list reports both in name order.
-	for _, name := range s.models {
-		if h, ok := s.modelHists[name]; ok {
-			st.PerModel = append(st.PerModel, ModelLatency{Model: name, Latency: HistPercentiles(h)})
+	for _, b := range s.models {
+		if b.hist != nil {
+			st.PerModel = append(st.PerModel, ModelLatency{Model: b.model, Latency: HistPercentiles(b.hist)})
 		}
-		if lim := s.limiters[name]; lim != nil {
+		if lim := b.lim; lim != nil {
 			st.Admission = append(st.Admission, ModelAdmission{
-				Model: name, Limit: lim.Limit(), Admitted: lim.Admitted(),
+				Model: b.model, Limit: lim.Limit(), Admitted: lim.Admitted(),
 				Sheds: lim.Sheds(), Decreases: lim.Decreases(),
 			})
 		}

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
+
+	"olympian/internal/fifo"
 )
 
 // sliceCond is Cond written the plain way: its waiters are a slice that
@@ -149,10 +152,11 @@ func (w condWorkload) run(t *testing.T, ring bool) condTrace {
 				c.Broadcast()
 			}
 			if rc != nil {
-				if int(rc.head+rc.n) > len(rc.ring) {
+				head, n, size := ringShape(&rc.waiters)
+				if head+n > size {
 					tr.wrapped++
 				}
-				tr.maxRing = max(tr.maxRing, len(rc.ring))
+				tr.maxRing = max(tr.maxRing, size)
 			}
 		}
 		g.n += 1 << 20
@@ -203,4 +207,11 @@ func TestCondSize(t *testing.T) {
 	if n := unsafe.Sizeof(Cond{}); n > 64 {
 		t.Fatalf("Cond is %d bytes, want at most 64", n)
 	}
+}
+
+// ringShape reads a waiter ring's head index, length and buffer size, which
+// fifo keeps unexported.
+func ringShape(q *fifo.Ring[*Proc]) (head, n, size int) {
+	v := reflect.ValueOf(q).Elem()
+	return int(v.FieldByName("head").Int()), q.Len(), v.FieldByName("buf").Len()
 }

@@ -46,6 +46,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"olympian/internal/fifo"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the run.
@@ -533,7 +535,7 @@ func (e *Env) step() *Proc {
 		e.now = ev.at
 		if c := q.c.guarded; c != nil {
 			if c.guard.blocked() {
-				c.push(q)
+				c.waiters.PushBack(q)
 				continue
 			}
 			q.c.guarded = nil
@@ -725,12 +727,10 @@ func (ev *Event) Wait(p *Proc) {
 //
 //	for !condition() { cond.Wait(p) }
 type Cond struct {
-	// The waiters, oldest first, form a FIFO ring: ring[head] is the
-	// longest waiting and n procs follow it, wrapping at len(ring). Signal
-	// pops the front in O(1); push doubles the ring when it is full. Each
-	// waiter carries its Env, so the Cond keeps none and stays 64 bytes.
-	ring    []*Proc
-	head, n int32
+	// waiters is a FIFO ring, longest waiting first, so Signal pops in
+	// O(1). Each waiter carries its Env, so the Cond keeps none and stays
+	// 64 bytes.
+	waiters fifo.Ring[*Proc]
 	parkWhy string // "cond:"+label, precomputed so Wait never allocates it
 	// guard is the wait condition of the Semaphore or WaitGroup that owns
 	// the Cond, nil for a plain one; step consults it before switching
@@ -756,7 +756,7 @@ func (e *Env) NewCond(label string) *Cond {
 // must re-check their condition in a loop: a wake-up does not imply the
 // condition holds.
 func (c *Cond) Wait(p *Proc) {
-	c.push(p)
+	c.waiters.PushBack(p)
 	if c.guard != nil {
 		p.c.guarded = c
 	}
@@ -765,49 +765,18 @@ func (c *Cond) Wait(p *Proc) {
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if c.n > 0 {
-		p := c.pop()
+	if c.waiters.Len() > 0 {
+		p := c.waiters.PopFront()
 		p.env.scheduleProc(0, p)
 	}
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	for c.n > 0 {
-		p := c.pop()
+	for c.waiters.Len() > 0 {
+		p := c.waiters.PopFront()
 		p.env.scheduleProc(0, p)
 	}
-}
-
-// push adds p at the back of the waiters. A full ring is copied, oldest
-// first, into one twice its size (the first push allocates a single slot).
-func (c *Cond) push(p *Proc) {
-	size := int32(len(c.ring))
-	if c.n == size {
-		size = max(2*size, 1)
-		ring := make([]*Proc, size)
-		k := copy(ring, c.ring[c.head:])
-		copy(ring[k:], c.ring[:c.head])
-		c.ring, c.head = ring, 0
-	}
-	i := c.head + c.n
-	if i >= size {
-		i -= size
-	}
-	c.ring[i] = p
-	c.n++
-}
-
-// pop removes and returns the longest waiter; the ring must not be empty.
-// The vacated slot is cleared so the ring holds no popped procs.
-func (c *Cond) pop() *Proc {
-	p := c.ring[c.head]
-	c.ring[c.head] = nil
-	if c.head++; int(c.head) == len(c.ring) {
-		c.head = 0
-	}
-	c.n--
-	return p
 }
 
 // Semaphore is a counting semaphore for processes.
