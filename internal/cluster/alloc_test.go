@@ -116,11 +116,11 @@ func fleetAllocs(t *testing.T, n int, tweak func(*cluster.Config)) (float64, clu
 
 // llmRequestAllocBudget bounds the heap allocations one request costs the
 // disaggregated LLM fleet: routing, the prefill attempt, the KV hand-off,
-// the decode attempt and settlement. It sits just above the measured 2.00
-// (go1.24): the caller's LLMRequest and the decode replica's pending-ingest
-// slice, which reallocates whenever it drains. A device-side request per
-// attempt and a ready set that reallocated as it drained made 5.00.
-const llmRequestAllocBudget = 2.2
+// the decode attempt and settlement. It sits just above the measured 1.00
+// (go1.24): the caller's LLMRequest. A device-side request per attempt and
+// a ready set that reallocated as it drained made 5.00; a pending-ingest
+// slice that reallocated whenever it drained made 2.00.
+const llmRequestAllocBudget = 1.2
 
 // TestLLMRequestAllocBudget runs a 1+1 LLM fleet at two lengths and charges
 // the difference in allocations to the extra requests, so construction,

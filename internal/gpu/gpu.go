@@ -19,10 +19,10 @@
 // Dispatch looks only at the busy streams (those with queued kernels), kept
 // in first-seen order. A pick therefore costs time in the number of busy
 // streams, and it draws exactly what a scan over every stream in first-seen
-// order would. Exec, the blocking submit the executor, the LLM server and
-// the profiler use, recycles kernels and their timers through a per-device
-// free list, so steady-state dispatch allocates nothing. A kernel failed by
-// a crash is never recycled: its timers may still be pending.
+// order would. Start and Reap, a non-blocking submit and collect, recycle
+// kernels and their timers through a per-device free list, so steady-state
+// dispatch allocates nothing; Exec is Start, a wait and Reap. A kernel
+// failed by a crash is never recycled: its timers may still be pending.
 //
 // Capacity is modelled as SM occupancy: each kernel occupies a fraction of
 // the device in (0,1], and kernels run concurrently while they fit
@@ -116,7 +116,7 @@ type Kernel struct {
 	// compare it with the device's epoch when they fire, so a crash (which
 	// bumps the epoch) turns the timers of every kernel it failed into
 	// no-ops. Both timers are built once per Kernel, on its first dispatch,
-	// and reused when Exec recycles it.
+	// and reused when Reap recycles it.
 	ep       uint64
 	launched func()
 	executed func()
@@ -206,7 +206,7 @@ type Device struct {
 	stream0     Stream
 	busy        []*Stream
 	cands       []*Stream
-	free        []*Kernel // Exec's recycled kernels
+	free        []*Kernel // kernels Reap recycled, for Start
 	queued      int
 	inUse       float64
 	active      int // kernels in their execution phase
@@ -329,23 +329,35 @@ func (d *Device) Submit(k *Kernel) *sim.Event {
 	return k.Done
 }
 
-// Exec submits a kernel with k's Owner, Stream, Duration and Occupancy and
-// blocks p until it completes, returning its error. It is the allocation-free
-// form of Submit followed by Done.Wait: the submitted *Kernel comes from a
-// per-device free list and goes back to it afterwards. A kernel failed by a
-// crash is never recycled, because its launch or execution timer may still
-// be pending and would fire into the kernel's next use.
-func (d *Device) Exec(p *sim.Proc, k Kernel) error {
+// Start submits a kernel with k's Owner, Stream, Duration and Occupancy,
+// taken from the per-device free list, and returns it without blocking;
+// hand it to Reap once its Done has fired. On a dead device it fails fast:
+// it returns with Err set and Done already fired.
+func (d *Device) Start(k Kernel) *Kernel {
 	pk := d.newKernel()
 	pk.Owner, pk.Stream, pk.Duration, pk.Occupancy = k.Owner, k.Stream, k.Duration, k.Occupancy
 	d.Submit(pk)
-	pk.Done.Wait(p)
-	err := pk.Err
+	return pk
+}
+
+// Reap returns the error of a kernel from Start whose Done has fired, and
+// recycles the kernel; the caller must not touch it afterwards. A kernel
+// failed by a crash is never recycled, because its launch or execution timer
+// may still be pending and would fire into the kernel's next use.
+func (d *Device) Reap(k *Kernel) error {
+	err := k.Err
 	if !errors.Is(err, faults.ErrDeviceCrashed) {
-		pk.Stream = nil // the free list must not keep the caller's stream
-		d.free = append(d.free, pk)
+		k.Stream = nil // the free list must not keep the caller's stream
+		d.free = append(d.free, k)
 	}
 	return err
+}
+
+// Exec starts a kernel, blocks p until it completes, and reaps it.
+func (d *Device) Exec(p *sim.Proc, k Kernel) error {
+	pk := d.Start(k)
+	pk.Done.Wait(p)
+	return d.Reap(pk)
 }
 
 // newKernel takes a kernel from the free list, re-armed, or makes one.

@@ -44,6 +44,18 @@ func TestKVCacheGrowReleaseAccounting(t *testing.T) {
 	if kc.seqs[1].tokens != 17 || kc.seqs[2].tokens != 40 {
 		t.Fatalf("seq tokens = %d, %d", kc.seqs[1].tokens, kc.seqs[2].tokens)
 	}
+	// Grow only ensures a size: repeating it for a size already covered, as
+	// the LLM decode step does when a preemption restarts its growth pass,
+	// changes no stat and no memory.
+	for _, g := range []struct{ seq, tokens int }{{1, 17}, {1, 12}, {2, 40}} {
+		if err := kc.Grow(g.seq, g.tokens); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := kc.Stats(); got != st || dev.MemoryInUse() != 5*kc.blockBytes || kc.seqs[1].tokens != 17 {
+		t.Fatalf("repeat growth changed the cache: stats %+v (was %+v), memory %d, seq 1 tokens %d",
+			got, st, dev.MemoryInUse(), kc.seqs[1].tokens)
+	}
 
 	kc.Release(1)
 	kc.Release(1) // double release is a no-op

@@ -34,16 +34,6 @@ type LLMProfile struct {
 	decodePerKV  float64 // seconds per resident KV token
 }
 
-// llmCalibration runs one kernel of the given duration on the scratch device
-// and returns the observed wall time (launch + scaled execution).
-func llmCalibrate(p *sim.Proc, dev *gpu.Device, d time.Duration) (time.Duration, error) {
-	start := p.Now()
-	if err := dev.Exec(p, gpu.Kernel{Owner: 0, Duration: d, Occupancy: 1}); err != nil {
-		return 0, err
-	}
-	return time.Duration(p.Now() - start), nil
-}
-
 // ProfileLLM measures an LLM's prefill and decode kernels on a scratch
 // device of the given spec and fits the cost curves. Deterministic: the
 // scratch environment is seeded by the caller's seed and injects no faults.
@@ -51,55 +41,55 @@ func ProfileLLM(name string, spec gpu.Spec, seed int64) (*LLMProfile, error) {
 	if !model.IsLLM(name) {
 		return nil, fmt.Errorf("profiler: %q is not an LLM", name)
 	}
+	// Calibration points: a prefill sweep over prompt tokens, then a decode
+	// grid whose three corners solve the two-regressor plane exactly for a
+	// linear truth (and least-squares-approximate any other).
+	tokens := []int{32, 128, 512}
+	type pt struct{ seqs, kv int }
+	grid := []pt{{1, 256}, {1, 4096}, {8, 256}}
+	durs := make([]time.Duration, 0, len(tokens)+len(grid))
+	for _, tk := range tokens {
+		d, err := model.LLMPrefillTime(name, tk)
+		if err != nil {
+			return nil, fmt.Errorf("profiler: llm calibration for %s: %w", name, err)
+		}
+		durs = append(durs, d)
+	}
+	for _, g := range grid {
+		d, err := model.LLMDecodeStepTime(name, g.seqs, g.kv)
+		if err != nil {
+			return nil, fmt.Errorf("profiler: llm calibration for %s: %w", name, err)
+		}
+		durs = append(durs, d)
+	}
+
+	// Run the calibration kernels back to back, each observed from its
+	// start to its completion (launch + scaled execution).
 	env := sim.NewEnv(seed)
 	spec.StreamBias = 0 // calibration wants the bare kernel cost
 	dev := gpu.New(env, spec)
-
-	prof := &LLMProfile{Model: name, Spec: spec.Name}
-	var runErr error
-	env.Go("llm-profiler", func(p *sim.Proc) {
-		// Prefill sweep: observed time vs prompt tokens.
-		tokens := []int{32, 128, 512}
-		xs := make([]float64, 0, len(tokens))
-		ys := make([]float64, 0, len(tokens))
-		for _, tk := range tokens {
-			d, err := model.LLMPrefillTime(name, tk)
-			if err != nil {
-				runErr = err
-				return
-			}
-			obs, err := llmCalibrate(p, dev, d)
-			if err != nil {
-				runErr = err
-				return
-			}
-			xs = append(xs, float64(tk))
-			ys = append(ys, obs.Seconds())
+	obs := make([]float64, 0, len(durs))
+	var (
+		k      *gpu.Kernel
+		start  sim.Time
+		runErr error
+		next   func()
+	)
+	launch := func() {
+		start = env.Now()
+		k = dev.Start(gpu.Kernel{Owner: 0, Duration: durs[len(obs)], Occupancy: 1})
+		k.Done.Subscribe(next)
+	}
+	next = func() {
+		if runErr = dev.Reap(k); runErr != nil {
+			return
 		}
-		prof.prefill = fitLine(xs, ys)
-
-		// Decode grid: three corners solve the two-regressor plane exactly
-		// for a linear truth (and least-squares-approximate any other).
-		type pt struct{ seqs, kv int }
-		grid := []pt{{1, 256}, {1, 4096}, {8, 256}}
-		obs := make([]float64, len(grid))
-		for i, g := range grid {
-			d, err := model.LLMDecodeStepTime(name, g.seqs, g.kv)
-			if err != nil {
-				runErr = err
-				return
-			}
-			o, err := llmCalibrate(p, dev, d)
-			if err != nil {
-				runErr = err
-				return
-			}
-			obs[i] = o.Seconds()
+		obs = append(obs, time.Duration(env.Now()-start).Seconds())
+		if len(obs) < len(durs) {
+			launch()
 		}
-		prof.decodePerKV = (obs[1] - obs[0]) / float64(grid[1].kv-grid[0].kv)
-		prof.decodePerSeq = (obs[2] - obs[0]) / float64(grid[2].seqs-grid[0].seqs)
-		prof.decodeBase = obs[0] - prof.decodePerKV*float64(grid[0].kv) - prof.decodePerSeq*float64(grid[0].seqs)
-	})
+	}
+	launch()
 	err := env.Run()
 	env.Shutdown()
 	if err != nil {
@@ -108,6 +98,17 @@ func ProfileLLM(name string, spec gpu.Spec, seed int64) (*LLMProfile, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("profiler: llm calibration for %s: %w", name, runErr)
 	}
+
+	prof := &LLMProfile{Model: name, Spec: spec.Name}
+	xs := make([]float64, len(tokens))
+	for i, tk := range tokens {
+		xs[i] = float64(tk)
+	}
+	prof.prefill = fitLine(xs, obs[:len(tokens)])
+	dec := obs[len(tokens):]
+	prof.decodePerKV = (dec[1] - dec[0]) / float64(grid[1].kv-grid[0].kv)
+	prof.decodePerSeq = (dec[2] - dec[0]) / float64(grid[2].seqs-grid[0].seqs)
+	prof.decodeBase = dec[0] - prof.decodePerKV*float64(grid[0].kv) - prof.decodePerSeq*float64(grid[0].seqs)
 	return prof, nil
 }
 

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"olympian/internal/faults"
+	"olympian/internal/fifo"
 	"olympian/internal/gpu"
 	"olympian/internal/llm"
 	"olympian/internal/metrics"
@@ -181,8 +182,10 @@ type LLMStats struct {
 }
 
 // LLMServer serves one autoregressive model on one device with continuous
-// batching. Construction allocates the weights; the engine daemon drives
-// prefill and decode kernels from then on.
+// batching. Construction allocates the weights; from then on the engine, a
+// loop run by event callbacks, launches one prefill or decode kernel at a
+// time and carries on when it completes, idling until the next Submit or
+// Ingest when nothing is runnable.
 type LLMServer struct {
 	env *sim.Env
 	cfg LLMConfig
@@ -190,12 +193,19 @@ type LLMServer struct {
 	kv  *gpu.KVCache
 
 	batch   *llm.Batcher
-	cond    *sim.Cond
-	pending []*llm.Request // decode-role ingests waiting for cache space
+	pending fifo.Ring[*llm.Request] // decode-role ingests waiting for cache space
 
-	// Decode-step scratch, reused across steps and empty between them. Only
-	// the engine daemon touches it, and it runs one step at a time.
-	grown   map[*llm.Request]bool
+	// idle is set while no wake is queued and no kernel is in flight. wake
+	// and done are loop and kernelDone, bound once.
+	idle       bool
+	wake, done func()
+	// The step in flight: its kernel (nil when none) and the shape to
+	// relaunch, its start, its prefill request (nil for a decode step), and
+	// the decode step's membership, cleared when the step ends.
+	k       *gpu.Kernel
+	kernel  gpu.Kernel
+	kstart  sim.Time
+	prefill *llm.Request
 	running []*llm.Request
 
 	reqCount int
@@ -273,8 +283,6 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		dev:      dev,
 		kv:       gpu.NewKVCache(dev, kvBlockTokens, kvPerTok),
 		batch:    llm.NewBatcher(cfg.MaxSeqs),
-		cond:     env.NewCond(fmt.Sprintf("llm-engine-%d", cfg.Device)),
-		grown:    make(map[*llm.Request]bool),
 		kvBudget: cfg.Spec.MemoryBytes - weights,
 		rec:      cfg.Obs,
 		obsDev:   cfg.Device,
@@ -310,8 +318,8 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 		reg.CounterView("olympian_llm_tpot_miss_total", "Completions over the TPOT budget.", &s.byClass[cls].DeadlineMisses, "device", devLabel, "class", cl)
 	}
 
-	proc := env.Go(fmt.Sprintf("llm-engine-%d", cfg.Device), s.drive)
-	proc.SetDaemon(true)
+	s.wake, s.done = s.loop, s.kernelDone
+	env.Schedule(0, s.wake)
 	return s, nil
 }
 
@@ -362,7 +370,7 @@ func (s *LLMServer) Submit(r *llm.Request, modelName string, class overload.Clas
 		r.AdmitCost = int32(cost)
 	}
 	s.batch.Enqueue(r)
-	s.cond.Signal()
+	s.signal()
 	return nil
 }
 
@@ -390,8 +398,8 @@ func (s *LLMServer) Ingest(r *llm.Request, class overload.Class, prompt, output,
 	r.LastTokenAt = lastTokenAt
 	s.ingested++
 	s.rec.Instant(obs.LayerServing, "llm_ingest", r.ID, int(class), s.obsDev, int64(r.KVTokens()))
-	s.pending = append(s.pending, r)
-	s.cond.Signal()
+	s.pending.PushBack(r)
+	s.signal()
 	return nil
 }
 
@@ -405,58 +413,63 @@ func (s *LLMServer) OnCrash() int {
 	now := s.env.Now()
 	queued, ready, running := s.batch.TakeAll()
 	drained := 0
-	fail := func(rs []*llm.Request) {
+	fail := func(r *llm.Request) {
+		if r.Finished() {
+			return
+		}
+		s.kv.Release(r.ID)
+		s.bookFail(r, ErrDrained, now)
+		drained++
+	}
+	for _, rs := range [...][]*llm.Request{queued, ready, running} {
 		for _, r := range rs {
-			if r.Finished() {
-				continue
-			}
-			s.kv.Release(r.ID)
-			s.bookFail(r, ErrDrained, now)
-			drained++
+			fail(r)
 		}
 	}
-	fail(queued)
-	fail(ready)
-	fail(running)
-	pend := s.pending
-	s.pending = nil
-	fail(pend)
+	for s.pending.Len() > 0 {
+		fail(s.pending.PopFront())
+	}
 	return drained
 }
 
 // runnable reports whether the engine has anything to do.
-func (s *LLMServer) runnable() bool { return s.batch.HasWork() || len(s.pending) > 0 }
+func (s *LLMServer) runnable() bool { return s.batch.HasWork() || s.pending.Len() > 0 }
 
-// drive is the engine daemon: admit ingests, re-form the batch at the token
-// boundary, then run one prefill pass or one fused decode step.
-func (s *LLMServer) drive(p *sim.Proc) {
-	for {
-		if s.dev.Dead() || !s.runnable() {
-			s.cond.Wait(p)
-			continue
-		}
+// signal wakes the engine if it idles; a busy one looks for work again
+// before it idles.
+func (s *LLMServer) signal() {
+	if s.idle {
+		s.idle = false
+		s.env.Schedule(0, s.wake)
+	}
+}
+
+// loop is the engine: admit ingests, re-form the batch at the token
+// boundary, then launch one prefill pass or one fused decode step. It
+// returns once a kernel is in flight, for kernelDone to carry on, or when
+// nothing is runnable, idling the engine.
+func (s *LLMServer) loop() {
+	for !s.dev.Dead() && s.runnable() {
 		s.admitIngests()
 		// Ready sequences join at the token boundary, up to MaxSeqs.
 		for s.batch.PromoteOne() != nil {
 		}
+		var started bool
 		if r := s.batch.NextPrefill(); r != nil {
-			if s.expireTTFT(r, p.Now()) {
-				continue
-			}
-			s.runPrefill(p, r)
-			continue
-		}
-		if len(s.batch.Running()) > 0 {
-			s.runDecodeStep(p)
-			continue
-		}
-		if s.runnable() {
+			started = !s.expireTTFT(r, s.env.Now()) && s.startPrefill(r)
+		} else if len(s.batch.Running()) > 0 {
+			started = s.startDecodeStep()
+		} else {
 			// Nothing schedulable this instant (ingests blocked on memory
 			// with the batch otherwise empty were failed above); wait for
 			// the next signal rather than spinning.
-			s.cond.Wait(p)
+			break
+		}
+		if started {
+			return
 		}
 	}
+	s.idle = true
 }
 
 // admitIngests seats pending ingests while their KV fits. A head that cannot
@@ -464,32 +477,25 @@ func (s *LLMServer) drive(p *sim.Proc) {
 // which case the device is as empty as it will ever be and the sequence can
 // never fit.
 func (s *LLMServer) admitIngests() {
-	for len(s.pending) > 0 {
-		r := s.pending[0]
+	for s.pending.Len() > 0 {
+		r := s.pending.At(0)
 		if r.Finished() { // crash-unwound while waiting
-			s.popPending()
+			s.pending.PopFront()
 			continue
 		}
 		if err := s.kv.Grow(r.ID, r.KVTokens()); err != nil {
 			if s.batch.Idle() {
 				s.kvFailC.Inc()
 				s.rec.Instant(obs.LayerServing, "llm_kv_exhausted", r.ID, int(r.Class), s.obsDev, int64(r.KVTokens()))
-				s.popPending()
+				s.pending.PopFront()
 				s.bookFail(r, ErrKVExhausted, s.env.Now())
 				continue
 			}
 			return
 		}
-		s.popPending()
+		s.pending.PopFront()
 		s.batch.Admit(r)
 	}
-}
-
-// popPending drops the head ingest, clearing its slot so the array keeps no
-// pointer to a request its caller may reuse.
-func (s *LLMServer) popPending() {
-	s.pending[0] = nil
-	s.pending = s.pending[1:]
 }
 
 // congest feeds a KV-pressure or SLO-failure signal to the token-rate
@@ -567,53 +573,52 @@ func (s *LLMServer) checkDegraded(now sim.Time) {
 	}
 }
 
-// runPrefill executes one prefill pass (first or recompute) for r.
-func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
+// startPrefill begins one prefill pass (first or recompute) for r and
+// reports whether its kernel is in flight.
+func (s *LLMServer) startPrefill(r *llm.Request) bool {
+	now := s.env.Now()
 	if r.PrefillStartAt == 0 {
-		r.PrefillStartAt = p.Now()
+		r.PrefillStartAt = now
 		s.qdHist.Observe(r.QueueDelay())
 	}
-	tokens := r.PromptTokens + r.TokensOut
+	tokens := r.KVTokens()
 	if err := s.kv.Grow(r.ID, tokens); err != nil {
 		if len(s.batch.Running()) > 0 {
 			// Memory frees as running sequences finish; keep our place.
 			s.batch.EnqueueFront(r)
-			s.runDecodeStep(p)
-			return
+			return s.startDecodeStep()
 		}
 		s.kvFailC.Inc()
 		s.rec.Instant(obs.LayerServing, "llm_kv_exhausted", r.ID, int(r.Class), s.obsDev, int64(tokens))
-		s.congest(p.Now())
-		s.bookFail(r, ErrKVExhausted, p.Now())
-		return
+		s.congest(now)
+		s.bookFail(r, ErrKVExhausted, now)
+		return false
 	}
 	dur, err := model.LLMPrefillTime(s.cfg.Model, tokens)
 	if err != nil {
 		s.kv.Release(r.ID)
-		s.bookFail(r, err, p.Now())
-		return
+		s.bookFail(r, err, now)
+		return false
 	}
-	start := p.Now()
-	for {
-		err := s.dev.Exec(p, gpu.Kernel{Owner: r.ID, Duration: dur, Occupancy: 1})
-		if err == nil {
-			break
-		}
-		if errors.Is(err, faults.ErrDeviceCrashed) {
-			if !r.Finished() {
-				s.kv.Release(r.ID)
-				s.bookFail(r, ErrDrained, p.Now())
-			}
-			return
-		}
-		s.kernelRetries++
-	}
+	s.prefill, s.kstart = r, now
+	s.kernel = gpu.Kernel{Owner: r.ID, Duration: dur, Occupancy: 1}
+	return s.start()
+}
+
+// endPrefill ends r's prefill pass once its kernel completed with err: nil,
+// or the crash that failed it.
+func (s *LLMServer) endPrefill(r *llm.Request, err error) {
 	if r.Finished() {
 		return
 	}
+	now := s.env.Now()
+	if err != nil {
+		s.kv.Release(r.ID)
+		s.bookFail(r, ErrDrained, now)
+		return
+	}
 	s.prefillsC.Inc()
-	now := p.Now()
-	s.rec.Span(obs.LayerServing, "llm_prefill", r.ID, int(r.Class), s.obsDev, start, now, int64(tokens))
+	s.rec.Span(obs.LayerServing, "llm_prefill", r.ID, int(r.Class), s.obsDev, s.kstart, now, int64(r.KVTokens()))
 	if r.TokensOut == 0 {
 		// The prefill pass samples the first output token; recomputes
 		// (TokensOut > 0) rebuild KV without re-emitting anything.
@@ -643,17 +648,17 @@ func (s *LLMServer) runPrefill(p *sim.Proc, r *llm.Request) {
 	}
 }
 
-// runDecodeStep grows every running sequence by one token (preempting on
-// exhaustion), executes one fused decode kernel, and retires sequences that
-// met their budget — the token boundary where membership changes.
-func (s *LLMServer) runDecodeStep(p *sim.Proc) {
-	grown := s.grown
+// startDecodeStep grows every running sequence by one token (preempting on
+// exhaustion) and launches one fused decode kernel over the batch, reporting
+// whether it is in flight. endDecodeStep retires the sequences that met
+// their budget: the token boundary where membership changes.
+func (s *LLMServer) startDecodeStep() bool {
+	now := s.env.Now()
+	// Grow only ensures a size, so after a preemption the pass restarts and
+	// the sequences it already grew cost nothing.
 growth:
 	for {
 		for _, r := range s.batch.Running() {
-			if grown[r] {
-				continue
-			}
 			if err := s.kv.Grow(r.ID, r.KVTokens()+1); err != nil {
 				v := s.batch.Victim()
 				if v == nil {
@@ -662,75 +667,107 @@ growth:
 					s.kv.Release(r.ID)
 					s.kvFailC.Inc()
 					s.rec.Instant(obs.LayerServing, "llm_kv_exhausted", r.ID, int(r.Class), s.obsDev, int64(r.KVTokens()))
-					s.congest(p.Now())
-					s.bookFail(r, ErrKVExhausted, p.Now())
+					s.congest(now)
+					s.bookFail(r, ErrKVExhausted, now)
 					continue growth
 				}
 				s.kv.Release(v.ID)
 				v.Preemptions++
 				s.preemptions++
 				s.rec.Instant(obs.LayerServing, "llm_preempt", v.ID, int(v.Class), s.obsDev, int64(v.KVTokens()))
-				s.congest(p.Now())
+				s.congest(now)
 				s.batch.EnqueueFront(v)
-				delete(grown, v)
 				continue growth
 			}
-			grown[r] = true
 		}
 		break
 	}
-	clear(grown)
-	// Copy the membership: the step's kernel blocks, and a drain may change
-	// the batch meanwhile. The copy is cleared when the step ends, so no
-	// pointer to a finished request, whose record its caller may reuse,
-	// survives until the next step.
-	running := append(s.running[:0], s.batch.Running()...)
-	s.running = running
-	if len(running) == 0 {
-		return
+	// Copy the membership: a drain may change the batch while the step's
+	// kernel runs. endDecodeStep clears the copy, so no pointer to a
+	// finished request, whose record its caller may reuse, survives until
+	// the next step.
+	s.running = append(s.running[:0], s.batch.Running()...)
+	if len(s.running) == 0 {
+		return false
 	}
-	defer clear(running)
 	// Token-boundary degradation check: membership for this step is final
 	// and KV is at its post-growth peak.
-	s.checkDegraded(p.Now())
-	dur, err := model.LLMDecodeStepTime(s.cfg.Model, len(running), s.batch.KVTokens())
+	s.checkDegraded(now)
+	dur, err := model.LLMDecodeStepTime(s.cfg.Model, len(s.running), s.batch.KVTokens())
 	if err != nil {
-		return
+		clear(s.running)
+		return false
 	}
-	start := p.Now()
-	for {
-		err := s.dev.Exec(p, gpu.Kernel{Owner: -1, Duration: dur, Occupancy: 1})
-		if err == nil {
-			break
-		}
-		if errors.Is(err, faults.ErrDeviceCrashed) {
-			for _, r := range running {
-				if r.Finished() {
-					continue
-				}
-				s.batch.Leave(r)
-				s.kv.Release(r.ID)
-				s.bookFail(r, ErrDrained, p.Now())
-			}
-			return
-		}
-		s.kernelRetries++ // transient fault: re-run the step, no tokens emitted
+	s.kstart = now
+	s.kernel = gpu.Kernel{Owner: -1, Duration: dur, Occupancy: 1}
+	return s.start()
+}
+
+// endDecodeStep ends the decode step once its kernel completed with err:
+// nil, or the crash that failed it.
+func (s *LLMServer) endDecodeStep(err error) {
+	now := s.env.Now()
+	if err == nil {
+		s.stepsC.Inc()
+		s.rec.Span(obs.LayerServing, "llm_decode_step", obs.NoReq, obs.NoClass, s.obsDev, s.kstart, now, int64(len(s.running)))
 	}
-	s.stepsC.Inc()
-	now := p.Now()
-	s.rec.Span(obs.LayerServing, "llm_decode_step", obs.NoReq, obs.NoClass, s.obsDev, start, now, int64(len(running)))
-	for _, r := range running {
-		if r.Finished() {
-			continue
-		}
-		r.TokensOut++
-		r.LastTokenAt = now
-		s.tokensEmitted++
-		if r.TokensOut >= r.OutputTokens {
+	for _, r := range s.running {
+		switch {
+		case r.Finished():
+		case err != nil:
 			s.batch.Leave(r)
 			s.kv.Release(r.ID)
-			s.bookComplete(r, now)
+			s.bookFail(r, ErrDrained, now)
+		default:
+			r.TokensOut++
+			r.LastTokenAt = now
+			s.tokensEmitted++
+			if r.TokensOut >= r.OutputTokens {
+				s.batch.Leave(r)
+				s.kv.Release(r.ID)
+				s.bookComplete(r, now)
+			}
 		}
+	}
+	clear(s.running)
+}
+
+// start submits the step's kernel, which the step's start half shaped, and
+// reports whether it is in flight. On a dead device it fails fast, with
+// Done already fired, so the step ends here rather than in a callback.
+func (s *LLMServer) start() bool {
+	s.k = s.dev.Start(s.kernel)
+	if s.k.Err != nil {
+		return s.reap()
+	}
+	s.k.Done.Subscribe(s.done)
+	return true
+}
+
+// reap collects the step's kernel once it has completed. A transient fault
+// relaunches it, and reap reports whether the relaunch is in flight; any
+// other outcome, success or a crash, ends the step.
+func (s *LLMServer) reap() bool {
+	err := s.dev.Reap(s.k)
+	s.k = nil
+	if err != nil && !errors.Is(err, faults.ErrDeviceCrashed) {
+		s.kernelRetries++ // transient fault: re-run the kernel, no tokens emitted
+		return s.start()
+	}
+	if r := s.prefill; r != nil {
+		s.prefill = nil
+		s.endPrefill(r, err)
+	} else {
+		s.endDecodeStep(err)
+	}
+	return false
+}
+
+// kernelDone is the step kernel's completion callback: unless reap
+// relaunched the kernel, the engine carries on.
+func (s *LLMServer) kernelDone() {
+	if !s.reap() {
+		s.loop()
 	}
 }
 

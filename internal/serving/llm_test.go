@@ -354,9 +354,9 @@ func TestLLMRecomputeDoesNotReEmit(t *testing.T) {
 
 // TestLLMKeepsNoFinishedRequests checks that a replica keeps no pointer to a
 // request once it is done, since the caller may reuse the record: after a
-// run, the decode step's membership copy and the array the pending ingests
-// were popped from hold only nil slots — also when a crash lands while a
-// decode step is in flight.
+// run, the decode step's membership copy holds only nil slots and the
+// pending-ingest ring is empty (a ring clears the slots it pops) — also
+// when a crash lands while a decode step is in flight.
 func TestLLMKeepsNoFinishedRequests(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -373,14 +373,12 @@ func TestLLMKeepsNoFinishedRequests(t *testing.T) {
 				srv.Device().SetCrashObserver(func(time.Duration) { srv.OnCrash() })
 			}
 			rs := make([]llm.Request, 4)
-			var pending []*llm.Request
 			env.Schedule(0, func() {
 				for i := range rs {
 					if err := srv.Ingest(&rs[i], 0, 32, 400, 1, 0, 0, 0); err != nil {
 						t.Errorf("ingest %d: %v", i, err)
 					}
 				}
-				pending = srv.pending[:cap(srv.pending)]
 			})
 			if err := env.Run(); err != nil {
 				t.Fatal(err)
@@ -395,10 +393,8 @@ func TestLLMKeepsNoFinishedRequests(t *testing.T) {
 					t.Fatalf("request %d must drain mid-decode with tokens delivered: err=%v emitted=%d", i, r.Err, r.EmittedHere())
 				}
 			}
-			for i, r := range pending {
-				if r != nil {
-					t.Errorf("pending array slot %d still holds request %d", i, r.ID)
-				}
+			if n := srv.pending.Len(); n != 0 {
+				t.Errorf("%d ingests still pending", n)
 			}
 			for i, r := range srv.running[:cap(srv.running)] {
 				if r != nil {

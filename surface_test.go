@@ -59,7 +59,39 @@ var knobAllow = map[string]string{
 	"workload.Config.Telemetry":         "oracle: one of the two pins of TestObservedRunCounters",
 }
 
-// repoScan scans the repository once for all three gates.
+// procAllow lists every non-test function outside internal/sim that starts
+// a proc ((*sim.Env).Go) or takes a *sim.Proc parameter, directly or in a
+// function literal or function type inside it, each with the stage of
+// ROADMAP item 13 that makes it an event callback.
+var procAllow = map[string]string{
+	"core.Scheduler.Deregister":      "stage 4: core's hooks keep only the callback form",
+	"core.Scheduler.NodeDone":        "stage 4: core's hooks keep only the callback form",
+	"core.Scheduler.Register":        "stage 4: core's hooks keep only the callback form",
+	"core.Scheduler.Yield":           "stage 4: core's hooks keep only the callback form",
+	"executor.Engine.Run":            "stage 4: the session thread",
+	"executor.Engine.compute":        "stage 4: the session thread",
+	"executor.Engine.computeSliced":  "stage 4: the session thread",
+	"executor.Engine.process":        "stage 4: the session thread",
+	"executor.Engine.runTask":        "stage 4: the session thread",
+	"executor.Engine.submitKernel":   "stage 4: the session thread",
+	"executor.NewThreadPool":         "stage 4: the session thread's pool workers",
+	"executor.NopHooks.Deregister":   "stage 4: core's hooks keep only the callback form",
+	"executor.NopHooks.NodeDone":     "stage 4: core's hooks keep only the callback form",
+	"executor.NopHooks.Register":     "stage 4: core's hooks keep only the callback form",
+	"executor.NopHooks.Yield":        "stage 4: core's hooks keep only the callback form",
+	"executor.ThreadPool.spawn":      "stage 4: the session thread's pool workers",
+	"executor.ThreadPool.workerLoop": "stage 4: the session thread's pool workers",
+	"gpu.Device.Exec":                "stage 5: the proc forms of the primitives go",
+	"profiler.MeasureOnlineOverhead": "stage 4: the profiler's runs",
+	"profiler.ProfileSolo":           "stage 4: the profiler's runs",
+	"profiler.pairFinish":            "stage 4: the profiler's runs",
+	"serving.Server.flush":           "stage 2: the per-batch proc, once stage 4 lets Engine.Run return",
+	"serving.Server.runBatch":        "stage 2: the per-batch proc, once stage 4 lets Engine.Run return",
+	"serving.batchRun.run":           "stage 2: the per-batch proc, once stage 4 lets Engine.Run return",
+	"workload.Run":                   "stage 4: the closed-loop clients",
+}
+
+// repoScan scans the repository once for all four gates.
 var repoScan = sync.OnceValues(func() (surfaceScan, error) { return scanDecls(".", "bench") })
 
 // TestInternalSurface keeps the code to what non-test code calls. Every
@@ -104,6 +136,22 @@ func TestConfigKnobsSet(t *testing.T) {
 	}
 }
 
+// TestProcSites keeps sim.Proc from spreading while ROADMAP item 13 retires
+// it: every non-test function outside internal/sim that starts a proc or
+// takes one is listed in procAllow, and every entry still does.
+func TestProcSites(t *testing.T) {
+	scan, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range surfaceProblems(scan.procFree, procAllow, procUse, "no longer a proc site") {
+		t.Error(p)
+	}
+}
+
+// procUse says what makes a function a proc site, for the gate's message.
+const procUse = "starts a proc or takes a *sim.Proc"
+
 // TestSurfaceGateFixture runs the gates over testdata/surface: a root module
 // with one declaration, field or knob per case, and a second module in
 // bench/'s place.
@@ -147,6 +195,14 @@ func TestSurfaceGateFixture(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("knob problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+	got = surfaceProblems(scan.procFree, map[string]string{"a.Spawn": "listed", "a.Used": "stale"}, procUse, "no longer a proc site")
+	want = []string{
+		"a.T.Step: " + procUse + "; delete it, or allowlist it with a reason",
+		"a.Used: allowlisted but no longer a proc site; drop its entry",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("proc-site problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // surfaceProblems names each declaration missing from allow that the gate
@@ -187,9 +243,12 @@ type listedPkg struct {
 // to whether non-test code reads it; keys are "pkg.Type.field". knobs maps
 // each exported field of an exported internal/ or cmd/internal/ type named
 // *Config to whether a non-test file of another package writes it; keys are
-// "pkg.Type.Field".
+// "pkg.Type.Field". procFree maps each non-test function and method of
+// root's packages other than internal/sim to whether it neither calls
+// (*sim.Env).Go nor takes a *sim.Proc parameter (see procSite); keys are
+// "pkg.Name" or "pkg.Type.Method".
 type surfaceScan struct {
-	decls, fields, knobs map[string]bool
+	decls, fields, knobs, procFree map[string]bool
 }
 
 // scanDecls type-checks the non-test files of the module at root and of the
@@ -218,6 +277,7 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 		defs     map[*ast.Ident]types.Object
 	}
 	var scope []scoped
+	procFree := map[string]bool{}
 	for i, dir := range append([]string{root}, others...) {
 		if i > 0 {
 			dir = filepath.Join(root, dir)
@@ -274,11 +334,20 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 			if i == 0 && p.Module != nil {
 				rel := strings.TrimPrefix(p.ImportPath, p.Module.Path+"/")
 				scope = append(scope, scoped{pkg, strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/internal/"), files, info.Defs})
+				if rel != "internal/sim" {
+					for _, f := range files {
+						for _, d := range f.Decls {
+							if fd, ok := d.(*ast.FuncDecl); ok {
+								procFree[path.Base(p.ImportPath)+"."+funcKey(fd, info)] = !procSite(fd, info)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
 	ifaces := loadedInterfaces(imp.pkgs)
-	scan := surfaceScan{decls: map[string]bool{}, fields: map[string]bool{}, knobs: map[string]bool{}}
+	scan := surfaceScan{decls: map[string]bool{}, fields: map[string]bool{}, knobs: map[string]bool{}, procFree: procFree}
 	decls := scan.decls
 	for _, sc := range scope {
 		base := path.Base(sc.pkg.Path())
@@ -310,6 +379,53 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 		}
 	}
 	return scan, nil
+}
+
+// funcKey names a declared function "Name", or a method "Type.Name".
+func funcKey(fd *ast.FuncDecl, info *types.Info) string {
+	recv := info.Defs[fd.Name].Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fd.Name.Name
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj().Name() + "." + fd.Name.Name
+}
+
+// procSite reports whether fd calls (*sim.Env).Go, or has a *sim.Proc
+// parameter in its signature or in any function literal or function type
+// inside it.
+func procSite(fd *ast.FuncDecl, info *types.Info) bool {
+	found := false
+	ast.Inspect(fd, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncType:
+			for _, fld := range n.Params.List {
+				if p, ok := info.TypeOf(fld.Type).(*types.Pointer); ok && isSim(p.Elem(), "Proc") {
+					found = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if fn, ok := info.Uses[n.Sel].(*types.Func); ok && fn.Name() == "Go" {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					if p, ok := recv.Type().(*types.Pointer); ok && isSim(p.Elem(), "Env") {
+						found = true
+					}
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isSim reports whether t is the type called name in a module's internal/sim
+// package.
+func isSim(t types.Type, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && strings.HasSuffix(n.Obj().Pkg().Path(), "/internal/sim")
 }
 
 // writtenFields returns the field selectors and composite-literal keys in

@@ -10,3 +10,6 @@ func Run() int {
 }
 
 var _ a.Namer = a.T{}
+
+// The proc-site cases: the root module uses both.
+var _, _ = a.Spawn, a.T.Step

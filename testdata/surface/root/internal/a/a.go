@@ -1,6 +1,8 @@
 // Package a holds one export per case the surface gate decides.
 package a
 
+import "fixture/internal/sim"
+
 // Namer is satisfied by T, so T.Name counts as used.
 type Namer interface{ Name() string }
 
@@ -70,3 +72,9 @@ func Apply(c Config) int {
 	c = c.withDefaults()
 	return c.FromRoot + c.FromOther + c.Defaulted + c.TestOnly + c.Allowed
 }
+
+// Spawn starts a proc: a proc site, allowlisted.
+func Spawn(e *sim.Env) { e.Go("spawned", func() {}) }
+
+// Step takes a proc: a proc site, not allowlisted.
+func (T) Step(p *sim.Proc) {}
