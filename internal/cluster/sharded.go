@@ -30,13 +30,14 @@
 //
 // Determinism: the construction in package sim makes each shard's execution a
 // pure function of its initial state plus the barrier mail order, and every
-// stack draws randomness from private streams (serving.Config.IsolateRand),
+// stack draws randomness from its own private stream (serving.NewServer),
 // so the sharded engine and the single-heap reference engine produce
 // bit-identical stats, decision hashes, and lifecycle traces.
 package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -153,6 +154,7 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 	for i, spec := range cfg.Devices {
 		env := c.shards.Env(i + 1)
 		inj := injector(cfg.Faults, cfg.Seed, i)
+		seed := cfg.Seed + int64(i)*101
 		srv, err := serving.NewServer(env, serving.Config{
 			Spec:               spec,
 			UseOlympian:        true,
@@ -160,14 +162,13 @@ func NewSharded(cfg Config, engine Engine) (*ShardedCluster, error) {
 			BatchTimeout:       cfg.BatchTimeout,
 			MaxQueue:           cfg.MaxQueue,
 			Deadline:           cfg.Deadline,
-			Seed:               cfg.Seed + int64(i)*101,
+			Seed:               seed,
 			Faults:             inj,
 			Admission:          cfg.Admission,
 			Obs:                c.children[i+1],
 			Device:             i,
-			IsolateRand:        true,
 			TestStrandDrainNth: cfg.TestStrandDrainNth,
-		})
+		}, rand.New(rand.NewSource(seed+811)))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
 		}

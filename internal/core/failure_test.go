@@ -167,7 +167,7 @@ func TestInjectedAbortsNeverStrandToken(t *testing.T) {
 	// fairness holds among clients once their aborted batches are retried.
 	q := 300 * time.Microsecond
 	env := sim.NewEnv(5)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	sched := New(env, dev, Config{Quantum: q, SwitchCost: 0})
 	inj := faults.New(5, faults.Plan{AbortRate: 0.002})
 	eng := executor.New(env, dev, executor.Config{Faults: inj}, sched)

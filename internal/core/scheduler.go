@@ -24,7 +24,6 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"time"
 
@@ -113,7 +112,6 @@ type Scheduler struct {
 	env *sim.Env
 	dev *gpu.Device
 	cfg Config
-	rng *rand.Rand // nil: fall back to the environment's shared source
 
 	profiles map[*graph.Graph]*JobProfile
 
@@ -129,10 +127,7 @@ type Scheduler struct {
 	active        []*executor.Job // pick's scratch, reused at every hand-off
 }
 
-var (
-	_ executor.Hooks        = (*Scheduler)(nil)
-	_ executor.JobCanceller = (*Scheduler)(nil)
-)
+var _ executor.Hooks = (*Scheduler)(nil)
 
 // New returns a scheduler for dev. Profiles are attached per graph with
 // SetProfile; jobs whose graph has no profile fall back to nominal node
@@ -161,7 +156,7 @@ func (s *Scheduler) SetProfile(g *graph.Graph, p *JobProfile) { s.profiles[g] = 
 // Register implements executor.Hooks (Algorithm 2 line 4). The job's
 // record comes from the free list when one is there, so a steady stream of
 // jobs reuses both the records and their condition variables.
-func (s *Scheduler) Register(p *sim.Proc, job *executor.Job) {
+func (s *Scheduler) Register(job *executor.Job) {
 	var js *jobState
 	if n := len(s.free); n > 0 {
 		js = s.free[n-1]
@@ -178,7 +173,7 @@ func (s *Scheduler) Register(p *sim.Proc, job *executor.Job) {
 }
 
 // Deregister implements executor.Hooks (Algorithm 2 line 7).
-func (s *Scheduler) Deregister(p *sim.Proc, job *executor.Job) {
+func (s *Scheduler) Deregister(job *executor.Job) {
 	idx := -1
 	for i, js := range s.jobs {
 		if js.job == job {
@@ -238,7 +233,7 @@ func (s *Scheduler) Yield(p *sim.Proc, job *executor.Job) {
 	}
 }
 
-// Cancel implements executor.JobCanceller: when a job is aborted, its gang
+// Cancel implements executor.Hooks: when a job is aborted, its gang
 // threads may be parked on the job's condition variable waiting for the
 // token. Waking them lets each observe the abort in Yield and unwind, so
 // the job reaches Deregister — where the token, if held, is handed off —
@@ -254,7 +249,7 @@ func (s *Scheduler) Cancel(job *executor.Job) {
 // NodeDone implements executor.Hooks (Algorithm 2 lines 14-18): accumulate
 // the node's profiled cost and rotate the token when the threshold is
 // crossed.
-func (s *Scheduler) NodeDone(p *sim.Proc, job *executor.Job, n *graph.Node) {
+func (s *Scheduler) NodeDone(job *executor.Job, n *graph.Node) {
 	js := s.state(job)
 	if js == nil || !n.IsGPU() {
 		return
@@ -270,7 +265,7 @@ func (s *Scheduler) NodeDone(p *sim.Proc, job *executor.Job, n *graph.Node) {
 			s.rotate(js)
 		}
 	case WallClock:
-		if s.holder == js && p.Now().Sub(s.intervalStart) >= s.cfg.Quantum {
+		if s.holder == js && s.env.Now().Sub(s.intervalStart) >= s.cfg.Quantum {
 			s.rotate(js)
 		}
 	}
@@ -313,19 +308,8 @@ func (s *Scheduler) rotate(current *jobState) {
 	s.grant(next)
 }
 
-// SetRand gives the scheduler a private random source in place of the
-// environment's shared one; see gpu.Device.SetRand.
-func (s *Scheduler) SetRand(r *rand.Rand) { s.rng = r }
-
-// rand returns the scheduler's random source.
-func (s *Scheduler) rand() *rand.Rand {
-	if s.rng != nil {
-		return s.rng
-	}
-	return s.env.Rand()
-}
-
-// pick asks the policy for the next holder.
+// pick asks the policy for the next holder; its tie-breaks draw from the
+// device's stack stream.
 func (s *Scheduler) pick(last *executor.Job) *jobState {
 	if len(s.jobs) == 0 {
 		return nil
@@ -335,7 +319,7 @@ func (s *Scheduler) pick(last *executor.Job) *jobState {
 		active = append(active, js.job)
 	}
 	s.active = active
-	chosen := s.cfg.Policy.Grant(s.rand(), active, last)
+	chosen := s.cfg.Policy.Grant(s.dev.Rand(), active, last)
 	if chosen == nil {
 		return nil
 	}

@@ -62,7 +62,7 @@ type harness struct {
 func newHarness(t *testing.T, seed int64, cfg Config) *harness {
 	t.Helper()
 	env := sim.NewEnv(seed)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	sched := New(env, dev, cfg)
 	eng := executor.New(env, dev, executor.Config{}, sched)
 	h := &harness{env: env, dev: dev, eng: eng, sched: sched}
@@ -396,13 +396,13 @@ type recycleCheck struct {
 	seen map[*jobState]bool
 }
 
-func (c *recycleCheck) Register(p *sim.Proc, job *executor.Job) {
-	c.Scheduler.Register(p, job)
+func (c *recycleCheck) Register(job *executor.Job) {
+	c.Scheduler.Register(job)
 	c.seen[c.jobs[len(c.jobs)-1]] = true
 }
 
-func (c *recycleCheck) Deregister(p *sim.Proc, job *executor.Job) {
-	c.Scheduler.Deregister(p, job)
+func (c *recycleCheck) Deregister(job *executor.Job) {
+	c.Scheduler.Deregister(job)
 	for name, list := range map[string][]*jobState{"jobs": c.jobs, "free": c.free} {
 		for i, js := range list[len(list):cap(list)] {
 			if js != nil {

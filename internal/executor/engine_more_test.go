@@ -30,7 +30,7 @@ func TestMaxInflightBoundsConcurrentKernels(t *testing.T) {
 	// 8 parallel 0.1-occupancy kernels would all fit on the device, but a
 	// per-job in-flight limit of 2 serializes them into 4 waves.
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{MaxInflight: 2}, nil)
 	g := wideGraph(t, 8, 4*time.Millisecond, 0.1)
 	job := new(Job)
@@ -65,7 +65,7 @@ func TestBFSOrderIsLevelOrder(t *testing.T) {
 	}
 
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	var order []string
 	eng.NodeObserver = func(_ *Job, n *graph.Node, _, _ time.Duration) {
@@ -88,7 +88,7 @@ func TestBFSOrderIsLevelOrder(t *testing.T) {
 
 func TestStreamCarriesClientID(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	rec := obs.NewRecorder()
 	rec.Bind(env, "stream")
 	eng := New(env, dev, Config{Obs: rec}, nil)
@@ -118,7 +118,7 @@ func TestStreamCarriesClientID(t *testing.T) {
 
 func TestProfilingFactorScalesWithGraph(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{OnlineProfilingTax: 10 * time.Microsecond}, nil)
 	// Graph with lots of nodes per unit of GPU work gets a bigger factor.
 	dense := wideGraph(t, 10, 100*time.Microsecond, 0.1)
@@ -138,7 +138,7 @@ func TestKernelSlicingSplitsAndPays(t *testing.T) {
 	// A 1ms kernel with 400us slices runs as 3 slices; the two later
 	// slices each pay the 100us penalty: 1ms + 200us total.
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{
 		KernelSliceDur:     400 * time.Microsecond,
 		KernelSlicePenalty: 100 * time.Microsecond,
@@ -162,7 +162,7 @@ func TestKernelSlicingSplitsAndPays(t *testing.T) {
 
 func TestKernelSlicingLeavesSmallKernelsAlone(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{
 		KernelSliceDur:     400 * time.Microsecond,
 		KernelSlicePenalty: 100 * time.Microsecond,

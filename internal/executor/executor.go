@@ -15,7 +15,6 @@ package executor
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -65,27 +64,22 @@ func (j *Job) Aborted() bool { return j.aborted }
 func (j *Job) Err() error { return j.err }
 
 // Hooks is the scheduler interface: the points at which Olympian (or any
-// other policy) intercepts the processing loop.
+// other policy) intercepts the processing loop. Only Yield may park the
+// calling thread.
 type Hooks interface {
 	// Register is called when a job starts (Algorithm 2 line 4).
-	Register(p *sim.Proc, job *Job)
+	Register(job *Job)
 	// Deregister is called when a job completes (line 7).
-	Deregister(p *sim.Proc, job *Job)
+	Deregister(job *Job)
 	// Yield is called before each node executes (line 12); it may suspend
 	// the calling thread until its job is granted GPU access.
 	Yield(p *sim.Proc, job *Job)
 	// NodeDone is called after each node executes (lines 14-18): the point
 	// where GPU cost is accumulated and quantum expiry detected.
-	NodeDone(p *sim.Proc, job *Job, n *graph.Node)
-}
-
-// JobCanceller is an optional extension of Hooks: a scheduler that parks
-// gang threads (Olympian's Yield) must implement it so that an aborted
-// job's threads are woken and can unwind instead of waiting for a token
-// that may never come.
-type JobCanceller interface {
-	// Cancel is called once when job is aborted; implementations wake any
-	// of the job's parked threads.
+	NodeDone(job *Job, n *graph.Node)
+	// Cancel is called once when job is aborted. A scheduler that parks
+	// gang threads in Yield wakes the job's parked threads here, so they
+	// unwind instead of waiting for a token that may never come.
 	Cancel(job *Job)
 }
 
@@ -95,16 +89,19 @@ type NopHooks struct{}
 var _ Hooks = NopHooks{}
 
 // Register implements Hooks.
-func (NopHooks) Register(*sim.Proc, *Job) {}
+func (NopHooks) Register(*Job) {}
 
 // Deregister implements Hooks.
-func (NopHooks) Deregister(*sim.Proc, *Job) {}
+func (NopHooks) Deregister(*Job) {}
 
 // Yield implements Hooks.
 func (NopHooks) Yield(*sim.Proc, *Job) {}
 
 // NodeDone implements Hooks.
-func (NopHooks) NodeDone(*sim.Proc, *Job, *graph.Node) {}
+func (NopHooks) NodeDone(*Job, *graph.Node) {}
+
+// Cancel implements Hooks.
+func (NopHooks) Cancel(*Job) {}
 
 // Config tunes the engine.
 type Config struct {
@@ -171,7 +168,6 @@ type Engine struct {
 	cfg   Config
 	hooks Hooks
 	pool  *ThreadPool
-	rng   *rand.Rand // nil: fall back to the environment's shared source
 
 	jobSeq        int
 	taxOf         map[*graph.Graph]float64
@@ -212,9 +208,7 @@ func New(env *sim.Env, dev *gpu.Device, cfg Config, hooks Hooks) *Engine {
 	e.jobsC = reg.Counter("olympian_executor_jobs_total", "Jobs executed.", "device", devLabel)
 	reg.CounterView("olympian_executor_kernel_retries_total", "Transiently failed kernels relaunched.", &e.kernelRetries, "device", devLabel)
 	e.abortsC = reg.Counter("olympian_executor_job_aborts_total", "Jobs aborted.", "device", devLabel)
-	if dev != nil {
-		dev.Observe(cfg.Obs, cfg.Device)
-	}
+	dev.Observe(cfg.Obs, cfg.Device)
 	return e
 }
 
@@ -226,10 +220,10 @@ func (e *Engine) Pool() *ThreadPool { return e.pool }
 func (e *Engine) KernelRetries() int { return e.kernelRetries }
 
 // AbortJob marks job as failed with err and unwinds its gang: the
-// scheduler's Cancel hook (if implemented) wakes any parked threads, every
-// gang thread skips its remaining work at the next check point, and Run
-// deregisters the job through the normal path — so the scheduling token is
-// reclaimed and never stranded on an aborted holder.
+// scheduler's Cancel hook wakes any parked threads, every gang thread skips
+// its remaining work at the next check point, and Run deregisters the job
+// through the normal path — so the scheduling token is reclaimed and never
+// stranded on an aborted holder.
 func (e *Engine) AbortJob(job *Job, err error) {
 	if job.aborted {
 		return
@@ -238,9 +232,7 @@ func (e *Engine) AbortJob(job *Job, err error) {
 	job.err = err
 	e.abortsC.Inc()
 	e.cfg.Obs.Instant(obs.LayerExecutor, "job_abort", job.ID, obs.NoClass, e.cfg.Device, int64(job.Client))
-	if c, ok := e.hooks.(JobCanceller); ok {
-		c.Cancel(job)
-	}
+	e.hooks.Cancel(job)
 }
 
 // InitJob (re)initializes job, which its caller holds, for a client run of g
@@ -275,10 +267,10 @@ func (e *Engine) Run(p *sim.Proc, job *Job) {
 	job.StartAt = p.Now()
 	span := e.cfg.Obs.StartSpan(obs.LayerExecutor, "job", job.ID, obs.NoClass, e.cfg.Device, int64(job.Client))
 	e.jobsC.Inc()
-	e.hooks.Register(p, job)
+	e.hooks.Register(job)
 	e.process(p, job, job.Graph.Root)
 	job.wg.Wait(p) // join the gang: all async subtrees done
-	e.hooks.Deregister(p, job)
+	e.hooks.Deregister(job)
 	job.EndAt = p.Now()
 	e.cfg.Obs.EndSpan(span)
 }
@@ -307,7 +299,7 @@ func (e *Engine) process(p *sim.Proc, job *Job, root *graph.Node) {
 			return
 		}
 		e.compute(p, job, n)
-		e.hooks.NodeDone(p, job, n)
+		e.hooks.NodeDone(job, n)
 		for _, child := range n.Children {
 			if !child.Async {
 				queue = append(queue, child)
@@ -439,25 +431,13 @@ func (e *Engine) profilingFactor(g *graph.Graph) float64 {
 	return f
 }
 
-// SetRand gives the engine a private random source in place of the
-// environment's shared one; see gpu.Device.SetRand.
-func (e *Engine) SetRand(r *rand.Rand) { e.rng = r }
-
-// rand returns the engine's random source.
-func (e *Engine) rand() *rand.Rand {
-	if e.rng != nil {
-		return e.rng
-	}
-	return e.env.Rand()
-}
-
 // jittered perturbs d by the configured relative noise, never below 20% of
-// the nominal duration.
+// the nominal duration. It draws from the device's stack stream.
 func (e *Engine) jittered(d time.Duration) time.Duration {
 	if e.cfg.Jitter <= 0 || d <= 0 {
 		return d
 	}
-	f := 1 + e.rand().NormFloat64()*e.cfg.Jitter
+	f := 1 + e.dev.Rand().NormFloat64()*e.cfg.Jitter
 	if f < 0.2 {
 		f = 0.2
 	}

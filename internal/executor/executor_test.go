@@ -29,7 +29,7 @@ func lineGraph(t *testing.T) *graph.Graph {
 
 func TestRunExecutesAllNodes(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	g := lineGraph(t)
 
@@ -56,7 +56,7 @@ func TestRunExecutesAllNodes(t *testing.T) {
 
 func TestJobTimesRecorded(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	g := lineGraph(t)
 	job := new(Job)
@@ -83,14 +83,15 @@ type recordingHooks struct {
 	yields, nodeDones        int
 }
 
-func (h *recordingHooks) Register(*sim.Proc, *Job)              { h.registered++ }
-func (h *recordingHooks) Deregister(*sim.Proc, *Job)            { h.deregistered++ }
-func (h *recordingHooks) Yield(*sim.Proc, *Job)                 { h.yields++ }
-func (h *recordingHooks) NodeDone(*sim.Proc, *Job, *graph.Node) { h.nodeDones++ }
+func (h *recordingHooks) Register(*Job)              { h.registered++ }
+func (h *recordingHooks) Deregister(*Job)            { h.deregistered++ }
+func (h *recordingHooks) Yield(*sim.Proc, *Job)      { h.yields++ }
+func (h *recordingHooks) NodeDone(*Job, *graph.Node) { h.nodeDones++ }
+func (h *recordingHooks) Cancel(*Job)                {}
 
 func TestHooksCalledPerNode(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	hooks := &recordingHooks{}
 	eng := New(env, dev, Config{}, hooks)
 	g := lineGraph(t)
@@ -115,7 +116,7 @@ func TestThreadPoolLimitDelaysExecution(t *testing.T) {
 	// delayed until the first finishes, serializing them.
 	mk := func(poolSize int) sim.Time {
 		env := sim.NewEnv(1)
-		dev := gpu.New(env, testSpec)
+		dev := gpu.New(env, testSpec, env.Rand())
 		eng := New(env, dev, Config{ThreadPoolSize: poolSize}, nil)
 		a := &graph.Node{Op: "a", Device: graph.GPU, Duration: 4 * time.Millisecond, Occupancy: 0.4, Async: true}
 		b := &graph.Node{Op: "b", Device: graph.GPU, Duration: 4 * time.Millisecond, Occupancy: 0.4, Async: true}
@@ -146,7 +147,7 @@ func TestThreadPoolLimitDelaysExecution(t *testing.T) {
 func TestOnlineProfilingTaxInflatesRuntime(t *testing.T) {
 	run := func(tax time.Duration) sim.Time {
 		env := sim.NewEnv(1)
-		dev := gpu.New(env, testSpec)
+		dev := gpu.New(env, testSpec, env.Rand())
 		eng := New(env, dev, Config{OnlineProfilingTax: tax}, nil)
 		g := lineGraph(t)
 		job := new(Job)
@@ -168,7 +169,7 @@ func TestOnlineProfilingTaxInflatesRuntime(t *testing.T) {
 func TestJitterPerturbsDurationsDeterministically(t *testing.T) {
 	run := func(seed int64) sim.Time {
 		env := sim.NewEnv(seed)
-		dev := gpu.New(env, testSpec)
+		dev := gpu.New(env, testSpec, env.Rand())
 		eng := New(env, dev, Config{Jitter: 0.1}, nil)
 		g := lineGraph(t)
 		job := new(Job)
@@ -208,7 +209,7 @@ func TestSoloModelRunMatchesCalibratedRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		env := sim.NewEnv(1)
-		dev := gpu.New(env, gpu.GTX1080Ti)
+		dev := gpu.New(env, gpu.GTX1080Ti, env.Rand())
 		eng := New(env, dev, Config{}, nil)
 		job := new(Job)
 		eng.InitJob(job, &gpu.Stream{ID: 1}, g)

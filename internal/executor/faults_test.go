@@ -36,7 +36,7 @@ func gpuChain(t *testing.T, n int, d time.Duration) *graph.Graph {
 
 func TestKernelRetryRecoversTransientFaults(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	inj := faults.New(9, faults.Plan{KernelFailRate: 0.1})
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj}, nil)
@@ -61,7 +61,7 @@ func TestKernelRetryRecoversTransientFaults(t *testing.T) {
 
 func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	inj := faults.New(1, faults.Plan{KernelFailRate: 1})
 	dev.InjectFaults(inj)
 	eng := New(env, dev, Config{Faults: inj}, nil)
@@ -88,7 +88,7 @@ func TestPersistentKernelFaultAbortsJob(t *testing.T) {
 
 func TestInjectedAbortStopsGang(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	inj := faults.New(2, faults.Plan{AbortRate: 0.05})
 	eng := New(env, dev, Config{Faults: inj}, nil)
 	g := gpuChain(t, 200, 50*time.Microsecond)
@@ -118,7 +118,7 @@ func TestInjectedAbortStopsGang(t *testing.T) {
 
 func TestAbortJobIsIdempotent(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	g := gpuChain(t, 3, time.Millisecond)
 	job := new(Job)
@@ -145,7 +145,7 @@ func TestAbortJobIsIdempotent(t *testing.T) {
 // ID, and clears everything the first run and its caller set.
 func TestInitJobReusesGang(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	g := gpuChain(t, 3, time.Millisecond)
 	stream := &gpu.Stream{ID: 4}
@@ -185,7 +185,7 @@ func TestInitJobReusesGang(t *testing.T) {
 // thread in flight or a kernel slot held cannot be re-initialized.
 func TestInitJobPanicsOnLiveGang(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := gpu.New(env, testSpec)
+	dev := gpu.New(env, testSpec, env.Rand())
 	eng := New(env, dev, Config{}, nil)
 	g := gpuChain(t, 1, time.Millisecond)
 	stream := &gpu.Stream{ID: 1}

@@ -39,7 +39,7 @@ func ExtBatching(o Options) (*Report, error) {
 			MaxBatch:     maxBatch,
 			BatchTimeout: 5 * time.Millisecond,
 			Seed:         o.Seed,
-		})
+		}, env.Rand())
 		if err != nil {
 			return r, err
 		}

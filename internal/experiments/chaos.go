@@ -110,7 +110,7 @@ func Chaos(o Options) (*Report, error) {
 			Seed:         o.Seed,
 			Faults:       inj,
 			Obs:          child,
-		})
+		}, env.Rand())
 		if err != nil {
 			return serving.Stats{}, 0, 0, err
 		}

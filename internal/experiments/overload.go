@@ -56,7 +56,7 @@ func overloadServe(o Options, rate float64, horizon time.Duration, rec *obs.Reco
 		Seed:         o.Seed,
 		Admission:    &overload.AIMDConfig{},
 		Obs:          child,
-	})
+	}, env.Rand())
 	if err != nil {
 		return overloadPoint{}, err
 	}

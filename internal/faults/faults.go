@@ -97,14 +97,8 @@ type Plan struct {
 	// generation — the replayable form the chaos fuzzer's shrunk repros use.
 	Crashes []CrashEvent
 
-	// PartitionEvery is the mean interval between router<->device partition
-	// windows (0 disables); PartitionDur is each window's length and
-	// MaxPartitions caps the generated schedule (default 1).
-	PartitionEvery time.Duration
-	PartitionDur   time.Duration
-	MaxPartitions  int
-	// Partitions, when non-empty, is an explicit partition schedule that
-	// overrides generation.
+	// Partitions is an explicit schedule of router<->device partition
+	// windows.
 	Partitions []Window
 }
 
@@ -112,8 +106,7 @@ type Plan struct {
 func (p Plan) Enabled() bool {
 	return p.KernelFailRate > 0 || (p.StallEvery > 0 && p.StallDur > 0) ||
 		p.AbortRate > 0 || (p.BurstEvery > 0 && p.BurstDur > 0 && p.BurstFactor > 1) ||
-		p.CrashEvery > 0 || len(p.Crashes) > 0 ||
-		(p.PartitionEvery > 0 && p.PartitionDur > 0) || len(p.Partitions) > 0
+		p.CrashEvery > 0 || len(p.Crashes) > 0 || len(p.Partitions) > 0
 }
 
 // Counters tallies injected faults; the metrics layer folds them into its
@@ -147,10 +140,11 @@ type Injector struct {
 	bursts    []burst
 	burstNext sim.Time // arrival time of the next burst to generate
 
-	// Crash and partition schedules are precomputed at New from their own
-	// seeded streams (absolute times, ascending), so consumers can read them
-	// once at construction and schedule the events on any engine without
-	// further draws — a prerequisite for cross-engine bit-identity.
+	// Crash and partition schedules are precomputed at New (absolute
+	// times, ascending; crashes from their own seeded stream), so consumers
+	// can read them once at construction and schedule the events on any
+	// engine without further draws — a prerequisite for cross-engine
+	// bit-identity.
 	crashes    []CrashEvent
 	partitions []Window
 
@@ -167,8 +161,8 @@ func New(seed int64, plan Plan) *Injector {
 		burstRNG:  rand.New(rand.NewSource(seed ^ 0x62757273)), // "burs"
 		retryRNG:  rand.New(rand.NewSource(seed ^ 0x72657472)), // "retr"
 	}
-	in.crashes = generateCrashes(rand.New(rand.NewSource(seed^0x63726173)), plan)       // "cras"
-	in.partitions = generatePartitions(rand.New(rand.NewSource(seed^0x70617274)), plan) // "part"
+	in.crashes = generateCrashes(rand.New(rand.NewSource(seed^0x63726173)), plan) // "cras"
+	in.partitions = sortedPartitions(plan.Partitions)
 	return in
 }
 
@@ -204,31 +198,13 @@ func generateCrashes(rng *rand.Rand, plan Plan) []CrashEvent {
 	return out
 }
 
-// generatePartitions materializes the plan's partition windows likewise.
-func generatePartitions(rng *rand.Rand, plan Plan) []Window {
-	if len(plan.Partitions) > 0 {
-		out := append([]Window(nil), plan.Partitions...)
-		sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
-		return out
-	}
-	if plan.PartitionEvery <= 0 || plan.PartitionDur <= 0 {
+// sortedPartitions copies the plan's partition windows into time order.
+func sortedPartitions(windows []Window) []Window {
+	if len(windows) == 0 {
 		return nil
 	}
-	max := plan.MaxPartitions
-	if max <= 0 {
-		max = 1
-	}
-	var out []Window
-	t := time.Duration(0)
-	for i := 0; i < max; i++ {
-		gap := time.Duration(rng.ExpFloat64() * float64(plan.PartitionEvery))
-		if gap < time.Microsecond {
-			gap = time.Microsecond
-		}
-		t += gap
-		out = append(out, Window{From: t, Dur: plan.PartitionDur})
-		t += plan.PartitionDur
-	}
+	out := append([]Window(nil), windows...)
+	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
 	return out
 }
 

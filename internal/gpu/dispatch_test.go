@@ -22,7 +22,7 @@ import (
 func dispatchTranscript(t *testing.T) string {
 	t.Helper()
 	env := sim.NewEnv(7)
-	dev := New(env, Spec{Name: "pin", ClockScale: 1, Capacity: 1, LaunchLatency: 3 * time.Microsecond, StreamBias: 0.5})
+	dev := New(env, Spec{Name: "pin", ClockScale: 1, Capacity: 1, LaunchLatency: 3 * time.Microsecond, StreamBias: 0.5}, env.Rand())
 	rec := obs.NewRecorder()
 	rec.Bind(env, "pin")
 	dev.Observe(rec, 0)
@@ -143,7 +143,7 @@ func TestDispatchTranscriptPinned(t *testing.T) {
 // per-stream-ever-seen work on its path.
 func TestExecAfterManyStreamsAllocFree(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, Spec{Name: "many", ClockScale: 1, Capacity: 1, LaunchLatency: time.Microsecond, StreamBias: 0.2})
+	dev := New(env, Spec{Name: "many", ClockScale: 1, Capacity: 1, LaunchLatency: time.Microsecond, StreamBias: 0.2}, env.Rand())
 	const streams = 10000
 	var avg float64
 	env.Go("batcher", func(p *sim.Proc) {
@@ -190,7 +190,7 @@ func TestCrashDuringRecycledLaunchEndsH2DSpan(t *testing.T) {
 	env := sim.NewEnv(1)
 	spec := noLaunch
 	spec.LaunchLatency = 10 * time.Microsecond
-	dev := New(env, spec)
+	dev := New(env, spec, env.Rand())
 	rec := obs.NewRecorder()
 	rec.Bind(env, "recycle")
 	dev.Observe(rec, 0)
@@ -251,7 +251,7 @@ func TestCrashReviveExecCountsExact(t *testing.T) {
 	env := sim.NewEnv(1)
 	spec := noLaunch
 	spec.LaunchLatency = launch
-	dev := New(env, spec)
+	dev := New(env, spec, env.Rand())
 	dev.InjectFaults(faults.New(1, faults.Plan{Crashes: []faults.CrashEvent{
 		{At: 250 * time.Microsecond, Recovery: recovery}, // execution phase
 		{At: 635 * time.Microsecond, Recovery: recovery}, // launch phase
@@ -313,7 +313,7 @@ func TestCrashReviveExecCountsExact(t *testing.T) {
 // launch, execute, complete and recycle. It must report 0 allocs/op.
 func BenchmarkKernelDispatch(b *testing.B) {
 	env := sim.NewEnv(1)
-	dev := New(env, Spec{Name: "bench", ClockScale: 1, Capacity: 1})
+	dev := New(env, Spec{Name: "bench", ClockScale: 1, Capacity: 1}, env.Rand())
 	env.Go("submitter", func(p *sim.Proc) {
 		k := Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: time.Microsecond, Occupancy: 1}
 		if err := dev.Exec(p, k); err != nil { // first use builds the kernel

@@ -11,7 +11,7 @@ import (
 
 func TestSwitchBarrierDrainsThenHolds(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var secondStart sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		// First kernel is running when the barrier is raised.
@@ -34,7 +34,7 @@ func TestSwitchBarrierDrainsThenHolds(t *testing.T) {
 
 func TestSwitchBarrierOnIdleDeviceJustHolds(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var done sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		dev.SwitchBarrier(300 * time.Microsecond)
@@ -52,7 +52,7 @@ func TestSwitchBarrierOnIdleDeviceJustHolds(t *testing.T) {
 
 func TestBypassWindowLetsSmallKernelsFlow(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var smallDone sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		// Big kernel occupies the device; another big kernel queues behind
@@ -74,7 +74,7 @@ func TestBypassWindowLetsSmallKernelsFlow(t *testing.T) {
 
 func TestAgeBarrierEngagesAfterBypassWindow(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var lateDone sim.Time
 	env.Go("driver", func(p *sim.Proc) {
 		dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 2 * time.Millisecond, Occupancy: 0.6})
@@ -103,7 +103,7 @@ func TestAgeBarrierEngagesAfterBypassWindow(t *testing.T) {
 func TestStreamBiasDeterministicPerSeed(t *testing.T) {
 	weights := func(seed int64) []float64 {
 		env := sim.NewEnv(seed)
-		dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.3})
+		dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.3}, env.Rand())
 		out := make([]float64, 5)
 		env.Go("submit", func(p *sim.Proc) {
 			for s := range out {
@@ -143,7 +143,7 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 	// Two streams of equal full-occupancy work: with strong bias, their
 	// kernel-completion shares diverge in proportion to the weights.
 	env := sim.NewEnv(3)
-	dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.8})
+	dev := New(env, Spec{Name: "b", ClockScale: 1, Capacity: 1, StreamBias: 0.8}, env.Rand())
 	served := map[int]int{}
 	streams := [2]*Stream{{ID: 0}, {ID: 1}}
 	for s, st := range streams {
@@ -178,7 +178,7 @@ func TestStreamBiasSkewsServiceShares(t *testing.T) {
 
 func TestOccupancyTime(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	env.Go("submit", func(p *sim.Proc) {
 		ev := dev.Submit(&Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: 4 * time.Millisecond, Occupancy: 0.5})
 		ev.Wait(p)
@@ -200,7 +200,7 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 			return true
 		}
 		env := sim.NewEnv(2)
-		dev := New(env, noLaunch)
+		dev := New(env, noLaunch, env.Rand())
 		wg := env.NewWaitGroup()
 		streams := [3]*Stream{{ID: 0}, {ID: 1}, {ID: 2}}
 		for i, r := range raw {

@@ -11,7 +11,7 @@ import (
 
 func TestInjectedKernelFaultMarksErr(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	dev.InjectFaults(faults.New(1, faults.Plan{KernelFailRate: 1}))
 	st := &Stream{ID: 1}
 	k := &Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1}
@@ -38,7 +38,7 @@ func TestInjectedKernelFaultMarksErr(t *testing.T) {
 
 func TestNoInjectorNoFaults(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	k := &Kernel{Owner: 1, Stream: &Stream{ID: 1}, Duration: time.Millisecond, Occupancy: 1}
 	dev.Submit(k)
 	if err := env.Run(); err != nil {
@@ -56,7 +56,7 @@ func TestStallDelaysAdmissionNotResidents(t *testing.T) {
 	// keep executing through the stall window.
 	run := func(plan faults.Plan) sim.Time {
 		env := sim.NewEnv(1)
-		dev := New(env, noLaunch)
+		dev := New(env, noLaunch, env.Rand())
 		in := faults.New(1, plan)
 		dev.InjectFaults(in)
 		var finished sim.Time
@@ -92,7 +92,7 @@ func TestStallDelaysAdmissionNotResidents(t *testing.T) {
 
 func TestStallObserverFiresAtStallOnset(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	in := faults.New(1, faults.Plan{StallEvery: 300 * time.Microsecond, StallDur: time.Millisecond})
 	dev.InjectFaults(in)
 	type stall struct {

@@ -196,7 +196,7 @@ func (s *Stream) Reset(id int) {
 type Device struct {
 	env  *sim.Env
 	spec Spec
-	rng  *rand.Rand // nil: fall back to the environment's shared source
+	rng  *rand.Rand // the stack's stream, given to New
 
 	// Stream bookkeeping. nstreams counts the streams bound so far, which
 	// ranks the next. busy holds only the streams with queued kernels, in
@@ -258,15 +258,20 @@ type Device struct {
 	stallsC *obs.Series
 }
 
-// New returns an idle device with the given spec attached to env.
-func New(env *sim.Env, spec Spec) *Device {
+// New returns an idle device with the given spec attached to env. rng is
+// the random stream of the device's stack: the driver's stream weights and
+// dispatch picks draw from it, and so do the executor and scheduler built on
+// the device (through Rand). The stack's owner chooses it; a stack whose
+// draws must depend only on its own event order (a sharded cluster's) gets
+// a private stream.
+func New(env *sim.Env, spec Spec, rng *rand.Rand) *Device {
 	if spec.ClockScale <= 0 {
 		spec.ClockScale = 1.0
 	}
 	if spec.Capacity <= 0 {
 		spec.Capacity = 1.0
 	}
-	d := &Device{env: env, spec: spec}
+	d := &Device{env: env, spec: spec, rng: rng}
 	d.pumpFn = d.pump
 	return d
 }
@@ -557,19 +562,8 @@ func (d *Device) ready() {
 	d.pump()
 }
 
-// SetRand gives the device a private random source in place of the
-// environment's shared one. A sharded cluster isolates each device stack's
-// draws this way so that the draw sequence depends only on the device's own
-// event order — a prerequisite for engine-independent determinism.
-func (d *Device) SetRand(r *rand.Rand) { d.rng = r }
-
-// rand returns the device's random source.
-func (d *Device) rand() *rand.Rand {
-	if d.rng != nil {
-		return d.rng
-	}
-	return d.env.Rand()
-}
+// Rand returns the random stream of the device's stack, given to New.
+func (d *Device) Rand() *rand.Rand { return d.rng }
 
 // SetStallObserver registers a callback invoked at the start of each
 // injected driver stall with the time at which admission reopens. A cluster
@@ -622,7 +616,7 @@ func (d *Device) drawWeight() float64 {
 	if d.spec.StreamBias <= 0 {
 		return 1
 	}
-	return math.Exp(d.rand().NormFloat64() * d.spec.StreamBias)
+	return math.Exp(d.rng.NormFloat64() * d.spec.StreamBias)
 }
 
 // SwitchBarrier models the cost of a gang switch at the device: kernels
@@ -707,7 +701,7 @@ func (d *Device) pump() {
 		}
 		pick := cands[0]
 		if len(cands) > 1 {
-			r := d.rand().Float64() * total
+			r := d.rng.Float64() * total
 			for _, st := range cands {
 				r -= st.weight
 				if r < 0 {

@@ -13,7 +13,7 @@ var noLaunch = Spec{Name: "test", ClockScale: 1.0, Capacity: 1.0, MemoryBytes: 1
 
 func TestSingleKernelRunsForItsDuration(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var done sim.Time
 	st := &Stream{ID: 1}
 	env.Go("submit", func(p *sim.Proc) {
@@ -34,7 +34,7 @@ func TestSingleKernelRunsForItsDuration(t *testing.T) {
 
 func TestFullOccupancyKernelsSerialize(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var finishes []sim.Time
 	env.Go("submit", func(p *sim.Proc) {
 		ev1 := dev.Submit(&Kernel{Owner: 1, Duration: 2 * time.Millisecond, Occupancy: 1.0})
@@ -57,7 +57,7 @@ func TestFullOccupancyKernelsSerialize(t *testing.T) {
 
 func TestSmallKernelsOverlap(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	wg := env.NewWaitGroup()
 	var last sim.Time
 	for i := 0; i < 4; i++ {
@@ -79,7 +79,7 @@ func TestSmallKernelsOverlap(t *testing.T) {
 
 func TestHeadOfLineBlocking(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	var smallDone sim.Time
 	env.Go("submit", func(p *sim.Proc) {
 		// Half-occupancy kernel runs; full-occupancy kernel must wait for
@@ -102,7 +102,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 
 func TestOwnerBusyIsUnionOfIntervals(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	st := &Stream{ID: 1}
 	env.Go("submit", func(p *sim.Proc) {
 		// Two overlapping kernels on one stream: busy union is 3ms, not 4ms.
@@ -127,7 +127,7 @@ func TestOwnerBusyIsUnionOfIntervals(t *testing.T) {
 
 func TestClockScaleSpeedsKernels(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, Spec{Name: "fast", ClockScale: 2.0, Capacity: 1.0})
+	dev := New(env, Spec{Name: "fast", ClockScale: 2.0, Capacity: 1.0}, env.Rand())
 	var done sim.Time
 	env.Go("submit", func(p *sim.Proc) {
 		ev := dev.Submit(&Kernel{Owner: 1, Duration: 10 * time.Millisecond, Occupancy: 1.0})
@@ -146,7 +146,7 @@ func TestLaunchLatencyAdds(t *testing.T) {
 	env := sim.NewEnv(1)
 	spec := noLaunch
 	spec.LaunchLatency = time.Millisecond
-	dev := New(env, spec)
+	dev := New(env, spec, env.Rand())
 	var done sim.Time
 	env.Go("submit", func(p *sim.Proc) {
 		ev := dev.Submit(&Kernel{Owner: 1, Duration: 2 * time.Millisecond, Occupancy: 1.0})
@@ -163,7 +163,7 @@ func TestLaunchLatencyAdds(t *testing.T) {
 
 func TestMemoryAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	if err := dev.Alloc(1 << 29); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMemoryAccounting(t *testing.T) {
 
 func TestActiveKernelsTracksResidency(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	st := &Stream{ID: 7}
 	env.Go("submit", func(p *sim.Proc) {
 		dev.Submit(&Kernel{Owner: 7, Stream: st, Duration: 2 * time.Millisecond, Occupancy: 0.5})
@@ -209,7 +209,7 @@ func TestActiveKernelsTracksResidency(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	env.Go("submit", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			ev := dev.Submit(&Kernel{Owner: 1, Duration: time.Millisecond, Occupancy: 1.0})
@@ -237,7 +237,7 @@ func TestPropertyWorkConservationFullOccupancy(t *testing.T) {
 			return true
 		}
 		env := sim.NewEnv(1)
-		dev := New(env, noLaunch)
+		dev := New(env, noLaunch, env.Rand())
 		var want time.Duration
 		wg := env.NewWaitGroup()
 		streams := [3]*Stream{{ID: 0}, {ID: 1}, {ID: 2}}
@@ -274,7 +274,7 @@ func TestPropertyWorkConservationFullOccupancy(t *testing.T) {
 func TestPropertyMemoryBounds(t *testing.T) {
 	prop := func(ops []int32) bool {
 		env := sim.NewEnv(1)
-		dev := New(env, Spec{Name: "m", ClockScale: 1, Capacity: 1, MemoryBytes: 1 << 20})
+		dev := New(env, Spec{Name: "m", ClockScale: 1, Capacity: 1, MemoryBytes: 1 << 20}, env.Rand())
 		for _, op := range ops {
 			n := int64(op)
 			if n >= 0 {
@@ -299,7 +299,7 @@ func TestPropertyMemoryBounds(t *testing.T) {
 // after every stream bound meanwhile.
 func TestStreamResetRebinds(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	st, other := &Stream{ID: 1}, &Stream{ID: 2}
 	env.Go("submit", func(p *sim.Proc) {
 		if err := dev.Exec(p, Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1}); err != nil {
@@ -344,7 +344,7 @@ func TestStreamResetPanicsWhenBusy(t *testing.T) {
 		st.Reset(9)
 	}
 	env := sim.NewEnv(1)
-	dev := New(env, noLaunch)
+	dev := New(env, noLaunch, env.Rand())
 	st := &Stream{ID: 1}
 	env.Go("submit", func(p *sim.Proc) {
 		first := dev.Submit(&Kernel{Owner: 1, Stream: st, Duration: time.Millisecond, Occupancy: 1})

@@ -12,7 +12,7 @@ func kvTestDevice(t *testing.T, mem int64) *Device {
 	env := sim.NewEnv(1)
 	spec := GTX1080Ti
 	spec.MemoryBytes = mem
-	return New(env, spec)
+	return New(env, spec, env.Rand())
 }
 
 func TestKVCacheGrowReleaseAccounting(t *testing.T) {

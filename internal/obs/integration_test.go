@@ -31,7 +31,7 @@ func tracedServingRun(t *testing.T, seed int64) []byte {
 		Seed:         seed,
 		Admission:    &overload.AIMDConfig{},
 		Obs:          rec,
-	})
+	}, env.Rand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 			Seed:         7,
 			Admission:    &overload.AIMDConfig{},
 			Obs:          rec,
-		})
+		}, env.Rand())
 		if err != nil {
 			t.Fatal(err)
 		}

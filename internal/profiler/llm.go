@@ -67,7 +67,7 @@ func ProfileLLM(name string, spec gpu.Spec, seed int64) (*LLMProfile, error) {
 	// start to its completion (launch + scaled execution).
 	env := sim.NewEnv(seed)
 	spec.StreamBias = 0 // calibration wants the bare kernel cost
-	dev := gpu.New(env, spec)
+	dev := gpu.New(env, spec, env.Rand())
 	obs := make([]float64, 0, len(durs))
 	var (
 		k      *gpu.Kernel

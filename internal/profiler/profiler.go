@@ -93,7 +93,7 @@ func (o Options) withDefaults() Options {
 func ProfileSolo(g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	env := sim.NewEnv(opts.Seed)
-	dev := gpu.New(env, opts.Spec)
+	dev := gpu.New(env, opts.Spec, env.Rand())
 	eng := executor.New(env, dev, executor.Config{Jitter: opts.Jitter}, nil)
 
 	res := &Result{
@@ -239,7 +239,7 @@ func MeasureOverheadCurve(g *graph.Graph, prof *Result, qs []time.Duration, opts
 // otherwise Olympian fair-shares with quantum q.
 func pairFinish(g *graph.Graph, prof *Result, q time.Duration, opts Options) (time.Duration, error) {
 	env := sim.NewEnv(opts.Seed + 1)
-	dev := gpu.New(env, opts.Spec)
+	dev := gpu.New(env, opts.Spec, env.Rand())
 	var hooks executor.Hooks
 	if prof != nil {
 		sched := core.New(env, dev, core.Config{Quantum: q, SwitchCost: core.DefaultSwitchCost})
@@ -331,7 +331,7 @@ func MeasureOnlineOverhead(g *graph.Graph, tax time.Duration, opts Options) (*On
 	opts = opts.withDefaults()
 	run := func(withTax bool) (time.Duration, error) {
 		env := sim.NewEnv(opts.Seed + 2)
-		dev := gpu.New(env, opts.Spec)
+		dev := gpu.New(env, opts.Spec, env.Rand())
 		cfg := executor.Config{Jitter: opts.Jitter}
 		if withTax {
 			cfg.OnlineProfilingTax = tax

@@ -46,7 +46,7 @@ func serverAllocs(t *testing.T, n int) (float64, int) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{UseOlympian: true, MaxBatch: 8, BatchTimeout: 2 * time.Millisecond})
+	srv := newTestServer(t, env, Config{UseOlympian: true, MaxBatch: 8, BatchTimeout: 2 * time.Millisecond}, env.Rand())
 	env.ScheduleTrain(n, every(100*time.Microsecond), func() {
 		if _, err := srv.SubmitClass(model.Micro, overload.Interactive); err != nil {
 			t.Errorf("submit: %v", err)
@@ -70,7 +70,7 @@ func serverAllocs(t *testing.T, n int) (float64, int) {
 // no queue array keeps a drained request.
 func TestDrainQueuedAllocsZero(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour}, env.Rand())
 	reqs := make([]Request, 8)
 	cycle := func() {
 		for i := range reqs {

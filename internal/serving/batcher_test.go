@@ -70,7 +70,7 @@ func TestBatcherFlushInstants(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
-			srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 10 * time.Millisecond})
+			srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 10 * time.Millisecond}, env.Rand())
 			var reqs []*Request
 			for _, st := range tc.steps {
 				env.Schedule(st.at, func() {
@@ -118,7 +118,7 @@ func TestBatcherFlushInstants(t *testing.T) {
 // false and changes nothing.
 func TestCancelUnqueued(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{})
+	srv := newTestServer(t, env, Config{}, env.Rand())
 	if srv.Cancel(new(Request)) {
 		t.Fatal("cancel of a request the server never queued landed")
 	}

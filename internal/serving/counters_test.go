@@ -65,7 +65,7 @@ func TestServerCountersReadStats(t *testing.T) {
 			env := sim.NewEnv(1)
 			rec := obs.NewRecorder()
 			tc.cfg.Obs = rec
-			srv := newTestServer(t, env, tc.cfg)
+			srv := newTestServer(t, env, tc.cfg, env.Rand())
 			tc.submit(env, srv)
 			if err := env.Run(); err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // request must land in exactly one terminal state.
 func TestDrainQueuedSortedOrderAndIdempotence(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour}, env.Rand())
 	// Queue two requests per model; the hour-long timeout keeps them queued.
 	// Submission interleaves models so sorted-drain order != arrival order.
 	models := []string{model.ResNet50, model.AlexNet, model.ResNet50, model.AlexNet}
@@ -73,7 +73,7 @@ func TestDrainQueuedSortedOrderAndIdempotence(t *testing.T) {
 // terminal state or double-complete the request.
 func TestCancelAfterDrainIsNoop(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour}, env.Rand())
 	var req *Request
 	env.Go("client", func(p *sim.Proc) {
 		var err error
@@ -106,7 +106,7 @@ func TestCancelAfterDrainIsNoop(t *testing.T) {
 // sticky server mode.
 func TestDrainThenResubmitSurvives(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond}, env.Rand())
 	completed := 0
 	env.Go("client", func(p *sim.Proc) {
 		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
@@ -148,7 +148,7 @@ func TestDrainThenResubmitSurvives(t *testing.T) {
 // and chaos fuzzer have a real leak to find.
 func TestStrandDrainNthPlantsLeak(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour, TestStrandDrainNth: 2})
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: time.Hour, TestStrandDrainNth: 2}, env.Rand())
 	var reqs []*Request
 	env.Go("clients", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {

@@ -18,7 +18,7 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 	// A graph-build failure must complete the affected requests with an
 	// error and leave the server serving other models, not panic.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond}, env.Rand())
 	srv.build = func(modelName string, batch int) (*graph.Graph, error) {
 		if modelName == model.ResNet152 {
 			return nil, fmt.Errorf("zoo: no %s at batch %d", modelName, batch)
@@ -51,7 +51,7 @@ func TestBuildFailureFailsBatchNotServer(t *testing.T) {
 
 func TestBoundedQueueShedsAtAdmission(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: 5 * time.Millisecond, MaxQueue: 4})
+	srv := newTestServer(t, env, Config{MaxBatch: 32, BatchTimeout: 5 * time.Millisecond, MaxQueue: 4}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 10, 10*time.Microsecond)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestDeadlineExpiryDropsQueuedRequests(t *testing.T) {
 	// The batch timeout exceeds the deadline, so every request expires in
 	// the queue and must be dropped, never dispatched.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond, Deadline: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond, Deadline: time.Millisecond}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 3, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestDeadlineMissCountsLateCompletions(t *testing.T) {
 	// Requests dispatch promptly but the model takes longer than the SLO:
 	// they complete, yet each counts as a deadline miss.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 100 * time.Microsecond, Deadline: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 100 * time.Microsecond, Deadline: time.Millisecond}, env.Rand())
 	submitN(t, env, srv, model.ResNet152, 4, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestBatchRetryExhaustionFailsRequests(t *testing.T) {
 	// requests instead of retrying forever.
 	env := sim.NewEnv(1)
 	inj := faults.New(3, faults.Plan{KernelFailRate: 1})
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: inj})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: inj}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 2, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestServingUnderFaultsIsDeterministic(t *testing.T) {
 		srv := newTestServer(t, env, Config{
 			MaxBatch: 4, BatchTimeout: time.Millisecond,
 			Seed: 7, Faults: inj,
-		})
+		}, env.Rand())
 		reqs := submitN(t, env, srv, model.Inception, 16, 200*time.Microsecond)
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestTimeoutFlushRacesFullBatch(t *testing.T) {
 	// The batch fills at the same instant the flush timeout fires. Every
 	// request must be served exactly once, whichever side wins.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond}, env.Rand())
 	submitN(t, env, srv, model.Inception, 3, 0)
 	env.Go("late", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
@@ -217,7 +217,7 @@ func TestBatcherReuseAfterIdle(t *testing.T) {
 	// The daemon batcher must go back to sleep on an empty queue and wake
 	// again for a second wave long after the first drained.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 2, BatchTimeout: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 2, BatchTimeout: time.Millisecond}, env.Rand())
 	submitN(t, env, srv, model.Inception, 2, 0)
 	for i := 0; i < 2; i++ {
 		env.Go("second-wave", func(p *sim.Proc) {
@@ -244,7 +244,7 @@ func TestMaxBatchOverflowSplits(t *testing.T) {
 	// A burst larger than 2*MaxBatch must split into full batches plus a
 	// remainder, with no request left behind.
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: 2 * time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: 2 * time.Millisecond}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 19, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestShedAndExpiredReportZeroDelays(t *testing.T) {
 	srv := newTestServer(t, env, Config{
 		MaxBatch: 4, BatchTimeout: time.Millisecond,
 		MaxQueue: 2, Deadline: 500 * time.Microsecond,
-	})
+	}, env.Rand())
 	// A burst far beyond the bounded queue forces sheds; the tight deadline
 	// expires whatever queues too long.
 	reqs := submitN(t, env, srv, model.Inception, 24, 0)
@@ -52,7 +52,7 @@ func TestShedAndExpiredReportZeroDelays(t *testing.T) {
 
 func TestStatsPerModelPercentiles(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Millisecond}, env.Rand())
 	submitN(t, env, srv, model.ResNet50, 8, 100*time.Microsecond)
 	submitN(t, env, srv, model.Inception, 8, 100*time.Microsecond)
 	if err := env.Run(); err != nil {
@@ -78,7 +78,7 @@ func TestStatsPerModelPercentiles(t *testing.T) {
 
 func TestDrainQueuedFailsOnlyQueuedRequests(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Hour}, env.Rand())
 	// Three requests sit in the batcher (batch of 4 never fills, timeout
 	// never fires); a later drain must fail exactly those three.
 	reqs := submitN(t, env, srv, model.Inception, 3, 0)

@@ -267,9 +267,8 @@ func NewLLMServer(env *sim.Env, cfg LLMConfig) (*LLMServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := gpu.New(env, cfg.Spec)
+	dev := gpu.New(env, cfg.Spec, rand.New(rand.NewSource(cfg.Seed+811)))
 	dev.InjectFaults(cfg.Faults)
-	dev.SetRand(rand.New(rand.NewSource(cfg.Seed + 811)))
 	if cfg.Obs != nil {
 		dev.Observe(cfg.Obs, cfg.Device)
 	}

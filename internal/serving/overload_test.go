@@ -26,7 +26,7 @@ func TestConfigValidationRejectsNegatives(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
 			defer env.Shutdown()
-			if _, err := NewServer(env, tc.cfg); err == nil {
+			if _, err := NewServer(env, tc.cfg, env.Rand()); err == nil {
 				t.Fatalf("NewServer accepted %+v, want error", tc.cfg)
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name the bad field %q", err, tc.want)
@@ -38,14 +38,14 @@ func TestConfigValidationRejectsNegatives(t *testing.T) {
 func TestConfigValidationAcceptsZeroValues(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Shutdown()
-	if _, err := NewServer(env, Config{}); err != nil {
+	if _, err := NewServer(env, Config{}, env.Rand()); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
 }
 
 func TestSubmitClassRejectsInvalidClass(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{})
+	srv := newTestServer(t, env, Config{}, env.Rand())
 	env.Go("client", func(p *sim.Proc) {
 		if _, err := srv.SubmitClass(model.Inception, overload.NumClasses); err == nil {
 			t.Error("out-of-range class accepted")
@@ -65,7 +65,7 @@ func TestAIMDLimiterShedsPastLimit(t *testing.T) {
 	srv := newTestServer(t, env, Config{
 		MaxBatch: 4, BatchTimeout: time.Millisecond,
 		Admission: &overload.AIMDConfig{Initial: 1, Min: 1, Max: 1},
-	})
+	}, env.Rand())
 	var admitted, shedReq *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
@@ -108,7 +108,7 @@ func TestInteractiveEvictsQueuedBatch(t *testing.T) {
 	env := sim.NewEnv(3)
 	// MaxQueue 1 with an hour-long flush: the first (batch-class) request
 	// parks in the queue, so the interactive arrival must displace it.
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Hour, MaxQueue: 1})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Hour, MaxQueue: 1}, env.Rand())
 	var victim, inter *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
@@ -146,7 +146,7 @@ func TestInteractiveEvictsQueuedBatch(t *testing.T) {
 
 func TestBatchNeverEvictsEqualOrHigherClass(t *testing.T) {
 	env := sim.NewEnv(3)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond, MaxQueue: 1})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond, MaxQueue: 1}, env.Rand())
 	var first, second *Request
 	env.Go("clients", func(p *sim.Proc) {
 		var err error
@@ -177,7 +177,7 @@ func TestBatchNeverEvictsEqualOrHigherClass(t *testing.T) {
 
 func TestCancelQueuedRequest(t *testing.T) {
 	env := sim.NewEnv(5)
-	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour}, env.Rand())
 	env.Go("client", func(p *sim.Proc) {
 		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
 		if err != nil {
@@ -206,7 +206,7 @@ func TestCancelQueuedRequest(t *testing.T) {
 
 func TestCancelDispatchedRequestAbortsJob(t *testing.T) {
 	env := sim.NewEnv(6)
-	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond}, env.Rand())
 	env.Go("client", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // submit off t=0 so BatchedAt is observable
 		req, err := srv.SubmitClass(model.Inception, overload.Interactive)
@@ -247,7 +247,7 @@ func TestAdmissionLimitAdaptsUnderLoad(t *testing.T) {
 	srv := newTestServer(t, env, Config{
 		MaxBatch: 8, BatchTimeout: time.Millisecond,
 		Admission: &overload.AIMDConfig{},
-	})
+	}, env.Rand())
 	// A healthy trickle: every completion is a success signal, so the limit
 	// must end above its initial value.
 	for i := 0; i < 20; i++ {
@@ -287,7 +287,7 @@ func TestIdleLimiterAdmitsBatch(t *testing.T) {
 	srv := newTestServer(t, env, Config{
 		MaxBatch: 4, BatchTimeout: time.Millisecond,
 		Admission: &overload.AIMDConfig{Initial: 1, Min: 1},
-	})
+	}, env.Rand())
 	const n = 5
 	for i := 0; i < n; i++ {
 		i := i

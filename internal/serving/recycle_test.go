@@ -19,7 +19,7 @@ import (
 // the cancel must not land, and the second batch must run to completion.
 func TestRecycledBatchRecordIgnoresStaleCancel(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 1, BatchTimeout: 100 * time.Microsecond}, env.Rand())
 	var first, second *Request
 	env.Go("client", func(p *sim.Proc) {
 		var err error
@@ -80,7 +80,7 @@ func TestRecycledBatchRecordIgnoresStaleCancel(t *testing.T) {
 // caller-held analogue of TestRecycledBatchRecordIgnoresStaleCancel.
 func TestReusedCancelledRiderIgnoredByOldBatch(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 2, BatchTimeout: 100 * time.Microsecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 2, BatchTimeout: 100 * time.Microsecond}, env.Rand())
 	var r, other Request
 	env.Go("client", func(p *sim.Proc) {
 		for _, req := range []*Request{&r, &other} {
@@ -141,7 +141,7 @@ func TestReusedCancelledRiderIgnoredByOldBatch(t *testing.T) {
 func TestRetriedBatchReusesJob(t *testing.T) {
 	env := sim.NewEnv(1)
 	inj := faults.New(3, faults.Plan{KernelFailRate: 1})
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: inj})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond, Faults: inj}, env.Rand())
 	var jobs []*executor.Job
 	var ids []int
 	srv.eng.NodeObserver = func(job *executor.Job, _ *graph.Node, _, _ time.Duration) {
@@ -175,7 +175,7 @@ func TestRetriedBatchReusesJob(t *testing.T) {
 // queue's array past its length.
 func TestQueueRemovalsClearTail(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour, Deadline: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour, Deadline: time.Millisecond}, env.Rand())
 	checkTail := func(what string, want int) {
 		t.Helper()
 		q := srv.byName[model.Inception].queue

@@ -71,7 +71,7 @@ func retainedHeap(t *testing.T, n int, serve func(*testing.T, *sim.Env, int) (an
 
 // serveCNN submits n model.Micro requests 100us apart to a batching server.
 func serveCNN(t *testing.T, env *sim.Env, n int) (any, func() int) {
-	srv := newTestServer(t, env, Config{MaxBatch: 8})
+	srv := newTestServer(t, env, Config{MaxBatch: 8}, env.Rand())
 	env.ScheduleTrain(n, every(100*time.Microsecond), func() {
 		if _, err := srv.SubmitClass(model.Micro, overload.Interactive); err != nil {
 			t.Errorf("submit: %v", err)

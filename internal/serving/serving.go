@@ -111,7 +111,8 @@ type Config struct {
 	// BatchTimeout flushes a non-full batch once its oldest request has
 	// waited this long (default 10ms).
 	BatchTimeout time.Duration
-	// Seed drives randomness.
+	// Seed seeds the server's offline profiling runs; the device stack's
+	// stream is NewServer's rng.
 	Seed int64
 	// Jitter is node-duration noise (default executor.DefaultJitter).
 	Jitter float64
@@ -139,12 +140,6 @@ type Config struct {
 	// Device is this server's device index in the Obs track layout (the
 	// cluster layer numbers its replicas; standalone servers are 0).
 	Device int
-	// IsolateRand gives the device, executor, and scheduler a private random
-	// stream derived from Seed instead of the environment's shared source, so
-	// this stack's draw sequence depends only on its own event order. The
-	// sharded cluster requires it: with a shared source, co-resident stacks'
-	// draws would interleave differently between engines.
-	IsolateRand bool
 	// TestStrandDrainNth, when positive, plants a deliberate bug in
 	// DrainQueued for invariant-checker tests: every Nth drained request is
 	// silently removed from its queue without being failed, stranding its
@@ -292,10 +287,14 @@ type Server struct {
 	build func(modelName string, batch int) (*graph.Graph, error)
 }
 
-// NewServer builds a server inside env. Explicitly invalid configurations
-// (negative queue caps, timeouts, or deadlines) are rejected rather than
-// silently replaced by defaults.
-func NewServer(env *sim.Env, cfg Config) (*Server, error) {
+// NewServer builds a server inside env whose device stack draws from rng:
+// stream weights, driver picks, kernel jitter and policy tie-breaks (see
+// gpu.New). A standalone server may pass env.Rand(); a sharded cluster
+// passes each stack a private stream, so its draws follow only its own
+// event order, which both cluster engines replay identically. Explicitly
+// invalid configurations (negative queue caps, timeouts, or deadlines) are
+// rejected rather than silently replaced by defaults.
+func NewServer(env *sim.Env, cfg Config, rng *rand.Rand) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,7 +310,7 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 	if cfg.Jitter == 0 {
 		cfg.Jitter = executor.DefaultJitter
 	}
-	dev := gpu.New(env, cfg.Spec)
+	dev := gpu.New(env, cfg.Spec, rng)
 	dev.InjectFaults(cfg.Faults)
 	s := &Server{
 		env:       env,
@@ -351,18 +350,6 @@ func NewServer(env *sim.Env, cfg Config) (*Server, error) {
 		Jitter: cfg.Jitter, Faults: cfg.Faults,
 		Obs: cfg.Obs, Device: cfg.Device,
 	}, hooks)
-	if cfg.IsolateRand {
-		// One private stream per stack: its draws (stream weights, driver
-		// picks, kernel jitter, policy tie-breaks) all happen in this
-		// stack's own event order, which both cluster engines replay
-		// identically.
-		r := rand.New(rand.NewSource(cfg.Seed + 811))
-		dev.SetRand(r)
-		s.eng.SetRand(r)
-		if s.sched != nil {
-			s.sched.SetRand(r)
-		}
-	}
 	return s, nil
 }
 

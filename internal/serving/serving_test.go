@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // newTestServer builds a server, failing the test on config errors.
-func newTestServer(t *testing.T, env *sim.Env, cfg Config) *Server {
+func newTestServer(t *testing.T, env *sim.Env, cfg Config, rng *rand.Rand) *Server {
 	t.Helper()
-	srv, err := NewServer(env, cfg)
+	srv, err := NewServer(env, cfg, rng)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -43,7 +44,7 @@ func submitN(t *testing.T, env *sim.Env, srv *Server, modelName string, n int, g
 
 func TestBatcherFlushesOnFullBatch(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour})
+	srv := newTestServer(t, env, Config{MaxBatch: 8, BatchTimeout: time.Hour}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 16, 0) // all arrive at t=0
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestBatcherFlushesOnFullBatch(t *testing.T) {
 
 func TestBatcherFlushesOnTimeout(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 64, BatchTimeout: 5 * time.Millisecond}, env.Rand())
 	reqs := submitN(t, env, srv, model.Inception, 3, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestBatcherFlushesOnTimeout(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: time.Millisecond}, env.Rand())
 	reqs := submitN(t, env, srv, model.ResNet152, 4, 0)
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestLatencyAccounting(t *testing.T) {
 
 func TestMultiModelServing(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond, UseOlympian: true})
+	srv := newTestServer(t, env, Config{MaxBatch: 4, BatchTimeout: 2 * time.Millisecond, UseOlympian: true}, env.Rand())
 	submitN(t, env, srv, model.Inception, 4, time.Millisecond)
 	submitN(t, env, srv, model.ResNet152, 4, time.Millisecond)
 	if err := env.Run(); err != nil {
@@ -130,7 +131,7 @@ func TestMultiModelServing(t *testing.T) {
 
 func TestSubmitUnknownModel(t *testing.T) {
 	env := sim.NewEnv(1)
-	srv := newTestServer(t, env, Config{})
+	srv := newTestServer(t, env, Config{}, env.Rand())
 	var submitErr error
 	env.Go("frontend", func(p *sim.Proc) {
 		_, submitErr = srv.SubmitClass("bogus", overload.Interactive)
@@ -149,7 +150,7 @@ func TestBiggerBatchesImproveThroughput(t *testing.T) {
 	// (smaller per-image cost) at some queueing latency.
 	run := func(maxBatch int) (time.Duration, Stats) {
 		env := sim.NewEnv(1)
-		srv := newTestServer(t, env, Config{MaxBatch: maxBatch, BatchTimeout: 2 * time.Millisecond})
+		srv := newTestServer(t, env, Config{MaxBatch: maxBatch, BatchTimeout: 2 * time.Millisecond}, env.Rand())
 		submitN(t, env, srv, model.Inception, 32, 0)
 		if err := env.Run(); err != nil {
 			t.Fatal(err)

@@ -50,9 +50,9 @@ type ShardsConfig struct {
 }
 
 // envSeedStride separates per-shard environment RNG streams. Model stacks
-// that need engine-independent draws use their own injected sources (see
-// serving.Config.IsolateRand); the stride only keeps accidental env.Rand
-// use from colliding across shards.
+// that need engine-independent draws get their own stream from their owner
+// (see serving.NewServer); the stride only keeps accidental env.Rand use
+// from colliding across shards.
 const envSeedStride = 0x9E3779B9
 
 // shardMsg is one cross-shard message awaiting barrier delivery.

@@ -441,9 +441,9 @@ func Run(cfg Config, clients []ClientSpec) (*Result, error) {
 // seeded by cfg.Seed, the others offset from it as the cluster fleets do),
 // its scheduler for every kind but vanilla, and its execution engine.
 // Device 0 runs cfg.Policy itself; the others get fresh policies of the
-// same kind.
+// same kind. All of a run's devices draw from the environment's stream.
 func newDevice(env *sim.Env, cfg Config, d int, profiles map[*graph.Graph]*profiler.Result) device {
-	dv := device{gpu: gpu.New(env, cfg.Spec)}
+	dv := device{gpu: gpu.New(env, cfg.Spec, env.Rand())}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		dv.inj = faults.New(cfg.Seed+int64(d)*1031, *cfg.Faults)
 		dv.gpu.InjectFaults(dv.inj)

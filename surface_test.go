@@ -37,9 +37,9 @@ var fieldAllow = map[string]string{
 	"overload.RetryBudget.denied": "oracle: the retry-budget tests count denied retries with it",
 }
 
-// knobAllow lists the exported fields of internal *Config types that no
-// caller outside their package sets and that stay anyway, each with its
-// reason.
+// knobAllow lists the exported fields of internal *Config, *Options and
+// *Plan types that no caller outside their package sets and that stay
+// anyway, each with its reason.
 var knobAllow = map[string]string{
 	"cluster.Config.Admission":          "oracle: the sharded/overload pin sets it",
 	"cluster.Config.TestStrandDrainNth": "oracle: the planted drain bug FuzzConservation must catch",
@@ -48,6 +48,9 @@ var knobAllow = map[string]string{
 	"cluster.LLMConfig.Obs":             "oracle: the LLM fleet's trace path, driven by FuzzConservation and the llm/* pins",
 	"cluster.LLMConfig.Telemetry":       "oracle: the LLM fleet's timeline path, driven by FuzzConservation and the llm/* pins",
 	"executor.Config.MaxInflight":       "ROADMAP item 7 sweeps the in-flight depth",
+	"experiments.Options.Profiles":      "the root bench_test.go shares one profile store across its benchmarks",
+	"faults.Plan.Crashes":               "oracle: the replayable crash schedule of FuzzConservation and the cross-engine differential tests",
+	"faults.Plan.Partitions":            "oracle: the replayable partition schedule of FuzzConservation and the cross-engine differential tests",
 	"overload.AIMDConfig.Add":           "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
 	"overload.AIMDConfig.Beta":          "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
 	"overload.AIMDConfig.Cooldown":      "oracle: FuzzLimiterMatchesReference and the sharded/overload pin set it",
@@ -64,9 +67,6 @@ var knobAllow = map[string]string{
 // function literal or function type inside it, each with the stage of
 // ROADMAP item 13 that makes it an event callback.
 var procAllow = map[string]string{
-	"core.Scheduler.Deregister":      "stage 4: core's hooks keep only the callback form",
-	"core.Scheduler.NodeDone":        "stage 4: core's hooks keep only the callback form",
-	"core.Scheduler.Register":        "stage 4: core's hooks keep only the callback form",
 	"core.Scheduler.Yield":           "stage 4: core's hooks keep only the callback form",
 	"executor.Engine.Run":            "stage 4: the session thread",
 	"executor.Engine.compute":        "stage 4: the session thread",
@@ -75,9 +75,6 @@ var procAllow = map[string]string{
 	"executor.Engine.runTask":        "stage 4: the session thread",
 	"executor.Engine.submitKernel":   "stage 4: the session thread",
 	"executor.NewThreadPool":         "stage 4: the session thread's pool workers",
-	"executor.NopHooks.Deregister":   "stage 4: core's hooks keep only the callback form",
-	"executor.NopHooks.NodeDone":     "stage 4: core's hooks keep only the callback form",
-	"executor.NopHooks.Register":     "stage 4: core's hooks keep only the callback form",
 	"executor.NopHooks.Yield":        "stage 4: core's hooks keep only the callback form",
 	"executor.ThreadPool.spawn":      "stage 4: the session thread's pool workers",
 	"executor.ThreadPool.workerLoop": "stage 4: the session thread's pool workers",
@@ -122,9 +119,9 @@ func TestWriteOnlyFields(t *testing.T) {
 }
 
 // TestConfigKnobsSet keeps configs to the knobs a caller sets: every
-// exported field of an exported internal type named *Config is written by a
-// non-test file of another package of the root module or of bench/, or is
-// listed in knobAllow. A knob only its own package's defaults write is a
+// exported field of an exported internal type named *Config, *Options or
+// *Plan is written by a non-test file of another package of the root
+// module or of bench/, or is listed in knobAllow. A knob only its own package's defaults write is a
 // constant in disguise.
 func TestConfigKnobsSet(t *testing.T) {
 	scan, err := repoScan()
@@ -191,6 +188,8 @@ func TestSurfaceGateFixture(t *testing.T) {
 		"a.Config.Allowed: allowlisted but set; drop its entry",
 		"a.Config.Defaulted: no caller outside its package sets it; delete it, or allowlist it with a reason",
 		"a.Config.TestOnly: no caller outside its package sets it; delete it, or allowlist it with a reason",
+		"a.Options.Unset: no caller outside its package sets it; delete it, or allowlist it with a reason",
+		"a.Plan.Unset: no caller outside its package sets it; delete it, or allowlist it with a reason",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("knob problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -242,7 +241,7 @@ type listedPkg struct {
 // fields maps each unexported, non-embedded struct field of root's packages
 // to whether non-test code reads it; keys are "pkg.Type.field". knobs maps
 // each exported field of an exported internal/ or cmd/internal/ type named
-// *Config to whether a non-test file of another package writes it; keys are
+// *Config, *Options or *Plan (isKnobType) to whether a non-test file of another package writes it; keys are
 // "pkg.Type.Field". procFree maps each non-test function and method of
 // root's packages other than internal/sim to whether it neither calls
 // (*sim.Env).Go nor takes a *sim.Proc parameter (see procSite); keys are
@@ -364,7 +363,7 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 				continue
 			}
 			named := tn.Type().(*types.Named)
-			if st, ok := named.Underlying().(*types.Struct); ok && tn.Exported() && strings.HasSuffix(name, "Config") {
+			if st, ok := named.Underlying().(*types.Struct); ok && tn.Exported() && isKnobType(name) {
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() {
 						scan.knobs[base+"."+name+"."+f.Name()] = set[f]
@@ -379,6 +378,12 @@ func scanDecls(root string, others ...string) (surfaceScan, error) {
 		}
 	}
 	return scan, nil
+}
+
+// isKnobType reports whether an exported internal struct named name is an
+// input struct whose fields the knob gate covers.
+func isKnobType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Plan")
 }
 
 // funcKey names a declared function "Name", or a method "Type.Name".

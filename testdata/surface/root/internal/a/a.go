@@ -73,6 +73,21 @@ func Apply(c Config) int {
 	return c.FromRoot + c.FromOther + c.Defaulted + c.TestOnly + c.Allowed
 }
 
+// Options and Plan are input structs too, so the knob gate covers them.
+type Options struct {
+	Set   int // set by the root module's fixture.go
+	Unset int // set by no caller
+}
+
+// Plan's one knob is set by no caller.
+type Plan struct{ Unset int }
+
+// Params is not named like an input struct: its fields are no knobs.
+type Params struct{ Unset int }
+
+// Tune reads every field of its inputs.
+func Tune(o Options, p Plan, q Params) int { return o.Set + o.Unset + p.Unset + q.Unset }
+
 // Spawn starts a proc: a proc site, allowlisted.
 func Spawn(e *sim.Env) { e.Go("spawned", func() {}) }
 
